@@ -1,95 +1,36 @@
-"""Hot numerical kernels with a numba backend and a pure-numpy fallback.
+"""The block-positivity kernel, in pure numpy.
 
 The only kernel is the alternating minimization of the block form
 <xi (x) eta, C (xi (x) eta)> over unit vectors, which dominates the runtime
-of positivity searches.  Backend selection:
+of positivity searches.  `block_minimize_batch` minimises a stack of maps;
+`block_minimize` is the same kernel on one map.
 
-  CONECERT_BACKEND=numba   force the jit kernel (error if numba is missing)
-  CONECERT_BACKEND=numpy   force the einsum fallback
-  unset or "auto"          numba when importable, else numpy
-
-Both backends run the restarts sequentially and reduce with `<` in restart
-order, so results are deterministic for a fixed start array.
-
-`block_minimize_batch` is a pure-numpy kernel for many small maps at once:
-it gives, per map, what `block_minimize` gives, but spends its Python and
-LAPACK call overhead once per batch instead of once per map.
+Each map scans its restarts in order and stops at the first one whose value
+dips below `stop_below`.  To spend Python and LAPACK call overhead on many
+descents at once, the restarts are descended in waves: wave k takes the next
+WAVE_GROWTH**k starts of every map still live (1, 8, 64, ...), all in one
+stacked descent of at most MAX_ROWS rows.  Results are then scanned in
+restart order, so a start after the exit start of its wave counts neither in
+`used` nor in `best`: per map the result is that of a sequential scan, and it
+is deterministic for a fixed start array.
 """
-
-import os
 
 import numpy as np
 
 from .errors import SearchError
 
-_ENV_FLAG = "CONECERT_BACKEND"
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Map an explicit choice or the env flag onto an available backend."""
-    choice = backend if backend is not None else os.environ.get(_ENV_FLAG, "auto")
-    choice = choice.strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not _HAVE_NUMBA:
-            raise SearchError("numba backend requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise SearchError(f"unknown backend {choice!r}; use numba, numpy or auto")
-
-
-def _descend_numpy(c4, eta, max_iters, conv_tol):
-    eta = eta / np.linalg.norm(eta)
-    prev = np.inf
-    val = np.inf
-    xi = np.zeros(c4.shape[0], dtype=np.complex128)
-    for _ in range(max_iters):
-        nmat = np.einsum("ikjl,k,l->ij", c4, eta.conj(), eta)
-        _, v = np.linalg.eigh(0.5 * (nmat + nmat.conj().T))
-        xi = np.ascontiguousarray(v[:, 0])
-        mmat = np.einsum("ikjl,i,j->kl", c4, xi.conj(), xi)
-        w, v = np.linalg.eigh(0.5 * (mmat + mmat.conj().T))
-        eta = np.ascontiguousarray(v[:, 0])
-        val = float(w[0])
-        if abs(prev - val) <= conv_tol * (1.0 + abs(val)):
-            break
-        prev = val
-    return val, xi, eta
-
-
-def _block_minimize_numpy(c4, starts, max_iters, conv_tol, stop_below):
-    best = np.inf
-    best_xi = np.zeros(c4.shape[0], dtype=np.complex128)
-    best_eta = np.zeros(c4.shape[1], dtype=np.complex128)
-    used = 0
-    for r in range(starts.shape[0]):
-        used += 1
-        val, xi, eta = _descend_numpy(c4, starts[r], max_iters, conv_tol)
-        if val < best:
-            best, best_xi, best_eta = val, xi, eta
-        if best < stop_below:
-            break
-    return best, best_xi, best_eta, used
+# rows descended per stacked call; bounds the stacked arrays and the work a
+# wave can spend past a map's exit start
+MAX_ROWS = 256
+# width ratio of successive waves; the first wave is one start per map, so a
+# map that exits on its first start costs a single descent
+WAVE_GROWTH = 8
 
 
 def _descend_batch(c4s, eta, max_iters, conv_tol):
-    """`_descend_numpy` on a stack of maps, one start per map.
+    """Alternating descent of a stack of maps, one start per map.
 
-    Rows whose value has converged are dropped, so each map stops after
+    Rows whose value has converged are dropped, so each row stops after
     exactly the iterations its own descent would take.
     """
     eta = eta / np.linalg.norm(eta, axis=1, keepdims=True)
@@ -124,12 +65,13 @@ def block_minimize_batch(
     conv_tol: float,
     stop_below: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`block_minimize` for a stack of maps, in pure numpy.
+    """Minimize the block form of a stack of Hermitian Choi tensors.
 
-    c4s has shape (B, n, m, n, m) and starts (B, restarts, m).  Round r
-    descends start r of every map whose best value is still at or above
-    stop_below, so each map scans its restarts in the same order, with the
-    same early exit, as a separate `block_minimize` call.
+    c4s has shape (B, n, m, n, m) and starts (B, restarts, m), one eta seed
+    per restart.  Each descent alternates exact minimization in xi (bottom
+    eigenvector with eta fixed) and in eta (with xi fixed) until the value
+    moves by less than conv_tol relatively.  Each map scans its restarts in
+    order until one dips below stop_below or the budget runs out.
 
     Returns per-map arrays (best values (B,), best xi (B, n), best eta
     (B, m), restarts used (B,)).
@@ -141,95 +83,43 @@ def block_minimize_batch(
     count, n, m = c4s.shape[:3]
     if starts.ndim != 3 or starts.shape[0] != count or starts.shape[2] != m:
         raise SearchError(f"starts must be ({count}, restarts, {m}), got {starts.shape}")
-    if starts.shape[1] < 1 or max_iters < 1:
+    total = starts.shape[1]
+    if total < 1 or max_iters < 1:
         raise SearchError("need at least one restart and one iteration")
     best = np.full(count, np.inf)
     best_xi = np.zeros((count, n), dtype=np.complex128)
     best_eta = np.zeros((count, m), dtype=np.complex128)
     used = np.zeros(count, dtype=np.int64)
     live = np.arange(count)
-    for r in range(starts.shape[1]):
-        val, xi, eta = _descend_batch(c4s[live], starts[live, r], max_iters, conv_tol)
-        used[live] += 1
-        better = val < best[live]
-        won = live[better]
-        best[won], best_xi[won], best_eta[won] = val[better], xi[better], eta[better]
-        live = live[~(best[live] < stop_below)]
-        if live.size == 0:
-            break
+    done, grow = 0, 1
+    while live.size and done < total:
+        width = min(grow, total - done, max(1, MAX_ROWS // live.size))
+        owner = np.repeat(live, width)
+        seeds = starts[live, done:done + width].reshape(-1, m)
+        vals = np.empty(owner.size)
+        xis = np.empty((owner.size, n), dtype=np.complex128)
+        etas = np.empty((owner.size, m), dtype=np.complex128)
+        for lo in range(0, owner.size, MAX_ROWS):
+            part = slice(lo, lo + MAX_ROWS)
+            vals[part], xis[part], etas[part] = _descend_batch(
+                c4s[owner[part]], seeds[part], max_iters, conv_tol
+            )
+        # scan each map's wave in restart order, up to and including its exit
+        vals = vals.reshape(-1, width)
+        below = vals < stop_below
+        exits = below.any(axis=1)
+        scanned = np.where(exits, below.argmax(axis=1) + 1, width)
+        used[live] += scanned
+        vals = np.where(np.arange(width) < scanned[:, None], vals, np.inf)
+        rows = np.arange(live.size) * width + vals.argmin(axis=1)
+        low = vals.ravel()[rows]
+        better = low < best[live]
+        won, rows = live[better], rows[better]
+        best[won], best_xi[won], best_eta[won] = low[better], xis[rows], etas[rows]
+        live = live[~exits]
+        done += width
+        grow *= WAVE_GROWTH
     return best, best_xi, best_eta, used
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _block_minimize_numba(c4, starts, max_iters, conv_tol, stop_below):  # pragma: no cover - jitted
-        n = c4.shape[0]
-        m = c4.shape[1]
-        best = np.inf
-        best_xi = np.zeros(n, dtype=np.complex128)
-        best_eta = np.zeros(m, dtype=np.complex128)
-        used = 0
-        nmat = np.empty((n, n), dtype=np.complex128)
-        mmat = np.empty((m, m), dtype=np.complex128)
-        for r in range(starts.shape[0]):
-            used += 1
-            eta = starts[r].copy()
-            nrm = 0.0
-            for k in range(m):
-                nrm += eta[k].real ** 2 + eta[k].imag ** 2
-            nrm = np.sqrt(nrm)
-            for k in range(m):
-                eta[k] /= nrm
-            xi = np.zeros(n, dtype=np.complex128)
-            prev = np.inf
-            val = np.inf
-            for _ in range(max_iters):
-                for i in range(n):
-                    for j in range(n):
-                        acc = 0.0 + 0.0j
-                        for k in range(m):
-                            ek = np.conj(eta[k])
-                            for l in range(m):
-                                acc += ek * c4[i, k, j, l] * eta[l]
-                        nmat[i, j] = acc
-                for i in range(n):
-                    for j in range(i, n):
-                        h = 0.5 * (nmat[i, j] + np.conj(nmat[j, i]))
-                        nmat[i, j] = h
-                        nmat[j, i] = np.conj(h)
-                _, vn = np.linalg.eigh(nmat)
-                for i in range(n):
-                    xi[i] = vn[i, 0]
-                for k in range(m):
-                    for l in range(m):
-                        acc = 0.0 + 0.0j
-                        for i in range(n):
-                            xic = np.conj(xi[i])
-                            for j in range(n):
-                                acc += xic * c4[i, k, j, l] * xi[j]
-                        mmat[k, l] = acc
-                for k in range(m):
-                    for l in range(k, m):
-                        h = 0.5 * (mmat[k, l] + np.conj(mmat[l, k]))
-                        mmat[k, l] = h
-                        mmat[l, k] = np.conj(h)
-                wm, vm = np.linalg.eigh(mmat)
-                for k in range(m):
-                    eta[k] = vm[k, 0]
-                val = wm[0]
-                if np.abs(prev - val) <= conv_tol * (1.0 + np.abs(val)):
-                    break
-                prev = val
-            if val < best:
-                best = val
-                for i in range(n):
-                    best_xi[i] = xi[i]
-                for k in range(m):
-                    best_eta[k] = eta[k]
-            if best < stop_below:
-                break
-        return best, best_xi, best_eta, used
 
 
 def block_minimize(
@@ -238,31 +128,18 @@ def block_minimize(
     max_iters: int,
     conv_tol: float,
     stop_below: float,
-    backend: str | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Minimize the block form of a Hermitian Choi tensor over product vectors.
+    """`block_minimize_batch` on one map.
 
     c4 is the Choi matrix reshaped to (n, m, n, m); starts holds one eta seed
-    per restart, shape (restarts, m).  Alternates exact minimization in xi
-    (bottom eigenvector with eta fixed) and in eta (with xi fixed) until the
-    value moves by less than conv_tol relatively, scanning restarts until one
-    dips below stop_below or the budget runs out.
+    per restart, shape (restarts, m).
 
     Returns (best value, best xi, best eta, restarts used).
     """
-    c4 = np.ascontiguousarray(c4, dtype=np.complex128)
-    starts = np.ascontiguousarray(starts, dtype=np.complex128)
+    c4, starts = np.asarray(c4), np.asarray(starts)
     if starts.ndim != 2 or starts.shape[1] != c4.shape[1]:
         raise SearchError(f"starts must be (restarts, {c4.shape[1]}), got {starts.shape}")
-    if starts.shape[0] < 1 or max_iters < 1:
-        raise SearchError("need at least one restart and one iteration")
-    which = resolve_backend(backend)
-    if which == "numba":
-        best, xi, eta, used = _block_minimize_numba(
-            c4, starts, max_iters, conv_tol, stop_below
-        )
-    else:
-        best, xi, eta, used = _block_minimize_numpy(
-            c4, starts, max_iters, conv_tol, stop_below
-        )
-    return float(best), xi, eta, int(used)
+    best, xi, eta, used = block_minimize_batch(
+        c4[None], starts[None], max_iters, conv_tol, stop_below
+    )
+    return float(best[0]), xi[0], eta[0], int(used[0])

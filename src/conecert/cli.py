@@ -206,9 +206,7 @@ def cmd_classify(args) -> int:
 def cmd_positivity(args) -> int:
     map_rep = map_from_json(load_json(args.map))
     seed = _resolve_seed(args.seed)
-    search = SearchParams(
-        restarts=args.restarts, max_iters=args.iters, seed=seed, backend=args.backend
-    )
+    search = SearchParams(restarts=args.restarts, max_iters=args.iters, seed=seed)
     result = is_positive(map_rep, search)
     payload = {
         "verdict": result.verdict,
@@ -311,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_positivity)
 

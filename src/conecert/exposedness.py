@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._kernels import block_minimize, block_minimize_batch
+from ._kernels import MAX_ROWS, block_minimize, block_minimize_batch
 from .errors import ClassificationError, SearchError
 from .faces import NullSpaceResult, double_prime_nullspace, membership_residual
 from .linalg import (
@@ -117,10 +117,6 @@ def _empty_nullspace() -> NullSpaceResult:
     )
 
 
-# test points searched per batched kernel call; bounds the stacked arrays
-_FALLBACK_CHUNK = 256
-
-
 def cone_fallback(
     nullspace: NullSpaceResult, phi: MapRep, params: FallbackParams = FallbackParams()
 ) -> ConeFallbackEvidence:
@@ -133,9 +129,8 @@ def cone_fallback(
     phi itself passes.
 
     The test points go through `block_minimize_batch` in chunks of at most
-    `_FALLBACK_CHUNK`; each point's search is the one the numpy backend of
-    `block_minimize` would run on it, with its random restarts drawn in
-    (direction, eps) order.
+    `MAX_ROWS`; each point's search is the one `block_minimize` would run on
+    it, with its random restarts drawn in (direction, eps) order.
     """
     if nullspace.dim < 2:
         raise SearchError("cone fallback needs a null space of dimension >= 2")
@@ -158,8 +153,7 @@ def cone_fallback(
     control_c4 = phi.choi4 / scale
     control_starts = np.vstack([informed_starts(control_c4), crandn(rng, search.restarts, m)])
     control_val, _, _, _ = block_minimize(
-        control_c4, control_starts, search.max_iters, search.conv_tol,
-        -search.tol, backend=search.backend,
+        control_c4, control_starts, search.max_iters, search.conv_tol, -search.tol
     )
     control_positive = control_val >= -search.tol
 
@@ -173,7 +167,7 @@ def cone_fallback(
     violations: list[Violation] = []
     misses: list[tuple[int, float]] = []
     points = test_points()
-    while chunk := list(islice(points, _FALLBACK_CHUNK)):
+    while chunk := list(islice(points, MAX_ROWS)):
         ts, epss, p_test, random_starts = zip(*chunk)
         c4s = params_to_herm(np.array(p_test), n * m).reshape(-1, n, m, n, m)
         starts = np.concatenate([informed_starts(c4s), np.array(random_starts)], axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from ._kernels import block_minimize
-from .errors import HermiticityError, InputRejected, ShapeError
+from .errors import HermiticityError, InputRejected, SearchError, ShapeError
 from .linalg import as_complex_matrix, as_complex_vector, hermitize
 from .sampling import crandn, rng_from, unit_probe_vectors
 
@@ -78,7 +78,6 @@ class SearchParams:
     tol: float = 1e-9
     conv_tol: float = 1e-13
     seed: int = 0
-    backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,11 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     `search.restarts` random restarts; a value below -search.tol yields
     NOT_POSITIVE with the witness pair.  Restarts are scanned in a fixed
     order, so the result is deterministic for a given seed.
+    `search.restarts` may be 0, which leaves the informed starts alone.
     """
     _require_hermitian(map_rep)
+    if search.restarts < 0:
+        raise SearchError(f"restarts must be >= 0, got {search.restarts}")
     starts = np.vstack([
         informed_starts(map_rep.choi4),
         crandn(rng_from(search.seed), search.restarts, map_rep.m),
@@ -228,7 +230,6 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
         search.max_iters,
         search.conv_tol,
         -search.tol,
-        backend=search.backend,
     )
     return PositivityResult(
         positive=val >= -search.tol,

@@ -116,7 +116,19 @@ def test_classify_unclassifiable_exit_3(tmp_path, capsys):
 
 def test_positivity_positive(tmp_path, capsys):
     m = identity_map_file(tmp_path)
-    assert main(["positivity", m, "--seed", "1", "--backend", "numpy"]) == 0
+    assert main(["positivity", m, "--seed", "1"]) == 0
+    assert "verdict: POSITIVE_EVIDENCE" in capsys.readouterr().out
+
+
+def test_positivity_bad_budget_exit_2(tmp_path, capsys):
+    """a negative restart count or no iterations is a usage error, before any search"""
+    m = identity_map_file(tmp_path)
+    assert main(["positivity", m, "--restarts", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["positivity", m, "--iters", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # no random restarts: the informed starts alone still give a verdict
+    assert main(["positivity", m, "--restarts", "0"]) == 0
     assert "verdict: POSITIVE_EVIDENCE" in capsys.readouterr().out
 
 

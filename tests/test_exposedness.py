@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conecert._kernels import block_minimize
+from conecert._kernels import MAX_ROWS, block_minimize
 from conecert.errors import ClassificationError, SearchError
 from conecert.exposedness import (
-    _FALLBACK_CHUNK,
     CertifyParams,
     FallbackParams,
     MapCase,
@@ -151,7 +150,7 @@ def _fallback_oracle(ns, phi, params):
             c4 = params_to_herm(p_phi + eps * u, n * m).reshape(n, m, n, m)
             starts = np.vstack([informed_starts(c4), sample_crandn(rng, search.restarts, m)])
             val, _, _, _ = block_minimize(
-                c4, starts, search.max_iters, search.conv_tol, -search.tol, "numpy"
+                c4, starts, search.max_iters, search.conv_tol, -search.tol
             )
             points.append((t, eps, val, c4.reshape(n * m, n * m)))
     return points
@@ -165,12 +164,12 @@ def test_cone_fallback_matches_per_point_oracle(transposed):
     ns = double_prime_nullspace(phi)
     assert ns.dim == 5
     epsilons = (1e-12, 0.01, 1.0, 10.0)  # steps of 1e-12 stay above -tol: misses
-    directions = _FALLBACK_CHUNK // len(epsilons) + 7  # two chunks, the last one partial
+    directions = MAX_ROWS // len(epsilons) + 7  # two chunks, the last one partial
     params = FallbackParams(
         directions_per_dim=directions, max_directions=directions, epsilons=epsilons,
         seed=3, search=SearchParams(restarts=6),
     )
-    assert (directions * len(epsilons)) % _FALLBACK_CHUNK != 0
+    assert (directions * len(epsilons)) % MAX_ROWS != 0
     fb = cone_fallback(ns, phi, params)
     oracle = _fallback_oracle(ns, phi, params)
     assert fb.directions_tested == directions

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from conecert._kernels import (
-    available_backends,
-    block_minimize,
-    block_minimize_batch,
-    resolve_backend,
-)
+from conecert import _kernels
+from conecert._kernels import MAX_ROWS, WAVE_GROWTH, block_minimize, block_minimize_batch
 from conecert.errors import SearchError
 from conecert.linalg import hermitize
 
@@ -15,23 +11,36 @@ def _crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_resolve_backend():
-    assert resolve_backend("numpy") == "numpy"
-    assert resolve_backend("auto") in available_backends()
-    assert resolve_backend(None) in available_backends()
-    with pytest.raises(SearchError):
-        resolve_backend("cuda")
+def reference_scan(c4, starts, max_iters, conv_tol, stop_below):
+    """Sequential oracle: one map, one start at a time, in restart order."""
+    best, best_xi, best_eta, used = np.inf, None, None, 0
+    for start in starts:
+        used += 1
+        eta, prev = start / np.linalg.norm(start), np.inf
+        for _ in range(max_iters):
+            nmat = np.einsum("ikjl,k,l->ij", c4, eta.conj(), eta)
+            xi = np.linalg.eigh(hermitize(nmat))[1][:, 0]
+            mmat = np.einsum("ikjl,i,j->kl", c4, xi.conj(), xi)
+            w, v = np.linalg.eigh(hermitize(mmat))
+            eta, val = v[:, 0], float(w[0])
+            if abs(prev - val) <= conv_tol * (1.0 + abs(val)):
+                break
+            prev = val
+        if val < best:
+            best, best_xi, best_eta = val, xi, eta
+        if best < stop_below:
+            break
+    return best, best_xi, best_eta, used
 
 
 def test_block_minimize_hand_case():
     """diag(1, 0, 0, -1) as a Choi matrix has block minimum -1 at e2 (x) e2"""
     c4 = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex).reshape(2, 2, 2, 2)
     rng = np.random.default_rng(0)
-    for backend in available_backends():
-        val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 2), 100, 1e-13, -1e-9, backend)
-        assert abs(val + 1.0) < 1e-9
-        assert abs(abs(xi[1]) - 1.0) < 1e-6
-        assert abs(abs(eta[1]) - 1.0) < 1e-6
+    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 2), 100, 1e-13, -1e-9)
+    assert abs(val + 1.0) < 1e-9
+    assert abs(abs(xi[1]) - 1.0) < 1e-6
+    assert abs(abs(eta[1]) - 1.0) < 1e-6
 
 
 def test_block_minimize_positive_case():
@@ -39,31 +48,16 @@ def test_block_minimize_positive_case():
     a = _crandn(rng, 3, 3)
     w = a.reshape(-1)
     c4 = np.outer(w, w.conj()).reshape(3, 3, 3, 3)
-    for backend in available_backends():
-        val, _, _, used = block_minimize(c4, _crandn(rng, 8, 3), 200, 1e-13, -1e-9, backend)
-        assert val >= -1e-10
-        assert used == 8
+    val, _, _, used = block_minimize(c4, _crandn(rng, 8, 3), 200, 1e-13, -1e-9)
+    assert val >= -1e-10
+    assert used == 8
 
 
 def test_block_minimize_early_exit():
     c4 = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex).reshape(2, 2, 2, 2)
     rng = np.random.default_rng(2)
-    _, _, _, used = block_minimize(c4, _crandn(rng, 32, 2), 100, 1e-13, -1e-9, "numpy")
+    _, _, _, used = block_minimize(c4, _crandn(rng, 32, 2), 100, 1e-13, -1e-9)
     assert used < 32
-
-
-def test_backends_agree():
-    if "numba" not in available_backends():
-        pytest.skip("numba not available")
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        n, m = rng.integers(1, 5, size=2)
-        c = hermitize(_crandn(rng, n * m, n * m))
-        c4 = c.reshape(n, m, n, m)
-        starts = _crandn(rng, 24, m)
-        val_np, _, _, _ = block_minimize(c4, starts, 200, 1e-13, -np.inf, "numpy")
-        val_nb, _, _, _ = block_minimize(c4, starts, 200, 1e-13, -np.inf, "numba")
-        assert abs(val_np - val_nb) < 1e-8
 
 
 def test_block_minimize_never_above_product_points():
@@ -71,7 +65,7 @@ def test_block_minimize_never_above_product_points():
     rng = np.random.default_rng(4)
     c = hermitize(_crandn(rng, 6, 6))
     c4 = c.reshape(2, 3, 2, 3)
-    val, _, _, _ = block_minimize(c4, _crandn(rng, 32, 3), 200, 1e-13, -np.inf, "numpy")
+    val, _, _, _ = block_minimize(c4, _crandn(rng, 32, 3), 200, 1e-13, -np.inf)
     for _ in range(200):
         xi = _crandn(rng, 2)
         eta = _crandn(rng, 3)
@@ -83,7 +77,7 @@ def test_block_minimize_witness_value_consistent():
     rng = np.random.default_rng(5)
     c = hermitize(_crandn(rng, 8, 8))
     c4 = c.reshape(2, 4, 2, 4)
-    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 4), 200, 1e-13, -np.inf, "numpy")
+    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 4), 200, 1e-13, -np.inf)
     u = np.kron(xi, eta)
     assert abs(np.vdot(u, c @ u).real - val) < 1e-9
 
@@ -91,9 +85,9 @@ def test_block_minimize_witness_value_consistent():
 def test_block_minimize_rejects_bad_starts():
     c4 = np.zeros((2, 2, 2, 2), dtype=complex)
     with pytest.raises(SearchError):
-        block_minimize(c4, np.zeros((4, 3), dtype=complex), 10, 1e-13, -1e-9, "numpy")
+        block_minimize(c4, np.zeros((4, 3), dtype=complex), 10, 1e-13, -1e-9)
     with pytest.raises(SearchError):
-        block_minimize(c4, np.zeros((0, 2), dtype=complex), 10, 1e-13, -1e-9, "numpy")
+        block_minimize(c4, np.zeros((0, 2), dtype=complex), 10, 1e-13, -1e-9)
 
 
 def _random_maps(rng, count, n, m):
@@ -113,7 +107,7 @@ def _assert_batch_matches_single(c4s, starts, stop_below):
     c = c4s.reshape(c4s.shape[0], *2 * (c4s.shape[1] * c4s.shape[2],))
     vals, xis, etas, used = block_minimize_batch(c4s, starts, 200, 1e-13, stop_below)
     for b in range(c4s.shape[0]):
-        val, xi, eta, n_used = block_minimize(c4s[b], starts[b], 200, 1e-13, stop_below, "numpy")
+        val, xi, eta, n_used = reference_scan(c4s[b], starts[b], 200, 1e-13, stop_below)
         assert abs(vals[b] - val) <= 1e-12 * max(1.0, abs(val))
         assert used[b] == n_used
         # witnesses may differ by a phase, so compare the block value each attains
@@ -155,6 +149,73 @@ def test_block_minimize_batch_early_exit():
     assert used[0] < 16 and used[2] < 16
     assert used[1] == 16
     assert abs(vals[0] + 1.0) < 1e-9
+
+
+def _record_rows(monkeypatch):
+    """Spy on the stacked descents: the number of rows of each call, in order."""
+    rows, descend = [], _kernels._descend_batch
+
+    def spy(c4s, *args):
+        rows.append(c4s.shape[0])
+        return descend(c4s, *args)
+
+    monkeypatch.setattr(_kernels, "_descend_batch", spy)
+    return rows
+
+
+# diagonal block values v[i, k]: a basis start e_k descends to a fixed value,
+# e_0 -> -1 (exits below -0.5), e_1 -> -2 (deeper), e_2 -> 1 (no exit)
+_WAVE_MAP = np.diag([-1.0, 5, 5, 5, -2, 5, 5, 5, 1]).astype(complex).reshape(3, 3, 3, 3)
+
+
+@pytest.mark.parametrize("exit_at", [0, 1, 8, 9, 72])
+def test_block_minimize_batch_wave_boundaries(exit_at, monkeypatch):
+    """exit at the first or last start of a wave; deeper starts after it are ignored
+
+    Waves of one map cover starts 0 | 1-8 | 9-72 | 73-...: every start after
+    the exit, in the same wave where there is one, descends to -2 and must
+    count neither in `used` nor in `best`.
+    """
+    total = 80
+    eye = np.eye(3, dtype=complex)
+    starts = np.array([eye[2]] * exit_at + [eye[0]] + [eye[1]] * (total - exit_at - 1))
+    rows = _record_rows(monkeypatch)
+    val, xi, eta, used = block_minimize(_WAVE_MAP, starts, 50, 1e-13, -0.5)
+    assert used == exit_at + 1
+    assert abs(val + 1.0) < 1e-12
+    assert abs(abs(xi[0]) - 1.0) < 1e-12 and abs(abs(eta[0]) - 1.0) < 1e-12
+    assert rows == [1, 8, 64][: 1 + (exit_at >= 1) + (exit_at >= 9)]
+    ref_val, _, _, ref_used = reference_scan(_WAVE_MAP, starts, 50, 1e-13, -0.5)
+    assert (ref_val, ref_used) == (val, used)
+
+
+def test_block_minimize_batch_wave_boundaries_together():
+    """the wave-boundary maps in one batch: each exits on its own start"""
+    eye = np.eye(3, dtype=complex)
+    exits = (0, 1, 8, 9, 72)
+    starts = np.array([
+        [eye[2]] * j + [eye[0]] + [eye[1]] * (79 - j) for j in exits
+    ])
+    c4s = np.array([_WAVE_MAP] * len(exits))
+    vals, used = _assert_batch_matches_single(c4s, starts, -0.5)
+    assert list(used) == [j + 1 for j in exits]
+    assert np.all(np.abs(vals + 1.0) < 1e-12)
+
+
+@pytest.mark.parametrize("count, total, rows", [
+    (40, 10, [40, 240, 120]),  # 40 maps x 8 starts > MAX_ROWS: waves of 1, 6, 3
+    (300, 3, [256, 44] * 3),  # more maps than MAX_ROWS: each wave in two calls
+])
+def test_block_minimize_batch_caps_rows(count, total, rows, monkeypatch):
+    """every map stays live, so each wave is as wide as MAX_ROWS allows"""
+    assert MAX_ROWS == 256 and WAVE_GROWTH == 8
+    rng = np.random.default_rng(22 + count)
+    c4s = _random_maps(rng, count, 2, 2)
+    starts = _crandn(rng, count, total, 2)
+    descended = _record_rows(monkeypatch)
+    _, used = _assert_batch_matches_single(c4s, starts, -np.inf)
+    assert np.all(used == total)
+    assert descended == rows
 
 
 def test_block_minimize_batch_rejects_bad_shapes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conecert.errors import HermiticityError, InputRejected, ShapeError
+from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.maps import (
     MapRep,
     SearchParams,
@@ -17,6 +17,9 @@ from conecert.maps import (
     partial_transpose_in,
     rank1_nonincreasing,
 )
+from conecert.sampling import crandn as sample_crandn
+from conecert.sampling import rng_from
+from test_kernels import reference_scan
 
 rng = np.random.default_rng(7)
 
@@ -182,6 +185,53 @@ def test_is_positive_negative_witness():
     assert abs(res.min_value + 1.0) < 1e-9
     u = np.kron(res.xi, res.eta)
     assert abs(np.vdot(u, c @ u).real - res.min_value) < 1e-9
+
+
+def _positivity_maps(n, m):
+    """CP, ad, ad o T, omega_q and a planted map, normalised as the benchmark does"""
+    d = n * m
+    g = crandn(d, d)
+    cp = g @ g.conj().T
+    cp /= np.linalg.norm(cp)
+    a = crandn(n, m) / 2
+    r, z = crandn(m, m), crandn(n)
+    v = np.kron(crandn(n), crandn(m))
+    v /= np.linalg.norm(v)
+    planted = cp - (np.vdot(v, cp @ v).real + 0.05) * np.outer(v, v.conj())
+    return [
+        MapRep(n=n, m=m, choi=cp),
+        choi_from_ad(a),
+        choi_from_ad(a, transposed=True),
+        choi_from_omega_q(r @ r.conj().T, z),
+        MapRep(n=n, m=m, choi=0.5 * (planted + planted.conj().T)),
+    ]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 4), (4, 2)])
+def test_is_positive_matches_reference_scan(n, m):
+    """is_positive = the sequential scan of its informed and random starts"""
+    for k, map_rep in enumerate(_positivity_maps(n, m)):
+        search = SearchParams(seed=100 * n + 10 * m + k)
+        res = is_positive(map_rep, search)
+        starts = np.vstack([
+            informed_starts(map_rep.choi4),
+            sample_crandn(rng_from(search.seed), search.restarts, m),
+        ])
+        val, _, _, used = reference_scan(
+            map_rep.choi4, starts, search.max_iters, search.conv_tol, -search.tol
+        )
+        assert res.positive == (val >= -search.tol)
+        assert res.restarts_used == used
+        assert abs(res.min_value - val) <= 1e-12
+        u = np.kron(res.xi, res.eta)
+        assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
+    # the planted map has a product vector at -0.05: it must be found
+    assert not res.positive
+
+
+def test_is_positive_rejects_negative_restarts():
+    with pytest.raises(SearchError):
+        is_positive(choi_from_ad(np.eye(2)), SearchParams(restarts=-1))
 
 
 def test_rank1_nonincreasing():
