@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import MAX_ROWS, block_minimize, block_minimize_batch
 from .errors import ClassificationError, SearchError
-from .faces import NullSpaceResult, double_prime_nullspace, membership_residual
+from .faces import PAIR_TOL, NullSpaceResult, double_prime_nullspace, membership_residual
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -76,26 +76,30 @@ class ConeFallbackEvidence:
 
 @dataclass(frozen=True)
 class FallbackParams:
-    """Direction budget and step grid for the cone-collapse evidence run."""
+    """Direction budget, step grid and seeded search of the cone-collapse run."""
 
     directions_per_dim: int = 64
     max_directions: int = 512
     epsilons: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
-    seed: int = 0
     search: SearchParams = SearchParams()
 
 
 @dataclass(frozen=True)
 class CertifyParams:
+    """Settings of `certify_exposed`, which draws only from `seed`.
+
+    The null-space stage uses `derive_seed(seed, 1)`; `fallback.search.seed`
+    is overwritten with `derive_seed(seed, 2)`.
+    """
+
     seed: int = 0
     batch_size: int = 8
     max_batches: int = 16
     stable_batches: int = 3
     tol: TolerancePolicy = DEFAULT_TOL
-    pair_tol: float = 1e-10
+    pair_tol: float = PAIR_TOL
     overlap_tol: float = 1e-8
     span_tol: float = 1e-10
-    search: SearchParams = SearchParams()
     fallback: FallbackParams = FallbackParams()
 
 
@@ -148,7 +152,7 @@ def cone_fallback(
 
     count = min(params.directions_per_dim * (d - 1), params.max_directions)
     search = params.search
-    rng = rng_from(params.seed)
+    rng = rng_from(search.seed)
 
     control_c4 = phi.choi4 / scale
     control_starts = np.vstack([informed_starts(control_c4), crandn(rng, search.restarts, m)])
@@ -243,10 +247,8 @@ def certify_exposed(
             return finish(Verdict.EXPOSED_LINEAR, ns, None, overlap)
         return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
 
-    fb_params = replace(
-        params.fallback, seed=derive_seed(seed, 2), search=params.search
-    )
-    fb = cone_fallback(ns, phi, fb_params)
+    fb_search = replace(params.fallback.search, seed=derive_seed(seed, 2))
+    fb = cone_fallback(ns, phi, replace(params.fallback, search=fb_search))
     verdict = (
         Verdict.EXPOSED_CONE_EVIDENCE
         if fb.all_violated and fb.control_positive
@@ -376,32 +378,31 @@ def classify(map_rep: MapRep, tol: float = 1e-8) -> Classification:
     if vec is not None:
         return Classification(case=MapCase.AD_TRANSPOSE, b=fix_phase(vec.reshape(n, m)))
 
-    # product form across the H:K cut: rearrange so choi = Q (x) S becomes
-    # the rank-1 matrix vec(Q) vec(S)^T
-    r_mat = map_rep.choi4.transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    u, s, vh = np.linalg.svd(r_mat)
-    if s[0] > 0 and (s.shape[0] == 1 or s[1] <= tol * s[0]):
-        qr = u[:, 0].reshape(n, n)
-        t = complex(np.trace(qr))
-        if abs(t) > tol:
-            q = qr / t
-            if herm_defect(q) <= tol * max(1.0, float(np.abs(q).max())):
-                wq, vq = np.linalg.eigh(hermitize(q))
-                scale_q = max(abs(float(wq[0])), abs(float(wq[-1])))
-                rank1 = wq[-1] > 0 and wq[0] >= -tol * scale_q and (
-                    n == 1 or wq[-2] <= tol * scale_q
-                )
-                if rank1:
-                    smat = (float(s[0]) * t) * vh[0].reshape(m, m)
-                    if herm_defect(smat) <= tol * max(1.0, float(np.abs(smat).max())):
-                        smat = hermitize(smat)
-                        ws = np.linalg.eigvalsh(smat)
-                        scale_s = max(abs(float(ws[0])), abs(float(ws[-1])))
-                        if ws[0] >= -tol * scale_s:
-                            zeta = fix_phase(normalized(vq[:, -1]))
-                            return Classification(
-                                case=MapCase.OMEGA_Q, r_matrix=smat.T.copy(), zeta=zeta
-                            )
-    raise ClassificationError(
-        "map matches none of the AD / AD_TRANSPOSE / OMEGA_Q normal forms"
-    )
+    omega_q = _omega_q_form(map_rep, tol)
+    if omega_q is None:
+        raise ClassificationError(
+            "map matches none of the AD / AD_TRANSPOSE / OMEGA_Q normal forms"
+        )
+    return omega_q
+
+
+def _omega_q_form(map_rep: MapRep, tol: float) -> Classification | None:
+    """OMEGA_Q classification if choi = Q (x) S, Q a rank-1 PSD direction, S PSD."""
+    n, m = map_rep.n, map_rep.m
+    # across the H:K cut, choi = Q (x) S rearranges to the rank-1 vec(Q) vec(S)^T
+    u, s, vh = np.linalg.svd(map_rep.choi4.transpose(0, 2, 1, 3).reshape(n * n, m * m))
+    t = complex(np.trace(u[:, 0].reshape(n, n)))
+    if s[0] <= 0 or (s.shape[0] > 1 and s[1] > tol * s[0]) or abs(t) <= tol:
+        return None
+    q = u[:, 0].reshape(n, n) / t
+    smat = (float(s[0]) * t) * vh[0].reshape(m, m)
+    for x in (q, smat):
+        if herm_defect(x) > tol * max(1.0, float(np.abs(x).max())):
+            return None
+    vec = _rank1_psd_vector(q, tol)
+    smat = hermitize(smat)
+    ws = np.linalg.eigvalsh(smat)
+    if vec is None or ws[0] < -tol * max(abs(float(ws[0])), abs(float(ws[-1]))):
+        return None
+    zeta = fix_phase(normalized(vec))
+    return Classification(case=MapCase.OMEGA_Q, r_matrix=smat.T.copy(), zeta=zeta)

@@ -26,7 +26,7 @@ from .linalg import (
     triu_pairs,
 )
 from .maps import MapRep, _require_hermitian, apply
-from .sampling import combination_probes, crandn, rng_from, unit_probe_vectors
+from .sampling import combination_probes, random_unit_vector, rng_from, unit_probe_vectors
 
 PAIR_TOL = 1e-10
 _ASSEMBLE_ENTRIES = 1 << 16
@@ -133,7 +133,7 @@ def zero_pairs(
     _require_hermitian(map_rep)
     etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep, tol)
     rng = rng_from(strategy.seed)
-    etas += [normalized(crandn(rng, map_rep.m)) for _ in range(strategy.random_count)]
+    etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
     return _pairs_from_etas(map_rep, etas, tol, pair_tol)
 
 
@@ -198,10 +198,6 @@ def assemble_constraints(pairs: list[ZeroPair], n: int, m: int) -> ConstraintSys
     )
 
 
-def _full_param_basis(d: int) -> np.ndarray:
-    return np.eye(d * d)
-
-
 def double_prime_nullspace(
     map_rep: MapRep,
     batch_size: int = 8,
@@ -220,16 +216,12 @@ def double_prime_nullspace(
     the final basis and singular values come from one authoritative SVD of
     every row collected.
     """
-    _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
     d = n * m
-    det_etas = unit_probe_vectors(m) + kernel_probes(map_rep, tol)
-    pairs = _pairs_from_etas(map_rep, det_etas, tol, pair_tol)
+    pairs = zero_pairs(map_rep, PairStrategy(random_count=0), tol, pair_tol)
     all_rows = [assemble_constraints(pairs, n, m).rows]
-
-    basis = _full_param_basis(d)
-    if all_rows[0].shape[0]:
-        basis = _narrow(basis, all_rows[0], tol)
+    # no rows at all (1 x 1 A): the whole parameter space
+    basis = _narrow(None, all_rows[0], tol) if all_rows[0].shape[0] else np.eye(d * d)
     dim = basis.shape[1]
 
     rng = rng_from(seed)
@@ -237,7 +229,7 @@ def double_prime_nullspace(
     for _ in range(max_batches):
         if dim == 0 or stable >= stable_batches:
             break
-        etas = [normalized(crandn(rng, m)) for _ in range(batch_size)]
+        etas = [random_unit_vector(rng, m) for _ in range(batch_size)]
         new_pairs = _pairs_from_etas(map_rep, etas, tol, pair_tol)
         new_rows = assemble_constraints(new_pairs, n, m).rows
         pairs.extend(new_pairs)
@@ -250,7 +242,7 @@ def double_prime_nullspace(
 
     stacked = np.vstack(all_rows)
     if stacked.shape[0] == 0:
-        param_basis = _full_param_basis(d)
+        param_basis = np.eye(d * d)
         svals = np.zeros(0)
     else:
         param_basis, svals = null_space(stacked, tol)
@@ -264,15 +256,14 @@ def double_prime_nullspace(
     )
 
 
-def _narrow(basis: np.ndarray, rows: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Intersect span(basis columns) with ker(rows)."""
-    if basis.shape[1] == 0:
-        return basis
-    g = rows @ basis
+def _narrow(basis: np.ndarray | None, rows: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Intersect span(basis columns) with ker(rows); basis None is the whole space."""
+    g = rows if basis is None else rows @ basis
     if not np.any(np.abs(g) > tol.abs_floor):
-        return basis
+        return np.eye(g.shape[1]) if basis is None else basis
     z, _ = null_space(g, tol)
-    return basis @ z
+    # C order, as basis @ z gives: later steps then multiply the same way
+    return np.ascontiguousarray(z) if basis is None else basis @ z
 
 
 def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.ndarray, float]:

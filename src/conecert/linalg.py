@@ -93,7 +93,8 @@ def null_space(
         raise ShapeError(f"SVD failed on a {rows}x{cols} matrix: {exc}") from exc
     cut = tol.cutoff((rows, cols), float(s[0]))
     rank = int(np.sum(s > cut))
-    return vh[rank:].conj().T, s
+    # a copy: for real input .conj() is a view, which would keep all of vh alive
+    return vh[rank:].conj().T.copy(order="K"), s
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:

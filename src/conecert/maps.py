@@ -21,7 +21,7 @@ from . import linalg
 from ._kernels import block_minimize
 from .errors import HermiticityError, InputRejected, SearchError, ShapeError
 from .linalg import as_complex_matrix, as_complex_vector, hermitize
-from .sampling import crandn, rng_from, unit_probe_vectors
+from .sampling import crandn, random_unit_vector, rng_from, unit_probe_vectors
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,12 @@ class SearchParams:
     tol: float = 1e-9
     conv_tol: float = 1e-13
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise SearchError(f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iters < 1:
+            raise SearchError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +224,6 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     `search.restarts` may be 0, which leaves the informed starts alone.
     """
     _require_hermitian(map_rep)
-    if search.restarts < 0:
-        raise SearchError(f"restarts must be >= 0, got {search.restarts}")
     starts = np.vstack([
         informed_starts(map_rep.choi4),
         crandn(rng_from(search.seed), search.restarts, map_rep.m),
@@ -251,7 +255,7 @@ def rank1_nonincreasing(
     _require_hermitian(map_rep)
     rng = rng_from(seed)
     etas = unit_probe_vectors(map_rep.m)
-    etas += [linalg.normalized(crandn(rng, map_rep.m)) for _ in range(samples)]
+    etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
     floor = 1e-12 * max(1.0, float(np.linalg.norm(map_rep.choi)))
     for eta in etas:
         out = apply(map_rep, np.outer(eta, eta.conj()))

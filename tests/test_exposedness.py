@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,9 @@ rng = np.random.default_rng(41)
 # trimmed budgets keep the unit tests fast; the acceptance suite runs the
 # defaults
 FAST = CertifyParams(
-    search=SearchParams(restarts=24),
-    fallback=FallbackParams(directions_per_dim=6, max_directions=16),
+    fallback=FallbackParams(
+        directions_per_dim=6, max_directions=16, search=SearchParams(restarts=24)
+    ),
 )
 
 
@@ -111,6 +114,37 @@ def test_certify_deterministic_reports():
     assert d1 == d2
 
 
+def test_certify_one_by_one_without_constraints():
+    """1 x 1 A gives no zero-pairs: the null space is the whole (1-dim) space"""
+    report = certify_exposed([[2.0]])
+    assert report.verdict is Verdict.EXPOSED_LINEAR
+    assert report.nullspace.dim == 1
+    assert report.nullspace.singular_values.shape == (0,)
+    assert report.nullspace.pairs_used == 0
+
+
+def test_certify_searches_with_fallback_settings():
+    """fallback.search reaches the fallback: at tol 1.0 no point is violated"""
+    params = CertifyParams(fallback=FallbackParams(
+        directions_per_dim=1, max_directions=1, search=SearchParams(restarts=4, tol=1.0)
+    ))
+    report = certify_exposed(np.diag([1.0, 0.0]), params=params)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.fallback.directions_tested == 1
+    assert report.fallback.misses
+
+
+def test_certify_overwrites_fallback_seed():
+    """the fallback seed is derived from CertifyParams.seed, whatever is set"""
+    seeded = replace(FAST, fallback=replace(
+        FAST.fallback, search=replace(FAST.fallback.search, seed=123)
+    ))
+    a = np.diag([1.0, 0.0])
+    assert report_to_dict(certify_exposed(a, params=seeded), include_timing=False) == (
+        report_to_dict(certify_exposed(a, params=FAST), include_timing=False)
+    )
+
+
 def test_cone_fallback_needs_dim_two():
     phi = choi_from_ad(np.eye(2) / np.sqrt(2))
     ns = double_prime_nullspace(phi)
@@ -140,7 +174,7 @@ def _fallback_oracle(ns, phi, params):
     q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
     perp = ns.param_basis @ q[:, 1:]
     search = params.search
-    rng = rng_from(params.seed)
+    rng = rng_from(search.seed)
     sample_crandn(rng, search.restarts, m)  # the control search's restarts
     points = []
     for t in range(min(params.directions_per_dim * (d - 1), params.max_directions)):
@@ -167,7 +201,7 @@ def test_cone_fallback_matches_per_point_oracle(transposed):
     directions = MAX_ROWS // len(epsilons) + 7  # two chunks, the last one partial
     params = FallbackParams(
         directions_per_dim=directions, max_directions=directions, epsilons=epsilons,
-        seed=3, search=SearchParams(restarts=6),
+        search=SearchParams(restarts=6, seed=3),
     )
     assert (directions * len(epsilons)) % MAX_ROWS != 0
     fb = cone_fallback(ns, phi, params)
@@ -267,3 +301,14 @@ def test_classify_rejects_trace_map():
     trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
     with pytest.raises(ClassificationError):
         classify(trace_map)
+
+
+def test_classify_omega_q_one_dimensional_output():
+    """n = 1: Q = [[1]] has one eigenvalue; R has rank 2, else the map is AD"""
+    r = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    phi = choi_from_omega_q(r, np.array([3j]))
+    cl = classify(phi)
+    assert cl.case is MapCase.OMEGA_Q
+    assert np.abs(cl.zeta - 1.0).max() < 1e-12
+    rec = cl.reconstruct()
+    assert np.abs(rec.choi - phi.choi).max() < 1e-8 * np.linalg.norm(phi.choi)

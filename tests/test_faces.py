@@ -12,7 +12,7 @@ from conecert.faces import (
     membership_residual,
     zero_pairs,
 )
-from conecert.linalg import functional_row, herm_to_params
+from conecert.linalg import functional_row, herm_to_params, null_space
 from conecert.maps import MapRep, apply, choi_from_ad
 
 rng = np.random.default_rng(31)
@@ -214,3 +214,15 @@ def test_assemble_rejects_mismatched_pairs():
     pairs = zero_pairs(phi)
     with pytest.raises(ShapeError):
         assemble_constraints(pairs, 3, 3)
+
+
+def test_nullspace_starts_from_zero_pairs():
+    """the deterministic stage is zero_pairs without random probes"""
+    for a in (np.diag([1.0, 0.0]), crandn(2, 3)):
+        phi = choi_from_ad(a)
+        res = double_prime_nullspace(phi, max_batches=0)
+        pairs = zero_pairs(phi, PairStrategy(random_count=0))
+        basis, svals = null_space(assemble_constraints(pairs, phi.n, phi.m).rows)
+        assert res.pairs_used == len(pairs)
+        assert np.array_equal(res.singular_values, svals)
+        assert np.array_equal(res.param_basis, basis)

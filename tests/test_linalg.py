@@ -91,6 +91,15 @@ def test_null_space_rejects_empty():
         null_space(np.zeros((0, 3)))
 
 
+def test_null_space_basis_owns_its_memory():
+    """the basis is a copy, not a view that keeps the whole SVD factor alive"""
+    m = np.arange(12.0).reshape(3, 4)
+    for a in (m, m + 1j * m[::-1]):
+        basis, _ = null_space(a)
+        assert basis.shape == (4, 2)
+        assert basis.flags.owndata
+
+
 def test_tolerance_policy_cutoff():
     pol = TolerancePolicy()
     assert pol.cutoff((3, 5), 2.0) == 5 * 2.0 * 1e-12

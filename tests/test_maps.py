@@ -234,6 +234,14 @@ def test_is_positive_rejects_negative_restarts():
         is_positive(choi_from_ad(np.eye(2)), SearchParams(restarts=-1))
 
 
+def test_search_params_reject_bad_budget():
+    with pytest.raises(SearchError):
+        SearchParams(restarts=-1)
+    with pytest.raises(SearchError):
+        SearchParams(max_iters=0)
+    assert SearchParams(restarts=0, max_iters=1).restarts == 0
+
+
 def test_rank1_nonincreasing():
     ok, _ = rank1_nonincreasing(choi_from_ad(crandn(3, 3)))
     assert ok
