@@ -105,7 +105,7 @@ def cmd_expose(args) -> int:
     print(f"verdict: {report.verdict.value}")
     print(f"nullspace dim: {report.nullspace.dim}")
     print(f"overlap with phi: {report.overlap_with_phi:.12f}")
-    if report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_CONE_EVIDENCE):
+    if report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE):
         return 0
     return 2 if report.verdict is Verdict.INPUT_REJECTED else 3
 

@@ -3,14 +3,18 @@
 `certify_exposed` realizes the headline claim: for maps X -> A X A* and
 X -> A X^T A*, the double-commutant constraint system pins the map down.
 When the Hermitian null space is one-dimensional that is a direct linear
-certificate (EXPOSED_LINEAR).  When the hull is larger (rank-deficient A)
-the cone can still collapse to the ray through the map; `cone_fallback`
-gathers evidence by showing every sampled off-ray direction in the hull
-leaves the positive cone (EXPOSED_CONE_EVIDENCE).
+certificate (EXPOSED_LINEAR).  When the hull is larger (rank-1 A = u v*)
+it is {X -> Tr(R X) uu* : R compressed to v-perp is 0}; the only positive
+elements of that set form the ray through the map, and `face_certificate`
+checks the structure on the computed basis (EXPOSED_FACE).
+
+`cone_fallback` is sampled evidence for the same collapse: it shows that
+sampled off-ray directions of a hull leave the positive cone.  The pipeline
+does not run it; it is a cross-check callers can run on `report.nullspace`.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 
@@ -41,10 +45,14 @@ from .maps import (
 )
 from .sampling import crandn, derive_seed, rng_from
 
+# safety factor on the face certificate's Davis-Kahan ratio
+FACE_SAFETY = 16.0
+UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+
 
 class Verdict(str, Enum):
     EXPOSED_LINEAR = "EXPOSED_LINEAR"
-    EXPOSED_CONE_EVIDENCE = "EXPOSED_CONE_EVIDENCE"
+    EXPOSED_FACE = "EXPOSED_FACE"
     NOT_CERTIFIED = "NOT_CERTIFIED"
     INPUT_REJECTED = "INPUT_REJECTED"
 
@@ -86,10 +94,10 @@ class FallbackParams:
 
 @dataclass(frozen=True)
 class CertifyParams:
-    """Settings of `certify_exposed`, which draws only from `seed`.
+    """Settings of `certify_exposed`.
 
-    The null-space stage uses `derive_seed(seed, 1)`; `fallback.search.seed`
-    is overwritten with `derive_seed(seed, 2)`.
+    The only random draws are the null-space stage's probe batches, seeded
+    with `derive_seed(seed, 1)`.
     """
 
     seed: int = 0
@@ -100,14 +108,29 @@ class CertifyParams:
     pair_tol: float = PAIR_TOL
     overlap_tol: float = 1e-8
     span_tol: float = 1e-10
-    fallback: FallbackParams = FallbackParams()
+
+
+@dataclass(frozen=True)
+class FaceCertificate:
+    """Rank-1 face check of a hull: its defect and the bound it must meet.
+
+    Both are relative: the defect is at most 1 on any hull, so a bound of 1
+    or more would pass anything and certifies nothing.
+    """
+
+    defect: float
+    bound: float
+
+    @property
+    def holds(self) -> bool:
+        return self.defect <= self.bound < 1.0
 
 
 @dataclass
 class ExposednessReport:
     verdict: Verdict
     nullspace: NullSpaceResult
-    fallback: ConeFallbackEvidence | None
+    face: FaceCertificate | None
     overlap_with_phi: float
     seed: int
     tolerances: TolerancePolicy
@@ -193,27 +216,93 @@ def cone_fallback(
     )
 
 
+def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest other |eigenvalue| over the top eigenvalue of Hermitian h, and the top eigenvector.
+
+    0 exactly when h is a positive multiple of a rank-1 projection.
+    """
+    w, v = np.linalg.eigh(hermitize(h))
+    rest = float(np.abs(w[:-1]).max(initial=0.0))
+    return (rest / w[-1] if w[-1] > 0 else 1.0), v[:, -1]
+
+
+def _face_bound(nullspace: NullSpaceResult) -> float:
+    """Davis-Kahan bound on how far the computed hull may sit from an exact one.
+
+    The final SVD keeps `unknowns - dim` singular values; the ratio of the
+    largest discarded one to the smallest kept one bounds the angle between
+    the computed null space and the null space of a nearby exact system.  A
+    discarded value below the SVD's own rounding level, unknowns * u * s_max,
+    is read at that level.
+    """
+    s = nullspace.singular_values
+    unknowns = nullspace.param_basis.shape[0]
+    rank = unknowns - nullspace.dim
+    if not 0 < rank <= s.shape[0] or not s[rank - 1] > 0:
+        return FACE_SAFETY  # no gap in the spectrum, so no bound below 1
+    discarded = float(s[rank]) if rank < s.shape[0] else 0.0
+    floor = unknowns * UNIT_ROUNDOFF * float(s[0])
+    return FACE_SAFETY * max(discarded, floor) / float(s[rank - 1])
+
+
+def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate:
+    """Check that the hull is the rank-1 face {Q (x) S : S vanishes on s-perp}.
+
+    For A = u v* every hull element is uu* (x) S with S = R^T (or R for the
+    transposed map), and R compressed to v-perp is 0.  A PSD matrix whose
+    compression to a subspace is 0 has that subspace in its kernel, so the
+    positive part of such a hull is the ray through phi.  Two checks on the
+    computed basis B_j:
+
+    1. product form: side by side across the H:K cut, the basis is
+       vec(Q) [vec(S_1) ... vec(S_d)], with Q = uu* a rank-1 PSD matrix;
+    2. common compression: every S_j = (u* (x) I) B_j (u (x) I) vanishes on
+       s-perp, where s is the top eigenvector of the same compression of
+       Choi(phi).
+
+    The defect is the largest relative residual of the two checks and of the
+    rank-1 forms of Q and of phi's compression; the bound is `_face_bound`.
+    """
+    n, m, d = phi.n, phi.m, nullspace.dim
+    bound = _face_bound(nullspace)
+    b4 = np.array(nullspace.basis).reshape(d, n, m, n, m)
+    stack = np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, d * m * m)
+    left, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    product = float(sv[1] / sv[0]) if sv.shape[0] > 1 else 0.0
+    q = left[:, 0].reshape(n, n)
+    t = complex(np.trace(q))
+    if t == 0:  # traceless: not a PSD direction
+        return FaceCertificate(defect=1.0, bound=bound)
+    q_defect, u = _rank1_defect(q / t)
+    s_j = np.einsum("i,dikjl,j->dkl", u.conj(), b4, u)
+    s_phi = np.einsum("i,ikjl,j->kl", u.conj(), phi.choi4, u)
+    s_defect, s = _rank1_defect(s_phi)
+    off = np.eye(m) - np.outer(s, s.conj())
+    residuals = np.linalg.norm(off @ s_j @ off, axis=(1, 2))
+    compression = float((residuals / np.linalg.norm(b4.reshape(d, -1), axis=1)).max())
+    return FaceCertificate(defect=max(product, compression, q_defect, s_defect), bound=bound)
+
+
 def certify_exposed(
     A, transposed: bool = False, params: CertifyParams = CertifyParams()
 ) -> ExposednessReport:
     """Certify that the conjugation map built from A spans an exposed ray.
 
-    A is Frobenius normalized, the zero-pair null space is computed, and the
-    verdict follows the two-tier scheme: dimension 1 with full overlap gives
-    EXPOSED_LINEAR; larger hulls go through cone_fallback and give
-    EXPOSED_CONE_EVIDENCE when every off-ray direction is violated.  The
-    zero operator is reported as INPUT_REJECTED.  Deterministic for a fixed
-    seed.
+    A is Frobenius normalized and the zero-pair null space is computed.
+    Dimension 1 with full overlap gives EXPOSED_LINEAR; a larger hull gives
+    EXPOSED_FACE when `face_certificate` holds.  Every other outcome is
+    NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.  Deterministic
+    for a fixed seed.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
     seed = params.seed
 
-    def finish(verdict, ns, fb, overlap):
+    def finish(verdict, ns, face, overlap):
         return ExposednessReport(
             verdict=verdict,
             nullspace=ns,
-            fallback=fb,
+            face=face,
             overlap_with_phi=float(overlap),
             seed=seed,
             tolerances=params.tol,
@@ -247,14 +336,9 @@ def certify_exposed(
             return finish(Verdict.EXPOSED_LINEAR, ns, None, overlap)
         return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
 
-    fb_search = replace(params.fallback.search, seed=derive_seed(seed, 2))
-    fb = cone_fallback(ns, phi, replace(params.fallback, search=fb_search))
-    verdict = (
-        Verdict.EXPOSED_CONE_EVIDENCE
-        if fb.all_violated and fb.control_positive
-        else Verdict.NOT_CERTIFIED
-    )
-    return finish(verdict, ns, fb, overlap)
+    face = face_certificate(ns, phi)
+    verdict = Verdict.EXPOSED_FACE if face.holds else Verdict.NOT_CERTIFIED
+    return finish(verdict, ns, face, overlap)
 
 
 @dataclass
@@ -386,11 +470,19 @@ def classify(map_rep: MapRep, tol: float = 1e-8) -> Classification:
     return omega_q
 
 
+def _across_cut(c4: np.ndarray) -> np.ndarray:
+    """Rearrange Choi tensors (..., n, m, n, m) across the H:K cut to (..., n*n, m*m).
+
+    A product Q (x) S becomes the rank-1 matrix vec(Q) vec(S)^T.
+    """
+    n, m = c4.shape[-4:-2]
+    return np.swapaxes(c4, -3, -2).reshape(c4.shape[:-4] + (n * n, m * m))
+
+
 def _omega_q_form(map_rep: MapRep, tol: float) -> Classification | None:
     """OMEGA_Q classification if choi = Q (x) S, Q a rank-1 PSD direction, S PSD."""
     n, m = map_rep.n, map_rep.m
-    # across the H:K cut, choi = Q (x) S rearranges to the rank-1 vec(Q) vec(S)^T
-    u, s, vh = np.linalg.svd(map_rep.choi4.transpose(0, 2, 1, 3).reshape(n * n, m * m))
+    u, s, vh = np.linalg.svd(_across_cut(map_rep.choi4))
     t = complex(np.trace(u[:, 0].reshape(n, n)))
     if s[0] <= 0 or (s.shape[0] > 1 and s[1] > tol * s[0]) or abs(t) <= tol:
         return None

@@ -20,11 +20,18 @@ class TolerancePolicy:
     """Cutoffs for treating singular values as zero.
 
     A singular value s of a matrix M is discarded when
-    s <= max(max(M.shape) * s_max * rel_eps, abs_floor).
+    s <= max(max(M.shape) * s_max * rel_eps, abs_floor).  Both knobs must be
+    finite and nonnegative.
     """
 
     rel_eps: float = 1e-12
     abs_floor: float = 1e-14
+
+    def __post_init__(self):
+        for name in ("rel_eps", "abs_floor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ShapeError(f"{name} must be finite and >= 0, got {value!r}")
 
     def cutoff(self, shape: tuple[int, int], sigma_max: float) -> float:
         return max(max(shape) * sigma_max * self.rel_eps, self.abs_floor)

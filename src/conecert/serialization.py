@@ -27,7 +27,7 @@ REPORT_SCHEMA = {
         "verdict": {
             "enum": [
                 "EXPOSED_LINEAR",
-                "EXPOSED_CONE_EVIDENCE",
+                "EXPOSED_FACE",
                 "NOT_CERTIFIED",
                 "INPUT_REJECTED",
             ]
@@ -36,14 +36,13 @@ REPORT_SCHEMA = {
         "singular_values": {"type": "array", "items": {"type": "number"}},
         "pairs_used": {"type": "integer", "minimum": 0},
         "overlap_with_phi": {"type": "number"},
-        "fallback": {
+        "face": {
             "type": ["object", "null"],
             "properties": {
-                "directions_tested": {"type": "integer"},
-                "epsilons": {"type": "array", "items": {"type": "number"}},
-                "all_violated": {"type": "boolean"},
+                "defect": {"type": "number", "minimum": 0},
+                "bound": {"type": "number", "minimum": 0},
             },
-            "required": ["directions_tested", "epsilons", "all_violated"],
+            "required": ["defect", "bound"],
         },
         "seed": {"type": "integer"},
         "tolerances": {"type": "object"},
@@ -55,7 +54,7 @@ REPORT_SCHEMA = {
         "singular_values",
         "pairs_used",
         "overlap_with_phi",
-        "fallback",
+        "face",
         "seed",
         "tolerances",
     ],
@@ -195,20 +194,16 @@ def format_complex(z: complex) -> str:
 
 
 def report_to_dict(report: ExposednessReport, include_timing: bool = True) -> dict:
-    fb = None
-    if report.fallback is not None:
-        fb = {
-            "directions_tested": report.fallback.directions_tested,
-            "epsilons": [float(e) for e in report.fallback.epsilons],
-            "all_violated": bool(report.fallback.all_violated),
-        }
+    face = None
+    if report.face is not None:
+        face = {"defect": float(report.face.defect), "bound": float(report.face.bound)}
     out = {
         "verdict": report.verdict.value,
         "nullspace_dim": int(report.nullspace.dim),
         "singular_values": [float(s) for s in report.nullspace.singular_values],
         "pairs_used": int(report.nullspace.pairs_used),
         "overlap_with_phi": float(report.overlap_with_phi),
-        "fallback": fb,
+        "face": face,
         "seed": int(report.seed),
         "tolerances": {
             "rel_eps": report.tolerances.rel_eps,

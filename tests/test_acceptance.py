@@ -13,6 +13,7 @@ from conecert.exposedness import (
     Verdict,
     certify_exposed,
     classify,
+    cone_fallback,
     conjugate_obstruction_space,
 )
 from conecert.functionals import functional_from_operator, functional_norm, norm_maximizer
@@ -108,10 +109,12 @@ def _real_vec(x):
 
 
 def test_criterion_2_rank_one_hull_oracle():
-    """e1 e1* has a 3-dim hull matching an independent oracle; the cone
-    fallback violates every sampled direction."""
+    """e1 e1* has a 3-dim hull matching an independent oracle and certifies
+    by the exact face check; the cone fallback, run on the same hull,
+    violates every sampled direction."""
     rng = np.random.default_rng(200)
-    report = certify_exposed(np.diag([1.0, 0.0]))
+    a = np.diag([1.0, 0.0])
+    report = certify_exposed(a)
     assert report.nullspace.dim == 3
 
     oracle = _oracle_nullspace_e11(rng)
@@ -121,8 +124,9 @@ def test_criterion_2_rank_one_hull_oracle():
         v = _real_vec(b)
         assert np.linalg.norm(v - q @ (q.T @ v)) < 1e-8 * np.linalg.norm(v)
 
-    assert report.verdict is Verdict.EXPOSED_CONE_EVIDENCE
-    fb = report.fallback
+    assert report.verdict is Verdict.EXPOSED_FACE
+    assert report.face.defect <= report.face.bound
+    fb = cone_fallback(report.nullspace, choi_from_ad(a))
     assert fb.directions_tested >= 64
     assert fb.control_positive
     assert fb.misses == []

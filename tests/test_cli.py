@@ -6,8 +6,15 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from conecert.cli import main
-from conecert.maps import apply
-from conecert.serialization import REPORT_SCHEMA, map_from_json, map_to_json, matrix_to_json
+from conecert.exposedness import certify_exposed, cone_fallback
+from conecert.maps import apply, choi_from_ad
+from conecert.serialization import (
+    REPORT_SCHEMA,
+    map_from_json,
+    map_to_json,
+    matrix_to_json,
+    report_to_dict,
+)
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -68,11 +75,40 @@ def test_expose_transposed_rank_one(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main(["expose", a, "--transposed", "--report", str(report)])
     assert code == 0
-    assert "verdict: EXPOSED_CONE_EVIDENCE" in capsys.readouterr().out
+    assert "verdict: EXPOSED_FACE" in capsys.readouterr().out
     payload = json.loads(report.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
-    assert payload["fallback"]["all_violated"] is True
+    assert payload["nullspace_dim"] == 3
+    assert 0.0 <= payload["face"]["defect"] <= payload["face"]["bound"] < 1e-12
     assert "wall_time_ms" in payload
+    # the same run through the API, and the sampled cross-check on its hull
+    api = certify_exposed(np.diag([1.0, 0.0]), transposed=True)
+    assert report_to_dict(api, include_timing=False) == {
+        k: v for k, v in payload.items() if k not in ("config", "wall_time_ms")
+    }
+    fb = cone_fallback(api.nullspace, choi_from_ad(np.diag([1.0, 0.0]), transposed=True))
+    assert fb.all_violated and fb.control_positive and fb.misses == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rel-eps", "nan"), ("--rel-eps", "-1"), ("--rel-eps", "inf"),
+    ("--abs-floor", "nan"), ("--abs-floor", "-1e-14"), ("--abs-floor", "-inf"),
+])
+def test_expose_bad_tolerance_exit_2(tmp_path, capsys, flag, value):
+    """a non-finite or negative cutoff knob is a usage error: exit 2, no report"""
+    a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
+    report = tmp_path / "out.json"
+    assert main(["expose", a, f"{flag}={value}", "--report", str(report)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+    assert main(["obstruction", a, f"{flag}={value}"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_expose_zero_tolerance_accepted(tmp_path, capsys):
+    a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
+    assert main(["expose", a, "--abs-floor", "0"]) == 0
+    assert "verdict: EXPOSED_LINEAR" in capsys.readouterr().out
 
 
 def test_expose_zero_matrix_exit_2(tmp_path, capsys):
@@ -192,6 +228,7 @@ def test_sweep_writes_reports(tmp_path, capsys):
     summary = json.loads((out_dir / "summary.json").read_text())
     assert len(summary["reports"]) == 4
     assert summary["not_certified"] == 0
+    assert summary["verdict_counts"] == {"EXPOSED_FACE": 2, "EXPOSED_LINEAR": 2}
     for name in summary["reports"]:
         payload = json.loads((out_dir / name).read_text())
         jsonschema.validate(payload, REPORT_SCHEMA)

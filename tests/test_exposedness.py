@@ -1,12 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from conecert import exposedness
 from conecert._kernels import MAX_ROWS, block_minimize
 from conecert.errors import ClassificationError, SearchError
 from conecert.exposedness import (
-    CertifyParams,
     FallbackParams,
     MapCase,
     Verdict,
@@ -14,8 +12,9 @@ from conecert.exposedness import (
     classify,
     cone_fallback,
     conjugate_obstruction_space,
+    face_certificate,
 )
-from conecert.faces import double_prime_nullspace, membership_residual
+from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
 from conecert.linalg import herm_to_params, params_to_herm
 from conecert.maps import (
     MapRep,
@@ -30,14 +29,6 @@ from conecert.serialization import report_to_dict
 
 rng = np.random.default_rng(41)
 
-# trimmed budgets keep the unit tests fast; the acceptance suite runs the
-# defaults
-FAST = CertifyParams(
-    fallback=FallbackParams(
-        directions_per_dim=6, max_directions=16, search=SearchParams(restarts=24)
-    ),
-)
-
 
 def crandn(*shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -50,25 +41,34 @@ def rand_unitary(d):
 
 def test_certify_identity_linear():
     for transposed in (False, True):
-        report = certify_exposed(np.eye(2), transposed=transposed, params=FAST)
+        report = certify_exposed(np.eye(2), transposed=transposed)
         assert report.verdict is Verdict.EXPOSED_LINEAR
         assert report.nullspace.dim == 1
         assert report.overlap_with_phi >= 1.0 - 1e-8
-        assert report.fallback is None
+        assert report.face is None
 
 
 def test_certify_full_rank_random():
-    report = certify_exposed(crandn(3, 3), params=FAST)
+    report = certify_exposed(crandn(3, 3))
     assert report.verdict is Verdict.EXPOSED_LINEAR
     assert report.nullspace.dim == 1
 
 
+def _unit_phi(a, transposed=False):
+    return choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+
+
 def test_certify_rank_one_cone_evidence():
-    report = certify_exposed(np.diag([1.0, 0.0]), params=FAST)
-    assert report.verdict is Verdict.EXPOSED_CONE_EVIDENCE
+    """the exact face verdict, and the sampled fallback on its hull agrees"""
+    a = np.diag([1.0, 0.0])
+    report = certify_exposed(a)
+    assert report.verdict is Verdict.EXPOSED_FACE
     assert report.nullspace.dim == 3
-    fb = report.fallback
-    assert fb is not None
+    assert report.face.defect <= report.face.bound < 1e-12
+    params = FallbackParams(
+        directions_per_dim=6, max_directions=16, search=SearchParams(restarts=24)
+    )
+    fb = cone_fallback(report.nullspace, _unit_phi(a), params)
     assert fb.all_violated
     assert fb.control_positive
     assert fb.misses == []
@@ -78,15 +78,112 @@ def test_certify_rank_one_cone_evidence():
 
 
 def test_certify_rank_one_transposed():
-    report = certify_exposed(np.diag([1.0, 0.0]), transposed=True, params=FAST)
-    assert report.verdict is Verdict.EXPOSED_CONE_EVIDENCE
+    report = certify_exposed(np.diag([1.0, 0.0]), transposed=True)
+    assert report.verdict is Verdict.EXPOSED_FACE
+    assert report.face.defect <= report.face.bound
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4), (1, 3), (1, 4)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_face_certificate_agrees_with_cone_fallback(shape, transposed):
+    """rank-1 inputs get EXPOSED_FACE, and the sampled fallback violates every direction"""
+    n, m = shape
+    a = crandn(n, 1) @ crandn(1, m)
+    report = certify_exposed(a, transposed=transposed)
+    assert report.verdict is Verdict.EXPOSED_FACE
+    assert report.nullspace.dim == 2 * m - 1
+    assert report.face.defect <= report.face.bound
+    fb = cone_fallback(report.nullspace, _unit_phi(a, transposed))
+    assert fb.all_violated and fb.control_positive
+
+
+@pytest.mark.parametrize("s2", np.logspace(-12, -9, 4))
+@pytest.mark.parametrize("transposed", [False, True])
+def test_face_certificate_near_rank_one(s2, transposed):
+    """3x3 U diag(1, s2, 0) V*: the rank-1-like hull is not refused by a bound set too tight"""
+    u, v = rand_unitary(3), rand_unitary(3)
+    report = certify_exposed(u @ np.diag([1.0, s2, 0.0]) @ v.conj().T, transposed=transposed)
+    assert report.nullspace.dim == 5
+    assert report.verdict is Verdict.EXPOSED_FACE
+    assert report.face.defect <= report.face.bound
+
+
+def _hull_plus(ns, extra_choi):
+    """ns with one more orthonormal element, the part of extra_choi outside its span.
+
+    The spectrum keeps the first (unknowns - dim) values of ns's own and reads
+    zero for the rest, so it shows a clean gap at the new dimension.
+    """
+    p = herm_to_params(extra_choi)
+    p = p - ns.param_basis @ (ns.param_basis.T @ p)
+    param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
+    unknowns, dim = param_basis.shape
+    svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
+    side = int(round(np.sqrt(unknowns)))
+    return NullSpaceResult(
+        basis=list(params_to_herm(param_basis.T, side)),
+        dim=dim,
+        singular_values=svals,
+        pairs_used=ns.pairs_used,
+        param_basis=param_basis,
+    )
+
+
+def _rank_one_controls(transposed):
+    """The rank-1 hull of A = u v* (2 x 3) and two larger spans that contain it.
+
+    hull + Q (x) I has product form with the same Q, but its positive part holds
+    Q (x) I as well as the ray; the other span adds an element of the hull of
+    u' v*, a different Q.
+    """
+    u, v, u2 = crandn(2), crandn(3), crandn(2)
+    a = np.outer(u, v.conj())
+    phi = _unit_phi(a, transposed)
+    ns = double_prime_nullspace(phi)
+    assert ns.dim == 5
+    q = np.outer(u, u.conj()) / np.vdot(u, u).real
+    other = double_prime_nullspace(_unit_phi(np.outer(u2, v.conj()), transposed))
+    return a, phi, ns, {
+        "plus_q_identity": _hull_plus(ns, np.kron(q, np.eye(3))),
+        "two_q": _hull_plus(ns, other.basis[0]),
+    }
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
+    a, phi, ns, controls = _rank_one_controls(transposed)
+    exact = face_certificate(ns, phi)
+    assert exact.holds
+    for name, hull in controls.items():
+        assert membership_residual(hull, phi)[1] < 1e-12, name
+        cert = face_certificate(hull, phi)
+        assert cert.defect > 0.1 and cert.defect > cert.bound, name
+        assert not cert.holds
+        # the same hull handed to the pipeline: refused, with the same margins
+        monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: hull)
+        report = certify_exposed(a, transposed=transposed)
+        assert report.verdict is Verdict.NOT_CERTIFIED, name
+        assert report.face == cert
+
+
+def test_face_bound_needs_a_gap():
+    """a spectrum with no kept value gives a bound of 1 or more, which certifies nothing"""
+    phi = _unit_phi(np.diag([1.0, 0.0]))
+    ns = double_prime_nullspace(phi)
+    flat = NullSpaceResult(
+        basis=ns.basis, dim=ns.dim, singular_values=np.zeros(ns.singular_values.shape),
+        pairs_used=ns.pairs_used, param_basis=ns.param_basis,
+    )
+    cert = face_certificate(flat, phi)
+    assert cert.bound >= 1.0
+    assert not cert.holds
 
 
 def test_certify_scale_invariance():
     a = crandn(2, 2)
-    base = certify_exposed(a, params=FAST)
+    base = certify_exposed(a)
     for c in (2.0, 1j, -3.0):
-        rep = certify_exposed(c * a, params=FAST)
+        rep = certify_exposed(c * a)
         assert rep.verdict is base.verdict
         assert rep.nullspace.dim == base.nullspace.dim
         assert abs(rep.overlap_with_phi - base.overlap_with_phi) < 1e-10
@@ -94,8 +191,8 @@ def test_certify_scale_invariance():
 
 def test_certify_unitary_covariance():
     a = crandn(2, 2)
-    base = certify_exposed(a, params=FAST)
-    rep = certify_exposed(rand_unitary(2) @ a @ rand_unitary(2), params=FAST)
+    base = certify_exposed(a)
+    rep = certify_exposed(rand_unitary(2) @ a @ rand_unitary(2))
     assert rep.verdict is base.verdict
     assert rep.nullspace.dim == base.nullspace.dim
 
@@ -109,8 +206,8 @@ def test_certify_rejects_zero():
 
 def test_certify_deterministic_reports():
     a = np.diag([1.0, 0.0])
-    d1 = report_to_dict(certify_exposed(a, params=FAST), include_timing=False)
-    d2 = report_to_dict(certify_exposed(a, params=FAST), include_timing=False)
+    d1 = report_to_dict(certify_exposed(a), include_timing=False)
+    d2 = report_to_dict(certify_exposed(a), include_timing=False)
     assert d1 == d2
 
 
@@ -121,28 +218,6 @@ def test_certify_one_by_one_without_constraints():
     assert report.nullspace.dim == 1
     assert report.nullspace.singular_values.shape == (0,)
     assert report.nullspace.pairs_used == 0
-
-
-def test_certify_searches_with_fallback_settings():
-    """fallback.search reaches the fallback: at tol 1.0 no point is violated"""
-    params = CertifyParams(fallback=FallbackParams(
-        directions_per_dim=1, max_directions=1, search=SearchParams(restarts=4, tol=1.0)
-    ))
-    report = certify_exposed(np.diag([1.0, 0.0]), params=params)
-    assert report.verdict is Verdict.NOT_CERTIFIED
-    assert report.fallback.directions_tested == 1
-    assert report.fallback.misses
-
-
-def test_certify_overwrites_fallback_seed():
-    """the fallback seed is derived from CertifyParams.seed, whatever is set"""
-    seeded = replace(FAST, fallback=replace(
-        FAST.fallback, search=replace(FAST.fallback.search, seed=123)
-    ))
-    a = np.diag([1.0, 0.0])
-    assert report_to_dict(certify_exposed(a, params=seeded), include_timing=False) == (
-        report_to_dict(certify_exposed(a, params=FAST), include_timing=False)
-    )
 
 
 def test_cone_fallback_needs_dim_two():

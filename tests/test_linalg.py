@@ -106,6 +106,18 @@ def test_tolerance_policy_cutoff():
     assert pol.cutoff((3, 5), 0.0) == 1e-14
 
 
+@pytest.mark.parametrize("field", ["rel_eps", "abs_floor"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_tolerance_policy_rejects_bad_values(field, value):
+    with pytest.raises(ShapeError):
+        TolerancePolicy(**{field: value})
+
+
+def test_tolerance_policy_accepts_zero():
+    pol = TolerancePolicy(rel_eps=0.0, abs_floor=0.0)
+    assert pol.cutoff((3, 4), 2.0) == 0.0
+
+
 def test_is_psd_examples():
     ok, low = is_psd(np.eye(2))
     assert ok and abs(low - 1.0) < 1e-14
