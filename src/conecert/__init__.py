@@ -34,11 +34,9 @@ from .exposedness import (
     face_certificate,
 )
 from .faces import (
-    ConstraintSystem,
     NullSpaceResult,
     PairStrategy,
     ZeroPair,
-    assemble_constraints,
     double_prime_nullspace,
     kernel_probes,
     membership_residual,
@@ -77,7 +75,6 @@ __all__ = [
     "ClassificationError",
     "ConeFallbackEvidence",
     "ConecertError",
-    "ConstraintSystem",
     "EncodingError",
     "ExposednessReport",
     "FaceCertificate",
@@ -100,7 +97,6 @@ __all__ = [
     "Violation",
     "ZeroPair",
     "apply",
-    "assemble_constraints",
     "certify_exposed",
     "choi_from_ad",
     "choi_from_omega_q",

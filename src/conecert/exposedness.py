@@ -22,7 +22,13 @@ import numpy as np
 
 from ._kernels import MAX_ROWS, block_minimize, block_minimize_batch
 from .errors import ClassificationError, SearchError
-from .faces import PAIR_TOL, NullSpaceResult, double_prime_nullspace, membership_residual
+from .faces import (
+    UNIT_ROUNDOFF,
+    NullSpaceResult,
+    _levels,
+    double_prime_nullspace,
+    membership_residual,
+)
 from .linalg import (
     DEFAULT_TOL,
     TolerancePolicy,
@@ -43,11 +49,10 @@ from .maps import (
     informed_starts,
     partial_transpose_in,
 )
-from .sampling import crandn, derive_seed, rng_from
+from .sampling import crandn, rng_from
 
-# safety factor on the face certificate's Davis-Kahan ratio
+# safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0
-UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
 class Verdict(str, Enum):
@@ -96,18 +101,13 @@ class FallbackParams:
 class CertifyParams:
     """Settings of `certify_exposed`.
 
-    The only random draws are the null-space stage's probe batches, seeded
-    with `derive_seed(seed, 1)`.
+    The certificate draws no random number; `seed` is only echoed in the
+    report.
     """
 
     seed: int = 0
-    batch_size: int = 8
-    max_batches: int = 16
-    stable_batches: int = 3
     tol: TolerancePolicy = DEFAULT_TOL
-    pair_tol: float = PAIR_TOL
     overlap_tol: float = 1e-8
-    span_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class ExposednessReport:
 def _empty_nullspace() -> NullSpaceResult:
     return NullSpaceResult(
         basis=[], dim=0, singular_values=np.zeros(0), pairs_used=0,
-        param_basis=np.zeros((0, 0)),
+        param_basis=np.zeros((0, 0)), unknowns=0, condition=1.0,
     )
 
 
@@ -227,22 +227,31 @@ def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _face_bound(nullspace: NullSpaceResult) -> float:
-    """Davis-Kahan bound on how far the computed hull may sit from an exact one.
+    """Relative bound on how far the computed hull may sit from an exact one.
 
-    The final SVD keeps `unknowns - dim` singular values; the ratio of the
-    largest discarded one to the smallest kept one bounds the angle between
-    the computed null space and the null space of a nearby exact system.  A
-    discarded value below the SVD's own rounding level, unknowns * u * s_max,
-    is read at that level.
+    The system in probe coordinates keeps `unknowns - dim` singular values.
+    Its computed form is an exact system M plus an error E, and the exact
+    face (which holds Choi(phi)) is the null space of M.  By Wedin's
+    sin-theta theorem the angle between the two null spaces is at most
+    |E| / s_kept, over the smallest kept singular value; |E| is read as the
+    largest discarded value, or the SVD's rounding level unknowns * u * s_0
+    when that is larger (`_levels`).  With nothing kept the ratio is read at
+    that level, unknowns * u.  A null vector turns into a Choi matrix
+    through a linear map that is not an isometry: on the null space it
+    stretches lengths by at most `condition` times its least stretch, so an
+    angle in probe coordinates is at most `condition` times larger in Choi
+    coordinates.  The bound is FACE_SAFETY * condition * that ratio.
     """
     s = nullspace.singular_values
-    unknowns = nullspace.param_basis.shape[0]
+    unknowns = nullspace.unknowns
     rank = unknowns - nullspace.dim
-    if not 0 < rank <= s.shape[0] or not s[rank - 1] > 0:
+    if rank == 0:
+        ratio = unknowns * UNIT_ROUNDOFF
+    elif not rank <= s.shape[0] or not s[rank - 1] > 0:
         return FACE_SAFETY  # no gap in the spectrum, so no bound below 1
-    discarded = float(s[rank]) if rank < s.shape[0] else 0.0
-    floor = unknowns * UNIT_ROUNDOFF * float(s[0])
-    return FACE_SAFETY * max(discarded, floor) / float(s[rank - 1])
+    else:
+        ratio = float(_levels(s, unknowns)[rank] / s[rank - 1])
+    return FACE_SAFETY * nullspace.condition * ratio
 
 
 def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate:
@@ -289,10 +298,12 @@ def certify_exposed(
     """Certify that the conjugation map built from A spans an exposed ray.
 
     A is Frobenius normalized and the zero-pair null space is computed.
-    Dimension 1 with full overlap gives EXPOSED_LINEAR; a larger hull gives
+    Choi(phi) must lie in it: its membership residual must meet the bound
+    of `_face_bound`, and that bound must be below 1.  Dimension 1 with
+    full overlap then gives EXPOSED_LINEAR; a larger hull gives
     EXPOSED_FACE when `face_certificate` holds.  Every other outcome is
-    NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.  Deterministic
-    for a fixed seed.
+    NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.  Draws no random
+    number.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
@@ -314,21 +325,13 @@ def certify_exposed(
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     phi = choi_from_ad(a / norm, transposed=transposed)
-    ns = double_prime_nullspace(
-        phi,
-        batch_size=params.batch_size,
-        max_batches=params.max_batches,
-        seed=derive_seed(seed, 1),
-        tol=params.tol,
-        pair_tol=params.pair_tol,
-        stable_batches=params.stable_batches,
-    )
+    ns = double_prime_nullspace(phi, tol=params.tol)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
 
     coeffs, resid = membership_residual(ns, phi)
     overlap = float(np.linalg.norm(coeffs))
-    if resid > params.span_tol:
+    if not resid <= _face_bound(ns) < 1.0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
 
     if ns.dim == 1:

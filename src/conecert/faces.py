@@ -1,35 +1,46 @@
-"""Face machinery: zero-pairs, the bicommutant constraint system, null spaces.
+"""Face machinery: zero-pairs and the null space of the double commutant face.
 
 A zero-pair of phi is a unit pair (xi, eta) with phi(eta eta*) conj(xi) = 0;
 each such pair says the product state xi xi* (x) eta eta* annihilates phi.
 A map psi belongs to the double commutant face of phi exactly when it
-satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs, which is linear in
-psi.  This module assembles that system over the real parameterization of
-Hermitian Choi matrices and computes its null space batch by batch.
+satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs.  For one probe eta
+and Hermitian psi(eta eta*) those conditions say psi(eta eta*) = R H R*,
+with R an orthonormal basis of range phi(eta eta*) and H Hermitian.
+
+The null space is therefore solved in probe coordinates: the unknowns are
+the H_p of the probes p, r_p^2 real numbers each, and every linear relation
+sum_p beta_p P_p = 0 among the probe projectors must hold for the outputs,
+sum_p beta_p R_p H_p R_p* = 0, because psi is linear.  The probes e_j and
+(e_j + z e_k)/sqrt2, z in {1, i, -1, -i}, are the paper's curves through
+pairs of basis vectors; with the kernel probes of phi their relations pin
+psi down.  One SVD of that system gives the face, and the dual frame of the
+projectors turns it into Choi matrices.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .linalg import (
     DEFAULT_TOL,
-    SQRT2,
     TolerancePolicy,
     herm_to_params,
     hermitize,
     normalized,
-    null_space,
     params_to_herm,
-    triu_pairs,
 )
-from .maps import MapRep, _require_hermitian, apply
-from .sampling import combination_probes, random_unit_vector, rng_from, unit_probe_vectors
+from .maps import MapRep, _require_hermitian
+from .sampling import (
+    combination_probes,
+    random_unit_vector,
+    reflected_probe_vectors,
+    rng_from,
+    unit_probe_vectors,
+)
 
 PAIR_TOL = 1e-10
-_ASSEMBLE_ENTRIES = 1 << 16
+UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
 @dataclass(frozen=True)
@@ -53,25 +64,15 @@ class PairStrategy:
 
 
 @dataclass
-class ConstraintSystem:
-    n: int
-    m: int
-    rows: np.ndarray
-    provenance: list[int] = field(default_factory=list)
-
-    @property
-    def row_count(self) -> int:
-        return int(self.rows.shape[0])
-
-
-@dataclass
 class NullSpaceResult:
-    """Null space of the constraint system, in two equivalent forms.
+    """Null space of the face's linear system, in two equivalent forms.
 
     `basis` holds Hermitian Choi matrices, orthonormal as real vectors;
     `param_basis` holds the same elements as columns over the Hermitian
-    parameterization.  `singular_values` is the spectrum of the full stacked
-    constraint matrix.
+    parameterization.  `singular_values` is the spectrum of the system in
+    probe coordinates, which has `unknowns` columns; `condition` is the
+    condition number of the map from those coordinates to Choi parameters on
+    the null space.  `pairs_used` counts the probes.
     """
 
     basis: list[np.ndarray]
@@ -79,6 +80,8 @@ class NullSpaceResult:
     singular_values: np.ndarray
     pairs_used: int
     param_basis: np.ndarray
+    unknowns: int
+    condition: float
 
 
 def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:
@@ -100,22 +103,22 @@ def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[n
     return kernel + combination_probes(kernel)
 
 
-def _pairs_from_etas(
-    map_rep: MapRep,
-    etas: list[np.ndarray],
-    tol: TolerancePolicy,
-    pair_tol: float,
-) -> list[ZeroPair]:
-    pairs = []
-    for eta in etas:
-        x = hermitize(apply(map_rep, np.outer(eta, eta.conj())))
-        basis, _ = null_space(x, tol)
-        for j in range(basis.shape[1]):
-            v = basis[:, j]
-            residual = float(np.linalg.norm(x @ v))
-            if residual <= pair_tol:
-                pairs.append(ZeroPair(xi=normalized(v.conj()), eta=eta, residual=residual))
-    return pairs
+def _probe_outputs(
+    map_rep: MapRep, etas: np.ndarray, tol: TolerancePolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-split of phi(eta eta*) for a stack of probes etas (N, m).
+
+    Returns |eigenvalues| (N, n) and eigenvectors (N, n, n), both ordered by
+    decreasing |eigenvalue|, and each output's rank under `tol`: the first
+    rank eigenvectors span its range, the rest its kernel.
+    """
+    x = hermitize(np.einsum("ikjl,pk,pl->pij", map_rep.choi4, etas, etas.conj()))
+    w, v = np.linalg.eigh(x)
+    order = np.argsort(-np.abs(w), axis=-1, kind="stable")
+    size = np.take_along_axis(np.abs(w), order, axis=-1)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
+    ranks = np.sum(size > tol.cutoff(x.shape[1:], size[:, :1]), axis=-1)
+    return size, vecs, ranks
 
 
 def zero_pairs(
@@ -134,136 +137,105 @@ def zero_pairs(
     etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep, tol)
     rng = rng_from(strategy.seed)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
-    return _pairs_from_etas(map_rep, etas, tol, pair_tol)
+    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), tol)
+    return [
+        ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
+        for p, eta in enumerate(etas)
+        for j in range(ranks[p], map_rep.n)
+        if size[p, j] <= pair_tol
+    ]
 
 
-@lru_cache(maxsize=None)
-def _kron_factor_indices(n: int, m: int) -> tuple[np.ndarray, ...]:
-    """Factor indices of the entries a Hermitian functional row reads.
+def _levels(s: np.ndarray, unknowns: int) -> np.ndarray:
+    """A descending spectrum as rank decisions read it.
 
-    Entry (r, c) of X (x) Y, with X n x n and Y m x m, is
-    X[r // m, c // m] * Y[r % m, c % m].  The row reads the diagonal and
-    the strict upper triangle of the (nm) x (nm) matrix, in the order of
-    `herm_to_params`; the lower triangle is the upper one with the factor
-    indices swapped.  Returns (X index, Y index) of the diagonal entries,
-    then (X row, X col, Y row, Y col) of the upper-triangle entries.
+    Values below the SVD's rounding level, unknowns * u * s_0, are read at
+    that level, and one more value at it stands for the numerical zeros past
+    the last one.
     """
-    d = n * m
-    diag = np.arange(d)
-    iu, ju = triu_pairs(d)
-    out = (diag // m, diag % m, iu // m, ju // m, iu % m, ju % m)
-    for a in out:
-        a.flags.writeable = False
-    return out
+    floor = unknowns * UNIT_ROUNDOFF * s[0]
+    return np.append(np.maximum(s, floor), floor)
 
 
-def assemble_constraints(pairs: list[ZeroPair], n: int, m: int) -> ConstraintSystem:
-    """Linearize psi(eta eta*) conj(xi) = 0 over Hermitian Choi parameters.
-
-    Each pair contributes 2n real rows: real and imaginary parts of the n
-    complex components.  Component i of the condition is the functional
-    C -> sum_ab C[a,b] M_i[a,b] with M_i = (e_i conj(xi)^T) (x) eta eta*.
-    Rows are built for whole blocks of pairs at once: each entry of M_i is
-    the product of one factor entry of each side, as `np.kron` forms it, and
-    the row is `functional_row(M_i)` read off those entries.
-    """
-    d = n * m
-    for idx, pair in enumerate(pairs):
-        if pair.xi.shape != (n,) or pair.eta.shape != (m,):
-            raise ShapeError(f"pair {idx} has wrong dimensions for ({n}, {m})")
-    xd, yd, xr, xc, yr, yc = _kron_factor_indices(n, m)
-    eye = np.eye(n, dtype=np.complex128)[None, :, :, None]
-    rows = np.empty((len(pairs), n, 2, d * d))
-    # pairs per step: keeps the complex temporaries near 2**16 entries, so
-    # peak memory stays at the size of the output
-    step = max(1, _ASSEMBLE_ENTRIES // (n * d * d))
-    for lo in range(0, len(pairs), step):
-        block = pairs[lo : lo + step]
-        xi = np.array([pair.xi for pair in block])
-        eta = np.array([pair.eta for pair in block])
-        # x[p, i] = outer(e_i, conj(xi_p)) and y[p] = outer(eta_p, conj(eta_p))
-        x = eye * xi.conj()[:, None, None, :]
-        y = eta[:, :, None] * eta.conj()[:, None, :]
-        diag = x[:, :, xd, xd] * y[:, None, yd, yd]
-        upper = x[:, :, xr, xc] * y[:, None, yr, yc]
-        lower = x[:, :, xc, xr] * y[:, None, yc, yr]
-        row = np.concatenate(
-            [diag, (upper + lower) / SQRT2, 1j * (upper - lower) / SQRT2], axis=-1
-        )
-        rows[lo : lo + step, :, 0] = row.real
-        rows[lo : lo + step, :, 1] = row.imag
-    provenance = np.repeat(np.arange(len(pairs)), 2 * n).tolist()
-    return ConstraintSystem(
-        n=n, m=m, rows=rows.reshape(2 * n * len(pairs), d * d), provenance=provenance
-    )
+def _gap_rank(s: np.ndarray, unknowns: int) -> int:
+    """Rank at the largest relative gap s_{k-1} / s_k of `_levels(s)`; full rank is a candidate."""
+    if s.shape[0] == 0 or not s[0] > 0:
+        return 0
+    f = _levels(s, unknowns)
+    return int(np.argmax(f[:-1] / f[1:])) + 1
 
 
 def double_prime_nullspace(
-    map_rep: MapRep,
-    batch_size: int = 8,
-    max_batches: int = 16,
-    seed: int = 0,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    pair_tol: float = PAIR_TOL,
-    stable_batches: int = 3,
+    map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL
 ) -> NullSpaceResult:
-    """Null space of the accumulated zero-pair constraints of the map.
+    """Null space of the zero-pair constraints of the map, solved in probe coordinates.
 
-    Starts from the deterministic probes (including kernel directions), then
-    adds seeded random batches until the dimension is unchanged for
-    `stable_batches` consecutive batches or the batch budget is exhausted.
-    Intermediate narrowing works incrementally inside the current null space;
-    the final basis and singular values come from one authoritative SVD of
-    every row collected.
+    Probes: `unit_probe_vectors`, `reflected_probe_vectors`, `kernel_probes`.
+    Probe p with output rank r_p (cut by `tol`) contributes the unknowns of
+    H_p in Herm(r_p), and each relation beta in the kernel of the m^2 x N
+    matrix of projector parameters contributes the n^2 rows of
+    sum_p beta_p R_p H_p R_p* = 0.  The rank of that system is cut at the
+    largest relative gap of its spectrum (`_gap_rank`).  Null vectors become
+    Choi matrices through the dual frame D_p of the projectors,
+    Choi(psi) = sum_p psi(P_p) (x) conj(D_p), and are orthonormalised there.
+    Deterministic: no random probes.
     """
+    _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
-    d = n * m
-    pairs = zero_pairs(map_rep, PairStrategy(random_count=0), tol, pair_tol)
-    all_rows = [assemble_constraints(pairs, n, m).rows]
-    # no rows at all (1 x 1 A): the whole parameter space
-    basis = _narrow(None, all_rows[0], tol) if all_rows[0].shape[0] else np.eye(d * d)
-    dim = basis.shape[1]
+    etas = np.array(
+        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep, tol)
+    )
+    count = etas.shape[0]
+    _, vecs, ranks = _probe_outputs(map_rep, etas, tol)
 
-    rng = rng_from(seed)
-    stable = 0
-    for _ in range(max_batches):
-        if dim == 0 or stable >= stable_batches:
-            break
-        etas = [random_unit_vector(rng, m) for _ in range(batch_size)]
-        new_pairs = _pairs_from_etas(map_rep, etas, tol, pair_tol)
-        new_rows = assemble_constraints(new_pairs, n, m).rows
-        pairs.extend(new_pairs)
-        if new_rows.shape[0]:
-            all_rows.append(new_rows)
-            basis = _narrow(basis, new_rows, tol)
-        new_dim = basis.shape[1]
-        stable = stable + 1 if new_dim == dim else 0
-        dim = new_dim
+    # the first m^2 projectors are a basis of Herm(m): the frame has rank m^2
+    frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
+    u_f, s_f, vh_f = np.linalg.svd(frame.T)
+    relations = vh_f[m * m :]
+    dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
 
-    stacked = np.vstack(all_rows)
-    if stacked.shape[0] == 0:
-        param_basis = np.eye(d * d)
-        svals = np.zeros(0)
+    # columns: parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p)
+    owner, columns = [], []
+    for r in np.unique(ranks[ranks > 0]):
+        idx = np.flatnonzero(ranks == r)
+        ranges = vecs[idx, :, :r]
+        e = params_to_herm(np.eye(r * r), r)
+        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
+        columns.append(herm_to_params(y).reshape(-1, n * n))
+        owner.append(np.repeat(idx, r * r))
+    owner = np.concatenate(owner) if owner else np.zeros(0, dtype=int)
+    outputs = np.concatenate(columns) if columns else np.zeros((0, n * n))
+    unknowns = owner.shape[0]
+
+    rows = relations.shape[0] * n * n
+    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, unknowns)
+    if rows > unknowns > 0:
+        # same singular values and right vectors, without the tall left factor
+        system = np.linalg.qr(system, mode="r")
+    if system.size:
+        _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
     else:
-        param_basis, svals = null_space(stacked, tol)
-    herm_basis = list(params_to_herm(param_basis.T, d))
+        svals, vh = np.zeros(0), np.eye(unknowns)
+    null = vh[_gap_rank(svals, unknowns) :].T
+
+    # psi(P_p) per null vector, then Choi(psi) = sum_p psi(P_p) (x) conj(D_p)
+    selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
+    y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)
+    choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
+    if choi.shape[0]:
+        param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
+        condition = float(sv[0] / sv[-1])
+    else:
+        param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
     return NullSpaceResult(
-        basis=herm_basis,
+        basis=list(params_to_herm(param_basis.T, n * m)),
         dim=param_basis.shape[1],
         singular_values=svals,
-        pairs_used=len(pairs),
+        pairs_used=count,
         param_basis=param_basis,
+        unknowns=unknowns,
+        condition=condition,
     )
-
-
-def _narrow(basis: np.ndarray | None, rows: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Intersect span(basis columns) with ker(rows); basis None is the whole space."""
-    g = rows if basis is None else rows @ basis
-    if not np.any(np.abs(g) > tol.abs_floor):
-        return np.eye(g.shape[1]) if basis is None else basis
-    z, _ = null_space(g, tol)
-    # C order, as basis @ z gives: later steps then multiply the same way
-    return np.ascontiguousarray(z) if basis is None else basis @ z
 
 
 def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.ndarray, float]:

@@ -1,8 +1,8 @@
 """Dense linear-algebra helpers with an explicit tolerance policy.
 
-Everything downstream funnels its rank decisions through `null_space` so that
-a single pair of knobs (relative cutoff, absolute floor) governs the whole
-certification pipeline.
+Rank decisions on single matrices (kernels, probe outputs) go through one
+`TolerancePolicy`, a relative cutoff and an absolute floor; the face system
+in `faces` cuts its own rank at the largest gap of its spectrum instead.
 """
 
 from dataclasses import dataclass
@@ -33,8 +33,9 @@ class TolerancePolicy:
             if not (np.isfinite(value) and value >= 0):
                 raise ShapeError(f"{name} must be finite and >= 0, got {value!r}")
 
-    def cutoff(self, shape: tuple[int, int], sigma_max: float) -> float:
-        return max(max(shape) * sigma_max * self.rel_eps, self.abs_floor)
+    def cutoff(self, shape: tuple[int, int], sigma_max):
+        """The cutoff for a matrix of this shape; sigma_max may be an array of them."""
+        return np.maximum(max(shape) * sigma_max * self.rel_eps, self.abs_floor)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -157,13 +158,16 @@ def herm_to_params(c: np.ndarray) -> np.ndarray:
     Layout: the N diagonal entries, then sqrt(2)*Re of the strict upper
     triangle in row-major order, then sqrt(2)*Im of the same entries.  The
     map is an isometry: <C1, C2>_F (real part) equals the dot product of the
-    coordinate vectors.
+    coordinate vectors.  Leading axes of c are batch axes: shape (..., N, N)
+    gives (..., N*N).
     """
-    c = as_complex_matrix(c)
-    n = c.shape[0]
-    iu, ju = triu_pairs(n)
-    upper = c[iu, ju]
-    return np.concatenate([np.diag(c).real, SQRT2 * upper.real, SQRT2 * upper.imag])
+    c = check_finite(np.asarray(c, dtype=np.complex128), "matrix")
+    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
+        raise ShapeError(f"expected square matrices, got shape {c.shape}")
+    iu, ju = triu_pairs(c.shape[-1])
+    upper = c[..., iu, ju]
+    diag = np.diagonal(c, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
 
 
 def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
@@ -183,17 +187,3 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     c[..., ju, iu] = upper.conj()
     return c
 
-
-def functional_row(m: np.ndarray) -> np.ndarray:
-    """Row of coefficients of C -> sum_ab C[a,b] M[a,b] over Hermitian params.
-
-    The returned complex row r satisfies r @ herm_to_params(C) == that sum
-    for every Hermitian C; callers split it into real and imaginary parts to
-    get two real constraints.
-    """
-    m = as_complex_matrix(m)
-    n = m.shape[0]
-    iu, ju = triu_pairs(n)
-    re_part = (m[iu, ju] + m[ju, iu]) / SQRT2
-    im_part = 1j * (m[iu, ju] - m[ju, iu]) / SQRT2
-    return np.concatenate([np.diag(m), re_part, im_part])

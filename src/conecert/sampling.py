@@ -52,15 +52,29 @@ def random_psd(rng: np.random.Generator, dim: int, rank: int | None = None) -> n
     return g @ g.conj().T
 
 
-def unit_probe_vectors(m: int) -> list[np.ndarray]:
-    """Deterministic probe set: e_j, (e_j + e_k)/sqrt2, (e_j + i e_k)/sqrt2."""
+def _curve_probes(m: int, zs: tuple[complex, ...]) -> list[np.ndarray]:
+    """(e_j + z e_k)/sqrt2 for each pair j < k, every z in turn."""
     eye = np.eye(m, dtype=np.complex128)
-    probes = [eye[j] for j in range(m)]
-    for j in range(m):
-        for k in range(j + 1, m):
-            probes.append((eye[j] + eye[k]) / SQRT2)
-            probes.append((eye[j] + 1j * eye[k]) / SQRT2)
-    return probes
+    return [(eye[j] + z * eye[k]) / SQRT2 for j in range(m) for k in range(j + 1, m) for z in zs]
+
+
+def unit_probe_vectors(m: int) -> list[np.ndarray]:
+    """Deterministic probe set: e_j, (e_j + e_k)/sqrt2, (e_j + i e_k)/sqrt2.
+
+    Their m^2 projectors are a basis of Herm(m).
+    """
+    eye = np.eye(m, dtype=np.complex128)
+    return [eye[j] for j in range(m)] + _curve_probes(m, (1, 1j))
+
+
+def reflected_probe_vectors(m: int) -> list[np.ndarray]:
+    """The probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2.
+
+    With `unit_probe_vectors` they put z = 1, i, -1, -i on every curve
+    e_j + z e_k, so each pair j < k gives the two projector relations
+    P_{1} + P_{-1} = P_{i} + P_{-i} = P_j + P_k.
+    """
+    return _curve_probes(m, (-1, -1j))
 
 
 def combination_probes(vectors: list[np.ndarray]) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ from conecert.exposedness import (
     FallbackParams,
     MapCase,
     Verdict,
+    _face_bound,
     certify_exposed,
     classify,
     cone_fallback,
@@ -117,15 +118,18 @@ def _hull_plus(ns, extra_choi):
     p = herm_to_params(extra_choi)
     p = p - ns.param_basis @ (ns.param_basis.T @ p)
     param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
-    unknowns, dim = param_basis.shape
+    params, dim = param_basis.shape
+    unknowns = ns.unknowns
     svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
-    side = int(round(np.sqrt(unknowns)))
+    side = int(round(np.sqrt(params)))
     return NullSpaceResult(
         basis=list(params_to_herm(param_basis.T, side)),
         dim=dim,
         singular_values=svals,
         pairs_used=ns.pairs_used,
         param_basis=param_basis,
+        unknowns=unknowns,
+        condition=ns.condition,
     )
 
 
@@ -172,7 +176,8 @@ def test_face_bound_needs_a_gap():
     ns = double_prime_nullspace(phi)
     flat = NullSpaceResult(
         basis=ns.basis, dim=ns.dim, singular_values=np.zeros(ns.singular_values.shape),
-        pairs_used=ns.pairs_used, param_basis=ns.param_basis,
+        pairs_used=ns.pairs_used, param_basis=ns.param_basis, unknowns=ns.unknowns,
+        condition=ns.condition,
     )
     cert = face_certificate(flat, phi)
     assert cert.bound >= 1.0
@@ -212,12 +217,113 @@ def test_certify_deterministic_reports():
 
 
 def test_certify_one_by_one_without_constraints():
-    """1 x 1 A gives no zero-pairs: the null space is the whole (1-dim) space"""
+    """1 x 1 A has one probe and no relations: the null space is the whole (1-dim) space"""
     report = certify_exposed([[2.0]])
     assert report.verdict is Verdict.EXPOSED_LINEAR
     assert report.nullspace.dim == 1
     assert report.nullspace.singular_values.shape == (0,)
-    assert report.nullspace.pairs_used == 0
+    assert report.nullspace.pairs_used == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_certify_one_dimensional_input(n, transposed):
+    """m = 1: one probe, no relations, an empty spectrum read at the rounding floor"""
+    a = crandn(n, 1)
+    report = certify_exposed(a, transposed=transposed)
+    assert report.verdict is Verdict.EXPOSED_LINEAR
+    ns = report.nullspace
+    assert (ns.dim, ns.unknowns, ns.pairs_used) == (1, 1, 1)
+    assert ns.singular_values.shape == (0,)
+    assert _face_bound(ns) < 1e-14
+    assert membership_residual(ns, _unit_phi(a, transposed))[1] <= _face_bound(ns)
+
+
+def _exact_rank_one_hull(u, v, transposed):
+    """Orthonormal Choi-parameter basis of the face of A = u v*: Q (x) S, S vanishing on s-perp.
+
+    Q = uu* / |u|^2, and s is conj(v) (v for the transposed map) normalised:
+    S = ss*, (s w* + w s*)/sqrt2 and i(s w* - w s*)/sqrt2 for w in an
+    orthonormal basis of s-perp.
+    """
+    q = np.outer(u, u.conj()) / np.vdot(u, u).real
+    s = (v if transposed else v.conj()) / np.linalg.norm(v)
+    # the Q factor's first column is s up to a phase, so the others span s-perp
+    w = np.linalg.qr(np.column_stack([s, np.eye(len(s))[:, : len(s) - 1]]))[0][:, 1:]
+    mats = [np.outer(s, s.conj())]
+    for j in range(w.shape[1]):
+        sw = np.outer(s, w[:, j].conj())
+        mats += [(sw + sw.conj().T) / np.sqrt(2), 1j * (sw - sw.conj().T) / np.sqrt(2)]
+    return np.array([herm_to_params(np.kron(q, mat)) for mat in mats]).T
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (2, 2), (3, 4)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_rank_one_hull_within_face_bound(shape, transposed):
+    """the returned hull sits within face.bound of the closed-form hull, wide systems too"""
+    n, m = shape
+    u, v = crandn(n), crandn(m)
+    report = certify_exposed(np.outer(u, v.conj()), transposed=transposed)
+    assert report.verdict is Verdict.EXPOSED_FACE
+    exact = _exact_rank_one_hull(u, v, transposed)
+    assert np.abs(exact.T @ exact - np.eye(2 * m - 1)).max() < 1e-12
+    got = report.nullspace.param_basis
+    assert got.shape == exact.shape
+    # sine of the largest principal angle between the two spans
+    assert np.linalg.norm(got - exact @ (exact.T @ got), 2) <= report.face.bound
+
+
+def _haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _with_smallest_singular_value(rng, n, m, rank, s2):
+    """U diag(1, ..., 1, s2, 0, ...) V*: rank `rank`, its smallest singular value s2."""
+    sv = np.zeros((n, m))
+    sv[np.arange(rank - 1), np.arange(rank - 1)] = 1.0
+    sv[rank - 1, rank - 1] = s2
+    return _haar_unitary(rng, n) @ sv @ _haar_unitary(rng, m).conj().T
+
+
+@pytest.mark.parametrize("s2", np.logspace(-12, -2, 11))
+@pytest.mark.parametrize("transposed", [False, True])
+def test_band_certifies(s2, transposed):
+    """3x3 U diag(1, s2, 0) V*: near rank 1 at one end, rank 2 at the other, exposed throughout"""
+    a = _with_smallest_singular_value(np.random.default_rng(7), 3, 3, 2, s2)
+    report = certify_exposed(a, transposed=transposed)
+    assert report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3, 3), (2, 2, 2), (3, 4, 3), (4, 3, 3), (4, 4, 4), (4, 4, 2), (2, 3, 2)]
+)
+def test_smallest_singular_value_sweep_certifies(shape):
+    """s2 in logspace(-12, -2, 21), two draws, both flags: never NOT_CERTIFIED"""
+    n, m, rank = shape
+    rng = np.random.default_rng([7, n, m, rank])
+    refused = []
+    for draw in range(2):
+        for s2 in np.logspace(-12, -2, 21):
+            a = _with_smallest_singular_value(rng, n, m, rank, s2)
+            for transposed in (False, True):
+                verdict = certify_exposed(a, transposed=transposed).verdict
+                if verdict not in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE):
+                    refused.append((draw, s2, transposed, verdict.value))
+    assert refused == []
+
+
+def test_certify_draws_no_random_number(monkeypatch):
+    """full-rank and rank-1 inputs certify with every numpy random source disabled"""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify_exposed drew a random number")
+
+    a_full, a_rank1 = crandn(3, 3), crandn(3, 1) @ crandn(1, 4)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert certify_exposed(a_full).verdict is Verdict.EXPOSED_LINEAR
+    assert certify_exposed(a_rank1, transposed=True).verdict is Verdict.EXPOSED_FACE
 
 
 def test_cone_fallback_needs_dim_two():

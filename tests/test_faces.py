@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from constraint_oracle import (
+    _ASSEMBLE_ENTRIES,
+    assemble_constraints,
+    functional_row,
+    oracle_nullspace,
+)
 from conecert.errors import ShapeError
 from conecert.faces import (
-    _ASSEMBLE_ENTRIES,
     PairStrategy,
     ZeroPair,
-    assemble_constraints,
     double_prime_nullspace,
     kernel_probes,
     membership_residual,
     zero_pairs,
 )
-from conecert.linalg import functional_row, herm_to_params, null_space
+from conecert.linalg import herm_to_params
 from conecert.maps import MapRep, apply, choi_from_ad
 
 rng = np.random.default_rng(31)
@@ -178,7 +182,7 @@ def test_nullspace_rectangular_rank_one():
 
 def test_nullspace_random_full_rank_three():
     phi = choi_from_ad(crandn(3, 3), transposed=True)
-    res = double_prime_nullspace(phi, seed=2)
+    res = double_prime_nullspace(phi)
     assert res.dim == 1
     coeffs, residual = membership_residual(res, phi)
     assert residual < 1e-8
@@ -194,8 +198,8 @@ def test_nullspace_basis_orthonormal():
 
 def test_nullspace_deterministic():
     phi = choi_from_ad(crandn(2, 3))
-    r1 = double_prime_nullspace(phi, seed=4)
-    r2 = double_prime_nullspace(phi, seed=4)
+    r1 = double_prime_nullspace(phi)
+    r2 = double_prime_nullspace(phi)
     assert r1.dim == r2.dim
     assert np.abs(r1.param_basis - r2.param_basis).max() == 0.0
     assert r1.pairs_used == r2.pairs_used
@@ -216,13 +220,17 @@ def test_assemble_rejects_mismatched_pairs():
         assemble_constraints(pairs, 3, 3)
 
 
-def test_nullspace_starts_from_zero_pairs():
-    """the deterministic stage is zero_pairs without random probes"""
-    for a in (np.diag([1.0, 0.0]), crandn(2, 3)):
-        phi = choi_from_ad(a)
-        res = double_prime_nullspace(phi, max_batches=0)
-        pairs = zero_pairs(phi, PairStrategy(random_count=0))
-        basis, svals = null_space(assemble_constraints(pairs, phi.n, phi.m).rows)
-        assert res.pairs_used == len(pairs)
-        assert np.array_equal(res.singular_values, svals)
-        assert np.array_equal(res.param_basis, basis)
+def test_nullspace_matches_constraint_oracle():
+    """the probe-coordinate face equals the null space of random zero-pair rows"""
+    classes = [(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
+    for n, m, r in classes + [(1, 3, 1), (3, 1, 1), (1, 1, 1)]:
+        a = rand_rank(n, m, r)
+        for transposed in (False, True):
+            phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+            res = double_prime_nullspace(phi)
+            oracle = oracle_nullspace(phi, random_count=4 * m * m, seed=n + m)
+            label = (n, m, r, transposed)
+            assert res.dim == oracle.shape[1], label
+            # sine of the largest principal angle between the two spans
+            sin = np.linalg.norm(res.param_basis - oracle @ (oracle.T @ res.param_basis), 2)
+            assert sin <= 1e-6, label

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from constraint_oracle import functional_row
 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.linalg import (
     TolerancePolicy,
     conj_vector,
     fix_phase,
-    functional_row,
     herm_to_params,
     hermitize,
     is_psd,
