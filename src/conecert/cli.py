@@ -304,9 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("positivity", help="evidence-based block positivity search")
+    p = sub.add_parser(
+        "positivity",
+        help="block positivity: a Choi-spectrum proof for CP and co-CP maps, "
+             "else an evidence-based restart search",
+    )
     p.add_argument("map", help="map JSON file")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64,
+                   help="random restarts of the search; a proved map descends once")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)

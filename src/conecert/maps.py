@@ -84,6 +84,10 @@ class SearchParams:
             raise SearchError(f"restarts must be >= 0, got {self.restarts}")
         if self.max_iters < 1:
             raise SearchError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("tol", "conv_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise SearchError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,29 +218,41 @@ def informed_starts(c4: np.ndarray) -> np.ndarray:
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
-    """Evidence-based positivity verdict via seeded alternating minimization.
+    """Positivity verdict by a Choi-spectrum proof or a seeded search.
 
-    Minimizes the block form <xi (x) eta, choi (xi (x) eta)> over unit
-    vectors, seeding the descent from the deterministic informed starts plus
-    `search.restarts` random restarts; a value below -search.tol yields
-    NOT_POSITIVE with the witness pair.  Restarts are scanned in a fixed
+    Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
+    C the Choi matrix; a value below -search.tol yields NOT_POSITIVE with the
+    witness pair.  CP and co-CP maps are proved positive first:
+
+        <xi (x) eta, C (xi (x) eta)> >= lambda_min(C), and the same value is
+        <xi (x) conj(eta), C^G (xi (x) conj(eta))> >= lambda_min(C^G),
+
+    C^G being the partial transpose on K (`partial_transpose_in`).  When
+    lambda_min(C) or lambda_min(C^G) is >= -search.tol, the map descends once,
+    from the first informed start, for its witness pair: no random number is
+    drawn and `restarts_used` is 1.  Any other map descends from every
+    informed start plus `search.restarts` random ones, scanned in a fixed
     order, so the result is deterministic for a given seed.
     `search.restarts` may be 0, which leaves the informed starts alone.
     """
-    _require_hermitian(map_rep)
-    starts = np.vstack([
-        informed_starts(map_rep.choi4),
-        crandn(rng_from(search.seed), search.restarts, map_rep.m),
-    ])
-    val, xi, eta, used = block_minimize(
-        map_rep.choi4,
-        starts,
-        search.max_iters,
-        search.conv_tol,
-        -search.tol,
+    n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
+    # the first CP test also rejects a map that is not Hermiticity-preserving
+    proved = (
+        is_completely_positive(map_rep, search.tol)[0]
+        or is_completely_positive(
+            MapRep(n, m, partial_transpose_in(map_rep.choi, n, m)), search.tol
+        )[0]
     )
+    if proved:
+        starts = informed_starts(c4)[:1]
+    else:
+        starts = np.vstack([
+            informed_starts(c4),
+            crandn(rng_from(search.seed), search.restarts, m),
+        ])
+    val, xi, eta, used = block_minimize(c4, starts, search.max_iters, search.conv_tol, -search.tol)
     return PositivityResult(
-        positive=val >= -search.tol,
+        positive=proved or val >= -search.tol,
         min_value=val,
         xi=xi,
         eta=eta,

@@ -15,6 +15,7 @@ from conecert.serialization import (
     matrix_to_json,
     report_to_dict,
 )
+from test_maps import cho_kye_lee
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
 E22 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -166,6 +167,19 @@ def test_positivity_bad_budget_exit_2(tmp_path, capsys):
     # no random restarts: the informed starts alone still give a verdict
     assert main(["positivity", m, "--restarts", "0"]) == 0
     assert "verdict: POSITIVE_EVIDENCE" in capsys.readouterr().out
+
+
+def test_positivity_restarts_used(tmp_path, capsys):
+    """a CP map is settled by its Choi spectrum with one descent; Choi's map,
+    positive but neither CP nor co-CP, scans every informed and random start"""
+    report = tmp_path / "pos.json"
+    assert main(["positivity", identity_map_file(tmp_path), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["restarts_used"] == 1
+    choi_map = cho_kye_lee(2, 0, 1)
+    m = dump(tmp_path / "choi.json", map_to_json("choi", n=3, m=3, choi=choi_map.choi))
+    assert main(["positivity", m, "--report", str(report)]) == 0
+    assert "verdict: POSITIVE_EVIDENCE" in capsys.readouterr().out
+    assert json.loads(report.read_text())["restarts_used"] == 5 + 64
 
 
 def test_positivity_negative_exit_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.maps import (
     MapRep,
@@ -207,26 +208,153 @@ def _positivity_maps(n, m):
     ]
 
 
+def cho_kye_lee(a, b, c):
+    """Phi[a,b,c](X) = diag(a x11 + b x22 + c x33, c x11 + a x22 + b x33,
+    b x11 + c x22 + a x33) - X on 3x3; Phi[2,0,1] is Choi's map"""
+    c4 = np.zeros((3, 3, 3, 3), dtype=complex)
+    for k in range(3):
+        for i in range(3):
+            c4[i, k, i, k] += (a, b, c)[(k - i) % 3]
+        for l in range(3):
+            c4[k, k, l, l] -= 1.0
+    return MapRep(n=3, m=3, choi=c4.reshape(9, 9))
+
+
+def _scan_starts(map_rep, search):
+    """every informed start, then search.restarts random ones"""
+    return np.vstack([
+        informed_starts(map_rep.choi4),
+        sample_crandn(rng_from(search.seed), search.restarts, map_rep.m),
+    ])
+
+
+def _full_scan(map_rep, search):
+    """the best value of the restart scan with no spectrum certificate"""
+    return reference_scan(
+        map_rep.choi4, _scan_starts(map_rep, search), search.max_iters, search.conv_tol,
+        -search.tol,
+    )[0]
+
+
+def _certified(map_rep, tol):
+    """the Choi matrix or its partial transpose is PSD within tol"""
+    low = np.linalg.eigvalsh(map_rep.choi)[0]
+    low_pt = np.linalg.eigvalsh(partial_transpose_in(map_rep.choi, map_rep.n, map_rep.m))[0]
+    return max(low, low_pt) >= -tol
+
+
+def test_cho_kye_lee_pinned():
+    x = crandn(3, 3)
+    d = np.diag(x)
+    expect = np.diag([2 * d[0] + d[2], d[0] + 2 * d[1], d[1] + 2 * d[2]]) - x
+    assert np.abs(apply(cho_kye_lee(2, 0, 1), x) - expect).max() < 1e-12
+
+
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 4), (4, 2)])
 def test_is_positive_matches_reference_scan(n, m):
-    """is_positive = the sequential scan of its informed and random starts"""
-    for k, map_rep in enumerate(_positivity_maps(n, m)):
+    """is_positive = the sequential scan of its informed and random starts,
+    or of the first informed start alone when the Choi spectrum settles the map"""
+    maps = _positivity_maps(n, m)
+    if (n, m) == (3, 3):
+        maps.append(cho_kye_lee(2, 0, 1))
+    certified, results = [], []
+    for k, map_rep in enumerate(maps):
         search = SearchParams(seed=100 * n + 10 * m + k)
         res = is_positive(map_rep, search)
-        starts = np.vstack([
-            informed_starts(map_rep.choi4),
-            sample_crandn(rng_from(search.seed), search.restarts, m),
-        ])
+        certified.append(_certified(map_rep, search.tol))
+        if certified[-1]:
+            starts = informed_starts(map_rep.choi4)[:1]
+        else:
+            starts = _scan_starts(map_rep, search)
         val, _, _, used = reference_scan(
             map_rep.choi4, starts, search.max_iters, search.conv_tol, -search.tol
         )
-        assert res.positive == (val >= -search.tol)
+        assert res.positive == (certified[-1] or val >= -search.tol)
         assert res.restarts_used == used
         assert abs(res.min_value - val) <= 1e-12
         u = np.kron(res.xi, res.eta)
         assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
+        results.append(res)
+    # cp, ad, ad o T and omega_q are settled; the planted and Choi maps are scanned
+    assert certified[:5] == [True, True, True, True, False]
+    assert not any(certified[5:])
     # the planted map has a product vector at -0.05: it must be found
+    assert not results[4].positive
+    # Choi's map is positive but neither CP nor co-CP: every start is scanned
+    if (n, m) == (3, 3):
+        assert results[5].positive
+        assert results[5].restarts_used == 5 + SearchParams().restarts
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (2, 4), (4, 2)])
+def test_certificate_verdict_matches_full_scan(n, m):
+    """cp, ad, ad o T and omega_q: one certified descent, the full scan's verdict"""
+    for k, map_rep in enumerate(_positivity_maps(n, m)[:4]):
+        search = SearchParams(seed=100 * n + 10 * m + k)
+        res = is_positive(map_rep, search)
+        assert res.restarts_used == 1
+        assert res.positive == (_full_scan(map_rep, search) >= -search.tol)
+        assert res.positive
+        u = np.kron(res.xi, res.eta)
+        assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
+
+
+def test_certificate_edges_match_full_scan():
+    """shifted CP maps at the tolerance, and the Cho-Kye-Lee maps"""
+    search = SearchParams(seed=5)
+    g = sample_crandn(np.random.default_rng(3), 9, 9)
+    cp = g @ g.conj().T
+    cp /= np.linalg.norm(cp)
+    shifted = [
+        MapRep(n=3, m=3, choi=cp - (np.linalg.eigvalsh(cp)[0] + s * search.tol) * np.eye(9))
+        for s in (0.5, 2.0)
+    ]
+    inside, outside = (is_positive(phi, search) for phi in shifted)
+    # lambda_min(C) = -tol/2 is proved; at -2 tol (and an NPT partial
+    # transpose) the scan decides, and the product minimum is still positive
+    assert _certified(shifted[0], search.tol) and not _certified(shifted[1], search.tol)
+    assert inside.positive and inside.restarts_used == 1
+    assert outside.positive and outside.restarts_used == 5 + search.restarts
+    assert outside.min_value > 0
+    # Phi[1,1,1](X) = Tr(X) I - X: lambda_min(C) = -2, lambda_min(C^G) = 0
+    reduction = cho_kye_lee(1, 1, 1)
+    assert abs(np.linalg.eigvalsh(reduction.choi)[0] + 2.0) < 1e-12
+    res = is_positive(reduction, search)
+    assert res.positive and res.restarts_used == 1
+    # Phi[2,0,0.9] is not positive: a+b+c < 3
+    not_positive = cho_kye_lee(2, 0, 0.9)
+    res = is_positive(not_positive, search)
     assert not res.positive
+    assert abs(res.min_value + 1 / 30) < 1e-6
+    u = np.kron(res.xi, res.eta)
+    assert abs(np.vdot(u, not_positive.choi @ u).real - res.min_value) <= 1e-12
+    for phi in shifted + [reduction, not_positive]:
+        assert is_positive(phi, search).positive == (_full_scan(phi, search) >= -search.tol)
+
+
+class _RandomDrawn(Exception):
+    pass
+
+
+def test_certified_maps_draw_no_random_number(monkeypatch):
+    """a certified map ignores restarts and seed; a planted one still draws"""
+    def no_draw(*args):
+        raise _RandomDrawn
+
+    monkeypatch.setattr(maps_module, "crandn", no_draw)
+    cp, _, ad_t, _, planted = _positivity_maps(3, 2)
+    for map_rep in (cp, ad_t):
+        results = [
+            is_positive(map_rep, SearchParams(restarts=r, seed=s))
+            for r, s in ((64, 0), (0, 0), (7, 12345))
+        ]
+        for res in results:
+            assert res.restarts_used == 1
+            assert res.min_value == results[0].min_value
+            assert np.array_equal(res.xi, results[0].xi)
+            assert np.array_equal(res.eta, results[0].eta)
+    with pytest.raises(_RandomDrawn):
+        is_positive(planted)
 
 
 def test_is_positive_rejects_negative_restarts():
@@ -239,7 +367,12 @@ def test_search_params_reject_bad_budget():
         SearchParams(restarts=-1)
     with pytest.raises(SearchError):
         SearchParams(max_iters=0)
+    for name in ("tol", "conv_tol"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(SearchError):
+                SearchParams(**{name: bad})
     assert SearchParams(restarts=0, max_iters=1).restarts == 0
+    assert SearchParams(tol=0.0, conv_tol=0.0).tol == 0.0
 
 
 def test_rank1_nonincreasing():
