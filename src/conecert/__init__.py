@@ -19,17 +19,13 @@ from .errors import (
 from .exposedness import (
     CertifyParams,
     Classification,
-    ConeFallbackEvidence,
     ExposednessReport,
     FaceCertificate,
-    FallbackParams,
     MapCase,
     ObstructionResult,
     Verdict,
-    Violation,
     certify_exposed,
     classify,
-    cone_fallback,
     conjugate_obstruction_space,
     face_certificate,
 )
@@ -73,12 +69,10 @@ __all__ = [
     "CertifyParams",
     "Classification",
     "ClassificationError",
-    "ConeFallbackEvidence",
     "ConecertError",
     "EncodingError",
     "ExposednessReport",
     "FaceCertificate",
-    "FallbackParams",
     "FunctionalRep",
     "HermiticityError",
     "InputRejected",
@@ -94,14 +88,12 @@ __all__ = [
     "ShapeError",
     "TolerancePolicy",
     "Verdict",
-    "Violation",
     "ZeroPair",
     "apply",
     "certify_exposed",
     "choi_from_ad",
     "choi_from_omega_q",
     "classify",
-    "cone_fallback",
     "conj_vector",
     "conjugate_obstruction_space",
     "double_prime_nullspace",

@@ -6,22 +6,18 @@ When the Hermitian null space is one-dimensional that is a direct linear
 certificate (EXPOSED_LINEAR).  When the hull is larger (rank-1 A = u v*)
 it is {X -> Tr(R X) uu* : R compressed to v-perp is 0}; the only positive
 elements of that set form the ray through the map, and `face_certificate`
-checks the structure on the computed basis (EXPOSED_FACE).
-
-`cone_fallback` is sampled evidence for the same collapse: it shows that
-sampled off-ray directions of a hull leave the positive cone.  The pipeline
-does not run it; it is a cross-check callers can run on `report.nullspace`.
+checks the structure on the computed basis (EXPOSED_FACE).  Both verdicts
+are exact checks on the computed hull: no positivity search and no random
+number is involved.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
-from ._kernels import MAX_ROWS, block_minimize, block_minimize_batch
-from .errors import ClassificationError, SearchError
+from .errors import ClassificationError
 from .faces import (
     UNIT_ROUNDOFF,
     NullSpaceResult,
@@ -35,21 +31,11 @@ from .linalg import (
     as_complex_matrix,
     fix_phase,
     herm_defect,
-    herm_to_params,
     hermitize,
     normalized,
     null_space,
-    params_to_herm,
 )
-from .maps import (
-    MapRep,
-    SearchParams,
-    _require_hermitian,
-    choi_from_ad,
-    informed_starts,
-    partial_transpose_in,
-)
-from .sampling import crandn, rng_from
+from .maps import MapRep, _require_hermitian, choi_from_ad, partial_transpose_in
 
 # safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0
@@ -66,35 +52,6 @@ class MapCase(str, Enum):
     OMEGA_Q = "OMEGA_Q"
     AD = "AD"
     AD_TRANSPOSE = "AD_TRANSPOSE"
-
-
-@dataclass(frozen=True)
-class Violation:
-    direction: int
-    epsilon: float
-    xi: np.ndarray
-    eta: np.ndarray
-    value: float
-
-
-@dataclass
-class ConeFallbackEvidence:
-    directions_tested: int
-    epsilons: tuple[float, ...]
-    violations: list[Violation]
-    all_violated: bool
-    control_positive: bool
-    misses: list[tuple[int, float]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class FallbackParams:
-    """Direction budget, step grid and seeded search of the cone-collapse run."""
-
-    directions_per_dim: int = 64
-    max_directions: int = 512
-    epsilons: tuple[float, ...] = (0.01, 0.1, 1.0, 10.0)
-    search: SearchParams = SearchParams()
 
 
 @dataclass(frozen=True)
@@ -141,78 +98,6 @@ def _empty_nullspace() -> NullSpaceResult:
     return NullSpaceResult(
         basis=[], dim=0, singular_values=np.zeros(0), pairs_used=0,
         param_basis=np.zeros((0, 0)), unknowns=0, condition=1.0,
-    )
-
-
-def cone_fallback(
-    nullspace: NullSpaceResult, phi: MapRep, params: FallbackParams = FallbackParams()
-) -> ConeFallbackEvidence:
-    """Evidence that the hull's positive part collapses onto the ray of phi.
-
-    Samples unit directions in the null space orthogonal to Choi(phi) and
-    runs the positivity search on phi + eps * u for every eps in the grid;
-    the evidence succeeds only when every (direction, eps) pair produces a
-    block value below the violation threshold.  One control search confirms
-    phi itself passes.
-
-    The test points go through `block_minimize_batch` in chunks of at most
-    `MAX_ROWS`; each point's search is the one `block_minimize` would run on
-    it, with its random restarts drawn in (direction, eps) order.
-    """
-    if nullspace.dim < 2:
-        raise SearchError("cone fallback needs a null space of dimension >= 2")
-    coeffs, resid = membership_residual(nullspace, phi)
-    if resid > 1e-8:
-        raise SearchError(f"Choi(phi) is not in the null-space span (residual {resid:.3e})")
-    d = nullspace.dim
-    n, m = phi.n, phi.m
-    scale = float(np.linalg.norm(phi.choi))
-    p_phi = herm_to_params(phi.choi / scale)
-
-    # orthonormal completion of the phi direction inside the null space
-    q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
-    perp = nullspace.param_basis @ q[:, 1:]
-
-    count = min(params.directions_per_dim * (d - 1), params.max_directions)
-    search = params.search
-    rng = rng_from(search.seed)
-
-    control_c4 = phi.choi4 / scale
-    control_starts = np.vstack([informed_starts(control_c4), crandn(rng, search.restarts, m)])
-    control_val, _, _, _ = block_minimize(
-        control_c4, control_starts, search.max_iters, search.conv_tol, -search.tol
-    )
-    control_positive = control_val >= -search.tol
-
-    def test_points():
-        for t in range(count):
-            g = rng.standard_normal(d - 1)
-            u = perp @ (g / np.linalg.norm(g))
-            for eps in params.epsilons:
-                yield t, eps, p_phi + eps * u, crandn(rng, search.restarts, m)
-
-    violations: list[Violation] = []
-    misses: list[tuple[int, float]] = []
-    points = test_points()
-    while chunk := list(islice(points, MAX_ROWS)):
-        ts, epss, p_test, random_starts = zip(*chunk)
-        c4s = params_to_herm(np.array(p_test), n * m).reshape(-1, n, m, n, m)
-        starts = np.concatenate([informed_starts(c4s), np.array(random_starts)], axis=1)
-        vals, xis, etas, _ = block_minimize_batch(
-            c4s, starts, search.max_iters, search.conv_tol, -search.tol
-        )
-        for t, eps, val, xi, eta in zip(ts, epss, vals, xis, etas):
-            if val < -search.tol:
-                violations.append(Violation(t, eps, xi, eta, float(val)))
-            else:
-                misses.append((t, eps))
-    return ConeFallbackEvidence(
-        directions_tested=count,
-        epsilons=tuple(params.epsilons),
-        violations=violations,
-        all_violated=not misses,
-        control_positive=control_positive,
-        misses=misses,
     )
 
 
@@ -373,43 +258,35 @@ def conjugate_obstruction_space(
     gram = hermitize(a.conj().T @ a)
     w, v = np.linalg.eigh(gram)
     cut = tol.cutoff(gram.shape, float(max(w[-1], 0.0)))
-    kernel_idx = [j for j in range(m) if w[j] <= cut]
-    range_idx = [j for j in range(m) if w[j] > cut]
-
+    kernel = w <= cut
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(m, dtype=np.complex128)
-    rows = []
-    for j in kernel_idx:
-        vk = v[:, j]
-        for i in range(n):
-            rows.append(np.outer(eye_n[i], vk.conj()).reshape(-1))
+    # kernel eigenvectors v: one row e_i (x) conj(v) per i
+    kernel_rows = eye_n[None, :, :, None] * v[:, kernel].conj().T[:, None, None, :]
 
     u_full, s, _ = np.linalg.svd(a, full_matrices=True)
-    cut_s = tol.cutoff(a.shape, float(s[0]))
-    rank = int(np.sum(s > cut_s))
-    for col in range(rank, n):
-        u = u_full[:, col]
-        for j in range(m):
-            rows.append(np.outer(u.conj(), eye_m[j]).reshape(-1))
+    rank = int(np.sum(s > tol.cutoff(a.shape, float(s[0]))))
+    # left-null directions u: one row conj(u) (x) e_j per j
+    left_rows = u_full[:, rank:].conj().T[:, None, :, None] * eye_m[None, :, None, :]
 
-    for jj in range(len(range_idx)):
-        for kk in range(jj + 1, len(range_idx)):
-            vj = v[:, range_idx[jj]]
-            vk = v[:, range_idx[kk]]
-            avj = a @ vj
-            avk = a @ vk
-            nj = float(np.vdot(avj, avj).real)
-            nk = float(np.vdot(avk, avk).real)
-            for z in z_samples:
-                rho = vj + z * vk
-                zeta = -np.conj(z) * nk * avj + nj * avk
-                rows.append(np.outer(zeta.conj(), rho.conj()).reshape(-1))
+    # range eigenvector pairs j < k, one row per z; the stacked matrix-vector
+    # products keep the bits of one product per vector
+    vr = v[:, ~kernel].T
+    av = np.matmul(a, vr[:, :, None])[:, :, 0]
+    norms = np.matmul(av.conj()[:, None, :], av[:, :, None])[:, 0, 0].real
+    jj, kk = np.triu_indices(vr.shape[0], 1)
+    z = np.asarray(z_samples)[None, :, None]
+    nj, nk = norms[jj, None, None], norms[kk, None, None]
+    rho = vr[jj, None] + z * vr[kk, None]
+    zeta = -np.conj(z) * nk * av[jj, None] + nj * av[kk, None]
+    curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
 
-    if not rows:
+    rows = np.concatenate([r.reshape(-1, n * m) for r in (kernel_rows, left_rows, curve_rows)])
+    if rows.shape[0] == 0:
         basis = np.eye(n * m, dtype=np.complex128)
         svals = np.zeros(0)
     else:
-        basis, svals = null_space(np.array(rows), tol)
+        basis, svals = null_space(rows, tol)
     mats = [basis[:, j].reshape(n, m) for j in range(basis.shape[1])]
     return ObstructionResult(dim=basis.shape[1], basis=mats, singular_values=svals)
 

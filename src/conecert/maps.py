@@ -204,17 +204,14 @@ def informed_starts(c4: np.ndarray) -> np.ndarray:
     of the diagonal blocks and of the input compression land inside those
     basins directly.
 
-    Leading axes of c4 are batch axes: shape (..., n, m, n, m) gives seeds
-    of shape (..., n + 2, m).
+    c4 has shape (n, m, n, m); the seeds have shape (n + 2, m).
     """
-    n, m = c4.shape[-4], c4.shape[-3]
-    lead = c4.shape[:-4]
-    c = hermitize(c4.reshape(lead + (n * m, n * m)))
-    _, v = np.linalg.eigh(c)
-    _, _, vh = np.linalg.svd(v[..., 0].reshape(lead + (n, m)))
-    _, vb = np.linalg.eigh(hermitize(np.einsum("...ikil->...ikl", c4)))
-    _, vt = np.linalg.eigh(hermitize(np.einsum("...ikil->...kl", c4)))
-    return np.concatenate([vh[..., :1, :], vb[..., 0], vt[..., None, :, 0]], axis=-2)
+    n, m = c4.shape[:2]
+    _, v = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))
+    _, _, vh = np.linalg.svd(v[:, 0].reshape(n, m))
+    _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
+    _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
+    return np.concatenate([vh[:1], vb[:, :, 0], vt[None, :, 0]])
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
@@ -266,18 +263,18 @@ def rank1_nonincreasing(
     """Check that phi(eta eta*) has rank <= 1 on probe and random eta.
 
     Returns (True, None) when every sampled output passes the second-singular
-    -value test, else (False, the violating eta).
+    -value test, else (False, the first violating eta in probe order).
+    Outputs whose top singular value is at the floor are skipped.
     """
     _require_hermitian(map_rep)
     rng = rng_from(seed)
     etas = unit_probe_vectors(map_rep.m)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
     floor = 1e-12 * max(1.0, float(np.linalg.norm(map_rep.choi)))
-    for eta in etas:
-        out = apply(map_rep, np.outer(eta, eta.conj()))
-        s = np.linalg.svd(out, compute_uv=False)
-        if s[0] <= floor:
-            continue
-        if s.shape[0] > 1 and s[1] > tol * s[0]:
-            return False, eta
+    stacked = np.array(etas)
+    projectors = np.einsum("pk,pl->pkl", stacked, stacked.conj())
+    s = np.linalg.svd(np.einsum("ikjl,pkl->pij", map_rep.choi4, projectors), compute_uv=False)
+    bad = (s[:, 0] > floor) & np.any(s[:, 1:2] > tol * s[:, :1], axis=1)
+    if bad.any():
+        return False, etas[int(bad.argmax())]
     return True, None

@@ -1,0 +1,85 @@
+"""Test oracle: sampled evidence that a hull's positive part is the ray of phi.
+
+Samples unit directions u in the hull orthogonal to Choi(phi) and runs the
+positivity search on phi + eps * u for every eps in the grid, one
+`block_minimize` per test point.  The evidence holds when every test point
+dips below -tol (it is not a positive map) while phi itself passes the same
+search.  The certificate proper is exact (`face_certificate`); this is the
+tests' independent cross-check of its verdict.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from conecert._kernels import block_minimize
+from conecert.faces import membership_residual
+from conecert.linalg import herm_to_params, params_to_herm
+from conecert.maps import SearchParams, informed_starts
+from conecert.sampling import crandn, rng_from
+
+EPSILONS = (0.01, 0.1, 1.0, 10.0)
+
+
+@dataclass
+class ConeEvidence:
+    directions: int
+    epsilons: tuple[float, ...]
+    values: np.ndarray  # (directions, epsilons) block minima of the test points
+    control_value: float
+    tol: float
+
+    @property
+    def control_positive(self) -> bool:
+        return self.control_value >= -self.tol
+
+    @property
+    def misses(self) -> list[tuple[int, float]]:
+        """Test points the search did not push below -tol."""
+        return [
+            (t, eps)
+            for t, row in enumerate(self.values)
+            for eps, value in zip(self.epsilons, row)
+            if value >= -self.tol
+        ]
+
+
+def cone_evidence(
+    ns,
+    phi,
+    directions_per_dim: int = 64,
+    max_directions: int = 512,
+    epsilons: tuple[float, ...] = EPSILONS,
+    search: SearchParams = SearchParams(),
+) -> ConeEvidence:
+    """Search phi and every test point phi + eps * u; u unit, in the hull, orthogonal to phi.
+
+    Draws one seeded random stream in a fixed order: the control restarts,
+    then per direction its Gaussian coefficients and per epsilon its
+    restarts.  Each search descends from the informed starts and then
+    `search.restarts` random ones.
+    """
+    d = ns.dim
+    assert d >= 2, "a one-dimensional hull has no direction off the ray"
+    coeffs, _ = membership_residual(ns, phi)
+    n, m = phi.n, phi.m
+    scale = float(np.linalg.norm(phi.choi))
+    p_phi = herm_to_params(phi.choi / scale)
+    # orthonormal completion of the phi direction inside the hull
+    q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
+    perp = ns.param_basis @ q[:, 1:]
+    rng = rng_from(search.seed)
+
+    def search_from(c4):
+        starts = np.vstack([informed_starts(c4), crandn(rng, search.restarts, m)])
+        return block_minimize(c4, starts, search.max_iters, search.conv_tol, -search.tol)[0]
+
+    control = search_from(phi.choi4 / scale)
+    count = min(directions_per_dim * (d - 1), max_directions)
+    values = np.empty((count, len(epsilons)))
+    for t in range(count):
+        g = rng.standard_normal(d - 1)
+        u = perp @ (g / np.linalg.norm(g))
+        for k, eps in enumerate(epsilons):
+            values[t, k] = search_from(params_to_herm(p_phi + eps * u, n * m).reshape(n, m, n, m))
+    return ConeEvidence(count, tuple(epsilons), values, control, search.tol)

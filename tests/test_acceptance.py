@@ -7,13 +7,13 @@ import time
 
 import numpy as np
 
+from cone_oracle import cone_evidence
 from conecert.cli import main
 from conecert.exposedness import (
     MapCase,
     Verdict,
     certify_exposed,
     classify,
-    cone_fallback,
     conjugate_obstruction_space,
 )
 from conecert.functionals import functional_from_operator, functional_norm, norm_maximizer
@@ -110,7 +110,7 @@ def _real_vec(x):
 
 def test_criterion_2_rank_one_hull_oracle():
     """e1 e1* has a 3-dim hull matching an independent oracle and certifies
-    by the exact face check; the cone fallback, run on the same hull,
+    by the exact face check; the sampled cone search, run on the same hull,
     violates every sampled direction."""
     rng = np.random.default_rng(200)
     a = np.diag([1.0, 0.0])
@@ -126,13 +126,12 @@ def test_criterion_2_rank_one_hull_oracle():
 
     assert report.verdict is Verdict.EXPOSED_FACE
     assert report.face.defect <= report.face.bound
-    fb = cone_fallback(report.nullspace, choi_from_ad(a))
-    assert fb.directions_tested >= 64
-    assert fb.control_positive
-    assert fb.misses == []
-    assert len(fb.violations) == fb.directions_tested * len(fb.epsilons)
-    for v in fb.violations:
-        assert v.value < -1e-9
+    ev = cone_evidence(report.nullspace, choi_from_ad(a))
+    assert ev.directions >= 64
+    assert ev.control_positive
+    assert ev.misses == []
+    assert ev.values.shape == (ev.directions, len(ev.epsilons))
+    assert np.all(ev.values < -1e-9)
 
 
 def test_criterion_3_functional_norms():

@@ -5,8 +5,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from cone_oracle import cone_evidence
 from conecert.cli import main
-from conecert.exposedness import certify_exposed, cone_fallback
+from conecert.exposedness import certify_exposed
 from conecert.maps import apply, choi_from_ad
 from conecert.serialization import (
     REPORT_SCHEMA,
@@ -87,8 +88,8 @@ def test_expose_transposed_rank_one(tmp_path, capsys):
     assert report_to_dict(api, include_timing=False) == {
         k: v for k, v in payload.items() if k not in ("config", "wall_time_ms")
     }
-    fb = cone_fallback(api.nullspace, choi_from_ad(np.diag([1.0, 0.0]), transposed=True))
-    assert fb.all_violated and fb.control_positive and fb.misses == []
+    ev = cone_evidence(api.nullspace, choi_from_ad(np.diag([1.0, 0.0]), transposed=True))
+    assert ev.control_positive and ev.misses == []
 
 
 @pytest.mark.parametrize("flag, value", [

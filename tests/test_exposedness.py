@@ -1,31 +1,21 @@
 import numpy as np
 import pytest
 
+from cone_oracle import cone_evidence
 from conecert import exposedness
-from conecert._kernels import MAX_ROWS, block_minimize
-from conecert.errors import ClassificationError, SearchError
+from conecert.errors import ClassificationError
 from conecert.exposedness import (
-    FallbackParams,
     MapCase,
     Verdict,
     _face_bound,
     certify_exposed,
     classify,
-    cone_fallback,
     conjugate_obstruction_space,
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import herm_to_params, params_to_herm
-from conecert.maps import (
-    MapRep,
-    SearchParams,
-    choi_from_ad,
-    choi_from_omega_q,
-    informed_starts,
-)
-from conecert.sampling import crandn as sample_crandn
-from conecert.sampling import rng_from
+from conecert.linalg import DEFAULT_TOL, herm_to_params, hermitize, params_to_herm
+from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 
 rng = np.random.default_rng(41)
@@ -60,22 +50,21 @@ def _unit_phi(a, transposed=False):
 
 
 def test_certify_rank_one_cone_evidence():
-    """the exact face verdict, and the sampled fallback on its hull agrees"""
+    """the exact face verdict, and the sampled cone search on its hull agrees"""
     a = np.diag([1.0, 0.0])
     report = certify_exposed(a)
     assert report.verdict is Verdict.EXPOSED_FACE
     assert report.nullspace.dim == 3
     assert report.face.defect <= report.face.bound < 1e-12
-    params = FallbackParams(
-        directions_per_dim=6, max_directions=16, search=SearchParams(restarts=24)
+    ev = cone_evidence(
+        report.nullspace, _unit_phi(a), directions_per_dim=6, max_directions=16,
+        search=SearchParams(restarts=24),
     )
-    fb = cone_fallback(report.nullspace, _unit_phi(a), params)
-    assert fb.all_violated
-    assert fb.control_positive
-    assert fb.misses == []
-    assert len(fb.violations) == fb.directions_tested * len(fb.epsilons)
-    for v in fb.violations:
-        assert v.value < -1e-9
+    assert ev.directions == 12
+    assert ev.control_positive
+    assert ev.misses == []
+    assert ev.values.shape == (ev.directions, len(ev.epsilons))
+    assert np.all(ev.values < -1e-9)
 
 
 def test_certify_rank_one_transposed():
@@ -87,15 +76,15 @@ def test_certify_rank_one_transposed():
 @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4), (1, 3), (1, 4)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_agrees_with_cone_fallback(shape, transposed):
-    """rank-1 inputs get EXPOSED_FACE, and the sampled fallback violates every direction"""
+    """rank-1 inputs get EXPOSED_FACE, and the sampled cone search violates every direction"""
     n, m = shape
     a = crandn(n, 1) @ crandn(1, m)
     report = certify_exposed(a, transposed=transposed)
     assert report.verdict is Verdict.EXPOSED_FACE
     assert report.nullspace.dim == 2 * m - 1
     assert report.face.defect <= report.face.bound
-    fb = cone_fallback(report.nullspace, _unit_phi(a, transposed))
-    assert fb.all_violated and fb.control_positive
+    ev = cone_evidence(report.nullspace, _unit_phi(a, transposed))
+    assert ev.misses == [] and ev.control_positive
 
 
 @pytest.mark.parametrize("s2", np.logspace(-12, -9, 4))
@@ -326,82 +315,6 @@ def test_certify_draws_no_random_number(monkeypatch):
     assert certify_exposed(a_rank1, transposed=True).verdict is Verdict.EXPOSED_FACE
 
 
-def test_cone_fallback_needs_dim_two():
-    phi = choi_from_ad(np.eye(2) / np.sqrt(2))
-    ns = double_prime_nullspace(phi)
-    assert ns.dim == 1
-    with pytest.raises(SearchError):
-        cone_fallback(ns, phi)
-
-
-def test_cone_fallback_rejects_off_span_map():
-    phi = choi_from_ad(np.diag([1.0, 0.0]))
-    ns = double_prime_nullspace(phi)
-    other = choi_from_ad(crandn(2, 2) / 2)
-    with pytest.raises(SearchError):
-        cone_fallback(ns, other)
-
-
-def _fallback_oracle(ns, phi, params):
-    """Every test point of cone_fallback searched on its own with block_minimize.
-
-    Draws the same random stream in the same order: the control restarts,
-    then per direction its Gaussian coefficients and per epsilon its restarts.
-    """
-    coeffs, _ = membership_residual(ns, phi)
-    n, m, d = phi.n, phi.m, ns.dim
-    scale = float(np.linalg.norm(phi.choi))
-    p_phi = herm_to_params(phi.choi / scale)
-    q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
-    perp = ns.param_basis @ q[:, 1:]
-    search = params.search
-    rng = rng_from(search.seed)
-    sample_crandn(rng, search.restarts, m)  # the control search's restarts
-    points = []
-    for t in range(min(params.directions_per_dim * (d - 1), params.max_directions)):
-        g = rng.standard_normal(d - 1)
-        u = perp @ (g / np.linalg.norm(g))
-        for eps in params.epsilons:
-            c4 = params_to_herm(p_phi + eps * u, n * m).reshape(n, m, n, m)
-            starts = np.vstack([informed_starts(c4), sample_crandn(rng, search.restarts, m)])
-            val, _, _, _ = block_minimize(
-                c4, starts, search.max_iters, search.conv_tol, -search.tol
-            )
-            points.append((t, eps, val, c4.reshape(n * m, n * m)))
-    return points
-
-
-@pytest.mark.parametrize("transposed", [False, True])
-def test_cone_fallback_matches_per_point_oracle(transposed):
-    """batched fallback = one block_minimize per point, across chunk boundaries"""
-    a = crandn(2, 1) @ crandn(1, 3)
-    phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-    ns = double_prime_nullspace(phi)
-    assert ns.dim == 5
-    epsilons = (1e-12, 0.01, 1.0, 10.0)  # steps of 1e-12 stay above -tol: misses
-    directions = MAX_ROWS // len(epsilons) + 7  # two chunks, the last one partial
-    params = FallbackParams(
-        directions_per_dim=directions, max_directions=directions, epsilons=epsilons,
-        search=SearchParams(restarts=6, seed=3),
-    )
-    assert (directions * len(epsilons)) % MAX_ROWS != 0
-    fb = cone_fallback(ns, phi, params)
-    oracle = _fallback_oracle(ns, phi, params)
-    assert fb.directions_tested == directions
-    tol = params.search.tol
-    want_violations = [(t, eps, v, c) for t, eps, v, c in oracle if v < -tol]
-    assert [(v.direction, v.epsilon) for v in fb.violations] == [
-        (t, eps) for t, eps, _, _ in want_violations
-    ]
-    assert fb.misses == [(t, eps) for t, eps, v, _ in oracle if v >= -tol]
-    assert fb.violations and fb.misses
-    for got, (_, _, want, c) in zip(fb.violations, want_violations):
-        assert abs(got.value - want) <= 1e-12
-        u = np.kron(got.xi, got.eta)  # the witness attains the value on its test point
-        assert abs(np.vdot(u, c @ u).real - got.value) <= 1e-10
-    assert fb.control_positive
-
-
 def test_obstruction_trichotomy():
     assert conjugate_obstruction_space(crandn(3, 3)).dim == 0
     assert conjugate_obstruction_space(crandn(2, 4)).dim == 0
@@ -436,6 +349,57 @@ def test_obstruction_probe_premise():
                 rho = v[:, j] + z * v[:, k]
                 zeta = -np.conj(z) * nk * avj + nj * avk
                 assert abs(np.vdot(zeta, a @ rho)) < 1e-10 * nj * nk
+
+
+def _obstruction_rows_per_row(a, z_samples=(1, -1, 1j, 2)):
+    """Reference: the obstruction system's rows, one np.outer per row, in row order."""
+    n, m = a.shape
+    gram = hermitize(a.conj().T @ a)
+    w, v = np.linalg.eigh(gram)
+    cut = DEFAULT_TOL.cutoff(gram.shape, float(max(w[-1], 0.0)))
+    rows = []
+    for j in range(m):
+        if w[j] <= cut:
+            rows += [np.outer(np.eye(n, dtype=complex)[i], v[:, j].conj()).ravel() for i in range(n)]
+    u_full, s, _ = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > DEFAULT_TOL.cutoff(a.shape, float(s[0]))))
+    for col in range(rank, n):
+        rows += [np.outer(u_full[:, col].conj(), e).ravel() for e in np.eye(m, dtype=complex)]
+    span = [j for j in range(m) if w[j] > cut]
+    for jj in range(len(span)):
+        for kk in range(jj + 1, len(span)):
+            vj, vk = v[:, span[jj]], v[:, span[kk]]
+            avj, avk = a @ vj, a @ vk
+            nj, nk = float(np.vdot(avj, avj).real), float(np.vdot(avk, avk).real)
+            for z in z_samples:
+                rho = vj + z * vk
+                zeta = -np.conj(z) * nk * avj + nj * avk
+                rows.append(np.outer(zeta.conj(), rho.conj()).ravel())
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", ["full", "rank2", "rank1", "wide", "tall", "near_rank1"])
+def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
+    """the broadcast row families are bit-identical to one outer product per row"""
+    a = {
+        "full": crandn(3, 3),
+        "rank2": crandn(4, 2) @ crandn(2, 3),
+        "rank1": crandn(3, 1) @ crandn(1, 4),
+        "wide": crandn(2, 4),
+        "tall": np.diag([1.0, 0.0, 2.0])[:, :2] @ crandn(2, 2),
+        "near_rank1": np.diag([1.0, 1e-9]),
+    }[case]
+    seen = []
+
+    def capture(rows, tol):
+        seen.append(rows)
+        return np.zeros((rows.shape[1], 0), dtype=complex), np.zeros(0)
+
+    monkeypatch.setattr(exposedness, "null_space", capture)
+    conjugate_obstruction_space(a)
+    want = _obstruction_rows_per_row(np.asarray(a, dtype=complex))
+    assert len(seen) == 1 and seen[0].shape == want.shape
+    assert seen[0].tobytes() == want.tobytes()
 
 
 def test_classify_ad_round_trip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conecert import _kernels
-from conecert._kernels import MAX_ROWS, WAVE_GROWTH, block_minimize, block_minimize_batch
+from conecert._kernels import MAX_ROWS, WAVE_GROWTH, block_minimize
 from conecert.errors import SearchError
 from conecert.linalg import hermitize
 
@@ -104,16 +104,18 @@ def _random_maps(rng, count, n, m):
 
 
 def _assert_batch_matches_single(c4s, starts, stop_below):
+    """block_minimize on each map equals the sequential reference scan."""
     c = c4s.reshape(c4s.shape[0], *2 * (c4s.shape[1] * c4s.shape[2],))
-    vals, xis, etas, used = block_minimize_batch(c4s, starts, 200, 1e-13, stop_below)
+    vals, used = np.empty(c4s.shape[0]), np.empty(c4s.shape[0], dtype=int)
     for b in range(c4s.shape[0]):
+        vals[b], xi_b, eta_b, used[b] = block_minimize(c4s[b], starts[b], 200, 1e-13, stop_below)
         val, xi, eta, n_used = reference_scan(c4s[b], starts[b], 200, 1e-13, stop_below)
         assert abs(vals[b] - val) <= 1e-12 * max(1.0, abs(val))
         assert used[b] == n_used
         # witnesses may differ by a phase, so compare the block value each attains
-        u_batch, u_single = np.kron(xis[b], etas[b]), np.kron(xi, eta)
-        witness = np.vdot(u_batch, c[b] @ u_batch).real
-        assert abs(witness - np.vdot(u_single, c[b] @ u_single).real) < 1e-10
+        u_got, u_ref = np.kron(xi_b, eta_b), np.kron(xi, eta)
+        witness = np.vdot(u_got, c[b] @ u_got).real
+        assert abs(witness - np.vdot(u_ref, c[b] @ u_ref).real) < 1e-10
         assert abs(witness - vals[b]) < 1e-10
     return vals, used
 
@@ -155,9 +157,9 @@ def _record_rows(monkeypatch):
     """Spy on the stacked descents: the number of rows of each call, in order."""
     rows, descend = [], _kernels._descend_batch
 
-    def spy(c4s, *args):
-        rows.append(c4s.shape[0])
-        return descend(c4s, *args)
+    def spy(c4, eta, *args):
+        rows.append(eta.shape[0])
+        return descend(c4, eta, *args)
 
     monkeypatch.setattr(_kernels, "_descend_batch", spy)
     return rows
@@ -189,47 +191,28 @@ def test_block_minimize_batch_wave_boundaries(exit_at, monkeypatch):
     assert (ref_val, ref_used) == (val, used)
 
 
-def test_block_minimize_batch_wave_boundaries_together():
-    """the wave-boundary maps in one batch: each exits on its own start"""
-    eye = np.eye(3, dtype=complex)
-    exits = (0, 1, 8, 9, 72)
-    starts = np.array([
-        [eye[2]] * j + [eye[0]] + [eye[1]] * (79 - j) for j in exits
-    ])
-    c4s = np.array([_WAVE_MAP] * len(exits))
-    vals, used = _assert_batch_matches_single(c4s, starts, -0.5)
-    assert list(used) == [j + 1 for j in exits]
-    assert np.all(np.abs(vals + 1.0) < 1e-12)
-
-
-@pytest.mark.parametrize("count, total, rows", [
-    (40, 10, [40, 240, 120]),  # 40 maps x 8 starts > MAX_ROWS: waves of 1, 6, 3
-    (300, 3, [256, 44] * 3),  # more maps than MAX_ROWS: each wave in two calls
-])
-def test_block_minimize_batch_caps_rows(count, total, rows, monkeypatch):
-    """every map stays live, so each wave is as wide as MAX_ROWS allows"""
+def test_block_minimize_batch_caps_rows(monkeypatch):
+    """no start exits, so the waves grow 1, 8, 64 and then stay at MAX_ROWS"""
     assert MAX_ROWS == 256 and WAVE_GROWTH == 8
-    rng = np.random.default_rng(22 + count)
-    c4s = _random_maps(rng, count, 2, 2)
-    starts = _crandn(rng, count, total, 2)
+    rng = np.random.default_rng(62)
+    c4s = _random_maps(rng, 1, 2, 2)
+    starts = _crandn(rng, 1, 600, 2)
     descended = _record_rows(monkeypatch)
     _, used = _assert_batch_matches_single(c4s, starts, -np.inf)
-    assert np.all(used == total)
-    assert descended == rows
+    assert used[0] == 600
+    assert descended == [1, 8, 64, 256, 256, 15]
 
 
 def test_block_minimize_batch_rejects_bad_shapes():
-    c4s = np.zeros((3, 2, 2, 2, 2), dtype=complex)
-    with pytest.raises(SearchError):
-        block_minimize_batch(c4s, np.zeros((3, 4, 3), dtype=complex), 10, 1e-13, -1e-9)
-    with pytest.raises(SearchError):
-        block_minimize_batch(c4s, np.zeros((2, 4, 2), dtype=complex), 10, 1e-13, -1e-9)
-    with pytest.raises(SearchError):
-        block_minimize_batch(c4s, np.zeros((3, 0, 2), dtype=complex), 10, 1e-13, -1e-9)
-    with pytest.raises(SearchError):
-        block_minimize_batch(c4s[0], np.zeros((3, 4, 2), dtype=complex), 10, 1e-13, -1e-9)
-    with pytest.raises(SearchError):
-        block_minimize_batch(
-            np.zeros((3, 2, 2, 3, 2), dtype=complex), np.zeros((3, 4, 2), dtype=complex),
-            10, 1e-13, -1e-9,
-        )
+    c4 = np.zeros((2, 2, 2, 2), dtype=complex)
+    starts = np.zeros((4, 2), dtype=complex)
+    with pytest.raises(SearchError):  # c4 not (n, m, n, m)
+        block_minimize(np.zeros((2, 2, 3, 2), dtype=complex), starts, 10, 1e-13, -1e-9)
+    with pytest.raises(SearchError):  # a stack of maps
+        block_minimize(c4[None], starts[None], 10, 1e-13, -1e-9)
+    with pytest.raises(SearchError):  # starts of the wrong width
+        block_minimize(c4, np.zeros((4, 3), dtype=complex), 10, 1e-13, -1e-9)
+    with pytest.raises(SearchError):  # no start
+        block_minimize(c4, np.zeros((0, 2), dtype=complex), 10, 1e-13, -1e-9)
+    with pytest.raises(SearchError):  # no iteration
+        block_minimize(c4, starts, 0, 1e-13, -1e-9)

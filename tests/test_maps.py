@@ -19,7 +19,7 @@ from conecert.maps import (
     rank1_nonincreasing,
 )
 from conecert.sampling import crandn as sample_crandn
-from conecert.sampling import rng_from
+from conecert.sampling import random_unit_vector, rng_from, unit_probe_vectors
 from test_kernels import reference_scan
 
 rng = np.random.default_rng(7)
@@ -375,6 +375,19 @@ def test_search_params_reject_bad_budget():
     assert SearchParams(tol=0.0, conv_tol=0.0).tol == 0.0
 
 
+def _first_rank1_violator(map_rep, samples=32, seed=0, tol=1e-8):
+    """Per-probe reference: the first eta whose output has a second singular value above tol."""
+    rng = rng_from(seed)
+    etas = unit_probe_vectors(map_rep.m)
+    etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(map_rep.choi)))
+    for eta in etas:
+        s = np.linalg.svd(apply(map_rep, np.outer(eta, eta.conj())), compute_uv=False)
+        if s[0] > floor and s.shape[0] > 1 and s[1] > tol * s[0]:
+            return eta
+    return None
+
+
 def test_rank1_nonincreasing():
     ok, _ = rank1_nonincreasing(choi_from_ad(crandn(3, 3)))
     assert ok
@@ -388,6 +401,16 @@ def test_rank1_nonincreasing():
     out = apply(trace_map, np.outer(eta, eta.conj()))
     s = np.linalg.svd(out, compute_uv=False)
     assert s[1] > 1e-8 * s[0]
+    # ad(e0 e0*) + ad(e1 e1*) on 2 x 3: rank 1 on e0 and e1, 0 on e2 (skipped at
+    # the floor), so the first violator is the fourth probe, (e0 + e1)/sqrt2
+    e00, e11 = np.eye(2, 3) * [[1], [0]], np.eye(2, 3) * [[0], [1]]
+    two_ad = MapRep(2, 3, choi_from_ad(e00).choi + choi_from_ad(e11).choi)
+    for map_rep in (trace_map, two_ad, choi_from_ad(crandn(3, 3))):
+        ok, eta = rank1_nonincreasing(map_rep)
+        want = _first_rank1_violator(map_rep)
+        assert ok is (want is None)
+        assert (eta is None) if ok else np.array_equal(eta, want)
+    assert np.array_equal(rank1_nonincreasing(two_ad)[1], unit_probe_vectors(3)[3])
 
 
 def test_separable_element_rejects_non_psd():
