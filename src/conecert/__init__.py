@@ -17,7 +17,6 @@ from .errors import (
     ShapeError,
 )
 from .exposedness import (
-    CertifyParams,
     Classification,
     ExposednessReport,
     FaceCertificate,
@@ -66,7 +65,6 @@ from .maps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertifyParams",
     "Classification",
     "ClassificationError",
     "ConecertError",

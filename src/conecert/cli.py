@@ -11,16 +11,10 @@ import os
 import sys
 
 from .errors import ClassificationError, ConecertError, EncodingError
-from .exposedness import (
-    CertifyParams,
-    Verdict,
-    certify_exposed,
-    classify,
-    conjugate_obstruction_space,
-)
+from .exposedness import Verdict, certify_exposed, classify, conjugate_obstruction_space
 from .linalg import DEFAULT_TOL, TolerancePolicy
 from .maps import SearchParams, SeparableElement, is_positive, pairing
-from .sampling import derive_seed, random_operator, random_psd, random_unit_vector, rng_from
+from .sampling import random_operator, random_psd, random_unit_vector, rng_from
 from .serialization import (
     format_complex,
     load_json,
@@ -88,15 +82,11 @@ def cmd_pairing(args) -> int:
 
 def cmd_expose(args) -> int:
     a = matrix_from_json(load_json(args.A))
-    seed = _resolve_seed(args.seed)
     tol = _tolerances(args)
-    report = certify_exposed(
-        a, transposed=args.transposed, params=CertifyParams(seed=seed, tol=tol)
-    )
+    report = certify_exposed(a, transposed=args.transposed, tol=tol)
     payload = report_to_dict(report, include_timing=not args.no_timing)
     payload["config"] = {
         "command": "expose",
-        "seed": seed,
         "transposed": bool(args.transposed),
         "tolerances": _tol_dict(tol),
     }
@@ -128,21 +118,15 @@ def cmd_sweep(args) -> int:
     dim_hist: dict[str, int] = {}
     files = []
     not_certified = 0
-    counter = 0
     for rank in ranks:
         for i in range(args.count):
             a = random_operator(rng, args.n, args.m, rank)
             for transposed in (False, True):
-                run_seed = derive_seed(seed, 1000 + counter)
-                counter += 1
-                report = certify_exposed(
-                    a, transposed=transposed, params=CertifyParams(seed=run_seed, tol=tol)
-                )
+                report = certify_exposed(a, transposed=transposed, tol=tol)
                 payload = report_to_dict(report, include_timing=not args.no_timing)
                 payload["config"] = {
                     "command": "sweep",
                     "seed": seed,
-                    "instance_seed": run_seed,
                     "n": args.n,
                     "m": args.m,
                     "rank": rank,
@@ -244,6 +228,10 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_random_map(args) -> int:
+    if args.n < 1 or args.m < 1:
+        raise EncodingError("dimensions must be positive")
+    if args.rank is not None and args.rank < 1:
+        raise EncodingError("rank must be positive")
     seed = _resolve_seed(args.seed)
     rng = rng_from(seed)
     if args.kind == "ad":
@@ -281,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("A", help="matrix JSON file for A")
     p.add_argument("--transposed", action="store_true",
                    help="certify X -> A X^T A* instead of X -> A X A*")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall_time_ms for byte-identical reruns")

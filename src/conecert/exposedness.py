@@ -34,6 +34,7 @@ from .linalg import (
     hermitize,
     normalized,
     null_space,
+    params_to_herm,
 )
 from .maps import MapRep, _require_hermitian, choi_from_ad, partial_transpose_in
 
@@ -52,19 +53,6 @@ class MapCase(str, Enum):
     OMEGA_Q = "OMEGA_Q"
     AD = "AD"
     AD_TRANSPOSE = "AD_TRANSPOSE"
-
-
-@dataclass(frozen=True)
-class CertifyParams:
-    """Settings of `certify_exposed`.
-
-    The certificate draws no random number; `seed` is only echoed in the
-    report.
-    """
-
-    seed: int = 0
-    tol: TolerancePolicy = DEFAULT_TOL
-    overlap_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,15 +77,14 @@ class ExposednessReport:
     nullspace: NullSpaceResult
     face: FaceCertificate | None
     overlap_with_phi: float
-    seed: int
     tolerances: TolerancePolicy
     wall_time_ms: int
 
 
 def _empty_nullspace() -> NullSpaceResult:
     return NullSpaceResult(
-        basis=[], dim=0, singular_values=np.zeros(0), pairs_used=0,
-        param_basis=np.zeros((0, 0)), unknowns=0, condition=1.0,
+        singular_values=np.zeros(0), pairs_used=0, param_basis=np.zeros((0, 0)),
+        unknowns=0, condition=1.0,
     )
 
 
@@ -159,7 +146,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     """
     n, m, d = phi.n, phi.m, nullspace.dim
     bound = _face_bound(nullspace)
-    b4 = np.array(nullspace.basis).reshape(d, n, m, n, m)
+    b4 = params_to_herm(nullspace.param_basis.T, n * m).reshape(d, n, m, n, m)
     stack = np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, d * m * m)
     left, sv, _ = np.linalg.svd(stack, full_matrices=False)
     product = float(sv[1] / sv[0]) if sv.shape[0] > 1 else 0.0
@@ -178,21 +165,20 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
 
 
 def certify_exposed(
-    A, transposed: bool = False, params: CertifyParams = CertifyParams()
+    A, transposed: bool = False, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ExposednessReport:
     """Certify that the conjugation map built from A spans an exposed ray.
 
     A is Frobenius normalized and the zero-pair null space is computed.
     Choi(phi) must lie in it: its membership residual must meet the bound
-    of `_face_bound`, and that bound must be below 1.  Dimension 1 with
-    full overlap then gives EXPOSED_LINEAR; a larger hull gives
-    EXPOSED_FACE when `face_certificate` holds.  Every other outcome is
-    NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.  Draws no random
-    number.
+    of `_face_bound`, and that bound must be below 1 (the reported overlap
+    adds nothing: overlap^2 + residual^2 = 1).  Dimension 1 then gives
+    EXPOSED_LINEAR; a larger hull gives EXPOSED_FACE when `face_certificate`
+    holds.  Every other outcome is NOT_CERTIFIED, and the zero operator is
+    INPUT_REJECTED.  Draws no random number.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
-    seed = params.seed
 
     def finish(verdict, ns, face, overlap):
         return ExposednessReport(
@@ -200,8 +186,7 @@ def certify_exposed(
             nullspace=ns,
             face=face,
             overlap_with_phi=float(overlap),
-            seed=seed,
-            tolerances=params.tol,
+            tolerances=tol,
             wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
         )
 
@@ -210,7 +195,7 @@ def certify_exposed(
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     phi = choi_from_ad(a / norm, transposed=transposed)
-    ns = double_prime_nullspace(phi, tol=params.tol)
+    ns = double_prime_nullspace(phi, tol=tol)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
 
@@ -220,9 +205,7 @@ def certify_exposed(
         return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
 
     if ns.dim == 1:
-        if overlap >= 1.0 - params.overlap_tol:
-            return finish(Verdict.EXPOSED_LINEAR, ns, None, overlap)
-        return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
+        return finish(Verdict.EXPOSED_LINEAR, ns, None, overlap)
 
     face = face_certificate(ns, phi)
     verdict = Verdict.EXPOSED_FACE if face.holds else Verdict.NOT_CERTIFIED

@@ -17,6 +17,7 @@ psi down.  One SVD of that system gives the face, and the dual frame of the
 projectors turns it into Choi matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,23 +66,30 @@ class PairStrategy:
 
 @dataclass
 class NullSpaceResult:
-    """Null space of the face's linear system, in two equivalent forms.
+    """Null space of the face's linear system.
 
-    `basis` holds Hermitian Choi matrices, orthonormal as real vectors;
-    `param_basis` holds the same elements as columns over the Hermitian
-    parameterization.  `singular_values` is the spectrum of the system in
-    probe coordinates, which has `unknowns` columns; `condition` is the
-    condition number of the map from those coordinates to Choi parameters on
-    the null space.  `pairs_used` counts the probes.
+    `param_basis` holds its elements as orthonormal columns over the
+    Hermitian parameterization; `basis` gives the same elements as Hermitian
+    Choi matrices.  `singular_values` is the spectrum of the system in probe
+    coordinates, which has `unknowns` columns; `condition` is the condition
+    number of the map from those coordinates to Choi parameters on the null
+    space.  `pairs_used` counts the probes.
     """
 
-    basis: list[np.ndarray]
-    dim: int
     singular_values: np.ndarray
     pairs_used: int
     param_basis: np.ndarray
     unknowns: int
     condition: float
+
+    @property
+    def dim(self) -> int:
+        return self.param_basis.shape[1]
+
+    @property
+    def basis(self) -> list[np.ndarray]:
+        side = math.isqrt(self.param_basis.shape[0])
+        return list(params_to_herm(self.param_basis.T, side))
 
 
 def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:
@@ -228,13 +236,8 @@ def double_prime_nullspace(
     else:
         param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
     return NullSpaceResult(
-        basis=list(params_to_herm(param_basis.T, n * m)),
-        dim=param_basis.shape[1],
-        singular_values=svals,
-        pairs_used=count,
-        param_basis=param_basis,
-        unknowns=unknowns,
-        condition=condition,
+        singular_values=svals, pairs_used=count, param_basis=param_basis,
+        unknowns=unknowns, condition=condition,
     )
 
 

@@ -194,24 +194,31 @@ def is_completely_positive(map_rep: MapRep, tol: float = 1e-9) -> tuple[bool, fl
     return low >= -tol, low
 
 
+def product_start(c4: np.ndarray) -> np.ndarray:
+    """Eta factor of the best product approximation to the bottom Choi eigenvector.
+
+    The first of `informed_starts`: c4 has shape (n, m, n, m), the start (1, m).
+    """
+    n, m = c4.shape[:2]
+    _, v = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))
+    _, _, vh = np.linalg.svd(v[:, 0].reshape(n, m))
+    return vh[:1]
+
+
 def informed_starts(c4: np.ndarray) -> np.ndarray:
     """Deterministic eta seeds that target structured negativity.
 
     Plain random restarts can miss shallow violations whose basin is tiny
     (the alternating steps stall on a zero plateau once xi falls into the
-    output kernel).  The bottom eigenvector of the full Choi matrix,
-    projected to its best product approximation, and the bottom eigenvectors
-    of the diagonal blocks and of the input compression land inside those
-    basins directly.
+    output kernel).  The `product_start` and the bottom eigenvectors of the
+    diagonal blocks and of the input compression land inside those basins
+    directly.
 
     c4 has shape (n, m, n, m); the seeds have shape (n + 2, m).
     """
-    n, m = c4.shape[:2]
-    _, v = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))
-    _, _, vh = np.linalg.svd(v[:, 0].reshape(n, m))
     _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
     _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
-    return np.concatenate([vh[:1], vb[:, :, 0], vt[None, :, 0]])
+    return np.concatenate([product_start(c4), vb[:, :, 0], vt[None, :, 0]])
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
@@ -226,11 +233,11 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
 
     C^G being the partial transpose on K (`partial_transpose_in`).  When
     lambda_min(C) or lambda_min(C^G) is >= -search.tol, the map descends once,
-    from the first informed start, for its witness pair: no random number is
-    drawn and `restarts_used` is 1.  Any other map descends from every
-    informed start plus `search.restarts` random ones, scanned in a fixed
-    order, so the result is deterministic for a given seed.
-    `search.restarts` may be 0, which leaves the informed starts alone.
+    from `product_start`, for its witness pair: no random number is drawn, no
+    other informed start is built, and `restarts_used` is 1.  Any other map
+    descends from every informed start plus `search.restarts` random ones,
+    scanned in a fixed order, so the result is deterministic for a given
+    seed.  `search.restarts` may be 0, which leaves the informed starts alone.
     """
     n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
     # the first CP test also rejects a map that is not Hermiticity-preserving
@@ -241,7 +248,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
         )[0]
     )
     if proved:
-        starts = informed_starts(c4)[:1]
+        starts = product_start(c4)
     else:
         starts = np.vstack([
             informed_starts(c4),

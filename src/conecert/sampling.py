@@ -14,11 +14,6 @@ def rng_from(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def derive_seed(seed: int, stream: int) -> int:
-    """Deterministic child seed for an independent substream."""
-    return int(np.random.SeedSequence([int(seed), int(stream)]).generate_state(1)[0])
-
-
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """I.i.d. standard complex normal entries."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -44,7 +44,6 @@ REPORT_SCHEMA = {
             },
             "required": ["defect", "bound"],
         },
-        "seed": {"type": "integer"},
         "tolerances": {"type": "object"},
         "wall_time_ms": {"type": "integer"},
     },
@@ -55,7 +54,6 @@ REPORT_SCHEMA = {
         "pairs_used",
         "overlap_with_phi",
         "face",
-        "seed",
         "tolerances",
     ],
 }
@@ -204,7 +202,6 @@ def report_to_dict(report: ExposednessReport, include_timing: bool = True) -> di
         "pairs_used": int(report.nullspace.pairs_used),
         "overlap_with_phi": float(report.overlap_with_phi),
         "face": face,
-        "seed": int(report.seed),
         "tolerances": {
             "rel_eps": report.tolerances.rel_eps,
             "abs_floor": report.tolerances.abs_floor,

@@ -1,7 +1,6 @@
 import conecert
 
 PUBLIC_NAMES = [
-    "CertifyParams",
     "Classification",
     "ClassificationError",
     "ConecertError",

@@ -60,14 +60,14 @@ def test_pairing_bad_operator_exit_2(tmp_path, capsys):
 def test_expose_identity(tmp_path, capsys):
     a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
     report = tmp_path / "report.json"
-    code = main(["expose", a, "--seed", "3", "--report", str(report), "--no-timing"])
+    code = main(["expose", a, "--report", str(report), "--no-timing"])
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict: EXPOSED_LINEAR" in out
     assert "nullspace dim: 1" in out
     payload = json.loads(report.read_text())
     jsonschema.validate(payload, REPORT_SCHEMA)
-    assert payload["seed"] == 3
+    assert "seed" not in payload and "seed" not in payload["config"]
     assert payload["config"]["transposed"] is False
     assert "wall_time_ms" not in payload
 
@@ -124,14 +124,15 @@ def test_expose_missing_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_expose_env_seed(tmp_path, monkeypatch, capsys):
+def test_expose_takes_no_seed(tmp_path, monkeypatch, capsys):
+    """the certificate draws no random number: --seed is a usage error and
+    CONECERT_SEED is not read"""
     a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
-    report = tmp_path / "report.json"
-    monkeypatch.setenv("CONECERT_SEED", "17")
-    assert main(["expose", a, "--report", str(report)]) == 0
-    assert json.loads(report.read_text())["seed"] == 17
+    with pytest.raises(SystemExit) as exc:
+        main(["expose", a, "--seed", "3"])
+    assert exc.value.code == 2
     monkeypatch.setenv("CONECERT_SEED", "alpha")
-    assert main(["expose", a]) == 2
+    assert main(["expose", a]) == 0
     capsys.readouterr()
 
 
@@ -222,6 +223,36 @@ def test_random_map_round_trip(tmp_path, capsys):
     capsys.readouterr()
     rep_q = map_from_json(json.loads(out_q.read_text()))
     assert (rep_q.n, rep_q.m) == (3, 2)
+
+
+def test_random_map_env_seed(tmp_path, monkeypatch, capsys):
+    """CONECERT_SEED=17 draws the same map as --seed 17, and a non-integer is exit 2"""
+    monkeypatch.delenv("CONECERT_SEED", raising=False)
+    args = ["random-map", "--n", "2", "--m", "3"]
+    flag, env, default = (tmp_path / f"{k}.json" for k in ("flag", "env", "default"))
+    assert main(args + ["--seed", "17", "--out", str(flag)]) == 0
+    assert main(args + ["--out", str(default)]) == 0
+    monkeypatch.setenv("CONECERT_SEED", "17")
+    assert main(args + ["--out", str(env)]) == 0
+    assert env.read_bytes() == flag.read_bytes() != default.read_bytes()
+    monkeypatch.setenv("CONECERT_SEED", "alpha")
+    bad = tmp_path / "bad.json"
+    assert main(args + ["--out", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "0", "--m", "2"], ["--n", "-1", "--m", "2"], ["--n", "2", "--m", "0"],
+    ["--n", "2", "--m", "2", "--rank", "0"], ["--n", "2", "--m", "2", "--rank", "-1"],
+    ["--kind", "omega_q", "--n", "2", "--m", "2", "--rank", "0"],
+])
+def test_random_map_bad_dims_exit_2(tmp_path, capsys, flags):
+    """a dimension or rank below 1 is a usage error, before any file is written"""
+    out = tmp_path / "rand.json"
+    assert main(["random-map", *flags, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_zero_count(tmp_path, capsys):

@@ -14,7 +14,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import DEFAULT_TOL, herm_to_params, hermitize, params_to_herm
+from conecert.linalg import DEFAULT_TOL, herm_to_params, hermitize
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 
@@ -23,6 +23,11 @@ rng = np.random.default_rng(41)
 
 def crandn(*shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _crandn_from(gen, *shape):
+    """crandn from its own generator, leaving the module stream to the older tests"""
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
 def rand_unitary(d):
@@ -107,13 +112,10 @@ def _hull_plus(ns, extra_choi):
     p = herm_to_params(extra_choi)
     p = p - ns.param_basis @ (ns.param_basis.T @ p)
     param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
-    params, dim = param_basis.shape
+    dim = param_basis.shape[1]
     unknowns = ns.unknowns
     svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
-    side = int(round(np.sqrt(params)))
     return NullSpaceResult(
-        basis=list(params_to_herm(param_basis.T, side)),
-        dim=dim,
         singular_values=svals,
         pairs_used=ns.pairs_used,
         param_basis=param_basis,
@@ -159,14 +161,42 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         assert report.face == cert
 
 
+def test_dim_one_hull_without_phi_refused(monkeypatch):
+    """a 1-D hull that misses Choi(phi) fails membership: NOT_CERTIFIED, no face check"""
+    gen = np.random.default_rng(11)
+    a = _crandn_from(gen, 3, 3)
+    phi = _unit_phi(a)
+    other = double_prime_nullspace(_unit_phi(_crandn_from(gen, 3, 3)))
+    assert other.dim == 1
+    resid = membership_residual(other, phi)[1]
+    assert resid > _face_bound(other)
+    monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: other)
+    report = certify_exposed(a)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.face is None
+    assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
+
+
+def test_overlap_and_residual_are_complementary():
+    """over the grid shapes, overlap^2 + residual^2 = 1: membership alone decides the overlap"""
+    gen = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        for m in (2, 3, 4):
+            for rank in range(1, min(n, m) + 1):
+                a = _crandn_from(gen, n, rank) @ _crandn_from(gen, rank, m)
+                for transposed in (False, True):
+                    report = certify_exposed(a, transposed=transposed)
+                    resid = membership_residual(report.nullspace, _unit_phi(a, transposed))[1]
+                    assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
+
+
 def test_face_bound_needs_a_gap():
     """a spectrum with no kept value gives a bound of 1 or more, which certifies nothing"""
     phi = _unit_phi(np.diag([1.0, 0.0]))
     ns = double_prime_nullspace(phi)
     flat = NullSpaceResult(
-        basis=ns.basis, dim=ns.dim, singular_values=np.zeros(ns.singular_values.shape),
-        pairs_used=ns.pairs_used, param_basis=ns.param_basis, unknowns=ns.unknowns,
-        condition=ns.condition,
+        singular_values=np.zeros(ns.singular_values.shape), pairs_used=ns.pairs_used,
+        param_basis=ns.param_basis, unknowns=ns.unknowns, condition=ns.condition,
     )
     cert = face_certificate(flat, phi)
     assert cert.bound >= 1.0
@@ -303,16 +333,24 @@ def test_smallest_singular_value_sweep_certifies(shape):
 
 
 def test_certify_draws_no_random_number(monkeypatch):
-    """full-rank and rank-1 inputs certify with every numpy random source disabled"""
+    """one input per rank class at 4 x 4, both flags, with every numpy random source disabled
+
+    Generator methods cannot be patched (immutable type), so every way to make a
+    generator or reach the global one is refused instead.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("certify_exposed drew a random number")
 
-    a_full, a_rank1 = crandn(3, 3), crandn(3, 1) @ crandn(1, 4)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    assert certify_exposed(a_full).verdict is Verdict.EXPOSED_LINEAR
-    assert certify_exposed(a_rank1, transposed=True).verdict is Verdict.EXPOSED_FACE
+    gen = np.random.default_rng(13)
+    inputs = [_crandn_from(gen, 4, rank) @ _crandn_from(gen, rank, 4) for rank in range(1, 5)]
+    for name in ("default_rng", "Generator", "SeedSequence", "RandomState",
+                 "random", "rand", "randn", "standard_normal", "normal", "uniform"):
+        monkeypatch.setattr(np.random, name, refuse)
+    for rank, a in enumerate(inputs, start=1):
+        for transposed in (False, True):
+            verdict = certify_exposed(a, transposed=transposed).verdict
+            assert verdict is (Verdict.EXPOSED_FACE if rank == 1 else Verdict.EXPOSED_LINEAR)
 
 
 def test_obstruction_trichotomy():

@@ -444,3 +444,22 @@ def test_informed_starts_shape():
     assert starts.shape == (5, 4)
     norms = np.linalg.norm(starts, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-10
+
+
+def test_proved_map_builds_only_the_product_start(monkeypatch):
+    """a CP or co-CP map descends from `product_start`, the first informed start,
+    and never builds the others"""
+    local = np.random.default_rng(3)
+    a = local.standard_normal((3, 4)) + 1j * local.standard_normal((3, 4))
+    maps = [choi_from_ad(a), choi_from_ad(a, transposed=True)]
+    for map_rep in maps:
+        c4 = map_rep.choi4
+        assert np.array_equal(maps_module.product_start(c4), informed_starts(c4)[:1])
+
+    def refuse(c4):
+        raise AssertionError("informed_starts built for a proved map")
+
+    monkeypatch.setattr(maps_module, "informed_starts", refuse)
+    for map_rep in maps:
+        result = is_positive(map_rep)
+        assert result.positive and result.restarts_used == 1
