@@ -30,12 +30,9 @@ from .exposedness import (
 )
 from .faces import (
     NullSpaceResult,
-    PairStrategy,
-    ZeroPair,
     double_prime_nullspace,
     kernel_probes,
     membership_residual,
-    zero_pairs,
 )
 from .functionals import (
     FunctionalRep,
@@ -78,7 +75,6 @@ __all__ = [
     "MapRep",
     "NullSpaceResult",
     "ObstructionResult",
-    "PairStrategy",
     "PositivityResult",
     "SearchError",
     "SearchParams",
@@ -86,7 +82,6 @@ __all__ = [
     "ShapeError",
     "TolerancePolicy",
     "Verdict",
-    "ZeroPair",
     "apply",
     "certify_exposed",
     "choi_from_ad",
@@ -112,6 +107,5 @@ __all__ = [
     "partial_transpose_in",
     "rank1_nonincreasing",
     "transpose",
-    "zero_pairs",
     "__version__",
 ]

@@ -1,24 +1,28 @@
-"""Face machinery: zero-pairs and the null space of the double commutant face.
+"""Face machinery: the null space of the double commutant face of a map.
 
-A zero-pair of phi is a unit pair (xi, eta) with phi(eta eta*) conj(xi) = 0;
-each such pair says the product state xi xi* (x) eta eta* annihilates phi.
+A zero-pair of phi is a unit pair (xi, eta) with phi(eta eta*) conj(xi) = 0.
 A map psi belongs to the double commutant face of phi exactly when it
 satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs.  For one probe eta
 and Hermitian psi(eta eta*) those conditions say psi(eta eta*) = R H R*,
 with R an orthonormal basis of range phi(eta eta*) and H Hermitian.
 
 The null space is therefore solved in probe coordinates: the unknowns are
-the H_p of the probes p, r_p^2 real numbers each, and every linear relation
-sum_p beta_p P_p = 0 among the probe projectors must hold for the outputs,
-sum_p beta_p R_p H_p R_p* = 0, because psi is linear.  The probes e_j and
-(e_j + z e_k)/sqrt2, z in {1, i, -1, -i}, are the paper's curves through
-pairs of basis vectors; with the kernel probes of phi their relations pin
-psi down.  One SVD of that system gives the face, and the dual frame of the
-projectors turns it into Choi matrices.
+the H_p of the probes p, r_p^2 real numbers each.  The projectors P_b of
+the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a
+basis of Herm(m), and every other probe p has closed-form coordinates in it
+(`projector_coordinates`).  Because psi is linear, each relation
+P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
+probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
+paper's curves e_j + z e_k, and their relations
+P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch 4 probes
+each; a kernel probe of phi gives one dense relation.  Each relation's block
+of the system is replaced by its R factor, one SVD of the stack gives the
+face, and the dual basis of the P_b turns it into Choi matrices.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,40 +32,13 @@ from .linalg import (
     TolerancePolicy,
     herm_to_params,
     hermitize,
-    normalized,
     params_to_herm,
+    triu_pairs,
 )
 from .maps import MapRep, _require_hermitian
-from .sampling import (
-    combination_probes,
-    random_unit_vector,
-    reflected_probe_vectors,
-    rng_from,
-    unit_probe_vectors,
-)
+from .sampling import combination_probes, reflected_probe_vectors, unit_probe_vectors
 
-PAIR_TOL = 1e-10
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
-
-
-@dataclass(frozen=True)
-class ZeroPair:
-    xi: np.ndarray
-    eta: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class PairStrategy:
-    """Probe plan for zero-pair generation.
-
-    The deterministic probes (standard basis, pairwise combinations, kernel
-    directions of the map) always run; `random_count` seeded unit vectors are
-    appended on top.
-    """
-
-    random_count: int = 8
-    seed: int = 0
 
 
 @dataclass
@@ -92,6 +69,51 @@ class NullSpaceResult:
         return list(params_to_herm(self.param_basis.T, side))
 
 
+def projector_coordinates(x: np.ndarray) -> np.ndarray:
+    """Coordinates of Hermitian matrices x (..., m, m) in the unit-probe projector basis.
+
+    The basis is ordered as `unit_probe_vectors`: P_j = e_j e_j*, then per
+    pair j < k the projectors P_{+1}, P_{+i} of (e_j + e_k)/sqrt2 and
+    (e_j + i e_k)/sqrt2.  With c = x_jk the coefficient on P_{+1} is 2 Re c,
+    on P_{+i} it is -2 Im c, and on P_j it is x_jj minus the sum of
+    Re c - Im c over the pairs that hold j.  For x = eta eta*, c is
+    eta_j conj(eta_k), so a coefficient outside the pairs where eta has two
+    nonzero entries is exactly 0.
+    """
+    m = x.shape[-1]
+    iu, ju = triu_pairs(m)
+    c = x[..., iu, ju]
+    out = np.empty(x.shape[:-2] + (m * m,))
+    out[..., m::2] = 2 * c.real
+    out[..., m + 1 :: 2] = -2 * c.imag
+    shift = np.zeros(x.shape)
+    shift[..., iu, ju] = c.real - c.imag
+    out[..., :m] = np.diagonal(x, axis1=-2, axis2=-1).real - shift.sum(-1) - shift.sum(-2)
+    return out
+
+
+def _outer(etas: np.ndarray) -> np.ndarray:
+    return etas[:, :, None] * etas.conj()[:, None, :]
+
+
+@lru_cache(maxsize=None)
+def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached, read-only probe data that depends only on m.
+
+    Returns the 2m^2 - m curve probes as rows (`unit_probe_vectors`, then
+    `reflected_probe_vectors`), their `projector_coordinates`, and the dual
+    basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the
+    coordinate of X on P_b.
+    """
+    etas = np.array(unit_probe_vectors(m) + reflected_probe_vectors(m))
+    coords = projector_coordinates(_outer(etas))
+    # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
+    dual = params_to_herm(projector_coordinates(params_to_herm(np.eye(m * m), m)).T, m)
+    for a in (etas, coords, dual):
+        a.flags.writeable = False
+    return etas, coords, dual
+
+
 def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, from the input compression.
 
@@ -120,7 +142,9 @@ def _probe_outputs(
     decreasing |eigenvalue|, and each output's rank under `tol`: the first
     rank eigenvectors span its range, the rest its kernel.
     """
-    x = hermitize(np.einsum("ikjl,pk,pl->pij", map_rep.choi4, etas, etas.conj()))
+    # x_p[i, j] = sum_kl choi4[i, k, j, l] eta_k conj(eta_l): one GEMM, then a batched matvec
+    x = np.tensordot(etas, map_rep.choi4, axes=([1], [1])) @ etas.conj()[:, None, :, None]
+    x = hermitize(x[..., 0])
     w, v = np.linalg.eigh(x)
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")
     size = np.take_along_axis(np.abs(w), order, axis=-1)
@@ -129,29 +153,48 @@ def _probe_outputs(
     return size, vecs, ranks
 
 
-def zero_pairs(
-    map_rep: MapRep,
-    strategy: PairStrategy = PairStrategy(),
-    tol: TolerancePolicy = DEFAULT_TOL,
-    pair_tol: float = PAIR_TOL,
-) -> list[ZeroPair]:
-    """Generate zero-pairs of the map from deterministic and random probes.
+def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p), probe by probe.
 
-    For each probe eta, the numerical kernel of phi(eta eta*) supplies the
-    xi directions (conjugated); every emitted pair carries its achieved
-    residual and is dropped unless it passes pair_tol.
+    Returns the columns (unknowns, n^2) and the probe that owns each one,
+    ordered by probe.
     """
-    _require_hermitian(map_rep)
-    etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep, tol)
-    rng = rng_from(strategy.seed)
-    etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
-    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), tol)
-    return [
-        ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
-        for p, eta in enumerate(etas)
-        for j in range(ranks[p], map_rep.n)
-        if size[p, j] <= pair_tol
-    ]
+    n = vecs.shape[1]
+    owner, columns = [np.zeros(0, dtype=int)], [np.zeros((0, n * n))]
+    for r in np.unique(ranks[ranks > 0]):
+        idx = np.flatnonzero(ranks == r)
+        ranges = vecs[idx, :, :r]
+        e = params_to_herm(np.eye(r * r), r)
+        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
+        columns.append(herm_to_params(y).reshape(-1, n * n))
+        owner.append(np.repeat(idx, r * r))
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate(columns)[order], owner[order]
+
+
+def _reduced_relations(weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """The relations' rows, each block cut to its R factor.
+
+    Relation q reads sum_u weights[q, u] y_u = 0 over the output columns
+    y_u; only its c nonzero weights enter, so its rows form an n^2 x c
+    block.  One batched QR per distinct c replaces every block by its
+    R factor: an orthogonal change of rows within the block, which keeps the
+    null space and leaves min(n^2, c) rows.
+    """
+    unknowns = outputs.shape[0]
+    involved = weights != 0
+    sizes = involved.sum(axis=1)
+    stacks = [np.zeros((0, unknowns))]
+    for c in np.unique(sizes[sizes > 0]):
+        rel = np.flatnonzero(sizes == c)
+        cols = np.nonzero(involved[rel])[1].reshape(-1, c)
+        block = outputs[cols] * weights[rel[:, None], cols][..., None]
+        r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
+        rows = np.zeros(r.shape[:2] + (unknowns,))
+        np.put_along_axis(rows, np.broadcast_to(cols[:, None, :], r.shape), r, axis=2)
+        stacks.append(rows.reshape(-1, unknowns))
+    return np.concatenate(stacks)
 
 
 def _levels(s: np.ndarray, unknowns: int) -> np.ndarray:
@@ -178,45 +221,32 @@ def double_prime_nullspace(
 ) -> NullSpaceResult:
     """Null space of the zero-pair constraints of the map, solved in probe coordinates.
 
-    Probes: `unit_probe_vectors`, `reflected_probe_vectors`, `kernel_probes`.
-    Probe p with output rank r_p (cut by `tol`) contributes the unknowns of
-    H_p in Herm(r_p), and each relation beta in the kernel of the m^2 x N
-    matrix of projector parameters contributes the n^2 rows of
-    sum_p beta_p R_p H_p R_p* = 0.  The rank of that system is cut at the
-    largest relative gap of its spectrum (`_gap_rank`).  Null vectors become
-    Choi matrices through the dual frame D_p of the projectors,
-    Choi(psi) = sum_p psi(P_p) (x) conj(D_p), and are orthonormalised there.
-    Deterministic: no random probes.
+    Probes: the cached `curve_frame` and `kernel_probes`.  Probe p with
+    output rank r_p (cut by `tol`) contributes the unknowns of H_p in
+    Herm(r_p).  Every probe p past the m^2 unit probes gives the relation
+    R_p H_p R_p* - sum_b coords[p, b] R_b H_b R_b* = 0, whose n^2 rows
+    involve only the unknowns of p and of the P_b it has coordinates on;
+    `_reduced_relations` cuts each such block to its R factor.  The rank of
+    the stacked system is cut at the largest relative gap of its spectrum
+    (`_gap_rank`).  Null vectors become Choi matrices through the dual basis
+    D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x) conj(D_b),
+    and are orthonormalised there.  Deterministic: no random probes.
     """
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
-    etas = np.array(
-        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep, tol)
-    )
-    count = etas.shape[0]
+    curve, curve_coords, dual = curve_frame(m)
+    kernel = np.array(kernel_probes(map_rep, tol)).reshape(-1, m)
+    etas = np.concatenate([curve, kernel])
+    coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
+    count, size = etas.shape[0], m * m
     _, vecs, ranks = _probe_outputs(map_rep, etas, tol)
-
-    # the first m^2 projectors are a basis of Herm(m): the frame has rank m^2
-    frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
-    u_f, s_f, vh_f = np.linalg.svd(frame.T)
-    relations = vh_f[m * m :]
-    dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
-
-    # columns: parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p)
-    owner, columns = [], []
-    for r in np.unique(ranks[ranks > 0]):
-        idx = np.flatnonzero(ranks == r)
-        ranges = vecs[idx, :, :r]
-        e = params_to_herm(np.eye(r * r), r)
-        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
-        columns.append(herm_to_params(y).reshape(-1, n * n))
-        owner.append(np.repeat(idx, r * r))
-    owner = np.concatenate(owner) if owner else np.zeros(0, dtype=int)
-    outputs = np.concatenate(columns) if columns else np.zeros((0, n * n))
+    outputs, owner = _output_columns(vecs, ranks)
     unknowns = owner.shape[0]
 
-    rows = relations.shape[0] * n * n
-    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, unknowns)
+    # relation q: P_{m^2 + q} - sum_b coords[m^2 + q, b] P_b = 0, weighted per unknown
+    relations = np.concatenate([-coords[size:], np.eye(count - size)], axis=1)
+    system = _reduced_relations(relations[:, owner], outputs)
+    rows = system.shape[0]
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor
         system = np.linalg.qr(system, mode="r")
@@ -226,10 +256,12 @@ def double_prime_nullspace(
         svals, vh = np.zeros(0), np.eye(unknowns)
     null = vh[_gap_rank(svals, unknowns) :].T
 
-    # psi(P_p) per null vector, then Choi(psi) = sum_p psi(P_p) (x) conj(D_p)
-    selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
-    y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)
-    choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
+    # psi(P_b) per null vector from the unit probes' unknowns, which come first
+    known = np.searchsorted(owner, size)
+    selector = (owner[None, :known] == np.arange(size)[:, None]).astype(float)
+    y = params_to_herm(selector @ (null[:known].T[:, :, None] * outputs[:known]), n)
+    choi = y.reshape(-1, size, n * n).swapaxes(1, 2) @ dual.conj().reshape(size, size)
+    choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
     if choi.shape[0]:
         param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
         condition = float(sv[0] / sv[-1])

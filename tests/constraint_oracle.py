@@ -1,9 +1,12 @@
-"""Test oracle: the zero-pair constraint system over Hermitian Choi parameters.
+"""Test oracles for the face: zero-pairs, their constraint rows and the dense solve.
 
 Every zero-pair (xi, eta) gives the 2n real rows of psi(eta eta*) conj(xi) = 0
 as functionals of the Choi matrix of psi.  The null space of the rows from
 enough random probes is the face that `faces.double_prime_nullspace` solves
-in probe coordinates; the tests compare the two.
+in probe coordinates; the tests compare the two.  `dense_nullspace` is the
+same probe-coordinate solve done densely, with every relation among the
+probe projectors read off a frame SVD and the Moore-Penrose dual frame, as a
+reference for the library's explicit relations.
 """
 
 from dataclasses import dataclass, field
@@ -12,10 +15,79 @@ from functools import lru_cache
 import numpy as np
 
 from conecert.errors import ShapeError
-from conecert.faces import PairStrategy, ZeroPair, zero_pairs
-from conecert.linalg import SQRT2, as_complex_matrix, null_space, triu_pairs
+from conecert.faces import (
+    NullSpaceResult,
+    _gap_rank,
+    _output_columns,
+    _probe_outputs,
+    kernel_probes,
+)
+from conecert.linalg import (
+    DEFAULT_TOL,
+    SQRT2,
+    TolerancePolicy,
+    as_complex_matrix,
+    herm_to_params,
+    normalized,
+    null_space,
+    params_to_herm,
+    triu_pairs,
+)
+from conecert.maps import MapRep, _require_hermitian
+from conecert.sampling import (
+    random_unit_vector,
+    reflected_probe_vectors,
+    rng_from,
+    unit_probe_vectors,
+)
 
+PAIR_TOL = 1e-10
 _ASSEMBLE_ENTRIES = 1 << 16
+
+
+@dataclass(frozen=True)
+class ZeroPair:
+    xi: np.ndarray
+    eta: np.ndarray
+    residual: float
+
+
+@dataclass(frozen=True)
+class PairStrategy:
+    """Probe plan for zero-pair generation.
+
+    The deterministic probes (standard basis, pairwise combinations, kernel
+    directions of the map) always run; `random_count` seeded unit vectors are
+    appended on top.
+    """
+
+    random_count: int = 8
+    seed: int = 0
+
+
+def zero_pairs(
+    map_rep: MapRep,
+    strategy: PairStrategy = PairStrategy(),
+    tol: TolerancePolicy = DEFAULT_TOL,
+    pair_tol: float = PAIR_TOL,
+) -> list[ZeroPair]:
+    """Generate zero-pairs of the map from deterministic and random probes.
+
+    For each probe eta, the numerical kernel of phi(eta eta*) supplies the
+    xi directions (conjugated); every emitted pair carries its achieved
+    residual and is dropped unless it passes pair_tol.
+    """
+    _require_hermitian(map_rep)
+    etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep, tol)
+    rng = rng_from(strategy.seed)
+    etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
+    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), tol)
+    return [
+        ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
+        for p, eta in enumerate(etas)
+        for j in range(ranks[p], map_rep.n)
+        if size[p, j] <= pair_tol
+    ]
 
 
 @dataclass
@@ -117,3 +189,51 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
     pairs = zero_pairs(map_rep, PairStrategy(random_count=random_count, seed=seed))
     rows = assemble_constraints(pairs, map_rep.n, map_rep.m).rows
     return null_space(rows)[0] if rows.shape[0] else np.eye(d * d)
+
+
+def dense_nullspace(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> NullSpaceResult:
+    """The face solved densely in probe coordinates, as the library solved it before.
+
+    Same probes, output ranks and unknowns as `double_prime_nullspace`, but
+    every relation beta in the kernel of the m^2 x N matrix of projector
+    parameters (from one frame SVD) contributes the n^2 rows of
+    sum_p beta_p R_p H_p R_p* = 0; the tall stack is cut by one QR, its rank
+    at the largest gap, and null vectors become Choi matrices through the
+    Moore-Penrose dual frame of all N projectors.
+    """
+    _require_hermitian(map_rep)
+    n, m = map_rep.n, map_rep.m
+    etas = np.array(
+        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep, tol)
+    )
+    count = etas.shape[0]
+    _, vecs, ranks = _probe_outputs(map_rep, etas, tol)
+    frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
+    u_f, s_f, vh_f = np.linalg.svd(frame.T)
+    relations = vh_f[m * m :]
+    dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
+    outputs, owner = _output_columns(vecs, ranks)
+    unknowns = owner.shape[0]
+
+    rows = relations.shape[0] * n * n
+    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, unknowns)
+    if rows > unknowns > 0:
+        system = np.linalg.qr(system, mode="r")
+    if system.size:
+        _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
+    else:
+        svals, vh = np.zeros(0), np.eye(unknowns)
+    null = vh[_gap_rank(svals, unknowns) :].T
+
+    selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
+    y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)
+    choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
+    if choi.shape[0]:
+        param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
+        condition = float(sv[0] / sv[-1])
+    else:
+        param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
+    return NullSpaceResult(
+        singular_values=svals, pairs_used=count, param_basis=param_basis,
+        unknowns=unknowns, condition=condition,
+    )

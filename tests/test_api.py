@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "MapRep",
     "NullSpaceResult",
     "ObstructionResult",
-    "PairStrategy",
     "PositivityResult",
     "SearchError",
     "SearchParams",
@@ -22,7 +21,6 @@ PUBLIC_NAMES = [
     "ShapeError",
     "TolerancePolicy",
     "Verdict",
-    "ZeroPair",
     "__version__",
     "apply",
     "certify_exposed",
@@ -49,7 +47,6 @@ PUBLIC_NAMES = [
     "partial_transpose_in",
     "rank1_nonincreasing",
     "transpose",
-    "zero_pairs",
 ]
 
 

@@ -3,21 +3,27 @@ import pytest
 
 from constraint_oracle import (
     _ASSEMBLE_ENTRIES,
-    assemble_constraints,
-    functional_row,
-    oracle_nullspace,
-)
-from conecert.errors import ShapeError
-from conecert.faces import (
     PairStrategy,
     ZeroPair,
+    assemble_constraints,
+    dense_nullspace,
+    functional_row,
+    oracle_nullspace,
+    zero_pairs,
+)
+from conecert import certify_exposed, faces
+from conecert.errors import ShapeError
+from conecert.exposedness import _face_bound
+from conecert.faces import (
+    curve_frame,
     double_prime_nullspace,
     kernel_probes,
     membership_residual,
-    zero_pairs,
+    projector_coordinates,
 )
-from conecert.linalg import herm_to_params
+from conecert.linalg import herm_to_params, triu_pairs
 from conecert.maps import MapRep, apply, choi_from_ad
+from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
 
 rng = np.random.default_rng(31)
 
@@ -234,3 +240,119 @@ def test_nullspace_matches_constraint_oracle():
             # sine of the largest principal angle between the two spans
             sin = np.linalg.norm(res.param_basis - oracle @ (oracle.T @ res.param_basis), 2)
             assert sin <= 1e-6, label
+
+
+def _projectors(etas):
+    return np.einsum("pi,pj->pij", etas, etas.conj())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_projector_coordinates_of_curve_probes(m):
+    """the closed-form coordinates rebuild every curve projector and are sparse on reflected probes"""
+    etas, coords, _ = curve_frame(m)
+    size = m * m
+    assert etas.shape == (2 * m * m - m, m)
+    basis = _projectors(etas[:size])
+    eps = np.finfo(float).eps
+    rebuilt = np.einsum("pb,bij->pij", coords, basis)
+    assert np.abs(rebuilt - _projectors(etas)).max() <= 4 * eps
+    assert np.abs(coords[:size] - np.eye(size)).max() <= 4 * eps
+    # reflected probes: per pair, z = -1 then z = -i, on exactly {P_j, P_k, P_{+z}}
+    iu, ju = triu_pairs(m)
+    for q, (j, k) in enumerate(zip(iu, ju)):
+        for z in range(2):
+            row = coords[size + 2 * q + z]
+            assert set(np.flatnonzero(row)) == {j, k, m + 2 * q + z}, (m, j, k, z)
+
+
+def test_projector_coordinates_of_kernel_probes():
+    """kernel probes get dense coordinates that rebuild v v*"""
+    for a in (rand_rank(3, 4, 2), rand_rank(2, 4, 1), np.diag([1.0, 1.0, 0.0])):
+        phi = choi_from_ad(a)
+        etas = np.array(kernel_probes(phi))
+        m = phi.m
+        basis = _projectors(curve_frame(m)[0][: m * m])
+        coords = projector_coordinates(_projectors(etas))
+        rebuilt = np.einsum("pb,bij->pij", coords, basis)
+        assert np.abs(rebuilt - _projectors(etas)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_full_rank_reduced_system_rows(m, monkeypatch):
+    """a full-rank m x m input gets 4 rows per explicit relation, 4(m^2 - m) in all"""
+    seen = []
+    reduce = faces._reduced_relations
+
+    def spy(weights, outputs):
+        out = reduce(weights, outputs)
+        seen.append(out.shape)
+        return out
+
+    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    res = double_prime_nullspace(choi_from_ad(crandn(m, m)))
+    assert res.dim == 1
+    assert seen == [(4 * (m * m - m), res.unknowns)]
+    assert res.unknowns == 2 * m * m - m
+
+
+def test_curve_frame_is_read_only():
+    """the cached per-m arrays refuse writes, so no caller can change the next certificate"""
+    for a in curve_frame(3):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_probe_lists_are_fresh():
+    """unit and reflected probe lists can be mutated without touching the next certificate"""
+    a = crandn(3, 3)
+    before = certify_exposed(a, transposed=True)
+    for make in (unit_probe_vectors, reflected_probe_vectors):
+        first = make(3)
+        reference = [v.copy() for v in first]
+        first[0][:] = 7.0
+        first.append(np.ones(3))
+        again = make(3)
+        assert again is not first
+        assert len(again) == len(reference)
+        assert all(np.array_equal(x, y) for x, y in zip(again, reference))
+    after = certify_exposed(a, transposed=True)
+    assert after.verdict is before.verdict
+    assert np.array_equal(after.nullspace.param_basis, before.nullspace.param_basis)
+    assert np.array_equal(after.nullspace.singular_values, before.nullspace.singular_values)
+
+
+def _haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _band(s2):
+    g = np.random.default_rng(7)
+    return _haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ _haar_unitary(g, 3).conj().T
+
+
+def _matches_dense_solve(a, transposed, label):
+    phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+    res, ref = double_prime_nullspace(phi), dense_nullspace(phi)
+    assert res.dim == ref.dim, label
+    assert res.unknowns == ref.unknowns, label
+    sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
+    assert sin <= _face_bound(res), label
+
+
+def test_nullspace_matches_dense_solve_on_grid():
+    """explicit relations and the dense frame-SVD solve give the same face on every grid class"""
+    for n in (2, 3, 4):
+        for m in (2, 3, 4):
+            for r in range(1, min(n, m) + 1):
+                a = rand_rank(n, m, r)
+                for transposed in (False, True):
+                    _matches_dense_solve(a, transposed, (n, m, r, transposed))
+
+
+@pytest.mark.parametrize("s2", np.logspace(-12, -2, 11))
+def test_nullspace_matches_dense_solve_on_band(s2):
+    """3x3 U diag(1, s2, 0) V*: the same face as the dense solve across the near-rank-1 band"""
+    for transposed in (False, True):
+        _matches_dense_solve(_band(s2), transposed, (s2, transposed))
