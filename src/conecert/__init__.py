@@ -42,7 +42,7 @@ from .functionals import (
     norm_maximizer,
     operator_from_functional,
 )
-from .linalg import TolerancePolicy, conj_vector, is_psd, null_space, transpose
+from .linalg import conj_vector, is_psd, null_space, transpose
 from .maps import (
     MapRep,
     PositivityResult,
@@ -80,7 +80,6 @@ __all__ = [
     "SearchParams",
     "SeparableElement",
     "ShapeError",
-    "TolerancePolicy",
     "Verdict",
     "apply",
     "certify_exposed",

@@ -12,7 +12,6 @@ import sys
 
 from .errors import ClassificationError, ConecertError, EncodingError
 from .exposedness import Verdict, certify_exposed, classify, conjugate_obstruction_space
-from .linalg import DEFAULT_TOL, TolerancePolicy
 from .maps import SearchParams, SeparableElement, is_positive, pairing
 from .sampling import random_operator, random_psd, random_unit_vector, rng_from
 from .serialization import (
@@ -42,21 +41,6 @@ def _resolve_seed(value: int | None) -> int:
         raise EncodingError(f"CONECERT_SEED must be an integer, got {env!r}") from exc
 
 
-def _tolerances(args) -> TolerancePolicy:
-    rel = getattr(args, "rel_eps", None)
-    floor = getattr(args, "abs_floor", None)
-    if rel is None and floor is None:
-        return DEFAULT_TOL
-    return TolerancePolicy(
-        rel_eps=DEFAULT_TOL.rel_eps if rel is None else rel,
-        abs_floor=DEFAULT_TOL.abs_floor if floor is None else floor,
-    )
-
-
-def _tol_dict(tol: TolerancePolicy) -> dict:
-    return {"rel_eps": tol.rel_eps, "abs_floor": tol.abs_floor}
-
-
 def cmd_pairing(args) -> int:
     map_rep = map_from_json(load_json(args.map))
     obj = load_json(args.operator)
@@ -82,13 +66,11 @@ def cmd_pairing(args) -> int:
 
 def cmd_expose(args) -> int:
     a = matrix_from_json(load_json(args.A))
-    tol = _tolerances(args)
-    report = certify_exposed(a, transposed=args.transposed, tol=tol)
+    report = certify_exposed(a, transposed=args.transposed)
     payload = report_to_dict(report, include_timing=not args.no_timing)
     payload["config"] = {
         "command": "expose",
         "transposed": bool(args.transposed),
-        "tolerances": _tol_dict(tol),
     }
     if args.report:
         write_json_atomic(args.report, payload)
@@ -110,7 +92,6 @@ def cmd_sweep(args) -> int:
             f"warning: dimensions above {SOFT_DIM_CAP} can be slow", file=sys.stderr
         )
     seed = _resolve_seed(args.seed)
-    tol = _tolerances(args)
     os.makedirs(args.report, exist_ok=True)
     rng = rng_from(seed)
     ranks = range(1, min(args.n, args.m) + 1)
@@ -122,7 +103,7 @@ def cmd_sweep(args) -> int:
         for i in range(args.count):
             a = random_operator(rng, args.n, args.m, rank)
             for transposed in (False, True):
-                report = certify_exposed(a, transposed=transposed, tol=tol)
+                report = certify_exposed(a, transposed=transposed)
                 payload = report_to_dict(report, include_timing=not args.no_timing)
                 payload["config"] = {
                     "command": "sweep",
@@ -132,7 +113,6 @@ def cmd_sweep(args) -> int:
                     "rank": rank,
                     "instance": i,
                     "transposed": transposed,
-                    "tolerances": _tol_dict(tol),
                 }
                 name = (
                     f"n{args.n}_m{args.m}_rank{rank}_i{i:03d}_"
@@ -153,7 +133,6 @@ def cmd_sweep(args) -> int:
             "n": args.n,
             "m": args.m,
             "count": args.count,
-            "tolerances": _tol_dict(tol),
         },
         "reports": files,
         "verdict_counts": verdict_counts,
@@ -214,7 +193,7 @@ def cmd_positivity(args) -> int:
 
 def cmd_obstruction(args) -> int:
     a = matrix_from_json(load_json(args.A))
-    result = conjugate_obstruction_space(a, tol=_tolerances(args))
+    result = conjugate_obstruction_space(a)
     payload = {
         "dim": result.dim,
         "singular_values": [float(s) for s in result.singular_values],
@@ -246,13 +225,6 @@ def cmd_random_map(args) -> int:
     return 0
 
 
-def _add_tol_flags(p) -> None:
-    p.add_argument("--rel-eps", dest="rel_eps", type=float, default=None,
-                   help="relative singular value cutoff (default 1e-12)")
-    p.add_argument("--abs-floor", dest="abs_floor", type=float, default=None,
-                   help="absolute singular value floor (default 1e-14)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conecert",
@@ -272,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall_time_ms for byte-identical reruns")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_expose)
 
     p = sub.add_parser("sweep", help="batch certification across rank classes")
@@ -282,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", required=True, help="output directory")
     p.add_argument("--no-timing", action="store_true")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("classify", help="sort a map into AD / AD_TRANSPOSE / OMEGA_Q")
@@ -307,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruction", help="solution space of the kernel-implication system")
     p.add_argument("A", help="matrix JSON file for A")
     p.add_argument("--report", default=None)
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_obstruction)
 
     p = sub.add_parser("random-map", help="generate a seeded random map JSON")

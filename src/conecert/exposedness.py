@@ -19,17 +19,16 @@ import numpy as np
 
 from .errors import ClassificationError
 from .faces import (
-    UNIT_ROUNDOFF,
     NullSpaceResult,
-    _levels,
     double_prime_nullspace,
     membership_residual,
+    system_floor,
 )
 from .linalg import (
-    DEFAULT_TOL,
-    TolerancePolicy,
+    UNIT_ROUNDOFF,
     as_complex_matrix,
     fix_phase,
+    gap_rank,
     herm_defect,
     hermitize,
     normalized,
@@ -77,7 +76,6 @@ class ExposednessReport:
     nullspace: NullSpaceResult
     face: FaceCertificate | None
     overlap_with_phi: float
-    tolerances: TolerancePolicy
     wall_time_ms: int
 
 
@@ -107,12 +105,12 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     sin-theta theorem the angle between the two null spaces is at most
     |E| / s_kept, over the smallest kept singular value; |E| is read as the
     largest discarded value, or the SVD's rounding level unknowns * u * s_0
-    when that is larger (`_levels`).  With nothing kept the ratio is read at
-    that level, unknowns * u.  A null vector turns into a Choi matrix
-    through a linear map that is not an isometry: on the null space it
-    stretches lengths by at most `condition` times its least stretch, so an
-    angle in probe coordinates is at most `condition` times larger in Choi
-    coordinates.  The bound is FACE_SAFETY * condition * that ratio.
+    when that is larger (`system_floor`).  With nothing kept the ratio is
+    read at that level, unknowns * u.  A null vector turns into a Choi
+    matrix through a linear map that is not an isometry: on the null space
+    it stretches lengths by at most `condition` times its least stretch, so
+    an angle in probe coordinates is at most `condition` times larger in
+    Choi coordinates.  The bound is FACE_SAFETY * condition * that ratio.
     """
     s = nullspace.singular_values
     unknowns = nullspace.unknowns
@@ -122,7 +120,8 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     elif not rank <= s.shape[0] or not s[rank - 1] > 0:
         return FACE_SAFETY  # no gap in the spectrum, so no bound below 1
     else:
-        ratio = float(_levels(s, unknowns)[rank] / s[rank - 1])
+        discarded = s[rank] if rank < s.shape[0] else 0.0
+        ratio = float(max(discarded, system_floor(s, unknowns)) / s[rank - 1])
     return FACE_SAFETY * nullspace.condition * ratio
 
 
@@ -164,9 +163,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     return FaceCertificate(defect=max(product, compression, q_defect, s_defect), bound=bound)
 
 
-def certify_exposed(
-    A, transposed: bool = False, tol: TolerancePolicy = DEFAULT_TOL
-) -> ExposednessReport:
+def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     """Certify that the conjugation map built from A spans an exposed ray.
 
     A is Frobenius normalized and the zero-pair null space is computed.
@@ -186,7 +183,6 @@ def certify_exposed(
             nullspace=ns,
             face=face,
             overlap_with_phi=float(overlap),
-            tolerances=tol,
             wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
         )
 
@@ -195,7 +191,7 @@ def certify_exposed(
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     phi = choi_from_ad(a / norm, transposed=transposed)
-    ns = double_prime_nullspace(phi, tol=tol)
+    ns = double_prime_nullspace(phi)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
 
@@ -220,48 +216,48 @@ class ObstructionResult:
 
 
 def conjugate_obstruction_space(
-    A, tol: TolerancePolicy = DEFAULT_TOL, z_samples: tuple[complex, ...] = (1, -1, 1j, 2)
+    A, z_samples: tuple[complex, ...] = (1, -1, 1j, 2)
 ) -> ObstructionResult:
     """Solve for all B with: <conj(xi), A eta> = 0 implies <conj(xi), B conj(eta)> = 0.
 
-    The constraint system uses three probe families built from the singular
-    structure of A: kernel eigenvectors of A*A (forcing B conj(v) = 0),
-    left-null directions of A (forcing u* B = 0), and for each pair of
-    range eigenvectors the curves rho_z = v_j + z v_k,
-    zeta_z = -conj(z) |A v_k|^2 A v_j + |A v_j|^2 A v_k, which satisfy the
-    premise for every z.  The z grid must contain a value with |z| != 1,
-    otherwise the constant and |z|^2 coefficients of the induced polynomial
-    identity cannot be separated and spurious solutions survive.
+    One SVD A = U S V* gives the split and the rank r (`gap_rank` of S over
+    max(n, m) * u * s_0).  The system is solved for the partial isometry
+    P = U_r V_r* instead of A: with G = V_r S_r V_r* + V_perp V_perp*,
+    which is invertible, A = P G, so (zeta, rho) is a zero-pair of A exactly
+    when (zeta, G rho) is one of P, and B solves for A exactly when
+    B conj(G)^-1 solves for P.  The solutions B' for P are mapped back as
+    B = B' conj(G) and orthonormalised.
+
+    P's system uses three probe families: kernel vectors v of A (forcing
+    B' conj(v) = 0), left-null directions u of A (forcing u* B' = 0), and
+    for each pair j < k of singular vector pairs the curves
+    rho_z = v_j + z v_k, zeta_z = -conj(z) u_j + u_k, which satisfy the
+    premise for every z and whose scale does not depend on S.  The z grid
+    must contain a value with |z| != 1, otherwise the constant and |z|^2
+    coefficients of the induced polynomial identity cannot be separated and
+    spurious solutions survive.  `singular_values` is the spectrum of P's
+    system.
 
     Returns the complex solution space: dimension 0 when rank(A) >= 2 or
     A = 0, dimension 1 (spanned by a rank-1 operator) when rank(A) = 1.
     """
     a = as_complex_matrix(A, "A")
     n, m = a.shape
-    gram = hermitize(a.conj().T @ a)
-    w, v = np.linalg.eigh(gram)
-    cut = tol.cutoff(gram.shape, float(max(w[-1], 0.0)))
-    kernel = w <= cut
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = gap_rank(s, max(n, m) * UNIT_ROUNDOFF * s[0])
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(m, dtype=np.complex128)
-    # kernel eigenvectors v: one row e_i (x) conj(v) per i
-    kernel_rows = eye_n[None, :, :, None] * v[:, kernel].conj().T[:, None, None, :]
-
-    u_full, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol.cutoff(a.shape, float(s[0]))))
+    # kernel vectors v = conj(vh[j]): one row e_i (x) conj(v) per i
+    kernel_rows = eye_n[None, :, :, None] * vh[rank:, None, None, :]
     # left-null directions u: one row conj(u) (x) e_j per j
-    left_rows = u_full[:, rank:].conj().T[:, None, :, None] * eye_m[None, :, None, :]
+    left_rows = u[:, rank:].conj().T[:, None, :, None] * eye_m[None, :, None, :]
 
-    # range eigenvector pairs j < k, one row per z; the stacked matrix-vector
-    # products keep the bits of one product per vector
-    vr = v[:, ~kernel].T
-    av = np.matmul(a, vr[:, :, None])[:, :, 0]
-    norms = np.matmul(av.conj()[:, None, :], av[:, :, None])[:, 0, 0].real
-    jj, kk = np.triu_indices(vr.shape[0], 1)
+    # singular vector pairs j < k, one row per z
+    vr, ur = vh[:rank].conj(), u[:, :rank].T
+    jj, kk = np.triu_indices(rank, 1)
     z = np.asarray(z_samples)[None, :, None]
-    nj, nk = norms[jj, None, None], norms[kk, None, None]
     rho = vr[jj, None] + z * vr[kk, None]
-    zeta = -np.conj(z) * nk * av[jj, None] + nj * av[kk, None]
+    zeta = -np.conj(z) * ur[jj, None] + ur[kk, None]
     curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
 
     rows = np.concatenate([r.reshape(-1, n * m) for r in (kernel_rows, left_rows, curve_rows)])
@@ -269,7 +265,14 @@ def conjugate_obstruction_space(
         basis = np.eye(n * m, dtype=np.complex128)
         svals = np.zeros(0)
     else:
-        basis, svals = null_space(rows, tol)
+        basis, svals = null_space(rows)
+    # B = B' conj(G), conj(G) = conj(V) diag(S_r, 1, ..., 1) V^T
+    stretch = np.ones(m)
+    stretch[:rank] = s[:rank]
+    g_conj = (vh.T * stretch) @ vh.conj()
+    mapped = basis.T.reshape(-1, n, m) @ g_conj
+    if mapped.shape[0]:
+        basis = np.linalg.qr(mapped.reshape(-1, n * m).T)[0]
     mats = [basis[:, j].reshape(n, m) for j in range(basis.shape[1])]
     return ObstructionResult(dim=basis.shape[1], basis=mats, singular_values=svals)
 

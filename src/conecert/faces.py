@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import (
-    DEFAULT_TOL,
-    TolerancePolicy,
+    UNIT_ROUNDOFF,
+    gap_rank,
     herm_to_params,
     hermitize,
     params_to_herm,
@@ -37,8 +37,6 @@ from .linalg import (
 )
 from .maps import MapRep, _require_hermitian
 from .sampling import combination_probes, reflected_probe_vectors, unit_probe_vectors
-
-UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
 @dataclass
@@ -114,19 +112,29 @@ def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return etas, coords, dual
 
 
-def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[np.ndarray]:
+def map_floor(map_rep: MapRep) -> float:
+    """Rounding level of spectra read off the map: n * m * u * |Choi(phi)|_F.
+
+    It is relative to the map, not to one output, so an output that is zero
+    up to rounding reads rank 0.
+    """
+    return map_rep.n * map_rep.m * UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
+
+
+def kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, from the input compression.
 
     The trace of phi(eta eta*) equals <conj(eta), T conj(eta)> where T is the
     partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
     T (and their pairwise combinations) are exactly the probes that vanish
     for positive phi.  Without them, rank-deficient maps would never show
-    their kernel-side zero-pairs.
+    their kernel-side zero-pairs.  The kernel is the part of T's descending
+    spectrum past its `gap_rank` over `map_floor`.
     """
     t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
     w, v = np.linalg.eigh(t)
-    cut = tol.cutoff(t.shape, float(max(w[-1], 0.0)))
-    kernel = [v[:, j].conj() for j in range(map_rep.m) if w[j] <= cut]
+    rank = gap_rank(w[::-1], map_floor(map_rep))
+    kernel = [v[:, j].conj() for j in range(map_rep.m - rank)]
     if len(kernel) == map_rep.m:
         # the zero map: basis probes already cover everything
         return []
@@ -134,13 +142,13 @@ def kernel_probes(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> list[n
 
 
 def _probe_outputs(
-    map_rep: MapRep, etas: np.ndarray, tol: TolerancePolicy
+    map_rep: MapRep, etas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-split of phi(eta eta*) for a stack of probes etas (N, m).
 
     Returns |eigenvalues| (N, n) and eigenvectors (N, n, n), both ordered by
-    decreasing |eigenvalue|, and each output's rank under `tol`: the first
-    rank eigenvectors span its range, the rest its kernel.
+    decreasing |eigenvalue|, and each output's `gap_rank` over `map_floor`:
+    the first rank eigenvectors span its range, the rest its kernel.
     """
     # x_p[i, j] = sum_kl choi4[i, k, j, l] eta_k conj(eta_l): one GEMM, then a batched matvec
     x = np.tensordot(etas, map_rep.choi4, axes=([1], [1])) @ etas.conj()[:, None, :, None]
@@ -149,7 +157,7 @@ def _probe_outputs(
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")
     size = np.take_along_axis(np.abs(w), order, axis=-1)
     vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
-    ranks = np.sum(size > tol.cutoff(x.shape[1:], size[:, :1]), axis=-1)
+    ranks = gap_rank(size, map_floor(map_rep))
     return size, vecs, ranks
 
 
@@ -197,49 +205,32 @@ def _reduced_relations(weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     return np.concatenate(stacks)
 
 
-def _levels(s: np.ndarray, unknowns: int) -> np.ndarray:
-    """A descending spectrum as rank decisions read it.
-
-    Values below the SVD's rounding level, unknowns * u * s_0, are read at
-    that level, and one more value at it stands for the numerical zeros past
-    the last one.
-    """
-    floor = unknowns * UNIT_ROUNDOFF * s[0]
-    return np.append(np.maximum(s, floor), floor)
+def system_floor(s: np.ndarray, unknowns: int) -> float:
+    """Rounding level of the face system's SVD, unknowns * u * s_0 (0 for no spectrum)."""
+    return unknowns * UNIT_ROUNDOFF * float(s[0]) if s.shape[0] else 0.0
 
 
-def _gap_rank(s: np.ndarray, unknowns: int) -> int:
-    """Rank at the largest relative gap s_{k-1} / s_k of `_levels(s)`; full rank is a candidate."""
-    if s.shape[0] == 0 or not s[0] > 0:
-        return 0
-    f = _levels(s, unknowns)
-    return int(np.argmax(f[:-1] / f[1:])) + 1
-
-
-def double_prime_nullspace(
-    map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL
-) -> NullSpaceResult:
+def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """Null space of the zero-pair constraints of the map, solved in probe coordinates.
 
     Probes: the cached `curve_frame` and `kernel_probes`.  Probe p with
-    output rank r_p (cut by `tol`) contributes the unknowns of H_p in
+    output rank r_p (`gap_rank` over `map_floor`) contributes the unknowns of H_p in
     Herm(r_p).  Every probe p past the m^2 unit probes gives the relation
     R_p H_p R_p* - sum_b coords[p, b] R_b H_b R_b* = 0, whose n^2 rows
     involve only the unknowns of p and of the P_b it has coordinates on;
     `_reduced_relations` cuts each such block to its R factor.  The rank of
-    the stacked system is cut at the largest relative gap of its spectrum
-    (`_gap_rank`).  Null vectors become Choi matrices through the dual basis
+    the stacked system is `gap_rank` of its spectrum over `system_floor`.  Null vectors become Choi matrices through the dual basis
     D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x) conj(D_b),
     and are orthonormalised there.  Deterministic: no random probes.
     """
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
     curve, curve_coords, dual = curve_frame(m)
-    kernel = np.array(kernel_probes(map_rep, tol)).reshape(-1, m)
+    kernel = np.array(kernel_probes(map_rep)).reshape(-1, m)
     etas = np.concatenate([curve, kernel])
     coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
-    _, vecs, ranks = _probe_outputs(map_rep, etas, tol)
+    _, vecs, ranks = _probe_outputs(map_rep, etas)
     outputs, owner = _output_columns(vecs, ranks)
     unknowns = owner.shape[0]
 
@@ -254,7 +245,7 @@ def double_prime_nullspace(
         _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
     else:
         svals, vh = np.zeros(0), np.eye(unknowns)
-    null = vh[_gap_rank(svals, unknowns) :].T
+    null = vh[gap_rank(svals, system_floor(svals, unknowns)) :].T
 
     # psi(P_b) per null vector from the unit probes' unknowns, which come first
     known = np.searchsorted(owner, size)

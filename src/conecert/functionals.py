@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_complex_matrix, normalized, null_space, TolerancePolicy, DEFAULT_TOL
+from .linalg import as_complex_matrix, normalized, null_space
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def norm_maximizer(f: FunctionalRep) -> np.ndarray:
     return normalized(c.conj().reshape(-1))
 
 
-def kernel_basis(f: FunctionalRep, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def kernel_basis(f: FunctionalRep) -> np.ndarray:
     """Orthonormal basis (columns) of ker f inside H (x) K."""
-    basis, _ = null_space(f.coeffs.reshape(1, -1), tol)
+    basis, _ = null_space(f.coeffs.reshape(1, -1))
     return basis

@@ -1,11 +1,14 @@
-"""Dense linear-algebra helpers with an explicit tolerance policy.
+"""Dense linear-algebra helpers and the one rank rule.
 
-Rank decisions on single matrices (kernels, probe outputs) go through one
-`TolerancePolicy`, a relative cutoff and an absolute floor; the face system
-in `faces` cuts its own rank at the largest gap of its spectrum instead.
+Every rank decision in the package goes through `gap_rank`: a descending
+spectrum is cut at its largest relative gap, with every value below a
+rounding floor read at that floor.  The floor is the rounding level of the
+computation that produced the spectrum, not a setting:
+`max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * s_0` for the
+face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
+(`faces.map_floor`).  So no verdict depends on an absolute cutoff.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -13,32 +16,36 @@ import numpy as np
 from .errors import HermiticityError, ShapeError
 
 SQRT2 = np.sqrt(2.0)
+UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+# an exact zero floor still reads as a positive level, so no ratio divides by 0
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Cutoffs for treating singular values as zero.
+def gap_rank(s, floor):
+    """Rank of a descending spectrum s (..., k) at its largest relative gap.
 
-    A singular value s of a matrix M is discarded when
-    s <= max(max(M.shape) * s_max * rel_eps, abs_floor).  Both knobs must be
-    finite and nonnegative.
+    Values below `floor` (a scalar, or one per leading index) read at the
+    floor, and one more value at the floor stands for the numerical zeros
+    past the last one, so full rank is a candidate.  The rank is the k that
+    maximises level_{k-1} / level_k, the first on ties; a spectrum whose top
+    value is not above the floor has rank 0.  Returns an int for a 1-D
+    spectrum and an int array over the leading axes otherwise.
     """
-
-    rel_eps: float = 1e-12
-    abs_floor: float = 1e-14
-
-    def __post_init__(self):
-        for name in ("rel_eps", "abs_floor"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ShapeError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def cutoff(self, shape: tuple[int, int], sigma_max):
-        """The cutoff for a matrix of this shape; sigma_max may be an array of them."""
-        return np.maximum(max(shape) * sigma_max * self.rel_eps, self.abs_floor)
-
-
-DEFAULT_TOL = TolerancePolicy()
+    s = np.asarray(s, dtype=np.float64)
+    k = s.shape[-1]
+    if k == 0:
+        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
+    top_above = s[..., 0] > floor
+    if s.ndim == 1 and not top_above:
+        return 0
+    levels = np.empty(s.shape[:-1] + (k + 1,))
+    levels[..., k] = np.maximum(floor, _TINY)
+    np.maximum(s, levels[..., k:], out=levels[..., :k])
+    rank = (levels[..., :k] / levels[..., 1:]).argmax(axis=-1) + 1
+    if s.ndim == 1:
+        return int(rank)
+    rank[~top_above] = 0
+    return rank
 
 
 def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
@@ -81,14 +88,13 @@ def herm_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def null_space(
-    m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of ker(M) via SVD.
 
     Returns (basis, singular_values) where basis holds the kernel vectors as
     columns (shape (cols, dim)) and singular_values is the full spectrum in
-    descending order.  The cutoff follows `tol`.
+    descending order.  The rank is `gap_rank` of that spectrum over the
+    SVD's rounding level max(rows, cols) * u * s_0.
     """
     m = np.atleast_2d(np.asarray(m))
     rows, cols = m.shape
@@ -99,8 +105,7 @@ def null_space(
         _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
     except np.linalg.LinAlgError as exc:
         raise ShapeError(f"SVD failed on a {rows}x{cols} matrix: {exc}") from exc
-    cut = tol.cutoff((rows, cols), float(s[0]))
-    rank = int(np.sum(s > cut))
+    rank = gap_rank(s, max(rows, cols) * UNIT_ROUNDOFF * s[0])
     # a copy: for real input .conj() is a view, which would keep all of vh alive
     return vh[rank:].conj().T.copy(order="K"), s
 

@@ -44,7 +44,6 @@ REPORT_SCHEMA = {
             },
             "required": ["defect", "bound"],
         },
-        "tolerances": {"type": "object"},
         "wall_time_ms": {"type": "integer"},
     },
     "required": [
@@ -54,7 +53,6 @@ REPORT_SCHEMA = {
         "pairs_used",
         "overlap_with_phi",
         "face",
-        "tolerances",
     ],
 }
 
@@ -202,10 +200,6 @@ def report_to_dict(report: ExposednessReport, include_timing: bool = True) -> di
         "pairs_used": int(report.nullspace.pairs_used),
         "overlap_with_phi": float(report.overlap_with_phi),
         "face": face,
-        "tolerances": {
-            "rel_eps": report.tolerances.rel_eps,
-            "abs_floor": report.tolerances.abs_floor,
-        },
     }
     if include_timing:
         out["wall_time_ms"] = int(report.wall_time_ms)

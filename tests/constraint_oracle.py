@@ -17,16 +17,15 @@ import numpy as np
 from conecert.errors import ShapeError
 from conecert.faces import (
     NullSpaceResult,
-    _gap_rank,
     _output_columns,
     _probe_outputs,
     kernel_probes,
+    system_floor,
 )
 from conecert.linalg import (
-    DEFAULT_TOL,
     SQRT2,
-    TolerancePolicy,
     as_complex_matrix,
+    gap_rank,
     herm_to_params,
     normalized,
     null_space,
@@ -68,7 +67,6 @@ class PairStrategy:
 def zero_pairs(
     map_rep: MapRep,
     strategy: PairStrategy = PairStrategy(),
-    tol: TolerancePolicy = DEFAULT_TOL,
     pair_tol: float = PAIR_TOL,
 ) -> list[ZeroPair]:
     """Generate zero-pairs of the map from deterministic and random probes.
@@ -78,10 +76,10 @@ def zero_pairs(
     residual and is dropped unless it passes pair_tol.
     """
     _require_hermitian(map_rep)
-    etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep, tol)
+    etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep)
     rng = rng_from(strategy.seed)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
-    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), tol)
+    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas))
     return [
         ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
         for p, eta in enumerate(etas)
@@ -182,8 +180,8 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
     """Orthonormal Choi-parameter basis (columns) of the face, from random zero-pairs.
 
     The rows of every pair from `zero_pairs` with `random_count` random
-    probes, and the null space of their stack under the default tolerance
-    policy.  With no rows at all (1 x 1 A) that is the whole space.
+    probes, and the null space of their stack under the library's gap rule.
+    With no rows at all (1 x 1 A) that is the whole space.
     """
     d = map_rep.n * map_rep.m
     pairs = zero_pairs(map_rep, PairStrategy(random_count=random_count, seed=seed))
@@ -191,7 +189,7 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
     return null_space(rows)[0] if rows.shape[0] else np.eye(d * d)
 
 
-def dense_nullspace(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> NullSpaceResult:
+def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """The face solved densely in probe coordinates, as the library solved it before.
 
     Same probes, output ranks and unknowns as `double_prime_nullspace`, but
@@ -204,10 +202,10 @@ def dense_nullspace(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> Null
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
     etas = np.array(
-        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep, tol)
+        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep)
     )
     count = etas.shape[0]
-    _, vecs, ranks = _probe_outputs(map_rep, etas, tol)
+    _, vecs, ranks = _probe_outputs(map_rep, etas)
     frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
     u_f, s_f, vh_f = np.linalg.svd(frame.T)
     relations = vh_f[m * m :]
@@ -223,7 +221,7 @@ def dense_nullspace(map_rep: MapRep, tol: TolerancePolicy = DEFAULT_TOL) -> Null
         _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
     else:
         svals, vh = np.zeros(0), np.eye(unknowns)
-    null = vh[_gap_rank(svals, unknowns) :].T
+    null = vh[gap_rank(svals, system_floor(svals, unknowns)) :].T
 
     selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
     y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)

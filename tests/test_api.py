@@ -1,3 +1,7 @@
+import inspect
+
+import pytest
+
 import conecert
 
 PUBLIC_NAMES = [
@@ -19,7 +23,6 @@ PUBLIC_NAMES = [
     "SearchParams",
     "SeparableElement",
     "ShapeError",
-    "TolerancePolicy",
     "Verdict",
     "__version__",
     "apply",
@@ -57,3 +60,16 @@ def test_public_names_pinned():
     assert len(set(conecert.__all__)) == len(conecert.__all__)
     for name in PUBLIC_NAMES:
         assert hasattr(conecert, name), name
+
+
+@pytest.mark.parametrize("name, params", [
+    ("certify_exposed", ["A", "transposed"]),
+    ("double_prime_nullspace", ["map_rep"]),
+    ("kernel_probes", ["map_rep"]),
+    ("conjugate_obstruction_space", ["A", "z_samples"]),
+    ("null_space", ["m"]),
+    ("kernel_basis", ["f"]),
+])
+def test_rank_decisions_take_no_tolerance(name, params):
+    """every rank is read at the spectrum's largest gap, so no public function takes a cutoff"""
+    assert list(inspect.signature(getattr(conecert, name)).parameters) == params

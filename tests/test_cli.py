@@ -97,20 +97,41 @@ def test_expose_transposed_rank_one(tmp_path, capsys):
     ("--abs-floor", "nan"), ("--abs-floor", "-1e-14"), ("--abs-floor", "-inf"),
 ])
 def test_expose_bad_tolerance_exit_2(tmp_path, capsys, flag, value):
-    """a non-finite or negative cutoff knob is a usage error: exit 2, no report"""
+    """ranks come from spectral gaps, so expose, sweep and obstruction take no
+    cutoff flag: any is a usage error (exit 2) and writes no report"""
     a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
-    report = tmp_path / "out.json"
-    assert main(["expose", a, f"{flag}={value}", "--report", str(report)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not report.exists()
-    assert main(["obstruction", a, f"{flag}={value}"]) == 2
-    assert "error:" in capsys.readouterr().err
+    report, out_dir = tmp_path / "out.json", tmp_path / "sweep"
+    for argv in (
+        ["expose", a, "--report", str(report)],
+        ["sweep", "--n", "2", "--m", "2", "--count", "1", "--report", str(out_dir)],
+        ["obstruction", a, "--report", str(report)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not report.exists() and not out_dir.exists()
 
 
-def test_expose_zero_tolerance_accepted(tmp_path, capsys):
+def test_reports_carry_no_tolerances(tmp_path, capsys):
+    """a zero cutoff is refused like any other, and no report, config or summary names tolerances"""
     a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
-    assert main(["expose", a, "--abs-floor", "0"]) == 0
-    assert "verdict: EXPOSED_LINEAR" in capsys.readouterr().out
+    for flag in ("--rel-eps", "--abs-floor"):
+        with pytest.raises(SystemExit) as exc:
+            main(["expose", a, flag, "0"])
+        assert exc.value.code == 2
+    report, out_dir = tmp_path / "report.json", tmp_path / "sweep"
+    assert main(["expose", a, "--report", str(report)]) == 0
+    assert main(["sweep", "--n", "2", "--m", "2", "--count", "1",
+                 "--report", str(out_dir)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    summary = json.loads((out_dir / "summary.json").read_text())
+    swept = json.loads((out_dir / summary["reports"][0]).read_text())
+    for obj in (payload, payload["config"], summary["config"], swept, swept["config"]):
+        assert "tolerances" not in obj
+    assert "tolerances" not in REPORT_SCHEMA["properties"]
+    assert "tolerances" not in REPORT_SCHEMA["required"]
 
 
 def test_expose_zero_matrix_exit_2(tmp_path, capsys):

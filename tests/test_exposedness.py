@@ -14,7 +14,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import DEFAULT_TOL, herm_to_params, hermitize
+from conecert.linalg import UNIT_ROUNDOFF, gap_rank, herm_to_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 
@@ -374,44 +374,38 @@ def test_obstruction_rank_one_basis_form():
 
 
 def test_obstruction_probe_premise():
-    """the paired-eigenvector probe rows satisfy <zeta_z, A rho_z> = 0"""
+    """the curve rows hold <zeta_z, P rho_z> = 0, and (zeta_z, G^-1 rho_z) is the matching zero-pair of A"""
     a = crandn(3, 3)
-    gram = a.conj().T @ a
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2)
+    u, s, vh = np.linalg.svd(a)
+    p = u @ vh
+    g = (vh.conj().T * s) @ vh
+    assert np.abs(p @ g - a).max() < 1e-12 * s[0]
     for j in range(3):
         for k in range(j + 1, 3):
-            avj, avk = a @ v[:, j], a @ v[:, k]
-            nj = np.vdot(avj, avj).real
-            nk = np.vdot(avk, avk).real
             for z in (1, -1, 1j, 2):
-                rho = v[:, j] + z * v[:, k]
-                zeta = -np.conj(z) * nk * avj + nj * avk
-                assert abs(np.vdot(zeta, a @ rho)) < 1e-10 * nj * nk
+                rho = vh[j].conj() + z * vh[k].conj()
+                zeta = -np.conj(z) * u[:, j] + u[:, k]
+                assert abs(np.vdot(zeta, p @ rho)) < 1e-14
+                assert abs(np.vdot(zeta, a @ np.linalg.solve(g, rho))) < 1e-12
 
 
 def _obstruction_rows_per_row(a, z_samples=(1, -1, 1j, 2)):
     """Reference: the obstruction system's rows, one np.outer per row, in row order."""
     n, m = a.shape
-    gram = hermitize(a.conj().T @ a)
-    w, v = np.linalg.eigh(gram)
-    cut = DEFAULT_TOL.cutoff(gram.shape, float(max(w[-1], 0.0)))
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = gap_rank(s, max(n, m) * UNIT_ROUNDOFF * s[0])
     rows = []
-    for j in range(m):
-        if w[j] <= cut:
-            rows += [np.outer(np.eye(n, dtype=complex)[i], v[:, j].conj()).ravel() for i in range(n)]
-    u_full, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > DEFAULT_TOL.cutoff(a.shape, float(s[0]))))
+    for j in range(rank, m):
+        v = vh[j].conj()
+        rows += [np.outer(np.eye(n, dtype=complex)[i], v.conj()).ravel() for i in range(n)]
     for col in range(rank, n):
-        rows += [np.outer(u_full[:, col].conj(), e).ravel() for e in np.eye(m, dtype=complex)]
-    span = [j for j in range(m) if w[j] > cut]
-    for jj in range(len(span)):
-        for kk in range(jj + 1, len(span)):
-            vj, vk = v[:, span[jj]], v[:, span[kk]]
-            avj, avk = a @ vj, a @ vk
-            nj, nk = float(np.vdot(avj, avj).real), float(np.vdot(avk, avk).real)
+        rows += [np.outer(u[:, col].conj(), e).ravel() for e in np.eye(m, dtype=complex)]
+    for j in range(rank):
+        for k in range(j + 1, rank):
+            vj, vk = vh[j].conj(), vh[k].conj()
             for z in z_samples:
                 rho = vj + z * vk
-                zeta = -np.conj(z) * nk * avj + nj * avk
+                zeta = -np.conj(z) * u[:, j] + u[:, k]
                 rows.append(np.outer(zeta.conj(), rho.conj()).ravel())
     return np.array(rows)
 
@@ -429,7 +423,7 @@ def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
     }[case]
     seen = []
 
-    def capture(rows, tol):
+    def capture(rows):
         seen.append(rows)
         return np.zeros((rows.shape[1], 0), dtype=complex), np.zeros(0)
 
@@ -438,6 +432,44 @@ def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
     want = _obstruction_rows_per_row(np.asarray(a, dtype=complex))
     assert len(seen) == 1 and seen[0].shape == want.shape
     assert seen[0].tobytes() == want.tobytes()
+
+
+def test_obstruction_basis_solves_for_a():
+    """the basis is mapped back as B = B' conj(G): every element meets the conclusion on
+    A's own zero-pairs (zeta_z, G^-1 rho_z), here on a z grid that leaves a spurious solution"""
+    gen = np.random.default_rng(12)
+    a = _crandn_from(gen, 3, 2) @ _crandn_from(gen, 2, 3)
+    u, s, vh = np.linalg.svd(a)
+    g = (vh.conj().T * np.r_[s[:2], 1.0]) @ vh
+    z_samples = (1, -1, 1j)
+    result = conjugate_obstruction_space(a, z_samples=z_samples)
+    assert result.dim == 1
+    b = result.basis[0]
+    assert np.abs(b @ vh[2]).max() < 1e-12 and np.abs(u[:, 2].conj() @ b).max() < 1e-12
+    for z in z_samples:
+        rho = np.linalg.solve(g, vh[0].conj() + z * vh[1].conj())
+        zeta = -np.conj(z) * u[:, 0] + u[:, 1]
+        assert abs(zeta.conj() @ b @ rho.conj()) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [None, (2, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4)])
+def test_obstruction_dimension_follows_the_gap_rank(shape):
+    """over s2 in logspace(-14, -1, 53): diag(1, s2) (shape None) or three rank-2
+    draws with second singular value s2; dim is 1 exactly at gap rank 1, else 0"""
+    s2s = np.logspace(-14, -1, 53)
+    if shape is None:
+        inputs = [np.diag([1.0, s2]) for s2 in s2s]
+    else:
+        gen = np.random.default_rng([11, *shape])
+        inputs = [_with_smallest_singular_value(gen, *shape, 2, s2) for _ in range(3) for s2 in s2s]
+    wrong = []
+    for a in inputs:
+        s = np.linalg.svd(a, compute_uv=False)
+        rank = gap_rank(s, max(a.shape) * UNIT_ROUNDOFF * s[0])
+        dim = conjugate_obstruction_space(a).dim
+        if dim != (rank == 1):
+            wrong.append((s[1], rank, dim))
+    assert wrong == []
 
 
 def test_classify_ad_round_trip():

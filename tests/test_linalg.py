@@ -4,9 +4,9 @@ from constraint_oracle import functional_row
 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.linalg import (
-    TolerancePolicy,
     conj_vector,
     fix_phase,
+    gap_rank,
     herm_to_params,
     hermitize,
     is_psd,
@@ -100,22 +100,55 @@ def test_null_space_basis_owns_its_memory():
         assert basis.flags.owndata
 
 
-def test_tolerance_policy_cutoff():
-    pol = TolerancePolicy()
-    assert pol.cutoff((3, 5), 2.0) == 5 * 2.0 * 1e-12
-    assert pol.cutoff((3, 5), 0.0) == 1e-14
+def test_gap_rank_empty_and_zero_spectra():
+    assert gap_rank(np.zeros(0), 0.0) == 0
+    assert gap_rank(np.zeros(0), 1e-15) == 0
+    with np.errstate(all="raise"):
+        assert gap_rank(np.zeros(3), 0.0) == 0
+        assert gap_rank(np.zeros(3), 1e-15) == 0
 
 
-@pytest.mark.parametrize("field", ["rel_eps", "abs_floor"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
-def test_tolerance_policy_rejects_bad_values(field, value):
-    with pytest.raises(ShapeError):
-        TolerancePolicy(**{field: value})
+def test_gap_rank_single_value():
+    assert gap_rank(np.array([2.0]), 1e-15) == 1
+    assert gap_rank(np.array([2.0]), 0.0) == 1
+    assert isinstance(gap_rank(np.array([2.0]), 1e-15), int)
 
 
-def test_tolerance_policy_accepts_zero():
-    pol = TolerancePolicy(rel_eps=0.0, abs_floor=0.0)
-    assert pol.cutoff((3, 4), 2.0) == 0.0
+def test_gap_rank_clear_gap():
+    assert gap_rank(np.array([3.0, 2.0, 1e-9, 1e-10]), 1e-15) == 2
+    # full rank: the last value stands far above the floor
+    assert gap_rank(np.array([3.0, 2.0, 1.0]), 1e-15) == 3
+    # ties go to the first gap
+    assert gap_rank(np.array([1.0, 2.0**-20, 2.0**-40]), 2.0**-60) == 1
+    with np.errstate(all="raise"):
+        assert gap_rank(np.array([1.0, 0.5, 0.0, 0.0]), 0.0) == 2
+
+
+def test_gap_rank_reads_values_below_the_floor_at_the_floor():
+    # without the floor the gap 1e-16 -> 1e-40 would win
+    assert gap_rank(np.array([1.0, 1e-16, 1e-40]), 1e-15) == 1
+    assert gap_rank(np.array([1.0, 0.5, 1e-20, 1e-30]), 1e-15) == 2
+    # a top value that is not above the floor has rank 0
+    assert gap_rank(np.array([1e-16, 1e-17]), 1e-15) == 0
+    assert gap_rank(np.array([1e-15]), 1e-15) == 0
+
+
+def test_gap_rank_batch_matches_rows():
+    gen = np.random.default_rng(10)
+    for k in (0, 1, 3, 6):
+        spectra = []
+        for _ in range(40):
+            s = np.sort(gen.uniform(0.1, 1.0, k))[::-1] * 10.0 ** gen.integers(-3, 3)
+            cut = int(gen.integers(0, k + 1))
+            s[cut:] *= 10.0 ** -gen.integers(0, 20)
+            spectra.append(s)
+        batch = np.array(spectra).reshape(40, k)
+        floors = 10.0 ** -gen.integers(10, 18, 40)
+        for floor in (1e-15, floors):
+            got = gap_rank(batch, floor)
+            want = [gap_rank(row, f) for row, f in zip(batch, np.broadcast_to(floor, 40))]
+            assert got.shape == (40,) and np.issubdtype(got.dtype, np.integer)
+            assert got.tolist() == want
 
 
 def test_is_psd_examples():
