@@ -99,18 +99,19 @@ def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
 def _face_bound(nullspace: NullSpaceResult) -> float:
     """Relative bound on how far the computed hull may sit from an exact one.
 
-    The system in probe coordinates keeps `unknowns - dim` singular values.
-    Its computed form is an exact system M plus an error E, and the exact
-    face (which holds Choi(phi)) is the null space of M.  By Wedin's
+    The system in basis-probe coordinates keeps `unknowns - dim` singular
+    values.  Its computed form is an exact system M plus an error E, and the
+    exact face (which holds Choi(phi)) is the null space of M.  By Wedin's
     sin-theta theorem the angle between the two null spaces is at most
     |E| / s_kept, over the smallest kept singular value; |E| is read as the
-    largest discarded value, or the SVD's rounding level unknowns * u * s_0
-    when that is larger (`system_floor`).  With nothing kept the ratio is
-    read at that level, unknowns * u.  A null vector turns into a Choi
-    matrix through a linear map that is not an isometry: on the null space
-    it stretches lengths by at most `condition` times its least stretch, so
-    an angle in probe coordinates is at most `condition` times larger in
-    Choi coordinates.  The bound is FACE_SAFETY * condition * that ratio.
+    largest discarded value, or the system's rounding level
+    unknowns * u * max(s_0, 1) when that is larger (`system_floor`).  With
+    nothing kept the ratio is read at that level, unknowns * u.  A null
+    vector turns into a Choi matrix through a linear map that is not an
+    isometry: on the null space it stretches lengths by at most `condition`
+    times its least stretch, so an angle in probe coordinates is at most
+    `condition` times larger in Choi coordinates.  The bound is
+    FACE_SAFETY * condition * that ratio.
     """
     s = nullspace.singular_values
     unknowns = nullspace.unknowns

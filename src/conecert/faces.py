@@ -15,9 +15,13 @@ P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
 probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
 paper's curves e_j + z e_k, and their relations
 P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch 4 probes
-each; a kernel probe of phi gives one dense relation.  Each relation's block
-of the system is replaced by its R factor, one SVD of the stack gives the
-face, and the dual basis of the P_b turns it into Choi matrices.
+each; a kernel probe of phi gives one dense relation.  A probe past the
+basis enters its own relation only, so its H_p is eliminated exactly: the
+relation holds for some H_p if and only if the basis side lies in
+{R_p H R_p*}, so that subspace is projected out of it and only the m^2
+basis probes keep unknowns.  Each relation's block of the system is replaced by
+its R factor, one SVD of the stack gives the face, and the dual basis of
+the P_b turns it into Choi matrices.
 """
 
 import math
@@ -45,8 +49,9 @@ class NullSpaceResult:
 
     `param_basis` holds its elements as orthonormal columns over the
     Hermitian parameterization; `basis` gives the same elements as Hermitian
-    Choi matrices.  `singular_values` is the spectrum of the system in probe
-    coordinates, which has `unknowns` columns; `condition` is the condition
+    Choi matrices.  `singular_values` is the spectrum of the system in the
+    coordinates of the m^2 basis probes, which has `unknowns` columns (the
+    other probes' coordinates are eliminated); `condition` is the condition
     number of the map from those coordinates to Choi parameters on the null
     space.  `pairs_used` counts the probes.
     """
@@ -131,9 +136,13 @@ def kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     their kernel-side zero-pairs.  The kernel is the part of T's descending
     spectrum past its `gap_rank` over `map_floor`.
     """
+    return _kernel_probes(map_rep, map_floor(map_rep))
+
+
+def _kernel_probes(map_rep: MapRep, floor: float) -> list[np.ndarray]:
     t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
     w, v = np.linalg.eigh(t)
-    rank = gap_rank(w[::-1], map_floor(map_rep))
+    rank = gap_rank(w[::-1], floor)
     kernel = [v[:, j].conj() for j in range(map_rep.m - rank)]
     if len(kernel) == map_rep.m:
         # the zero map: basis probes already cover everything
@@ -142,13 +151,14 @@ def kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
 
 
 def _probe_outputs(
-    map_rep: MapRep, etas: np.ndarray
+    map_rep: MapRep, etas: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigen-split of phi(eta eta*) for a stack of probes etas (N, m).
 
     Returns |eigenvalues| (N, n) and eigenvectors (N, n, n), both ordered by
-    decreasing |eigenvalue|, and each output's `gap_rank` over `map_floor`:
-    the first rank eigenvectors span its range, the rest its kernel.
+    decreasing |eigenvalue|, and each output's `gap_rank` over `floor`
+    (`map_floor` of the map): the first rank eigenvectors span its range,
+    the rest its kernel.
     """
     # x_p[i, j] = sum_kl choi4[i, k, j, l] eta_k conj(eta_l): one GEMM, then a batched matvec
     x = np.tensordot(etas, map_rep.choi4, axes=([1], [1])) @ etas.conj()[:, None, :, None]
@@ -157,7 +167,7 @@ def _probe_outputs(
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")
     size = np.take_along_axis(np.abs(w), order, axis=-1)
     vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
-    ranks = gap_rank(size, map_floor(map_rep))
+    ranks = gap_rank(size, floor)
     return size, vecs, ranks
 
 
@@ -165,7 +175,8 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
     """Parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p), probe by probe.
 
     Returns the columns (unknowns, n^2) and the probe that owns each one,
-    ordered by probe.
+    ordered by probe.  The columns of one probe are orthonormal: H -> R_p H R_p*
+    and the parameterization are isometries.
     """
     n = vecs.shape[1]
     owner, columns = [np.zeros(0, dtype=int)], [np.zeros((0, n * n))]
@@ -181,14 +192,18 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(columns)[order], owner[order]
 
 
-def _reduced_relations(weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """The relations' rows, each block cut to its R factor.
+def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """The relations' rows in the basis unknowns, each block cut to its R factor.
 
-    Relation q reads sum_u weights[q, u] y_u = 0 over the output columns
-    y_u; only its c nonzero weights enter, so its rows form an n^2 x c
-    block.  One batched QR per distinct c replaces every block by its
-    R factor: an orthogonal change of rows within the block, which keeps the
-    null space and leaves min(n^2, c) rows.
+    Relation q reads B y + O x_q = 0: B sums weights[q, u] times the basis
+    output columns y_u, and O holds the columns own[q] (k, n^2) of the
+    relation's own probe, orthonormal and padded with zero rows to a common
+    k.  No other relation involves x_q, so the relation holds for some x_q
+    exactly when (I - O O^T) B y = 0; the projection removes x_q.  Only the
+    c nonzero weights of q enter, so B is an n^2 x c block.  One batched QR
+    per distinct c replaces every projected block by its R factor: an
+    orthogonal change of rows within the block, which keeps the null space
+    and leaves min(n^2, c) rows.
     """
     unknowns = outputs.shape[0]
     involved = weights != 0
@@ -198,6 +213,8 @@ def _reduced_relations(weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
         rel = np.flatnonzero(sizes == c)
         cols = np.nonzero(involved[rel])[1].reshape(-1, c)
         block = outputs[cols] * weights[rel[:, None], cols][..., None]
+        o = own[rel]
+        block -= (block @ o.swapaxes(1, 2)) @ o
         r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
         rows = np.zeros(r.shape[:2] + (unknowns,))
         np.put_along_axis(rows, np.broadcast_to(cols[:, None, :], r.shape), r, axis=2)
@@ -206,51 +223,66 @@ def _reduced_relations(weights: np.ndarray, outputs: np.ndarray) -> np.ndarray:
 
 
 def system_floor(s: np.ndarray, unknowns: int) -> float:
-    """Rounding level of the face system's SVD, unknowns * u * s_0 (0 for no spectrum)."""
-    return unknowns * UNIT_ROUNDOFF * float(s[0]) if s.shape[0] else 0.0
+    """Rounding level of the face system's SVD, unknowns * u * max(s_0, 1) (0 for no spectrum).
+
+    The rows are built from unit output columns with weights of order 1, so
+    their rounding is of order u even where the projection in
+    `_reduced_relations` cancels them down to a spectrum below 1.
+    """
+    return unknowns * UNIT_ROUNDOFF * max(float(s[0]), 1.0) if s.shape[0] else 0.0
 
 
 def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
-    """Null space of the zero-pair constraints of the map, solved in probe coordinates.
+    """Null space of the zero-pair constraints of the map, solved in basis-probe coordinates.
 
     Probes: the cached `curve_frame` and `kernel_probes`.  Probe p with
-    output rank r_p (`gap_rank` over `map_floor`) contributes the unknowns of H_p in
+    output rank r_p (`gap_rank` over `map_floor`) has the unknowns of H_p in
     Herm(r_p).  Every probe p past the m^2 unit probes gives the relation
     R_p H_p R_p* - sum_b coords[p, b] R_b H_b R_b* = 0, whose n^2 rows
-    involve only the unknowns of p and of the P_b it has coordinates on;
-    `_reduced_relations` cuts each such block to its R factor.  The rank of
-    the stacked system is `gap_rank` of its spectrum over `system_floor`.  Null vectors become Choi matrices through the dual basis
-    D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x) conj(D_b),
-    and are orthonormalised there.  Deterministic: no random probes.
+    involve only the unknowns of p and of the P_b it has coordinates on.
+    H_p is in no other relation, so `_reduced_relations` projects it out and
+    cuts each block to its R factor: the system has the sum of r_b^2 over
+    the basis probes as unknowns.  Its rank is `gap_rank` of its spectrum
+    over `system_floor`.  Null vectors become Choi matrices through the dual
+    basis D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x)
+    conj(D_b), and are orthonormalised there.  Deterministic: no random
+    probes.
     """
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
+    floor = map_floor(map_rep)
     curve, curve_coords, dual = curve_frame(m)
-    kernel = np.array(kernel_probes(map_rep)).reshape(-1, m)
+    kernel = np.array(_kernel_probes(map_rep, floor)).reshape(-1, m)
     etas = np.concatenate([curve, kernel])
     coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
-    _, vecs, ranks = _probe_outputs(map_rep, etas)
+    _, vecs, ranks = _probe_outputs(map_rep, etas, floor)
     outputs, owner = _output_columns(vecs, ranks)
-    unknowns = owner.shape[0]
+    # the unit probes' unknowns come first; the rest belong to one relation each
+    unknowns = int(np.searchsorted(owner, size))
+    own = np.zeros((count - size, int(ranks[size:].max(initial=0)) ** 2, n * n))
+    mine = owner[unknowns:]
+    slot = np.arange(unknowns, owner.shape[0]) - np.searchsorted(owner, mine)
+    own[mine - size, slot] = outputs[unknowns:]
 
-    # relation q: P_{m^2 + q} - sum_b coords[m^2 + q, b] P_b = 0, weighted per unknown
-    relations = np.concatenate([-coords[size:], np.eye(count - size)], axis=1)
-    system = _reduced_relations(relations[:, owner], outputs)
+    # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, weighted per basis unknown
+    system = _reduced_relations(coords[size:, owner[:unknowns]], outputs[:unknowns], own)
     rows = system.shape[0]
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor
         system = np.linalg.qr(system, mode="r")
     if system.size:
-        _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
+        # the rows are graded (projected blocks leave rows near rounding); as left
+        # singular vectors of the transpose the null vectors hold to a few u * s_0,
+        # as right ones of the system to 48 u * s_0 on 2 x 2 unitary inputs
+        left, svals, _ = np.linalg.svd(system.T, full_matrices=rows < unknowns)
     else:
-        svals, vh = np.zeros(0), np.eye(unknowns)
-    null = vh[gap_rank(svals, system_floor(svals, unknowns)) :].T
+        svals, left = np.zeros(0), np.eye(unknowns)
+    null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(P_b) per null vector from the unit probes' unknowns, which come first
-    known = np.searchsorted(owner, size)
-    selector = (owner[None, :known] == np.arange(size)[:, None]).astype(float)
-    y = params_to_herm(selector @ (null[:known].T[:, :, None] * outputs[:known]), n)
+    # psi(P_b) per null vector from the basis unknowns
+    selector = (owner[None, :unknowns] == np.arange(size)[:, None]).astype(float)
+    y = params_to_herm(selector @ (null.T[:, :, None] * outputs[:unknowns]), n)
     choi = y.reshape(-1, size, n * n).swapaxes(1, 2) @ dual.conj().reshape(size, size)
     choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
     if choi.shape[0]:

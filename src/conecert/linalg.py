@@ -4,8 +4,8 @@ Every rank decision in the package goes through `gap_rank`: a descending
 spectrum is cut at its largest relative gap, with every value below a
 rounding floor read at that floor.  The floor is the rounding level of the
 computation that produced the spectrum, not a setting:
-`max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * s_0` for the
-face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
+`max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * max(s_0, 1)`
+for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
 (`faces.map_floor`).  So no verdict depends on an absolute cutoff.
 """
 

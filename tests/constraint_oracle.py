@@ -20,6 +20,7 @@ from conecert.faces import (
     _output_columns,
     _probe_outputs,
     kernel_probes,
+    map_floor,
     system_floor,
 )
 from conecert.linalg import (
@@ -79,7 +80,7 @@ def zero_pairs(
     etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep)
     rng = rng_from(strategy.seed)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
-    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas))
+    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), map_floor(map_rep))
     return [
         ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
         for p, eta in enumerate(etas)
@@ -192,9 +193,10 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
 def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """The face solved densely in probe coordinates, as the library solved it before.
 
-    Same probes, output ranks and unknowns as `double_prime_nullspace`, but
-    every relation beta in the kernel of the m^2 x N matrix of projector
-    parameters (from one frame SVD) contributes the n^2 rows of
+    Same probes and output ranks as `double_prime_nullspace`, but every
+    probe keeps its unknowns (the library eliminates all but the m^2 basis
+    probes'), and every relation beta in the kernel of the m^2 x N matrix of
+    projector parameters (from one frame SVD) contributes the n^2 rows of
     sum_p beta_p R_p H_p R_p* = 0; the tall stack is cut by one QR, its rank
     at the largest gap, and null vectors become Choi matrices through the
     Moore-Penrose dual frame of all N projectors.
@@ -205,7 +207,7 @@ def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
         unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep)
     )
     count = etas.shape[0]
-    _, vecs, ranks = _probe_outputs(map_rep, etas)
+    _, vecs, ranks = _probe_outputs(map_rep, etas, map_floor(map_rep))
     frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
     u_f, s_f, vh_f = np.linalg.svd(frame.T)
     relations = vh_f[m * m :]

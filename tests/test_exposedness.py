@@ -192,8 +192,10 @@ def test_overlap_and_residual_are_complementary():
 
 def test_face_bound_needs_a_gap():
     """a spectrum with no kept value gives a bound of 1 or more, which certifies nothing"""
-    phi = _unit_phi(np.diag([1.0, 0.0]))
+    phi = _unit_phi(crandn(2, 2))
     ns = double_prime_nullspace(phi)
+    # the system keeps a rank, so the zeroed spectrum has no gap to read
+    assert ns.unknowns > ns.dim
     flat = NullSpaceResult(
         singular_values=np.zeros(ns.singular_values.shape), pairs_used=ns.pairs_used,
         param_basis=ns.param_basis, unknowns=ns.unknowns, condition=ns.condition,
@@ -295,6 +297,16 @@ def test_rank_one_hull_within_face_bound(shape, transposed):
 def _haar_unitary(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unitary_inputs_certify(d):
+    """Haar unitary A, both flags: each map is an automorphism and spans an exposed ray"""
+    rng = np.random.default_rng([17, d])
+    for _ in range(150):
+        u = _haar_unitary(rng, d)
+        for transposed in (False, True):
+            assert certify_exposed(u, transposed=transposed).verdict is Verdict.EXPOSED_LINEAR
 
 
 def _with_smallest_singular_value(rng, n, m, rank, s2):

@@ -13,13 +13,16 @@ from constraint_oracle import (
 )
 from conecert import certify_exposed, faces
 from conecert.errors import ShapeError
-from conecert.exposedness import _face_bound
+from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import (
+    _probe_outputs,
     curve_frame,
     double_prime_nullspace,
     kernel_probes,
+    map_floor,
     membership_residual,
     projector_coordinates,
+    system_floor,
 )
 from conecert.linalg import herm_to_params, triu_pairs
 from conecert.maps import MapRep, apply, choi_from_ad
@@ -277,22 +280,38 @@ def test_projector_coordinates_of_kernel_probes():
         assert np.abs(rebuilt - _projectors(etas)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_full_rank_reduced_system_rows(m, monkeypatch):
-    """a full-rank m x m input gets 4 rows per explicit relation, 4(m^2 - m) in all"""
+def _spy_reduced_relations(monkeypatch):
+    """Record (system, basis output columns) of every `_reduced_relations` call."""
     seen = []
     reduce = faces._reduced_relations
 
-    def spy(weights, outputs):
-        out = reduce(weights, outputs)
-        seen.append(out.shape)
+    def spy(weights, outputs, own):
+        out = reduce(weights, outputs, own)
+        seen.append((out, outputs))
         return out
 
     monkeypatch.setattr(faces, "_reduced_relations", spy)
+    return seen
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_full_rank_reduced_system_rows(m, monkeypatch):
+    """a full-rank m x m input keeps the m^2 basis unknowns and 3 rows per relation"""
+    seen = _spy_reduced_relations(monkeypatch)
     res = double_prime_nullspace(choi_from_ad(crandn(m, m)))
     assert res.dim == 1
-    assert seen == [(4 * (m * m - m), res.unknowns)]
-    assert res.unknowns == 2 * m * m - m
+    assert [system.shape for system, _ in seen] == [(3 * (m * m - m), m * m)]
+    assert res.unknowns == m * m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_face_system_is_tall(n, m):
+    """from m = 3 on, the system has at least as many rows as unknowns, at every rank"""
+    for r in range(1, min(n, m) + 1):
+        for transposed in (False, True):
+            res = double_prime_nullspace(choi_from_ad(rand_rank(n, m, r), transposed=transposed))
+            assert len(res.singular_values) == res.unknowns, (n, m, r, transposed)
 
 
 def test_curve_frame_is_read_only():
@@ -332,13 +351,59 @@ def _band(s2):
     return _haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ _haar_unitary(g, 3).conj().T
 
 
+@pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
+def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
+    """2x2 U diag(1, s2) V*: phi's own basis coordinates meet the system within its bound's floor
+
+    The projection cancels rows of order 1 down to a spectrum near s2; the
+    floor, times the safety factor of `_face_bound`, must stay at the
+    rounding of those rows.
+    """
+    seen = _spy_reduced_relations(monkeypatch)
+    g = np.random.default_rng(5)
+    for transposed in (False, True):
+        a = _haar_unitary(g, 2) @ np.diag([1.0, s2]) @ _haar_unitary(g, 2).conj().T
+        phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+        res = double_prime_nullspace(phi)
+        system, outputs = seen.pop()
+        assert res.unknowns == 4  # one rank-1 output column per basis probe
+        outs = [apply(phi, np.outer(eta, eta.conj())) for eta in curve_frame(2)[0][:4]]
+        y = np.einsum("ui,ui->u", herm_to_params(np.array(outs)), outputs)
+        leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
+        assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
+
+
 def _matches_dense_solve(a, transposed, label):
     phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
     res, ref = double_prime_nullspace(phi), dense_nullspace(phi)
     assert res.dim == ref.dim, label
-    assert res.unknowns == ref.unknowns, label
+    # the dense solve keeps every probe's unknowns; the library keeps the basis probes'
+    ranks = _probe_outputs(phi, curve_frame(phi.m)[0][: phi.m**2], map_floor(phi))[2]
+    assert res.unknowns == int((ranks**2).sum()), label
     sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
     assert sin <= _face_bound(res), label
+
+
+def test_eliminated_probes_hold_on_grid():
+    """every hull element maps each eliminated probe into the range of phi's output there"""
+    for n in (2, 3, 4):
+        for m in (2, 3, 4):
+            for r in range(1, min(n, m) + 1):
+                a = rand_rank(n, m, r)
+                for transposed in (False, True):
+                    phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+                    res = double_prime_nullspace(phi)
+                    # the -1, -i and kernel probes, which keep no unknowns
+                    kernel = np.array(kernel_probes(phi)).reshape(-1, m)
+                    etas = np.concatenate([curve_frame(m)[0][m * m :], kernel])
+                    _, vecs, ranks = _probe_outputs(phi, etas, map_floor(phi))
+                    bound = _face_bound(res)
+                    for b in res.basis:
+                        psi = MapRep(n=n, m=m, choi=b)
+                        for eta, v, rank in zip(etas, vecs, ranks):
+                            out = apply(psi, np.outer(eta, eta.conj()))
+                            leak = np.linalg.norm(v[:, rank:].conj().T @ out)
+                            assert leak <= bound * np.linalg.norm(b), (n, m, r, transposed)
 
 
 def test_nullspace_matches_dense_solve_on_grid():
