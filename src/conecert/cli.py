@@ -26,8 +26,6 @@ from .serialization import (
     write_json_atomic,
 )
 
-SOFT_DIM_CAP = 4
-
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
@@ -87,10 +85,6 @@ def cmd_sweep(args) -> int:
         raise EncodingError("dimensions must be positive")
     if args.count < 0:
         raise EncodingError("count must be >= 0")
-    if max(args.n, args.m) > SOFT_DIM_CAP:
-        print(
-            f"warning: dimensions above {SOFT_DIM_CAP} can be slow", file=sys.stderr
-        )
     seed = _resolve_seed(args.seed)
     os.makedirs(args.report, exist_ok=True)
     rng = rng_from(seed)

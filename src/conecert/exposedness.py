@@ -35,7 +35,13 @@ from .linalg import (
     null_space,
     params_to_herm,
 )
-from .maps import MapRep, _require_hermitian, choi_from_ad, partial_transpose_in
+from .maps import (
+    MapRep,
+    _require_hermitian,
+    _require_tolerance,
+    choi_from_ad,
+    partial_transpose_in,
+)
 
 # safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0
@@ -315,9 +321,11 @@ def classify(map_rep: MapRep, tol: float = 1e-8) -> Classification:
     rank-1 PSD partial transpose is the transposed family (AD_TRANSPOSE);
     a product-form Choi Q (x) S with Q a rank-1 projection direction and S
     PSD is the functional-times-projection form (OMEGA_Q, with R = S^T).
-    Anything else raises ClassificationError.
+    Anything else raises ClassificationError; a NaN, infinite or negative tol
+    raises InputRejected.
     """
     _require_hermitian(map_rep)
+    _require_tolerance(tol)
     n, m = map_rep.n, map_rep.m
     choi = map_rep.choi
 

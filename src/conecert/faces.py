@@ -3,25 +3,29 @@
 A zero-pair of phi is a unit pair (xi, eta) with phi(eta eta*) conj(xi) = 0.
 A map psi belongs to the double commutant face of phi exactly when it
 satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs.  For one probe eta
-and Hermitian psi(eta eta*) those conditions say psi(eta eta*) = R H R*,
-with R an orthonormal basis of range phi(eta eta*) and H Hermitian.
+and Hermitian psi(eta eta*) those conditions say psi(eta eta*) lies in
+{R H R*}, with R an orthonormal basis of range phi(eta eta*) and H
+Hermitian.  The conjugation maps X -> A X A* and X -> A X^T A* send every
+probe to an output of rank at most 1, phi(eta eta*) = c w w*, so that set is
+the real line through w w*: psi(P_p) = x_p w_p w_p*.
 
-The null space is therefore solved in probe coordinates: the unknowns are
-the H_p of the probes p, r_p^2 real numbers each.  The projectors P_b of
-the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a
-basis of Herm(m), and every other probe p has closed-form coordinates in it
-(`projector_coordinates`).  Because psi is linear, each relation
-P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
-probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
-paper's curves e_j + z e_k, and their relations
-P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch 4 probes
-each; a kernel probe of phi gives one dense relation.  A probe past the
-basis enters its own relation only, so its H_p is eliminated exactly: the
-relation holds for some H_p if and only if the basis side lies in
-{R_p H R_p*}, so that subspace is projected out of it and only the m^2
-basis probes keep unknowns.  Each relation's block of the system is replaced by
-its R factor, one SVD of the stack gives the face, and the dual basis of
-the P_b turns it into Choi matrices.
+The null space is therefore solved in probe coordinates, one real unknown
+x_p per probe with a nonzero output; a map with an output of rank above 1
+is rejected.  The projectors P_b of the m^2 unit probes e_j,
+(e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of Herm(m), and every
+other probe p has closed-form coordinates in it (`projector_coordinates`).
+Because psi is linear, each relation P_p = sum_b coords[p, b] P_b must hold
+for the outputs too.  The reflected probes (e_j - e_k)/sqrt2 and
+(e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the paper's curves e_j + z e_k,
+and their relations P_{-1} = P_j + P_k - P_{+1} and
+P_{-i} = P_j + P_k - P_{+i} touch 4 probes each; a kernel probe of phi
+gives one dense relation.  A probe past the basis enters its own relation
+only, so its x_p is eliminated exactly: the relation holds for some x_p if
+and only if the basis side lies on the line through w_p w_p*, so that line
+is projected out of it and only the m^2 basis probes keep unknowns.  Each
+relation's block of the system is replaced by its R factor, one SVD of the
+stack gives the face, and the dual basis of the P_b turns it into Choi
+matrices.
 """
 
 import math
@@ -30,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InputRejected, ShapeError
 from .linalg import (
     UNIT_ROUNDOFF,
     gap_rank,
@@ -50,7 +54,8 @@ class NullSpaceResult:
     `param_basis` holds its elements as orthonormal columns over the
     Hermitian parameterization; `basis` gives the same elements as Hermitian
     Choi matrices.  `singular_values` is the spectrum of the system in the
-    coordinates of the m^2 basis probes, which has `unknowns` columns (the
+    coordinates of the m^2 basis probes, one real unknown per basis probe
+    with a nonzero output, psi(P_b) = x_b w_b w_b*: `unknowns` columns (the
     other probes' coordinates are eliminated); `condition` is the condition
     number of the map from those coordinates to Choi parameters on the null
     space.  `pairs_used` counts the probes.
@@ -171,37 +176,17 @@ def _probe_outputs(
     return size, vecs, ranks
 
 
-def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p), probe by probe.
-
-    Returns the columns (unknowns, n^2) and the probe that owns each one,
-    ordered by probe.  The columns of one probe are orthonormal: H -> R_p H R_p*
-    and the parameterization are isometries.
-    """
-    n = vecs.shape[1]
-    owner, columns = [np.zeros(0, dtype=int)], [np.zeros((0, n * n))]
-    for r in np.unique(ranks[ranks > 0]):
-        idx = np.flatnonzero(ranks == r)
-        ranges = vecs[idx, :, :r]
-        e = params_to_herm(np.eye(r * r), r)
-        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
-        columns.append(herm_to_params(y).reshape(-1, n * n))
-        owner.append(np.repeat(idx, r * r))
-    owner = np.concatenate(owner)
-    order = np.argsort(owner, kind="stable")
-    return np.concatenate(columns)[order], owner[order]
-
-
 def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray) -> np.ndarray:
     """The relations' rows in the basis unknowns, each block cut to its R factor.
 
-    Relation q reads B y + O x_q = 0: B sums weights[q, u] times the basis
-    output columns y_u, and O holds the columns own[q] (k, n^2) of the
-    relation's own probe, orthonormal and padded with zero rows to a common
-    k.  No other relation involves x_q, so the relation holds for some x_q
-    exactly when (I - O O^T) B y = 0; the projection removes x_q.  Only the
-    c nonzero weights of q enter, so B is an n^2 x c block.  One batched QR
-    per distinct c replaces every projected block by its R factor: an
+    One real unknown per basis probe, psi(P_b) = x_b w_b w_b*.  Relation q
+    reads B x + o x_q = 0: B sums weights[q, u] times the basis output
+    columns outputs[u] = params(w_u w_u*), and o = own[q] (n^2,) is the unit
+    column of the relation's own probe, zero when that probe's output is
+    zero.  No other relation involves x_q, so the relation holds for some
+    x_q exactly when (I - o o^T) B x = 0; the projection removes x_q.  Only
+    the c nonzero weights of q enter, so B is an n^2 x c block.  One batched
+    QR per distinct c replaces every projected block by its R factor: an
     orthogonal change of rows within the block, which keeps the null space
     and leaves min(n^2, c) rows.
     """
@@ -214,7 +199,7 @@ def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray
         cols = np.nonzero(involved[rel])[1].reshape(-1, c)
         block = outputs[cols] * weights[rel[:, None], cols][..., None]
         o = own[rel]
-        block -= (block @ o.swapaxes(1, 2)) @ o
+        block -= (block @ o[..., None]) * o[:, None, :]
         r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
         rows = np.zeros(r.shape[:2] + (unknowns,))
         np.put_along_axis(rows, np.broadcast_to(cols[:, None, :], r.shape), r, axis=2)
@@ -235,14 +220,15 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """Null space of the zero-pair constraints of the map, solved in basis-probe coordinates.
 
-    Probes: the cached `curve_frame` and `kernel_probes`.  Probe p with
-    output rank r_p (`gap_rank` over `map_floor`) has the unknowns of H_p in
-    Herm(r_p).  Every probe p past the m^2 unit probes gives the relation
-    R_p H_p R_p* - sum_b coords[p, b] R_b H_b R_b* = 0, whose n^2 rows
-    involve only the unknowns of p and of the P_b it has coordinates on.
-    H_p is in no other relation, so `_reduced_relations` projects it out and
-    cuts each block to its R factor: the system has the sum of r_b^2 over
-    the basis probes as unknowns.  Its rank is `gap_rank` of its spectrum
+    Probes: the cached `curve_frame` and `kernel_probes`.  Every output has
+    `gap_rank` (over `map_floor`) at most 1, phi(P_p) = c_p w_p w_p*, else
+    InputRejected; a probe with a nonzero output has one real unknown,
+    psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
+    the relation x_p w_p w_p* - sum_b coords[p, b] x_b w_b w_b* = 0, whose
+    n^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
+    x_p is in no other relation, so `_reduced_relations` projects it out and
+    cuts each block to its R factor: the system has one unknown per basis
+    probe with a nonzero output.  Its rank is `gap_rank` of its spectrum
     over `system_floor`.  Null vectors become Choi matrices through the dual
     basis D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x)
     conj(D_b), and are orthonormalised there.  Deterministic: no random
@@ -257,16 +243,17 @@ def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
     coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
     _, vecs, ranks = _probe_outputs(map_rep, etas, floor)
-    outputs, owner = _output_columns(vecs, ranks)
-    # the unit probes' unknowns come first; the rest belong to one relation each
-    unknowns = int(np.searchsorted(owner, size))
-    own = np.zeros((count - size, int(ranks[size:].max(initial=0)) ** 2, n * n))
-    mine = owner[unknowns:]
-    slot = np.arange(unknowns, owner.shape[0]) - np.searchsorted(owner, mine)
-    own[mine - size, slot] = outputs[unknowns:]
+    if ranks.max(initial=0) > 1:
+        raise InputRejected(
+            f"probe output of rank {ranks.max()}: the face is solved for outputs of rank <= 1"
+        )
+    # unit column params(w_p w_p*) of each output, zero where the output is zero
+    outputs = herm_to_params(_outer(vecs[:, :, 0])) * ranks[:, None]
+    basis = np.flatnonzero(ranks[:size])
+    unknowns = basis.shape[0]
 
     # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, weighted per basis unknown
-    system = _reduced_relations(coords[size:, owner[:unknowns]], outputs[:unknowns], own)
+    system = _reduced_relations(coords[size:, basis], outputs[basis], outputs[size:])
     rows = system.shape[0]
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor
@@ -280,9 +267,10 @@ def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(P_b) per null vector from the basis unknowns
-    selector = (owner[None, :unknowns] == np.arange(size)[:, None]).astype(float)
-    y = params_to_herm(selector @ (null.T[:, :, None] * outputs[:unknowns]), n)
+    # psi(P_b) = x_b w_b w_b* per null vector, zero on the basis probes with no unknown
+    y = np.zeros((null.shape[1], size, n * n))
+    y[:, basis] = null.T[:, :, None] * outputs[basis]
+    y = params_to_herm(y, n)
     choi = y.reshape(-1, size, n * n).swapaxes(1, 2) @ dual.conj().reshape(size, size)
     choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
     if choi.shape[0]:

@@ -186,6 +186,12 @@ def _require_hermitian(map_rep: MapRep, tol: float = 1e-10) -> None:
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
 
 
+def _require_tolerance(tol: float) -> None:
+    # a NaN tol makes every comparison against it false, so every check would pass
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InputRejected(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def is_completely_positive(map_rep: MapRep, tol: float = 1e-9) -> tuple[bool, float]:
     """Choi PSD test: (verdict, min Choi eigenvalue)."""
     _require_hermitian(map_rep)
@@ -271,9 +277,11 @@ def rank1_nonincreasing(
 
     Returns (True, None) when every sampled output passes the second-singular
     -value test, else (False, the first violating eta in probe order).
-    Outputs whose top singular value is at the floor are skipped.
+    Outputs whose top singular value is at the floor are skipped.  A NaN,
+    infinite or negative tol raises InputRejected.
     """
     _require_hermitian(map_rep)
+    _require_tolerance(tol)
     rng = rng_from(seed)
     etas = unit_probe_vectors(map_rep.m)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]

@@ -6,7 +6,9 @@ enough random probes is the face that `faces.double_prime_nullspace` solves
 in probe coordinates; the tests compare the two.  `dense_nullspace` is the
 same probe-coordinate solve done densely, with every relation among the
 probe projectors read off a frame SVD and the Moore-Penrose dual frame, as a
-reference for the library's explicit relations.
+reference for the library's explicit relations.  It keeps the general-rank
+unknowns (a Hermitian H_p in Herm(r_p) per probe, `_output_columns`), where
+the library keeps one real unknown per probe output of rank 1.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,6 @@ import numpy as np
 from conecert.errors import ShapeError
 from conecert.faces import (
     NullSpaceResult,
-    _output_columns,
     _probe_outputs,
     kernel_probes,
     map_floor,
@@ -190,13 +191,35 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
     return null_space(rows)[0] if rows.shape[0] else np.eye(d * d)
 
 
+def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p), probe by probe.
+
+    Returns the columns (unknowns, n^2) and the probe that owns each one,
+    ordered by probe.  The columns of one probe are orthonormal: H -> R_p H R_p*
+    and the parameterization are isometries.
+    """
+    n = vecs.shape[1]
+    owner, columns = [np.zeros(0, dtype=int)], [np.zeros((0, n * n))]
+    for r in np.unique(ranks[ranks > 0]):
+        idx = np.flatnonzero(ranks == r)
+        ranges = vecs[idx, :, :r]
+        e = params_to_herm(np.eye(r * r), r)
+        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
+        columns.append(herm_to_params(y).reshape(-1, n * n))
+        owner.append(np.repeat(idx, r * r))
+    owner = np.concatenate(owner)
+    order = np.argsort(owner, kind="stable")
+    return np.concatenate(columns)[order], owner[order]
+
+
 def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """The face solved densely in probe coordinates, as the library solved it before.
 
     Same probes and output ranks as `double_prime_nullspace`, but every
-    probe keeps its unknowns (the library eliminates all but the m^2 basis
-    probes'), and every relation beta in the kernel of the m^2 x N matrix of
-    projector parameters (from one frame SVD) contributes the n^2 rows of
+    probe keeps its r_p^2 unknowns, for outputs of any rank (the library
+    keeps one per basis probe and rejects ranks above 1), and every
+    relation beta in the kernel of the m^2 x N matrix of projector
+    parameters (from one frame SVD) contributes the n^2 rows of
     sum_p beta_p R_p H_p R_p* = 0; the tall stack is cut by one QR, its rank
     at the largest gap, and null vectors become Choi matrices through the
     Moore-Penrose dual frame of all N projectors.

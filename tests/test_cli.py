@@ -167,6 +167,16 @@ def test_classify_ad(tmp_path, capsys):
     assert payload["b"]["rows"] == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+def test_classify_bad_tol_exit_2(tmp_path, capsys, tol):
+    """the pinching map has outputs of rank 2; a NaN tol used to pass it as AD"""
+    m = dump(tmp_path / "m.json", map_to_json("choi", n=2, m=2, choi=np.diag([1.0, 0, 0, 1])))
+    assert main(["classify", m, f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "case:" not in captured.out
+    assert "tol must be finite" in captured.err
+
+
 def test_classify_unclassifiable_exit_3(tmp_path, capsys):
     m = dump(tmp_path / "m.json",
              map_to_json("choi", n=2, m=2, choi=np.kron(np.eye(2), np.eye(2))))
@@ -310,6 +320,13 @@ def test_unknown_arguments_systemexit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_sweep_writes_nothing_to_stderr(tmp_path, capsys):
+    """no size warning: a 5 x 1 sweep is as quiet as a 2 x 2 one"""
+    assert main(["sweep", "--n", "5", "--m", "1", "--count", "1",
+                 "--report", str(tmp_path / "sweep")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_bad_dims_exit_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from cone_oracle import cone_evidence
 from conecert import exposedness
-from conecert.errors import ClassificationError
+from conecert.errors import ClassificationError, InputRejected
 from conecert.exposedness import (
     MapCase,
     Verdict,
@@ -528,6 +528,14 @@ def test_classify_rejects_trace_map():
     trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
     with pytest.raises(ClassificationError):
         classify(trace_map)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_classify_rejects_bad_tol(tol):
+    """the pinching map has outputs of rank 2; a NaN tol used to classify it as AD"""
+    pinching = MapRep(n=2, m=2, choi=np.diag([1.0, 0, 0, 1]).astype(complex))
+    with pytest.raises(InputRejected):
+        classify(pinching, tol=tol)
 
 
 def test_classify_omega_q_one_dimensional_output():

@@ -12,7 +12,7 @@ from constraint_oracle import (
     zero_pairs,
 )
 from conecert import certify_exposed, faces
-from conecert.errors import ShapeError
+from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import (
     _probe_outputs,
@@ -312,6 +312,16 @@ def test_face_system_is_tall(n, m):
         for transposed in (False, True):
             res = double_prime_nullspace(choi_from_ad(rand_rank(n, m, r), transposed=transposed))
             assert len(res.singular_values) == res.unknowns, (n, m, r, transposed)
+
+
+def test_nullspace_rejects_outputs_of_rank_two():
+    """the face is solved for outputs of rank <= 1; a rank-2 output must not give a face"""
+    e00, e11 = np.eye(2, 3) * [[1], [0]], np.eye(2, 3) * [[0], [1]]
+    two_ad = MapRep(2, 3, choi_from_ad(e00).choi + choi_from_ad(e11).choi)
+    trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
+    for map_rep in (two_ad, trace_map):
+        with pytest.raises(InputRejected, match="rank 2"):
+            double_prime_nullspace(map_rep)
 
 
 def test_curve_frame_is_read_only():

@@ -413,6 +413,14 @@ def test_rank1_nonincreasing():
     assert np.array_equal(rank1_nonincreasing(two_ad)[1], unit_probe_vectors(3)[3])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_rank1_nonincreasing_rejects_bad_tol(tol):
+    """a NaN tol used to pass the trace map, whose outputs have rank 2"""
+    trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
+    with pytest.raises(InputRejected):
+        rank1_nonincreasing(trace_map, tol=tol)
+
+
 def test_separable_element_rejects_non_psd():
     with pytest.raises(InputRejected):
         SeparableElement(np.diag([1.0, -1.0]), np.eye(2))
