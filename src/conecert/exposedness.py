@@ -198,7 +198,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     phi = choi_from_ad(a / norm, transposed=transposed)
-    ns = double_prime_nullspace(phi)
+    ns = double_prime_nullspace(a / norm, transposed)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
 

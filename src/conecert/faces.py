@@ -6,25 +6,25 @@ satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs.  For one probe eta
 and Hermitian psi(eta eta*) those conditions say psi(eta eta*) lies in
 {R H R*}, with R an orthonormal basis of range phi(eta eta*) and H
 Hermitian.  The conjugation maps X -> A X A* and X -> A X^T A* send every
-probe to an output of rank at most 1, phi(eta eta*) = c w w*, so that set is
-the real line through w w*: psi(P_p) = x_p w_p w_p*.
+probe to the output phi(eta eta*) = w w*, with w = A eta, or A conj(eta) for
+the transposed map, so that set is the real line through w w*:
+psi(P_p) = x_p w_p w_p*.
 
-The null space is therefore solved in probe coordinates, one real unknown
-x_p per probe with a nonzero output; a map with an output of rank above 1
-is rejected.  The projectors P_b of the m^2 unit probes e_j,
-(e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of Herm(m), and every
-other probe p has closed-form coordinates in it (`projector_coordinates`).
-Because psi is linear, each relation P_p = sum_b coords[p, b] P_b must hold
-for the outputs too.  The reflected probes (e_j - e_k)/sqrt2 and
-(e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the paper's curves e_j + z e_k,
-and their relations P_{-1} = P_j + P_k - P_{+1} and
-P_{-i} = P_j + P_k - P_{+i} touch 4 probes each; a kernel probe of phi
-gives one dense relation.  A probe past the basis enters its own relation
-only, so its x_p is eliminated exactly: the relation holds for some x_p if
-and only if the basis side lies on the line through w_p w_p*, so that line
-is projected out of it and only the m^2 basis probes keep unknowns.  Each
-relation's block of the system is replaced by its R factor, one SVD of the
-stack gives the face, and the dual basis of the P_b turns it into Choi
+The null space is therefore solved from A, in probe coordinates, one real
+unknown x_p per probe with a nonzero output.  The projectors P_b of the m^2
+unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of
+Herm(m), and every other probe p has closed-form coordinates in it
+(`projector_coordinates`).  Because psi is linear, each relation
+P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
+probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
+paper's curves e_j + z e_k, and their relations P_{-1} = P_j + P_k - P_{+1}
+and P_{-i} = P_j + P_k - P_{+i} touch 4 probes each; a kernel probe, from
+ker A, gives one dense relation.  A probe past the basis enters its own
+relation only, so its x_p is eliminated exactly: the relation holds for some
+x_p if and only if the basis side lies on the line through w_p w_p*, so that
+line is projected out of it and only the m^2 basis probes keep unknowns.
+Each relation's block of the system is replaced by its R factor, one SVD of
+the stack gives the face, and the dual basis of the P_b turns it into Choi
 matrices.
 """
 
@@ -34,16 +34,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputRejected, ShapeError
+from .errors import ShapeError
 from .linalg import (
     UNIT_ROUNDOFF,
     gap_rank,
     herm_to_params,
-    hermitize,
     params_to_herm,
     triu_pairs,
 )
-from .maps import MapRep, _require_hermitian
+from .maps import MapRep, _nonzero_operator
 from .sampling import combination_probes, reflected_probe_vectors, unit_probe_vectors
 
 
@@ -122,58 +121,35 @@ def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return etas, coords, dual
 
 
-def map_floor(map_rep: MapRep) -> float:
-    """Rounding level of spectra read off the map: n * m * u * |Choi(phi)|_F.
+def _output_floor(a: np.ndarray) -> float:
+    """Rounding level of spectra read off the map of a: n * m * u * |A|_F^2.
 
-    It is relative to the map, not to one output, so an output that is zero
-    up to rounding reads rank 0.
+    |A|_F^2 is |Choi(phi)|_F, so this is `maps.map_floor` of the map.  It is
+    relative to the map, not to one output, so an output that is zero up to
+    rounding reads as zero.
     """
-    return map_rep.n * map_rep.m * UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
+    return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
 
 
-def kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
-    """Probe vectors eta with phi(eta eta*) = 0, from the input compression.
+def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
+    """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
 
-    The trace of phi(eta eta*) equals <conj(eta), T conj(eta)> where T is the
-    partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
-    T (and their pairwise combinations) are exactly the probes that vanish
-    for positive phi.  Without them, rank-deficient maps would never show
-    their kernel-side zero-pairs.  The kernel is the part of T's descending
-    spectrum past its `gap_rank` over `map_floor`.
+    phi(eta eta*) = w w* with w = A eta, or w = A conj(eta) for the
+    transposed map, so the kernel probes are ker A, conjugated for the
+    transposed map, and their pairwise combinations.  Without them,
+    rank-deficient maps would never show their kernel-side zero-pairs.  The
+    kernel is the part past the `gap_rank` of the squared singular values,
+    zero-padded to length m (the spectrum of the input compression of
+    Choi(phi)), over n * m * u * |A|_F^2.  A = 0 raises InputRejected.
     """
-    return _kernel_probes(map_rep, map_floor(map_rep))
-
-
-def _kernel_probes(map_rep: MapRep, floor: float) -> list[np.ndarray]:
-    t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
-    w, v = np.linalg.eigh(t)
-    rank = gap_rank(w[::-1], floor)
-    kernel = [v[:, j].conj() for j in range(map_rep.m - rank)]
-    if len(kernel) == map_rep.m:
-        # the zero map: basis probes already cover everything
-        return []
+    a = _nonzero_operator(A)
+    m = a.shape[1]
+    _, s, vh = np.linalg.svd(a)
+    spectrum = np.pad(s * s, (0, m - s.shape[0]))
+    # A = U S Vh: the rows of Vh past the rank are the conjugated kernel vectors
+    kernel = vh[gap_rank(spectrum, _output_floor(a)) :]
+    kernel = list(kernel if transposed else kernel.conj())
     return kernel + combination_probes(kernel)
-
-
-def _probe_outputs(
-    map_rep: MapRep, etas: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigen-split of phi(eta eta*) for a stack of probes etas (N, m).
-
-    Returns |eigenvalues| (N, n) and eigenvectors (N, n, n), both ordered by
-    decreasing |eigenvalue|, and each output's `gap_rank` over `floor`
-    (`map_floor` of the map): the first rank eigenvectors span its range,
-    the rest its kernel.
-    """
-    # x_p[i, j] = sum_kl choi4[i, k, j, l] eta_k conj(eta_l): one GEMM, then a batched matvec
-    x = np.tensordot(etas, map_rep.choi4, axes=([1], [1])) @ etas.conj()[:, None, :, None]
-    x = hermitize(x[..., 0])
-    w, v = np.linalg.eigh(x)
-    order = np.argsort(-np.abs(w), axis=-1, kind="stable")
-    size = np.take_along_axis(np.abs(w), order, axis=-1)
-    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
-    ranks = gap_rank(size, floor)
-    return size, vecs, ranks
 
 
 def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -217,39 +193,39 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
     return unknowns * UNIT_ROUNDOFF * max(float(s[0]), 1.0) if s.shape[0] else 0.0
 
 
-def double_prime_nullspace(map_rep: MapRep) -> NullSpaceResult:
-    """Null space of the zero-pair constraints of the map, solved in basis-probe coordinates.
+def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
+    """Null space of the zero-pair constraints of the map of A, solved in basis-probe coordinates.
 
-    Probes: the cached `curve_frame` and `kernel_probes`.  Every output has
-    `gap_rank` (over `map_floor`) at most 1, phi(P_p) = c_p w_p w_p*, else
-    InputRejected; a probe with a nonzero output has one real unknown,
-    psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
-    the relation x_p w_p w_p* - sum_b coords[p, b] x_b w_b w_b* = 0, whose
-    n^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
-    x_p is in no other relation, so `_reduced_relations` projects it out and
-    cuts each block to its R factor: the system has one unknown per basis
-    probe with a nonzero output.  Its rank is `gap_rank` of its spectrum
-    over `system_floor`.  Null vectors become Choi matrices through the dual
+    The map is X -> A X A*, or X -> A X^T A* when transposed.  Probes: the
+    cached `curve_frame` and `kernel_probes`.  Every output is
+    phi(P_p) = w_p w_p* with w_p = A eta_p (A conj(eta_p) when transposed);
+    it is nonzero when c_p = |w_p|^2 is above n * m * u * |A|_F^2, and then
+    its probe has one real unknown, psi(P_p) = x_p w_p w_p*.  Every probe p
+    past the m^2 unit probes gives the relation
+    x_p w_p w_p* - sum_b coords[p, b] x_b w_b w_b* = 0, whose n^2 rows
+    involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
+    in no other relation, so `_reduced_relations` projects it out and cuts
+    each block to its R factor: the system has one unknown per basis probe
+    with a nonzero output.  Its rank is `gap_rank` of its spectrum over
+    `system_floor`.  Null vectors become Choi matrices through the dual
     basis D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x)
     conj(D_b), and are orthonormalised there.  Deterministic: no random
-    probes.
+    probes.  A = 0 raises InputRejected.
     """
-    _require_hermitian(map_rep)
-    n, m = map_rep.n, map_rep.m
-    floor = map_floor(map_rep)
+    a = _nonzero_operator(A)
+    n, m = a.shape
     curve, curve_coords, dual = curve_frame(m)
-    kernel = np.array(_kernel_probes(map_rep, floor)).reshape(-1, m)
+    kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
     etas = np.concatenate([curve, kernel])
     coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
-    _, vecs, ranks = _probe_outputs(map_rep, etas, floor)
-    if ranks.max(initial=0) > 1:
-        raise InputRejected(
-            f"probe output of rank {ranks.max()}: the face is solved for outputs of rank <= 1"
-        )
-    # unit column params(w_p w_p*) of each output, zero where the output is zero
-    outputs = herm_to_params(_outer(vecs[:, :, 0])) * ranks[:, None]
-    basis = np.flatnonzero(ranks[:size])
+    w = (etas.conj() if transposed else etas) @ a.T
+    c = np.einsum("pi,pi->p", w, w.conj()).real
+    live = c > _output_floor(a)
+    # unit column params(w_p w_p*) / c_p of each output, zero where the output is zero
+    outputs = np.zeros((count, n * n))
+    outputs[live] = herm_to_params(_outer(w[live])) / c[live, None]
+    basis = np.flatnonzero(live[:size])
     unknowns = basis.shape[0]
 
     # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, weighted per basis unknown

@@ -6,7 +6,8 @@ rounding floor read at that floor.  The floor is the rounding level of the
 computation that produced the spectrum, not a setting:
 `max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * max(s_0, 1)`
 for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
-(`faces.map_floor`).  So no verdict depends on an absolute cutoff.
+(`maps.map_floor`; the face reads the same level off A as
+`n * m * u * |A|_F^2`).  So no verdict depends on an absolute cutoff.
 """
 
 from functools import lru_cache

@@ -109,14 +109,20 @@ def partial_transpose_in(choi: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.ascontiguousarray(c4.transpose(0, 3, 2, 1)).reshape(n * m, n * m)
 
 
+def _nonzero_operator(A) -> np.ndarray:
+    """A as a finite complex matrix; the zero operator gives the cone apex, not a ray."""
+    a = as_complex_matrix(A, "A")
+    if not np.any(a):
+        raise InputRejected("A = 0 gives the apex map, not a candidate ray")
+    return a
+
+
 def choi_from_ad(A, transposed: bool = False) -> MapRep:
     """Choi matrix of X -> A X A*, or of X -> A X^T A* when transposed.
 
     The zero operator is rejected: it gives the cone apex, not a ray.
     """
-    a = as_complex_matrix(A, "A")
-    if not np.any(a):
-        raise InputRejected("A = 0 gives the apex map, not a candidate ray")
+    a = _nonzero_operator(A)
     n, m = a.shape
     w = a.reshape(-1)
     choi = np.outer(w, w.conj())
@@ -179,6 +185,15 @@ def is_hermitian_preserving(map_rep: MapRep, tol: float = 1e-10) -> bool:
     if scale == 0.0:
         return True
     return float(np.linalg.norm(c - c.conj().T)) <= tol * scale
+
+
+def map_floor(map_rep: MapRep) -> float:
+    """Rounding level of spectra read off the map: n * m * u * |Choi(phi)|_F.
+
+    It is relative to the map, not to one output, so an output that is zero
+    up to rounding reads as zero at any scale of the map.
+    """
+    return map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
 
 
 def _require_hermitian(map_rep: MapRep, tol: float = 1e-10) -> None:
@@ -277,15 +292,15 @@ def rank1_nonincreasing(
 
     Returns (True, None) when every sampled output passes the second-singular
     -value test, else (False, the first violating eta in probe order).
-    Outputs whose top singular value is at the floor are skipped.  A NaN,
-    infinite or negative tol raises InputRejected.
+    Outputs whose top singular value is not above `map_floor` are skipped.
+    A NaN, infinite or negative tol raises InputRejected.
     """
     _require_hermitian(map_rep)
     _require_tolerance(tol)
     rng = rng_from(seed)
     etas = unit_probe_vectors(map_rep.m)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
-    floor = 1e-12 * max(1.0, float(np.linalg.norm(map_rep.choi)))
+    floor = map_floor(map_rep)
     stacked = np.array(etas)
     projectors = np.einsum("pk,pl->pkl", stacked, stacked.conj())
     s = np.linalg.svd(np.einsum("ikjl,pkl->pij", map_rep.choi4, projectors), compute_uv=False)

@@ -8,7 +8,10 @@ same probe-coordinate solve done densely, with every relation among the
 probe projectors read off a frame SVD and the Moore-Penrose dual frame, as a
 reference for the library's explicit relations.  It keeps the general-rank
 unknowns (a Hermitian H_p in Herm(r_p) per probe, `_output_columns`), where
-the library keeps one real unknown per probe output of rank 1.
+the library keeps one real unknown per probe output of rank 1.  The oracle
+reads the kernel probes and the probe outputs off Choi(phi), with `eigh`,
+where the library reads them off A, so it works for any
+Hermiticity-preserving map.
 """
 
 from dataclasses import dataclass, field
@@ -17,25 +20,21 @@ from functools import lru_cache
 import numpy as np
 
 from conecert.errors import ShapeError
-from conecert.faces import (
-    NullSpaceResult,
-    _probe_outputs,
-    kernel_probes,
-    map_floor,
-    system_floor,
-)
+from conecert.faces import NullSpaceResult, system_floor
 from conecert.linalg import (
     SQRT2,
     as_complex_matrix,
     gap_rank,
     herm_to_params,
+    hermitize,
     normalized,
     null_space,
     params_to_herm,
     triu_pairs,
 )
-from conecert.maps import MapRep, _require_hermitian
+from conecert.maps import MapRep, _require_hermitian, map_floor
 from conecert.sampling import (
+    combination_probes,
     random_unit_vector,
     reflected_probe_vectors,
     rng_from,
@@ -66,6 +65,43 @@ class PairStrategy:
     seed: int = 0
 
 
+def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
+    """Probe vectors eta with phi(eta eta*) = 0, read off Choi(phi).
+
+    The trace of phi(eta eta*) equals <conj(eta), T conj(eta)> where T is the
+    partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
+    T (and their pairwise combinations) are exactly the probes that vanish
+    for positive phi.  The kernel is the part of T's descending spectrum
+    past its `gap_rank` over `map_floor`.  The reference for
+    `faces.kernel_probes`, which reads the same spectrum off one SVD of A.
+    """
+    t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
+    w, v = np.linalg.eigh(t)
+    rank = gap_rank(w[::-1], map_floor(map_rep))
+    kernel = [v[:, j].conj() for j in range(map_rep.m - rank)]
+    if len(kernel) == map_rep.m:
+        # the zero map: basis probes already cover everything
+        return []
+    return kernel + combination_probes(kernel)
+
+
+def probe_outputs(map_rep: MapRep, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-split of phi(eta eta*) for a stack of probes etas (N, m), read off Choi(phi).
+
+    Returns |eigenvalues| (N, n) and eigenvectors (N, n, n), both ordered by
+    decreasing |eigenvalue|, and each output's `gap_rank` over `map_floor`:
+    the first rank eigenvectors span its range, the rest its kernel.
+    """
+    # x_p[i, j] = sum_kl choi4[i, k, j, l] eta_k conj(eta_l): one GEMM, then a batched matvec
+    x = np.tensordot(etas, map_rep.choi4, axes=([1], [1])) @ etas.conj()[:, None, :, None]
+    x = hermitize(x[..., 0])
+    w, v = np.linalg.eigh(x)
+    order = np.argsort(-np.abs(w), axis=-1, kind="stable")
+    size = np.take_along_axis(np.abs(w), order, axis=-1)
+    vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
+    return size, vecs, gap_rank(size, map_floor(map_rep))
+
+
 def zero_pairs(
     map_rep: MapRep,
     strategy: PairStrategy = PairStrategy(),
@@ -78,10 +114,10 @@ def zero_pairs(
     residual and is dropped unless it passes pair_tol.
     """
     _require_hermitian(map_rep)
-    etas = unit_probe_vectors(map_rep.m) + kernel_probes(map_rep)
+    etas = unit_probe_vectors(map_rep.m) + choi_kernel_probes(map_rep)
     rng = rng_from(strategy.seed)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(strategy.random_count)]
-    size, vecs, ranks = _probe_outputs(map_rep, np.array(etas), map_floor(map_rep))
+    size, vecs, ranks = probe_outputs(map_rep, np.array(etas))
     return [
         ZeroPair(xi=normalized(vecs[p, :, j].conj()), eta=eta, residual=float(size[p, j]))
         for p, eta in enumerate(etas)
@@ -215,9 +251,10 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
 def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     """The face solved densely in probe coordinates, as the library solved it before.
 
-    Same probes and output ranks as `double_prime_nullspace`, but every
-    probe keeps its r_p^2 unknowns, for outputs of any rank (the library
-    keeps one per basis probe and rejects ranks above 1), and every
+    The same probes and output ranks as `double_prime_nullspace`, but read
+    off Choi(phi) (`choi_kernel_probes`, `probe_outputs`), not off A, and
+    every probe keeps its r_p^2 unknowns, for outputs of any rank (the
+    library keeps one per basis probe), and every
     relation beta in the kernel of the m^2 x N matrix of projector
     parameters (from one frame SVD) contributes the n^2 rows of
     sum_p beta_p R_p H_p R_p* = 0; the tall stack is cut by one QR, its rank
@@ -227,10 +264,10 @@ def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
     etas = np.array(
-        unit_probe_vectors(m) + reflected_probe_vectors(m) + kernel_probes(map_rep)
+        unit_probe_vectors(m) + reflected_probe_vectors(m) + choi_kernel_probes(map_rep)
     )
     count = etas.shape[0]
-    _, vecs, ranks = _probe_outputs(map_rep, etas, map_floor(map_rep))
+    _, vecs, ranks = probe_outputs(map_rep, etas)
     frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
     u_f, s_f, vh_f = np.linalg.svd(frame.T)
     relations = vh_f[m * m :]

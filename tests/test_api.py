@@ -64,8 +64,8 @@ def test_public_names_pinned():
 
 @pytest.mark.parametrize("name, params", [
     ("certify_exposed", ["A", "transposed"]),
-    ("double_prime_nullspace", ["map_rep"]),
-    ("kernel_probes", ["map_rep"]),
+    ("double_prime_nullspace", ["A", "transposed"]),
+    ("kernel_probes", ["A", "transposed"]),
     ("conjugate_obstruction_space", ["A", "z_samples"]),
     ("null_space", ["m"]),
     ("kernel_basis", ["f"]),

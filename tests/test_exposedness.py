@@ -134,10 +134,11 @@ def _rank_one_controls(transposed):
     u, v, u2 = crandn(2), crandn(3), crandn(2)
     a = np.outer(u, v.conj())
     phi = _unit_phi(a, transposed)
-    ns = double_prime_nullspace(phi)
+    ns = double_prime_nullspace(a / np.linalg.norm(a), transposed)
     assert ns.dim == 5
     q = np.outer(u, u.conj()) / np.vdot(u, u).real
-    other = double_prime_nullspace(_unit_phi(np.outer(u2, v.conj()), transposed))
+    a2 = np.outer(u2, v.conj())
+    other = double_prime_nullspace(a2 / np.linalg.norm(a2), transposed)
     return a, phi, ns, {
         "plus_q_identity": _hull_plus(ns, np.kron(q, np.eye(3))),
         "two_q": _hull_plus(ns, other.basis[0]),
@@ -166,7 +167,8 @@ def test_dim_one_hull_without_phi_refused(monkeypatch):
     gen = np.random.default_rng(11)
     a = _crandn_from(gen, 3, 3)
     phi = _unit_phi(a)
-    other = double_prime_nullspace(_unit_phi(_crandn_from(gen, 3, 3)))
+    b = _crandn_from(gen, 3, 3)
+    other = double_prime_nullspace(b / np.linalg.norm(b))
     assert other.dim == 1
     resid = membership_residual(other, phi)[1]
     assert resid > _face_bound(other)
@@ -192,8 +194,9 @@ def test_overlap_and_residual_are_complementary():
 
 def test_face_bound_needs_a_gap():
     """a spectrum with no kept value gives a bound of 1 or more, which certifies nothing"""
-    phi = _unit_phi(crandn(2, 2))
-    ns = double_prime_nullspace(phi)
+    a = crandn(2, 2)
+    phi = _unit_phi(a)
+    ns = double_prime_nullspace(a / np.linalg.norm(a))
     # the system keeps a rank, so the zeroed spectrum has no gap to read
     assert ns.unknowns > ns.dim
     flat = NullSpaceResult(

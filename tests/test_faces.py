@@ -6,20 +6,20 @@ from constraint_oracle import (
     PairStrategy,
     ZeroPair,
     assemble_constraints,
+    choi_kernel_probes,
     dense_nullspace,
     functional_row,
     oracle_nullspace,
+    probe_outputs,
     zero_pairs,
 )
-from conecert import certify_exposed, faces
+from conecert import Verdict, certify_exposed, faces
 from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import (
-    _probe_outputs,
     curve_frame,
     double_prime_nullspace,
     kernel_probes,
-    map_floor,
     membership_residual,
     projector_coordinates,
     system_floor,
@@ -71,16 +71,45 @@ def test_zero_pairs_satisfy_defining_equation():
 
 
 def test_kernel_probes_annihilate():
-    phi = choi_from_ad(np.diag([1.0, 1.0, 0.0]))
-    probes = kernel_probes(phi)
-    assert probes
-    for eta in probes:
-        out = apply(phi, np.outer(eta, eta.conj()))
-        assert np.abs(out).max() < 1e-12
+    for a in (np.diag([1.0, 1.0, 0.0]), np.array([[1, 1j, 0, 2], [0, 1, -1j, 1]])):
+        for transposed in (False, True):
+            phi = choi_from_ad(a, transposed=transposed)
+            probes = kernel_probes(a, transposed)
+            assert probes
+            for eta in probes:
+                out = apply(phi, np.outer(eta, eta.conj()))
+                assert np.abs(out).max() < 1e-12
 
 
 def test_kernel_probes_full_rank_empty():
-    assert kernel_probes(choi_from_ad(crandn(3, 3))) == []
+    a = crandn(3, 3)
+    assert kernel_probes(a) == kernel_probes(a, transposed=True) == []
+
+
+def _zero_one_matrices():
+    """Every nonzero 0/1 matrix with n, m <= 3."""
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            for bits in range(1, 2 ** (n * m)):
+                yield np.array([(bits >> k) & 1 for k in range(n * m)], float).reshape(n, m)
+
+
+def test_kernel_probes_match_choi_oracle():
+    """the kernel read off svd(A) has the size of the one read off Choi(phi)"""
+    bands = (_band(s2) for s2 in np.logspace(-14, -1, 53))
+    for a in [*_zero_one_matrices(), *bands]:
+        for transposed in (False, True):
+            phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+            want = len(choi_kernel_probes(phi))
+            assert len(kernel_probes(a, transposed)) == want, (a, transposed)
+
+
+def test_zero_operator_rejected():
+    """A = 0 gives the apex map, which has no face to solve"""
+    for fn in (double_prime_nullspace, kernel_probes):
+        for transposed in (False, True):
+            with pytest.raises(InputRejected):
+                fn(np.zeros((2, 3)), transposed)
 
 
 def test_assemble_constraints_shape():
@@ -159,7 +188,7 @@ def test_nullspace_full_rank_dim_one():
     for a in [crandn(2, 2), crandn(3, 3)]:
         for transposed in (False, True):
             phi = choi_from_ad(a, transposed=transposed)
-            res = double_prime_nullspace(phi)
+            res = double_prime_nullspace(a, transposed)
             assert res.dim == 1
             _, residual = membership_residual(res, phi)
             assert residual < 1e-8
@@ -167,8 +196,7 @@ def test_nullspace_full_rank_dim_one():
 
 def test_nullspace_rank_one_dim():
     """rank-1 A on a 2-dim input space leaves a 3-dim null space"""
-    phi = choi_from_ad(np.diag([1.0, 0.0]))
-    res = double_prime_nullspace(phi)
+    res = double_prime_nullspace(np.diag([1.0, 0.0]))
     assert res.dim == 3
     # every basis element is Hermitian and satisfies psi(E22) = 0
     e22 = np.zeros((2, 2), dtype=complex)
@@ -184,14 +212,14 @@ def test_nullspace_rank_one_dim():
 
 
 def test_nullspace_rectangular_rank_one():
-    phi = choi_from_ad(rand_rank(3, 4, 1))
-    res = double_prime_nullspace(phi)
+    res = double_prime_nullspace(rand_rank(3, 4, 1))
     assert res.dim == 2 * 4 - 1
 
 
 def test_nullspace_random_full_rank_three():
-    phi = choi_from_ad(crandn(3, 3), transposed=True)
-    res = double_prime_nullspace(phi)
+    a = crandn(3, 3)
+    phi = choi_from_ad(a, transposed=True)
+    res = double_prime_nullspace(a, transposed=True)
     assert res.dim == 1
     coeffs, residual = membership_residual(res, phi)
     assert residual < 1e-8
@@ -199,24 +227,22 @@ def test_nullspace_random_full_rank_three():
 
 
 def test_nullspace_basis_orthonormal():
-    phi = choi_from_ad(np.diag([1.0, 0.0]))
-    res = double_prime_nullspace(phi)
+    res = double_prime_nullspace(np.diag([1.0, 0.0]))
     g = res.param_basis.T @ res.param_basis
     assert np.abs(g - np.eye(res.dim)).max() < 1e-10
 
 
 def test_nullspace_deterministic():
-    phi = choi_from_ad(crandn(2, 3))
-    r1 = double_prime_nullspace(phi)
-    r2 = double_prime_nullspace(phi)
+    a = crandn(2, 3)
+    r1 = double_prime_nullspace(a)
+    r2 = double_prime_nullspace(a)
     assert r1.dim == r2.dim
     assert np.abs(r1.param_basis - r2.param_basis).max() == 0.0
     assert r1.pairs_used == r2.pairs_used
 
 
 def test_membership_rejects_zero():
-    phi = choi_from_ad(np.eye(2))
-    res = double_prime_nullspace(phi)
+    res = double_prime_nullspace(np.eye(2))
     zero = MapRep(n=2, m=2, choi=np.zeros((4, 4)))
     with pytest.raises(ShapeError):
         membership_residual(res, zero)
@@ -235,8 +261,9 @@ def test_nullspace_matches_constraint_oracle():
     for n, m, r in classes + [(1, 3, 1), (3, 1, 1), (1, 1, 1)]:
         a = rand_rank(n, m, r)
         for transposed in (False, True):
-            phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-            res = double_prime_nullspace(phi)
+            a = a / np.linalg.norm(a)
+            phi = choi_from_ad(a, transposed=transposed)
+            res = double_prime_nullspace(a, transposed)
             oracle = oracle_nullspace(phi, random_count=4 * m * m, seed=n + m)
             label = (n, m, r, transposed)
             assert res.dim == oracle.shape[1], label
@@ -271,9 +298,8 @@ def test_projector_coordinates_of_curve_probes(m):
 def test_projector_coordinates_of_kernel_probes():
     """kernel probes get dense coordinates that rebuild v v*"""
     for a in (rand_rank(3, 4, 2), rand_rank(2, 4, 1), np.diag([1.0, 1.0, 0.0])):
-        phi = choi_from_ad(a)
-        etas = np.array(kernel_probes(phi))
-        m = phi.m
+        etas = np.array(kernel_probes(a))
+        m = a.shape[1]
         basis = _projectors(curve_frame(m)[0][: m * m])
         coords = projector_coordinates(_projectors(etas))
         rebuilt = np.einsum("pb,bij->pij", coords, basis)
@@ -298,7 +324,7 @@ def _spy_reduced_relations(monkeypatch):
 def test_full_rank_reduced_system_rows(m, monkeypatch):
     """a full-rank m x m input keeps the m^2 basis unknowns and 3 rows per relation"""
     seen = _spy_reduced_relations(monkeypatch)
-    res = double_prime_nullspace(choi_from_ad(crandn(m, m)))
+    res = double_prime_nullspace(crandn(m, m))
     assert res.dim == 1
     assert [system.shape for system, _ in seen] == [(3 * (m * m - m), m * m)]
     assert res.unknowns == m * m
@@ -310,18 +336,8 @@ def test_face_system_is_tall(n, m):
     """from m = 3 on, the system has at least as many rows as unknowns, at every rank"""
     for r in range(1, min(n, m) + 1):
         for transposed in (False, True):
-            res = double_prime_nullspace(choi_from_ad(rand_rank(n, m, r), transposed=transposed))
+            res = double_prime_nullspace(rand_rank(n, m, r), transposed)
             assert len(res.singular_values) == res.unknowns, (n, m, r, transposed)
-
-
-def test_nullspace_rejects_outputs_of_rank_two():
-    """the face is solved for outputs of rank <= 1; a rank-2 output must not give a face"""
-    e00, e11 = np.eye(2, 3) * [[1], [0]], np.eye(2, 3) * [[0], [1]]
-    two_ad = MapRep(2, 3, choi_from_ad(e00).choi + choi_from_ad(e11).choi)
-    trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
-    for map_rep in (two_ad, trace_map):
-        with pytest.raises(InputRejected, match="rank 2"):
-            double_prime_nullspace(map_rep)
 
 
 def test_curve_frame_is_read_only():
@@ -373,8 +389,9 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
     g = np.random.default_rng(5)
     for transposed in (False, True):
         a = _haar_unitary(g, 2) @ np.diag([1.0, s2]) @ _haar_unitary(g, 2).conj().T
-        phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-        res = double_prime_nullspace(phi)
+        a = a / np.linalg.norm(a)
+        phi = choi_from_ad(a, transposed=transposed)
+        res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
         assert res.unknowns == 4  # one rank-1 output column per basis probe
         outs = [apply(phi, np.outer(eta, eta.conj())) for eta in curve_frame(2)[0][:4]]
@@ -384,11 +401,12 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
 
 
 def _matches_dense_solve(a, transposed, label):
-    phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-    res, ref = double_prime_nullspace(phi), dense_nullspace(phi)
+    a = a / np.linalg.norm(a)
+    phi = choi_from_ad(a, transposed=transposed)
+    res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi)
     assert res.dim == ref.dim, label
     # the dense solve keeps every probe's unknowns; the library keeps the basis probes'
-    ranks = _probe_outputs(phi, curve_frame(phi.m)[0][: phi.m**2], map_floor(phi))[2]
+    ranks = probe_outputs(phi, curve_frame(phi.m)[0][: phi.m**2])[2]
     assert res.unknowns == int((ranks**2).sum()), label
     sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
     assert sin <= _face_bound(res), label
@@ -401,12 +419,13 @@ def test_eliminated_probes_hold_on_grid():
             for r in range(1, min(n, m) + 1):
                 a = rand_rank(n, m, r)
                 for transposed in (False, True):
-                    phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-                    res = double_prime_nullspace(phi)
+                    a = a / np.linalg.norm(a)
+                    phi = choi_from_ad(a, transposed=transposed)
+                    res = double_prime_nullspace(a, transposed)
                     # the -1, -i and kernel probes, which keep no unknowns
-                    kernel = np.array(kernel_probes(phi)).reshape(-1, m)
+                    kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
                     etas = np.concatenate([curve_frame(m)[0][m * m :], kernel])
-                    _, vecs, ranks = _probe_outputs(phi, etas, map_floor(phi))
+                    _, vecs, ranks = probe_outputs(phi, etas)
                     bound = _face_bound(res)
                     for b in res.basis:
                         psi = MapRep(n=n, m=m, choi=b)
@@ -431,3 +450,15 @@ def test_nullspace_matches_dense_solve_on_band(s2):
     """3x3 U diag(1, s2, 0) V*: the same face as the dense solve across the near-rank-1 band"""
     for transposed in (False, True):
         _matches_dense_solve(_band(s2), transposed, (s2, transposed))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_axis_aligned_rank_one_certifies(m):
+    """A = 1_3 e_j^T: every output is an exact multiple of uu*, so every relation cancels to 0"""
+    for j in range(m):
+        a = np.outer(np.ones(3), np.eye(m)[j])
+        for transposed in (False, True):
+            report = certify_exposed(a, transposed=transposed)
+            phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
+            assert report.verdict is Verdict.EXPOSED_FACE, (m, j, transposed)
+            assert report.nullspace.dim == oracle_nullspace(phi, 40).shape[1] == 2 * m - 1

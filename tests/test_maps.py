@@ -14,6 +14,7 @@ from conecert.maps import (
     is_completely_positive,
     is_hermitian_preserving,
     is_positive,
+    map_floor,
     pairing,
     partial_transpose_in,
     rank1_nonincreasing,
@@ -380,7 +381,7 @@ def _first_rank1_violator(map_rep, samples=32, seed=0, tol=1e-8):
     rng = rng_from(seed)
     etas = unit_probe_vectors(map_rep.m)
     etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
-    floor = 1e-12 * max(1.0, float(np.linalg.norm(map_rep.choi)))
+    floor = map_floor(map_rep)
     for eta in etas:
         s = np.linalg.svd(apply(map_rep, np.outer(eta, eta.conj())), compute_uv=False)
         if s[0] > floor and s.shape[0] > 1 and s[1] > tol * s[0]:
@@ -411,6 +412,15 @@ def test_rank1_nonincreasing():
         assert ok is (want is None)
         assert (eta is None) if ok else np.array_equal(eta, want)
     assert np.array_equal(rank1_nonincreasing(two_ad)[1], unit_probe_vectors(3)[3])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-13, 1e-200])
+def test_rank1_nonincreasing_at_any_scale(scale):
+    """every output of the trace map has rank 2, however small the map"""
+    trace_map = MapRep(n=2, m=2, choi=scale * np.kron(np.eye(2), np.eye(2)))
+    ok, eta = rank1_nonincreasing(trace_map)
+    assert not ok
+    assert np.array_equal(eta, unit_probe_vectors(2)[0])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
