@@ -114,9 +114,11 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     unknowns * u * max(s_0, 1) when that is larger (`system_floor`).  With
     nothing kept the ratio is read at that level, unknowns * u.  A null
     vector turns into a Choi matrix through a linear map that is not an
-    isometry: on the null space it stretches lengths by at most `condition`
-    times its least stretch, so an angle in probe coordinates is at most
-    `condition` times larger in Choi coordinates.  The bound is
+    isometry (at full column rank it includes the back-substituted pair
+    coordinates).  An error component outside the null space is stretched
+    by the whole map, so an angle in probe coordinates grows in Choi
+    coordinates by at most the map's largest stretch over its least stretch
+    on the null space, which `condition` bounds.  The bound is
     FACE_SAFETY * condition * that ratio.
     """
     s = nullspace.singular_values

@@ -23,9 +23,13 @@ ker A, gives one dense relation.  A probe past the basis enters its own
 relation only, so its x_p is eliminated exactly: the relation holds for some
 x_p if and only if the basis side lies on the line through w_p w_p*, so that
 line is projected out of it and only the m^2 basis probes keep unknowns.
-Each relation's block of the system is replaced by its R factor, one SVD of
-the stack gives the face, and the dual basis of the P_b turns it into Choi
-matrices.
+When A has full column rank there is no kernel relation, and the pair probe
+P_{+z}(j, k) enters only the relation of its reflection P_{-z}(j, k), so it
+is eliminated there too: the system is in the m diagonal unknowns x_j, each
+relation ties x_j to x_k along the curve e_j + z e_k, and each pair
+coordinate is back-substituted from its relation.  Each relation's block of
+the system is replaced by its R factor, one SVD of the stack gives the face,
+and the dual basis of the P_b turns it into Choi matrices.
 """
 
 import math
@@ -53,11 +57,14 @@ class NullSpaceResult:
     `param_basis` holds its elements as orthonormal columns over the
     Hermitian parameterization; `basis` gives the same elements as Hermitian
     Choi matrices.  `singular_values` is the spectrum of the system in the
-    coordinates of the m^2 basis probes, one real unknown per basis probe
-    with a nonzero output, psi(P_b) = x_b w_b w_b*: `unknowns` columns (the
-    other probes' coordinates are eliminated); `condition` is the condition
-    number of the map from those coordinates to Choi parameters on the null
-    space.  `pairs_used` counts the probes.
+    coordinates of the basis probes, one real unknown per basis probe with a
+    nonzero output, psi(P_b) = x_b w_b w_b*: `unknowns` columns, the m
+    diagonal probes' at full column rank (the pair coordinates are
+    back-substituted) and every basis probe's otherwise (the other probes'
+    coordinates are eliminated).  `condition` bounds the stretch of the
+    whole map from those coordinates to Choi parameters, back-substitution
+    included, over its least stretch on the null space.  `pairs_used` counts
+    the probes.
     """
 
     singular_values: np.ndarray
@@ -145,26 +152,31 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     a = _nonzero_operator(A)
     m = a.shape[1]
     _, s, vh = np.linalg.svd(a)
-    spectrum = np.pad(s * s, (0, m - s.shape[0]))
+    spectrum = np.zeros(m)
+    spectrum[: s.shape[0]] = s * s
     # A = U S Vh: the rows of Vh past the rank are the conjugated kernel vectors
     kernel = vh[gap_rank(spectrum, _output_floor(a)) :]
     kernel = list(kernel if transposed else kernel.conj())
     return kernel + combination_probes(kernel)
 
 
-def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """The relations' rows in the basis unknowns, each block cut to its R factor.
+def _reduced_relations(
+    weights: np.ndarray, outputs: np.ndarray, frame: list[np.ndarray]
+) -> np.ndarray:
+    """The relations' rows in the kept unknowns, each block cut to its R factor.
 
-    One real unknown per basis probe, psi(P_b) = x_b w_b w_b*.  Relation q
-    reads B x + o x_q = 0: B sums weights[q, u] times the basis output
-    columns outputs[u] = params(w_u w_u*), and o = own[q] (n^2,) is the unit
-    column of the relation's own probe, zero when that probe's output is
-    zero.  No other relation involves x_q, so the relation holds for some
-    x_q exactly when (I - o o^T) B x = 0; the projection removes x_q.  Only
-    the c nonzero weights of q enter, so B is an n^2 x c block.  One batched
-    QR per distinct c replaces every projected block by its R factor: an
-    orthogonal change of rows within the block, which keeps the null space
-    and leaves min(n^2, c) rows.
+    One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*.
+    Relation q reads B x = F y: B sums weights[q, u] times the kept output
+    columns outputs[u] = params(w_u w_u*), and F holds the outputs of the
+    probes eliminated in q, whose coordinates y enter no other relation:
+    its own probe, and at full column rank the pair probe it alone involves.
+    The arrays in `frame`, (relations, n^2) each, give row q of an
+    orthonormal basis Q of span F (a zero row where an own output is zero),
+    so the relation holds for some y exactly when (I - Q Q^T) B x = 0; the
+    projection removes y.  Only the c nonzero weights of q enter, so B is an
+    n^2 x c block.  One batched QR per distinct c replaces every projected
+    block by its R factor: an orthogonal change of rows within the block,
+    which keeps the null space and leaves min(n^2, c) rows.
     """
     unknowns = outputs.shape[0]
     involved = weights != 0
@@ -174,12 +186,13 @@ def _reduced_relations(weights: np.ndarray, outputs: np.ndarray, own: np.ndarray
         rel = np.flatnonzero(sizes == c)
         cols = np.nonzero(involved[rel])[1].reshape(-1, c)
         block = outputs[cols] * weights[rel[:, None], cols][..., None]
-        o = own[rel]
-        block -= (block @ o[..., None]) * o[:, None, :]
+        for column in frame:
+            o = column[rel]
+            block -= (block @ o[..., None]) * o[:, None, :]
         r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
-        rows = np.zeros(r.shape[:2] + (unknowns,))
-        np.put_along_axis(rows, np.broadcast_to(cols[:, None, :], r.shape), r, axis=2)
-        stacks.append(rows.reshape(-1, unknowns))
+        rows = np.zeros((rel.shape[0], unknowns, r.shape[1]))
+        rows[np.arange(rel.shape[0])[:, None], cols] = r.swapaxes(1, 2)
+        stacks.append(rows.swapaxes(1, 2).reshape(-1, unknowns))
     return np.concatenate(stacks)
 
 
@@ -206,30 +219,55 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
     in no other relation, so `_reduced_relations` projects it out and cuts
     each block to its R factor: the system has one unknown per basis probe
-    with a nonzero output.  Its rank is `gap_rank` of its spectrum over
-    `system_floor`.  Null vectors become Choi matrices through the dual
-    basis D_b of the unit-probe projectors, Choi(psi) = sum_b psi(P_b) (x)
-    conj(D_b), and are orthonormalised there.  Deterministic: no random
-    probes.  A = 0 raises InputRejected.
+    with a nonzero output.  With no kernel probe (A has full column rank)
+    every output is nonzero and the pair probe P_{+z}(j, k) is in the
+    relation of P_{-z}(j, k) only, so it is projected out there with the own
+    probe: m unknowns, and the pair coordinates are L x, read off the frame
+    that projects them out.  The rank is `gap_rank` of the spectrum over
+    `system_floor`.  Null vectors, pair coordinates included, become Choi
+    matrices through the dual basis D_b of the unit-probe projectors,
+    Choi(psi) = sum_b psi(P_b) (x) conj(D_b), and are orthonormalised there.
+    The map x -> Choi stretches by at most |D|_F sqrt(1 + |L|_F^2): the
+    pair coordinates add |L x| and the unit outputs keep the length, which
+    `condition` divides by the least stretch on the null space.
+    Deterministic: no random probes.  A = 0 raises InputRejected.
     """
     a = _nonzero_operator(A)
     n, m = a.shape
     curve, curve_coords, dual = curve_frame(m)
     kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
-    etas = np.concatenate([curve, kernel])
-    coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
+    etas, coords = curve, curve_coords
+    if kernel.shape[0]:
+        etas = np.concatenate([curve, kernel])
+        coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
     w = (etas.conj() if transposed else etas) @ a.T
     c = np.einsum("pi,pi->p", w, w.conj()).real
     live = c > _output_floor(a)
     # unit column params(w_p w_p*) / c_p of each output, zero where the output is zero
+    outer = _outer(w)
     outputs = np.zeros((count, n * n))
-    outputs[live] = herm_to_params(_outer(w[live])) / c[live, None]
+    np.divide(herm_to_params(outer), c[:, None], out=outputs, where=live[:, None])
     basis = np.flatnonzero(live[:size])
+    # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, which eliminates its own probe
+    own = outputs[size:]
+    frame, pairs, back = [own], basis[:0], np.zeros((0, basis.shape[0]))
+    if not kernel.shape[0] and live.all():
+        # no kernel relation: the pair probe P_{+z}(j, k), basis probe m + q, is in the relation
+        # of P_{-z}(j, k) only, so it is eliminated there too; the m diagonal probes keep unknowns
+        pairs, basis = basis[m:], basis[:m]
+        # the pair's column f = -coords[m^2 + q, m + q] params(w_p w_p*) made orthogonal to the
+        # own unit column o by Gram-Schmidt, twice: [o, f] = [o, g] [[1, o.f], [0, h]]
+        g = -coords[size:, m:size].diagonal()[:, None] * outputs[m:size]
+        for _ in range(2):
+            g -= np.einsum("rs,rs->r", own, g)[:, None] * own
+        h = np.linalg.norm(g, axis=1)
+        g /= h[:, None]
+        frame.append(g)
+        # L, with x_p = L x: the last row of R (x_q, x_p) = [o, g]^T B x
+        back = (g @ outputs[:m].T) * coords[size:, :m] / h[:, None]
     unknowns = basis.shape[0]
-
-    # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, weighted per basis unknown
-    system = _reduced_relations(coords[size:, basis], outputs[basis], outputs[size:])
+    system = _reduced_relations(coords[size:, basis], outputs[basis], frame)
     rows = system.shape[0]
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor
@@ -243,15 +281,19 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(P_b) = x_b w_b w_b* per null vector, zero on the basis probes with no unknown
-    y = np.zeros((null.shape[1], size, n * n))
-    y[:, basis] = null.T[:, :, None] * outputs[basis]
-    y = params_to_herm(y, n)
-    choi = y.reshape(-1, size, n * n).swapaxes(1, 2) @ dual.conj().reshape(size, size)
+    # psi(P_b) = z_b w_b w_b* / c_b per null vector, with z_b solved, back-substituted (the
+    # pairs) or zero (the basis probes with no unknown); Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
+    z = np.zeros((size, null.shape[1]))
+    z[basis] = null
+    z[pairs] = back @ null
+    np.divide(z, c[:size, None], out=z, where=live[:size, None])
+    y = z.T[:, None, :] * outer[:size].reshape(size, n * n).T
+    choi = y @ dual.conj().reshape(size, size)
     choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
     if choi.shape[0]:
         param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
-        condition = float(sv[0] / sv[-1])
+        stretch = float(np.linalg.norm(dual)) * math.sqrt(1.0 + float(np.vdot(back, back)))
+        condition = stretch / float(sv[-1])
     else:
         param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
     return NullSpaceResult(

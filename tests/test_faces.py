@@ -24,7 +24,7 @@ from conecert.faces import (
     projector_coordinates,
     system_floor,
 )
-from conecert.linalg import herm_to_params, triu_pairs
+from conecert.linalg import herm_to_params, params_to_herm, triu_pairs
 from conecert.maps import MapRep, apply, choi_from_ad
 from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
 
@@ -311,8 +311,8 @@ def _spy_reduced_relations(monkeypatch):
     seen = []
     reduce = faces._reduced_relations
 
-    def spy(weights, outputs, own):
-        out = reduce(weights, outputs, own)
+    def spy(weights, outputs, frame):
+        out = reduce(weights, outputs, frame)
         seen.append((out, outputs))
         return out
 
@@ -322,12 +322,20 @@ def _spy_reduced_relations(monkeypatch):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
 def test_full_rank_reduced_system_rows(m, monkeypatch):
-    """a full-rank m x m input keeps the m^2 basis unknowns and 3 rows per relation"""
+    """full column rank keeps the m diagonal unknowns and at most 2 rows per relation
+
+    A rank-deficient input has kernel relations, so only the own probes are
+    eliminated and every basis probe keeps its unknown.
+    """
     seen = _spy_reduced_relations(monkeypatch)
     res = double_prime_nullspace(crandn(m, m))
     assert res.dim == 1
-    assert [system.shape for system, _ in seen] == [(3 * (m * m - m), m * m)]
-    assert res.unknowns == m * m
+    ((system, _),) = seen
+    assert system.shape[1] == res.unknowns == m
+    assert system.shape[0] <= 2 * (m * m - m)
+    seen.clear()
+    res = double_prime_nullspace(rand_rank(m, m, m - 1))
+    assert [system.shape[1] for system, _ in seen] == [res.unknowns] == [m * m]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -379,11 +387,11 @@ def _band(s2):
 
 @pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
 def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
-    """2x2 U diag(1, s2) V*: phi's own basis coordinates meet the system within its bound's floor
+    """2x2 U diag(1, s2) V*: phi's coordinates |A e_j|^2 meet the system within its bound's floor
 
-    The projection cancels rows of order 1 down to a spectrum near s2; the
-    floor, times the safety factor of `_face_bound`, must stay at the
-    rounding of those rows.
+    The projection of the own and pair outputs cancels rows of order 1 down
+    to a spectrum near s2; the floor, times the safety factor of
+    `_face_bound`, must stay at the rounding of those rows.
     """
     seen = _spy_reduced_relations(monkeypatch)
     g = np.random.default_rng(5)
@@ -393,8 +401,10 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
         phi = choi_from_ad(a, transposed=transposed)
         res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
-        assert res.unknowns == 4  # one rank-1 output column per basis probe
-        outs = [apply(phi, np.outer(eta, eta.conj())) for eta in curve_frame(2)[0][:4]]
+        # one rank-1 output column per basis probe; the pairs are eliminated at full rank
+        assert res.unknowns == (4 if kernel_probes(a, transposed) else 2)
+        etas = curve_frame(2)[0][: res.unknowns]
+        outs = [apply(phi, np.outer(eta, eta.conj())) for eta in etas]
         y = np.einsum("ui,ui->u", herm_to_params(np.array(outs)), outputs)
         leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
         assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
@@ -405,9 +415,11 @@ def _matches_dense_solve(a, transposed, label):
     phi = choi_from_ad(a, transposed=transposed)
     res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi)
     assert res.dim == ref.dim, label
-    # the dense solve keeps every probe's unknowns; the library keeps the basis probes'
+    # the dense solve keeps every probe's unknowns; the library keeps the basis probes',
+    # and only the diagonal ones at full column rank
     ranks = probe_outputs(phi, curve_frame(phi.m)[0][: phi.m**2])[2]
-    assert res.unknowns == int((ranks**2).sum()), label
+    full_rank = not kernel_probes(a, transposed)
+    assert res.unknowns == (phi.m if full_rank else int((ranks**2).sum())), label
     sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
     assert sin <= _face_bound(res), label
 
@@ -450,6 +462,113 @@ def test_nullspace_matches_dense_solve_on_band(s2):
     """3x3 U diag(1, s2, 0) V*: the same face as the dense solve across the near-rank-1 band"""
     for transposed in (False, True):
         _matches_dense_solve(_band(s2), transposed, (s2, transposed))
+
+
+def _curve_outputs(a, transposed):
+    """Unit columns params(w w*) / |w|^2 of the curve probes' outputs (0 at the floor), |w|^2."""
+    etas = curve_frame(a.shape[1])[0]
+    w = (etas.conj() if transposed else etas) @ a.T
+    c = np.einsum("pi,pi->p", w, w.conj()).real
+    live = c > faces._output_floor(a)
+    outs = np.zeros((etas.shape[0], a.shape[0] ** 2))
+    outs[live] = herm_to_params(np.einsum("pi,pj->pij", w[live], w[live].conj())) / c[live, None]
+    return outs, c
+
+
+def _scaled_unitaries(transposed):
+    """Unit-norm U diag(1, ..., 1, s) V* over n = 2..5 and s in logspace(-7, 0)."""
+    g = np.random.default_rng(43 + transposed)
+    for n in range(2, 6):
+        for s in np.logspace(-7, 0, 8):
+            a = _haar_unitary(g, n) @ np.diag([1.0] * (n - 1) + [s]) @ _haar_unitary(g, n).conj().T
+            yield a / np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_back_substitution_recovers_phi(transposed):
+    """at full column rank the m^2 basis coordinates of the face, pairs included, are |A eta_b|^2
+
+    Only the m diagonal probes are solved for; the pair coordinates come
+    from back-substitution.  Each coordinate is read off the returned Choi
+    matrix, psi(P_b) = z_b w_b w_b* / |w_b|^2, and z must lie on the line
+    through phi's, within the face bound.
+    """
+    inputs = [crandn(n, n) for n in range(2, 7)]
+    inputs = [a / np.linalg.norm(a) for a in inputs] + list(_scaled_unitaries(transposed))
+    checked = 0
+    for a in inputs:
+        if kernel_probes(a, transposed):
+            continue  # the gap rule reads a kernel, so no pair is eliminated
+        n, m = a.shape
+        res = double_prime_nullspace(a, transposed)
+        assert (res.dim, res.unknowns) == (1, m), a
+        outs, c = _curve_outputs(a, transposed)
+        etas = curve_frame(m)[0][: m * m]
+        psi = MapRep(n=n, m=m, choi=res.basis[0])
+        got = herm_to_params(np.array([apply(psi, np.outer(eta, eta.conj())) for eta in etas]))
+        z, c = np.einsum("bi,bi->b", got, outs[: m * m]), c[: m * m]
+        sin = np.linalg.norm(z - c * (c @ z) / (c @ c)) / np.linalg.norm(z)
+        assert sin <= _face_bound(res), (n, transposed)
+        checked += 1
+    assert checked >= 5 + 4 * 4
+
+
+def _coordinate_map(a, transposed):
+    """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown.
+
+    At full column rank the unknowns are the m diagonal probes', and each
+    pair coordinate is solved from its reflected relation by least squares;
+    otherwise every basis probe with a nonzero output is an unknown.  The
+    Choi matrix sum_kl psi(E_kl) (x) E_kl takes psi(E_kl) from a dense
+    solve for the coordinates of E_kl on the P_b.
+    """
+    n, m = a.shape
+    size = m * m
+    etas, coords, _ = curve_frame(m)
+    outs, c = _curve_outputs(a, transposed)
+    full = not kernel_probes(a, transposed)
+    solved = np.arange(m) if full else np.flatnonzero(outs[:size].any(axis=1))
+    proj = np.einsum("pi,pj->pij", etas[:size], etas[:size].conj()).reshape(size, size)
+    on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)
+    columns = []
+    for u in solved:
+        z = np.zeros(size)
+        z[u] = 1.0
+        for r in range(size - m if full else 0):
+            row, p = coords[size + r], m + r
+            rhs = outs[:m].T @ (row[:m] * z[:m])
+            frame = np.column_stack([outs[size + r], -row[p] * outs[p]])
+            z[p] = np.linalg.lstsq(frame, rhs, rcond=None)[0][1]
+        y = params_to_herm(z[:, None] * outs[:size], n)
+        choi = np.einsum("bkl,bij->ikjl", on_basis, y).reshape(n * m, n * m)
+        columns.append(herm_to_params(choi))
+    return np.array(columns).T
+
+
+def test_condition_bounds_the_whole_map():
+    """condition >= sigma_max of the coordinate-to-Choi map over its least stretch on the face
+
+    The map is built here per probe, back-substitution included, on every
+    grid class and on 2x2 and 3x3 Haar unitaries.  An error of the null
+    vectors outside the face is stretched by the whole map, so the face
+    bound needs this ratio, not the one on the null space alone.
+    """
+    g = np.random.default_rng(47)
+    shapes = [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)]
+    inputs = [rand_rank(n, m, r) for n, m in shapes for r in range(1, min(n, m) + 1)]
+    inputs += [_haar_unitary(g, d) for d in (2, 3) for _ in range(10)]
+    for a in inputs:
+        a = a / np.linalg.norm(a)
+        for transposed in (False, True):
+            res = double_prime_nullspace(a, transposed)
+            stretch = _coordinate_map(a, transposed)
+            label = (a.shape, res.dim, transposed)
+            assert stretch.shape[1] == res.unknowns, label
+            x = np.linalg.lstsq(stretch, res.param_basis, rcond=None)[0]
+            assert np.linalg.norm(stretch @ x - res.param_basis) <= 1e-10, label
+            s = np.linalg.svd(stretch, compute_uv=False)
+            least = np.linalg.svd(stretch @ np.linalg.qr(x)[0], compute_uv=False)[-1]
+            assert s[0] / least <= res.condition, label
 
 
 @pytest.mark.parametrize("m", [2, 3])
