@@ -118,7 +118,7 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     coordinates).  An error component outside the null space is stretched
     by the whole map, so an angle in probe coordinates grows in Choi
     coordinates by at most the map's largest stretch over its least stretch
-    on the null space, which `condition` bounds.  The bound is
+    on the null space, which is `condition`.  The bound is
     FACE_SAFETY * condition * that ratio.
     """
     s = nullspace.singular_values

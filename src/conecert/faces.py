@@ -61,7 +61,7 @@ class NullSpaceResult:
     nonzero output, psi(P_b) = x_b w_b w_b*: `unknowns` columns, the m
     diagonal probes' at full column rank (the pair coordinates are
     back-substituted) and every basis probe's otherwise (the other probes'
-    coordinates are eliminated).  `condition` bounds the stretch of the
+    coordinates are eliminated).  `condition` is the largest stretch of the
     whole map from those coordinates to Choi parameters, back-substitution
     included, over its least stretch on the null space.  `pairs_used` counts
     the probes.
@@ -111,21 +111,22 @@ def _outer(etas: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached, read-only probe data that depends only on m.
 
     Returns the 2m^2 - m curve probes as rows (`unit_probe_vectors`, then
-    `reflected_probe_vectors`), their `projector_coordinates`, and the dual
+    `reflected_probe_vectors`), their `projector_coordinates`, the dual
     basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the
-    coordinate of X on P_b.
+    coordinate of X on P_b, and the Gram matrix Re tr(D_a D_b) of the dual.
     """
     etas = np.array(unit_probe_vectors(m) + reflected_probe_vectors(m))
     coords = projector_coordinates(_outer(etas))
     # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
-    dual = params_to_herm(projector_coordinates(params_to_herm(np.eye(m * m), m)).T, m)
-    for a in (etas, coords, dual):
+    dual_params = projector_coordinates(params_to_herm(np.eye(m * m), m)).T
+    dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
+    for a in (etas, coords, dual, dual_gram):
         a.flags.writeable = False
-    return etas, coords, dual
+    return etas, coords, dual, dual_gram
 
 
 def _output_floor(a: np.ndarray) -> float:
@@ -227,14 +228,15 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     `system_floor`.  Null vectors, pair coordinates included, become Choi
     matrices through the dual basis D_b of the unit-probe projectors,
     Choi(psi) = sum_b psi(P_b) (x) conj(D_b), and are orthonormalised there.
-    The map x -> Choi stretches by at most |D|_F sqrt(1 + |L|_F^2): the
-    pair coordinates add |L x| and the unit outputs keep the length, which
-    `condition` divides by the least stretch on the null space.
+    `condition` is the largest stretch of the whole map x -> Choi, pair
+    coordinates included, over its least stretch on the null space; the
+    largest is read off the Gram matrix (O O^T) o (D D^T) of the unit output
+    columns O and the dual basis, one eigvalsh of `unknowns` columns.
     Deterministic: no random probes.  A = 0 raises InputRejected.
     """
     a = _nonzero_operator(A)
     n, m = a.shape
-    curve, curve_coords, dual = curve_frame(m)
+    curve, curve_coords, dual, dual_gram = curve_frame(m)
     kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
     etas, coords = curve, curve_coords
     if kernel.shape[0]:
@@ -267,6 +269,10 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
         # L, with x_p = L x: the last row of R (x_q, x_p) = [o, g]^T B x
         back = (g @ outputs[:m].T) * coords[size:, :m] / h[:, None]
     unknowns = basis.shape[0]
+    # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
+    lift = np.zeros((size, unknowns))
+    lift[basis, np.arange(unknowns)] = 1.0
+    lift[pairs] = back
     system = _reduced_relations(coords[size:, basis], outputs[basis], frame)
     rows = system.shape[0]
     if rows > unknowns > 0:
@@ -281,18 +287,17 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(P_b) = z_b w_b w_b* / c_b per null vector, with z_b solved, back-substituted (the
-    # pairs) or zero (the basis probes with no unknown); Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
-    z = np.zeros((size, null.shape[1]))
-    z[basis] = null
-    z[pairs] = back @ null
+    # psi(P_b) = z_b w_b w_b* / c_b per null vector; Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
+    z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
     y = z.T[:, None, :] * outer[:size].reshape(size, n * n).T
     choi = y @ dual.conj().reshape(size, size)
     choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
     if choi.shape[0]:
         param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
-        stretch = float(np.linalg.norm(dual)) * math.sqrt(1.0 + float(np.vdot(back, back)))
+        # |Choi|_F^2 = z^T ((O O^T) o (D D^T)) z over the unit output columns O and the dual D
+        gram = (outputs[:size] @ outputs[:size].T) * dual_gram
+        stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
         condition = stretch / float(sv[-1])
     else:
         param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0

@@ -14,7 +14,6 @@ Conventions, fixed once and used everywhere:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -299,20 +298,13 @@ def rank1_nonincreasing(
     _require_hermitian(map_rep)
     _require_tolerance(tol)
     rng = rng_from(seed)
-    randoms = [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
-    etas = np.concatenate([_unit_probe_rows(map_rep.m), np.reshape(randoms, (-1, map_rep.m))])
+    etas = unit_probe_vectors(map_rep.m)
+    etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
     floor = map_floor(map_rep)
-    projectors = np.einsum("pk,pl->pkl", etas, etas.conj())
+    stacked = np.array(etas)
+    projectors = np.einsum("pk,pl->pkl", stacked, stacked.conj())
     s = np.linalg.svd(np.einsum("ikjl,pkl->pij", map_rep.choi4, projectors), compute_uv=False)
     bad = (s[:, 0] > floor) & np.any(s[:, 1:2] > tol * s[:, :1], axis=1)
     if bad.any():
-        return False, etas[int(bad.argmax())].copy()
+        return False, etas[int(bad.argmax())]
     return True, None
-
-
-@lru_cache(maxsize=None)
-def _unit_probe_rows(m: int) -> np.ndarray:
-    """Cached, read-only `unit_probe_vectors(m)` as the rows of one array."""
-    rows = np.array(unit_probe_vectors(m))
-    rows.flags.writeable = False
-    return rows

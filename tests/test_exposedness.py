@@ -103,6 +103,15 @@ def test_face_certificate_near_rank_one(s2, transposed):
     assert report.face.defect <= report.face.bound
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_face_certificate_of_diag_near_rank_one(transposed):
+    """diag(1, 1e-14, 0): the exact stretch of the coordinate-to-Choi map keeps the bound below 1"""
+    report = certify_exposed(np.diag([1.0, 1e-14, 0.0]), transposed=transposed)
+    assert report.nullspace.dim == 3
+    assert report.verdict is Verdict.EXPOSED_FACE
+    assert report.face.defect <= report.face.bound
+
+
 def _hull_plus(ns, extra_choi):
     """ns with one more orthonormal element, the part of extra_choi outside its span.
 
