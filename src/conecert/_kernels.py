@@ -4,6 +4,16 @@ The only kernel is the alternating minimization of the block form
 <xi (x) eta, C (xi (x) eta)> over unit vectors of one map, which dominates
 the runtime of positivity searches.
 
+Each call Hermitizes C once and lays it out as the tensor g[i, j, k, l] =
+C[(i, k), (j, l)].  A half-step is then one matrix product of the stacked
+outer products conj(eta) eta^T (or conj(xi) xi^T) with g read as (kl, ij)
+(or as (ij, kl)), and one stacked `eigh`.  The products are Hermitian up to
+rounding because C is, and `eigh` reads one triangle, so no half-step
+Hermitizes its matrix.  Results are written only for the rows that
+converge, as they converge, and for the rows still live after the last
+iteration.  The descents are dominated by numpy call overhead, not by
+arithmetic, so the number of calls per half-step is what sets the speed.
+
 `block_minimize` scans the map's restarts in order and stops at the first one
 whose value dips below `stop_below`.  To spend Python and LAPACK call
 overhead on many descents at once, the restarts are descended in waves: wave
@@ -17,6 +27,7 @@ a fixed start array.
 import numpy as np
 
 from .errors import SearchError
+from .linalg import hermitize
 
 # rows descended per stacked call; bounds the stacked arrays and the work a
 # wave can spend past the exit start
@@ -26,34 +37,41 @@ MAX_ROWS = 256
 WAVE_GROWTH = 8
 
 
-def _descend_batch(c4, eta, max_iters, conv_tol):
+def _descend_batch(g, eta, max_iters, conv_tol):
     """Alternating descent of one map from a stack of starts, one per row.
 
-    Rows whose value has converged are dropped, so each row stops after
-    exactly the iterations its own descent would take.
+    g is the Hermitized Choi tensor with indices (i, j, k, l), so each
+    half-step is one product with it, read as (ij, kl) or as (kl, ij).  Rows
+    whose value has converged are written out and dropped, so each row stops
+    after exactly the iterations its own descent would take.
     """
+    n, m = g.shape[1:3]
+    g_ij_kl = g.reshape(n * n, m * m)
+    g_kl_ij = g_ij_kl.T
     eta = eta / np.linalg.norm(eta, axis=1, keepdims=True)
-    count, n = eta.shape[0], c4.shape[0]
-    val = np.full(count, np.inf)
-    xi_out = np.zeros((count, n), dtype=np.complex128)
-    eta_out = eta.copy()
+    count = eta.shape[0]
+    val = np.empty(count)
+    xi_out = np.empty((count, n), dtype=np.complex128)
+    eta_out = np.empty((count, m), dtype=np.complex128)
     prev = np.full(count, np.inf)
     rows = np.arange(count)
     for _ in range(max_iters):
-        nmat = np.einsum("ikjl,bk,bl->bij", c4, eta.conj(), eta)
-        _, v = np.linalg.eigh(0.5 * (nmat + nmat.conj().swapaxes(1, 2)))
-        xi = v[:, :, 0]
-        mmat = np.einsum("ikjl,bi,bj->bkl", c4, xi.conj(), xi)
-        w, v = np.linalg.eigh(0.5 * (mmat + mmat.conj().swapaxes(1, 2)))
-        eta = v[:, :, 0]
-        cur = w[:, 0]
-        val[rows], xi_out[rows], eta_out[rows] = cur, xi, eta
-        live = ~(np.abs(prev - cur) <= conv_tol * (1.0 + np.abs(cur)))
-        if not live.all():
-            rows, eta, cur = rows[live], eta[live], cur[live]
+        b = rows.size
+        outer = (eta.conj()[:, :, None] * eta[:, None, :]).reshape(b, m * m)
+        xi = np.linalg.eigh((outer @ g_kl_ij).reshape(b, n, n))[1][:, :, 0]
+        outer = (xi.conj()[:, :, None] * xi[:, None, :]).reshape(b, n * n)
+        w, v = np.linalg.eigh((outer @ g_ij_kl).reshape(b, m, m))
+        eta, cur = v[:, :, 0], w[:, 0]
+        done = np.abs(prev - cur) <= conv_tol * (1.0 + np.abs(cur))
+        if done.any():
+            ended = rows[done]
+            val[ended], xi_out[ended], eta_out[ended] = cur[done], xi[done], eta[done]
+            keep = ~done
+            rows, xi, eta, cur = rows[keep], xi[keep], eta[keep], cur[keep]
             if rows.size == 0:
-                break
+                return val, xi_out, eta_out
         prev = cur
+    val[rows], xi_out[rows], eta_out[rows] = cur, xi, eta
     return val, xi_out, eta_out
 
 
@@ -71,7 +89,7 @@ def block_minimize(
     minimization in xi (bottom eigenvector with eta fixed) and in eta (with
     xi fixed) until the value moves by less than conv_tol relatively.  The
     restarts are scanned in order until one dips below stop_below or the
-    budget runs out.
+    budget runs out.  c4 is Hermitized once, here, for every descent.
 
     Returns (best value, best xi, best eta, restarts used).
     """
@@ -85,13 +103,15 @@ def block_minimize(
     total = starts.shape[0]
     if total < 1 or max_iters < 1:
         raise SearchError("need at least one restart and one iteration")
+    c = hermitize(c4.reshape(n * m, n * m)).reshape(n, m, n, m)
+    g = np.ascontiguousarray(c.transpose(0, 2, 1, 3))
     best = np.inf
     best_xi = np.zeros(n, dtype=np.complex128)
     best_eta = np.zeros(m, dtype=np.complex128)
     used, done, grow = 0, 0, 1
     while done < total:
         width = min(grow, total - done, MAX_ROWS)
-        vals, xis, etas = _descend_batch(c4, starts[done:done + width], max_iters, conv_tol)
+        vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters, conv_tol)
         # scan the wave in restart order, up to and including its exit
         below = vals < stop_below
         exits = bool(below.any())

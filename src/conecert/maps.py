@@ -71,7 +71,14 @@ class SeparableElement:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget and tolerances for the block-positivity search."""
+    """Budget and tolerances for the block-positivity search.
+
+    `tol` is the absolute part of the positivity threshold: `is_positive`
+    adds the map's rounding level `map_floor` to it, and uses the sum both
+    for the Choi-spectrum proof (one `eigh` of the Choi matrix, which also
+    gives the first informed start) and for the descent values.  `conv_tol`
+    is the relative change in value at which one descent stops.
+    """
 
     restarts: int = 64
     max_iters: int = 200
@@ -208,25 +215,29 @@ def _require_tolerance(tol: float) -> None:
 
 
 def is_completely_positive(map_rep: MapRep, tol: float = 1e-9) -> tuple[bool, float]:
-    """Choi PSD test: (verdict, min Choi eigenvalue)."""
+    """Choi PSD test: (verdict, min Choi eigenvalue).
+
+    The verdict is lambda_min >= -(tol + map_floor(map_rep)), the threshold
+    `is_positive` uses, so the rounding of the spectrum of a scaled-up CP map
+    does not refuse it.
+    """
     _require_hermitian(map_rep)
     w = np.linalg.eigvalsh(hermitize(map_rep.choi))
     low = float(w[0])
-    return low >= -tol, low
+    return low >= -(tol + map_floor(map_rep)), low
 
 
-def product_start(c4: np.ndarray) -> np.ndarray:
+def product_start(bottom: np.ndarray) -> np.ndarray:
     """Eta factor of the best product approximation to the bottom Choi eigenvector.
 
-    The first of `informed_starts`: c4 has shape (n, m, n, m), the start (1, m).
+    The first of `informed_starts`: bottom is that eigenvector reshaped to
+    (n, m), the start has shape (1, m).
     """
-    n, m = c4.shape[:2]
-    _, v = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))
-    _, _, vh = np.linalg.svd(v[:, 0].reshape(n, m))
+    _, _, vh = np.linalg.svd(bottom)
     return vh[:1]
 
 
-def informed_starts(c4: np.ndarray) -> np.ndarray:
+def informed_starts(c4: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """Deterministic eta seeds that target structured negativity.
 
     Plain random restarts can miss shallow violations whose basin is tiny
@@ -235,49 +246,57 @@ def informed_starts(c4: np.ndarray) -> np.ndarray:
     diagonal blocks and of the input compression land inside those basins
     directly.
 
-    c4 has shape (n, m, n, m); the seeds have shape (n + 2, m).
+    c4 has shape (n, m, n, m) and bottom, the bottom eigenvector of the
+    Hermitized Choi matrix, shape (n, m); the seeds have shape (n + 2, m).
     """
     _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
     _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
-    return np.concatenate([product_start(c4), vb[:, :, 0], vt[None, :, 0]])
+    return np.concatenate([product_start(bottom), vb[:, :, 0], vt[None, :, 0]])
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
     """Positivity verdict by a Choi-spectrum proof or a seeded search.
 
     Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
-    C the Choi matrix; a value below -search.tol yields NOT_POSITIVE with the
-    witness pair.  CP and co-CP maps are proved positive first:
+    C the Choi matrix; a value below -(search.tol + map_floor(map_rep))
+    yields NOT_POSITIVE with the witness pair.  `map_floor` is the rounding
+    level of both the Choi spectrum and the descent's values, so rounding
+    that grows with the scale of C does not make a positive map
+    NOT_POSITIVE.  CP and co-CP maps are proved positive first:
 
         <xi (x) eta, C (xi (x) eta)> >= lambda_min(C), and the same value is
         <xi (x) conj(eta), C^G (xi (x) conj(eta))> >= lambda_min(C^G),
 
-    C^G being the partial transpose on K (`partial_transpose_in`).  When
-    lambda_min(C) or lambda_min(C^G) is >= -search.tol, the map descends once,
-    from `product_start`, for its witness pair: no random number is drawn, no
-    other informed start is built, and `restarts_used` is 1.  Any other map
-    descends from every informed start plus `search.restarts` random ones,
-    scanned in a fixed order, so the result is deterministic for a given
-    seed.  `search.restarts` may be 0, which leaves the informed starts alone.
+    C^G being the partial transpose on K (`partial_transpose_in`).  One
+    `eigh` of C gives lambda_min(C) and the bottom eigenvector that
+    `product_start` factors; C^G costs one `eigvalsh`, and only when C is not
+    PSD.  When lambda_min(C) or lambda_min(C^G) is at least the same
+    -(search.tol + map_floor), the map descends once, from `product_start`,
+    for its witness pair: no random number is drawn, no other informed start
+    is built, and `restarts_used` is 1.  Any other map descends from every
+    informed start plus `search.restarts` random ones, scanned in a fixed
+    order, so the result is deterministic for a given seed.
+    `search.restarts` may be 0, which leaves the informed starts alone.
     """
     n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
-    # the first CP test also rejects a map that is not Hermiticity-preserving
-    proved = (
-        is_completely_positive(map_rep, search.tol)[0]
-        or is_completely_positive(
-            MapRep(n, m, partial_transpose_in(map_rep.choi, n, m)), search.tol
-        )[0]
+    _require_hermitian(map_rep)
+    threshold = -(search.tol + map_floor(map_rep))
+    w, v = np.linalg.eigh(hermitize(map_rep.choi))
+    bottom = v[:, 0].reshape(n, m)
+    proved = bool(
+        w[0] >= threshold
+        or np.linalg.eigvalsh(hermitize(partial_transpose_in(map_rep.choi, n, m)))[0] >= threshold
     )
     if proved:
-        starts = product_start(c4)
+        starts = product_start(bottom)
     else:
         starts = np.vstack([
-            informed_starts(c4),
+            informed_starts(c4, bottom),
             crandn(rng_from(search.seed), search.restarts, m),
         ])
-    val, xi, eta, used = block_minimize(c4, starts, search.max_iters, search.conv_tol, -search.tol)
+    val, xi, eta, used = block_minimize(c4, starts, search.max_iters, search.conv_tol, threshold)
     return PositivityResult(
-        positive=proved or val >= -search.tol,
+        positive=proved or val >= threshold,
         min_value=val,
         xi=xi,
         eta=eta,

@@ -14,7 +14,7 @@ import numpy as np
 
 from conecert._kernels import block_minimize
 from conecert.faces import membership_residual
-from conecert.linalg import herm_to_params, params_to_herm
+from conecert.linalg import herm_to_params, hermitize, params_to_herm
 from conecert.maps import SearchParams, informed_starts
 from conecert.sampling import crandn, rng_from
 
@@ -71,7 +71,8 @@ def cone_evidence(
     rng = rng_from(search.seed)
 
     def search_from(c4):
-        starts = np.vstack([informed_starts(c4), crandn(rng, search.restarts, m)])
+        bottom = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))[1][:, 0].reshape(n, m)
+        starts = np.vstack([informed_starts(c4, bottom), crandn(rng, search.restarts, m)])
         return block_minimize(c4, starts, search.max_iters, search.conv_tol, -search.tol)[0]
 
     control = search_from(phi.choi4 / scale)

@@ -5,6 +5,7 @@ from conecert import _kernels
 from conecert._kernels import MAX_ROWS, WAVE_GROWTH, block_minimize
 from conecert.errors import SearchError
 from conecert.linalg import hermitize
+from conecert.maps import MapRep, is_hermitian_preserving
 
 
 def _crandn(rng, *shape):
@@ -103,13 +104,15 @@ def _random_maps(rng, count, n, m):
     return np.array(maps)
 
 
-def _assert_batch_matches_single(c4s, starts, stop_below):
+def _assert_batch_matches_single(c4s, starts, stop_below, max_iters=200):
     """block_minimize on each map equals the sequential reference scan."""
     c = c4s.reshape(c4s.shape[0], *2 * (c4s.shape[1] * c4s.shape[2],))
     vals, used = np.empty(c4s.shape[0]), np.empty(c4s.shape[0], dtype=int)
     for b in range(c4s.shape[0]):
-        vals[b], xi_b, eta_b, used[b] = block_minimize(c4s[b], starts[b], 200, 1e-13, stop_below)
-        val, xi, eta, n_used = reference_scan(c4s[b], starts[b], 200, 1e-13, stop_below)
+        vals[b], xi_b, eta_b, used[b] = block_minimize(
+            c4s[b], starts[b], max_iters, 1e-13, stop_below
+        )
+        val, xi, eta, n_used = reference_scan(c4s[b], starts[b], max_iters, 1e-13, stop_below)
         assert abs(vals[b] - val) <= 1e-12 * max(1.0, abs(val))
         assert used[b] == n_used
         # witnesses may differ by a phase, so compare the block value each attains
@@ -151,6 +154,40 @@ def test_block_minimize_batch_early_exit():
     assert used[0] < 16 and used[2] < 16
     assert used[1] == 16
     assert abs(vals[0] + 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("stop_below", [-np.inf, -1e-9])
+def test_block_minimize_cut_off_by_max_iters(stop_below):
+    """no generic descent converges in 3 iterations (a fourth one still moves its
+    value), so every row is still live when the loop ends and is written only
+    after it"""
+    rng = np.random.default_rng(22)
+    c4s = hermitize(_crandn(rng, 4, 9, 9)).reshape(4, 3, 3, 3, 3)
+    starts = _crandn(rng, 4, 12, 3)
+    for b in range(4):
+        for start in starts[b]:
+            assert reference_scan(c4s[b], start[None], 3, 1e-13, -np.inf)[0] != (
+                reference_scan(c4s[b], start[None], 4, 1e-13, -np.inf)[0]
+            )
+    _assert_batch_matches_single(c4s, starts, stop_below, max_iters=3)
+
+
+def test_block_minimize_nearly_hermitian_choi():
+    """an anti-Hermitian part of 1e-11 of the norm, small enough for is_positive to
+    accept: the kernel Hermitizes C once and matches the reference, which
+    Hermitizes every half-step"""
+    rng = np.random.default_rng(23)
+    n, m = 2, 3
+    c4s = _random_maps(rng, 4, n, m)
+    c = c4s.reshape(4, n * m, n * m)
+    skew = _crandn(rng, 4, n * m, n * m)
+    skew -= skew.conj().swapaxes(1, 2)
+    ratio = np.linalg.norm(c, axis=(1, 2)) / np.linalg.norm(skew, axis=(1, 2))
+    c = c + 1e-11 * ratio[:, None, None] * skew
+    for b in range(4):
+        assert is_hermitian_preserving(MapRep(n, m, c[b]))
+        assert np.linalg.norm(c[b] - hermitize(c[b])) > 1e-12 * np.linalg.norm(c[b])
+    _assert_batch_matches_single(c.reshape(c4s.shape), _crandn(rng, 4, 12, m), -1e-9)
 
 
 def _record_rows(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
+from conecert.linalg import hermitize
 from conecert.maps import (
     MapRep,
     SearchParams,
@@ -221,10 +222,16 @@ def cho_kye_lee(a, b, c):
     return MapRep(n=3, m=3, choi=c4.reshape(9, 9))
 
 
+def _informed_starts(map_rep):
+    """`informed_starts` from the bottom eigenvector of the Hermitized Choi matrix"""
+    bottom = np.linalg.eigh(hermitize(map_rep.choi))[1][:, 0]
+    return informed_starts(map_rep.choi4, bottom.reshape(map_rep.n, map_rep.m))
+
+
 def _scan_starts(map_rep, search):
     """every informed start, then search.restarts random ones"""
     return np.vstack([
-        informed_starts(map_rep.choi4),
+        _informed_starts(map_rep),
         sample_crandn(rng_from(search.seed), search.restarts, map_rep.m),
     ])
 
@@ -264,7 +271,7 @@ def test_is_positive_matches_reference_scan(n, m):
         res = is_positive(map_rep, search)
         certified.append(_certified(map_rep, search.tol))
         if certified[-1]:
-            starts = informed_starts(map_rep.choi4)[:1]
+            starts = _informed_starts(map_rep)[:1]
         else:
             starts = _scan_starts(map_rep, search)
         val, _, _, used = reference_scan(
@@ -457,27 +464,87 @@ def test_map_rep_validation():
 
 
 def test_informed_starts_shape():
-    c4 = choi_from_ad(crandn(3, 4)).choi4
-    starts = informed_starts(c4)
+    starts = _informed_starts(choi_from_ad(crandn(3, 4)))
     assert starts.shape == (5, 4)
     norms = np.linalg.norm(starts, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-10
 
 
+def _count_choi_decompositions(monkeypatch, d):
+    """Spy on np.linalg.eigh and eigvalsh: the calls on d x d matrices, by name."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def spy(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            if np.shape(a)[-2:] == (d, d):
+                counts[_name] += 1
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return counts
+
+
 def test_proved_map_builds_only_the_product_start(monkeypatch):
     """a CP or co-CP map descends from `product_start`, the first informed start,
-    and never builds the others"""
+    and never builds the others; every map decomposes its Choi matrix once, with
+    at most one `eigvalsh` of the partial transpose"""
     local = np.random.default_rng(3)
     a = local.standard_normal((3, 4)) + 1j * local.standard_normal((3, 4))
     maps = [choi_from_ad(a), choi_from_ad(a, transposed=True)]
     for map_rep in maps:
-        c4 = map_rep.choi4
-        assert np.array_equal(maps_module.product_start(c4), informed_starts(c4)[:1])
+        bottom = np.linalg.eigh(hermitize(map_rep.choi))[1][:, 0].reshape(3, 4)
+        assert np.array_equal(
+            maps_module.product_start(bottom), informed_starts(map_rep.choi4, bottom)[:1]
+        )
 
-    def refuse(c4):
+    cp = sample_crandn(local, 12, 12)
+    cp = cp @ cp.conj().T
+    v = np.kron(sample_crandn(local, 3), sample_crandn(local, 4))
+    v /= np.linalg.norm(v)
+    planted = MapRep(3, 4, cp - (np.vdot(v, cp @ v).real + 0.05) * np.outer(v, v.conj()))
+    counts = _count_choi_decompositions(monkeypatch, 12)
+    result = is_positive(planted)
+    assert not result.positive
+    assert counts == {"eigh": 1, "eigvalsh": 1}
+
+    def refuse(c4, bottom):
         raise AssertionError("informed_starts built for a proved map")
 
     monkeypatch.setattr(maps_module, "informed_starts", refuse)
-    for map_rep in maps:
+    for map_rep, pt_tests in zip(maps, (0, 1)):
+        counts.update(eigh=0, eigvalsh=0)
         result = is_positive(map_rep)
         assert result.positive and result.restarts_used == 1
+        assert counts == {"eigh": 1, "eigvalsh": pt_tests}
+
+
+def _planted(local, n, m):
+    """a normalised CP map minus a product projector, 0.05 below zero on it"""
+    g = sample_crandn(local, n * m, n * m)
+    cp = g @ g.conj().T
+    cp /= np.linalg.norm(cp)
+    v = np.kron(sample_crandn(local, n), sample_crandn(local, m))
+    v /= np.linalg.norm(v)
+    planted = cp - (np.vdot(v, cp @ v).real + 0.05) * np.outer(v, v.conj())
+    return 0.5 * (planted + planted.conj().T)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+def test_is_positive_verdict_at_any_scale(scale):
+    """the threshold is search.tol + map_floor, so a scaled-up positive ad or ad o T
+    map is not refused on the rounding of its Choi spectrum or of its descent,
+    nor a scaled-up ad map by `is_completely_positive`, and a planted map is
+    still found, with its witness"""
+    local = np.random.default_rng(29)
+    for n, m in [(2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (4, 6)]:
+        for _ in range(3):
+            a = sample_crandn(local, n, m) / 2
+            for transposed in (False, True):
+                choi = scale * choi_from_ad(a, transposed).choi
+                assert is_positive(MapRep(n, m, choi)).verdict == "POSITIVE_EVIDENCE"
+            assert is_completely_positive(MapRep(n, m, scale * choi_from_ad(a).choi))[0]
+            choi = scale * _planted(local, n, m)
+            res = is_positive(MapRep(n, m, choi))
+            assert res.verdict == "NOT_POSITIVE"
+            assert res.min_value < -0.04 * scale
+            u = np.kron(res.xi, res.eta)
+            assert abs(np.vdot(u, choi @ u).real - res.min_value) <= 1e-12 * np.linalg.norm(choi)
