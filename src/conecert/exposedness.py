@@ -30,6 +30,7 @@ from .linalg import (
     fix_phase,
     gap_rank,
     herm_defect,
+    hermitian_basis,
     hermitize,
     normalized,
     null_space,
@@ -144,7 +145,8 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     computed basis B_j:
 
     1. product form: side by side across the H:K cut, the basis is
-       vec(Q) [vec(S_1) ... vec(S_d)], with Q = uu* a rank-1 PSD matrix;
+       vec(Q) [vec(S_1) ... vec(S_d)], with Q = uu* a rank-1 PSD matrix,
+       read by one real SVD of `_cut_coefficients`;
     2. common compression: every S_j = (u* (x) I) B_j (u (x) I) vanishes on
        s-perp, where s is the top eigenvector of the same compression of
        Choi(phi).
@@ -155,20 +157,20 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     n, m, d = phi.n, phi.m, nullspace.dim
     bound = _face_bound(nullspace)
     b4 = params_to_herm(nullspace.param_basis.T, n * m).reshape(d, n, m, n, m)
-    stack = np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, d * m * m)
-    left, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    # numpy's SVD is faster on the (mostly tall) transpose
+    _, sv, right = np.linalg.svd(_cut_coefficients(b4).T, full_matrices=False)
     product = float(sv[1] / sv[0]) if sv.shape[0] > 1 else 0.0
-    q = left[:, 0].reshape(n, n)
-    t = complex(np.trace(q))
+    q = (hermitian_basis(n) @ right[0]).reshape(n, n)
+    t = float(np.trace(q).real)
     if t == 0:  # traceless: not a PSD direction
         return FaceCertificate(defect=1.0, bound=bound)
     q_defect, u = _rank1_defect(q / t)
-    s_j = np.einsum("i,dikjl,j->dkl", u.conj(), b4, u)
+    s_j = (u.conj() @ b4.reshape(d, n, -1)).reshape(d, m, n, m).swapaxes(2, 3) @ u
     s_phi = np.einsum("i,ikjl,j->kl", u.conj(), phi.choi4, u)
     s_defect, s = _rank1_defect(s_phi)
     off = np.eye(m) - np.outer(s, s.conj())
     residuals = np.linalg.norm(off @ s_j @ off, axis=(1, 2))
-    compression = float((residuals / np.linalg.norm(b4.reshape(d, -1), axis=1)).max())
+    compression = float((residuals / np.linalg.norm(nullspace.param_basis, axis=0)).max())
     return FaceCertificate(defect=max(product, compression, q_defect, s_defect), bound=bound)
 
 
@@ -199,8 +201,9 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     if norm == 0.0:
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
-    phi = choi_from_ad(a / norm, transposed=transposed)
-    ns = double_prime_nullspace(a / norm, transposed)
+    a = a / norm
+    phi = choi_from_ad(a, transposed=transposed)
+    ns = double_prime_nullspace(a, transposed)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
 
@@ -354,6 +357,18 @@ def _across_cut(c4: np.ndarray) -> np.ndarray:
     """
     n, m = c4.shape[-4:-2]
     return np.swapaxes(c4, -3, -2).reshape(c4.shape[:-4] + (n * n, m * m))
+
+
+def _cut_coefficients(b4: np.ndarray) -> np.ndarray:
+    """Hermitian Choi tensors b4 (d, n, m, n, m) across the H:K cut, side by side: (n^2, d m^2).
+
+    Each `_across_cut` block is read in the unitary `hermitian_basis`,
+    E_n^H cut conj(E_m): real, with the same singular values.
+    """
+    d, n, m = b4.shape[:3]
+    stack = hermitian_basis(n).conj().T @ np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, -1)
+    stack = (stack.reshape(n * n * d, m * m) @ hermitian_basis(m).conj()).real
+    return stack.reshape(n * n, d * m * m)
 
 
 def _omega_q_form(map_rep: MapRep, tol: float) -> Classification | None:

@@ -11,9 +11,11 @@ the transposed map, so that set is the real line through w w*:
 psi(P_p) = x_p w_p w_p*.
 
 The null space is therefore solved from A, in probe coordinates, one real
-unknown x_p per probe with a nonzero output.  The projectors P_b of the m^2
-unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of
-Herm(m), and every other probe p has closed-form coordinates in it
+unknown x_p per probe with a nonzero output.  Outputs lie on range A, so
+they are read in its range frame: r^2 coordinates at rank r, not n^2.  The
+projectors P_b of the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and
+(e_j + i e_k)/sqrt2 are a basis of Herm(m), and every other probe p has
+closed-form coordinates in it
 (`projector_coordinates`).  Because psi is linear, each relation
 P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
 probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
@@ -27,9 +29,9 @@ When A has full column rank there is no kernel relation, and the pair probe
 P_{+z}(j, k) enters only the relation of its reflection P_{-z}(j, k), so it
 is eliminated there too: the system is in the m diagonal unknowns x_j, each
 relation ties x_j to x_k along the curve e_j + z e_k, and each pair
-coordinate is back-substituted from its relation.  Each relation's block of
-the system is replaced by its R factor, one SVD of the stack gives the face,
-and the dual basis of the P_b turns it into Choi matrices.
+coordinate is back-substituted from its relation.  One batched QR replaces
+every relation's block of the system by its R factor, one SVD of the stack
+gives the face, and the dual basis of the P_b turns it into Choi matrices.
 """
 
 import math
@@ -42,12 +44,12 @@ from .errors import ShapeError
 from .linalg import (
     UNIT_ROUNDOFF,
     gap_rank,
-    herm_to_params,
+    hermitian_params,
     params_to_herm,
     triu_pairs,
 )
 from .maps import MapRep, _nonzero_operator
-from .sampling import combination_probes, reflected_probe_vectors, unit_probe_vectors
+from .sampling import combination_rows, reflected_probe_vectors, unit_probe_vectors
 
 
 @dataclass
@@ -139,6 +141,25 @@ def _output_floor(a: np.ndarray) -> float:
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
 
 
+def _probe_space(a: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`kernel_probes` (k, m) and the range frame F = S_f Vh_f (f, m) of A = U S Vh.
+
+    F keeps each s_j > max(n, m) * u * s_0, the rounding floor of
+    `null_space`: no rank decision.  F eta = U_f* A eta.
+    """
+    n, m = a.shape
+    _, s, vh = np.linalg.svd(a)
+    spectrum = np.zeros(m)
+    spectrum[: s.shape[0]] = s * s
+    kernel = vh[gap_rank(spectrum, _output_floor(a)) :]
+    kernel = kernel if transposed else kernel.conj()
+    frame = s[:, None] * vh[: s.shape[0]]
+    frame = frame[: int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))]
+    if kernel.shape[0] > 1:
+        kernel = np.concatenate([kernel, combination_rows(kernel)])
+    return kernel, frame
+
+
 def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
 
@@ -150,15 +171,7 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     zero-padded to length m (the spectrum of the input compression of
     Choi(phi)), over n * m * u * |A|_F^2.  A = 0 raises InputRejected.
     """
-    a = _nonzero_operator(A)
-    m = a.shape[1]
-    _, s, vh = np.linalg.svd(a)
-    spectrum = np.zeros(m)
-    spectrum[: s.shape[0]] = s * s
-    # A = U S Vh: the rows of Vh past the rank are the conjugated kernel vectors
-    kernel = vh[gap_rank(spectrum, _output_floor(a)) :]
-    kernel = list(kernel if transposed else kernel.conj())
-    return kernel + combination_probes(kernel)
+    return list(_probe_space(_nonzero_operator(A), transposed)[0])
 
 
 def _reduced_relations(
@@ -168,33 +181,34 @@ def _reduced_relations(
 
     One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*.
     Relation q reads B x = F y: B sums weights[q, u] times the kept output
-    columns outputs[u] = params(w_u w_u*), and F holds the outputs of the
-    probes eliminated in q, whose coordinates y enter no other relation:
-    its own probe, and at full column rank the pair probe it alone involves.
-    The arrays in `frame`, (relations, n^2) each, give row q of an
-    orthonormal basis Q of span F (a zero row where an own output is zero),
-    so the relation holds for some y exactly when (I - Q Q^T) B x = 0; the
-    projection removes y.  Only the c nonzero weights of q enter, so B is an
-    n^2 x c block.  One batched QR per distinct c replaces every projected
-    block by its R factor: an orthogonal change of rows within the block,
-    which keeps the null space and leaves min(n^2, c) rows.
+    columns outputs[u] = params(v_u v_u*) (f^2 range-frame coordinates), and
+    F holds the outputs of the probes eliminated in q, whose coordinates y
+    enter no other relation: its own probe, and at full column rank the
+    pair probe it alone involves.  The arrays in `frame`, (relations, f^2)
+    each, give row q of an orthonormal basis Q of span F (a zero row where
+    an own output is zero), so the relation holds for some y exactly when
+    (I - Q Q^T) B x = 0.  B is an f^2 x c_q block over the c_q nonzero
+    weights of q, padded with zero columns to the widest relation.  One
+    batched QR replaces every projected block by its R factor, which keeps
+    the null space; only its first min(f^2, c_q) rows can be nonzero.
     """
     unknowns = outputs.shape[0]
     involved = weights != 0
     sizes = involved.sum(axis=1)
-    stacks = [np.zeros((0, unknowns))]
-    for c in np.unique(sizes[sizes > 0]):
-        rel = np.flatnonzero(sizes == c)
-        cols = np.nonzero(involved[rel])[1].reshape(-1, c)
-        block = outputs[cols] * weights[rel[:, None], cols][..., None]
-        for column in frame:
-            o = column[rel]
-            block -= (block @ o[..., None]) * o[:, None, :]
-        r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
-        rows = np.zeros((rel.shape[0], unknowns, r.shape[1]))
-        rows[np.arange(rel.shape[0])[:, None], cols] = r.swapaxes(1, 2)
-        stacks.append(rows.swapaxes(1, 2).reshape(-1, unknowns))
-    return np.concatenate(stacks)
+    width = int(sizes.max(initial=0))
+    if width == 0:
+        return np.zeros((0, unknowns))
+    # each relation's unknowns first, then ones of weight 0
+    rel = np.arange(weights.shape[0])[:, None]
+    cols = np.argsort(~involved, axis=1, kind="stable")[:, :width]
+    block = outputs[cols] * weights[rel, cols][..., None]
+    for column in frame:
+        block -= (block @ column[..., None]) * column[:, None, :]
+    r = np.linalg.qr(block.swapaxes(1, 2), mode="r")
+    depth = r.shape[1]
+    rows = np.zeros((rel.shape[0], depth, unknowns))
+    rows[rel[..., None], np.arange(depth)[:, None], cols[:, None, :]] = r
+    return rows[np.arange(depth) < sizes[:, None]]
 
 
 def system_floor(s: np.ndarray, unknowns: int) -> float:
@@ -212,23 +226,24 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
 
     The map is X -> A X A*, or X -> A X^T A* when transposed.  Probes: the
     cached `curve_frame` and `kernel_probes`.  Every output is
-    phi(P_p) = w_p w_p* with w_p = A eta_p (A conj(eta_p) when transposed);
-    it is nonzero when c_p = |w_p|^2 is above n * m * u * |A|_F^2, and then
-    its probe has one real unknown, psi(P_p) = x_p w_p w_p*.  Every probe p
-    past the m^2 unit probes gives the relation
-    x_p w_p w_p* - sum_b coords[p, b] x_b w_b w_b* = 0, whose n^2 rows
-    involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
-    in no other relation, so `_reduced_relations` projects it out and cuts
-    each block to its R factor: the system has one unknown per basis probe
-    with a nonzero output.  With no kernel probe (A has full column rank)
+    phi(P_p) = w_p w_p* with w_p = A eta_p (A conj(eta_p) when transposed),
+    read in the range frame F of `_probe_space` as v_p = F eta_p, f^2 real
+    coordinates.  It is nonzero when c_p = |v_p|^2 is above
+    n * m * u * |A|_F^2, and then its probe has one real unknown,
+    psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
+    the relation x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose
+    f^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
+    x_p is in no other relation, so `_reduced_relations` projects it out and
+    cuts each block to its R factor: the system has one unknown per basis
+    probe with a nonzero output.  With no kernel probe (A has full column rank)
     every output is nonzero and the pair probe P_{+z}(j, k) is in the
     relation of P_{-z}(j, k) only, so it is projected out there with the own
     probe: m unknowns, and the pair coordinates are L x, read off the frame
     that projects them out.  The rank is `gap_rank` of the spectrum over
     `system_floor`.  Null vectors, pair coordinates included, become Choi
     matrices through the dual basis D_b of the unit-probe projectors,
-    Choi(psi) = sum_b psi(P_b) (x) conj(D_b), and are orthonormalised there.
-    `condition` is the largest stretch of the whole map x -> Choi, pair
+    Choi(psi) = sum_b psi(P_b) (x) conj(D_b), from the full w_b w_b*, and
+    are orthonormalised there.  `condition` is the largest stretch of the whole map x -> Choi, pair
     coordinates included, over its least stretch on the null space; the
     largest is read off the Gram matrix (O O^T) o (D D^T) of the unit output
     columns O and the dual basis, one eigvalsh of `unknowns` columns.
@@ -237,19 +252,18 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     a = _nonzero_operator(A)
     n, m = a.shape
     curve, curve_coords, dual, dual_gram = curve_frame(m)
-    kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
+    kernel, range_map = _probe_space(a, transposed)
     etas, coords = curve, curve_coords
     if kernel.shape[0]:
         etas = np.concatenate([curve, kernel])
         coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
-    w = (etas.conj() if transposed else etas) @ a.T
-    c = np.einsum("pi,pi->p", w, w.conj()).real
+    probes = etas.conj() if transposed else etas
+    raw = hermitian_params(_outer(probes @ range_map.T))
+    c = raw[:, : range_map.shape[0]].sum(axis=1)
     live = c > _output_floor(a)
-    # unit column params(w_p w_p*) / c_p of each output, zero where the output is zero
-    outer = _outer(w)
-    outputs = np.zeros((count, n * n))
-    np.divide(herm_to_params(outer), c[:, None], out=outputs, where=live[:, None])
+    # unit column params(v_p v_p*) / |v_p|^2 of each output, zero where the output is zero
+    outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
     basis = np.flatnonzero(live[:size])
     # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, which eliminates its own probe
     own = outputs[size:]
@@ -258,7 +272,7 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
         # no kernel relation: the pair probe P_{+z}(j, k), basis probe m + q, is in the relation
         # of P_{-z}(j, k) only, so it is eliminated there too; the m diagonal probes keep unknowns
         pairs, basis = basis[m:], basis[:m]
-        # the pair's column f = -coords[m^2 + q, m + q] params(w_p w_p*) made orthogonal to the
+        # the pair's column f = -coords[m^2 + q, m + q] params(v_p v_p*) made orthogonal to the
         # own unit column o by Gram-Schmidt, twice: [o, f] = [o, g] [[1, o.f], [0, h]]
         g = -coords[size:, m:size].diagonal()[:, None] * outputs[m:size]
         for _ in range(2):
@@ -290,17 +304,22 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     # psi(P_b) = z_b w_b w_b* / c_b per null vector; Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    y = z.T[:, None, :] * outer[:size].reshape(size, n * n).T
+    outer = _outer(probes[:size] @ a.T).reshape(size, n * n)
+    y = z.T[:, None, :] * outer.T
     choi = y @ dual.conj().reshape(size, size)
     choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
-    if choi.shape[0]:
-        param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
+    param_basis, condition = hermitian_params(choi).T, 1.0
+    if param_basis.shape[1]:
+        if param_basis.shape[1] == 1:
+            least = float(np.linalg.norm(param_basis))
+            param_basis = param_basis / least
+        else:
+            param_basis, sv, _ = np.linalg.svd(param_basis, full_matrices=False)
+            least = float(sv[-1])
         # |Choi|_F^2 = z^T ((O O^T) o (D D^T)) z over the unit output columns O and the dual D
         gram = (outputs[:size] @ outputs[:size].T) * dual_gram
         stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
-        condition = stretch / float(sv[-1])
-    else:
-        param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
+        condition = stretch / least
     return NullSpaceResult(
         singular_values=svals, pairs_used=count, param_basis=param_basis,
         unknowns=unknowns, condition=condition,
@@ -317,7 +336,7 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
     scale = float(np.linalg.norm(c))
     if scale == 0.0:
         raise ShapeError("zero Choi matrix has no direction")
-    p = herm_to_params(c / scale)
+    p = hermitian_params(c / scale)
     coeffs = result.param_basis.T @ p
     residual = float(np.linalg.norm(p - result.param_basis @ coeffs))
     return coeffs, residual

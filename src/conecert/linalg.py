@@ -7,7 +7,8 @@ computation that produced the spectrum, not a setting:
 `max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * max(s_0, 1)`
 for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
 (`maps.map_floor`; the face reads the same level off A as
-`n * m * u * |A|_F^2`).  So no verdict depends on an absolute cutoff.
+`n * m * u * |A|_F^2`; the face's range frame only drops singular values of
+A at the `null_space` floor).  So no verdict depends on an absolute cutoff.
 """
 
 from functools import lru_cache
@@ -170,6 +171,11 @@ def herm_to_params(c: np.ndarray) -> np.ndarray:
     c = check_finite(np.asarray(c, dtype=np.complex128), "matrix")
     if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
         raise ShapeError(f"expected square matrices, got shape {c.shape}")
+    return hermitian_params(c)
+
+
+def hermitian_params(c: np.ndarray) -> np.ndarray:
+    """`herm_to_params` of a complex (..., N, N) array already known to be finite."""
     iu, ju = triu_pairs(c.shape[-1])
     upper = c[..., iu, ju]
     diag = np.diagonal(c, axis1=-2, axis2=-1).real
@@ -193,3 +199,10 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     c[..., ju, iu] = upper.conj()
     return c
 
+
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Cached, read-only unitary (n^2, n^2): column a is vec(params_to_herm(e_a, n))."""
+    basis = params_to_herm(np.eye(n * n), n).reshape(n * n, n * n).T.copy()
+    basis.flags.writeable = False
+    return basis

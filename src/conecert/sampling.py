@@ -7,7 +7,7 @@ global state.
 
 import numpy as np
 
-from .linalg import SQRT2, normalized
+from .linalg import SQRT2, normalized, triu_pairs
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -72,11 +72,16 @@ def reflected_probe_vectors(m: int) -> list[np.ndarray]:
     return _curve_probes(m, (-1, -1j))
 
 
+def combination_rows(vectors: np.ndarray) -> np.ndarray:
+    """Normalized (a + b)/sqrt2 and (a + i b)/sqrt2 per pair of rows a before b of vectors."""
+    iu, ju = triu_pairs(vectors.shape[0])
+    rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
+    rows = rows.reshape(-1, vectors.shape[1])
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def combination_probes(vectors: list[np.ndarray]) -> list[np.ndarray]:
     """Pairwise (a + b)/sqrt2 and (a + i b)/sqrt2 combinations, normalized."""
-    out = []
-    for j in range(len(vectors)):
-        for k in range(j + 1, len(vectors)):
-            out.append(normalized(vectors[j] + vectors[k]))
-            out.append(normalized(vectors[j] + 1j * vectors[k]))
-    return out
+    if len(vectors) < 2:
+        return []
+    return list(combination_rows(np.array(vectors, dtype=np.complex128)))

@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import conecert
 from cone_oracle import cone_evidence
 from conecert import exposedness
 from conecert.errors import ClassificationError, InputRejected
 from conecert.exposedness import (
     MapCase,
     Verdict,
+    _across_cut,
+    _cut_coefficients,
     _face_bound,
     certify_exposed,
     classify,
@@ -14,7 +21,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, gap_rank, herm_to_params
+from conecert.linalg import UNIT_ROUNDOFF, gap_rank, herm_to_params, params_to_herm
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 
@@ -152,6 +159,47 @@ def _rank_one_controls(transposed):
         "plus_q_identity": _hull_plus(ns, np.kron(q, np.eye(3))),
         "two_q": _hull_plus(ns, other.basis[0]),
     }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cut_coefficients_keep_the_realignment_spectrum(n, m):
+    """the face check's real stack has the singular values of the complex realignment
+
+    The basis E_a behind `herm_to_params`, read as the columns vec(E_a) of
+    an n^2 x n^2 complex matrix, is unitary; so is the one for m.
+    """
+    for side in (n, m):
+        e = params_to_herm(np.eye(side * side), side).reshape(side * side, -1).T
+        assert np.abs(e.conj().T @ e - np.eye(side * side)).max() <= 1e-15
+    g = np.random.default_rng(10 * n + m)
+    for d in (1, 3):
+        x = _crandn_from(g, d, n * m, n * m)
+        b4 = (x + x.conj().swapaxes(1, 2)).reshape(d, n, m, n, m)
+        stack = _cut_coefficients(b4)
+        assert stack.dtype == np.float64 and stack.shape == (n * n, d * m * m)
+        complex_stack = np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, d * m * m)
+        want = np.linalg.svd(complex_stack, compute_uv=False)
+        got = np.linalg.svd(stack, compute_uv=False)
+        assert np.abs(got - want).max() <= 1e-13 * want[0], (n, m, d)
+
+
+def test_certify_imports_no_masked_arrays():
+    """certificates of every class leave numpy.ma unimported, which costs a first call 15 ms"""
+    code = """
+import sys
+import numpy as np
+import conecert
+g = np.random.default_rng(0)
+a = g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))
+for x in (a, a[:, :2] @ a[:2], np.outer(a[0], a[1])):
+    conecert.certify_exposed(x)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("transposed", [False, True])

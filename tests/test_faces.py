@@ -337,6 +337,24 @@ def test_full_rank_reduced_system_rows(m, monkeypatch):
     assert [system.shape[1] for system, _ in seen] == [res.unknowns] == [m * m]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
+    """A = u v*: the range frame has one direction, so every live unit output is exactly [1.0]
+
+    Each reflected relation, the first m^2 - m relations with one row each,
+    then cancels against its own output exactly, not to rounding.
+    """
+    seen = _spy_reduced_relations(monkeypatch)
+    a = np.outer(crandn(n), crandn(m).conj())
+    for transposed in (False, True):
+        double_prime_nullspace(a, transposed)
+        system, outputs = seen.pop()
+        assert outputs.shape == (m * m, 1), (n, m, transposed)
+        assert np.all(outputs == 1.0), (n, m, transposed)
+        assert np.all(system[: m * m - m] == 0.0), (n, m, transposed)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_face_system_is_tall(n, m):
@@ -397,14 +415,13 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
     for transposed in (False, True):
         a = _haar_unitary(g, 2) @ np.diag([1.0, s2]) @ _haar_unitary(g, 2).conj().T
         a = a / np.linalg.norm(a)
-        phi = choi_from_ad(a, transposed=transposed)
         res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
         # one rank-1 output column per basis probe; the pairs are eliminated at full rank
         assert res.unknowns == (4 if kernel_probes(a, transposed) else 2)
         etas = curve_frame(2)[0][: res.unknowns]
-        outs = [apply(phi, np.outer(eta, eta.conj())) for eta in etas]
-        y = np.einsum("ui,ui->u", herm_to_params(np.array(outs)), outputs)
+        w = (etas.conj() if transposed else etas) @ a.T
+        y = np.einsum("ui,ui->u", w, w.conj()).real
         leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
         assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
 
