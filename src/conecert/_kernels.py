@@ -43,7 +43,10 @@ def _descend_batch(g, eta, max_iters, conv_tol):
     g is the Hermitized Choi tensor with indices (i, j, k, l), so each
     half-step is one product with it, read as (ij, kl) or as (kl, ij).  Rows
     whose value has converged are written out and dropped, so each row stops
-    after exactly the iterations its own descent would take.
+    after exactly the iterations its own descent would take.  The
+    convergence test runs on Python floats, one per live row: for the usual
+    single row that costs less than a chain of ufuncs on a length-1 array,
+    and it is the same IEEE double arithmetic.
     """
     n, m = g.shape[1:3]
     g_ij_kl = g.reshape(n * n, m * m)
@@ -53,23 +56,25 @@ def _descend_batch(g, eta, max_iters, conv_tol):
     val = np.empty(count)
     xi_out = np.empty((count, n), dtype=np.complex128)
     eta_out = np.empty((count, m), dtype=np.complex128)
-    prev = np.full(count, np.inf)
-    rows = np.arange(count)
+    prev = [np.inf] * count
+    rows = list(range(count))
     for _ in range(max_iters):
-        b = rows.size
+        b = len(rows)
         outer = (eta.conj()[:, :, None] * eta[:, None, :]).reshape(b, m * m)
         xi = np.linalg.eigh((outer @ g_kl_ij).reshape(b, n, n))[1][:, :, 0]
         outer = (xi.conj()[:, :, None] * xi[:, None, :]).reshape(b, n * n)
         w, v = np.linalg.eigh((outer @ g_ij_kl).reshape(b, m, m))
-        eta, cur = v[:, :, 0], w[:, 0]
-        done = np.abs(prev - cur) <= conv_tol * (1.0 + np.abs(cur))
-        if done.any():
-            ended = rows[done]
-            val[ended], xi_out[ended], eta_out[ended] = cur[done], xi[done], eta[done]
-            keep = ~done
-            rows, xi, eta, cur = rows[keep], xi[keep], eta[keep], cur[keep]
-            if rows.size == 0:
+        eta, cur = v[:, :, 0], w[:, 0].tolist()
+        moving = [abs(p - c) > conv_tol * (1.0 + abs(c)) for p, c in zip(prev, cur)]
+        if not all(moving):
+            for r, row in enumerate(rows):
+                if not moving[r]:
+                    val[row], xi_out[row], eta_out[row] = cur[r], xi[r], eta[r]
+            keep = [r for r in range(b) if moving[r]]
+            if not keep:
                 return val, xi_out, eta_out
+            rows, cur = [rows[r] for r in keep], [cur[r] for r in keep]
+            xi, eta = xi[keep], eta[keep]
         prev = cur
     val[rows], xi_out[rows], eta_out[rows] = cur, xi, eta
     return val, xi_out, eta_out

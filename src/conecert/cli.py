@@ -28,15 +28,20 @@ from .serialization import (
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CONECERT_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise EncodingError(f"CONECERT_SEED must be an integer, got {env!r}") from exc
+    """--seed, else CONECERT_SEED, else 0; numpy seeds must be >= 0."""
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("CONECERT_SEED")
+        if env is None:
+            return 0
+        source = "CONECERT_SEED"
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise EncodingError(f"CONECERT_SEED must be an integer, got {env!r}") from exc
+    if value < 0:
+        raise EncodingError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def cmd_pairing(args) -> int:

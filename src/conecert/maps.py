@@ -77,7 +77,9 @@ class SearchParams:
     adds the map's rounding level `map_floor` to it, and uses the sum both
     for the Choi-spectrum proof (one `eigh` of the Choi matrix, which also
     gives the first informed start) and for the descent values.  `conv_tol`
-    is the relative change in value at which one descent stops.
+    is the relative change in value at which one descent stops.  `seed`, an
+    integer >= 0, seeds the random starts; it is checked here because only
+    a map that the first descent leaves undecided draws them.
     """
 
     restarts: int = 64
@@ -95,6 +97,8 @@ class SearchParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise SearchError(f"{name} must be finite and >= 0, got {value!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise SearchError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -255,48 +259,63 @@ def informed_starts(c4: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
-    """Positivity verdict by a Choi-spectrum proof or a seeded search.
+    """Positivity verdict by a Choi-spectrum proof, a first descent or a seeded search.
 
     Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
     C the Choi matrix; a value below -(search.tol + map_floor(map_rep))
     yields NOT_POSITIVE with the witness pair.  `map_floor` is the rounding
     level of both the Choi spectrum and the descent's values, so rounding
     that grows with the scale of C does not make a positive map
-    NOT_POSITIVE.  CP and co-CP maps are proved positive first:
+    NOT_POSITIVE.  CP and co-CP maps are proved positive:
 
         <xi (x) eta, C (xi (x) eta)> >= lambda_min(C), and the same value is
         <xi (x) conj(eta), C^G (xi (x) conj(eta))> >= lambda_min(C^G),
 
-    C^G being the partial transpose on K (`partial_transpose_in`).  One
-    `eigh` of C gives lambda_min(C) and the bottom eigenvector that
-    `product_start` factors; C^G costs one `eigvalsh`, and only when C is not
-    PSD.  When lambda_min(C) or lambda_min(C^G) is at least the same
-    -(search.tol + map_floor), the map descends once, from `product_start`,
-    for its witness pair: no random number is drawn, no other informed start
-    is built, and `restarts_used` is 1.  Any other map descends from every
-    informed start plus `search.restarts` random ones, scanned in a fixed
-    order, so the result is deterministic for a given seed.
-    `search.restarts` may be 0, which leaves the informed starts alone.
+    C^G being the partial transpose on K (`partial_transpose_in`).  The work
+    is done in order, and stops at the first step that settles the map:
+
+    1. one `eigh` of C gives lambda_min(C) and the bottom eigenvector that
+       `product_start` factors; the map descends once, from that start;
+    2. a CP map is proved positive, with that descent as its witness pair;
+    3. a descent value below the threshold proves NOT_POSITIVE;
+    4. one `eigvalsh` of C^G proves a co-CP map positive, again with the
+       first descent;
+    5. only a map still undecided builds the other informed starts and
+       draws `search.restarts` random ones, which are scanned in a fixed
+       order after the first descent, so the result is deterministic for a
+       given seed.  `search.restarts` may be 0, which leaves the informed
+       starts alone.
+
+    A map settled at steps 2-4 draws no random number and has
+    `restarts_used` 1.  A co-CP map cannot reach step 3, since every
+    product value is at least lambda_min(C^G), up to the rounding of the
+    descent.
     """
     n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
     _require_hermitian(map_rep)
     threshold = -(search.tol + map_floor(map_rep))
     w, v = np.linalg.eigh(hermitize(map_rep.choi))
     bottom = v[:, 0].reshape(n, m)
-    proved = bool(
-        w[0] >= threshold
-        or np.linalg.eigvalsh(hermitize(partial_transpose_in(map_rep.choi, n, m)))[0] >= threshold
+    val, xi, eta, used = block_minimize(
+        c4, product_start(bottom), search.max_iters, search.conv_tol, threshold
     )
-    if proved:
-        starts = product_start(bottom)
-    else:
+    undecided = (
+        w[0] < threshold
+        and val >= threshold
+        and np.linalg.eigvalsh(hermitize(partial_transpose_in(map_rep.choi, n, m)))[0] < threshold
+    )
+    if undecided:
         starts = np.vstack([
-            informed_starts(c4, bottom),
+            informed_starts(c4, bottom)[1:],
             crandn(rng_from(search.seed), search.restarts, m),
         ])
-    val, xi, eta, used = block_minimize(c4, starts, search.max_iters, search.conv_tol, threshold)
+        rest = block_minimize(c4, starts, search.max_iters, search.conv_tol, threshold)
+        # a sequential scan keeps the first strict minimum
+        if rest[0] < val:
+            val, xi, eta = rest[:3]
+        used += rest[3]
     return PositivityResult(
-        positive=proved or val >= threshold,
+        positive=bool(w[0] >= threshold or val >= threshold),
         min_value=val,
         xi=xi,
         eta=eta,

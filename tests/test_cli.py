@@ -273,6 +273,27 @@ def test_random_map_env_seed(tmp_path, monkeypatch, capsys):
     assert not bad.exists()
 
 
+@pytest.mark.parametrize("command, seed", [
+    ("positivity", "-1"), ("random-map", "-1"), ("sweep", "-3"),
+])
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command, seed):
+    """a negative --seed or CONECERT_SEED is a usage error before anything is
+    written, not a numpy traceback"""
+    monkeypatch.delenv("CONECERT_SEED", raising=False)
+    out = tmp_path / "out"
+    args = {
+        "positivity": ["positivity", identity_map_file(tmp_path), "--report", str(out)],
+        "random-map": ["random-map", "--n", "2", "--m", "3", "--out", str(out)],
+        "sweep": ["sweep", "--n", "2", "--m", "2", "--count", "1", "--report", str(out)],
+    }[command]
+    assert main(args + ["--seed", seed]) == 2
+    assert "error: --seed" in capsys.readouterr().err
+    monkeypatch.setenv("CONECERT_SEED", "-4")
+    assert main(args) == 2
+    assert "error: CONECERT_SEED" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--n", "0", "--m", "2"], ["--n", "-1", "--m", "2"], ["--n", "2", "--m", "0"],
     ["--n", "2", "--m", "2", "--rank", "0"], ["--n", "2", "--m", "2", "--rank", "-1"],

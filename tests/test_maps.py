@@ -340,29 +340,64 @@ def test_certificate_edges_match_full_scan():
         assert is_positive(phi, search).positive == (_full_scan(phi, search) >= -search.tol)
 
 
+def test_co_cp_edges_match_full_scan():
+    """maps whose partial transpose is a PSD matrix shifted to the tolerance:
+    the co-CP spectrum is taken only after the first descent, and the verdict
+    is still the full scan's; Choi's map is still the sequential scan of
+    every start"""
+    search = SearchParams(seed=6)
+    g = sample_crandn(np.random.default_rng(4), 9, 9)
+    psd = g @ g.conj().T
+    psd /= np.linalg.norm(psd)
+    shifted = [
+        MapRep(n=3, m=3, choi=partial_transpose_in(
+            psd - (np.linalg.eigvalsh(psd)[0] + s * search.tol) * np.eye(9), 3, 3))
+        for s in (0.5, 2.0)
+    ]
+    # neither map is CP, so only the partial transpose can prove it
+    assert all(np.linalg.eigvalsh(phi.choi)[0] < -search.tol for phi in shifted)
+    inside, outside = (is_positive(phi, search) for phi in shifted)
+    assert _certified(shifted[0], search.tol) and not _certified(shifted[1], search.tol)
+    assert inside.positive and inside.restarts_used == 1
+    assert outside.positive and outside.restarts_used == 5 + search.restarts
+    for phi, res in zip(shifted, (inside, outside)):
+        assert res.positive == (_full_scan(phi, search) >= -search.tol)
+    choi_map = cho_kye_lee(2, 0, 1)
+    res = is_positive(choi_map, search)
+    val, _, _, used = reference_scan(
+        choi_map.choi4, _scan_starts(choi_map, search), search.max_iters, search.conv_tol,
+        -search.tol,
+    )
+    assert used == res.restarts_used == 5 + search.restarts
+    assert res.positive and abs(res.min_value - val) <= 1e-12
+
+
 class _RandomDrawn(Exception):
     pass
 
 
 def test_certified_maps_draw_no_random_number(monkeypatch):
-    """a certified map ignores restarts and seed; a planted one still draws"""
+    """a certified map, or a planted one whose first descent exits, ignores
+    restarts and seed; Choi's map, which the first descent leaves undecided,
+    still draws"""
     def no_draw(*args):
         raise _RandomDrawn
 
     monkeypatch.setattr(maps_module, "crandn", no_draw)
     cp, _, ad_t, _, planted = _positivity_maps(3, 2)
-    for map_rep in (cp, ad_t):
+    for map_rep, positive in ((cp, True), (ad_t, True), (planted, False)):
         results = [
             is_positive(map_rep, SearchParams(restarts=r, seed=s))
             for r, s in ((64, 0), (0, 0), (7, 12345))
         ]
         for res in results:
+            assert res.positive is positive
             assert res.restarts_used == 1
             assert res.min_value == results[0].min_value
             assert np.array_equal(res.xi, results[0].xi)
             assert np.array_equal(res.eta, results[0].eta)
     with pytest.raises(_RandomDrawn):
-        is_positive(planted)
+        is_positive(cho_kye_lee(2, 0, 1))
 
 
 def test_is_positive_rejects_negative_restarts():
@@ -381,6 +416,15 @@ def test_search_params_reject_bad_budget():
                 SearchParams(**{name: bad})
     assert SearchParams(restarts=0, max_iters=1).restarts == 0
     assert SearchParams(tol=0.0, conv_tol=0.0).tol == 0.0
+
+
+def test_search_params_reject_bad_seed():
+    """a bad seed is refused up front: with lazy draws it would otherwise fail
+    only on the maps that reach the random starts"""
+    for bad in (-1, -4, 1.5, "3", None):
+        with pytest.raises(SearchError):
+            SearchParams(seed=bad)
+    assert SearchParams(seed=np.int64(7)).seed == 7
 
 
 def _first_rank1_violator(map_rep, samples=32, seed=0, tol=1e-8):
@@ -484,9 +528,11 @@ def _count_choi_decompositions(monkeypatch, d):
 
 
 def test_proved_map_builds_only_the_product_start(monkeypatch):
-    """a CP or co-CP map descends from `product_start`, the first informed start,
-    and never builds the others; every map decomposes its Choi matrix once, with
-    at most one `eigvalsh` of the partial transpose"""
+    """a CP or co-CP map, or a planted map whose first descent exits, descends
+    from `product_start`, the first informed start, and never builds the
+    others; every map decomposes its Choi matrix once, and only a map that is
+    neither CP nor settled by that descent takes the `eigvalsh` of its partial
+    transpose"""
     local = np.random.default_rng(3)
     a = local.standard_normal((3, 4)) + 1j * local.standard_normal((3, 4))
     maps = [choi_from_ad(a), choi_from_ad(a, transposed=True)]
@@ -502,14 +548,14 @@ def test_proved_map_builds_only_the_product_start(monkeypatch):
     v /= np.linalg.norm(v)
     planted = MapRep(3, 4, cp - (np.vdot(v, cp @ v).real + 0.05) * np.outer(v, v.conj()))
     counts = _count_choi_decompositions(monkeypatch, 12)
-    result = is_positive(planted)
-    assert not result.positive
-    assert counts == {"eigh": 1, "eigvalsh": 1}
 
     def refuse(c4, bottom):
-        raise AssertionError("informed_starts built for a proved map")
+        raise AssertionError("informed_starts built for a settled map")
 
     monkeypatch.setattr(maps_module, "informed_starts", refuse)
+    result = is_positive(planted)
+    assert not result.positive and result.restarts_used == 1
+    assert counts == {"eigh": 1, "eigvalsh": 0}
     for map_rep, pt_tests in zip(maps, (0, 1)):
         counts.update(eigh=0, eigvalsh=0)
         result = is_positive(map_rep)
