@@ -20,8 +20,12 @@ overhead on many descents at once, the restarts are descended in waves: wave
 k takes the next WAVE_GROWTH**k starts (1, 8, 64, ...), capped at MAX_ROWS,
 all in one stacked descent.  Results are then scanned in restart order, so a
 start after the exit start of its wave counts neither in `used` nor in
-`best`: the result is that of a sequential scan, and it is deterministic for
-a fixed start array.
+`best`: the result is that of a sequential scan up to rounding, and it is
+deterministic for a fixed start array.  It is not bitwise that of a
+sequential scan: a stacked matrix product can round a row differently when
+the stack has another number of rows, so the same starts grouped into other
+waves can move `best` in its last bits (about 6e-16 on the Cho-Kye-Lee map
+Phi[2, 0.2, 1]).
 """
 
 import numpy as np
@@ -94,7 +98,9 @@ def block_minimize(
     minimization in xi (bottom eigenvector with eta fixed) and in eta (with
     xi fixed) until the value moves by less than conv_tol relatively.  The
     restarts are scanned in order until one dips below stop_below or the
-    budget runs out.  c4 is Hermitized once, here, for every descent.
+    budget runs out; the result is that of a sequential scan up to the
+    rounding of the stacked waves (see the module docstring).  c4 is
+    Hermitized once, here, for every descent.
 
     Returns (best value, best xi, best eta, restarts used).
     """

@@ -6,7 +6,8 @@ When the Hermitian null space is one-dimensional that is a direct linear
 certificate (EXPOSED_LINEAR).  When the hull is larger (rank-1 A = u v*)
 it is {X -> Tr(R X) uu* : R compressed to v-perp is 0}; the only positive
 elements of that set form the ray through the map, and `face_certificate`
-checks the structure on the computed basis (EXPOSED_FACE).  Both verdicts
+checks that every computed basis element lies in that face, read off the
+map itself (EXPOSED_FACE).  Both verdicts
 are exact checks on the computed hull: no positivity search and no random
 number is involved.
 """
@@ -30,7 +31,6 @@ from .linalg import (
     fix_phase,
     gap_rank,
     herm_defect,
-    hermitian_basis,
     hermitize,
     normalized,
     null_space,
@@ -65,8 +65,10 @@ class MapCase(str, Enum):
 class FaceCertificate:
     """Rank-1 face check of a hull: its defect and the bound it must meet.
 
-    Both are relative: the defect is at most 1 on any hull, so a bound of 1
-    or more would pass anything and certifies nothing.
+    The defect is the largest sine of the angle from a hull basis element to
+    the face read off phi, or a rank-1 defect of phi if that is larger.  Both
+    are relative: the defect is at most 1 on any hull, so a bound of 1 or
+    more would pass anything and certifies nothing.
     """
 
     defect: float
@@ -94,13 +96,14 @@ def _empty_nullspace() -> NullSpaceResult:
 
 
 def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest other |eigenvalue| over the top eigenvalue of Hermitian h, and the top eigenvector.
+    """Largest other |eigenvalue| over the top eigenvalue of Hermitian h, and its eigenvectors.
 
-    0 exactly when h is a positive multiple of a rank-1 projection.
+    The defect is 0 exactly when h is a positive multiple of a rank-1
+    projection.  The eigenvectors are the columns of a unitary, top first.
     """
     w, v = np.linalg.eigh(hermitize(h))
     rest = float(np.abs(w[:-1]).max(initial=0.0))
-    return (rest / w[-1] if w[-1] > 0 else 1.0), v[:, -1]
+    return (rest / w[-1] if w[-1] > 0 else 1.0), v[:, ::-1]
 
 
 def _face_bound(nullspace: NullSpaceResult) -> float:
@@ -136,42 +139,45 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
 
 
 def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate:
-    """Check that the hull is the rank-1 face {Q (x) S : S vanishes on s-perp}.
+    """Check that every hull element lies in the rank-1 face {uu* (x) S : S vanishes on s-perp}.
 
     For A = u v* every hull element is uu* (x) S with S = R^T (or R for the
     transposed map), and R compressed to v-perp is 0.  A PSD matrix whose
     compression to a subspace is 0 has that subspace in its kernel, so the
-    positive part of such a hull is the ray through phi.  Two checks on the
-    computed basis B_j:
+    positive part of such a hull is the ray through phi.  The face is read
+    off phi: u is the top eigenvector of the output marginal phi(I), and s
+    the top eigenvector of phi's compression (u* (x) I) Choi(phi) (u (x) I).
 
-    1. product form: side by side across the H:K cut, the basis is
-       vec(Q) [vec(S_1) ... vec(S_d)], with Q = uu* a rank-1 PSD matrix,
-       read by one real SVD of `_cut_coefficients`;
-    2. common compression: every S_j = (u* (x) I) B_j (u (x) I) vanishes on
-       s-perp, where s is the top eigenvector of the same compression of
-       Choi(phi).
+    Each basis element B_j is rotated into the frame W (x) V of those two
+    eigenbases, top vectors first.  There the face is every entry with
+    output index 0 on both sides and input index 0 on at least one, so the
+    projection P_F onto it zeroes the other entries, and
+    |B_j - P_F B_j| / |B_j| is the sine of the angle from B_j to the face:
+    the quantity the Wedin argument of `_face_bound` bounds.
 
-    The defect is the largest relative residual of the two checks and of the
-    rank-1 forms of Q and of phi's compression; the bound is `_face_bound`.
+    The defect is the largest of those sines and of the rank-1 defects of
+    phi(I) and of phi's compression; the bound is `_face_bound`.
     """
     n, m, d = phi.n, phi.m, nullspace.dim
-    bound = _face_bound(nullspace)
-    b4 = params_to_herm(nullspace.param_basis.T, n * m).reshape(d, n, m, n, m)
-    # numpy's SVD is faster on the (mostly tall) transpose
-    _, sv, right = np.linalg.svd(_cut_coefficients(b4).T, full_matrices=False)
-    product = float(sv[1] / sv[0]) if sv.shape[0] > 1 else 0.0
-    q = (hermitian_basis(n) @ right[0]).reshape(n, n)
-    t = float(np.trace(q).real)
-    if t == 0:  # traceless: not a PSD direction
-        return FaceCertificate(defect=1.0, bound=bound)
-    q_defect, u = _rank1_defect(q / t)
-    s_j = (u.conj() @ b4.reshape(d, n, -1)).reshape(d, m, n, m).swapaxes(2, 3) @ u
-    s_phi = np.einsum("i,ikjl,j->kl", u.conj(), phi.choi4, u)
-    s_defect, s = _rank1_defect(s_phi)
-    off = np.eye(m) - np.outer(s, s.conj())
-    residuals = np.linalg.norm(off @ s_j @ off, axis=(1, 2))
-    compression = float((residuals / np.linalg.norm(nullspace.param_basis, axis=0)).max())
-    return FaceCertificate(defect=max(product, compression, q_defect, s_defect), bound=bound)
+    u_defect, w = _rank1_defect(np.einsum("ikjk->ij", phi.choi4))
+    s_defect, v = _rank1_defect(np.einsum("i,ikjl,j->kl", w[:, 0].conj(), phi.choi4, w[:, 0]))
+
+    def frame(x):  # x (d, nm, nm) -> x (W (x) V), one GEMM per factor
+        y = (x.reshape(-1, m) @ v).reshape(-1, n, m)
+        # the column index comes out as (input, output)
+        return (y.swapaxes(1, 2).reshape(-1, n) @ w).reshape(d, n * m, n * m)
+
+    # B is Hermitian, so frame(frame(B)*) is the transpose of (W (x) V)* B (W (x) V)
+    # with axes (input, output, input, output): the face is output 0 and an input 0
+    b = params_to_herm(nullspace.param_basis.T, n * m)
+    rotated = frame(frame(b).conj().swapaxes(1, 2)).reshape(d, m, n, m, n)
+    rotated[:, 0, 0, :, 0] = 0
+    rotated[:, :, 0, 0, 0] = 0
+    sines = np.linalg.norm(rotated.reshape(d, -1), axis=1)
+    sines /= np.linalg.norm(nullspace.param_basis, axis=0)
+    return FaceCertificate(
+        defect=max(float(sines.max()), u_defect, s_defect), bound=_face_bound(nullspace)
+    )
 
 
 def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
@@ -357,18 +363,6 @@ def _across_cut(c4: np.ndarray) -> np.ndarray:
     """
     n, m = c4.shape[-4:-2]
     return np.swapaxes(c4, -3, -2).reshape(c4.shape[:-4] + (n * n, m * m))
-
-
-def _cut_coefficients(b4: np.ndarray) -> np.ndarray:
-    """Hermitian Choi tensors b4 (d, n, m, n, m) across the H:K cut, side by side: (n^2, d m^2).
-
-    Each `_across_cut` block is read in the unitary `hermitian_basis`,
-    E_n^H cut conj(E_m): real, with the same singular values.
-    """
-    d, n, m = b4.shape[:3]
-    stack = hermitian_basis(n).conj().T @ np.swapaxes(_across_cut(b4), 0, 1).reshape(n * n, -1)
-    stack = (stack.reshape(n * n * d, m * m) @ hermitian_basis(m).conj()).real
-    return stack.reshape(n * n, d * m * m)
 
 
 def _omega_q_form(map_rep: MapRep, tol: float) -> Classification | None:

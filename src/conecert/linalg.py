@@ -199,10 +199,3 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     c[..., ju, iu] = upper.conj()
     return c
 
-
-@lru_cache(maxsize=None)
-def hermitian_basis(n: int) -> np.ndarray:
-    """Cached, read-only unitary (n^2, n^2): column a is vec(params_to_herm(e_a, n))."""
-    basis = params_to_herm(np.eye(n * n), n).reshape(n * n, n * n).T.copy()
-    basis.flags.writeable = False
-    return basis

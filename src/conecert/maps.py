@@ -241,21 +241,30 @@ def product_start(bottom: np.ndarray) -> np.ndarray:
     return vh[:1]
 
 
+def _compression_starts(c4: np.ndarray) -> np.ndarray:
+    """The informed starts after `product_start`, shape (n + 1, m).
+
+    The bottom eigenvectors of the diagonal blocks of c4 (n, m, n, m) and of
+    its input compression.
+    """
+    _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
+    _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
+    return np.concatenate([vb[:, :, 0], vt[None, :, 0]])
+
+
 def informed_starts(c4: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """Deterministic eta seeds that target structured negativity.
 
     Plain random restarts can miss shallow violations whose basin is tiny
     (the alternating steps stall on a zero plateau once xi falls into the
     output kernel).  The `product_start` and the bottom eigenvectors of the
-    diagonal blocks and of the input compression land inside those basins
-    directly.
+    diagonal blocks and of the input compression (`_compression_starts`)
+    land inside those basins directly.
 
     c4 has shape (n, m, n, m) and bottom, the bottom eigenvector of the
     Hermitized Choi matrix, shape (n, m); the seeds have shape (n + 2, m).
     """
-    _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
-    _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
-    return np.concatenate([product_start(bottom), vb[:, :, 0], vt[None, :, 0]])
+    return np.concatenate([product_start(bottom), _compression_starts(c4)])
 
 
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
@@ -280,11 +289,11 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     3. a descent value below the threshold proves NOT_POSITIVE;
     4. one `eigvalsh` of C^G proves a co-CP map positive, again with the
        first descent;
-    5. only a map still undecided builds the other informed starts and
-       draws `search.restarts` random ones, which are scanned in a fixed
-       order after the first descent, so the result is deterministic for a
-       given seed.  `search.restarts` may be 0, which leaves the informed
-       starts alone.
+    5. only a map still undecided builds the other informed starts
+       (`_compression_starts`) and draws `search.restarts` random ones,
+       which are scanned in a fixed order after the first descent, so the
+       result is deterministic for a given seed.  `search.restarts` may
+       be 0, which leaves the informed starts alone.
 
     A map settled at steps 2-4 draws no random number and has
     `restarts_used` 1.  A co-CP map cannot reach step 3, since every
@@ -306,7 +315,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     )
     if undecided:
         starts = np.vstack([
-            informed_starts(c4, bottom)[1:],
+            _compression_starts(c4),
             crandn(rng_from(search.seed), search.restarts, m),
         ])
         rest = block_minimize(c4, starts, search.max_iters, search.conv_tol, threshold)

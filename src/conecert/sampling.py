@@ -78,10 +78,3 @@ def combination_rows(vectors: np.ndarray) -> np.ndarray:
     rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
     rows = rows.reshape(-1, vectors.shape[1])
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def combination_probes(vectors: list[np.ndarray]) -> list[np.ndarray]:
-    """Pairwise (a + b)/sqrt2 and (a + i b)/sqrt2 combinations, normalized."""
-    if len(vectors) < 2:
-        return []
-    return list(combination_rows(np.array(vectors, dtype=np.complex128)))

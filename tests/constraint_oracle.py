@@ -34,7 +34,7 @@ from conecert.linalg import (
 )
 from conecert.maps import MapRep, _require_hermitian, map_floor
 from conecert.sampling import (
-    combination_probes,
+    combination_rows,
     random_unit_vector,
     reflected_probe_vectors,
     rng_from,
@@ -78,11 +78,11 @@ def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
     w, v = np.linalg.eigh(t)
     rank = gap_rank(w[::-1], map_floor(map_rep))
-    kernel = [v[:, j].conj() for j in range(map_rep.m - rank)]
+    kernel = v[:, : map_rep.m - rank].conj().T
     if len(kernel) == map_rep.m:
         # the zero map: basis probes already cover everything
         return []
-    return kernel + combination_probes(kernel)
+    return list(kernel) + list(combination_rows(kernel))
 
 
 def probe_outputs(map_rep: MapRep, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

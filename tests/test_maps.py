@@ -549,10 +549,10 @@ def test_proved_map_builds_only_the_product_start(monkeypatch):
     planted = MapRep(3, 4, cp - (np.vdot(v, cp @ v).real + 0.05) * np.outer(v, v.conj()))
     counts = _count_choi_decompositions(monkeypatch, 12)
 
-    def refuse(c4, bottom):
-        raise AssertionError("informed_starts built for a settled map")
+    def refuse(c4):
+        raise AssertionError("informed starts built for a settled map")
 
-    monkeypatch.setattr(maps_module, "informed_starts", refuse)
+    monkeypatch.setattr(maps_module, "_compression_starts", refuse)
     result = is_positive(planted)
     assert not result.positive and result.restarts_used == 1
     assert counts == {"eigh": 1, "eigvalsh": 0}
