@@ -1,8 +1,9 @@
 """The block-positivity kernel, in pure numpy.
 
 The only kernel is the alternating minimization of the block form
-<xi (x) eta, C (xi (x) eta)> over unit vectors of one map, which dominates
-the runtime of positivity searches.
+<xi (x) eta, C (xi (x) eta)> over unit vectors of one map.  It is the
+search of a map that is not CP; a map proved CP by its Choi spectrum runs it
+for a single iteration, only to give a witness pair.
 
 Each call Hermitizes C once and lays it out as the tensor g[i, j, k, l] =
 C[(i, k), (j, l)].  A half-step is then one matrix product of the stacked

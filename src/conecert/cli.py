@@ -267,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("map", help="map JSON file")
     p.add_argument("--restarts", type=int, default=64,
-                   help="random restarts of the search; a proved map descends once")
-    p.add_argument("--iters", type=int, default=200)
+                   help="random restarts of the search; a map proved CP or co-CP, "
+                        "or shown not positive by its first descent, draws none")
+    p.add_argument("--iters", type=int, default=200,
+                   help="iterations per descent; a map proved CP by its Choi spectrum takes one")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_positivity)

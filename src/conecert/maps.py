@@ -76,8 +76,10 @@ class SearchParams:
     `tol` is the absolute part of the positivity threshold: `is_positive`
     adds the map's rounding level `map_floor` to it, and uses the sum both
     for the Choi-spectrum proof (one `eigh` of the Choi matrix, which also
-    gives the first informed start) and for the descent values.  `conv_tol`
-    is the relative change in value at which one descent stops.  `seed`, an
+    gives the first informed start) and for the descent values.  `max_iters`
+    bounds every descent except that of a map proved CP by its Choi
+    spectrum, which takes a single iteration.  `conv_tol` is the relative
+    change in value at which one descent stops.  `seed`, an
     integer >= 0, seeds the random starts; it is checked here because only
     a map that the first descent leaves undecided draws them.
     """
@@ -103,6 +105,15 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class PositivityResult:
+    """Verdict of `is_positive` and its witness pair.
+
+    `min_value` is the block value <xi (x) eta, C (xi (x) eta)> at the
+    returned unit pair (xi, eta), the lowest the search reached.  For a map
+    proved positive by a Choi spectrum it is an upper bound on the product
+    minimum, not that minimum: the search stops after the first descent,
+    and a CP map after one iteration.
+    """
+
     positive: bool
     min_value: float
     xi: np.ndarray
@@ -284,9 +295,13 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     is done in order, and stops at the first step that settles the map:
 
     1. one `eigh` of C gives lambda_min(C) and the bottom eigenvector that
-       `product_start` factors; the map descends once, from that start;
-    2. a CP map is proved positive, with that descent as its witness pair;
-    3. a descent value below the threshold proves NOT_POSITIVE;
+       `product_start` factors;
+    2. a CP map is proved positive; its witness pair is one iteration (an
+       exact xi-step, then an exact eta-step) from that start, whatever
+       `search.max_iters`;
+    3. any other map descends once from that start, for up to
+       `search.max_iters` iterations, and a value below the threshold
+       proves NOT_POSITIVE;
     4. one `eigvalsh` of C^G proves a co-CP map positive, again with the
        first descent;
     5. only a map still undecided builds the other informed starts
@@ -296,7 +311,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
        be 0, which leaves the informed starts alone.
 
     A map settled at steps 2-4 draws no random number and has
-    `restarts_used` 1.  A co-CP map cannot reach step 3, since every
+    `restarts_used` 1.  A co-CP map cannot fail at step 3, since every
     product value is at least lambda_min(C^G), up to the rounding of the
     descent.
     """
@@ -305,11 +320,13 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     threshold = -(search.tol + map_floor(map_rep))
     w, v = np.linalg.eigh(hermitize(map_rep.choi))
     bottom = v[:, 0].reshape(n, m)
+    cp = bool(w[0] >= threshold)
+    # a CP map's verdict is already proved: one iteration gives its witness
     val, xi, eta, used = block_minimize(
-        c4, product_start(bottom), search.max_iters, search.conv_tol, threshold
+        c4, product_start(bottom), 1 if cp else search.max_iters, search.conv_tol, threshold
     )
     undecided = (
-        w[0] < threshold
+        not cp
         and val >= threshold
         and np.linalg.eigvalsh(hermitize(partial_transpose_in(map_rep.choi, n, m)))[0] < threshold
     )
@@ -324,7 +341,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
             val, xi, eta = rest[:3]
         used += rest[3]
     return PositivityResult(
-        positive=bool(w[0] >= threshold or val >= threshold),
+        positive=cp or bool(val >= threshold),
         min_value=val,
         xi=xi,
         eta=eta,

@@ -251,6 +251,19 @@ def _certified(map_rep, tol):
     return max(low, low_pt) >= -tol
 
 
+def _reference(map_rep, search):
+    """`reference_scan` of what is_positive promises: one iteration from the
+    first informed start for a map proved CP, the full first descent for one
+    proved co-CP only, and the whole scan for any other map"""
+    if np.linalg.eigvalsh(map_rep.choi)[0] >= -search.tol:
+        starts, iters = _informed_starts(map_rep)[:1], 1
+    elif _certified(map_rep, search.tol):
+        starts, iters = _informed_starts(map_rep)[:1], search.max_iters
+    else:
+        starts, iters = _scan_starts(map_rep, search), search.max_iters
+    return reference_scan(map_rep.choi4, starts, iters, search.conv_tol, -search.tol)
+
+
 def test_cho_kye_lee_pinned():
     x = crandn(3, 3)
     d = np.diag(x)
@@ -261,7 +274,8 @@ def test_cho_kye_lee_pinned():
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 4), (4, 2)])
 def test_is_positive_matches_reference_scan(n, m):
     """is_positive = the sequential scan of its informed and random starts,
-    or of the first informed start alone when the Choi spectrum settles the map"""
+    or of the first informed start alone when the Choi spectrum settles the
+    map, for one iteration if that spectrum is the map's own"""
     maps = _positivity_maps(n, m)
     if (n, m) == (3, 3):
         maps.append(cho_kye_lee(2, 0, 1))
@@ -270,13 +284,7 @@ def test_is_positive_matches_reference_scan(n, m):
         search = SearchParams(seed=100 * n + 10 * m + k)
         res = is_positive(map_rep, search)
         certified.append(_certified(map_rep, search.tol))
-        if certified[-1]:
-            starts = _informed_starts(map_rep)[:1]
-        else:
-            starts = _scan_starts(map_rep, search)
-        val, _, _, used = reference_scan(
-            map_rep.choi4, starts, search.max_iters, search.conv_tol, -search.tol
-        )
+        val, _, _, used = _reference(map_rep, search)
         assert res.positive == (certified[-1] or val >= -search.tol)
         assert res.restarts_used == used
         assert abs(res.min_value - val) <= 1e-12
@@ -305,6 +313,31 @@ def test_certificate_verdict_matches_full_scan(n, m):
         assert res.positive
         u = np.kron(res.xi, res.eta)
         assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (2, 4), (4, 2)])
+def test_cp_witness_ignores_max_iters(n, m):
+    """a map proved CP takes one iteration at any budget, and its value stays
+    at least lambda_min(C); ad o T and planted maps still descend on the budget"""
+    cp, ad, ad_t, omega, planted = _positivity_maps(n, m)
+    budgets = [SearchParams(max_iters=1), SearchParams(), SearchParams(max_iters=500)]
+    for map_rep in (cp, ad, omega):
+        first = is_positive(map_rep, budgets[0])
+        low = np.linalg.eigvalsh(map_rep.choi)[0]
+        for search in budgets:
+            res = is_positive(map_rep, search)
+            assert res.positive and res.restarts_used == 1
+            assert res.min_value == first.min_value
+            assert np.array_equal(res.xi, first.xi) and np.array_equal(res.eta, first.eta)
+            assert res.min_value >= low - map_floor(map_rep)
+    for map_rep in (ad_t, planted):
+        for search in budgets:
+            res = is_positive(map_rep, search)
+            val, _, _, used = _reference(map_rep, search)
+            assert res.restarts_used == used
+            assert abs(res.min_value - val) <= 1e-12
+            u = np.kron(res.xi, res.eta)
+            assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
 
 
 def test_certificate_edges_match_full_scan():
