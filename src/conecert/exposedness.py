@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .maps import (
     MapRep,
+    _ad_choi,
     _require_hermitian,
     _require_tolerance,
     choi_from_ad,
@@ -160,7 +161,9 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     """
     n, m, d = phi.n, phi.m, nullspace.dim
     u_defect, w = _rank1_defect(np.einsum("ikjk->ij", phi.choi4))
-    s_defect, v = _rank1_defect(np.einsum("i,ikjl,j->kl", w[:, 0].conj(), phi.choi4, w[:, 0]))
+    top = w[:, 0]
+    compressed = top @ (top.conj() @ phi.choi.reshape(n, -1)).reshape(m, n, m)
+    s_defect, v = _rank1_defect(compressed)
 
     def frame(x):  # x (d, nm, nm) -> x (W (x) V), one GEMM per factor
         y = (x.reshape(-1, m) @ v).reshape(-1, n, m)
@@ -208,7 +211,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     a = a / norm
-    phi = choi_from_ad(a, transposed=transposed)
+    phi = _ad_choi(a, transposed)
     ns = double_prime_nullspace(a, transposed)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)

@@ -35,23 +35,25 @@ def gap_rank(s, floor):
     """
     s = np.asarray(s, dtype=np.float64)
     k = s.shape[-1]
+    if s.ndim == 1:
+        if k == 0 or not s[0] > floor:
+            return 0
+        levels = np.empty(k + 1)
+        levels[k] = max(floor, _TINY)
+        np.maximum(s, levels[k], out=levels[:k])
+        return int((levels[:k] / levels[1:]).argmax()) + 1
     if k == 0:
-        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
-    top_above = s[..., 0] > floor
-    if s.ndim == 1 and not top_above:
-        return 0
+        return np.zeros(s.shape[:-1], dtype=np.intp)
     levels = np.empty(s.shape[:-1] + (k + 1,))
     levels[..., k] = np.maximum(floor, _TINY)
     np.maximum(s, levels[..., k:], out=levels[..., :k])
     rank = (levels[..., :k] / levels[..., 1:]).argmax(axis=-1) + 1
-    if s.ndim == 1:
-        return int(rank)
-    rank[~top_above] = 0
+    rank[~(s[..., 0] > floor)] = 0
     return rank
 
 
 def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ShapeError(f"{name} contains non-finite entries")
     return a
 
@@ -150,13 +152,17 @@ def fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.abs(a) / a)
 
 
+def _read_only(arrays: tuple) -> tuple:
+    """The arrays, made read-only: cached arrays are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached, read-only `np.triu_indices(n, 1)`: the strict upper triangle."""
-    iu, ju = np.triu_indices(n, 1)
-    iu.flags.writeable = False
-    ju.flags.writeable = False
-    return iu, ju
+    return _read_only(np.triu_indices(n, 1))
 
 
 def herm_to_params(c: np.ndarray) -> np.ndarray:
@@ -174,12 +180,25 @@ def herm_to_params(c: np.ndarray) -> np.ndarray:
     return hermitian_params(c)
 
 
+@lru_cache(maxsize=None)
+def _param_slots(n: int) -> np.ndarray:
+    """Cached, read-only offsets in the float64 view of an n x n complex array.
+
+    In `herm_to_params` order: the real diagonal, then Re and Im of the
+    strict upper triangle.
+    """
+    iu, ju = triu_pairs(n)
+    upper = 2 * (iu * n + ju)
+    return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
+
+
 def hermitian_params(c: np.ndarray) -> np.ndarray:
     """`herm_to_params` of a complex (..., N, N) array already known to be finite."""
-    iu, ju = triu_pairs(c.shape[-1])
-    upper = c[..., iu, ju]
-    diag = np.diagonal(c, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    n = c.shape[-1]
+    out = c.reshape(c.shape[:-2] + (n * n,)).view(np.float64).take(_param_slots(n), axis=-1)
+    out[..., n:] *= SQRT2
+    return out
 
 
 def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:

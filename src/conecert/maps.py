@@ -134,7 +134,7 @@ def partial_transpose_in(choi: np.ndarray, n: int, m: int) -> np.ndarray:
 def _nonzero_operator(A) -> np.ndarray:
     """A as a finite complex matrix; the zero operator gives the cone apex, not a ray."""
     a = as_complex_matrix(A, "A")
-    if not np.any(a):
+    if not a.any():
         raise InputRejected("A = 0 gives the apex map, not a candidate ray")
     return a
 
@@ -144,12 +144,17 @@ def choi_from_ad(A, transposed: bool = False) -> MapRep:
 
     The zero operator is rejected: it gives the cone apex, not a ray.
     """
-    a = _nonzero_operator(A)
+    return _ad_choi(_nonzero_operator(A), transposed)
+
+
+def _ad_choi(a: np.ndarray, transposed: bool) -> MapRep:
+    """`choi_from_ad` of a finite complex matrix a, which is not checked again."""
     n, m = a.shape
     w = a.reshape(-1)
     choi = np.outer(w, w.conj())
     if transposed:
-        choi = partial_transpose_in(choi, n, m)
+        # the partial transpose on K, `partial_transpose_in`
+        choi = choi.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
     return MapRep(n=n, m=m, choi=choi)
 
 

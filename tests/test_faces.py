@@ -24,7 +24,7 @@ from conecert.faces import (
     projector_coordinates,
     system_floor,
 )
-from conecert.linalg import herm_to_params, params_to_herm, triu_pairs
+from conecert.linalg import gap_rank, herm_to_params, params_to_herm, triu_pairs
 from conecert.maps import MapRep, apply, choi_from_ad
 from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
 
@@ -306,6 +306,35 @@ def test_projector_coordinates_of_kernel_probes():
         assert np.abs(rebuilt - _projectors(etas)).max() <= 1e-14
 
 
+def _coordinates_reference(x):
+    """`projector_coordinates` written out with index pairs and a scattered shift matrix: the oracle."""
+    m = x.shape[-1]
+    iu, ju = np.triu_indices(m, 1)
+    c = x[..., iu, ju]
+    out = np.empty(x.shape[:-2] + (m * m,))
+    out[..., m::2] = 2 * c.real
+    out[..., m + 1 :: 2] = -2 * c.imag
+    shift = np.zeros(x.shape)
+    shift[..., iu, ju] = c.real - c.imag
+    out[..., :m] = np.diagonal(x, axis1=-2, axis2=-1).real - shift.sum(-1) - shift.sum(-2)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_projector_coordinates_are_bitwise_the_reference(m):
+    """kernel rows, sparse probes and batches get the reference formula's bytes, exact zeros kept"""
+    gen = np.random.default_rng(m)
+    etas = gen.standard_normal((6, m)) + 1j * gen.standard_normal((6, m))
+    etas[::2, : m // 2] = 0.0
+    xs = [_projectors(etas), _projectors(etas).reshape(2, 3, m, m), _projectors(etas)[0]]
+    for a in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1e-9, 0.0]), rand_rank(2, m, 1)):
+        if a.shape[1] == m:
+            xs += [_projectors(np.array(kernel_probes(a, t)).reshape(-1, m)) for t in (False, True)]
+    for x in xs:
+        got, want = projector_coordinates(x), _coordinates_reference(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, x.shape)
+
+
 def _spy_reduced_relations(monkeypatch):
     """Record (system, basis output columns) of every `_reduced_relations` call."""
     seen = []
@@ -353,6 +382,97 @@ def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
         assert outputs.shape == (m * m, 1), (n, m, transposed)
         assert np.all(outputs == 1.0), (n, m, transposed)
         assert np.all(system[: m * m - m] == 0.0), (n, m, transposed)
+
+
+def _record_relations(monkeypatch):
+    """Record (weights, outputs, frame, system) of every `_reduced_relations` call."""
+    seen = []
+    reduce = faces._reduced_relations
+
+    def spy(weights, outputs, frame):
+        out = reduce(weights, outputs, frame)
+        seen.append((weights, outputs, frame, out))
+        return out
+
+    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    return seen
+
+
+def _unreduced_stack(weights, outputs, frame):
+    """Every relation's projected f^2 x unknowns block, stacked: no padding and no QR."""
+    blocks = weights[:, None, :] * outputs.T
+    for column in frame:
+        blocks -= column[:, :, None] * np.einsum("qi,qiu->qu", column, blocks)[:, None, :]
+    return blocks.reshape(-1, outputs.shape[0])
+
+
+def _spectrum(system):
+    """Singular values padded with zeros to one per unknown, and the right singular vectors."""
+    unknowns = system.shape[1]
+    if not system.shape[0]:
+        return np.zeros(unknowns), np.eye(unknowns)
+    _, s, vh = np.linalg.svd(system)
+    return np.pad(s, (0, unknowns - s.shape[0])), vh
+
+
+def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
+    """the cut system has the unreduced stack's singular values and null space, to 1e-13
+
+    On every grid class, every nonzero 0/1 matrix with n, m <= 3 and 8 x 8
+    rank 4, with both flags.
+    """
+    seen = _record_relations(monkeypatch)
+    grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
+    for a in [*grid, *_zero_one_matrices(), rand_rank(8, 8, 4)]:
+        for transposed in (False, True):
+            double_prime_nullspace(a, transposed)
+            weights, outputs, frame, system = seen.pop()
+            unknowns = outputs.shape[0]
+            s, vh = _spectrum(system)
+            want_s, want_vh = _spectrum(_unreduced_stack(weights, outputs, frame))
+            top = want_s[0] if unknowns else 0.0
+            assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, (a, transposed)
+            rank = gap_rank(want_s, system_floor(want_s, unknowns))
+            assert gap_rank(s, system_floor(s, unknowns)) == rank, (a, transposed)
+            null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
+            assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, (a, transposed)
+
+
+def test_only_narrow_relations_are_cut(monkeypatch):
+    """rank 1 runs no batched QR; at 8 x 8 rank 4 every QR'd block is at most 3 wide"""
+    widths = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        if np.ndim(a) == 3:
+            widths.append(a.shape[-1])
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    for n, m in ((2, 3), (4, 4), (8, 8)):
+        for transposed in (False, True):
+            double_prime_nullspace(rand_rank(n, m, 1), transposed)
+    assert widths == []
+    for transposed in (False, True):
+        double_prime_nullspace(rand_rank(8, 8, 4), transposed)
+    assert widths and max(widths) <= 3
+
+
+def test_relation_plan_is_keyed_on_the_pattern():
+    """inputs of one class share a bounded, read-only plan, whatever their values"""
+    plan = faces._relation_plan
+    assert plan.cache_info().maxsize is not None
+    double_prime_nullspace(rand_rank(4, 4, 2))
+    before = plan.cache_info()
+    for _ in range(3):
+        double_prime_nullspace(rand_rank(4, 4, 2))
+    after = plan.cache_info()
+    assert after.hits == before.hits + 3 and after.misses == before.misses
+    # two relations over 4 unknowns at f^2 = 4: one narrow (c = 2), one wide (c = 4)
+    pattern = np.array([[True, False, True, False], [True, True, True, True]])
+    count, groups = plan(pattern.tobytes(), 2, 4, 4)
+    assert count == 2 + 4 and [group[0] for group in groups] == [True, False]
+    assert not any(a.flags.writeable for group in groups for a in group[1:])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

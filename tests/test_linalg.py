@@ -4,10 +4,12 @@ from constraint_oracle import functional_row
 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.linalg import (
+    SQRT2,
     conj_vector,
     fix_phase,
     gap_rank,
     herm_to_params,
+    hermitian_params,
     hermitize,
     is_psd,
     normalized,
@@ -149,6 +151,23 @@ def test_gap_rank_batch_matches_rows():
             want = [gap_rank(row, f) for row, f in zip(batch, np.broadcast_to(floor, 40))]
             assert got.shape == (40,) and np.issubdtype(got.dtype, np.integer)
             assert got.tolist() == want
+    # ties, values below the floor and a zero floor, on the 1-D path and the batch one
+    special = np.array(
+        [
+            [8.0, 4.0, 2.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [1.0, 2.0**-20, 2.0**-40, 2.0**-60],
+            [1.0, 1e-3, 1e-20, 0.0],
+            [1e-20, 1e-25, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    with np.errstate(all="raise"):
+        for floor in (0.0, 1e-12, 0.5, 1.0, 2.0**-80):
+            got = gap_rank(special, floor)
+            assert got.tolist() == [gap_rank(row, floor) for row in special], floor
+        assert gap_rank(special, 0.5).tolist() == [1, 4, 1, 1, 0, 0]
+        assert gap_rank(special, 0.0).tolist() == [4, 4, 4, 3, 2, 0]
 
 
 def test_is_psd_examples():
@@ -220,3 +239,41 @@ def test_functional_row_matches_direct_sum():
         want = np.sum(c * m)
         got = functional_row(m) @ herm_to_params(c)
         assert abs(want - got) < 1e-12
+
+
+def _params_reference(c):
+    """`hermitian_params` written out as three index reads and a concatenation: the oracle."""
+    iu, ju = np.triu_indices(c.shape[-1], 1)
+    upper = c[..., iu, ju]
+    diag = np.diagonal(c, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
+
+
+def _herm_reference(p, n):
+    """`params_to_herm` written out as three scatters by index pairs into zeros: the oracle."""
+    k = n * (n - 1) // 2
+    c = np.zeros(p.shape[:-1] + (n, n), dtype=np.complex128)
+    iu, ju = np.triu_indices(n, 1)
+    c[..., np.arange(n), np.arange(n)] = p[..., :n]
+    upper = (p[..., n : n + k] + 1j * p[..., n + k :]) / SQRT2
+    c[..., iu, ju] = upper
+    c[..., ju, iu] = upper.conj()
+    return c
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cached_param_maps_are_bitwise_the_reference(n):
+    """both maps give the written-out formulas' bytes, signed zeros included"""
+    gen = np.random.default_rng(n)
+    for shape in ((), (3,), (2, 4)):
+        p = gen.standard_normal(shape + (n * n,))
+        p[..., ::3] = 0.0
+        p[..., 1::5] = -0.0
+        want = _herm_reference(p, n)
+        got = params_to_herm(p, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, shape)
+        x = gen.standard_normal(shape + (n, n)) + 1j * gen.standard_normal(shape + (n, n))
+        x[..., ::2, :] = -0.0
+        for c in (want, x, x.swapaxes(-1, -2)):
+            got, want_p = hermitian_params(c), _params_reference(c)
+            assert got.shape == want_p.shape and got.tobytes() == want_p.tobytes(), (n, shape)
