@@ -9,6 +9,7 @@ that differ only in destination stay byte-identical.
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .errors import ClassificationError, ConecertError, EncodingError
 from .exposedness import Verdict, certify_exposed, classify, conjugate_obstruction_space
@@ -51,9 +52,8 @@ def cmd_pairing(args) -> int:
         raise EncodingError("operator file must hold a JSON object")
     kind = obj.get("kind", "full" if "w" in obj else "product")
     if kind == "product":
-        for key in ("x", "y"):
-            if key not in obj:
-                raise EncodingError("product operator needs 'x' and 'y' matrices")
+        if "x" not in obj or "y" not in obj:
+            raise EncodingError("product operator needs 'x' and 'y' matrices")
         w = SeparableElement(
             x_factor=matrix_from_json(obj["x"]), y_factor=matrix_from_json(obj["y"])
         )
@@ -94,10 +94,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.report, exist_ok=True)
     rng = rng_from(seed)
     ranks = range(1, min(args.n, args.m) + 1)
-    verdict_counts: dict[str, int] = {}
-    dim_hist: dict[str, int] = {}
-    files = []
-    not_certified = 0
+    verdict_counts, dim_hist, files = Counter(), Counter(), []
     for rank in ranks:
         for i in range(args.count):
             a = random_operator(rng, args.n, args.m, rank)
@@ -119,12 +116,8 @@ def cmd_sweep(args) -> int:
                 )
                 write_json_atomic(os.path.join(args.report, name), payload)
                 files.append(name)
-                v = report.verdict.value
-                verdict_counts[v] = verdict_counts.get(v, 0) + 1
-                key = str(report.nullspace.dim)
-                dim_hist[key] = dim_hist.get(key, 0) + 1
-                if report.verdict is Verdict.NOT_CERTIFIED:
-                    not_certified += 1
+                verdict_counts[report.verdict.value] += 1
+                dim_hist[str(report.nullspace.dim)] += 1
     summary = {
         "config": {
             "command": "sweep",
@@ -136,7 +129,7 @@ def cmd_sweep(args) -> int:
         "reports": files,
         "verdict_counts": verdict_counts,
         "dimension_histogram": dim_hist,
-        "not_certified": not_certified,
+        "not_certified": verdict_counts[Verdict.NOT_CERTIFIED.value],
     }
     write_json_atomic(os.path.join(args.report, "summary.json"), summary)
     total = len(files)
@@ -297,15 +290,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ClassificationError as exc:
+    except (ConecertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConecertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ClassificationError) else 2
 
 
 if __name__ == "__main__":

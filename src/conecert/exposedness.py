@@ -38,7 +38,6 @@ from .linalg import (
 )
 from .maps import (
     MapRep,
-    _ad_choi,
     _require_hermitian,
     _require_tolerance,
     choi_from_ad,
@@ -162,8 +161,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     n, m, d = phi.n, phi.m, nullspace.dim
     u_defect, w = _rank1_defect(np.einsum("ikjk->ij", phi.choi4))
     top = w[:, 0]
-    compressed = top @ (top.conj() @ phi.choi.reshape(n, -1)).reshape(m, n, m)
-    s_defect, v = _rank1_defect(compressed)
+    s_defect, v = _rank1_defect(top @ (top.conj() @ phi.choi.reshape(n, -1)).reshape(m, n, m))
 
     def frame(x):  # x (d, nm, nm) -> x (W (x) V), one GEMM per factor
         y = (x.reshape(-1, m) @ v).reshape(-1, n, m)
@@ -211,7 +209,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     a = a / norm
-    phi = _ad_choi(a, transposed)
+    phi = choi_from_ad(a, transposed=transposed)
     ns = double_prime_nullspace(a, transposed)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
@@ -319,11 +317,7 @@ def _rank1_psd_vector(c: np.ndarray, tol: float) -> np.ndarray | None:
     """Top eigenvector scaled by sqrt(eigenvalue) if c is rank-1 PSD, else None."""
     w, v = np.linalg.eigh(hermitize(c))
     scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if scale == 0.0 or w[-1] <= 0.0:
-        return None
-    if w[0] < -tol * scale:
-        return None
-    if w.shape[0] > 1 and w[-2] > tol * scale:
+    if w[-1] <= 0.0 or w[0] < -tol * scale or w[:-1].max(initial=0.0) > tol * scale:
         return None
     return np.sqrt(float(w[-1])) * v[:, -1]
 

@@ -44,11 +44,11 @@ import numpy as np
 from .errors import ShapeError
 from .linalg import (
     UNIT_ROUNDOFF,
-    _param_slots,
     _read_only,
     gap_rank,
     hermitian_params,
     params_to_herm,
+    triu_pairs,
 )
 from .maps import MapRep, _nonzero_operator
 from .sampling import combination_rows, reflected_probe_vectors, unit_probe_vectors
@@ -98,23 +98,16 @@ def projector_coordinates(x: np.ndarray) -> np.ndarray:
     eta_j conj(eta_k), so a coefficient outside the pairs where eta has two
     nonzero entries is exactly 0.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
     m = x.shape[-1]
-    k = m * (m - 1) // 2
-    # the real diagonal, then Re and Im of the strict upper triangle
-    g = x.reshape(x.shape[:-2] + (m * m,)).view(np.float64).take(_param_slots(m), axis=-1)
+    iu, ju = triu_pairs(m)
+    c = x[..., iu, ju]
     out = np.empty(x.shape[:-2] + (m * m,))
-    out[..., m::2] = 2 * g[..., m : m + k]
-    out[..., m + 1 :: 2] = -2 * g[..., m + k :]
-    shift = np.where(_lower(m), 0.0, x.real - x.imag)
-    out[..., :m] = g[..., :m] - shift.sum(-1) - shift.sum(-2)
+    out[..., m::2] = 2 * c.real
+    out[..., m + 1 :: 2] = -2 * c.imag
+    shift = np.zeros(x.shape)
+    shift[..., iu, ju] = c.real - c.imag
+    out[..., :m] = np.diagonal(x, axis1=-2, axis2=-1).real - shift.sum(-1) - shift.sum(-2)
     return out
-
-
-@lru_cache(maxsize=None)
-def _lower(k: int) -> np.ndarray:
-    """Cached, read-only mask of the lower triangle of a k x k matrix, diagonal included."""
-    return _read_only((np.tri(k, dtype=bool),))[0]
 
 
 def _outer(etas: np.ndarray) -> np.ndarray:
@@ -185,26 +178,25 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
 def _relation_plan(pattern: bytes, relations: int, unknowns: int, f2: int) -> tuple:
     """Cached, read-only layout of `_reduced_relations` for one nonzero pattern of the weights.
 
-    Keyed on the pattern and sizes, never on values.  Relation q keeps
-    min(c_q, f^2) rows, in relation order: count rows in all.  Returns count
-    and a group per kind of relation present, narrow (0 < c_q < f^2) first:
-    (narrow, relations, columns with each relation's unknowns first, flat
-    weight indices, dest).  dest gives the system row of each row of the
-    group's blocks, and count for the zero rows past c_q of a narrow R.
+    Keyed on the pattern and sizes, never on values.  Returns the row count
+    and a group each for the narrow (0 < c_q < f^2) and the wide relations
+    present: (relations, columns with each one's unknowns first, flat weight
+    indices, flat indices into the system; rows past c_q of a narrow R go to
+    a spare row).
     """
     involved = np.frombuffer(pattern, dtype=bool).reshape(relations, unknowns)
     sizes = involved.sum(axis=1)
     depth = np.minimum(sizes, f2)
     start, count = np.cumsum(depth) - depth, int(depth.sum())
     groups = []
-    for narrow in (True, False):
-        rel = np.flatnonzero(((sizes < f2) == narrow) & (sizes > 0))
+    for rel in (np.flatnonzero((sizes > 0) & (sizes < f2)), np.flatnonzero(sizes >= f2)):
         if rel.shape[0]:
             width = int(sizes[rel].max())
             cols = np.argsort(~involved[rel], axis=1, kind="stable")[:, :width]
-            i = np.arange(width if narrow else f2)[:, None]
+            i = np.arange(min(width, f2))[:, None]
             dest = np.where(i < depth[rel, None, None], start[rel, None, None] + i, count)
-            groups.append((narrow, *_read_only((rel, cols, rel[:, None] * unknowns + cols, dest))))
+            flat = dest * unknowns + cols[:, None, :]
+            groups.append(_read_only((rel, cols, rel[:, None] * unknowns + cols, flat)))
     return count, tuple(groups)
 
 
@@ -226,24 +218,19 @@ def _reduced_relations(
     of its R factor, which keep the null space: one batched QR over the
     narrow relations, padded with zero columns to the widest of them.  A
     wide one keeps its f^2 rows, which already span what its R factor would.
-    The layout comes from `_relation_plan`, cached by the nonzero pattern of
-    the weights; padding columns, zero, land on columns of weight 0.
+    The layout is read from `_relation_plan`; padding columns, zero, land on
+    columns of weight 0.
     """
     unknowns, f2 = outputs.shape
     count, groups = _relation_plan((weights != 0).tobytes(), weights.shape[0], unknowns, f2)
-    rows = np.zeros((count + 1, unknowns))
-    for narrow, rel, cols, index, dest in groups:
+    rows = np.zeros((count + 1) * unknowns)
+    for rel, cols, index, flat in groups:
         block = outputs[cols] * weights.take(index)[..., None]
-        for column in frame:
-            column = column[rel]
+        for column in (column[rel] for column in frame):
             block -= (block @ column[..., None]) * column[:, None, :]
-        if narrow:
-            # mode "raw" is block-shaped and holds R[i, j] at (q, j, i) for i <= j
-            width = block.shape[1]
-            block = np.linalg.qr(block.swapaxes(1, 2), mode="raw")[0][..., :width]
-            block = np.where(_lower(width), block, 0.0)
-        rows[dest, cols[:, None, :]] = block.swapaxes(1, 2)
-    return rows[:count]
+        block = block.swapaxes(1, 2)
+        rows[flat] = np.linalg.qr(block, mode="r") if block.shape[2] < f2 else block
+    return rows[: count * unknowns].reshape(count, unknowns)
 
 
 def system_floor(s: np.ndarray, unknowns: int) -> float:
@@ -322,19 +309,18 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     lift = np.zeros((size, unknowns))
     lift[basis, np.arange(unknowns)] = 1.0
     lift[pairs] = back
-    system = _reduced_relations(coords[size:, basis], outputs[basis], frame).T
-    rows = system.shape[1]
+    system = _reduced_relations(coords[size:, basis], outputs[basis], frame)
+    rows = system.shape[0]
     if rows > unknowns > 0:
-        # R^T: same singular values and left vectors, without the tall factor.  The QR
-        # pays for itself: an SVD of the tall system was 1.3, 1.7 and 2.4 times slower
-        # at 8 x 8 rank 4, 12 x 12 rank 6 and 16 x 16 rank 8 (BENCH_relation_plan.json)
-        system = np.linalg.qr(system.T, mode="raw")[0][:, :unknowns]
-        system = np.where(_lower(unknowns), system, 0.0)
+        # same singular values and right vectors, without the tall left factor.  It pays
+        # for itself: an SVD of the tall system was 1.3, 1.8 and 2.4 times slower at 8 x 8
+        # rank 4, 12 x 12 rank 6 and 16 x 16 rank 8 (BENCH_relation_plan.json)
+        system = np.linalg.qr(system, mode="r")
     if system.size:
         # the rows are graded (projected blocks leave rows near rounding); as left
         # singular vectors of the transpose the null vectors hold to a few u * s_0,
         # as right ones of the system to 48 u * s_0 on 2 x 2 unitary inputs
-        left, svals, _ = np.linalg.svd(system, full_matrices=rows < unknowns)
+        left, svals, _ = np.linalg.svd(system.T, full_matrices=rows < unknowns)
     else:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]

@@ -35,20 +35,18 @@ def gap_rank(s, floor):
     """
     s = np.asarray(s, dtype=np.float64)
     k = s.shape[-1]
-    if s.ndim == 1:
-        if k == 0 or not s[0] > floor:
-            return 0
-        levels = np.empty(k + 1)
-        levels[k] = max(floor, _TINY)
-        np.maximum(s, levels[k], out=levels[:k])
-        return int((levels[:k] / levels[1:]).argmax()) + 1
     if k == 0:
-        return np.zeros(s.shape[:-1], dtype=np.intp)
+        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
+    top_above = s[..., 0] > floor
+    if s.ndim == 1 and not top_above:
+        return 0
     levels = np.empty(s.shape[:-1] + (k + 1,))
     levels[..., k] = np.maximum(floor, _TINY)
     np.maximum(s, levels[..., k:], out=levels[..., :k])
     rank = (levels[..., :k] / levels[..., 1:]).argmax(axis=-1) + 1
-    rank[~(s[..., 0] > floor)] = 0
+    if s.ndim == 1:
+        return int(rank)
+    rank[~top_above] = 0
     return rank
 
 
@@ -182,11 +180,7 @@ def herm_to_params(c: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _param_slots(n: int) -> np.ndarray:
-    """Cached, read-only offsets in the float64 view of an n x n complex array.
-
-    In `herm_to_params` order: the real diagonal, then Re and Im of the
-    strict upper triangle.
-    """
+    """Cached, read-only offsets of the `herm_to_params` entries in the float64 view of n x n."""
     iu, ju = triu_pairs(n)
     upper = 2 * (iu * n + ju)
     return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]

@@ -144,17 +144,12 @@ def choi_from_ad(A, transposed: bool = False) -> MapRep:
 
     The zero operator is rejected: it gives the cone apex, not a ray.
     """
-    return _ad_choi(_nonzero_operator(A), transposed)
-
-
-def _ad_choi(a: np.ndarray, transposed: bool) -> MapRep:
-    """`choi_from_ad` of a finite complex matrix a, which is not checked again."""
+    a = _nonzero_operator(A)
     n, m = a.shape
     w = a.reshape(-1)
     choi = np.outer(w, w.conj())
     if transposed:
-        # the partial transpose on K, `partial_transpose_in`
-        choi = choi.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+        choi = partial_transpose_in(choi, n, m)
     return MapRep(n=n, m=m, choi=choi)
 
 

@@ -151,7 +151,7 @@ def test_gap_rank_batch_matches_rows():
             want = [gap_rank(row, f) for row, f in zip(batch, np.broadcast_to(floor, 40))]
             assert got.shape == (40,) and np.issubdtype(got.dtype, np.integer)
             assert got.tolist() == want
-    # ties, values below the floor and a zero floor, on the 1-D path and the batch one
+    # ties, values below the floor and a zero floor, row by row and as a batch
     special = np.array(
         [
             [8.0, 4.0, 2.0, 1.0],
