@@ -5,10 +5,12 @@ A map psi belongs to the double commutant face of phi exactly when it
 satisfies psi(eta eta*) conj(xi) = 0 for all zero-pairs.  For one probe eta
 and Hermitian psi(eta eta*) those conditions say psi(eta eta*) lies in
 {R H R*}, with R an orthonormal basis of range phi(eta eta*) and H
-Hermitian.  The conjugation maps X -> A X A* and X -> A X^T A* send every
-probe to the output phi(eta eta*) = w w*, with w = A eta, or A conj(eta) for
-the transposed map, so that set is the real line through w w*:
-psi(P_p) = x_p w_p w_p*.
+Hermitian.  The conjugation map X -> A X A* sends every probe to the output
+phi(eta eta*) = w w*, with w = A eta, so that set is the real line through
+w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
+and psi -> psi o T is a linear automorphism of the cone of positive maps, so
+its face is the image of phi's: it is solved as phi's, and its Choi
+matrices are the input-side partial transposes (`double_prime_nullspace`).
 
 The null space is therefore solved from A, in probe coordinates, one real
 unknown x_p per probe with a nonzero output.  Outputs lie on range A, so
@@ -141,18 +143,18 @@ def _output_floor(a: np.ndarray) -> float:
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
 
 
-def _probe_space(a: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`kernel_probes` (k, m) and the range frame F = S_f Vh_f (f, m) of A = U S Vh.
+def _probe_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel probes (k, m) of X -> A X A* and the range frame F = S_f Vh_f (f, m) of A = U S Vh.
 
-    F keeps each s_j > max(n, m) * u * s_0, the rounding floor of
-    `null_space`: no rank decision.  F eta = U_f* A eta.
+    The probes are conj(ker A) and their pairwise combinations.  F keeps
+    each s_j > max(n, m) * u * s_0, the rounding floor of `null_space`: no
+    rank decision.  F eta = U_f* A eta.
     """
     n, m = a.shape
     _, s, vh = np.linalg.svd(a)
     spectrum = np.zeros(m)
     spectrum[: s.shape[0]] = s * s
-    kernel = vh[gap_rank(spectrum, _output_floor(a)) :]
-    kernel = kernel if transposed else kernel.conj()
+    kernel = vh[gap_rank(spectrum, _output_floor(a)) :].conj()
     frame = s[:, None] * vh[: s.shape[0]]
     frame = frame[: int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))]
     if kernel.shape[0] > 1:
@@ -163,15 +165,18 @@ def _probe_space(a: np.ndarray, transposed: bool) -> tuple[np.ndarray, np.ndarra
 def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
 
-    phi(eta eta*) = w w* with w = A eta, or w = A conj(eta) for the
-    transposed map, so the kernel probes are ker A, conjugated for the
-    transposed map, and their pairwise combinations.  Without them,
-    rank-deficient maps would never show their kernel-side zero-pairs.  The
-    kernel is the part past the `gap_rank` of the squared singular values,
-    zero-padded to length m (the spectrum of the input compression of
-    Choi(phi)), over n * m * u * |A|_F^2.  A = 0 raises InputRejected.
+    For X -> A X A*, phi(eta eta*) = w w* with w = A eta, so the kernel
+    probes are ker A, conjugated (the rows of Vh), and their pairwise
+    combinations.  X -> A X^T A* sends eta eta* to the output of the plain
+    map at conj(eta), so its kernel probes are the plain ones conjugated.
+    Without them, rank-deficient maps would never show their kernel-side
+    zero-pairs.  The kernel is the part past the `gap_rank` of the squared
+    singular values, zero-padded to length m (the spectrum of the input
+    compression of Choi(phi)), over n * m * u * |A|_F^2.  A = 0 raises
+    InputRejected.
     """
-    return list(_probe_space(_nonzero_operator(A), transposed)[0])
+    kernel = _probe_space(_nonzero_operator(A))[0]
+    return list(kernel.conj() if transposed else kernel)
 
 
 @lru_cache(maxsize=64)
@@ -246,12 +251,18 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """Null space of the zero-pair constraints of the map of A, solved in basis-probe coordinates.
 
-    The map is X -> A X A*, or X -> A X^T A* when transposed.  Probes: the
-    cached `curve_frame` and `kernel_probes`.  Every output is
-    phi(P_p) = w_p w_p* with w_p = A eta_p (A conj(eta_p) when transposed),
-    read in the range frame F of `_probe_space` as v_p = F eta_p, f^2 real
-    coordinates.  It is nonzero when c_p = |v_p|^2 is above
-    n * m * u * |A|_F^2, and then its probe has one real unknown,
+    The map is X -> A X A*, or X -> A X^T A* when transposed.  Only the face
+    of X -> A X A* is solved.  (xi, eta) is a zero-pair of phi o T exactly
+    when (xi, conj(eta)) is one of phi, and psi -> psi o T is a linear
+    automorphism of the cone of positive maps, so the face of phi o T is
+    {psi o T : psi in the face of phi}: the same system, spectrum and null
+    vectors, and Choi matrices that are the input-side partial transposes,
+    (i, k, j, l) -> (i, l, j, k).  The flag is read there, in the axes of the
+    Choi assembly, and nowhere else.  Probes: the cached `curve_frame` and
+    the kernel probes of `_probe_space`.  Every output is phi(P_p) = w_p w_p*
+    with w_p = A eta_p, read in the range frame F of `_probe_space` as
+    v_p = F eta_p, f^2 real coordinates.  It is nonzero when c_p = |v_p|^2
+    is above n * m * u * |A|_F^2, and then its probe has one real unknown,
     psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
     the relation x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose
     f^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
@@ -274,14 +285,13 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     a = _nonzero_operator(A)
     n, m = a.shape
     curve, curve_coords, dual, dual_gram = curve_frame(m)
-    kernel, range_map = _probe_space(a, transposed)
+    kernel, range_map = _probe_space(a)
     etas, coords = curve, curve_coords
     if kernel.shape[0]:
         etas = np.concatenate([curve, kernel])
         coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
     count, size = etas.shape[0], m * m
-    probes = etas.conj() if transposed else etas
-    raw = hermitian_params(_outer(probes @ range_map.T))
+    raw = hermitian_params(_outer(etas @ range_map.T))
     c = raw[:, : range_map.shape[0]].sum(axis=1)
     live = c > _output_floor(a)
     # unit column params(v_p v_p*) / |v_p|^2 of each output, zero where the output is zero
@@ -328,10 +338,12 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     # psi(P_b) = z_b w_b w_b* / c_b per null vector; Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    outer = _outer(probes[:size] @ a.T).reshape(size, n * n)
+    outer = _outer(etas[:size] @ a.T).reshape(size, n * n)
     y = z.T[:, None, :] * outer.T
     choi = y @ dual.conj().reshape(size, size)
-    choi = choi.reshape(-1, n, n, m, m).swapaxes(2, 3).reshape(-1, n * m, n * m)
+    # (i, j, k, l) -> (i, k, j, l) is Choi(psi); (i, l, j, k) is its input-side partial transpose
+    axes = (0, 1, 4, 2, 3) if transposed else (0, 1, 3, 2, 4)
+    choi = choi.reshape(-1, n, n, m, m).transpose(axes).reshape(-1, n * m, n * m)
     param_basis, condition = hermitian_params(choi).T, 1.0
     if param_basis.shape[1]:
         if param_basis.shape[1] == 1:

@@ -22,6 +22,7 @@ from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_r
 from conecert.linalg import UNIT_ROUNDOFF, gap_rank, herm_to_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
+from structured_inputs import haar_unitary
 
 rng = np.random.default_rng(41)
 
@@ -356,17 +357,12 @@ def test_rank_one_hull_within_face_bound(shape, transposed):
     assert np.linalg.norm(got - exact @ (exact.T @ got), 2) <= report.face.bound
 
 
-def _haar_unitary(rng, d):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_unitary_inputs_certify(d):
     """Haar unitary A, both flags: each map is an automorphism and spans an exposed ray"""
     rng = np.random.default_rng([17, d])
     for _ in range(150):
-        u = _haar_unitary(rng, d)
+        u = haar_unitary(rng, d)
         for transposed in (False, True):
             assert certify_exposed(u, transposed=transposed).verdict is Verdict.EXPOSED_LINEAR
 
@@ -376,7 +372,7 @@ def _with_smallest_singular_value(rng, n, m, rank, s2):
     sv = np.zeros((n, m))
     sv[np.arange(rank - 1), np.arange(rank - 1)] = 1.0
     sv[rank - 1, rank - 1] = s2
-    return _haar_unitary(rng, n) @ sv @ _haar_unitary(rng, m).conj().T
+    return haar_unitary(rng, n) @ sv @ haar_unitary(rng, m).conj().T
 
 
 @pytest.mark.parametrize("s2", np.logspace(-12, -2, 11))

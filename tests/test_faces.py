@@ -25,8 +25,9 @@ from conecert.faces import (
     system_floor,
 )
 from conecert.linalg import gap_rank, herm_to_params, params_to_herm, triu_pairs
-from conecert.maps import MapRep, apply, choi_from_ad
+from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
 from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
+from structured_inputs import haar_unitary, structured_inputs, zero_one_matrices
 
 rng = np.random.default_rng(31)
 
@@ -76,6 +77,9 @@ def test_kernel_probes_annihilate():
             phi = choi_from_ad(a, transposed=transposed)
             probes = kernel_probes(a, transposed)
             assert probes
+            if transposed:
+                # X -> A X^T A* sends eta eta* to the output of X -> A X A* at conj(eta)
+                assert np.array_equal(probes, np.conj(kernel_probes(a)))
             for eta in probes:
                 out = apply(phi, np.outer(eta, eta.conj()))
                 assert np.abs(out).max() < 1e-12
@@ -86,18 +90,10 @@ def test_kernel_probes_full_rank_empty():
     assert kernel_probes(a) == kernel_probes(a, transposed=True) == []
 
 
-def _zero_one_matrices():
-    """Every nonzero 0/1 matrix with n, m <= 3."""
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
-            for bits in range(1, 2 ** (n * m)):
-                yield np.array([(bits >> k) & 1 for k in range(n * m)], float).reshape(n, m)
-
-
 def test_kernel_probes_match_choi_oracle():
     """the kernel read off svd(A) has the size of the one read off Choi(phi)"""
     bands = (_band(s2) for s2 in np.logspace(-14, -1, 53))
-    for a in [*_zero_one_matrices(), *bands]:
+    for a in [*(a for _, a in zero_one_matrices()), *bands]:
         for transposed in (False, True):
             phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
             want = len(choi_kernel_probes(phi))
@@ -383,7 +379,7 @@ def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     """
     seen = _spy_reduced_relations(monkeypatch, arguments=True)
     grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
-    for a in [*grid, *_zero_one_matrices(), rand_rank(8, 8, 4)]:
+    for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4)]:
         for transposed in (False, True):
             double_prime_nullspace(a, transposed)
             system, outputs, weights, frame = seen.pop()
@@ -472,14 +468,9 @@ def test_probe_lists_are_fresh():
     assert np.array_equal(after.nullspace.singular_values, before.nullspace.singular_values)
 
 
-def _haar_unitary(rng, d):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _band(s2):
     g = np.random.default_rng(7)
-    return _haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ _haar_unitary(g, 3).conj().T
+    return haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ haar_unitary(g, 3).conj().T
 
 
 @pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
@@ -493,14 +484,13 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
     seen = _spy_reduced_relations(monkeypatch)
     g = np.random.default_rng(5)
     for transposed in (False, True):
-        a = _haar_unitary(g, 2) @ np.diag([1.0, s2]) @ _haar_unitary(g, 2).conj().T
+        a = haar_unitary(g, 2) @ np.diag([1.0, s2]) @ haar_unitary(g, 2).conj().T
         a = a / np.linalg.norm(a)
         res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
         # one rank-1 output column per basis probe; the pairs are eliminated at full rank
         assert res.unknowns == (4 if kernel_probes(a, transposed) else 2)
-        etas = curve_frame(2)[0][: res.unknowns]
-        w = (etas.conj() if transposed else etas) @ a.T
+        w = curve_frame(2)[0][: res.unknowns] @ a.T
         y = np.einsum("ui,ui->u", w, w.conj()).real
         leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
         assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
@@ -560,7 +550,7 @@ def test_nullspace_matches_dense_solve_on_band(s2):
         _matches_dense_solve(_band(s2), transposed, (s2, transposed))
 
 
-def _curve_outputs(a, transposed):
+def _curve_outputs(a, transposed=False):
     """Unit columns params(w w*) / |w|^2 of the curve probes' outputs (0 at the floor), |w|^2."""
     etas = curve_frame(a.shape[1])[0]
     w = (etas.conj() if transposed else etas) @ a.T
@@ -571,12 +561,12 @@ def _curve_outputs(a, transposed):
     return outs, c
 
 
-def _scaled_unitaries(transposed):
+def _scaled_unitaries(seed):
     """Unit-norm U diag(1, ..., 1, s) V* over n = 2..5 and s in logspace(-7, 0)."""
-    g = np.random.default_rng(43 + transposed)
+    g = np.random.default_rng(seed)
     for n in range(2, 6):
         for s in np.logspace(-7, 0, 8):
-            a = _haar_unitary(g, n) @ np.diag([1.0] * (n - 1) + [s]) @ _haar_unitary(g, n).conj().T
+            a = haar_unitary(g, n) @ np.diag([1.0] * (n - 1) + [s]) @ haar_unitary(g, n).conj().T
             yield a / np.linalg.norm(a)
 
 
@@ -587,10 +577,13 @@ def test_back_substitution_recovers_phi(transposed):
     Only the m diagonal probes are solved for; the pair coordinates come
     from back-substitution.  Each coordinate is read off the returned Choi
     matrix, psi(P_b) = z_b w_b w_b* / |w_b|^2, and z must lie on the line
-    through phi's, within the face bound.
+    through phi's, within the face bound.  The transposed flag solves the
+    same system and returns its face partially transposed, so its face is
+    probed here at the conjugate outputs of A X^T A*.
     """
     inputs = [crandn(n, n) for n in range(2, 7)]
-    inputs = [a / np.linalg.norm(a) for a in inputs] + list(_scaled_unitaries(transposed))
+    inputs = [a / np.linalg.norm(a) for a in inputs]
+    inputs += [*_scaled_unitaries(43), *_scaled_unitaries(44)]
     checked = 0
     for a in inputs:
         if kernel_probes(a, transposed):
@@ -606,10 +599,10 @@ def test_back_substitution_recovers_phi(transposed):
         sin = np.linalg.norm(z - c * (c @ z) / (c @ c)) / np.linalg.norm(z)
         assert sin <= _face_bound(res), (n, transposed)
         checked += 1
-    assert checked >= 5 + 4 * 4
+    assert checked >= 5 + 2 * 4 * 4
 
 
-def _coordinate_map(a, transposed):
+def _coordinate_map(a):
     """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown.
 
     At full column rank the unknowns are the m diagonal probes', and each
@@ -621,8 +614,8 @@ def _coordinate_map(a, transposed):
     n, m = a.shape
     size = m * m
     etas, coords, *_ = curve_frame(m)
-    outs, c = _curve_outputs(a, transposed)
-    full = not kernel_probes(a, transposed)
+    outs, c = _curve_outputs(a)
+    full = not kernel_probes(a)
     solved = np.arange(m) if full else np.flatnonzero(outs[:size].any(axis=1))
     proj = np.einsum("pi,pj->pij", etas[:size], etas[:size].conj()).reshape(size, size)
     on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)
@@ -647,24 +640,25 @@ def test_condition_bounds_the_whole_map():
     The map is built here per probe, back-substitution included, on every
     grid class and on 2x2 and 3x3 Haar unitaries.  An error of the null
     vectors outside the face is stretched by the whole map, so the face
-    bound needs this ratio, not the one on the null space alone.
+    bound needs this ratio, not the one on the null space alone.  The
+    transposed flag shares this system, and its condition is checked
+    against the plain one in `test_transposed_face_is_the_partial_transpose`.
     """
     g = np.random.default_rng(47)
     shapes = [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)]
     inputs = [rand_rank(n, m, r) for n, m in shapes for r in range(1, min(n, m) + 1)]
-    inputs += [_haar_unitary(g, d) for d in (2, 3) for _ in range(10)]
+    inputs += [haar_unitary(g, d) for d in (2, 3) for _ in range(10)]
     for a in inputs:
         a = a / np.linalg.norm(a)
-        for transposed in (False, True):
-            res = double_prime_nullspace(a, transposed)
-            stretch = _coordinate_map(a, transposed)
-            label = (a.shape, res.dim, transposed)
-            assert stretch.shape[1] == res.unknowns, label
-            x = np.linalg.lstsq(stretch, res.param_basis, rcond=None)[0]
-            assert np.linalg.norm(stretch @ x - res.param_basis) <= 1e-10, label
-            s = np.linalg.svd(stretch, compute_uv=False)
-            least = np.linalg.svd(stretch @ np.linalg.qr(x)[0], compute_uv=False)[-1]
-            assert s[0] / least == pytest.approx(res.condition, rel=1e-12), label
+        res = double_prime_nullspace(a)
+        stretch = _coordinate_map(a)
+        label = (a.shape, res.dim)
+        assert stretch.shape[1] == res.unknowns, label
+        x = np.linalg.lstsq(stretch, res.param_basis, rcond=None)[0]
+        assert np.linalg.norm(stretch @ x - res.param_basis) <= 1e-10, label
+        s = np.linalg.svd(stretch, compute_uv=False)
+        least = np.linalg.svd(stretch @ np.linalg.qr(x)[0], compute_uv=False)[-1]
+        assert s[0] / least == pytest.approx(res.condition, rel=1e-12), label
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -677,3 +671,29 @@ def test_axis_aligned_rank_one_certifies(m):
             phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
             assert report.verdict is Verdict.EXPOSED_FACE, (m, j, transposed)
             assert report.nullspace.dim == oracle_nullspace(phi, 40).shape[1] == 2 * m - 1
+
+
+def test_transposed_face_is_the_partial_transpose():
+    """the face of X -> A X^T A* is the input-side partial transpose of the face of X -> A X A*
+
+    (xi, eta) is a zero-pair of phi o T exactly when (xi, conj(eta)) is one
+    of phi, and psi -> psi o T is a linear automorphism of the cone of
+    positive maps, so it carries the one face onto the other.  Both flags
+    solve the same system: on every structured input they must give the
+    same verdict, counts and spectrum, bitwise, and spans that match under
+    the partial transpose.  The transposed basis is orthonormalised in the
+    permuted Choi parameters, so it is compared as a span, not column by
+    column.
+    """
+    for label, a in structured_inputs():
+        plain, flipped = certify_exposed(a), certify_exposed(a, transposed=True)
+        p, t = plain.nullspace, flipped.nullspace
+        assert flipped.verdict is plain.verdict, label
+        assert (t.dim, t.unknowns, t.pairs_used) == (p.dim, p.unknowns, p.pairs_used), label
+        assert np.array_equal(t.singular_values, p.singular_values), label
+        assert t.condition == pytest.approx(p.condition, rel=1e-12), label
+        if p.dim:
+            n, m = a.shape
+            want = herm_to_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
+            leak = want - t.param_basis @ (t.param_basis.T @ want)
+            assert np.abs(leak).max() <= 1e-12, label
