@@ -38,6 +38,7 @@ from .linalg import (
 )
 from .maps import (
     MapRep,
+    _ad_map,
     _require_hermitian,
     _require_tolerance,
     choi_from_ad,
@@ -209,7 +210,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
         return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
 
     a = a / norm
-    phi = choi_from_ad(a, transposed=transposed)
+    phi = _ad_map(a, transposed)
     ns = double_prime_nullspace(a, transposed)
     if ns.dim == 0:
         return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)

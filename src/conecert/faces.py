@@ -9,8 +9,9 @@ Hermitian.  The conjugation map X -> A X A* sends every probe to the output
 phi(eta eta*) = w w*, with w = A eta, so that set is the real line through
 w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
 and psi -> psi o T is a linear automorphism of the cone of positive maps, so
-its face is the image of phi's: it is solved as phi's, and its Choi
-matrices are the input-side partial transposes (`double_prime_nullspace`).
+its face is the image of phi's: phi's face is solved once per A and cached,
+and the transposed basis is its input-side partial transpose, a signed
+permutation of the Choi parameters (`double_prime_nullspace`).
 
 The null space is therefore solved from A, in probe coordinates, one real
 unknown x_p per probe with a nonzero output.  Outputs lie on range A, so
@@ -38,7 +39,7 @@ basis of the P_b turns it into Choi matrices.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +47,7 @@ import numpy as np
 from .errors import ShapeError
 from .linalg import (
     UNIT_ROUNDOFF,
+    _partial_transpose_slots,
     _read_only,
     gap_rank,
     hermitian_params,
@@ -249,40 +251,53 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 
 
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
-    """Null space of the zero-pair constraints of the map of A, solved in basis-probe coordinates.
+    """Null space of the zero-pair constraints of X -> A X A*, or of X -> A X^T A* when transposed.
 
-    The map is X -> A X A*, or X -> A X^T A* when transposed.  Only the face
-    of X -> A X A* is solved.  (xi, eta) is a zero-pair of phi o T exactly
-    when (xi, conj(eta)) is one of phi, and psi -> psi o T is a linear
-    automorphism of the cone of positive maps, so the face of phi o T is
-    {psi o T : psi in the face of phi}: the same system, spectrum and null
-    vectors, and Choi matrices that are the input-side partial transposes,
-    (i, k, j, l) -> (i, l, j, k).  The flag is read there, in the axes of the
-    Choi assembly, and nowhere else.  Probes: the cached `curve_frame` and
-    the kernel probes of `_probe_space`.  Every output is phi(P_p) = w_p w_p*
-    with w_p = A eta_p, read in the range frame F of `_probe_space` as
-    v_p = F eta_p, f^2 real coordinates.  It is nonzero when c_p = |v_p|^2
-    is above n * m * u * |A|_F^2, and then its probe has one real unknown,
+    Only the plain face is solved (`_plain_face`), and the last one is kept,
+    keyed on the bytes of A, so the two flags on one A solve once.  The
+    transposed face is its input-side partial transpose, a signed
+    permutation of the Choi parameters (`linalg._partial_transpose_slots`):
+    its basis is the plain one with rows permuted and signed, bitwise.  The
+    cached arrays are read-only and every call returns a fresh
+    `NullSpaceResult`.  A = 0 raises InputRejected.
+    """
+    a = _nonzero_operator(A)
+    plain = _plain_face(a.tobytes(), a.shape)
+    if not transposed:
+        return replace(plain)
+    index, sign = _partial_transpose_slots(*a.shape)
+    return replace(plain, param_basis=_read_only((plain.param_basis[index] * sign[:, None],))[0])
+
+
+@lru_cache(maxsize=1)
+def _plain_face(key: bytes, shape: tuple[int, int]) -> NullSpaceResult:
+    """The face of X -> A X A*, for A read from its bytes; cached, with read-only arrays.
+
+    Probes: the cached `curve_frame` and the kernel probes of
+    `_probe_space`.  Every output is phi(P_p) = w_p w_p* with w_p = A eta_p,
+    read in the range frame F of `_probe_space` as v_p = F eta_p, f^2 real
+    coordinates.  It is nonzero when c_p = |v_p|^2 is above
+    n * m * u * |A|_F^2, and then its probe has one real unknown,
     psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
     the relation x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose
     f^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
     x_p is in no other relation, so `_reduced_relations` projects it out and
     cuts each block to its R factor: the system has one unknown per basis
-    probe with a nonzero output.  With no kernel probe (A has full column rank)
-    every output is nonzero and the pair probe P_{+z}(j, k) is in the
+    probe with a nonzero output.  With no kernel probe (A has full column
+    rank) every output is nonzero and the pair probe P_{+z}(j, k) is in the
     relation of P_{-z}(j, k) only, so it is projected out there with the own
     probe: m unknowns, and the pair coordinates are L x, read off the frame
     that projects them out.  The rank is `gap_rank` of the spectrum over
     `system_floor`.  Null vectors, pair coordinates included, become Choi
     matrices through the dual basis D_b of the unit-probe projectors,
     Choi(psi) = sum_b psi(P_b) (x) conj(D_b), from the full w_b w_b*, and
-    are orthonormalised there.  `condition` is the largest stretch of the whole map x -> Choi, pair
-    coordinates included, over its least stretch on the null space; the
-    largest is read off the Gram matrix (O O^T) o (D D^T) of the unit output
-    columns O and the dual basis, one eigvalsh of `unknowns` columns.
-    Deterministic: no random probes.  A = 0 raises InputRejected.
+    are orthonormalised there.  `condition` is the largest stretch of the
+    whole map x -> Choi, pair coordinates included, over its least stretch
+    on the null space; the largest is read off the Gram matrix
+    (O O^T) o (D D^T) of the unit output columns O and the dual basis, one
+    eigvalsh of `unknowns` columns.  Deterministic: no random probes.
     """
-    a = _nonzero_operator(A)
+    a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
     n, m = a.shape
     curve, curve_coords, dual, dual_gram = curve_frame(m)
     kernel, range_map = _probe_space(a)
@@ -341,9 +356,8 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     outer = _outer(etas[:size] @ a.T).reshape(size, n * n)
     y = z.T[:, None, :] * outer.T
     choi = y @ dual.conj().reshape(size, size)
-    # (i, j, k, l) -> (i, k, j, l) is Choi(psi); (i, l, j, k) is its input-side partial transpose
-    axes = (0, 1, 4, 2, 3) if transposed else (0, 1, 3, 2, 4)
-    choi = choi.reshape(-1, n, n, m, m).transpose(axes).reshape(-1, n * m, n * m)
+    # (i, j, k, l) -> (i, k, j, l) is Choi(psi)
+    choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 3, 2, 4).reshape(-1, n * m, n * m)
     param_basis, condition = hermitian_params(choi).T, 1.0
     if param_basis.shape[1]:
         if param_basis.shape[1] == 1:
@@ -356,6 +370,7 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
         gram = (outputs[:size] @ outputs[:size].T) * dual_gram
         stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
         condition = stretch / least
+    svals, param_basis = _read_only((svals, param_basis))
     return NullSpaceResult(
         singular_values=svals, pairs_used=count, param_basis=param_basis,
         unknowns=unknowns, condition=condition,

@@ -186,6 +186,26 @@ def _param_slots(n: int) -> np.ndarray:
     return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
 
 
+@lru_cache(maxsize=None)
+def _partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only (index, sign): params(PT(X)) = sign * params(X)[index] for Hermitian X.
+
+    PT is the input-side partial transpose (i, k, j, l) -> (i, l, j, k) of
+    nm x nm X.  It keeps the diagonal; an upper entry whose image is a lower
+    one reads the conjugate there, so its Im coordinate changes sign.
+    """
+    d = n * m
+    iu, ju = triu_pairs(d)
+    # entry (p, q) of PT(X) is X at (p, q) with the input indices swapped
+    p, q = iu - iu % m + ju % m, ju - ju % m + iu % m
+    slot = np.zeros((d, d), dtype=np.intp)
+    slot[iu, ju] = d + np.arange(iu.shape[0])
+    upper = slot[np.minimum(p, q), np.maximum(p, q)]
+    index = np.concatenate([np.arange(d), upper, upper + iu.shape[0]])
+    sign = np.concatenate([np.ones(d + iu.shape[0]), np.where(p > q, -1.0, 1.0)])
+    return _read_only((index, sign))
+
+
 def hermitian_params(c: np.ndarray) -> np.ndarray:
     """`herm_to_params` of a complex (..., N, N) array already known to be finite."""
     c = np.ascontiguousarray(c, dtype=np.complex128)

@@ -127,8 +127,12 @@ class PositivityResult:
 
 def partial_transpose_in(choi: np.ndarray, n: int, m: int) -> np.ndarray:
     """Partial transpose on the K (input) factor of an (nm)x(nm) matrix."""
-    c4 = as_complex_matrix(choi, "choi").reshape(n, m, n, m)
-    return np.ascontiguousarray(c4.transpose(0, 3, 2, 1)).reshape(n * m, n * m)
+    return _partial_transpose(as_complex_matrix(choi, "choi"), n, m)
+
+
+def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
+    """`partial_transpose_in` of a complex matrix already known to be finite."""
+    return np.ascontiguousarray(c.reshape(n, m, n, m).transpose(0, 3, 2, 1)).reshape(n * m, n * m)
 
 
 def _nonzero_operator(A) -> np.ndarray:
@@ -139,18 +143,20 @@ def _nonzero_operator(A) -> np.ndarray:
     return a
 
 
+def _ad_map(a: np.ndarray, transposed: bool) -> MapRep:
+    """`choi_from_ad` of a complex matrix already known to be finite and nonzero."""
+    n, m = a.shape
+    w = a.reshape(-1)
+    choi = np.outer(w, w.conj())
+    return MapRep(n=n, m=m, choi=_partial_transpose(choi, n, m) if transposed else choi)
+
+
 def choi_from_ad(A, transposed: bool = False) -> MapRep:
     """Choi matrix of X -> A X A*, or of X -> A X^T A* when transposed.
 
     The zero operator is rejected: it gives the cone apex, not a ray.
     """
-    a = _nonzero_operator(A)
-    n, m = a.shape
-    w = a.reshape(-1)
-    choi = np.outer(w, w.conj())
-    if transposed:
-        choi = partial_transpose_in(choi, n, m)
-    return MapRep(n=n, m=m, choi=choi)
+    return _ad_map(_nonzero_operator(A), transposed)
 
 
 def choi_from_omega_q(R, zeta) -> MapRep:

@@ -24,9 +24,16 @@ from conecert.faces import (
     projector_coordinates,
     system_floor,
 )
-from conecert.linalg import gap_rank, herm_to_params, params_to_herm, triu_pairs
+from conecert.linalg import (
+    _partial_transpose_slots,
+    gap_rank,
+    herm_to_params,
+    params_to_herm,
+    triu_pairs,
+)
 from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
 from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
+from conecert.serialization import dumps_canonical, report_to_dict
 from structured_inputs import haar_unitary, structured_inputs, zero_one_matrices
 
 rng = np.random.default_rng(31)
@@ -229,8 +236,11 @@ def test_nullspace_basis_orthonormal():
 
 
 def test_nullspace_deterministic():
+    """two solves of one input agree bitwise; the face cache is emptied so both compute"""
     a = crandn(2, 3)
+    faces._plain_face.cache_clear()
     r1 = double_prime_nullspace(a)
+    faces._plain_face.cache_clear()
     r2 = double_prime_nullspace(a)
     assert r1.dim == r2.dim
     assert np.abs(r1.param_basis - r2.param_basis).max() == 0.0
@@ -305,8 +315,10 @@ def test_projector_coordinates_of_kernel_probes():
 def _spy_reduced_relations(monkeypatch, arguments=False):
     """Record (system, basis output columns) of every `_reduced_relations` call.
 
-    With `arguments`, record (system, outputs, weights, frame).
+    With `arguments`, record (system, outputs, weights, frame).  The face
+    cache is emptied first, so the next input is solved, not looked up.
     """
+    faces._plain_face.cache_clear()
     seen = []
     reduce = faces._reduced_relations
 
@@ -345,13 +357,11 @@ def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
     then cancels against its own output exactly, not to rounding.
     """
     seen = _spy_reduced_relations(monkeypatch)
-    a = np.outer(crandn(n), crandn(m).conj())
-    for transposed in (False, True):
-        double_prime_nullspace(a, transposed)
-        system, outputs = seen.pop()
-        assert outputs.shape == (m * m, 1), (n, m, transposed)
-        assert np.all(outputs == 1.0), (n, m, transposed)
-        assert np.all(system[: m * m - m] == 0.0), (n, m, transposed)
+    double_prime_nullspace(np.outer(crandn(n), crandn(m).conj()))
+    ((system, outputs),) = seen
+    assert outputs.shape == (m * m, 1), (n, m)
+    assert np.all(outputs == 1.0), (n, m)
+    assert np.all(system[: m * m - m] == 0.0), (n, m)
 
 
 def _unreduced_stack(weights, outputs, frame):
@@ -375,23 +385,23 @@ def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     """the cut system has the unreduced stack's singular values and null space, to 1e-13
 
     On every grid class, every nonzero 0/1 matrix with n, m <= 3 and 8 x 8
-    rank 4, with both flags.
+    rank 4.  The transposed flag reads the same system
+    (`test_transposed_face_is_the_partial_transpose`).
     """
     seen = _spy_reduced_relations(monkeypatch, arguments=True)
     grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
     for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4)]:
-        for transposed in (False, True):
-            double_prime_nullspace(a, transposed)
-            system, outputs, weights, frame = seen.pop()
-            unknowns = outputs.shape[0]
-            s, vh = _spectrum(system)
-            want_s, want_vh = _spectrum(_unreduced_stack(weights, outputs, frame))
-            top = want_s[0] if unknowns else 0.0
-            assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, (a, transposed)
-            rank = gap_rank(want_s, system_floor(want_s, unknowns))
-            assert gap_rank(s, system_floor(s, unknowns)) == rank, (a, transposed)
-            null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
-            assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, (a, transposed)
+        double_prime_nullspace(a)
+        system, outputs, weights, frame = seen.pop()
+        unknowns = outputs.shape[0]
+        s, vh = _spectrum(system)
+        want_s, want_vh = _spectrum(_unreduced_stack(weights, outputs, frame))
+        top = want_s[0] if unknowns else 0.0
+        assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, a
+        rank = gap_rank(want_s, system_floor(want_s, unknowns))
+        assert gap_rank(s, system_floor(s, unknowns)) == rank, a
+        null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
+        assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, a
 
 
 def test_only_narrow_relations_are_cut(monkeypatch):
@@ -405,12 +415,11 @@ def test_only_narrow_relations_are_cut(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
+    faces._plain_face.cache_clear()
     for n, m in ((2, 3), (4, 4), (8, 8)):
-        for transposed in (False, True):
-            double_prime_nullspace(rand_rank(n, m, 1), transposed)
+        double_prime_nullspace(rand_rank(n, m, 1))
     assert widths == []
-    for transposed in (False, True):
-        double_prime_nullspace(rand_rank(8, 8, 4), transposed)
+    double_prime_nullspace(rand_rank(8, 8, 4))
     assert widths and max(widths) <= 3
 
 
@@ -418,6 +427,7 @@ def test_relation_plan_is_keyed_on_the_pattern():
     """inputs of one class share a bounded, read-only plan, whatever their values"""
     plan = faces._relation_plan
     assert plan.cache_info().maxsize is not None
+    faces._plain_face.cache_clear()
     double_prime_nullspace(rand_rank(4, 4, 2))
     before = plan.cache_info()
     for _ in range(3):
@@ -436,9 +446,8 @@ def test_relation_plan_is_keyed_on_the_pattern():
 def test_face_system_is_tall(n, m):
     """from m = 3 on, the system has at least as many rows as unknowns, at every rank"""
     for r in range(1, min(n, m) + 1):
-        for transposed in (False, True):
-            res = double_prime_nullspace(rand_rank(n, m, r), transposed)
-            assert len(res.singular_values) == res.unknowns, (n, m, r, transposed)
+        res = double_prime_nullspace(rand_rank(n, m, r))
+        assert len(res.singular_values) == res.unknowns, (n, m, r)
 
 
 def test_curve_frame_is_read_only():
@@ -679,11 +688,10 @@ def test_transposed_face_is_the_partial_transpose():
     (xi, eta) is a zero-pair of phi o T exactly when (xi, conj(eta)) is one
     of phi, and psi -> psi o T is a linear automorphism of the cone of
     positive maps, so it carries the one face onto the other.  Both flags
-    solve the same system: on every structured input they must give the
-    same verdict, counts and spectrum, bitwise, and spans that match under
-    the partial transpose.  The transposed basis is orthonormalised in the
-    permuted Choi parameters, so it is compared as a span, not column by
-    column.
+    read the same solve: on every structured input they must give the same
+    verdict, counts, spectrum and condition, bitwise, a transposed basis
+    that is the signed permutation of the plain one, bitwise, and the same
+    face defect to 1e-15.
     """
     for label, a in structured_inputs():
         plain, flipped = certify_exposed(a), certify_exposed(a, transposed=True)
@@ -691,9 +699,66 @@ def test_transposed_face_is_the_partial_transpose():
         assert flipped.verdict is plain.verdict, label
         assert (t.dim, t.unknowns, t.pairs_used) == (p.dim, p.unknowns, p.pairs_used), label
         assert np.array_equal(t.singular_values, p.singular_values), label
-        assert t.condition == pytest.approx(p.condition, rel=1e-12), label
+        assert t.condition == p.condition, label
+        index, sign = _partial_transpose_slots(*a.shape)
+        assert t.param_basis.tobytes() == (p.param_basis[index] * sign[:, None]).tobytes(), label
         if p.dim:
             n, m = a.shape
             want = herm_to_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
-            leak = want - t.param_basis @ (t.param_basis.T @ want)
-            assert np.abs(leak).max() <= 1e-12, label
+            assert np.abs(want - t.param_basis).max() <= 1e-15, label
+        assert (flipped.face is None) == (plain.face is None), label
+        if plain.face is not None:
+            assert abs(flipped.face.defect - plain.face.defect) <= 1e-15, label
+            assert flipped.face.bound == plain.face.bound, label
+
+
+def test_flag_pair_builds_one_system(monkeypatch):
+    """both flags on one A solve once; a different A, or the same A after another, solves again"""
+    seen = _spy_reduced_relations(monkeypatch)
+    a, b = rand_rank(3, 4, 2), rand_rank(3, 4, 2)
+    double_prime_nullspace(a)
+    double_prime_nullspace(a, True)
+    assert len(seen) == 1
+    double_prime_nullspace(b, True)
+    double_prime_nullspace(b)
+    assert len(seen) == 2
+    double_prime_nullspace(a, True)
+    assert len(seen) == 3
+    # the key is the checked matrix: a copy, or the same entries as a list, hits
+    double_prime_nullspace(a.copy())
+    double_prime_nullspace(a.tolist(), True)
+    assert len(seen) == 3
+    assert faces._plain_face.cache_info().maxsize == 1
+
+
+def test_cold_and_warm_transposed_reports_match():
+    """a transposed report is the same, byte for byte, whether its solve was cached or not"""
+    for a in (crandn(3, 3), rand_rank(4, 4, 2), rand_rank(3, 4, 1), np.diag([1.0, 1.0, 0.0])):
+        faces._plain_face.cache_clear()
+        cold = certify_exposed(a, transposed=True)
+        certify_exposed(a)
+        warm = certify_exposed(a, transposed=True)
+        assert faces._plain_face.cache_info().hits >= 1
+        reports = (dumps_canonical(report_to_dict(r, include_timing=False)) for r in (cold, warm))
+        assert len(set(reports)) == 1, a
+        assert cold.nullspace.param_basis.tobytes() == warm.nullspace.param_basis.tobytes()
+
+
+def test_cached_face_is_shared_read_only():
+    """cached arrays refuse writes, and a field reassigned on one result leaves the next alone"""
+    a = rand_rank(3, 3, 1)
+    first = double_prime_nullspace(a)
+    for transposed in (False, True):
+        res = double_prime_nullspace(a, transposed)
+        assert res is not first
+        for array in (res.singular_values, res.param_basis):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    want = first.param_basis.copy()
+    first.param_basis, first.condition, first.unknowns = np.zeros((0, 0)), -1.0, -1
+    again = double_prime_nullspace(a)
+    assert np.array_equal(again.param_basis, want) and again.condition > 0 and again.unknowns > 0
+    report = certify_exposed(a)
+    report.nullspace.singular_values = np.zeros(0)
+    assert certify_exposed(a).nullspace.singular_values.shape[0] > 0

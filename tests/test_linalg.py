@@ -5,6 +5,7 @@ from constraint_oracle import functional_row
 from conecert.errors import HermiticityError, ShapeError
 from conecert.linalg import (
     SQRT2,
+    _partial_transpose_slots,
     conj_vector,
     fix_phase,
     gap_rank,
@@ -17,6 +18,7 @@ from conecert.linalg import (
     params_to_herm,
     transpose,
 )
+from conecert.maps import partial_transpose_in
 
 
 def test_conj_vector_examples():
@@ -277,3 +279,20 @@ def test_cached_param_maps_are_bitwise_the_reference(n):
         for c in (want, x, x.swapaxes(-1, -2)):
             got, want_p = hermitian_params(c), _params_reference(c)
             assert got.shape == want_p.shape and got.tobytes() == want_p.tobytes(), (n, shape)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_partial_transpose_is_a_signed_permutation_of_the_params(n, m):
+    """params(PT(X)) = sign * params(X)[index], bitwise, for Hermitian nm x nm X"""
+    index, sign = _partial_transpose_slots(n, m)
+    assert not index.flags.writeable and not sign.flags.writeable
+    assert np.array_equal(np.sort(index), np.arange((n * m) ** 2))
+    assert set(np.unique(sign)) <= {-1.0, 1.0}
+    gen = np.random.default_rng(10 * n + m)
+    p = gen.standard_normal((3, (n * m) ** 2))
+    p[:, ::4] = 0.0
+    x = params_to_herm(p, n * m)
+    want = herm_to_params(np.array([partial_transpose_in(c, n, m) for c in x]))
+    got = sign * herm_to_params(x)[:, index]
+    assert got.tobytes() == want.tobytes(), (n, m)
