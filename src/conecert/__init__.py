@@ -56,7 +56,6 @@ from .maps import (
     is_positive,
     pairing,
     partial_transpose_in,
-    rank1_nonincreasing,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "operator_from_functional",
     "pairing",
     "partial_transpose_in",
-    "rank1_nonincreasing",
     "transpose",
     "__version__",
 ]

@@ -143,14 +143,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_classify(args) -> int:
     map_rep = map_from_json(load_json(args.map))
-    result = classify(map_rep, tol=args.tol)
+    result = classify(map_rep)
     payload = {
         "case": result.case.value,
         "b": None if result.b is None else matrix_to_json(result.b),
         "r": None if result.r_matrix is None else matrix_to_json(result.r_matrix),
         "zeta": None if result.zeta is None else vector_to_json(result.zeta),
         "phase_convention": "largest-magnitude entry real positive",
-        "config": {"command": "classify", "tol": args.tol},
+        "config": {"command": "classify"},
     }
     if args.report:
         write_json_atomic(args.report, payload)
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="sort a map into AD / AD_TRANSPOSE / OMEGA_Q")
     p.add_argument("map", help="map JSON file")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_classify)
 

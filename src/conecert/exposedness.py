@@ -12,6 +12,7 @@ are exact checks on the computed hull: no positivity search and no random
 number is involved.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +31,6 @@ from .linalg import (
     as_complex_matrix,
     fix_phase,
     gap_rank,
-    herm_defect,
     hermitize,
     normalized,
     null_space,
@@ -40,8 +40,8 @@ from .maps import (
     MapRep,
     _ad_map,
     _require_hermitian,
-    _require_tolerance,
     choi_from_ad,
+    map_floor,
     partial_transpose_in,
 )
 
@@ -66,7 +66,7 @@ class MapCase(str, Enum):
 class FaceCertificate:
     """Rank-1 face check of a hull: its defect and the bound it must meet.
 
-    The defect is the largest sine of the angle from a hull basis element to
+    The defect is the sine of the largest principal angle from the hull to
     the face read off phi, or a rank-1 defect of phi if that is larger.  Both
     are relative: the defect is at most 1 on any hull, so a bound of 1 or
     more would pass anything and certifies nothing.
@@ -152,11 +152,13 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     Each basis element B_j is rotated into the frame W (x) V of those two
     eigenbases, top vectors first.  There the face is every entry with
     output index 0 on both sides and input index 0 on at least one, so the
-    projection P_F onto it zeroes the other entries, and
-    |B_j - P_F B_j| / |B_j| is the sine of the angle from B_j to the face:
-    the quantity the Wedin argument of `_face_bound` bounds.
+    projection P_F onto it zeroes the other entries.  The basis is
+    orthonormal, so the largest singular value of the stacked residuals
+    B_j - P_F B_j is the sine of the largest principal angle from the hull
+    to the face, whatever basis of the hull is handed in: the quantity the
+    Wedin argument of `_face_bound` bounds.
 
-    The defect is the largest of those sines and of the rank-1 defects of
+    The defect is the largest of that sine and of the rank-1 defects of
     phi(I) and of phi's compression; the bound is `_face_bound`.
     """
     n, m, d = phi.n, phi.m, nullspace.dim
@@ -175,11 +177,10 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     rotated = frame(frame(b).conj().swapaxes(1, 2)).reshape(d, m, n, m, n)
     rotated[:, 0, 0, :, 0] = 0
     rotated[:, :, 0, 0, 0] = 0
-    sines = np.linalg.norm(rotated.reshape(d, -1), axis=1)
-    sines /= np.linalg.norm(nullspace.param_basis, axis=0)
-    return FaceCertificate(
-        defect=max(float(sines.max()), u_defect, s_defect), bound=_face_bound(nullspace)
-    )
+    # the residuals are Hermitian, so their Gram matrix is real
+    r = rotated.reshape(d, -1)
+    sine = math.sqrt(max(float(np.linalg.eigvalsh((r @ r.conj().T).real)[-1]), 0.0))
+    return FaceCertificate(defect=max(sine, u_defect, s_defect), bound=_face_bound(nullspace))
 
 
 def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
@@ -235,9 +236,12 @@ class ObstructionResult:
     singular_values: np.ndarray
 
 
-def conjugate_obstruction_space(
-    A, z_samples: tuple[complex, ...] = (1, -1, 1j, 2)
-) -> ObstructionResult:
+# z of the obstruction curves: each curve's identity has a constant, a z, a conj(z)
+# and a |z|^2 coefficient, and these four values separate them (|z| = 1 alone cannot)
+_OBSTRUCTION_Z = (1, -1, 1j, 2)
+
+
+def conjugate_obstruction_space(A) -> ObstructionResult:
     """Solve for all B with: <conj(xi), A eta> = 0 implies <conj(xi), B conj(eta)> = 0.
 
     One SVD A = U S V* gives the split and the rank r (`gap_rank` of S over
@@ -252,11 +256,10 @@ def conjugate_obstruction_space(
     B' conj(v) = 0), left-null directions u of A (forcing u* B' = 0), and
     for each pair j < k of singular vector pairs the curves
     rho_z = v_j + z v_k, zeta_z = -conj(z) u_j + u_k, which satisfy the
-    premise for every z and whose scale does not depend on S.  The z grid
-    must contain a value with |z| != 1, otherwise the constant and |z|^2
-    coefficients of the induced polynomial identity cannot be separated and
-    spurious solutions survive.  `singular_values` is the spectrum of P's
-    system.
+    premise for every z and whose scale does not depend on S.  The curves
+    are read at z in `_OBSTRUCTION_Z`, which separates every coefficient of
+    the induced polynomial identity in z and conj(z), so no spurious
+    solution survives.  `singular_values` is the spectrum of P's system.
 
     Returns the complex solution space: dimension 0 when rank(A) >= 2 or
     A = 0, dimension 1 (spanned by a rank-1 operator) when rank(A) = 1.
@@ -275,7 +278,7 @@ def conjugate_obstruction_space(
     # singular vector pairs j < k, one row per z
     vr, ur = vh[:rank].conj(), u[:, :rank].T
     jj, kk = np.triu_indices(rank, 1)
-    z = np.asarray(z_samples)[None, :, None]
+    z = np.asarray(_OBSTRUCTION_Z)[None, :, None]
     rho = vr[jj, None] + z * vr[kk, None]
     zeta = -np.conj(z) * ur[jj, None] + ur[kk, None]
     curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
@@ -314,39 +317,51 @@ class Classification:
         return choi_from_omega_q(self.r_matrix, self.zeta)
 
 
-def _rank1_psd_vector(c: np.ndarray, tol: float) -> np.ndarray | None:
-    """Top eigenvector scaled by sqrt(eigenvalue) if c is rank-1 PSD, else None."""
+def _psd_rank(w: np.ndarray, floor: float) -> int:
+    """Rank of an ascending Hermitian spectrum w at its gap over floor, or 0 if w is not PSD there.
+
+    The rank is `gap_rank` of the |eigenvalues|, and w reads as PSD when
+    every eigenvalue above the gap is positive: the top `rank` magnitudes
+    are then the `rank` largest eigenvalues.
+    """
+    rank = gap_rank(np.sort(np.abs(w))[::-1], floor)
+    return rank if rank and w[-rank] > max(-w[0], 0.0) else 0
+
+
+def _rank1_psd_vector(c: np.ndarray, floor: float) -> np.ndarray | None:
+    """Top eigenvector scaled by sqrt(eigenvalue) if c is rank-1 PSD at its gap over floor, else None."""
     w, v = np.linalg.eigh(hermitize(c))
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if w[-1] <= 0.0 or w[0] < -tol * scale or w[:-1].max(initial=0.0) > tol * scale:
+    if _psd_rank(w, floor) != 1:
         return None
     return np.sqrt(float(w[-1])) * v[:, -1]
 
 
-def classify(map_rep: MapRep, tol: float = 1e-8) -> Classification:
+def classify(map_rep: MapRep) -> Classification:
     """Sort a rank-1 non-increasing map into one of three normal forms.
 
     Decision order: a rank-1 PSD Choi matrix is a conjugation map (AD); a
     rank-1 PSD partial transpose is the transposed family (AD_TRANSPOSE);
     a product-form Choi Q (x) S with Q a rank-1 projection direction and S
     PSD is the functional-times-projection form (OMEGA_Q, with R = S^T).
-    Anything else raises ClassificationError; a NaN, infinite or negative tol
-    raises InputRejected.
+    Every rank is `gap_rank` of a spectrum over its rounding floor:
+    `map_floor` for the Choi matrix and its partial transpose,
+    max(n^2, m^2) * u * s_0 for the SVD across the H:K cut, and
+    dim * u * |X|_F for Q and S.  PSD means that every eigenvalue above
+    the gap is positive.  Anything else raises ClassificationError.
     """
     _require_hermitian(map_rep)
-    _require_tolerance(tol)
     n, m = map_rep.n, map_rep.m
-    choi = map_rep.choi
+    choi, floor = map_rep.choi, map_floor(map_rep)
 
-    vec = _rank1_psd_vector(choi, tol)
+    vec = _rank1_psd_vector(choi, floor)
     if vec is not None:
         return Classification(case=MapCase.AD, b=fix_phase(vec.reshape(n, m)))
 
-    vec = _rank1_psd_vector(partial_transpose_in(choi, n, m), tol)
+    vec = _rank1_psd_vector(partial_transpose_in(choi, n, m), floor)
     if vec is not None:
         return Classification(case=MapCase.AD_TRANSPOSE, b=fix_phase(vec.reshape(n, m)))
 
-    omega_q = _omega_q_form(map_rep, tol)
+    omega_q = _omega_q_form(map_rep)
     if omega_q is None:
         raise ClassificationError(
             "map matches none of the AD / AD_TRANSPOSE / OMEGA_Q normal forms"
@@ -363,22 +378,19 @@ def _across_cut(c4: np.ndarray) -> np.ndarray:
     return np.swapaxes(c4, -3, -2).reshape(c4.shape[:-4] + (n * n, m * m))
 
 
-def _omega_q_form(map_rep: MapRep, tol: float) -> Classification | None:
+def _omega_q_form(map_rep: MapRep) -> Classification | None:
     """OMEGA_Q classification if choi = Q (x) S, Q a rank-1 PSD direction, S PSD."""
     n, m = map_rep.n, map_rep.m
     u, s, vh = np.linalg.svd(_across_cut(map_rep.choi4))
     t = complex(np.trace(u[:, 0].reshape(n, n)))
-    if s[0] <= 0 or (s.shape[0] > 1 and s[1] > tol * s[0]) or abs(t) <= tol:
+    if t == 0 or gap_rank(s, max(n * n, m * m) * UNIT_ROUNDOFF * s[0]) != 1:
         return None
+    # the map is Hermitian, so Q and S are Hermitian up to rounding
     q = u[:, 0].reshape(n, n) / t
-    smat = (float(s[0]) * t) * vh[0].reshape(m, m)
-    for x in (q, smat):
-        if herm_defect(x) > tol * max(1.0, float(np.abs(x).max())):
-            return None
-    vec = _rank1_psd_vector(q, tol)
-    smat = hermitize(smat)
-    ws = np.linalg.eigvalsh(smat)
-    if vec is None or ws[0] < -tol * max(abs(float(ws[0])), abs(float(ws[-1]))):
+    smat = hermitize((float(s[0]) * t) * vh[0].reshape(m, m))
+    vec = _rank1_psd_vector(q, n * UNIT_ROUNDOFF * float(np.linalg.norm(q)))
+    s_floor = m * UNIT_ROUNDOFF * float(np.linalg.norm(smat))
+    if vec is None or not _psd_rank(np.linalg.eigvalsh(smat), s_floor):
         return None
     zeta = fix_phase(normalized(vec))
     return Classification(case=MapCase.OMEGA_Q, r_matrix=smat.T.copy(), zeta=zeta)

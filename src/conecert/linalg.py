@@ -8,7 +8,10 @@ computation that produced the spectrum, not a setting:
 for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
 (`maps.map_floor`; the face reads the same level off A as
 `n * m * u * |A|_F^2`; the face's range frame only drops singular values of
-A at the `null_space` floor).  So no verdict depends on an absolute cutoff.
+A at the `null_space` floor).  `exposedness.classify` reads the Choi matrix
+and its partial transpose at `map_floor`, its SVD across the H:K cut at
+`max(n^2, m^2) * u * s_0`, and its factors Q and S at `dim * u * |X|_F`.
+So no verdict depends on an absolute cutoff.
 """
 
 from functools import lru_cache

@@ -21,7 +21,7 @@ from . import linalg
 from ._kernels import block_minimize
 from .errors import HermiticityError, InputRejected, SearchError, ShapeError
 from .linalg import as_complex_matrix, as_complex_vector, hermitize
-from .sampling import crandn, random_unit_vector, rng_from, unit_probe_vectors
+from .sampling import crandn, rng_from
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,18 @@ class MapRep:
         return self.choi.reshape(self.n, self.m, self.n, self.m)
 
 
+def _require_psd(name: str, f: np.ndarray) -> None:
+    """Check a factor relative to its own largest entry, so at any scale; a zero factor is PSD.
+
+    Raises HermiticityError if it is not Hermitian and InputRejected if it
+    is not PSD.
+    """
+    scale = float(np.abs(f).max()) or 1.0
+    ok, low = linalg.is_psd(f / scale, tol=1e-8)
+    if not ok:
+        raise InputRejected(f"{name} is not PSD (min eigenvalue {low * scale:.3e})")
+
+
 @dataclass(frozen=True)
 class SeparableElement:
     """A product element X (x) Y with both factors PSD."""
@@ -57,11 +69,8 @@ class SeparableElement:
     def __post_init__(self):
         x = as_complex_matrix(self.x_factor, "x_factor")
         y = as_complex_matrix(self.y_factor, "y_factor")
-        for name, f in (("x_factor", x), ("y_factor", y)):
-            scale = max(1.0, float(np.abs(f).max()))
-            ok, low = linalg.is_psd(f, tol=1e-8 * scale)
-            if not ok:
-                raise InputRejected(f"{name} is not PSD (min eigenvalue {low:.3e})")
+        _require_psd("x_factor", x)
+        _require_psd("y_factor", y)
         object.__setattr__(self, "x_factor", x)
         object.__setattr__(self, "y_factor", y)
 
@@ -172,10 +181,7 @@ def choi_from_omega_q(R, zeta) -> MapRep:
         raise InputRejected("R = 0 gives the apex map, not a candidate ray")
     if not np.any(z):
         raise InputRejected("zeta must be nonzero")
-    scale = float(np.abs(r).max())
-    ok, low = linalg.is_psd(r, tol=1e-8 * scale)
-    if not ok:
-        raise InputRejected(f"R is not PSD (min eigenvalue {low:.3e})")
+    _require_psd("R", r)
     q = np.outer(z, z.conj()) / float(np.vdot(z, z).real)
     return MapRep(n=z.shape[0], m=r.shape[0], choi=np.kron(q, r.T))
 
@@ -227,12 +233,6 @@ def map_floor(map_rep: MapRep) -> float:
 def _require_hermitian(map_rep: MapRep, tol: float = 1e-10) -> None:
     if not is_hermitian_preserving(map_rep, tol):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
-
-
-def _require_tolerance(tol: float) -> None:
-    # a NaN tol makes every comparison against it false, so every check would pass
-    if not (np.isfinite(tol) and tol >= 0):
-        raise InputRejected(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def is_completely_positive(map_rep: MapRep, tol: float = 1e-9) -> tuple[bool, float]:
@@ -354,27 +354,3 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
         restarts_used=used,
     )
 
-
-def rank1_nonincreasing(
-    map_rep: MapRep, samples: int = 32, seed: int = 0, tol: float = 1e-8
-) -> tuple[bool, np.ndarray | None]:
-    """Check that phi(eta eta*) has rank <= 1 on probe and random eta.
-
-    Returns (True, None) when every sampled output passes the second-singular
-    -value test, else (False, the first violating eta in probe order).
-    Outputs whose top singular value is not above `map_floor` are skipped.
-    A NaN, infinite or negative tol raises InputRejected.
-    """
-    _require_hermitian(map_rep)
-    _require_tolerance(tol)
-    rng = rng_from(seed)
-    etas = unit_probe_vectors(map_rep.m)
-    etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
-    floor = map_floor(map_rep)
-    stacked = np.array(etas)
-    projectors = np.einsum("pk,pl->pkl", stacked, stacked.conj())
-    s = np.linalg.svd(np.einsum("ikjl,pkl->pij", map_rep.choi4, projectors), compute_uv=False)
-    bad = (s[:, 0] > floor) & np.any(s[:, 1:2] > tol * s[:, :1], axis=1)
-    if bad.any():
-        return False, etas[int(bad.argmax())]
-    return True, None

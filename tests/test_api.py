@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "operator_from_functional",
     "pairing",
     "partial_transpose_in",
-    "rank1_nonincreasing",
     "transpose",
 ]
 
@@ -66,9 +65,10 @@ def test_public_names_pinned():
     ("certify_exposed", ["A", "transposed"]),
     ("double_prime_nullspace", ["A", "transposed"]),
     ("kernel_probes", ["A", "transposed"]),
-    ("conjugate_obstruction_space", ["A", "z_samples"]),
+    ("conjugate_obstruction_space", ["A"]),
     ("null_space", ["m"]),
     ("kernel_basis", ["f"]),
+    ("classify", ["map_rep"]),
 ])
 def test_rank_decisions_take_no_tolerance(name, params):
     """every rank is read at the spectrum's largest gap, so no public function takes a cutoff"""

@@ -167,16 +167,6 @@ def test_classify_ad(tmp_path, capsys):
     assert payload["b"]["rows"] == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
-def test_classify_bad_tol_exit_2(tmp_path, capsys, tol):
-    """the pinching map has outputs of rank 2; a NaN tol used to pass it as AD"""
-    m = dump(tmp_path / "m.json", map_to_json("choi", n=2, m=2, choi=np.diag([1.0, 0, 0, 1])))
-    assert main(["classify", m, f"--tol={tol}"]) == 2
-    captured = capsys.readouterr()
-    assert "case:" not in captured.out
-    assert "tol must be finite" in captured.err
-
-
 def test_classify_unclassifiable_exit_3(tmp_path, capsys):
     m = dump(tmp_path / "m.json",
              map_to_json("choi", n=2, m=2, choi=np.kron(np.eye(2), np.eye(2))))

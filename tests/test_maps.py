@@ -18,10 +18,9 @@ from conecert.maps import (
     map_floor,
     pairing,
     partial_transpose_in,
-    rank1_nonincreasing,
 )
 from conecert.sampling import crandn as sample_crandn
-from conecert.sampling import random_unit_vector, rng_from, unit_probe_vectors
+from conecert.sampling import rng_from
 from test_kernels import reference_scan
 
 rng = np.random.default_rng(7)
@@ -460,66 +459,26 @@ def test_search_params_reject_bad_seed():
     assert SearchParams(seed=np.int64(7)).seed == 7
 
 
-def _first_rank1_violator(map_rep, samples=32, seed=0, tol=1e-8):
-    """Per-probe reference: the first eta whose output has a second singular value above tol."""
-    rng = rng_from(seed)
-    etas = unit_probe_vectors(map_rep.m)
-    etas += [random_unit_vector(rng, map_rep.m) for _ in range(samples)]
-    floor = map_floor(map_rep)
-    for eta in etas:
-        s = np.linalg.svd(apply(map_rep, np.outer(eta, eta.conj())), compute_uv=False)
-        if s[0] > floor and s.shape[0] > 1 and s[1] > tol * s[0]:
-            return eta
-    return None
-
-
-def test_rank1_nonincreasing():
-    ok, _ = rank1_nonincreasing(choi_from_ad(crandn(3, 3)))
-    assert ok
-    ok_t, _ = rank1_nonincreasing(choi_from_ad(crandn(2, 4), transposed=True))
-    assert ok_t
-    ok_q, _ = rank1_nonincreasing(choi_from_omega_q(np.eye(3) + np.diag([1, 0, 0]), np.ones(2)))
-    assert ok_q
-    trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
-    bad, eta = rank1_nonincreasing(trace_map)
-    assert not bad
-    out = apply(trace_map, np.outer(eta, eta.conj()))
-    s = np.linalg.svd(out, compute_uv=False)
-    assert s[1] > 1e-8 * s[0]
-    # ad(e0 e0*) + ad(e1 e1*) on 2 x 3: rank 1 on e0 and e1, 0 on e2 (skipped at
-    # the floor), so the first violator is the fourth probe, (e0 + e1)/sqrt2
-    e00, e11 = np.eye(2, 3) * [[1], [0]], np.eye(2, 3) * [[0], [1]]
-    two_ad = MapRep(2, 3, choi_from_ad(e00).choi + choi_from_ad(e11).choi)
-    for map_rep in (trace_map, two_ad, choi_from_ad(crandn(3, 3))):
-        ok, eta = rank1_nonincreasing(map_rep)
-        want = _first_rank1_violator(map_rep)
-        assert ok is (want is None)
-        assert (eta is None) if ok else np.array_equal(eta, want)
-    assert np.array_equal(rank1_nonincreasing(two_ad)[1], unit_probe_vectors(3)[3])
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e-11, 1e-13, 1e-200])
-def test_rank1_nonincreasing_at_any_scale(scale):
-    """every output of the trace map has rank 2, however small the map"""
-    trace_map = MapRep(n=2, m=2, choi=scale * np.kron(np.eye(2), np.eye(2)))
-    ok, eta = rank1_nonincreasing(trace_map)
-    assert not ok
-    assert np.array_equal(eta, unit_probe_vectors(2)[0])
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
-def test_rank1_nonincreasing_rejects_bad_tol(tol):
-    """a NaN tol used to pass the trace map, whose outputs have rank 2"""
-    trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
-    with pytest.raises(InputRejected):
-        rank1_nonincreasing(trace_map, tol=tol)
-
-
 def test_separable_element_rejects_non_psd():
     with pytest.raises(InputRejected):
         SeparableElement(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(HermiticityError):
         SeparableElement(np.eye(2), np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_psd_factor_checks_are_relative(scale):
+    """a factor is checked against its own largest entry, at any scale: non-Hermitian by
+    its whole scale or indefinite is refused, PSD is kept, and a zero factor is PSD"""
+    skew, indefinite = np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, -1e-4])
+    psd = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
+    for make in (lambda f: SeparableElement(f, np.eye(2)), lambda f: choi_from_omega_q(f, np.ones(2))):
+        with pytest.raises(HermiticityError):
+            make(scale * skew)
+        with pytest.raises(InputRejected):
+            make(scale * indefinite)
+        make(scale * psd)
+    SeparableElement(np.zeros((2, 2)), scale * psd)
 
 
 def test_omega_q_rejections():
