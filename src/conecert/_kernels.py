@@ -40,9 +40,11 @@ MAX_ROWS = 256
 # width ratio of successive waves; the first wave is one start, so a map that
 # exits on its first start costs a single descent
 WAVE_GROWTH = 8
+# a descent stops once its value moves by at most CONV_TOL * (1 + |value|)
+CONV_TOL = 1e-13
 
 
-def _descend_batch(g, eta, max_iters, conv_tol):
+def _descend_batch(g, eta, max_iters):
     """Alternating descent of one map from a stack of starts, one per row.
 
     g is the Hermitized Choi tensor with indices (i, j, k, l), so each
@@ -70,7 +72,7 @@ def _descend_batch(g, eta, max_iters, conv_tol):
         outer = (xi.conj()[:, :, None] * xi[:, None, :]).reshape(b, n * n)
         w, v = np.linalg.eigh((outer @ g_ij_kl).reshape(b, m, m))
         eta, cur = v[:, :, 0], w[:, 0].tolist()
-        moving = [abs(p - c) > conv_tol * (1.0 + abs(c)) for p, c in zip(prev, cur)]
+        moving = [abs(p - c) > CONV_TOL * (1.0 + abs(c)) for p, c in zip(prev, cur)]
         if not all(moving):
             for r, row in enumerate(rows):
                 if not moving[r]:
@@ -89,7 +91,6 @@ def block_minimize(
     c4: np.ndarray,
     starts: np.ndarray,
     max_iters: int,
-    conv_tol: float,
     stop_below: float,
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Minimize the block form of a Hermitian Choi tensor.
@@ -97,7 +98,7 @@ def block_minimize(
     c4 is the Choi matrix reshaped to (n, m, n, m); starts holds one eta seed
     per restart, shape (restarts, m).  Each descent alternates exact
     minimization in xi (bottom eigenvector with eta fixed) and in eta (with
-    xi fixed) until the value moves by less than conv_tol relatively.  The
+    xi fixed) until the value moves by at most CONV_TOL * (1 + |value|).  The
     restarts are scanned in order until one dips below stop_below or the
     budget runs out; the result is that of a sequential scan up to the
     rounding of the stacked waves (see the module docstring).  c4 is
@@ -123,7 +124,7 @@ def block_minimize(
     used, done, grow = 0, 0, 1
     while done < total:
         width = min(grow, total - done, MAX_ROWS)
-        vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters, conv_tol)
+        vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters)
         # scan the wave in restart order, up to and including its exit
         below = vals < stop_below
         exits = bool(below.any())

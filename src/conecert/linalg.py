@@ -11,7 +11,8 @@ for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
 A at the `null_space` floor).  `exposedness.classify` reads the Choi matrix
 and its partial transpose at `map_floor`, its SVD across the H:K cut at
 `max(n^2, m^2) * u * s_0`, and its factors Q and S at `dim * u * |X|_F`.
-So no verdict depends on an absolute cutoff.
+`maps.positivity_threshold` is `-(1e-9 + n * m * u) * |Choi(phi)|_F`, and
+`is_psd` scales its tol by |m|_max.  So no verdict depends on an absolute cutoff.
 """
 
 from functools import lru_cache
@@ -118,18 +119,19 @@ def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_psd(m: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
     """PSD test for a Hermitian matrix: (verdict, min eigenvalue).
 
-    Raises on non-square input or on Hermiticity defect beyond tol times the
-    matrix scale; the verdict itself is min eigenvalue >= -tol.
+    Raises on non-square input or on a Hermiticity defect beyond tol * |m|_max;
+    the verdict is min eigenvalue >= -tol * |m|_max, so s * m gets the verdict
+    of m at every scale s > 0.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"psd check needs a square matrix, got {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if herm_defect(m) > tol * scale:
+    level = tol * float(np.abs(m).max())
+    if herm_defect(m) > level:
         raise HermiticityError("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(hermitize(m))
     low = float(w[0])
-    return low >= -tol, low
+    return low >= -level, low
 
 
 def normalized(v: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ from .errors import HermiticityError, InputRejected, SearchError, ShapeError
 from .linalg import as_complex_matrix, as_complex_vector, hermitize
 from .sampling import crandn, rng_from
 
+# relative part of `positivity_threshold`, over |Choi(phi)|_F
+POSITIVITY_RTOL = 1e-9
+# relative Frobenius defect up to which a Choi matrix reads as Hermitian
+HERMITIAN_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MapRep:
@@ -53,10 +58,9 @@ def _require_psd(name: str, f: np.ndarray) -> None:
     Raises HermiticityError if it is not Hermitian and InputRejected if it
     is not PSD.
     """
-    scale = float(np.abs(f).max()) or 1.0
-    ok, low = linalg.is_psd(f / scale, tol=1e-8)
+    ok, low = linalg.is_psd(f, tol=1e-8)
     if not ok:
-        raise InputRejected(f"{name} is not PSD (min eigenvalue {low * scale:.3e})")
+        raise InputRejected(f"{name} is not PSD (min eigenvalue {low:.3e})")
 
 
 @dataclass(frozen=True)
@@ -80,23 +84,19 @@ class SeparableElement:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Budget and tolerances for the block-positivity search.
+    """Budget of the block-positivity search; the threshold is the map's own.
 
-    `tol` is the absolute part of the positivity threshold: `is_positive`
-    adds the map's rounding level `map_floor` to it, and uses the sum both
-    for the Choi-spectrum proof (one `eigh` of the Choi matrix, which also
-    gives the first informed start) and for the descent values.  `max_iters`
-    bounds every descent except that of a map proved CP by its Choi
-    spectrum, which takes a single iteration.  `conv_tol` is the relative
-    change in value at which one descent stops.  `seed`, an
-    integer >= 0, seeds the random starts; it is checked here because only
-    a map that the first descent leaves undecided draws them.
+    `restarts` is the number of random starts, `max_iters` bounds every
+    descent except that of a map proved CP by its Choi spectrum, which takes
+    a single iteration, and `seed`, an integer >= 0, seeds the random
+    starts; it is checked here because only a map that the first descent
+    leaves undecided draws them.  What reads as negative is set by
+    `positivity_threshold`, relative to the map, and a descent stops at the
+    kernel's `CONV_TOL`.
     """
 
     restarts: int = 64
     max_iters: int = 200
-    tol: float = 1e-9
-    conv_tol: float = 1e-13
     seed: int = 0
 
     def __post_init__(self):
@@ -104,10 +104,6 @@ class SearchParams:
             raise SearchError(f"restarts must be >= 0, got {self.restarts}")
         if self.max_iters < 1:
             raise SearchError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("tol", "conv_tol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise SearchError(f"{name} must be finite and >= 0, got {value!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise SearchError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -212,13 +208,13 @@ def pairing(map_rep: MapRep, w) -> complex:
     return complex(np.sum(map_rep.choi * wm))
 
 
-def is_hermitian_preserving(map_rep: MapRep, tol: float = 1e-10) -> bool:
-    """True iff the Choi matrix is Hermitian within relative Frobenius tol."""
+def is_hermitian_preserving(map_rep: MapRep) -> bool:
+    """True iff the Choi matrix is Hermitian within relative Frobenius HERMITIAN_RTOL."""
     c = map_rep.choi
     scale = float(np.linalg.norm(c))
     if scale == 0.0:
         return True
-    return float(np.linalg.norm(c - c.conj().T)) <= tol * scale
+    return float(np.linalg.norm(c - c.conj().T)) <= HERMITIAN_RTOL * scale
 
 
 def map_floor(map_rep: MapRep) -> float:
@@ -230,29 +226,42 @@ def map_floor(map_rep: MapRep) -> float:
     return map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
 
 
-def _require_hermitian(map_rep: MapRep, tol: float = 1e-10) -> None:
-    if not is_hermitian_preserving(map_rep, tol):
+def positivity_threshold(map_rep: MapRep) -> float:
+    """Level below which a Choi eigenvalue or block value reads as negative.
+
+    It is -(POSITIVITY_RTOL + n * m * u) * |Choi(phi)|_F, relative to the map,
+    so every t * phi with t > 0 gets phi's verdict.  Its n * m * u part is
+    `map_floor`; POSITIVITY_RTOL covers `eigh` putting the bottom eigenvalue
+    of an exactly PSD Choi matrix below -map_floor (to about -1.17 map_floor
+    on 2 x 2 omega_q maps).
+    """
+    rtol = POSITIVITY_RTOL + map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF
+    return -rtol * float(np.linalg.norm(map_rep.choi))
+
+
+def _require_hermitian(map_rep: MapRep) -> None:
+    if not is_hermitian_preserving(map_rep):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
 
 
-def is_completely_positive(map_rep: MapRep, tol: float = 1e-9) -> tuple[bool, float]:
+def is_completely_positive(map_rep: MapRep) -> tuple[bool, float]:
     """Choi PSD test: (verdict, min Choi eigenvalue).
 
-    The verdict is lambda_min >= -(tol + map_floor(map_rep)), the threshold
-    `is_positive` uses, so the rounding of the spectrum of a scaled-up CP map
-    does not refuse it.
+    The verdict is lambda_min >= `positivity_threshold(map_rep)`, the
+    threshold `is_positive` uses, so it does not depend on the scale of the
+    map.
     """
     _require_hermitian(map_rep)
     w = np.linalg.eigvalsh(hermitize(map_rep.choi))
     low = float(w[0])
-    return low >= -(tol + map_floor(map_rep)), low
+    return low >= positivity_threshold(map_rep), low
 
 
 def product_start(bottom: np.ndarray) -> np.ndarray:
     """Eta factor of the best product approximation to the bottom Choi eigenvector.
 
-    The first of `informed_starts`: bottom is that eigenvector reshaped to
-    (n, m), the start has shape (1, m).
+    The first informed start: bottom is that eigenvector reshaped to (n, m),
+    the start has shape (1, m).
     """
     _, _, vh = np.linalg.svd(bottom)
     return vh[:1]
@@ -262,37 +271,24 @@ def _compression_starts(c4: np.ndarray) -> np.ndarray:
     """The informed starts after `product_start`, shape (n + 1, m).
 
     The bottom eigenvectors of the diagonal blocks of c4 (n, m, n, m) and of
-    its input compression.
+    its input compression.  Like `product_start`, they land inside the tiny
+    basins of shallow violations, where random starts stall on a zero plateau
+    once xi falls into the output kernel.
     """
     _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
     _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
     return np.concatenate([vb[:, :, 0], vt[None, :, 0]])
 
 
-def informed_starts(c4: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """Deterministic eta seeds that target structured negativity.
-
-    Plain random restarts can miss shallow violations whose basin is tiny
-    (the alternating steps stall on a zero plateau once xi falls into the
-    output kernel).  The `product_start` and the bottom eigenvectors of the
-    diagonal blocks and of the input compression (`_compression_starts`)
-    land inside those basins directly.
-
-    c4 has shape (n, m, n, m) and bottom, the bottom eigenvector of the
-    Hermitized Choi matrix, shape (n, m); the seeds have shape (n + 2, m).
-    """
-    return np.concatenate([product_start(bottom), _compression_starts(c4)])
-
-
 def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> PositivityResult:
     """Positivity verdict by a Choi-spectrum proof, a first descent or a seeded search.
 
     Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
-    C the Choi matrix; a value below -(search.tol + map_floor(map_rep))
-    yields NOT_POSITIVE with the witness pair.  `map_floor` is the rounding
-    level of both the Choi spectrum and the descent's values, so rounding
-    that grows with the scale of C does not make a positive map
-    NOT_POSITIVE.  CP and co-CP maps are proved positive:
+    C the Choi matrix; a value below `positivity_threshold(map_rep)` yields
+    NOT_POSITIVE with the witness pair.  That threshold is relative to
+    |C|_F and above the rounding level of both the Choi spectrum and the
+    descent's values, so the verdict does not depend on the scale of C.  CP
+    and co-CP maps are proved positive:
 
         <xi (x) eta, C (xi (x) eta)> >= lambda_min(C), and the same value is
         <xi (x) conj(eta), C^G (xi (x) conj(eta))> >= lambda_min(C^G),
@@ -323,13 +319,13 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     """
     n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
     _require_hermitian(map_rep)
-    threshold = -(search.tol + map_floor(map_rep))
+    threshold = positivity_threshold(map_rep)
     w, v = np.linalg.eigh(hermitize(map_rep.choi))
     bottom = v[:, 0].reshape(n, m)
     cp = bool(w[0] >= threshold)
     # a CP map's verdict is already proved: one iteration gives its witness
     val, xi, eta, used = block_minimize(
-        c4, product_start(bottom), 1 if cp else search.max_iters, search.conv_tol, threshold
+        c4, product_start(bottom), 1 if cp else search.max_iters, threshold
     )
     undecided = (
         not cp
@@ -341,7 +337,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
             _compression_starts(c4),
             crandn(rng_from(search.seed), search.restarts, m),
         ])
-        rest = block_minimize(c4, starts, search.max_iters, search.conv_tol, threshold)
+        rest = block_minimize(c4, starts, search.max_iters, threshold)
         # a sequential scan keeps the first strict minimum
         if rest[0] < val:
             val, xi, eta = rest[:3]

@@ -3,9 +3,10 @@
 Samples unit directions u in the hull orthogonal to Choi(phi) and runs the
 positivity search on phi + eps * u for every eps in the grid, one
 `block_minimize` per test point.  The evidence holds when every test point
-dips below -tol (it is not a positive map) while phi itself passes the same
-search.  The certificate proper is exact (`face_certificate`); this is the
-tests' independent cross-check of its verdict.
+dips below its `positivity_threshold` (it is not a positive map) while phi
+itself passes the same search.  The certificate proper is exact
+(`face_certificate`); this is the tests' independent cross-check of its
+verdict.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,13 @@ import numpy as np
 from conecert._kernels import block_minimize
 from conecert.faces import membership_residual
 from conecert.linalg import herm_to_params, hermitize, params_to_herm
-from conecert.maps import SearchParams, informed_starts
+from conecert.maps import (
+    MapRep,
+    SearchParams,
+    _compression_starts,
+    positivity_threshold,
+    product_start,
+)
 from conecert.sampling import crandn, rng_from
 
 EPSILONS = (0.01, 0.1, 1.0, 10.0)
@@ -26,21 +33,22 @@ class ConeEvidence:
     directions: int
     epsilons: tuple[float, ...]
     values: np.ndarray  # (directions, epsilons) block minima of the test points
+    thresholds: np.ndarray  # (directions, epsilons) their `positivity_threshold`s
     control_value: float
-    tol: float
+    control_threshold: float
 
     @property
     def control_positive(self) -> bool:
-        return self.control_value >= -self.tol
+        return self.control_value >= self.control_threshold
 
     @property
     def misses(self) -> list[tuple[int, float]]:
-        """Test points the search did not push below -tol."""
+        """Test points the search did not push below their threshold."""
         return [
             (t, eps)
-            for t, row in enumerate(self.values)
-            for eps, value in zip(self.epsilons, row)
-            if value >= -self.tol
+            for t, (row, lows) in enumerate(zip(self.values, self.thresholds))
+            for eps, value, low in zip(self.epsilons, row, lows)
+            if value >= low
         ]
 
 
@@ -56,8 +64,9 @@ def cone_evidence(
 
     Draws one seeded random stream in a fixed order: the control restarts,
     then per direction its Gaussian coefficients and per epsilon its
-    restarts.  Each search descends from the informed starts and then
-    `search.restarts` random ones.
+    restarts.  Each search descends from the informed starts
+    (`product_start`, then `_compression_starts`) and then `search.restarts`
+    random ones, and returns (block minimum, threshold).
     """
     d = ns.dim
     assert d >= 2, "a one-dimensional hull has no direction off the ray"
@@ -70,17 +79,24 @@ def cone_evidence(
     perp = ns.param_basis @ q[:, 1:]
     rng = rng_from(search.seed)
 
-    def search_from(c4):
-        bottom = np.linalg.eigh(hermitize(c4.reshape(n * m, n * m)))[1][:, 0].reshape(n, m)
-        starts = np.vstack([informed_starts(c4, bottom), crandn(rng, search.restarts, m)])
-        return block_minimize(c4, starts, search.max_iters, search.conv_tol, -search.tol)[0]
+    def search_from(choi):
+        point = MapRep(n, m, choi)
+        threshold = positivity_threshold(point)
+        bottom = np.linalg.eigh(hermitize(choi))[1][:, 0].reshape(n, m)
+        starts = np.vstack([
+            product_start(bottom),
+            _compression_starts(point.choi4),
+            crandn(rng, search.restarts, m),
+        ])
+        return block_minimize(point.choi4, starts, search.max_iters, threshold)[0], threshold
 
-    control = search_from(phi.choi4 / scale)
+    control, control_threshold = search_from(phi.choi / scale)
     count = min(directions_per_dim * (d - 1), max_directions)
-    values = np.empty((count, len(epsilons)))
+    values, thresholds = np.empty((2, count, len(epsilons)))
     for t in range(count):
         g = rng.standard_normal(d - 1)
         u = perp @ (g / np.linalg.norm(g))
         for k, eps in enumerate(epsilons):
-            values[t, k] = search_from(params_to_herm(p_phi + eps * u, n * m).reshape(n, m, n, m))
-    return ConeEvidence(count, tuple(epsilons), values, control, search.tol)
+            choi = params_to_herm(p_phi + eps * u, n * m)
+            values[t, k], thresholds[t, k] = search_from(choi)
+    return ConeEvidence(count, tuple(epsilons), values, thresholds, control, control_threshold)

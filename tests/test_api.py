@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import pytest
@@ -73,3 +74,19 @@ def test_public_names_pinned():
 def test_rank_decisions_take_no_tolerance(name, params):
     """every rank is read at the spectrum's largest gap, so no public function takes a cutoff"""
     assert list(inspect.signature(getattr(conecert, name)).parameters) == params
+
+
+@pytest.mark.parametrize("name, params", [
+    ("is_positive", ["map_rep", "search"]),
+    ("is_completely_positive", ["map_rep"]),
+    ("is_hermitian_preserving", ["map_rep"]),
+])
+def test_map_checks_take_no_tolerance(name, params):
+    """positivity and Hermiticity are read relative to the map, so no map check takes a cutoff"""
+    assert list(inspect.signature(getattr(conecert, name)).parameters) == params
+
+
+def test_search_params_hold_only_the_budget():
+    """the positivity threshold and the descent's stopping rule are not settings"""
+    fields = tuple(f.name for f in dataclasses.fields(conecert.SearchParams))
+    assert fields == ("restarts", "max_iters", "seed")

@@ -194,6 +194,29 @@ def test_is_psd_agrees_with_eigenvalue_sign():
             assert abs(low - w.min()) < 1e-12
 
 
+def test_is_psd_is_scale_free():
+    """tol is relative to the largest entry: a tiny indefinite matrix is refused,
+    and s * P gets the verdict of P at every scale, Hermiticity check included"""
+    ok, low = is_psd(1e-12 * np.diag([1.0, -1.0]))
+    assert not ok and low == -1e-12
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    psd = g @ g.conj().T
+    cases = [
+        (psd, True),
+        (np.outer(g[0], g[0].conj()), True),
+        (np.zeros((2, 2)), True),
+        (hermitize(g), False),
+        (np.diag([1.0, -1e-6]), False),
+    ]
+    for p, verdict in cases:
+        for s in (1e-12, 1.0, 1e12):
+            assert is_psd(s * p)[0] is verdict, (p, s)
+    for s in (1e-12, 1.0, 1e12):
+        with pytest.raises(HermiticityError):
+            is_psd(s * np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
 def test_is_psd_rejects_bad_input():
     with pytest.raises(ShapeError):
         is_psd(np.zeros((2, 3)))

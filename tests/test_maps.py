@@ -5,19 +5,20 @@ from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.linalg import hermitize
 from conecert.maps import (
+    POSITIVITY_RTOL,
     MapRep,
     SearchParams,
     SeparableElement,
     apply,
     choi_from_ad,
     choi_from_omega_q,
-    informed_starts,
     is_completely_positive,
     is_hermitian_preserving,
     is_positive,
     map_floor,
     pairing,
     partial_transpose_in,
+    positivity_threshold,
 )
 from conecert.sampling import crandn as sample_crandn
 from conecert.sampling import rng_from
@@ -222,9 +223,13 @@ def cho_kye_lee(a, b, c):
 
 
 def _informed_starts(map_rep):
-    """`informed_starts` from the bottom eigenvector of the Hermitized Choi matrix"""
+    """`product_start` of the bottom eigenvector of the Hermitized Choi matrix,
+    then `_compression_starts`"""
     bottom = np.linalg.eigh(hermitize(map_rep.choi))[1][:, 0]
-    return informed_starts(map_rep.choi4, bottom.reshape(map_rep.n, map_rep.m))
+    return np.concatenate([
+        maps_module.product_start(bottom.reshape(map_rep.n, map_rep.m)),
+        maps_module._compression_starts(map_rep.choi4),
+    ])
 
 
 def _scan_starts(map_rep, search):
@@ -238,29 +243,30 @@ def _scan_starts(map_rep, search):
 def _full_scan(map_rep, search):
     """the best value of the restart scan with no spectrum certificate"""
     return reference_scan(
-        map_rep.choi4, _scan_starts(map_rep, search), search.max_iters, search.conv_tol,
-        -search.tol,
+        map_rep.choi4, _scan_starts(map_rep, search), search.max_iters,
+        positivity_threshold(map_rep),
     )[0]
 
 
-def _certified(map_rep, tol):
-    """the Choi matrix or its partial transpose is PSD within tol"""
+def _certified(map_rep):
+    """the Choi matrix or its partial transpose is PSD within `positivity_threshold`"""
     low = np.linalg.eigvalsh(map_rep.choi)[0]
     low_pt = np.linalg.eigvalsh(partial_transpose_in(map_rep.choi, map_rep.n, map_rep.m))[0]
-    return max(low, low_pt) >= -tol
+    return max(low, low_pt) >= positivity_threshold(map_rep)
 
 
 def _reference(map_rep, search):
     """`reference_scan` of what is_positive promises: one iteration from the
     first informed start for a map proved CP, the full first descent for one
     proved co-CP only, and the whole scan for any other map"""
-    if np.linalg.eigvalsh(map_rep.choi)[0] >= -search.tol:
+    threshold = positivity_threshold(map_rep)
+    if np.linalg.eigvalsh(map_rep.choi)[0] >= threshold:
         starts, iters = _informed_starts(map_rep)[:1], 1
-    elif _certified(map_rep, search.tol):
+    elif _certified(map_rep):
         starts, iters = _informed_starts(map_rep)[:1], search.max_iters
     else:
         starts, iters = _scan_starts(map_rep, search), search.max_iters
-    return reference_scan(map_rep.choi4, starts, iters, search.conv_tol, -search.tol)
+    return reference_scan(map_rep.choi4, starts, iters, threshold)
 
 
 def test_cho_kye_lee_pinned():
@@ -282,9 +288,9 @@ def test_is_positive_matches_reference_scan(n, m):
     for k, map_rep in enumerate(maps):
         search = SearchParams(seed=100 * n + 10 * m + k)
         res = is_positive(map_rep, search)
-        certified.append(_certified(map_rep, search.tol))
+        certified.append(_certified(map_rep))
         val, _, _, used = _reference(map_rep, search)
-        assert res.positive == (certified[-1] or val >= -search.tol)
+        assert res.positive == (certified[-1] or val >= positivity_threshold(map_rep))
         assert res.restarts_used == used
         assert abs(res.min_value - val) <= 1e-12
         u = np.kron(res.xi, res.eta)
@@ -308,7 +314,7 @@ def test_certificate_verdict_matches_full_scan(n, m):
         search = SearchParams(seed=100 * n + 10 * m + k)
         res = is_positive(map_rep, search)
         assert res.restarts_used == 1
-        assert res.positive == (_full_scan(map_rep, search) >= -search.tol)
+        assert res.positive == (_full_scan(map_rep, search) >= positivity_threshold(map_rep))
         assert res.positive
         u = np.kron(res.xi, res.eta)
         assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
@@ -346,13 +352,13 @@ def test_certificate_edges_match_full_scan():
     cp = g @ g.conj().T
     cp /= np.linalg.norm(cp)
     shifted = [
-        MapRep(n=3, m=3, choi=cp - (np.linalg.eigvalsh(cp)[0] + s * search.tol) * np.eye(9))
+        MapRep(n=3, m=3, choi=cp - (np.linalg.eigvalsh(cp)[0] + s * POSITIVITY_RTOL) * np.eye(9))
         for s in (0.5, 2.0)
     ]
     inside, outside = (is_positive(phi, search) for phi in shifted)
-    # lambda_min(C) = -tol/2 is proved; at -2 tol (and an NPT partial
+    # lambda_min(C) = -rtol/2 is proved; at -2 rtol (and an NPT partial
     # transpose) the scan decides, and the product minimum is still positive
-    assert _certified(shifted[0], search.tol) and not _certified(shifted[1], search.tol)
+    assert _certified(shifted[0]) and not _certified(shifted[1])
     assert inside.positive and inside.restarts_used == 1
     assert outside.positive and outside.restarts_used == 5 + search.restarts
     assert outside.min_value > 0
@@ -369,7 +375,8 @@ def test_certificate_edges_match_full_scan():
     u = np.kron(res.xi, res.eta)
     assert abs(np.vdot(u, not_positive.choi @ u).real - res.min_value) <= 1e-12
     for phi in shifted + [reduction, not_positive]:
-        assert is_positive(phi, search).positive == (_full_scan(phi, search) >= -search.tol)
+        full = _full_scan(phi, search)
+        assert is_positive(phi, search).positive == (full >= positivity_threshold(phi))
 
 
 def test_co_cp_edges_match_full_scan():
@@ -383,22 +390,22 @@ def test_co_cp_edges_match_full_scan():
     psd /= np.linalg.norm(psd)
     shifted = [
         MapRep(n=3, m=3, choi=partial_transpose_in(
-            psd - (np.linalg.eigvalsh(psd)[0] + s * search.tol) * np.eye(9), 3, 3))
+            psd - (np.linalg.eigvalsh(psd)[0] + s * POSITIVITY_RTOL) * np.eye(9), 3, 3))
         for s in (0.5, 2.0)
     ]
     # neither map is CP, so only the partial transpose can prove it
-    assert all(np.linalg.eigvalsh(phi.choi)[0] < -search.tol for phi in shifted)
+    assert all(np.linalg.eigvalsh(phi.choi)[0] < positivity_threshold(phi) for phi in shifted)
     inside, outside = (is_positive(phi, search) for phi in shifted)
-    assert _certified(shifted[0], search.tol) and not _certified(shifted[1], search.tol)
+    assert _certified(shifted[0]) and not _certified(shifted[1])
     assert inside.positive and inside.restarts_used == 1
     assert outside.positive and outside.restarts_used == 5 + search.restarts
     for phi, res in zip(shifted, (inside, outside)):
-        assert res.positive == (_full_scan(phi, search) >= -search.tol)
+        assert res.positive == (_full_scan(phi, search) >= positivity_threshold(phi))
     choi_map = cho_kye_lee(2, 0, 1)
     res = is_positive(choi_map, search)
     val, _, _, used = reference_scan(
-        choi_map.choi4, _scan_starts(choi_map, search), search.max_iters, search.conv_tol,
-        -search.tol,
+        choi_map.choi4, _scan_starts(choi_map, search), search.max_iters,
+        positivity_threshold(choi_map),
     )
     assert used == res.restarts_used == 5 + search.restarts
     assert res.positive and abs(res.min_value - val) <= 1e-12
@@ -442,12 +449,7 @@ def test_search_params_reject_bad_budget():
         SearchParams(restarts=-1)
     with pytest.raises(SearchError):
         SearchParams(max_iters=0)
-    for name in ("tol", "conv_tol"):
-        for bad in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(SearchError):
-                SearchParams(**{name: bad})
     assert SearchParams(restarts=0, max_iters=1).restarts == 0
-    assert SearchParams(tol=0.0, conv_tol=0.0).tol == 0.0
 
 
 def test_search_params_reject_bad_seed():
@@ -528,12 +530,6 @@ def test_proved_map_builds_only_the_product_start(monkeypatch):
     local = np.random.default_rng(3)
     a = local.standard_normal((3, 4)) + 1j * local.standard_normal((3, 4))
     maps = [choi_from_ad(a), choi_from_ad(a, transposed=True)]
-    for map_rep in maps:
-        bottom = np.linalg.eigh(hermitize(map_rep.choi))[1][:, 0].reshape(3, 4)
-        assert np.array_equal(
-            maps_module.product_start(bottom), informed_starts(map_rep.choi4, bottom)[:1]
-        )
-
     cp = sample_crandn(local, 12, 12)
     cp = cp @ cp.conj().T
     v = np.kron(sample_crandn(local, 3), sample_crandn(local, 4))
@@ -568,7 +564,7 @@ def _planted(local, n, m):
 
 @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
 def test_is_positive_verdict_at_any_scale(scale):
-    """the threshold is search.tol + map_floor, so a scaled-up positive ad or ad o T
+    """the threshold is relative to |Choi|_F, so a scaled-up positive ad or ad o T
     map is not refused on the rounding of its Choi spectrum or of its descent,
     nor a scaled-up ad map by `is_completely_positive`, and a planted map is
     still found, with its witness"""
@@ -586,3 +582,57 @@ def test_is_positive_verdict_at_any_scale(scale):
             assert res.min_value < -0.04 * scale
             u = np.kron(res.xi, res.eta)
             assert abs(np.vdot(u, choi @ u).real - res.min_value) <= 1e-12 * np.linalg.norm(choi)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (2, 4)])
+def test_verdicts_are_scale_free(n, m):
+    """phi and s * phi get one positivity verdict and one `restarts_used`, and one
+    CP verdict, from 1e-12 to 1e6: the threshold is relative to |Choi|_F"""
+    local = np.random.default_rng(31 + 10 * n + m)
+    a = sample_crandn(local, n, m) / 2
+    r, z = sample_crandn(local, m, m), sample_crandn(local, n)
+    g = sample_crandn(local, n * m, n * m)
+    maps = [
+        MapRep(n, m, g @ g.conj().T / np.linalg.norm(g @ g.conj().T)),
+        choi_from_ad(a),
+        choi_from_ad(a, transposed=True),
+        choi_from_omega_q(r @ r.conj().T, z),
+        MapRep(n, m, _planted(local, n, m)),
+    ]
+    if (n, m) == (3, 3):
+        maps.append(cho_kye_lee(2, 0, 1))
+    verdicts = []
+    for map_rep in maps:
+        res, cp = is_positive(map_rep), is_completely_positive(map_rep)[0]
+        verdicts.append((res.positive, cp))
+        for s in (1e-12, 1e-6, 1.0, 1e6):
+            scaled = MapRep(n, m, s * map_rep.choi)
+            got = is_positive(scaled)
+            assert (got.positive, got.restarts_used) == (res.positive, res.restarts_used), s
+            assert is_completely_positive(scaled)[0] == cp, s
+    # (positive, CP): ad o T and Choi's map are positive but not CP, the
+    # planted map is neither
+    expected = [(True, True), (True, True), (True, False), (True, True), (False, False)]
+    assert verdicts == expected + [(True, False)] * (n == 3)
+
+
+def test_threshold_covers_eigh_rounding_of_psd_maps():
+    """unit-norm 2 x 2 ad and omega_q maps are exactly CP, and every one is
+    proved so on its first step, although `eigh` puts the bottom Choi
+    eigenvalue of some below -map_floor: the threshold's relative part is what
+    keeps them off the long path"""
+    local = np.random.default_rng(0)
+    below_floor = 0
+    for _ in range(1000):
+        a = sample_crandn(local, 2, 2)
+        r = sample_crandn(local, 2, 2)
+        r = r @ r.conj().T
+        for phi in (
+            choi_from_ad(a / np.linalg.norm(a)),
+            choi_from_omega_q(r / np.linalg.norm(r), sample_crandn(local, 2)),
+        ):
+            assert is_completely_positive(phi)[0]
+            res = is_positive(phi)
+            assert res.positive and res.restarts_used == 1
+            below_floor += np.linalg.eigh(hermitize(phi.choi))[0][0] < -map_floor(phi)
+    assert below_floor >= 1
