@@ -5,15 +5,19 @@ The only kernel is the alternating minimization of the block form
 search of a map that is not CP; a map proved CP by its Choi spectrum runs it
 for a single iteration, only to give a witness pair.
 
-Each call Hermitizes C once and lays it out as the tensor g[i, j, k, l] =
-C[(i, k), (j, l)].  A half-step is then one matrix product of the stacked
-outer products conj(eta) eta^T (or conj(xi) xi^T) with g read as (kl, ij)
-(or as (ij, kl)), and one stacked `eigh`.  The products are Hermitian up to
-rounding because C is, and `eigh` reads one triangle, so no half-step
-Hermitizes its matrix.  Results are written only for the rows that
-converge, as they converge, and for the rows still live after the last
-iteration.  The descents are dominated by numpy call overhead, not by
-arithmetic, so the number of calls per half-step is what sets the speed.
+The caller hands over C already Hermitized and checked (`maps.is_positive`
+does both once per map), with its norm |C|_F.  Each call lays C out as the
+tensor g[i, j, k, l] = C[(i, k), (j, l)].  A half-step is then one matrix
+product of the stacked outer products conj(eta) eta^T (or conj(xi) xi^T)
+with g read as (kl, ij) (or as (ij, kl)), and one stacked `eigh`.  The
+products are Hermitian up to rounding because C is, and `eigh` reads one
+triangle, so no half-step Hermitizes its matrix.  A descent stops once its
+value moves by at most CONV_TOL * (|C|_F + |value|), a change relative to
+the map, so s * C takes the iterations of C at every scale s > 0 (up to
+rounding).  Results are written only for the rows that converge, as they
+converge, and for the rows still live after the last iteration.  The
+descents are dominated by numpy call overhead, not by arithmetic, so the
+number of calls per half-step is what sets the speed.
 
 `block_minimize` scans the map's restarts in order and stops at the first one
 whose value dips below `stop_below`.  To spend Python and LAPACK call
@@ -31,24 +35,22 @@ Phi[2, 0.2, 1]).
 
 import numpy as np
 
-from .errors import SearchError
-from .linalg import hermitize
-
 # rows descended per stacked call; bounds the stacked arrays and the work a
 # wave can spend past the exit start
 MAX_ROWS = 256
 # width ratio of successive waves; the first wave is one start, so a map that
 # exits on its first start costs a single descent
 WAVE_GROWTH = 8
-# a descent stops once its value moves by at most CONV_TOL * (1 + |value|)
+# a descent stops once its value moves by at most CONV_TOL * (|C|_F + |value|)
 CONV_TOL = 1e-13
 
 
-def _descend_batch(g, eta, max_iters):
+def _descend_batch(g, eta, max_iters, scale):
     """Alternating descent of one map from a stack of starts, one per row.
 
     g is the Hermitized Choi tensor with indices (i, j, k, l), so each
-    half-step is one product with it, read as (ij, kl) or as (kl, ij).  Rows
+    half-step is one product with it, read as (ij, kl) or as (kl, ij), and
+    scale is |C|_F, which sets the stopping rule's relative change.  Rows
     whose value has converged are written out and dropped, so each row stops
     after exactly the iterations its own descent would take.  The
     convergence test runs on Python floats, one per live row: for the usual
@@ -72,7 +74,7 @@ def _descend_batch(g, eta, max_iters):
         outer = (xi.conj()[:, :, None] * xi[:, None, :]).reshape(b, n * n)
         w, v = np.linalg.eigh((outer @ g_ij_kl).reshape(b, m, m))
         eta, cur = v[:, :, 0], w[:, 0].tolist()
-        moving = [abs(p - c) > CONV_TOL * (1.0 + abs(c)) for p, c in zip(prev, cur)]
+        moving = [abs(p - c) > CONV_TOL * (scale + abs(c)) for p, c in zip(prev, cur)]
         if not all(moving):
             for r, row in enumerate(rows):
                 if not moving[r]:
@@ -92,39 +94,32 @@ def block_minimize(
     starts: np.ndarray,
     max_iters: int,
     stop_below: float,
+    scale: float,
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Minimize the block form of a Hermitian Choi tensor.
 
-    c4 is the Choi matrix reshaped to (n, m, n, m); starts holds one eta seed
-    per restart, shape (restarts, m).  Each descent alternates exact
-    minimization in xi (bottom eigenvector with eta fixed) and in eta (with
-    xi fixed) until the value moves by at most CONV_TOL * (1 + |value|).  The
-    restarts are scanned in order until one dips below stop_below or the
-    budget runs out; the result is that of a sequential scan up to the
-    rounding of the stacked waves (see the module docstring).  c4 is
-    Hermitized once, here, for every descent.
+    c4 is the Hermitian, complex Choi matrix C reshaped to (n, m, n, m), and
+    scale is |C|_F; starts holds one eta seed per restart, shape
+    (restarts >= 1, m), and max_iters >= 1.  The caller has checked all of
+    this.  Each descent alternates exact minimization in xi (bottom
+    eigenvector with eta fixed) and in eta (with xi fixed) until the value
+    moves by at most CONV_TOL * (scale + |value|).  The restarts are scanned
+    in order until one dips below stop_below or the budget runs out; the
+    result is that of a sequential scan up to the rounding of the stacked
+    waves (see the module docstring).
 
     Returns (best value, best xi, best eta, restarts used).
     """
-    c4 = np.ascontiguousarray(c4, dtype=np.complex128)
-    starts = np.ascontiguousarray(starts, dtype=np.complex128)
-    if c4.ndim != 4 or c4.shape[2:] != c4.shape[:2]:
-        raise SearchError(f"c4 must be (n, m, n, m), got {c4.shape}")
     n, m = c4.shape[:2]
-    if starts.ndim != 2 or starts.shape[1] != m:
-        raise SearchError(f"starts must be (restarts, {m}), got {starts.shape}")
     total = starts.shape[0]
-    if total < 1 or max_iters < 1:
-        raise SearchError("need at least one restart and one iteration")
-    c = hermitize(c4.reshape(n * m, n * m)).reshape(n, m, n, m)
-    g = np.ascontiguousarray(c.transpose(0, 2, 1, 3))
+    g = np.ascontiguousarray(c4.transpose(0, 2, 1, 3))
     best = np.inf
     best_xi = np.zeros(n, dtype=np.complex128)
     best_eta = np.zeros(m, dtype=np.complex128)
     used, done, grow = 0, 0, 1
     while done < total:
         width = min(grow, total - done, MAX_ROWS)
-        vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters)
+        vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters, scale)
         # scan the wave in restart order, up to and including its exit
         below = vals < stop_below
         exits = bool(below.any())

@@ -11,8 +11,17 @@ for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
 A at the `null_space` floor).  `exposedness.classify` reads the Choi matrix
 and its partial transpose at `map_floor`, its SVD across the H:K cut at
 `max(n^2, m^2) * u * s_0`, and its factors Q and S at `dim * u * |X|_F`.
-`maps.positivity_threshold` is `-(1e-9 + n * m * u) * |Choi(phi)|_F`, and
-`is_psd` scales its tol by |m|_max.  So no verdict depends on an absolute cutoff.
+
+"Hermitian" and "PSD" are decided by one rule each, both here and both
+relative to |X|_F, so s * X gets the verdict of X at every scale s > 0:
+`hermitian_within` reads |X - X*|_F <= HERMITIAN_RTOL * |X|_F, and
+`psd_threshold` reads an eigenvalue of a d x d X as negative below
+-(POSITIVITY_RTOL + d * u) * |X|_F.  `is_psd`, the factor checks of
+`maps.SeparableElement` and `maps.choi_from_omega_q` (`is_psd` of the
+factor), `maps.is_completely_positive` (`is_psd` of the Choi matrix) and
+`maps.is_positive` read both; `maps.is_hermitian_preserving` and
+`exposedness.classify` read the first.  So no verdict depends on an absolute
+cutoff.
 """
 
 from functools import lru_cache
@@ -23,6 +32,10 @@ from .errors import HermiticityError, ShapeError
 
 SQRT2 = np.sqrt(2.0)
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+# relative Frobenius defect up to which a matrix reads as Hermitian
+HERMITIAN_RTOL = 1e-10
+# relative part of the PSD rule, over |X|_F; the d * u part is the rounding level
+POSITIVITY_RTOL = 1e-9
 # an exact zero floor still reads as a positive level, so no ratio divides by 0
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -89,9 +102,20 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def herm_defect(m: np.ndarray) -> float:
-    """Max-norm distance between M and its conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
+def hermitian_within(x: np.ndarray, scale: float) -> bool:
+    """The Hermiticity rule: |X - X*|_F <= HERMITIAN_RTOL * scale, where scale is |X|_F."""
+    return float(np.linalg.norm(x - x.conj().T)) <= HERMITIAN_RTOL * scale
+
+
+def psd_threshold(dim: int, scale: float) -> float:
+    """The PSD rule: below this an eigenvalue of a dim x dim X reads as negative.
+
+    It is -(POSITIVITY_RTOL + dim * u) * scale, where scale is |X|_F.  The
+    dim * u part is the rounding level of X's spectrum; POSITIVITY_RTOL
+    covers `eigh` putting the bottom eigenvalue of an exactly PSD matrix a
+    little below it (to about -1.17 times it on 2 x 2 omega_q Choi matrices).
+    """
+    return -(POSITIVITY_RTOL + dim * UNIT_ROUNDOFF) * scale
 
 
 def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,22 +140,20 @@ def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[rank:].conj().T.copy(order="K"), s
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
+def is_psd(m: np.ndarray) -> tuple[bool, float]:
     """PSD test for a Hermitian matrix: (verdict, min eigenvalue).
 
-    Raises on non-square input or on a Hermiticity defect beyond tol * |m|_max;
-    the verdict is min eigenvalue >= -tol * |m|_max, so s * m gets the verdict
-    of m at every scale s > 0.
+    Raises on non-square input or on a matrix that `hermitian_within` refuses;
+    the verdict is min eigenvalue >= `psd_threshold`, both relative to |m|_F.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"psd check needs a square matrix, got {m.shape}")
-    level = tol * float(np.abs(m).max())
-    if herm_defect(m) > level:
+    scale = float(np.linalg.norm(m))
+    if not hermitian_within(m, scale):
         raise HermiticityError("matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(hermitize(m))
-    low = float(w[0])
-    return low >= -level, low
+    low = float(np.linalg.eigvalsh(hermitize(m))[0])
+    return low >= psd_threshold(m.shape[0], scale), low
 
 
 def normalized(v: np.ndarray) -> np.ndarray:
@@ -168,24 +190,9 @@ def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.triu_indices(n, 1))
 
 
-def herm_to_params(c: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis.
-
-    Layout: the N diagonal entries, then sqrt(2)*Re of the strict upper
-    triangle in row-major order, then sqrt(2)*Im of the same entries.  The
-    map is an isometry: <C1, C2>_F (real part) equals the dot product of the
-    coordinate vectors.  Leading axes of c are batch axes: shape (..., N, N)
-    gives (..., N*N).
-    """
-    c = check_finite(np.asarray(c, dtype=np.complex128), "matrix")
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
-        raise ShapeError(f"expected square matrices, got shape {c.shape}")
-    return hermitian_params(c)
-
-
 @lru_cache(maxsize=None)
 def _param_slots(n: int) -> np.ndarray:
-    """Cached, read-only offsets of the `herm_to_params` entries in the float64 view of n x n."""
+    """Cached, read-only offsets of the `hermitian_params` entries in the float64 view of n x n."""
     iu, ju = triu_pairs(n)
     upper = 2 * (iu * n + ju)
     return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
@@ -212,7 +219,14 @@ def _partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_params(c: np.ndarray) -> np.ndarray:
-    """`herm_to_params` of a complex (..., N, N) array already known to be finite."""
+    """Real coordinates of a Hermitian matrix in an orthonormal basis.
+
+    Layout: the N diagonal entries, then sqrt(2)*Re of the strict upper
+    triangle in row-major order, then sqrt(2)*Im of the same entries.  The
+    map is an isometry: <C1, C2>_F (real part) equals the dot product of the
+    coordinate vectors.  Leading axes of c are batch axes: shape (..., N, N)
+    gives (..., N*N).  c must be finite; it is not checked.
+    """
     c = np.ascontiguousarray(c, dtype=np.complex128)
     n = c.shape[-1]
     out = c.reshape(c.shape[:-2] + (n * n,)).view(np.float64).take(_param_slots(n), axis=-1)
@@ -221,7 +235,7 @@ def hermitian_params(c: np.ndarray) -> np.ndarray:
 
 
 def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `herm_to_params` for an n x n Hermitian matrix.
+    """Inverse of `hermitian_params` for an n x n Hermitian matrix.
 
     Leading axes of p are batch axes: shape (..., n*n) gives (..., n, n).
     """

@@ -23,11 +23,6 @@ from .errors import HermiticityError, InputRejected, SearchError, ShapeError
 from .linalg import as_complex_matrix, as_complex_vector, hermitize
 from .sampling import crandn, rng_from
 
-# relative part of `positivity_threshold`, over |Choi(phi)|_F
-POSITIVITY_RTOL = 1e-9
-# relative Frobenius defect up to which a Choi matrix reads as Hermitian
-HERMITIAN_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class MapRep:
@@ -53,12 +48,12 @@ class MapRep:
 
 
 def _require_psd(name: str, f: np.ndarray) -> None:
-    """Check a factor relative to its own largest entry, so at any scale; a zero factor is PSD.
+    """Check a factor by `linalg.is_psd`, relative to its own norm; a zero factor is PSD.
 
     Raises HermiticityError if it is not Hermitian and InputRejected if it
     is not PSD.
     """
-    ok, low = linalg.is_psd(f, tol=1e-8)
+    ok, low = linalg.is_psd(f)
     if not ok:
         raise InputRejected(f"{name} is not PSD (min eigenvalue {low:.3e})")
 
@@ -91,8 +86,9 @@ class SearchParams:
     a single iteration, and `seed`, an integer >= 0, seeds the random
     starts; it is checked here because only a map that the first descent
     leaves undecided draws them.  What reads as negative is set by
-    `positivity_threshold`, relative to the map, and a descent stops at the
-    kernel's `CONV_TOL`.
+    `positivity_threshold`, relative to the map, and a descent stops once
+    its value moves by at most the kernel's `CONV_TOL` times
+    |Choi(phi)|_F + |value|, also relative to the map.
     """
 
     restarts: int = 64
@@ -209,12 +205,8 @@ def pairing(map_rep: MapRep, w) -> complex:
 
 
 def is_hermitian_preserving(map_rep: MapRep) -> bool:
-    """True iff the Choi matrix is Hermitian within relative Frobenius HERMITIAN_RTOL."""
-    c = map_rep.choi
-    scale = float(np.linalg.norm(c))
-    if scale == 0.0:
-        return True
-    return float(np.linalg.norm(c - c.conj().T)) <= HERMITIAN_RTOL * scale
+    """True iff the Choi matrix is Hermitian by `linalg.hermitian_within`."""
+    return linalg.hermitian_within(map_rep.choi, float(np.linalg.norm(map_rep.choi)))
 
 
 def map_floor(map_rep: MapRep) -> float:
@@ -229,14 +221,12 @@ def map_floor(map_rep: MapRep) -> float:
 def positivity_threshold(map_rep: MapRep) -> float:
     """Level below which a Choi eigenvalue or block value reads as negative.
 
-    It is -(POSITIVITY_RTOL + n * m * u) * |Choi(phi)|_F, relative to the map,
-    so every t * phi with t > 0 gets phi's verdict.  Its n * m * u part is
-    `map_floor`; POSITIVITY_RTOL covers `eigh` putting the bottom eigenvalue
-    of an exactly PSD Choi matrix below -map_floor (to about -1.17 map_floor
-    on 2 x 2 omega_q maps).
+    It is `linalg.psd_threshold` of the Choi matrix,
+    -(POSITIVITY_RTOL + n * m * u) * |Choi(phi)|_F, relative to the map, so
+    every t * phi with t > 0 gets phi's verdict.  Its n * m * u part is
+    `map_floor`.
     """
-    rtol = POSITIVITY_RTOL + map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF
-    return -rtol * float(np.linalg.norm(map_rep.choi))
+    return linalg.psd_threshold(map_rep.n * map_rep.m, float(np.linalg.norm(map_rep.choi)))
 
 
 def _require_hermitian(map_rep: MapRep) -> None:
@@ -245,16 +235,13 @@ def _require_hermitian(map_rep: MapRep) -> None:
 
 
 def is_completely_positive(map_rep: MapRep) -> tuple[bool, float]:
-    """Choi PSD test: (verdict, min Choi eigenvalue).
+    """Choi PSD test: (verdict, min Choi eigenvalue), `linalg.is_psd` of the Choi matrix.
 
     The verdict is lambda_min >= `positivity_threshold(map_rep)`, the
     threshold `is_positive` uses, so it does not depend on the scale of the
     map.
     """
-    _require_hermitian(map_rep)
-    w = np.linalg.eigvalsh(hermitize(map_rep.choi))
-    low = float(w[0])
-    return low >= positivity_threshold(map_rep), low
+    return linalg.is_psd(map_rep.choi)
 
 
 def product_start(bottom: np.ndarray) -> np.ndarray:
@@ -270,13 +257,14 @@ def product_start(bottom: np.ndarray) -> np.ndarray:
 def _compression_starts(c4: np.ndarray) -> np.ndarray:
     """The informed starts after `product_start`, shape (n + 1, m).
 
-    The bottom eigenvectors of the diagonal blocks of c4 (n, m, n, m) and of
-    its input compression.  Like `product_start`, they land inside the tiny
-    basins of shallow violations, where random starts stall on a zero plateau
-    once xi falls into the output kernel.
+    The bottom eigenvectors of the diagonal blocks of the Hermitian c4
+    (n, m, n, m) and of its input compression, both Hermitian because c4
+    is.  Like `product_start`, they land inside the tiny basins of shallow
+    violations, where random starts stall on a zero plateau once xi falls
+    into the output kernel.
     """
-    _, vb = np.linalg.eigh(hermitize(np.einsum("ikil->ikl", c4)))
-    _, vt = np.linalg.eigh(hermitize(np.einsum("ikil->kl", c4)))
+    _, vb = np.linalg.eigh(np.einsum("ikil->ikl", c4))
+    _, vt = np.linalg.eigh(np.einsum("ikil->kl", c4))
     return np.concatenate([vb[:, :, 0], vt[None, :, 0]])
 
 
@@ -287,8 +275,11 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     C the Choi matrix; a value below `positivity_threshold(map_rep)` yields
     NOT_POSITIVE with the witness pair.  That threshold is relative to
     |C|_F and above the rounding level of both the Choi spectrum and the
-    descent's values, so the verdict does not depend on the scale of C.  CP
-    and co-CP maps are proved positive:
+    descent's values, and each descent stops at a change relative to |C|_F
+    too, so the search does not depend on the scale of C.  C is checked by
+    `linalg.hermitian_within` and Hermitized once, here; its norm, the
+    threshold, the spectra and every descent read that one norm and that
+    one Hermitized matrix.  CP and co-CP maps are proved positive:
 
         <xi (x) eta, C (xi (x) eta)> >= lambda_min(C), and the same value is
         <xi (x) conj(eta), C^G (xi (x) conj(eta))> >= lambda_min(C^G),
@@ -317,27 +308,31 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     product value is at least lambda_min(C^G), up to the rounding of the
     descent.
     """
-    n, m, c4 = map_rep.n, map_rep.m, map_rep.choi4
-    _require_hermitian(map_rep)
-    threshold = positivity_threshold(map_rep)
-    w, v = np.linalg.eigh(hermitize(map_rep.choi))
+    n, m, c = map_rep.n, map_rep.m, map_rep.choi
+    scale = float(np.linalg.norm(c))
+    if not linalg.hermitian_within(c, scale):
+        raise HermiticityError("map is not Hermiticity-preserving within tolerance")
+    threshold = linalg.psd_threshold(n * m, scale)
+    h = hermitize(c)
+    h4 = h.reshape(n, m, n, m)
+    w, v = np.linalg.eigh(h)
     bottom = v[:, 0].reshape(n, m)
     cp = bool(w[0] >= threshold)
     # a CP map's verdict is already proved: one iteration gives its witness
     val, xi, eta, used = block_minimize(
-        c4, product_start(bottom), 1 if cp else search.max_iters, threshold
+        h4, product_start(bottom), 1 if cp else search.max_iters, threshold, scale
     )
     undecided = (
         not cp
         and val >= threshold
-        and np.linalg.eigvalsh(hermitize(partial_transpose_in(map_rep.choi, n, m)))[0] < threshold
+        and np.linalg.eigvalsh(_partial_transpose(h, n, m))[0] < threshold
     )
     if undecided:
         starts = np.vstack([
-            _compression_starts(c4),
+            _compression_starts(h4),
             crandn(rng_from(search.seed), search.restarts, m),
         ])
-        rest = block_minimize(c4, starts, search.max_iters, threshold)
+        rest = block_minimize(h4, starts, search.max_iters, threshold, scale)
         # a sequential scan keeps the first strict minimum
         if rest[0] < val:
             val, xi, eta = rest[:3]

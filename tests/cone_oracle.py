@@ -15,7 +15,7 @@ import numpy as np
 
 from conecert._kernels import block_minimize
 from conecert.faces import membership_residual
-from conecert.linalg import herm_to_params, hermitize, params_to_herm
+from conecert.linalg import hermitian_params, hermitize, params_to_herm
 from conecert.maps import (
     MapRep,
     SearchParams,
@@ -73,22 +73,24 @@ def cone_evidence(
     coeffs, _ = membership_residual(ns, phi)
     n, m = phi.n, phi.m
     scale = float(np.linalg.norm(phi.choi))
-    p_phi = herm_to_params(phi.choi / scale)
+    p_phi = hermitian_params(phi.choi / scale)
     # orthonormal completion of the phi direction inside the hull
     q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
     perp = ns.param_basis @ q[:, 1:]
     rng = rng_from(search.seed)
 
     def search_from(choi):
-        point = MapRep(n, m, choi)
-        threshold = positivity_threshold(point)
-        bottom = np.linalg.eigh(hermitize(choi))[1][:, 0].reshape(n, m)
+        threshold = positivity_threshold(MapRep(n, m, choi))
+        h = hermitize(choi)
+        h4 = h.reshape(n, m, n, m)
+        bottom = np.linalg.eigh(h)[1][:, 0].reshape(n, m)
         starts = np.vstack([
             product_start(bottom),
-            _compression_starts(point.choi4),
+            _compression_starts(h4),
             crandn(rng, search.restarts, m),
         ])
-        return block_minimize(point.choi4, starts, search.max_iters, threshold)[0], threshold
+        scale = np.linalg.norm(choi)
+        return block_minimize(h4, starts, search.max_iters, threshold, scale)[0], threshold
 
     control, control_threshold = search_from(phi.choi / scale)
     count = min(directions_per_dim * (d - 1), max_directions)

@@ -25,7 +25,7 @@ from conecert.linalg import (
     SQRT2,
     as_complex_matrix,
     gap_rank,
-    herm_to_params,
+    hermitian_params,
     hermitize,
     normalized,
     null_space,
@@ -141,7 +141,7 @@ class ConstraintSystem:
 def functional_row(m: np.ndarray) -> np.ndarray:
     """Row of coefficients of C -> sum_ab C[a,b] M[a,b] over Hermitian params.
 
-    The returned complex row r satisfies r @ herm_to_params(C) == that sum
+    The returned complex row r satisfies r @ hermitian_params(C) == that sum
     for every Hermitian C; callers split it into real and imaginary parts to
     get two real constraints.
     """
@@ -160,7 +160,7 @@ def _kron_factor_indices(n: int, m: int) -> tuple[np.ndarray, ...]:
     Entry (r, c) of X (x) Y, with X n x n and Y m x m, is
     X[r // m, c // m] * Y[r % m, c % m].  The row reads the diagonal and
     the strict upper triangle of the (nm) x (nm) matrix, in the order of
-    `herm_to_params`; the lower triangle is the upper one with the factor
+    `hermitian_params`; the lower triangle is the upper one with the factor
     indices swapped.  Returns (X index, Y index) of the diagonal entries,
     then (X row, X col, Y row, Y col) of the upper-triangle entries.
     """
@@ -241,7 +241,7 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
         ranges = vecs[idx, :, :r]
         e = params_to_herm(np.eye(r * r), r)
         y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
-        columns.append(herm_to_params(y).reshape(-1, n * n))
+        columns.append(hermitian_params(y).reshape(-1, n * n))
         owner.append(np.repeat(idx, r * r))
     owner = np.concatenate(owner)
     order = np.argsort(owner, kind="stable")
@@ -268,7 +268,7 @@ def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     )
     count = etas.shape[0]
     _, vecs, ranks = probe_outputs(map_rep, etas)
-    frame = herm_to_params(etas[:, :, None] * etas.conj()[:, None, :])
+    frame = hermitian_params(etas[:, :, None] * etas.conj()[:, None, :])
     u_f, s_f, vh_f = np.linalg.svd(frame.T)
     relations = vh_f[m * m :]
     dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
@@ -289,7 +289,7 @@ def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)
     choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
     if choi.shape[0]:
-        param_basis, sv, _ = np.linalg.svd(herm_to_params(choi).T, full_matrices=False)
+        param_basis, sv, _ = np.linalg.svd(hermitian_params(choi).T, full_matrices=False)
         condition = float(sv[0] / sv[-1])
     else:
         param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0

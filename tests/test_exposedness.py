@@ -20,7 +20,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, gap_rank, herm_to_params
+from conecert.linalg import UNIT_ROUNDOFF, gap_rank, hermitian_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 from structured_inputs import haar_unitary
@@ -125,7 +125,7 @@ def _hull_plus(ns, extra_choi):
     The spectrum keeps the first (unknowns - dim) values of ns's own and reads
     zero for the rest, so it shows a clean gap at the new dimension.
     """
-    p = herm_to_params(extra_choi)
+    p = hermitian_params(extra_choi)
     p = p - ns.param_basis @ (ns.param_basis.T @ p)
     param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
     dim = param_basis.shape[1]
@@ -209,7 +209,7 @@ def test_face_defect_is_the_sine_of_a_tilt(shape, transposed):
     face = _exact_rank_one_hull(u, v, transposed)
     # a unit element orthogonal to the face
     x = _crandn_from(gen, n * m, n * m)
-    off = herm_to_params(x + x.conj().T)
+    off = hermitian_params(x + x.conj().T)
     off -= face @ (face.T @ off)
     off /= np.linalg.norm(off)
     for theta in (1e-6, 1e-3, 0.3):
@@ -339,7 +339,7 @@ def _exact_rank_one_hull(u, v, transposed):
     for j in range(w.shape[1]):
         sw = np.outer(s, w[:, j].conj())
         mats += [(sw + sw.conj().T) / np.sqrt(2), 1j * (sw - sw.conj().T) / np.sqrt(2)]
-    return np.array([herm_to_params(np.kron(q, mat)) for mat in mats]).T
+    return np.array([hermitian_params(np.kron(q, mat)) for mat in mats]).T
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (1, 3), (1, 4), (2, 2), (3, 4)])

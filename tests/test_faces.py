@@ -27,7 +27,7 @@ from conecert.faces import (
 from conecert.linalg import (
     _partial_transpose_slots,
     gap_rank,
-    herm_to_params,
+    hermitian_params,
     params_to_herm,
     triu_pairs,
 )
@@ -141,7 +141,7 @@ def test_constraint_rows_evaluate_apply():
             g = crandn(n * m, n * m)
             c = (g + g.conj().T) / 2
             psi = MapRep(n=n, m=m, choi=c)
-            p = herm_to_params(c)
+            p = hermitian_params(c)
             vals = sys.rows @ p
             k = 0
             for pair in pairs:
@@ -183,7 +183,7 @@ def test_map_satisfies_own_constraints():
         phi = choi_from_ad(a)
         pairs = zero_pairs(phi)
         sys = assemble_constraints(pairs, phi.n, phi.m)
-        p = herm_to_params(phi.choi)
+        p = hermitian_params(phi.choi)
         assert np.abs(sys.rows @ p).max() < 1e-8
 
 
@@ -566,7 +566,7 @@ def _curve_outputs(a, transposed=False):
     c = np.einsum("pi,pi->p", w, w.conj()).real
     live = c > faces._output_floor(a)
     outs = np.zeros((etas.shape[0], a.shape[0] ** 2))
-    outs[live] = herm_to_params(np.einsum("pi,pj->pij", w[live], w[live].conj())) / c[live, None]
+    outs[live] = hermitian_params(np.einsum("pi,pj->pij", w[live], w[live].conj())) / c[live, None]
     return outs, c
 
 
@@ -603,7 +603,7 @@ def test_back_substitution_recovers_phi(transposed):
         outs, c = _curve_outputs(a, transposed)
         etas = curve_frame(m)[0][: m * m]
         psi = MapRep(n=n, m=m, choi=res.basis[0])
-        got = herm_to_params(np.array([apply(psi, np.outer(eta, eta.conj())) for eta in etas]))
+        got = hermitian_params(np.array([apply(psi, np.outer(eta, eta.conj())) for eta in etas]))
         z, c = np.einsum("bi,bi->b", got, outs[: m * m]), c[: m * m]
         sin = np.linalg.norm(z - c * (c @ z) / (c @ c)) / np.linalg.norm(z)
         assert sin <= _face_bound(res), (n, transposed)
@@ -639,7 +639,7 @@ def _coordinate_map(a):
             z[p] = np.linalg.lstsq(frame, rhs, rcond=None)[0][1]
         y = params_to_herm(z[:, None] * outs[:size], n)
         choi = np.einsum("bkl,bij->ikjl", on_basis, y).reshape(n * m, n * m)
-        columns.append(herm_to_params(choi))
+        columns.append(hermitian_params(choi))
     return np.array(columns).T
 
 
@@ -704,7 +704,7 @@ def test_transposed_face_is_the_partial_transpose():
         assert t.param_basis.tobytes() == (p.param_basis[index] * sign[:, None]).tobytes(), label
         if p.dim:
             n, m = a.shape
-            want = herm_to_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
+            want = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
             assert np.abs(want - t.param_basis).max() <= 1e-15, label
         assert (flipped.face is None) == (plain.face is None), label
         if plain.face is not None:

@@ -3,9 +3,7 @@ import pytest
 
 from conecert import _kernels
 from conecert._kernels import CONV_TOL, MAX_ROWS, WAVE_GROWTH, block_minimize
-from conecert.errors import SearchError
 from conecert.linalg import hermitize
-from conecert.maps import MapRep, is_hermitian_preserving
 
 
 def _crandn(rng, *shape):
@@ -13,7 +11,9 @@ def _crandn(rng, *shape):
 
 
 def reference_scan(c4, starts, max_iters, stop_below):
-    """Sequential oracle: one map, one start at a time, in restart order."""
+    """Sequential oracle: one map, one start at a time, in restart order; a
+    descent stops once its value moves by at most CONV_TOL * (|C|_F + |value|)"""
+    scale = np.linalg.norm(c4)
     best, best_xi, best_eta, used = np.inf, None, None, 0
     for start in starts:
         used += 1
@@ -24,7 +24,7 @@ def reference_scan(c4, starts, max_iters, stop_below):
             mmat = np.einsum("ikjl,i,j->kl", c4, xi.conj(), xi)
             w, v = np.linalg.eigh(hermitize(mmat))
             eta, val = v[:, 0], float(w[0])
-            if abs(prev - val) <= CONV_TOL * (1.0 + abs(val)):
+            if abs(prev - val) <= CONV_TOL * (scale + abs(val)):
                 break
             prev = val
         if val < best:
@@ -38,7 +38,7 @@ def test_block_minimize_hand_case():
     """diag(1, 0, 0, -1) as a Choi matrix has block minimum -1 at e2 (x) e2"""
     c4 = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex).reshape(2, 2, 2, 2)
     rng = np.random.default_rng(0)
-    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 2), 100, -1e-9)
+    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 2), 100, -1e-9, np.linalg.norm(c4))
     assert abs(val + 1.0) < 1e-9
     assert abs(abs(xi[1]) - 1.0) < 1e-6
     assert abs(abs(eta[1]) - 1.0) < 1e-6
@@ -49,7 +49,7 @@ def test_block_minimize_positive_case():
     a = _crandn(rng, 3, 3)
     w = a.reshape(-1)
     c4 = np.outer(w, w.conj()).reshape(3, 3, 3, 3)
-    val, _, _, used = block_minimize(c4, _crandn(rng, 8, 3), 200, -1e-9)
+    val, _, _, used = block_minimize(c4, _crandn(rng, 8, 3), 200, -1e-9, np.linalg.norm(c4))
     assert val >= -1e-10
     assert used == 8
 
@@ -57,7 +57,7 @@ def test_block_minimize_positive_case():
 def test_block_minimize_early_exit():
     c4 = np.diag([1.0, 0.0, 0.0, -1.0]).astype(complex).reshape(2, 2, 2, 2)
     rng = np.random.default_rng(2)
-    _, _, _, used = block_minimize(c4, _crandn(rng, 32, 2), 100, -1e-9)
+    _, _, _, used = block_minimize(c4, _crandn(rng, 32, 2), 100, -1e-9, np.linalg.norm(c4))
     assert used < 32
 
 
@@ -66,7 +66,7 @@ def test_block_minimize_never_above_product_points():
     rng = np.random.default_rng(4)
     c = hermitize(_crandn(rng, 6, 6))
     c4 = c.reshape(2, 3, 2, 3)
-    val, _, _, _ = block_minimize(c4, _crandn(rng, 32, 3), 200, -np.inf)
+    val, _, _, _ = block_minimize(c4, _crandn(rng, 32, 3), 200, -np.inf, np.linalg.norm(c4))
     for _ in range(200):
         xi = _crandn(rng, 2)
         eta = _crandn(rng, 3)
@@ -78,17 +78,9 @@ def test_block_minimize_witness_value_consistent():
     rng = np.random.default_rng(5)
     c = hermitize(_crandn(rng, 8, 8))
     c4 = c.reshape(2, 4, 2, 4)
-    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 4), 200, -np.inf)
+    val, xi, eta, _ = block_minimize(c4, _crandn(rng, 16, 4), 200, -np.inf, np.linalg.norm(c4))
     u = np.kron(xi, eta)
     assert abs(np.vdot(u, c @ u).real - val) < 1e-9
-
-
-def test_block_minimize_rejects_bad_starts():
-    c4 = np.zeros((2, 2, 2, 2), dtype=complex)
-    with pytest.raises(SearchError):
-        block_minimize(c4, np.zeros((4, 3), dtype=complex), 10, -1e-9)
-    with pytest.raises(SearchError):
-        block_minimize(c4, np.zeros((0, 2), dtype=complex), 10, -1e-9)
 
 
 def _random_maps(rng, count, n, m):
@@ -109,7 +101,9 @@ def _assert_batch_matches_single(c4s, starts, stop_below, max_iters=200):
     c = c4s.reshape(c4s.shape[0], *2 * (c4s.shape[1] * c4s.shape[2],))
     vals, used = np.empty(c4s.shape[0]), np.empty(c4s.shape[0], dtype=int)
     for b in range(c4s.shape[0]):
-        vals[b], xi_b, eta_b, used[b] = block_minimize(c4s[b], starts[b], max_iters, stop_below)
+        vals[b], xi_b, eta_b, used[b] = block_minimize(
+            c4s[b], starts[b], max_iters, stop_below, np.linalg.norm(c4s[b])
+        )
         val, xi, eta, n_used = reference_scan(c4s[b], starts[b], max_iters, stop_below)
         assert abs(vals[b] - val) <= 1e-12 * max(1.0, abs(val))
         assert used[b] == n_used
@@ -170,24 +164,6 @@ def test_block_minimize_cut_off_by_max_iters(stop_below):
     _assert_batch_matches_single(c4s, starts, stop_below, max_iters=3)
 
 
-def test_block_minimize_nearly_hermitian_choi():
-    """an anti-Hermitian part of 1e-11 of the norm, small enough for is_positive to
-    accept: the kernel Hermitizes C once and matches the reference, which
-    Hermitizes every half-step"""
-    rng = np.random.default_rng(23)
-    n, m = 2, 3
-    c4s = _random_maps(rng, 4, n, m)
-    c = c4s.reshape(4, n * m, n * m)
-    skew = _crandn(rng, 4, n * m, n * m)
-    skew -= skew.conj().swapaxes(1, 2)
-    ratio = np.linalg.norm(c, axis=(1, 2)) / np.linalg.norm(skew, axis=(1, 2))
-    c = c + 1e-11 * ratio[:, None, None] * skew
-    for b in range(4):
-        assert is_hermitian_preserving(MapRep(n, m, c[b]))
-        assert np.linalg.norm(c[b] - hermitize(c[b])) > 1e-12 * np.linalg.norm(c[b])
-    _assert_batch_matches_single(c.reshape(c4s.shape), _crandn(rng, 4, 12, m), -1e-9)
-
-
 def _record_rows(monkeypatch):
     """Spy on the stacked descents: the number of rows of each call, in order."""
     rows, descend = [], _kernels._descend_batch
@@ -217,7 +193,7 @@ def test_block_minimize_batch_wave_boundaries(exit_at, monkeypatch):
     eye = np.eye(3, dtype=complex)
     starts = np.array([eye[2]] * exit_at + [eye[0]] + [eye[1]] * (total - exit_at - 1))
     rows = _record_rows(monkeypatch)
-    val, xi, eta, used = block_minimize(_WAVE_MAP, starts, 50, -0.5)
+    val, xi, eta, used = block_minimize(_WAVE_MAP, starts, 50, -0.5, np.linalg.norm(_WAVE_MAP))
     assert used == exit_at + 1
     assert abs(val + 1.0) < 1e-12
     assert abs(abs(xi[0]) - 1.0) < 1e-12 and abs(abs(eta[0]) - 1.0) < 1e-12
@@ -236,18 +212,3 @@ def test_block_minimize_batch_caps_rows(monkeypatch):
     _, used = _assert_batch_matches_single(c4s, starts, -np.inf)
     assert used[0] == 600
     assert descended == [1, 8, 64, 256, 256, 15]
-
-
-def test_block_minimize_batch_rejects_bad_shapes():
-    c4 = np.zeros((2, 2, 2, 2), dtype=complex)
-    starts = np.zeros((4, 2), dtype=complex)
-    with pytest.raises(SearchError):  # c4 not (n, m, n, m)
-        block_minimize(np.zeros((2, 2, 3, 2), dtype=complex), starts, 10, -1e-9)
-    with pytest.raises(SearchError):  # a stack of maps
-        block_minimize(c4[None], starts[None], 10, -1e-9)
-    with pytest.raises(SearchError):  # starts of the wrong width
-        block_minimize(c4, np.zeros((4, 3), dtype=complex), 10, -1e-9)
-    with pytest.raises(SearchError):  # no start
-        block_minimize(c4, np.zeros((0, 2), dtype=complex), 10, -1e-9)
-    with pytest.raises(SearchError):  # no iteration
-        block_minimize(c4, starts, 0, -1e-9)

@@ -4,12 +4,13 @@ from constraint_oracle import functional_row
 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.linalg import (
+    POSITIVITY_RTOL,
     SQRT2,
+    UNIT_ROUNDOFF,
     _partial_transpose_slots,
     conj_vector,
     fix_phase,
     gap_rank,
-    herm_to_params,
     hermitian_params,
     hermitize,
     is_psd,
@@ -190,12 +191,12 @@ def test_is_psd_agrees_with_eigenvalue_sign():
             h = hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             ok, low = is_psd(h)
             w = np.linalg.eigvalsh(h)
-            assert ok == (w.min() >= -1e-10)
+            assert ok == (w.min() >= -(POSITIVITY_RTOL + dim * UNIT_ROUNDOFF) * np.linalg.norm(h))
             assert abs(low - w.min()) < 1e-12
 
 
 def test_is_psd_is_scale_free():
-    """tol is relative to the largest entry: a tiny indefinite matrix is refused,
+    """both rules are relative to |P|_F: a tiny indefinite matrix is refused,
     and s * P gets the verdict of P at every scale, Hermiticity check included"""
     ok, low = is_psd(1e-12 * np.diag([1.0, -1.0]))
     assert not ok and low == -1e-12
@@ -242,7 +243,7 @@ def test_herm_params_round_trip():
     rng = np.random.default_rng(7)
     for dim in (1, 2, 4, 6):
         c = hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        p = herm_to_params(c)
+        p = hermitian_params(c)
         assert p.shape == (dim * dim,)
         assert np.abs(params_to_herm(p, dim) - c).max() < 1e-14
 
@@ -253,7 +254,7 @@ def test_herm_params_isometry():
         c1 = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         c2 = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         inner = np.trace(c1.conj().T @ c2).real
-        assert abs(inner - herm_to_params(c1) @ herm_to_params(c2)) < 1e-12
+        assert abs(inner - hermitian_params(c1) @ hermitian_params(c2)) < 1e-12
 
 
 def test_functional_row_matches_direct_sum():
@@ -262,7 +263,7 @@ def test_functional_row_matches_direct_sum():
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         c = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         want = np.sum(c * m)
-        got = functional_row(m) @ herm_to_params(c)
+        got = functional_row(m) @ hermitian_params(c)
         assert abs(want - got) < 1e-12
 
 
@@ -316,6 +317,6 @@ def test_partial_transpose_is_a_signed_permutation_of_the_params(n, m):
     p = gen.standard_normal((3, (n * m) ** 2))
     p[:, ::4] = 0.0
     x = params_to_herm(p, n * m)
-    want = herm_to_params(np.array([partial_transpose_in(c, n, m) for c in x]))
-    got = sign * herm_to_params(x)[:, index]
+    want = hermitian_params(np.array([partial_transpose_in(c, n, m) for c in x]))
+    got = sign * hermitian_params(x)[:, index]
     assert got.tobytes() == want.tobytes(), (n, m)

@@ -3,9 +3,8 @@ import pytest
 
 from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
-from conecert.linalg import hermitize
+from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd
 from conecert.maps import (
-    POSITIVITY_RTOL,
     MapRep,
     SearchParams,
     SeparableElement,
@@ -224,11 +223,13 @@ def cho_kye_lee(a, b, c):
 
 def _informed_starts(map_rep):
     """`product_start` of the bottom eigenvector of the Hermitized Choi matrix,
-    then `_compression_starts`"""
-    bottom = np.linalg.eigh(hermitize(map_rep.choi))[1][:, 0]
+    then `_compression_starts` of that matrix"""
+    n, m = map_rep.n, map_rep.m
+    h = hermitize(map_rep.choi)
+    bottom = np.linalg.eigh(h)[1][:, 0]
     return np.concatenate([
-        maps_module.product_start(bottom.reshape(map_rep.n, map_rep.m)),
-        maps_module._compression_starts(map_rep.choi4),
+        maps_module.product_start(bottom.reshape(n, m)),
+        maps_module._compression_starts(h.reshape(n, m, n, m)),
     ])
 
 
@@ -470,7 +471,7 @@ def test_separable_element_rejects_non_psd():
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
 def test_psd_factor_checks_are_relative(scale):
-    """a factor is checked against its own largest entry, at any scale: non-Hermitian by
+    """a factor is checked relative to its own norm, at any scale: non-Hermitian by
     its whole scale or indefinite is refused, PSD is kept, and a zero factor is PSD"""
     skew, indefinite = np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, -1e-4])
     psd = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
@@ -481,6 +482,31 @@ def test_psd_factor_checks_are_relative(scale):
             make(scale * indefinite)
         make(scale * psd)
     SeparableElement(np.zeros((2, 2)), scale * psd)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("depth, accepted", [(5e-10, True), (5e-9, False)])
+def test_one_psd_rule(scale, depth, accepted):
+    """a PSD 4 x 4 matrix shifted to lambda_min = -depth * |X|_F gets one verdict
+    from `is_psd`, `is_completely_positive` and both factor checks, at any
+    scale: all of them read `linalg.psd_threshold`"""
+    local = np.random.default_rng(41)
+    # a near-diagonal unitary keeps |X|_max near |X|_F: the old factor check,
+    # relative to |X|_max at 1e-8, accepted both depths
+    u, _ = np.linalg.qr(np.eye(4) + 0.1 * sample_crandn(local, 4, 4))
+    top = np.array([1.0, 2.0, 3.0])
+    w = np.append(-depth * np.sqrt(top @ top / (1 - depth**2)), top)
+    x = hermitize(scale * (u * w) @ u.conj().T)
+    assert abs(np.linalg.eigvalsh(x)[0] / np.linalg.norm(x) + depth) < 1e-3 * depth
+    verdicts = [is_psd(x)[0], is_completely_positive(MapRep(2, 2, x))[0]]
+    for make in (lambda f: SeparableElement(f, np.eye(2)), lambda f: choi_from_omega_q(f, np.ones(2))):
+        try:
+            make(x)
+        except InputRejected:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    assert verdicts == [accepted] * 4
 
 
 def test_omega_q_rejections():
@@ -636,3 +662,34 @@ def test_threshold_covers_eigh_rounding_of_psd_maps():
             assert res.positive and res.restarts_used == 1
             below_floor += np.linalg.eigh(hermitize(phi.choi))[0][0] < -map_floor(phi)
     assert below_floor >= 1
+
+
+def test_is_positive_hermitizes_a_nearly_hermitian_choi():
+    """an anti-Hermitian part of 1e-11 of the norm passes the Hermiticity rule,
+    and `is_positive` then reads only the Hermitized Choi matrix: every map,
+    settled or scanned, gets that matrix's result bitwise"""
+    local = np.random.default_rng(23)
+    maps = _positivity_maps(3, 3) + [cho_kye_lee(2, 0, 1), cho_kye_lee(2, 0, 0.9)]
+    for phi in maps:
+        skew = sample_crandn(local, 9, 9)
+        skew -= skew.conj().T
+        c = phi.choi + 1e-11 * np.linalg.norm(phi.choi) / np.linalg.norm(skew) * skew
+        assert is_hermitian_preserving(MapRep(3, 3, c))
+        assert np.linalg.norm(c - hermitize(c)) > 1e-12 * np.linalg.norm(c)
+        got = is_positive(MapRep(3, 3, c), SearchParams(restarts=8))
+        want = is_positive(MapRep(3, 3, hermitize(c)), SearchParams(restarts=8))
+        assert (got.positive, got.min_value, got.restarts_used) == (
+            want.positive, want.min_value, want.restarts_used)
+        assert got.xi.tobytes() == want.xi.tobytes() and got.eta.tobytes() == want.eta.tobytes()
+
+
+@pytest.mark.parametrize("abc", [(2, 0, 0.9), (2, 0.2, 1)])
+def test_descent_stop_is_scale_free(abc):
+    """a descent stops at a change relative to |Choi|_F, so min_value / s of
+    s * Phi[a,b,c] does not move with s: on a small map an absolute stop
+    cuts every descent short"""
+    phi = cho_kye_lee(*abc)
+    values = [
+        is_positive(MapRep(3, 3, s * phi.choi)).min_value / s for s in (1e-12, 1e-6, 1.0, 1e6)
+    ]
+    assert max(values) - min(values) <= 1e-6, values
