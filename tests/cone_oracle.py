@@ -89,8 +89,8 @@ def cone_evidence(
             _compression_starts(h4),
             crandn(rng, search.restarts, m),
         ])
-        scale = np.linalg.norm(choi)
-        return block_minimize(h4, starts, search.max_iters, threshold, scale)[0], threshold
+        norm = np.linalg.norm(choi)
+        return block_minimize(h4, starts, search.max_iters, threshold, norm)[0], threshold
 
     control, control_threshold = search_from(phi.choi / scale)
     count = min(directions_per_dim * (d - 1), max_directions)
