@@ -9,19 +9,22 @@ elements of that set form the ray through the map, and `face_certificate`
 checks that every computed basis element lies in that face, read off the
 map itself (EXPOSED_FACE).  Both verdicts
 are exact checks on the computed hull: no positivity search and no random
-number is involved.
+number is involved.  Only the plain map is certified: the transposed report
+relabels the plain certificate of the same A.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClassificationError
+from .errors import ClassificationError, HermiticityError
 from .faces import (
     NullSpaceResult,
+    _transposed_face,
     double_prime_nullspace,
     membership_residual,
     system_floor,
@@ -31,19 +34,13 @@ from .linalg import (
     as_complex_matrix,
     fix_phase,
     gap_rank,
+    hermitian_within,
     hermitize,
     normalized,
     null_space,
     params_to_herm,
 )
-from .maps import (
-    MapRep,
-    _ad_map,
-    _require_hermitian,
-    choi_from_ad,
-    map_floor,
-    partial_transpose_in,
-)
+from .maps import MapRep, _ad_map, _partial_transpose, choi_from_ad
 
 # safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0
@@ -186,47 +183,67 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
 def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     """Certify that the conjugation map built from A spans an exposed ray.
 
-    A is Frobenius normalized and the zero-pair null space is computed.
-    Choi(phi) must lie in it: its membership residual must meet the bound
-    of `_face_bound`, and that bound must be below 1 (the reported overlap
-    adds nothing: overlap^2 + residual^2 = 1).  Dimension 1 then gives
-    EXPOSED_LINEAR; a larger hull gives EXPOSED_FACE when `face_certificate`
-    holds.  Every other outcome is NOT_CERTIFIED, and the zero operator is
-    INPUT_REJECTED.  Draws no random number.
+    A is Frobenius normalized and the plain map X -> A X A* is certified
+    (`_plain_certificate`): Choi(phi) must lie in the zero-pair null space,
+    with a membership residual that meets the bound of `_face_bound`, and
+    that bound must be below 1 (the reported overlap adds nothing:
+    overlap^2 + residual^2 = 1).  Dimension 1 then gives EXPOSED_LINEAR; a
+    larger hull gives EXPOSED_FACE when `face_certificate` holds.  Every
+    other outcome is NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.
+
+    The transposed report is the plain certificate relabelled: the same
+    verdict, face check and overlap, with the null space carried to
+    X -> A X^T A* by `faces._transposed_face`.  That input-side partial
+    transpose is a signed permutation of the Choi parameters, an isometry
+    that maps the cone onto itself, sends Choi(phi) to Choi(phi o T) and
+    keeps phi(I), so the membership residual, the overlap, the principal
+    angles and both rank-1 defects of the transposed map are the plain
+    ones.  The last plain certificate is kept, keyed on the normalized A,
+    so the two flags on one A certify once; its arrays are read-only and
+    every report gets a fresh `NullSpaceResult`.  Draws no random number.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
-
-    def finish(verdict, ns, face, overlap):
-        return ExposednessReport(
-            verdict=verdict,
-            nullspace=ns,
-            face=face,
-            overlap_with_phi=float(overlap),
-            wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
-        )
-
     norm = float(np.linalg.norm(a))
     if norm == 0.0:
-        return finish(Verdict.INPUT_REJECTED, _empty_nullspace(), None, 0.0)
+        ns, verdict, face, overlap = _empty_nullspace(), Verdict.INPUT_REJECTED, None, 0.0
+    else:
+        a = a / norm
+        plain, verdict, face, overlap = _plain_certificate(a.tobytes(), a.shape)
+        ns = _transposed_face(plain, *a.shape) if transposed else replace(plain)
+    return ExposednessReport(
+        verdict=verdict,
+        nullspace=ns,
+        face=face,
+        overlap_with_phi=overlap,
+        wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
+    )
 
-    a = a / norm
-    phi = _ad_map(a, transposed)
-    ns = double_prime_nullspace(a, transposed)
+
+@lru_cache(maxsize=1)
+def _plain_certificate(
+    key: bytes, shape: tuple[int, int]
+) -> tuple[NullSpaceResult, Verdict, FaceCertificate | None, float]:
+    """(null space, verdict, face check, overlap) of X -> A X A*, for unit A read from its bytes.
+
+    Cached: `certify_exposed` relabels it for the transposed flag.
+    """
+    a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
+    ns = double_prime_nullspace(a)
     if ns.dim == 0:
-        return finish(Verdict.NOT_CERTIFIED, ns, None, 0.0)
+        return ns, Verdict.NOT_CERTIFIED, None, 0.0
 
+    phi = _ad_map(a, False)
     coeffs, resid = membership_residual(ns, phi)
     overlap = float(np.linalg.norm(coeffs))
     if not resid <= _face_bound(ns) < 1.0:
-        return finish(Verdict.NOT_CERTIFIED, ns, None, overlap)
+        return ns, Verdict.NOT_CERTIFIED, None, overlap
 
     if ns.dim == 1:
-        return finish(Verdict.EXPOSED_LINEAR, ns, None, overlap)
+        return ns, Verdict.EXPOSED_LINEAR, None, overlap
 
     face = face_certificate(ns, phi)
-    verdict = Verdict.EXPOSED_FACE if face.holds else Verdict.NOT_CERTIFIED
-    return finish(verdict, ns, face, overlap)
+    return ns, Verdict.EXPOSED_FACE if face.holds else Verdict.NOT_CERTIFIED, face, overlap
 
 
 @dataclass
@@ -343,21 +360,26 @@ def classify(map_rep: MapRep) -> Classification:
     rank-1 PSD partial transpose is the transposed family (AD_TRANSPOSE);
     a product-form Choi Q (x) S with Q a rank-1 projection direction and S
     PSD is the functional-times-projection form (OMEGA_Q, with R = S^T).
-    Every rank is `gap_rank` of a spectrum over its rounding floor:
-    `map_floor` for the Choi matrix and its partial transpose,
-    max(n^2, m^2) * u * s_0 for the SVD across the H:K cut, and
-    dim * u * |X|_F for Q and S.  PSD means that every eigenvalue above
+    The Choi matrix must pass `linalg.hermitian_within`, else
+    HermiticityError.  Every rank is `gap_rank` of a spectrum over its
+    rounding floor: `maps.map_floor` for the Choi matrix and its partial
+    transpose, max(n^2, m^2) * u * s_0 for the SVD across the H:K cut, and
+    dim * u * |X|_F for Q and S.  |Choi|_F is read once, for the
+    Hermiticity rule and the floor.  PSD means that every eigenvalue above
     the gap is positive.  Anything else raises ClassificationError.
     """
-    _require_hermitian(map_rep)
-    n, m = map_rep.n, map_rep.m
-    choi, floor = map_rep.choi, map_floor(map_rep)
+    n, m, choi = map_rep.n, map_rep.m, map_rep.choi
+    scale = float(np.linalg.norm(choi))
+    if not hermitian_within(choi, scale):
+        raise HermiticityError("map is not Hermiticity-preserving within tolerance")
+    # maps.map_floor, from the norm already read
+    floor = n * m * UNIT_ROUNDOFF * scale
 
     vec = _rank1_psd_vector(choi, floor)
     if vec is not None:
         return Classification(case=MapCase.AD, b=fix_phase(vec.reshape(n, m)))
 
-    vec = _rank1_psd_vector(partial_transpose_in(choi, n, m), floor)
+    vec = _rank1_psd_vector(_partial_transpose(choi, n, m), floor)
     if vec is not None:
         return Classification(case=MapCase.AD_TRANSPOSE, b=fix_phase(vec.reshape(n, m)))
 

@@ -9,9 +9,11 @@ Hermitian.  The conjugation map X -> A X A* sends every probe to the output
 phi(eta eta*) = w w*, with w = A eta, so that set is the real line through
 w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
 and psi -> psi o T is a linear automorphism of the cone of positive maps, so
-its face is the image of phi's: phi's face is solved once per A and cached,
-and the transposed basis is its input-side partial transpose, a signed
-permutation of the Choi parameters (`double_prime_nullspace`).
+its face is the image of phi's: only phi's face is solved, and the
+transposed basis is its input-side partial transpose, a signed permutation
+of the Choi parameters (`_transposed_face`).  Nothing here is cached per A:
+`exposedness.certify_exposed` keeps the last plain certificate, so the two
+flags on one A solve once.
 
 The null space is therefore solved from A, in probe coordinates, one real
 unknown x_p per probe with a nonzero output.  Outputs lie on range A, so
@@ -253,25 +255,32 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """Null space of the zero-pair constraints of X -> A X A*, or of X -> A X^T A* when transposed.
 
-    Only the plain face is solved (`_plain_face`), and the last one is kept,
-    keyed on the bytes of A, so the two flags on one A solve once.  The
-    transposed face is its input-side partial transpose, a signed
-    permutation of the Choi parameters (`linalg._partial_transpose_slots`):
-    its basis is the plain one with rows permuted and signed, bitwise.  The
-    cached arrays are read-only and every call returns a fresh
-    `NullSpaceResult`.  A = 0 raises InputRejected.
+    Solves the plain face on every call (`_plain_face`); the transposed face
+    is its `_transposed_face`, bitwise.  The arrays are read-only, as
+    `exposedness.certify_exposed` shares them between reports.  A = 0
+    raises InputRejected.
     """
-    a = _nonzero_operator(A)
-    plain = _plain_face(a.tobytes(), a.shape)
-    if not transposed:
-        return replace(plain)
-    index, sign = _partial_transpose_slots(*a.shape)
+    # one memory layout for every input, so equal matrices give equal bits
+    a = np.ascontiguousarray(_nonzero_operator(A))
+    plain = _plain_face(a)
+    return _transposed_face(plain, *a.shape) if transposed else plain
+
+
+def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
+    """The face of X -> A X^T A* read off that of X -> A X A*, for n x m A.
+
+    It is the plain face's input-side partial transpose, a signed
+    permutation of the Choi parameters (`linalg._partial_transpose_slots`):
+    the plain basis with rows permuted and signed, bitwise, and every other
+    field shared.  The permutation is an isometry, so the spectrum, counts
+    and condition are the plain face's.
+    """
+    index, sign = _partial_transpose_slots(n, m)
     return replace(plain, param_basis=_read_only((plain.param_basis[index] * sign[:, None],))[0])
 
 
-@lru_cache(maxsize=1)
-def _plain_face(key: bytes, shape: tuple[int, int]) -> NullSpaceResult:
-    """The face of X -> A X A*, for A read from its bytes; cached, with read-only arrays.
+def _plain_face(a: np.ndarray) -> NullSpaceResult:
+    """The face of X -> A X A*, with read-only arrays.
 
     Probes: the cached `curve_frame` and the kernel probes of
     `_probe_space`.  Every output is phi(P_p) = w_p w_p* with w_p = A eta_p,
@@ -297,7 +306,6 @@ def _plain_face(key: bytes, shape: tuple[int, int]) -> NullSpaceResult:
     (O O^T) o (D D^T) of the unit output columns O and the dual basis, one
     eigvalsh of `unknowns` columns.  Deterministic: no random probes.
     """
-    a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
     n, m = a.shape
     curve, curve_coords, dual, dual_gram = curve_frame(m)
     kernel, range_map = _probe_space(a)

@@ -86,9 +86,9 @@ class SearchParams:
     a single iteration, and `seed`, an integer >= 0, seeds the random
     starts; it is checked here because only a map that the first descent
     leaves undecided draws them.  What reads as negative is set by
-    `positivity_threshold`, relative to the map, and a descent stops once
-    its value moves by at most the kernel's `CONV_TOL` times
-    |Choi(phi)|_F + |value|, also relative to the map.
+    `linalg.psd_threshold(n * m, |Choi(phi)|_F)`, relative to the map, and
+    a descent stops once its value moves by at most the kernel's `CONV_TOL`
+    times |Choi(phi)|_F + |value|, also relative to the map.
     """
 
     restarts: int = 64
@@ -218,17 +218,6 @@ def map_floor(map_rep: MapRep) -> float:
     return map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
 
 
-def positivity_threshold(map_rep: MapRep) -> float:
-    """Level below which a Choi eigenvalue or block value reads as negative.
-
-    It is `linalg.psd_threshold` of the Choi matrix,
-    -(POSITIVITY_RTOL + n * m * u) * |Choi(phi)|_F, relative to the map, so
-    every t * phi with t > 0 gets phi's verdict.  Its n * m * u part is
-    `map_floor`.
-    """
-    return linalg.psd_threshold(map_rep.n * map_rep.m, float(np.linalg.norm(map_rep.choi)))
-
-
 def _require_hermitian(map_rep: MapRep) -> None:
     if not is_hermitian_preserving(map_rep):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
@@ -237,9 +226,9 @@ def _require_hermitian(map_rep: MapRep) -> None:
 def is_completely_positive(map_rep: MapRep) -> tuple[bool, float]:
     """Choi PSD test: (verdict, min Choi eigenvalue), `linalg.is_psd` of the Choi matrix.
 
-    The verdict is lambda_min >= `positivity_threshold(map_rep)`, the
-    threshold `is_positive` uses, so it does not depend on the scale of the
-    map.
+    The verdict is lambda_min >= `linalg.psd_threshold(n * m, |Choi|_F)`,
+    the threshold `is_positive` uses, so it does not depend on the scale of
+    the map.
     """
     return linalg.is_psd(map_rep.choi)
 
@@ -272,11 +261,13 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     """Positivity verdict by a Choi-spectrum proof, a first descent or a seeded search.
 
     Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
-    C the Choi matrix; a value below `positivity_threshold(map_rep)` yields
-    NOT_POSITIVE with the witness pair.  That threshold is relative to
-    |C|_F and above the rounding level of both the Choi spectrum and the
-    descent's values, and each descent stops at a change relative to |C|_F
-    too, so the search does not depend on the scale of C.  C is checked by
+    C the Choi matrix; a value below `linalg.psd_threshold(n * m, |C|_F)`,
+    -(POSITIVITY_RTOL + n * m * u) * |C|_F, yields NOT_POSITIVE with the
+    witness pair.  Its n * m * u * |C|_F part is `map_floor`, so the
+    threshold is relative to |C|_F and above the rounding level of both the
+    Choi spectrum and the descent's values, and each descent stops at a
+    change relative to |C|_F too, so the search does not depend on the
+    scale of C.  C is checked by
     `linalg.hermitian_within` and Hermitized once, here; its norm, the
     threshold, the spectra and every descent read that one norm and that
     one Hermitized matrix.  CP and co-CP maps are proved positive:

@@ -3,7 +3,7 @@
 Samples unit directions u in the hull orthogonal to Choi(phi) and runs the
 positivity search on phi + eps * u for every eps in the grid, one
 `block_minimize` per test point.  The evidence holds when every test point
-dips below its `positivity_threshold` (it is not a positive map) while phi
+dips below its `linalg.psd_threshold` (it is not a positive map) while phi
 itself passes the same search.  The certificate proper is exact
 (`face_certificate`); this is the tests' independent cross-check of its
 verdict.
@@ -15,14 +15,8 @@ import numpy as np
 
 from conecert._kernels import block_minimize
 from conecert.faces import membership_residual
-from conecert.linalg import hermitian_params, hermitize, params_to_herm
-from conecert.maps import (
-    MapRep,
-    SearchParams,
-    _compression_starts,
-    positivity_threshold,
-    product_start,
-)
+from conecert.linalg import hermitian_params, hermitize, params_to_herm, psd_threshold
+from conecert.maps import SearchParams, _compression_starts, product_start
 from conecert.sampling import crandn, rng_from
 
 EPSILONS = (0.01, 0.1, 1.0, 10.0)
@@ -33,7 +27,7 @@ class ConeEvidence:
     directions: int
     epsilons: tuple[float, ...]
     values: np.ndarray  # (directions, epsilons) block minima of the test points
-    thresholds: np.ndarray  # (directions, epsilons) their `positivity_threshold`s
+    thresholds: np.ndarray  # (directions, epsilons) their `psd_threshold`s
     control_value: float
     control_threshold: float
 
@@ -80,7 +74,8 @@ def cone_evidence(
     rng = rng_from(search.seed)
 
     def search_from(choi):
-        threshold = positivity_threshold(MapRep(n, m, choi))
+        norm = float(np.linalg.norm(choi))
+        threshold = psd_threshold(n * m, norm)
         h = hermitize(choi)
         h4 = h.reshape(n, m, n, m)
         bottom = np.linalg.eigh(h)[1][:, 0].reshape(n, m)
@@ -89,7 +84,6 @@ def cone_evidence(
             _compression_starts(h4),
             crandn(rng, search.restarts, m),
         ])
-        norm = np.linalg.norm(choi)
         return block_minimize(h4, starts, search.max_iters, threshold, norm)[0], threshold
 
     control, control_threshold = search_from(phi.choi / scale)

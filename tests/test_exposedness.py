@@ -8,7 +8,7 @@ import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from conecert import exposedness
+from conecert import exposedness, faces
 from conecert.errors import ClassificationError
 from conecert.exposedness import (
     MapCase,
@@ -20,7 +20,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, gap_rank, hermitian_params
+from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose_slots, gap_rank, hermitian_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 from structured_inputs import haar_unitary
@@ -179,6 +179,27 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
     assert run.returncode == 0, run.stderr
 
 
+def _partial_transpose_hull(ns, shape):
+    """ns carried through the input-side partial transpose, an involution: the
+    transposed hull of a plain one, or the plain hull of a transposed one"""
+    index, sign = _partial_transpose_slots(*shape)
+    return replace(ns, param_basis=ns.param_basis[index] * sign[:, None])
+
+
+def _certify_with_hull(monkeypatch, a, transposed, hull):
+    """certify_exposed(a, transposed) with `hull` handed to it as the plain null space.
+
+    The certificate cache is cleared before the run, so the hull is read, and
+    after it, so no later call is handed the hull's certificate.
+    """
+    monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: hull)
+    exposedness._plain_certificate.cache_clear()
+    try:
+        return certify_exposed(a, transposed=transposed)
+    finally:
+        exposedness._plain_certificate.cache_clear()
+
+
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
     a, phi, ns, controls = _rank_one_controls(transposed)
@@ -189,11 +210,16 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         cert = face_certificate(hull, phi)
         assert cert.defect > 0.5 and cert.defect > cert.bound, name
         assert not cert.holds
-        # the same hull handed to the pipeline: refused, with the same margins
-        monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: hull)
-        report = certify_exposed(a, transposed=transposed)
+        # the plain hull handed to the pipeline: refused under either flag with its margins,
+        # which are those of the transposed hull against the transposed phi, to rounding
+        plain = _partial_transpose_hull(hull, a.shape) if transposed else hull
+        plain_cert = face_certificate(plain, _unit_phi(a))
+        report = _certify_with_hull(monkeypatch, a, transposed, plain)
         assert report.verdict is Verdict.NOT_CERTIFIED, name
-        assert report.face == cert
+        assert report.face == plain_cert
+        assert report.nullspace.param_basis.tobytes() == hull.param_basis.tobytes(), name
+        assert abs(cert.defect - plain_cert.defect) <= 1e-12, name
+        assert abs(cert.bound - plain_cert.bound) <= 1e-12, name
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 4)])
@@ -233,11 +259,52 @@ def test_dim_one_hull_without_phi_refused(monkeypatch):
     assert other.dim == 1
     resid = membership_residual(other, phi)[1]
     assert resid > _face_bound(other)
-    monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: other)
-    report = certify_exposed(a)
+    report = _certify_with_hull(monkeypatch, a, False, other)
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.face is None
     assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [(False, True), (True, False)])
+@pytest.mark.parametrize("n, m, rank", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (4, 4, 4)])
+def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
+    """a flag pair, in either order, solves, projects and checks the face once, and the
+    transposed report is the plain certificate relabelled: the same verdict, face check and
+    overlap, and the plain basis under the signed permutation of the partial transpose, bitwise"""
+    calls = {}
+
+    def spy(module, name):
+        call = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(faces, "_plain_face")
+    spy(exposedness, "membership_residual")
+    spy(exposedness, "face_certificate")
+    gen = np.random.default_rng(17 + 10 * rank + m)
+    a = _crandn_from(gen, n, rank) @ _crandn_from(gen, rank, m)
+    exposedness._plain_certificate.cache_clear()
+    reports = {transposed: certify_exposed(a, transposed=transposed) for transposed in order}
+    assert calls == {
+        "_plain_face": 1, "membership_residual": 1, **({"face_certificate": 1} if rank == 1 else {})
+    }
+    plain, flipped = reports[False], reports[True]
+    assert plain.verdict is (Verdict.EXPOSED_FACE if rank == 1 else Verdict.EXPOSED_LINEAR)
+    assert flipped.verdict is plain.verdict
+    assert flipped.face == plain.face
+    assert flipped.overlap_with_phi == plain.overlap_with_phi
+    index, sign = _partial_transpose_slots(n, m)
+    want = plain.nullspace.param_basis[index] * sign[:, None]
+    assert flipped.nullspace.param_basis.tobytes() == want.tobytes()
+    for report in (plain, flipped):
+        for array in (report.nullspace.singular_values, report.nullspace.param_basis):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.0
 
 
 def test_overlap_and_residual_are_complementary():

@@ -13,7 +13,7 @@ from constraint_oracle import (
     probe_outputs,
     zero_pairs,
 )
-from conecert import Verdict, certify_exposed, faces
+from conecert import Verdict, certify_exposed, exposedness, faces
 from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import (
@@ -236,11 +236,9 @@ def test_nullspace_basis_orthonormal():
 
 
 def test_nullspace_deterministic():
-    """two solves of one input agree bitwise; the face cache is emptied so both compute"""
+    """two solves of one input agree bitwise"""
     a = crandn(2, 3)
-    faces._plain_face.cache_clear()
     r1 = double_prime_nullspace(a)
-    faces._plain_face.cache_clear()
     r2 = double_prime_nullspace(a)
     assert r1.dim == r2.dim
     assert np.abs(r1.param_basis - r2.param_basis).max() == 0.0
@@ -315,10 +313,9 @@ def test_projector_coordinates_of_kernel_probes():
 def _spy_reduced_relations(monkeypatch, arguments=False):
     """Record (system, basis output columns) of every `_reduced_relations` call.
 
-    With `arguments`, record (system, outputs, weights, frame).  The face
-    cache is emptied first, so the next input is solved, not looked up.
+    With `arguments`, record (system, outputs, weights, frame).
+    `double_prime_nullspace` solves on every call.
     """
-    faces._plain_face.cache_clear()
     seen = []
     reduce = faces._reduced_relations
 
@@ -415,7 +412,6 @@ def test_only_narrow_relations_are_cut(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    faces._plain_face.cache_clear()
     for n, m in ((2, 3), (4, 4), (8, 8)):
         double_prime_nullspace(rand_rank(n, m, 1))
     assert widths == []
@@ -427,7 +423,6 @@ def test_relation_plan_is_keyed_on_the_pattern():
     """inputs of one class share a bounded, read-only plan, whatever their values"""
     plan = faces._relation_plan
     assert plan.cache_info().maxsize is not None
-    faces._plain_face.cache_clear()
     double_prime_nullspace(rand_rank(4, 4, 2))
     before = plan.cache_info()
     for _ in range(3):
@@ -471,6 +466,8 @@ def test_probe_lists_are_fresh():
         assert again is not first
         assert len(again) == len(reference)
         assert all(np.array_equal(x, y) for x, y in zip(again, reference))
+    # certify afresh, not from the kept certificate of a
+    exposedness._plain_certificate.cache_clear()
     after = certify_exposed(a, transposed=True)
     assert after.verdict is before.verdict
     assert np.array_equal(after.nullspace.param_basis, before.nullspace.param_basis)
@@ -713,52 +710,64 @@ def test_transposed_face_is_the_partial_transpose():
 
 
 def test_flag_pair_builds_one_system(monkeypatch):
-    """both flags on one A solve once; a different A, or the same A after another, solves again"""
+    """both flags on one A certify once; a different A, or the same A after another, certifies
+    again, and double_prime_nullspace solves on every call"""
     seen = _spy_reduced_relations(monkeypatch)
+    exposedness._plain_certificate.cache_clear()
     a, b = rand_rank(3, 4, 2), rand_rank(3, 4, 2)
+    certify_exposed(a)
+    certify_exposed(a, True)
+    assert len(seen) == 1
+    certify_exposed(b, True)
+    certify_exposed(b)
+    assert len(seen) == 2
+    certify_exposed(a, True)
+    assert len(seen) == 3
+    # the key is the checked, normalized matrix: a copy, the same entries as a list, or
+    # a power-of-two multiple (normalized to the same bits), hits
+    certify_exposed(a.copy())
+    certify_exposed(a.tolist(), True)
+    certify_exposed(2.0 * a)
+    assert len(seen) == 3
+    assert exposedness._plain_certificate.cache_info().maxsize == 1
     double_prime_nullspace(a)
     double_prime_nullspace(a, True)
-    assert len(seen) == 1
-    double_prime_nullspace(b, True)
-    double_prime_nullspace(b)
-    assert len(seen) == 2
-    double_prime_nullspace(a, True)
-    assert len(seen) == 3
-    # the key is the checked matrix: a copy, or the same entries as a list, hits
-    double_prime_nullspace(a.copy())
-    double_prime_nullspace(a.tolist(), True)
-    assert len(seen) == 3
-    assert faces._plain_face.cache_info().maxsize == 1
+    assert len(seen) == 5
 
 
 def test_cold_and_warm_transposed_reports_match():
-    """a transposed report is the same, byte for byte, whether its solve was cached or not"""
+    """a transposed report is the same, byte for byte, whether its certificate was kept or not"""
     for a in (crandn(3, 3), rand_rank(4, 4, 2), rand_rank(3, 4, 1), np.diag([1.0, 1.0, 0.0])):
-        faces._plain_face.cache_clear()
+        exposedness._plain_certificate.cache_clear()
         cold = certify_exposed(a, transposed=True)
         certify_exposed(a)
         warm = certify_exposed(a, transposed=True)
-        assert faces._plain_face.cache_info().hits >= 1
+        assert exposedness._plain_certificate.cache_info().hits >= 1
         reports = (dumps_canonical(report_to_dict(r, include_timing=False)) for r in (cold, warm))
         assert len(set(reports)) == 1, a
         assert cold.nullspace.param_basis.tobytes() == warm.nullspace.param_basis.tobytes()
 
 
 def test_cached_face_is_shared_read_only():
-    """cached arrays refuse writes, and a field reassigned on one result leaves the next alone"""
+    """the kept certificate's arrays refuse writes, and a field reassigned on one report's
+    null space leaves the next report alone"""
     a = rand_rank(3, 3, 1)
-    first = double_prime_nullspace(a)
+    exposedness._plain_certificate.cache_clear()
+    first = certify_exposed(a)
     for transposed in (False, True):
-        res = double_prime_nullspace(a, transposed)
-        assert res is not first
+        res = certify_exposed(a, transposed).nullspace
+        assert res is not first.nullspace
         for array in (res.singular_values, res.param_basis):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0.0
-    want = first.param_basis.copy()
-    first.param_basis, first.condition, first.unknowns = np.zeros((0, 0)), -1.0, -1
-    again = double_prime_nullspace(a)
+    assert exposedness._plain_certificate.cache_info().hits == 2
+    want = first.nullspace.param_basis.copy()
+    first.nullspace.param_basis = np.zeros((0, 0))
+    first.nullspace.condition, first.nullspace.unknowns = -1.0, -1
+    again = certify_exposed(a).nullspace
     assert np.array_equal(again.param_basis, want) and again.condition > 0 and again.unknowns > 0
-    report = certify_exposed(a)
+    report = certify_exposed(a, True)
     report.nullspace.singular_values = np.zeros(0)
     assert certify_exposed(a).nullspace.singular_values.shape[0] > 0
+    assert exposedness._plain_certificate.cache_info().hits == 5

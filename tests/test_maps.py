@@ -3,7 +3,7 @@ import pytest
 
 from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
-from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd
+from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd, psd_threshold
 from conecert.maps import (
     MapRep,
     SearchParams,
@@ -17,7 +17,6 @@ from conecert.maps import (
     map_floor,
     pairing,
     partial_transpose_in,
-    positivity_threshold,
 )
 from conecert.sampling import crandn as sample_crandn
 from conecert.sampling import rng_from
@@ -241,26 +240,31 @@ def _scan_starts(map_rep, search):
     ])
 
 
+def _threshold(map_rep):
+    """the map's PSD level, `psd_threshold(n * m, |Choi|_F)`"""
+    return psd_threshold(map_rep.n * map_rep.m, float(np.linalg.norm(map_rep.choi)))
+
+
 def _full_scan(map_rep, search):
     """the best value of the restart scan with no spectrum certificate"""
     return reference_scan(
         map_rep.choi4, _scan_starts(map_rep, search), search.max_iters,
-        positivity_threshold(map_rep),
+        _threshold(map_rep),
     )[0]
 
 
 def _certified(map_rep):
-    """the Choi matrix or its partial transpose is PSD within `positivity_threshold`"""
+    """the Choi matrix or its partial transpose is PSD within `_threshold`"""
     low = np.linalg.eigvalsh(map_rep.choi)[0]
     low_pt = np.linalg.eigvalsh(partial_transpose_in(map_rep.choi, map_rep.n, map_rep.m))[0]
-    return max(low, low_pt) >= positivity_threshold(map_rep)
+    return max(low, low_pt) >= _threshold(map_rep)
 
 
 def _reference(map_rep, search):
     """`reference_scan` of what is_positive promises: one iteration from the
     first informed start for a map proved CP, the full first descent for one
     proved co-CP only, and the whole scan for any other map"""
-    threshold = positivity_threshold(map_rep)
+    threshold = _threshold(map_rep)
     if np.linalg.eigvalsh(map_rep.choi)[0] >= threshold:
         starts, iters = _informed_starts(map_rep)[:1], 1
     elif _certified(map_rep):
@@ -291,7 +295,7 @@ def test_is_positive_matches_reference_scan(n, m):
         res = is_positive(map_rep, search)
         certified.append(_certified(map_rep))
         val, _, _, used = _reference(map_rep, search)
-        assert res.positive == (certified[-1] or val >= positivity_threshold(map_rep))
+        assert res.positive == (certified[-1] or val >= _threshold(map_rep))
         assert res.restarts_used == used
         assert abs(res.min_value - val) <= 1e-12
         u = np.kron(res.xi, res.eta)
@@ -315,7 +319,7 @@ def test_certificate_verdict_matches_full_scan(n, m):
         search = SearchParams(seed=100 * n + 10 * m + k)
         res = is_positive(map_rep, search)
         assert res.restarts_used == 1
-        assert res.positive == (_full_scan(map_rep, search) >= positivity_threshold(map_rep))
+        assert res.positive == (_full_scan(map_rep, search) >= _threshold(map_rep))
         assert res.positive
         u = np.kron(res.xi, res.eta)
         assert abs(np.vdot(u, map_rep.choi @ u).real - res.min_value) <= 1e-12
@@ -377,7 +381,7 @@ def test_certificate_edges_match_full_scan():
     assert abs(np.vdot(u, not_positive.choi @ u).real - res.min_value) <= 1e-12
     for phi in shifted + [reduction, not_positive]:
         full = _full_scan(phi, search)
-        assert is_positive(phi, search).positive == (full >= positivity_threshold(phi))
+        assert is_positive(phi, search).positive == (full >= _threshold(phi))
 
 
 def test_co_cp_edges_match_full_scan():
@@ -395,18 +399,18 @@ def test_co_cp_edges_match_full_scan():
         for s in (0.5, 2.0)
     ]
     # neither map is CP, so only the partial transpose can prove it
-    assert all(np.linalg.eigvalsh(phi.choi)[0] < positivity_threshold(phi) for phi in shifted)
+    assert all(np.linalg.eigvalsh(phi.choi)[0] < _threshold(phi) for phi in shifted)
     inside, outside = (is_positive(phi, search) for phi in shifted)
     assert _certified(shifted[0]) and not _certified(shifted[1])
     assert inside.positive and inside.restarts_used == 1
     assert outside.positive and outside.restarts_used == 5 + search.restarts
     for phi, res in zip(shifted, (inside, outside)):
-        assert res.positive == (_full_scan(phi, search) >= positivity_threshold(phi))
+        assert res.positive == (_full_scan(phi, search) >= _threshold(phi))
     choi_map = cho_kye_lee(2, 0, 1)
     res = is_positive(choi_map, search)
     val, _, _, used = reference_scan(
         choi_map.choi4, _scan_starts(choi_map, search), search.max_iters,
-        positivity_threshold(choi_map),
+        _threshold(choi_map),
     )
     assert used == res.restarts_used == 5 + search.restarts
     assert res.positive and abs(res.min_value - val) <= 1e-12
