@@ -25,19 +25,20 @@ closed-form coordinates in it
 P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
 probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
 paper's curves e_j + z e_k, and their relations P_{-1} = P_j + P_k - P_{+1}
-and P_{-i} = P_j + P_k - P_{+i} touch 4 probes each; a kernel probe, from
-ker A, gives one dense relation.  A probe past the basis enters its own
-relation only, so its x_p is eliminated exactly: the relation holds for some
-x_p if and only if the basis side lies on the line through w_p w_p*, so that
-line is projected out of it and only the m^2 basis probes keep unknowns.
-When A has full column rank there is no kernel relation, and the pair probe
-P_{+z}(j, k) enters only the relation of its reflection P_{-z}(j, k), so it
-is eliminated there too: the system is in the m diagonal unknowns x_j, each
-relation ties x_j to x_k along the curve e_j + z e_k, and each pair
-coordinate is back-substituted from its relation.  A relation with fewer
-unknowns than output rows is cut to its R factor by one batched QR, any
-other keeps its rows, one SVD of the stack gives the face, and the dual
-basis of the P_b turns it into Choi matrices.
+and P_{-i} = P_j + P_k - P_{+i} touch 4 probes each, so their columns are
+fixed by m (`curve_frame`); a kernel probe, from ker A, gives one dense
+relation.  A probe past the basis enters its own relation only, so its x_p
+is eliminated exactly: the relation holds for some x_p if and only if the
+basis side lies on the line through w_p w_p*, so that line is projected
+out of it and only the m^2 basis probes keep unknowns.  Each curve relation
+is then cut to the R factor of its three columns (pair, j, k) by one
+batched QR.  When A has full column rank there is no kernel relation, and
+the pair probe P_{+z}(j, k) enters only the relation of its reflection
+P_{-z}(j, k), so the same R eliminates it too: its first row
+back-substitutes the pair coordinate, the other two tie x_j to x_k along
+the curve e_j + z e_k, and the system is in the m diagonal unknowns x_j.
+One SVD of the stack gives the face, and the dual basis of the P_b turns
+it into Choi matrices.
 """
 
 import math
@@ -121,20 +122,31 @@ def _outer(etas: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def curve_frame(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     """Cached, read-only probe data that depends only on m.
 
     Returns the 2m^2 - m curve probes as rows (`unit_probe_vectors`, then
     `reflected_probe_vectors`), their `projector_coordinates`, the dual
     basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the
-    coordinate of X on P_b, and the Gram matrix Re tr(D_a D_b) of the dual.
+    coordinate of X on P_b, the Gram matrix Re tr(D_a D_b) of the dual, and
+    the layout of the reflected relations.  Reflected probe m^2 + q of pair
+    j < k has coordinates only on the pair probe m + q, P_{+z}(j, k), and on
+    P_j and P_k: row q of `cols` (m^2 - m, 3) is (m + q, j, k), `weights`
+    holds coords[m^2 + q, cols[q]], and the one-hot `scatter`
+    (m^2 - m, 3, m^2) places a row over those three columns on the m^2.
     """
     etas = np.array(unit_probe_vectors(m) + reflected_probe_vectors(m))
     coords = projector_coordinates(_outer(etas))
     # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
     dual_params = projector_coordinates(params_to_herm(np.eye(m * m), m)).T
     dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
-    return _read_only((etas, coords, dual, dual_gram))
+    size = m * m
+    iu, ju = triu_pairs(m)
+    cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
+    rel = np.arange(size - m)[:, None]
+    scatter = np.zeros((size - m, 3, size))
+    scatter[rel, np.arange(3), cols] = 1.0
+    return _read_only((etas, coords, dual, dual_gram, cols, coords[size + rel, cols], scatter))
 
 
 def _output_floor(a: np.ndarray) -> float:
@@ -147,23 +159,26 @@ def _output_floor(a: np.ndarray) -> float:
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
 
 
-def _probe_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel probes (k, m) of X -> A X A* and the range frame F = S_f Vh_f (f, m) of A = U S Vh.
+def _probe_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Kernel probes (k, m) of X -> A X A*, range frame F = S_f Vh_f (f, m) of A = U S Vh, output floor.
 
-    The probes are conj(ker A) and their pairwise combinations.  F keeps
-    each s_j > max(n, m) * u * s_0, the rounding floor of `null_space`: no
-    rank decision.  F eta = U_f* A eta.
+    The probes are conj(ker A) and their pairwise combinations, with the
+    kernel read at `_output_floor(a)`; that floor is returned too, so the
+    outputs are read at the same level.  F keeps each
+    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`: no rank
+    decision.  F eta = U_f* A eta.
     """
     n, m = a.shape
     _, s, vh = np.linalg.svd(a)
     spectrum = np.zeros(m)
     spectrum[: s.shape[0]] = s * s
-    kernel = vh[gap_rank(spectrum, _output_floor(a)) :].conj()
+    floor = _output_floor(a)
+    kernel = vh[gap_rank(spectrum, floor) :].conj()
     frame = s[:, None] * vh[: s.shape[0]]
     frame = frame[: int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))]
     if kernel.shape[0] > 1:
         kernel = np.concatenate([kernel, combination_rows(kernel)])
-    return kernel, frame
+    return kernel, frame, floor
 
 
 def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
@@ -183,63 +198,47 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     return list(kernel.conj() if transposed else kernel)
 
 
-@lru_cache(maxsize=64)
-def _relation_plan(pattern: bytes, relations: int, unknowns: int, f2: int) -> tuple:
-    """Cached, read-only layout of `_reduced_relations` for one nonzero pattern of the weights.
-
-    Keyed on the pattern and sizes, never on values.  Returns the row count
-    and a group each for the narrow (0 < c_q < f^2) and the wide relations
-    present: (relations, columns with each one's unknowns first, flat weight
-    indices, flat indices into the system; rows past c_q of a narrow R go to
-    a spare row).
-    """
-    involved = np.frombuffer(pattern, dtype=bool).reshape(relations, unknowns)
-    sizes = involved.sum(axis=1)
-    depth = np.minimum(sizes, f2)
-    start, count = np.cumsum(depth) - depth, int(depth.sum())
-    groups = []
-    for rel in (np.flatnonzero((sizes > 0) & (sizes < f2)), np.flatnonzero(sizes >= f2)):
-        if rel.shape[0]:
-            width = int(sizes[rel].max())
-            cols = np.argsort(~involved[rel], axis=1, kind="stable")[:, :width]
-            i = np.arange(min(width, f2))[:, None]
-            dest = np.where(i < depth[rel, None, None], start[rel, None, None] + i, count)
-            flat = dest * unknowns + cols[:, None, :]
-            groups.append(_read_only((rel, cols, rel[:, None] * unknowns + cols, flat)))
-    return count, tuple(groups)
-
-
 def _reduced_relations(
-    weights: np.ndarray, outputs: np.ndarray, frame: list[np.ndarray]
-) -> np.ndarray:
-    """The relations' rows in the kept unknowns, each narrow block cut to its R factor.
+    outputs: np.ndarray, weights: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The face system in the kept unknowns, and the lift L (m^2, unknowns) to the basis coordinates.
 
-    One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*.
-    Relation q reads B x = F y: B sums weights[q, u] times the kept output
-    columns outputs[u] = params(v_u v_u*) (f^2 range-frame coordinates), and
-    F holds the outputs of the probes eliminated in q, whose coordinates y
-    enter no other relation: its own probe, and at full column rank the
-    pair probe it alone involves.  The arrays in `frame`, (relations, f^2)
-    each, give row q of an orthonormal basis Q of span F (a zero row where
-    an own output is zero), so the relation holds for some y exactly when
-    (I - Q Q^T) B x = 0.  B is an f^2 x c_q block over the c_q nonzero
-    weights of q.  A narrow relation, c_q < f^2, is replaced by the c_q rows
-    of its R factor, which keep the null space: one batched QR over the
-    narrow relations, padded with zero columns to the widest of them.  A
-    wide one keeps its f^2 rows, which already span what its R factor would.
-    The layout is read from `_relation_plan`; padding columns, zero, land on
-    columns of weight 0.
+    One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*, read
+    through its unit output column outputs[b] = params(v_b v_b*) / |v_b|^2
+    (f^2 range-frame coordinates, zero where `live` is false).  Relation q,
+    of probe p = m^2 + q, reads B x = x_p outputs[p]: B sums each basis
+    column times the relation's coordinate on it, and x_p enters no other
+    relation, so the relation holds for some x_p exactly when B x projected
+    off outputs[p] is 0.  A reflected relation has coordinates on the three
+    columns `cols[q]` of `curve_frame` only, (pair, j, k): with f^2 > 3 one
+    batched QR cuts its f^2 x 3 block to the R factor, which keeps its null
+    space, and `scatter` lays the rows on the m^2 basis columns.  A kernel
+    relation, `weights` (k, m^2) dense, keeps its f^2 rows.  With no kernel
+    relation and every output live (A has full column rank) the pair probe
+    m + q is in relation q only, so the same R eliminates it: row 0 gives
+    x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2 are the
+    (x_j, x_k) system, so only the m diagonal probes keep unknowns.
+    Otherwise every live basis probe keeps one.  Dead columns are dropped
+    last; z = L x are the m^2 basis coordinates of a solution x.
     """
-    unknowns, f2 = outputs.shape
-    count, groups = _relation_plan((weights != 0).tobytes(), weights.shape[0], unknowns, f2)
-    rows = np.zeros((count + 1) * unknowns)
-    for rel, cols, index, flat in groups:
-        block = outputs[cols] * weights.take(index)[..., None]
-        for column in (column[rel] for column in frame):
-            block -= (block @ column[..., None]) * column[:, None, :]
-        block = block.swapaxes(1, 2)
-        rows[flat] = np.linalg.qr(block, mode="r") if block.shape[2] < f2 else block
-    return rows[: count * unknowns].reshape(count, unknowns)
+    size = weights.shape[1]
+    m = math.isqrt(size)
+    *_, cols, curve_weights, scatter = curve_frame(m)
+    own = outputs[size:]
+    curve = outputs[cols] * curve_weights[..., None]
+    kernel = weights[..., None] * outputs[:size]
+    for block, column in ((curve, own[: cols.shape[0]]), (kernel, own[cols.shape[0] :])):
+        block -= (block @ column[..., None]) * column[:, None, :]
+    curve = curve.swapaxes(1, 2)
+    if curve.shape[1] > 3:
+        curve = np.linalg.qr(curve, mode="r")
+    rows = curve @ scatter
+    basis, lift = np.flatnonzero(live[:size]), np.eye(size)
+    if not weights.shape[0] and live.all():
+        lift[m:] = -rows[:, 0] / curve[:, :1, 0]
+        rows, basis = rows[:, 1:], basis[:m]
+    system = np.concatenate([rows.reshape(-1, size), kernel.swapaxes(1, 2).reshape(-1, size)])
+    return system[:, basis], lift[:, basis]
 
 
 def system_floor(s: np.ndarray, unknowns: int) -> float:
@@ -291,12 +290,12 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     the relation x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose
     f^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
     x_p is in no other relation, so `_reduced_relations` projects it out and
-    cuts each block to its R factor: the system has one unknown per basis
-    probe with a nonzero output.  With no kernel probe (A has full column
-    rank) every output is nonzero and the pair probe P_{+z}(j, k) is in the
-    relation of P_{-z}(j, k) only, so it is projected out there with the own
-    probe: m unknowns, and the pair coordinates are L x, read off the frame
-    that projects them out.  The rank is `gap_rank` of the spectrum over
+    cuts each curve block to its R factor: the system has one unknown per
+    basis probe with a nonzero output.  With no kernel probe (A has full
+    column rank) every output is nonzero and the pair probe P_{+z}(j, k) is
+    in the relation of P_{-z}(j, k) only, so the same R eliminates it: m
+    unknowns, and the pair coordinates are L x, read off the first row of
+    that R.  The rank is `gap_rank` of the spectrum over
     `system_floor`.  Null vectors, pair coordinates included, become Choi
     matrices through the dual basis D_b of the unit-probe projectors,
     Choi(psi) = sum_b psi(P_b) (x) conj(D_b), from the full w_b w_b*, and
@@ -307,42 +306,21 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     eigvalsh of `unknowns` columns.  Deterministic: no random probes.
     """
     n, m = a.shape
-    curve, curve_coords, dual, dual_gram = curve_frame(m)
-    kernel, range_map = _probe_space(a)
-    etas, coords = curve, curve_coords
+    curve, _, dual, dual_gram, *_ = curve_frame(m)
+    kernel, range_map, floor = _probe_space(a)
+    size = m * m
+    etas, weights = curve, np.zeros((0, size))
     if kernel.shape[0]:
         etas = np.concatenate([curve, kernel])
-        coords = np.concatenate([curve_coords, projector_coordinates(_outer(kernel))])
-    count, size = etas.shape[0], m * m
+        weights = projector_coordinates(_outer(kernel))
     raw = hermitian_params(_outer(etas @ range_map.T))
     c = raw[:, : range_map.shape[0]].sum(axis=1)
-    live = c > _output_floor(a)
+    live = c > floor
     # unit column params(v_p v_p*) / |v_p|^2 of each output, zero where the output is zero
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    basis = np.flatnonzero(live[:size])
-    # relation q: P_{m^2 + q} = sum_b coords[m^2 + q, b] P_b, which eliminates its own probe
-    own = outputs[size:]
-    frame, pairs, back = [own], basis[:0], np.zeros((0, basis.shape[0]))
-    if not kernel.shape[0] and live.all():
-        # no kernel relation: the pair probe P_{+z}(j, k), basis probe m + q, is in the relation
-        # of P_{-z}(j, k) only, so it is eliminated there too; the m diagonal probes keep unknowns
-        pairs, basis = basis[m:], basis[:m]
-        # the pair's column f = -coords[m^2 + q, m + q] params(v_p v_p*) made orthogonal to the
-        # own unit column o by Gram-Schmidt, twice: [o, f] = [o, g] [[1, o.f], [0, h]]
-        g = -coords[size:, m:size].diagonal()[:, None] * outputs[m:size]
-        for _ in range(2):
-            g -= np.einsum("rs,rs->r", own, g)[:, None] * own
-        h = np.linalg.norm(g, axis=1)
-        g /= h[:, None]
-        frame.append(g)
-        # L, with x_p = L x: the last row of R (x_q, x_p) = [o, g]^T B x
-        back = (g @ outputs[:m].T) * coords[size:, :m] / h[:, None]
-    unknowns = basis.shape[0]
     # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
-    lift = np.zeros((size, unknowns))
-    lift[basis, np.arange(unknowns)] = 1.0
-    lift[pairs] = back
-    system = _reduced_relations(coords[size:, basis], outputs[basis], frame)
+    system, lift = _reduced_relations(outputs, weights, live)
+    unknowns = lift.shape[1]
     rows = system.shape[0]
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor.  It pays
@@ -380,7 +358,7 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
         condition = stretch / least
     svals, param_basis = _read_only((svals, param_basis))
     return NullSpaceResult(
-        singular_values=svals, pairs_used=count, param_basis=param_basis,
+        singular_values=svals, pairs_used=etas.shape[0], param_basis=param_basis,
         unknowns=unknowns, condition=condition,
     )
 

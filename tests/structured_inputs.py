@@ -18,7 +18,10 @@ Run from the repository root,
 to print one line per input and flag: label, flag (N for X -> A X A*, T for
 X -> A X^T A*), verdict and nullspace_dim, tab-separated.  The script
 imports the `conecert` of the checkout it sits in, so the digests of two
-checkouts can be compared with `diff`.
+checkouts can be compared with `diff`.  `tests/structured_digest.txt` is
+that output, committed: `test_structured_digest_is_unchanged` compares the
+checkout's digest with it, so a change that moves a verdict or a face
+dimension must regenerate the file on purpose.
 """
 
 import numpy as np

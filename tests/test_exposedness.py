@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_r
 from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose_slots, gap_rank, hermitian_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
-from structured_inputs import haar_unitary
+from structured_inputs import digest_lines, haar_unitary
 
 rng = np.random.default_rng(41)
 
@@ -724,3 +725,15 @@ def test_face_defect_does_not_depend_on_the_basis(transposed):
         q = np.linalg.qr(gen.standard_normal((5, 5)))[0]
         defect = face_certificate(replace(ns, param_basis=ns.param_basis @ q), phi).defect
         assert abs(defect - report.face.defect) <= 1e-12
+
+
+def test_structured_digest_is_unchanged():
+    """every structured input keeps the verdict and face dimension recorded in structured_digest.txt
+
+    A change that moves one must regenerate the file on purpose, from the
+    repository root: `python tests/structured_inputs.py > tests/structured_digest.txt`.
+    """
+    want = (Path(__file__).parent / "structured_digest.txt").read_text().splitlines()
+    got = list(digest_lines())
+    first = [f"{w!r} -> {g!r}" for w, g in zip(want, got) if w != g][:5]
+    assert got == want, f"{len(got)} lines for {len(want)}; first differing: {first}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -313,16 +315,20 @@ def test_projector_coordinates_of_kernel_probes():
 def _spy_reduced_relations(monkeypatch, arguments=False):
     """Record (system, basis output columns) of every `_reduced_relations` call.
 
-    With `arguments`, record (system, outputs, weights, frame).
-    `double_prime_nullspace` solves on every call.
+    The system is the one it returns, over the kept unknowns' columns; the
+    output columns are the live basis probes'.  With `arguments`, record
+    (system, lift, outputs, weights, live).  `double_prime_nullspace` solves
+    on every call.
     """
     seen = []
     reduce = faces._reduced_relations
 
-    def spy(weights, outputs, frame):
-        out = reduce(weights, outputs, frame)
-        seen.append((out, outputs, weights, frame) if arguments else (out, outputs))
-        return out
+    def spy(outputs, weights, live):
+        system, lift = reduce(outputs, weights, live)
+        size = weights.shape[1]
+        columns = outputs[:size][live[:size]]
+        seen.append((system, lift, outputs, weights, live) if arguments else (system, columns))
+        return system, lift
 
     monkeypatch.setattr(faces, "_reduced_relations", spy)
     return seen
@@ -361,12 +367,29 @@ def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
     assert np.all(system[: m * m - m] == 0.0), (n, m)
 
 
-def _unreduced_stack(weights, outputs, frame):
-    """Every relation's projected f^2 x unknowns block, stacked: no padding and no QR."""
-    blocks = weights[:, None, :] * outputs.T
-    for column in frame:
-        blocks -= column[:, :, None] * np.einsum("qi,qiu->qu", column, blocks)[:, None, :]
-    return blocks.reshape(-1, outputs.shape[0])
+def _unreduced_stack(outputs, weights, live, pair=True):
+    """Every relation's projected f^2 x m^2 block, stacked: no fixed layout and no QR.
+
+    The relations are read off the dense `projector_coordinates` of every
+    probe past the basis, and each block is projected off its own probe's
+    output column.  With `pair`, at full column rank (no kernel relation,
+    every output live) it is projected off its pair column m + q too and only
+    the m diagonal columns are kept; otherwise every live basis column is.
+    Without `pair` every m^2 column is kept.
+    """
+    size = weights.shape[1]
+    m = math.isqrt(size)
+    coords = np.concatenate([curve_frame(m)[1][size:], weights])
+    blocks = coords[:, None, :] * outputs[:size].T
+    frame, kept = outputs[size:, :, None], np.flatnonzero(live[:size])
+    if pair and not weights.shape[0] and live.all():
+        rel = np.arange(size - m)
+        frame = np.linalg.qr(np.concatenate([frame, blocks[rel, :, m + rel, None]], axis=2))[0]
+        kept = kept[:m]
+    elif not pair:
+        kept = np.arange(size)
+    blocks -= frame @ (frame.swapaxes(1, 2) @ blocks)
+    return blocks.reshape(-1, size)[:, kept]
 
 
 def _spectrum(system):
@@ -381,24 +404,33 @@ def _spectrum(system):
 def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     """the cut system has the unreduced stack's singular values and null space, to 1e-13
 
-    On every grid class, every nonzero 0/1 matrix with n, m <= 3 and 8 x 8
-    rank 4.  The transposed flag reads the same system
-    (`test_transposed_face_is_the_partial_transpose`).
+    On every grid class, every nonzero 0/1 matrix with n, m <= 3, 8 x 8
+    rank 4 and full-rank inputs, square and rectangular, whose pair probes
+    are eliminated by the same QR.  The lift must carry the system to the
+    stack projected off the own columns only: both have the same singular
+    values, which checks the back-substituted pair rows.  The transposed
+    flag reads the same system (`test_transposed_face_is_the_partial_transpose`).
     """
     seen = _spy_reduced_relations(monkeypatch, arguments=True)
     grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
-    for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4)]:
+    # full rank from their own generator, leaving the module stream to the later tests
+    g = np.random.default_rng(2)
+    full = [g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)) for n, m in ((5, 5), (6, 4), (8, 8))]
+    full.append(haar_unitary(g, 4))
+    for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4), *full]:
         double_prime_nullspace(a)
-        system, outputs, weights, frame = seen.pop()
-        unknowns = outputs.shape[0]
+        system, lift, outputs, weights, live = seen.pop()
+        unknowns = lift.shape[1]
         s, vh = _spectrum(system)
-        want_s, want_vh = _spectrum(_unreduced_stack(weights, outputs, frame))
+        want_s, want_vh = _spectrum(_unreduced_stack(outputs, weights, live))
         top = want_s[0] if unknowns else 0.0
         assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, a
         rank = gap_rank(want_s, system_floor(want_s, unknowns))
         assert gap_rank(s, system_floor(s, unknowns)) == rank, a
         null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
         assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, a
+        lifted = _spectrum(_unreduced_stack(outputs, weights, live, pair=False) @ lift)[0]
+        assert np.abs(s - lifted).max(initial=0.0) <= 1e-13 * top, a
 
 
 def test_only_narrow_relations_are_cut(monkeypatch):
@@ -419,21 +451,25 @@ def test_only_narrow_relations_are_cut(monkeypatch):
     assert widths and max(widths) <= 3
 
 
-def test_relation_plan_is_keyed_on_the_pattern():
-    """inputs of one class share a bounded, read-only plan, whatever their values"""
-    plan = faces._relation_plan
-    assert plan.cache_info().maxsize is not None
-    double_prime_nullspace(rand_rank(4, 4, 2))
-    before = plan.cache_info()
-    for _ in range(3):
-        double_prime_nullspace(rand_rank(4, 4, 2))
-    after = plan.cache_info()
-    assert after.hits == before.hits + 3 and after.misses == before.misses
-    # two relations over 4 unknowns at f^2 = 4: one narrow (c = 2), one wide (c = 4)
-    pattern = np.array([[True, False, True, False], [True, True, True, True]])
-    count, groups = plan(pattern.tobytes(), 2, 4, 4)
-    assert count == 2 + 4 and [group[1].shape for group in groups] == [(1, 2), (1, 4)]
-    assert not any(a.flags.writeable for group in groups for a in group)
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_curve_relations_sit_on_their_fixed_columns(m):
+    """reflected relation q has nonzero coordinates exactly at cols[q] = (m + q, j, k)
+
+    That is what makes the fixed layout of `curve_frame` exact.  The cached
+    weights are those coordinates, bitwise, and the scatter is one-hot on
+    the same columns and read-only.
+    """
+    size = m * m
+    etas, coords, _, _, cols, weights, scatter = curve_frame(m)
+    assert cols.shape == (size - m, 3) and scatter.shape == (size - m, 3, size)
+    for q in range(size - m):
+        assert np.array_equal(np.flatnonzero(coords[size + q]), np.sort(cols[q])), (m, q)
+        assert cols[q, 0] == m + q, (m, q)
+        assert np.array_equal(np.flatnonzero(etas[size + q]), cols[q, 1:]), (m, q)
+        assert weights[q].tobytes() == coords[size + q, cols[q]].tobytes(), (m, q)
+    assert np.isin(scatter, (0.0, 1.0)).all() and scatter.sum() == 3 * (size - m)
+    assert np.all(scatter[np.arange(size - m)[:, None], np.arange(3), cols] == 1.0)
+    assert not any(x.flags.writeable for x in (cols, weights, scatter))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
