@@ -362,9 +362,9 @@ def classify(map_rep: MapRep) -> Classification:
     PSD is the functional-times-projection form (OMEGA_Q, with R = S^T).
     The Choi matrix must pass `linalg.hermitian_within`, else
     HermiticityError.  Every rank is `gap_rank` of a spectrum over its
-    rounding floor: `maps.map_floor` for the Choi matrix and its partial
-    transpose, max(n^2, m^2) * u * s_0 for the SVD across the H:K cut, and
-    dim * u * |X|_F for Q and S.  |Choi|_F is read once, for the
+    rounding floor: the map's level n * m * u * |Choi|_F for the Choi
+    matrix and its partial transpose, max(n^2, m^2) * u * s_0 for the SVD
+    across the H:K cut, and dim * u * |X|_F for Q and S.  |Choi|_F is read once, for the
     Hermiticity rule and the floor.  PSD means that every eigenvalue above
     the gap is positive.  Anything else raises ClassificationError.
     """
@@ -372,7 +372,7 @@ def classify(map_rep: MapRep) -> Classification:
     scale = float(np.linalg.norm(choi))
     if not hermitian_within(choi, scale):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
-    # maps.map_floor, from the norm already read
+    # the map's rounding level n * m * u * |Choi|_F, from the norm already read
     floor = n * m * UNIT_ROUNDOFF * scale
 
     vec = _rank1_psd_vector(choi, floor)

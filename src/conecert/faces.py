@@ -15,30 +15,38 @@ of the Choi parameters (`_transposed_face`).  Nothing here is cached per A:
 `exposedness.certify_exposed` keeps the last plain certificate, so the two
 flags on one A solve once.
 
-The null space is therefore solved from A, in probe coordinates, one real
-unknown x_p per probe with a nonzero output.  Outputs lie on range A, so
-they are read in its range frame: r^2 coordinates at rank r, not n^2.  The
-projectors P_b of the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and
-(e_j + i e_k)/sqrt2 are a basis of Herm(m), and every other probe p has
-closed-form coordinates in it
-(`projector_coordinates`).  Because psi is linear, each relation
-P_p = sum_b coords[p, b] P_b must hold for the outputs too.  The reflected
-probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put z = 1, i, -1, -i on the
-paper's curves e_j + z e_k, and their relations P_{-1} = P_j + P_k - P_{+1}
-and P_{-i} = P_j + P_k - P_{+i} touch 4 probes each, so their columns are
-fixed by m (`curve_frame`); a kernel probe, from ker A, gives one dense
-relation.  A probe past the basis enters its own relation only, so its x_p
-is eliminated exactly: the relation holds for some x_p if and only if the
-basis side lies on the line through w_p w_p*, so that line is projected
-out of it and only the m^2 basis probes keep unknowns.  Each curve relation
-is then cut to the R factor of its three columns (pair, j, k) by one
-batched QR.  When A has full column rank there is no kernel relation, and
-the pair probe P_{+z}(j, k) enters only the relation of its reflection
-P_{-z}(j, k), so the same R eliminates it too: its first row
-back-substitutes the pair coordinate, the other two tie x_j to x_k along
-the curve e_j + z e_k, and the system is in the m diagonal unknowns x_j.
-One SVD of the stack gives the face, and the dual basis of the P_b turns
-it into Choi matrices.
+The face is solved in the right singular basis of A = U S V*, one real
+unknown x_p per probe with a nonzero output.  phi = Ad_U o phi_S o Ad_V*,
+and both outer factors carry faces onto faces, so the probes are V eta for
+fixed eta, and A V eta = U S eta is read in the range frame of A as
+v = S eta: f^2 real coordinates, not n^2.  ker A is spanned by the basis
+probes V e_j whose outputs are dead (|v|^2 at the rounding floor of the
+map), so no probe is read off it.  The projectors P_b of the m^2 unit
+probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of
+Herm(m), and every other probe p has closed-form coordinates in it
+(`projector_coordinates`), which X -> V X V* keeps.  Because psi is linear,
+each relation P_p = sum_b coords[p, b] P_b must hold for the outputs too.
+Every relation sits on columns fixed by m and the rank r:
+- curve: the reflected probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put
+  z = 1, i, -1, -i on the paper's curves e_j + z e_k, and their relations
+  P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch the
+  pair probe, P_j and P_k (`curve_frame`);
+- star: where 2 <= r < m, the probes (e_0 + z1 e_b + z2 e_c)/sqrt3 for
+  1 <= b < r <= c < m and z1, z2 in {1, i} touch P_0, P_b, P_c and the six
+  pair probes of (0, b), (0, c) and (b, c) (`star_frame`).  A curve with a
+  dead end c >= r has all its outputs on one line and ties nothing; the
+  star ties the live ends of such curves together.
+A probe past the basis enters its own relation only, so its x_p is
+eliminated exactly: the relation holds for some x_p if and only if the
+basis side lies on the line through v_p v_p*, so that line is projected out
+of it and only the m^2 basis probes keep unknowns.  Each relation is then
+cut to the R factor of its columns by one batched QR per family.  When A
+has full column rank there is no star, and the pair probe P_{+z}(j, k)
+enters only the relation of its reflection P_{-z}(j, k), so the same R
+eliminates it too: its first row back-substitutes the pair coordinate, the
+other two tie x_j to x_k along the curve e_j + z e_k, and the system is in
+the m diagonal unknowns x_j.  One SVD of the stack gives the face, and the
+dual basis V D_b V* of the projectors V P_b V* turns it into Choi matrices.
 """
 
 import math
@@ -68,14 +76,15 @@ class NullSpaceResult:
     `param_basis` holds its elements as orthonormal columns over the
     Hermitian parameterization; `basis` gives the same elements as Hermitian
     Choi matrices.  `singular_values` is the spectrum of the system in the
-    coordinates of the basis probes, one real unknown per basis probe with a
-    nonzero output, psi(P_b) = x_b w_b w_b*: `unknowns` columns, the m
-    diagonal probes' at full column rank (the pair coordinates are
-    back-substituted) and every basis probe's otherwise (the other probes'
-    coordinates are eliminated).  `condition` is the largest stretch of the
-    whole map from those coordinates to Choi parameters, back-substitution
-    included, over its least stretch on the null space.  `pairs_used` counts
-    the probes.
+    coordinates of the basis probes V eta_b (V the right singular vectors
+    of A), one real unknown per basis probe with a live output,
+    psi(V P_b V*) = x_b w_b w_b*: `unknowns` columns, the m diagonal
+    probes' at full column rank (the pair coordinates are back-substituted)
+    and every live basis probe's otherwise (the other probes' coordinates
+    are eliminated).  `condition` is the largest stretch of the whole map
+    from those coordinates to Choi parameters, back-substitution included,
+    over its least stretch on the null space.  `pairs_used` counts the
+    probes.
     """
 
     singular_values: np.ndarray
@@ -121,6 +130,14 @@ def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
 
 
+def _layout(coords: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cols (k, w), the weights coords[q, cols[q]] and a one-hot scatter (k, w, m^2) onto cols."""
+    rel = np.arange(cols.shape[0])[:, None]
+    scatter = np.zeros(cols.shape + coords.shape[1:])
+    scatter[rel, np.arange(cols.shape[1]), cols] = 1.0
+    return cols, coords[rel, cols], scatter
+
+
 @lru_cache(maxsize=None)
 def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     """Cached, read-only probe data that depends only on m.
@@ -143,42 +160,41 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     size = m * m
     iu, ju = triu_pairs(m)
     cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    rel = np.arange(size - m)[:, None]
-    scatter = np.zeros((size - m, 3, size))
-    scatter[rel, np.arange(3), cols] = 1.0
-    return _read_only((etas, coords, dual, dual_gram, cols, coords[size + rel, cols], scatter))
+    return _read_only((etas, coords, dual, dual_gram, *_layout(coords[size:], cols)))
+
+
+@lru_cache(maxsize=None)
+def star_frame(m: int, r: int) -> tuple[np.ndarray, ...]:
+    """Cached, read-only star probes of rank r < m and the layout of their relations.
+
+    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < r <= c < m,
+    b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
+    4 (r - 1)(m - r) rows.  Probe q has coordinates only on the 9 basis
+    probes of row q of `cols`: P_0, P_b, P_c, then P_{+1} and P_{+i} of the
+    pairs (0, b), (0, c) and (b, c).  Returns the probes, `cols`, `weights`
+    (their `projector_coordinates` there, some of them 0) and the one-hot
+    `scatter` (k, 9, m^2), as `curve_frame` does.
+    """
+    b, c = np.divmod(np.repeat(np.arange((r - 1) * (m - r)), 4), m - r)
+    b, c, z = b + 1, c + r, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((r - 1) * (m - r), 1))
+    eye = np.eye(m, dtype=np.complex128)
+    etas = (eye[0] + z[:, :1] * eye[b] + z[:, 1:] * eye[c]) / math.sqrt(3)
+    iu, ju = triu_pairs(m)
+    pair = np.zeros((m, m), dtype=np.intp)
+    pair[iu, ju] = m + 2 * np.arange(iu.shape[0])
+    ends = (pair[0, b], pair[0, c], pair[b, c])
+    cols = np.stack([0 * b, b, c, *(e + k for e in ends for k in (0, 1))], axis=1)
+    return _read_only((etas, *_layout(projector_coordinates(_outer(etas)), cols)))
 
 
 def _output_floor(a: np.ndarray) -> float:
     """Rounding level of spectra read off the map of a: n * m * u * |A|_F^2.
 
-    |A|_F^2 is |Choi(phi)|_F, so this is `maps.map_floor` of the map.  It is
-    relative to the map, not to one output, so an output that is zero up to
-    rounding reads as zero.
+    |A|_F^2 is |Choi(phi)|_F, so this is the map's level n * m * u * |Choi|_F.
+    It is relative to the map, not to one output, so an output that is zero
+    up to rounding reads as zero.
     """
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
-
-
-def _probe_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Kernel probes (k, m) of X -> A X A*, range frame F = S_f Vh_f (f, m) of A = U S Vh, output floor.
-
-    The probes are conj(ker A) and their pairwise combinations, with the
-    kernel read at `_output_floor(a)`; that floor is returned too, so the
-    outputs are read at the same level.  F keeps each
-    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`: no rank
-    decision.  F eta = U_f* A eta.
-    """
-    n, m = a.shape
-    _, s, vh = np.linalg.svd(a)
-    spectrum = np.zeros(m)
-    spectrum[: s.shape[0]] = s * s
-    floor = _output_floor(a)
-    kernel = vh[gap_rank(spectrum, floor) :].conj()
-    frame = s[:, None] * vh[: s.shape[0]]
-    frame = frame[: int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))]
-    if kernel.shape[0] > 1:
-        kernel = np.concatenate([kernel, combination_rows(kernel)])
-    return kernel, frame, floor
 
 
 def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
@@ -188,56 +204,61 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     probes are ker A, conjugated (the rows of Vh), and their pairwise
     combinations.  X -> A X^T A* sends eta eta* to the output of the plain
     map at conj(eta), so its kernel probes are the plain ones conjugated.
-    Without them, rank-deficient maps would never show their kernel-side
-    zero-pairs.  The kernel is the part past the `gap_rank` of the squared
-    singular values, zero-padded to length m (the spectrum of the input
-    compression of Choi(phi)), over n * m * u * |A|_F^2.  A = 0 raises
-    InputRejected.
+    The kernel is the part past the `gap_rank` of the squared singular
+    values, zero-padded to length m (the spectrum of the input compression
+    of Choi(phi)), over n * m * u * |A|_F^2.  The face does not read them:
+    it probes in the singular basis of A, where ker A is spanned by basis
+    probes with dead outputs.  A = 0 raises InputRejected.
     """
-    kernel = _probe_space(_nonzero_operator(A))[0]
+    a = _nonzero_operator(A)
+    _, s, vh = np.linalg.svd(a)
+    spectrum = np.pad(s * s, (0, a.shape[1] - s.shape[0]))
+    kernel = vh[gap_rank(spectrum, _output_floor(a)) :].conj()
+    if kernel.shape[0] > 1:
+        kernel = np.concatenate([kernel, combination_rows(kernel)])
     return list(kernel.conj() if transposed else kernel)
 
 
 def _reduced_relations(
-    outputs: np.ndarray, weights: np.ndarray, live: np.ndarray
+    outputs: np.ndarray, live: np.ndarray, families: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """The face system in the kept unknowns, and the lift L (m^2, unknowns) to the basis coordinates.
 
     One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*, read
     through its unit output column outputs[b] = params(v_b v_b*) / |v_b|^2
-    (f^2 range-frame coordinates, zero where `live` is false).  Relation q,
-    of probe p = m^2 + q, reads B x = x_p outputs[p]: B sums each basis
-    column times the relation's coordinate on it, and x_p enters no other
-    relation, so the relation holds for some x_p exactly when B x projected
-    off outputs[p] is 0.  A reflected relation has coordinates on the three
-    columns `cols[q]` of `curve_frame` only, (pair, j, k): with f^2 > 3 one
-    batched QR cuts its f^2 x 3 block to the R factor, which keeps its null
-    space, and `scatter` lays the rows on the m^2 basis columns.  A kernel
-    relation, `weights` (k, m^2) dense, keeps its f^2 rows.  With no kernel
-    relation and every output live (A has full column rank) the pair probe
-    m + q is in relation q only, so the same R eliminates it: row 0 gives
-    x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2 are the
-    (x_j, x_k) system, so only the m diagonal probes keep unknowns.
-    Otherwise every live basis probe keeps one.  Dead columns are dropped
-    last; z = L x are the m^2 basis coordinates of a solution x.
+    (f^2 range-frame coordinates, zero where `live` is false).  `families`
+    holds the (cols, weights, scatter) layouts of `curve_frame` and, where
+    there is a star, of `star_frame`, in the order of their probes past the
+    m^2 basis probes.  Relation q, of probe p, reads B x = x_p outputs[p]:
+    B sums the basis columns cols[q] times weights[q], and x_p enters no
+    other relation, so the relation holds for some x_p exactly when B x
+    projected off outputs[p] is 0.  Where f^2 exceeds the w columns of a
+    family, one batched QR cuts each f^2 x w block to its R factor, which
+    keeps its null space, and `scatter` lays the rows on the m^2 basis
+    columns.  With no star and every output live (A has full column rank)
+    the pair probe m + q is in curve relation q only, so the same R
+    eliminates it: row 0 gives x_pair = -(r01 x_j + r02 x_k) / r00, the row
+    of L, and rows 1-2 are the (x_j, x_k) system, so only the m diagonal
+    probes keep unknowns.  Otherwise every live basis probe keeps one.  Dead
+    columns are dropped last; z = L x are the m^2 basis coordinates of a
+    solution x.
     """
-    size = weights.shape[1]
+    size = families[0][2].shape[2]
     m = math.isqrt(size)
-    *_, cols, curve_weights, scatter = curve_frame(m)
-    own = outputs[size:]
-    curve = outputs[cols] * curve_weights[..., None]
-    kernel = weights[..., None] * outputs[:size]
-    for block, column in ((curve, own[: cols.shape[0]]), (kernel, own[cols.shape[0] :])):
-        block -= (block @ column[..., None]) * column[:, None, :]
-    curve = curve.swapaxes(1, 2)
-    if curve.shape[1] > 3:
-        curve = np.linalg.qr(curve, mode="r")
-    rows = curve @ scatter
+    curve, rows = size + families[0][0].shape[0], []
+    for (cols, weights, scatter), own in zip(families, (outputs[size:curve], outputs[curve:])):
+        block = outputs[cols] * weights[..., None]
+        block -= (block @ own[..., None]) * own[:, None, :]
+        block = block.swapaxes(1, 2)
+        if block.shape[1] > cols.shape[1]:
+            block = np.linalg.qr(block, mode="r")
+        rows.append(block @ scatter)
     basis, lift = np.flatnonzero(live[:size]), np.eye(size)
-    if not weights.shape[0] and live.all():
-        lift[m:] = -rows[:, 0] / curve[:, :1, 0]
-        rows, basis = rows[:, 1:], basis[:m]
-    system = np.concatenate([rows.reshape(-1, size), kernel.swapaxes(1, 2).reshape(-1, size)])
+    if len(families) == 1 and live.all():
+        # block is the curve family's R
+        lift[m:] = -rows[0][:, 0] / block[:, :1, 0]
+        rows, basis = [rows[0][:, 1:]], basis[:m]
+    system = np.concatenate([block.reshape(-1, size) for block in rows])
     return system[:, basis], lift[:, basis]
 
 
@@ -281,45 +302,52 @@ def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
 def _plain_face(a: np.ndarray) -> NullSpaceResult:
     """The face of X -> A X A*, with read-only arrays.
 
-    Probes: the cached `curve_frame` and the kernel probes of
-    `_probe_space`.  Every output is phi(P_p) = w_p w_p* with w_p = A eta_p,
-    read in the range frame F of `_probe_space` as v_p = F eta_p, f^2 real
-    coordinates.  It is nonzero when c_p = |v_p|^2 is above
-    n * m * u * |A|_F^2, and then its probe has one real unknown,
-    psi(P_p) = x_p w_p w_p*.  Every probe p past the m^2 unit probes gives
-    the relation x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose
-    f^2 rows involve only x_p and the x_b of the P_b it has coordinates on.
-    x_p is in no other relation, so `_reduced_relations` projects it out and
-    cuts each curve block to its R factor: the system has one unknown per
-    basis probe with a nonzero output.  With no kernel probe (A has full
-    column rank) every output is nonzero and the pair probe P_{+z}(j, k) is
-    in the relation of P_{-z}(j, k) only, so the same R eliminates it: m
-    unknowns, and the pair coordinates are L x, read off the first row of
-    that R.  The rank is `gap_rank` of the spectrum over
+    One svd A = U S V*.  Probes: the cached `curve_frame` and, where
+    2 <= r < m, `star_frame(m, r)`, each applied as V eta.  Every output is
+    phi(V P_p V*) = w_p w_p* with w_p = A V eta_p = U S eta_p, read in the
+    range frame as v_p = S_f eta_p, f^2 real coordinates: f counts the
+    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`, which is
+    no rank decision and keeps the cross terms s_0 s_j of a small s_j.  An
+    output is live when c_p = |v_p|^2 is above n * m * u * |A|_F^2, and
+    then its probe has one real unknown, psi(V P_p V*) = x_p w_p w_p*; r
+    counts the s_j^2 above that level, which are the live e_j.  Every probe
+    p past the m^2 unit probes gives the relation
+    x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose f^2 rows
+    involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
+    in no other relation, so `_reduced_relations` projects it out and cuts
+    each block to its R factor: the system has one unknown per basis probe
+    with a live output.  At full column rank (r = m, no star) the pair
+    probe P_{+z}(j, k) is in the relation of P_{-z}(j, k) only, so the same
+    R eliminates it: m unknowns, and the pair coordinates are L x, read off
+    the first row of that R.  The rank is `gap_rank` of the spectrum over
     `system_floor`.  Null vectors, pair coordinates included, become Choi
-    matrices through the dual basis D_b of the unit-probe projectors,
-    Choi(psi) = sum_b psi(P_b) (x) conj(D_b), from the full w_b w_b*, and
-    are orthonormalised there.  `condition` is the largest stretch of the
-    whole map x -> Choi, pair coordinates included, over its least stretch
-    on the null space; the largest is read off the Gram matrix
-    (O O^T) o (D D^T) of the unit output columns O and the dual basis, one
-    eigvalsh of `unknowns` columns.  Deterministic: no random probes.
+    matrices through the dual basis V D_b V* of the V P_b V*,
+    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), with the full
+    w_b w_b* read off A itself, and are orthonormalised there.  `condition`
+    is the largest stretch of the whole map x -> Choi, pair coordinates
+    included, over its least stretch on the null space; the largest is read
+    off the Gram matrix (O O^T) o (D D^T) of the unit output columns O and
+    the dual basis, which V keeps, one eigvalsh of `unknowns` columns.
+    Deterministic: no random probes.
     """
     n, m = a.shape
-    curve, _, dual, dual_gram, *_ = curve_frame(m)
-    kernel, range_map, floor = _probe_space(a)
+    curve, _, dual, dual_gram, *layout = curve_frame(m)
+    _, s, vh = np.linalg.svd(a)
+    floor = _output_floor(a)
+    rank = int(np.count_nonzero(s * s > floor))
+    f = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
+    etas, families = curve, [layout]
+    if 2 <= rank < m:
+        star, *star_layout = star_frame(m, rank)
+        etas, families = np.concatenate([curve, star]), [layout, star_layout]
     size = m * m
-    etas, weights = curve, np.zeros((0, size))
-    if kernel.shape[0]:
-        etas = np.concatenate([curve, kernel])
-        weights = projector_coordinates(_outer(kernel))
-    raw = hermitian_params(_outer(etas @ range_map.T))
-    c = raw[:, : range_map.shape[0]].sum(axis=1)
+    raw = hermitian_params(_outer(etas[:, :f] * s[:f]))
+    c = raw[:, :f].sum(axis=1)
     live = c > floor
     # unit column params(v_p v_p*) / |v_p|^2 of each output, zero where the output is zero
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
     # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
-    system, lift = _reduced_relations(outputs, weights, live)
+    system, lift = _reduced_relations(outputs, live, families)
     unknowns = lift.shape[1]
     rows = system.shape[0]
     if rows > unknowns > 0:
@@ -336,14 +364,17 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(P_b) = z_b w_b w_b* / c_b per null vector; Choi(psi) = sum_b psi(P_b) (x) conj(D_b)
+    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b;
+    # Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    outer = _outer(etas[:size] @ a.T).reshape(size, n * n)
+    outer = _outer(etas[:size] @ vh.conj() @ a.T).reshape(size, n * n)
     y = z.T[:, None, :] * outer.T
-    choi = y @ dual.conj().reshape(size, size)
-    # (i, j, k, l) -> (i, k, j, l) is Choi(psi)
-    choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 3, 2, 4).reshape(-1, n * m, n * m)
+    # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
+    choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
+    choi = choi.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m) @ vh
+    # (i, j, l, k) -> (i, k, j, l) is Choi(psi)
+    choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 4, 2, 3).reshape(-1, n * m, n * m)
     param_basis, condition = hermitian_params(choi).T, 1.0
     if param_basis.shape[1]:
         if param_basis.shape[1] == 1:

@@ -1,16 +1,20 @@
 """Dense linear-algebra helpers and the one rank rule.
 
-Every rank decision in the package goes through `gap_rank`: a descending
-spectrum is cut at its largest relative gap, with every value below a
-rounding floor read at that floor.  The floor is the rounding level of the
-computation that produced the spectrum, not a setting:
-`max(rows, cols) * u * s_0` for `null_space`, `unknowns * u * max(s_0, 1)`
-for the face system, and `n * m * u * |Choi(phi)|` for spectra read off a map
-(`maps.map_floor`; the face reads the same level off A as
-`n * m * u * |A|_F^2`; the face's range frame only drops singular values of
-A at the `null_space` floor).  `exposedness.classify` reads the Choi matrix
-and its partial transpose at `map_floor`, its SVD across the H:K cut at
-`max(n^2, m^2) * u * s_0`, and its factors Q and S at `dim * u * |X|_F`.
+Every rank decision in the package reads a spectrum against the rounding
+level of the computation that produced it, not against a setting.  Most go
+through `gap_rank`: a descending spectrum is cut at its largest relative
+gap, with every value below that floor read at the floor.  The floors:
+- `max(rows, cols) * u * s_0` for `null_space`;
+- `unknowns * u * max(s_0, 1)` for the face system (`faces.system_floor`);
+- `n * m * u * |Choi(phi)|_F` for spectra read off a map.  The face reads
+  the same level off A as `n * m * u * |A|_F^2` (`faces._output_floor`),
+  and a probe output is live above it, with no gap: the face's rank r of A
+  counts the s_j^2 above it, and its range frame only drops singular
+  values of A at the `null_space` floor.  `faces.kernel_probes` cuts the
+  squared singular values of A at their `gap_rank` over it.
+`exposedness.classify` reads the Choi matrix and its partial transpose at
+the map's level, its SVD across the H:K cut at `max(n^2, m^2) * u * s_0`,
+and its factors Q and S at `dim * u * |X|_F`.
 
 "Hermitian" and "PSD" are decided by one rule each, both here and both
 relative to |X|_F, so s * X gets the verdict of X at every scale s > 0:

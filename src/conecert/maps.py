@@ -209,20 +209,6 @@ def is_hermitian_preserving(map_rep: MapRep) -> bool:
     return linalg.hermitian_within(map_rep.choi, float(np.linalg.norm(map_rep.choi)))
 
 
-def map_floor(map_rep: MapRep) -> float:
-    """Rounding level of spectra read off the map: n * m * u * |Choi(phi)|_F.
-
-    It is relative to the map, not to one output, so an output that is zero
-    up to rounding reads as zero at any scale of the map.
-    """
-    return map_rep.n * map_rep.m * linalg.UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
-
-
-def _require_hermitian(map_rep: MapRep) -> None:
-    if not is_hermitian_preserving(map_rep):
-        raise HermiticityError("map is not Hermiticity-preserving within tolerance")
-
-
 def is_completely_positive(map_rep: MapRep) -> tuple[bool, float]:
     """Choi PSD test: (verdict, min Choi eigenvalue), `linalg.is_psd` of the Choi matrix.
 
@@ -263,9 +249,9 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     Minimizes the block form <xi (x) eta, C (xi (x) eta)> over unit vectors,
     C the Choi matrix; a value below `linalg.psd_threshold(n * m, |C|_F)`,
     -(POSITIVITY_RTOL + n * m * u) * |C|_F, yields NOT_POSITIVE with the
-    witness pair.  Its n * m * u * |C|_F part is `map_floor`, so the
-    threshold is relative to |C|_F and above the rounding level of both the
-    Choi spectrum and the descent's values, and each descent stops at a
+    witness pair.  Its n * m * u * |C|_F part is the map's rounding level,
+    so the threshold is relative to |C|_F and above the rounding level of
+    both the Choi spectrum and the descent's values, and each descent stops at a
     change relative to |C|_F too, so the search does not depend on the
     scale of C.  C is checked by
     `linalg.hermitian_within` and Hermitized once, here; its norm, the

@@ -19,10 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from conecert.errors import ShapeError
-from conecert.faces import NullSpaceResult, system_floor
+from conecert.errors import HermiticityError, ShapeError
+from conecert.faces import NullSpaceResult
 from conecert.linalg import (
     SQRT2,
+    UNIT_ROUNDOFF,
     as_complex_matrix,
     gap_rank,
     hermitian_params,
@@ -32,17 +33,25 @@ from conecert.linalg import (
     params_to_herm,
     triu_pairs,
 )
-from conecert.maps import MapRep, _require_hermitian, map_floor
-from conecert.sampling import (
-    combination_rows,
-    random_unit_vector,
-    reflected_probe_vectors,
-    rng_from,
-    unit_probe_vectors,
-)
+from conecert.maps import MapRep, is_hermitian_preserving
+from conecert.sampling import combination_rows, random_unit_vector, rng_from, unit_probe_vectors
 
 PAIR_TOL = 1e-10
 _ASSEMBLE_ENTRIES = 1 << 16
+
+
+def map_floor(map_rep: MapRep) -> float:
+    """Rounding level of spectra read off the map: n * m * u * |Choi(phi)|_F.
+
+    It is relative to the map, not to one output, so an output that is zero
+    up to rounding reads as zero at any scale of the map.
+    """
+    return map_rep.n * map_rep.m * UNIT_ROUNDOFF * float(np.linalg.norm(map_rep.choi))
+
+
+def _require_hermitian(map_rep: MapRep) -> None:
+    if not is_hermitian_preserving(map_rep):
+        raise HermiticityError("map is not Hermiticity-preserving within tolerance")
 
 
 @dataclass(frozen=True)
@@ -248,24 +257,28 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(columns)[order], owner[order]
 
 
-def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
-    """The face solved densely in probe coordinates, as the library solved it before.
+def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> NullSpaceResult:
+    """The face solved densely in the coordinates of the probes etas (N, m), basis probes first.
 
-    The same probes and output ranks as `double_prime_nullspace`, but read
-    off Choi(phi) (`choi_kernel_probes`, `probe_outputs`), not off A, and
-    every probe keeps its r_p^2 unknowns, for outputs of any rank (the
-    library keeps one per basis probe), and every
-    relation beta in the kernel of the m^2 x N matrix of projector
-    parameters (from one frame SVD) contributes the n^2 rows of
-    sum_p beta_p R_p H_p R_p* = 0; the tall stack is cut by one QR, its rank
-    at the largest gap, and null vectors become Choi matrices through the
-    Moore-Penrose dual frame of all N projectors.
+    The caller hands in the library's probes (the curve and star probes in
+    the right singular basis of A), but the output ranges are read off
+    Choi(phi) (`probe_outputs`), not off A, every probe keeps its r_p^2
+    unknowns, for outputs of any rank (the library keeps one per basis
+    probe), and every relation beta in the kernel of the m^2 x N matrix of
+    projector parameters (from one frame SVD) contributes the n^2 rows of
+    sum_p beta_p R_p H_p R_p* = 0.  The unknowns of the probes past the
+    first m^2 are eliminated from the stack by projecting it off the span of
+    their columns (one QR of them, no layout), so its rank is decided on the
+    basis probes' unknowns, at the largest gap over the SVD floor
+    max(rows, cols) * u * s_0 of the whole stack (`linalg.null_space`).  The
+    eliminated unknowns are solved back by least squares, and null vectors
+    become Choi matrices through the Moore-Penrose dual frame of all N
+    projectors.  Kept in the rank decision, the other unknowns' singular
+    values of order 1 would sit above every relation that a small singular
+    value of A leaves, and the largest gap would read those as zeros.
     """
     _require_hermitian(map_rep)
     n, m = map_rep.n, map_rep.m
-    etas = np.array(
-        unit_probe_vectors(m) + reflected_probe_vectors(m) + choi_kernel_probes(map_rep)
-    )
     count = etas.shape[0]
     _, vecs, ranks = probe_outputs(map_rep, etas)
     frame = hermitian_params(etas[:, :, None] * etas.conj()[:, None, :])
@@ -273,20 +286,26 @@ def dense_nullspace(map_rep: MapRep) -> NullSpaceResult:
     relations = vh_f[m * m :]
     dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
     outputs, owner = _output_columns(vecs, ranks)
-    unknowns = owner.shape[0]
+    basis = owner < m * m
+    unknowns = int(basis.sum())
 
     rows = relations.shape[0] * n * n
-    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, unknowns)
-    if rows > unknowns > 0:
-        system = np.linalg.qr(system, mode="r")
-    if system.size:
-        _, svals, vh = np.linalg.svd(system, full_matrices=rows < unknowns)
-    else:
-        svals, vh = np.zeros(0), np.eye(unknowns)
-    null = vh[gap_rank(svals, system_floor(svals, unknowns)) :].T
+    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, owner.shape[0])
+    kept, other = system[:, basis], system[:, ~basis]
+    svals, null = np.zeros(0), np.eye(unknowns)
+    if rows:
+        q = np.linalg.qr(other)[0]
+        _, svals, vh = np.linalg.svd(kept - q @ (q.T @ kept), full_matrices=rows < unknowns)
+        floor = max(system.shape) * UNIT_ROUNDOFF * np.linalg.norm(system, 2)
+        null = vh[gap_rank(svals, floor) :].T
+    # the eliminated unknowns, solved back: other y = -kept x
+    solved = np.zeros((owner.shape[0], null.shape[1]))
+    solved[basis] = null
+    if other.shape[1]:
+        solved[~basis] = -np.linalg.lstsq(other, kept @ null, rcond=None)[0]
 
     selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
-    y = params_to_herm(selector @ (null.T[:, :, None] * outputs), n)
+    y = params_to_herm(selector @ (solved.T[:, :, None] * outputs), n)
     choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
     if choi.shape[0]:
         param_basis, sv, _ = np.linalg.svd(hermitian_params(choi).T, full_matrices=False)

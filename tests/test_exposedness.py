@@ -103,10 +103,12 @@ def test_face_certificate_agrees_with_cone_fallback(shape, transposed):
 @pytest.mark.parametrize("s2", np.logspace(-12, -9, 4))
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_near_rank_one(s2, transposed):
-    """3x3 U diag(1, s2, 0) V*: the rank-1-like hull is not refused by a bound set too tight"""
+    """3x3 U diag(1, s2, 0) V*: the rank-1-like hull is not refused by a bound set too tight,
+    and it has the dimension of the hull of diag(1, s2, 0) itself"""
     u, v = rand_unitary(3), rand_unitary(3)
     report = certify_exposed(u @ np.diag([1.0, s2, 0.0]) @ v.conj().T, transposed=transposed)
-    assert report.nullspace.dim == 5
+    unrotated = certify_exposed(np.diag([1.0, s2, 0.0]), transposed=transposed)
+    assert report.nullspace.dim == unrotated.nullspace.dim == 3
     assert report.verdict is Verdict.EXPOSED_FACE
     assert report.face.defect <= report.face.bound
 
@@ -124,13 +126,16 @@ def _hull_plus(ns, extra_choi):
     """ns with one more orthonormal element, the part of extra_choi outside its span.
 
     The spectrum keeps the first (unknowns - dim) values of ns's own and reads
-    zero for the rest, so it shows a clean gap at the new dimension.
+    zero for the rest, so it shows a clean gap at the new dimension.  Where
+    ns is the whole null space of its system (a rank-1 system is exactly 0),
+    the larger hull gets one more unknown, so its spectrum is 0 and its
+    bound is the rounding level, as for ns.
     """
     p = hermitian_params(extra_choi)
     p = p - ns.param_basis @ (ns.param_basis.T @ p)
     param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
     dim = param_basis.shape[1]
-    unknowns = ns.unknowns
+    unknowns = max(ns.unknowns, dim)
     svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
     return NullSpaceResult(
         singular_values=svals,
@@ -713,18 +718,24 @@ def test_classify_under_hermitian_noise():
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_defect_does_not_depend_on_the_basis(transposed):
     """the defect is the largest principal angle from the hull to the face, so every
-    orthonormal basis of a hull reads the same: here the refused 5-dimensional hull of
-    a 0/1 input under 20 random rotations"""
-    a = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    orthonormal basis of a hull reads the same: here the certified 5-dimensional hull of
+    a rank-1 2 x 3 input and that hull plus Q (x) I, each under 20 random rotations"""
+    gen = np.random.default_rng(19)
+    u, v = _crandn_from(gen, 2), _crandn_from(gen, 3)
+    a = np.outer(u, v.conj())
     report = certify_exposed(a, transposed=transposed)
     ns = report.nullspace
-    assert report.verdict is Verdict.NOT_CERTIFIED and ns.dim == 5
+    assert report.verdict is Verdict.EXPOSED_FACE and ns.dim == 5
     phi = _unit_phi(a, transposed)
-    gen = np.random.default_rng(19)
-    for _ in range(20):
-        q = np.linalg.qr(gen.standard_normal((5, 5)))[0]
-        defect = face_certificate(replace(ns, param_basis=ns.param_basis @ q), phi).defect
-        assert abs(defect - report.face.defect) <= 1e-12
+    q = np.outer(u, u.conj()) / np.vdot(u, u).real
+    plus = _hull_plus(ns, np.kron(q, np.eye(3)))
+    for hull, want in ((ns, report.face.defect), (plus, face_certificate(plus, phi).defect)):
+        dim = hull.dim
+        for _ in range(20):
+            rot = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
+            defect = face_certificate(replace(hull, param_basis=hull.param_basis @ rot), phi).defect
+            assert abs(defect - want) <= 1e-12, dim
+    assert face_certificate(plus, phi).defect > 0.5
 
 
 def test_structured_digest_is_unchanged():
@@ -732,8 +743,90 @@ def test_structured_digest_is_unchanged():
 
     A change that moves one must regenerate the file on purpose, from the
     repository root: `python tests/structured_inputs.py > tests/structured_digest.txt`.
+    Every structured input certifies, so the committed digest holds no
+    NOT_CERTIFIED line, and a regeneration cannot pin a refusal silently.
     """
     want = (Path(__file__).parent / "structured_digest.txt").read_text().splitlines()
+    refused = [line for line in want if "\tNOT_CERTIFIED\t" in line]
+    assert not refused, f"{len(refused)} refusals pinned, the first: {refused[0]!r}"
     got = list(digest_lines())
     first = [f"{w!r} -> {g!r}" for w, g in zip(want, got) if w != g][:5]
     assert got == want, f"{len(got)} lines for {len(want)}; first differing: {first}"
+
+
+def _sparse_kernel_inputs():
+    """(label, A, rank A) of the classes whose kernel is spanned by standard basis vectors.
+
+    P_r = [[I_r, 0], [0, 0]] and diag(d_1, ..., d_r, 0, ...) (d_j uniform in
+    [0.1, 2]) for n, m <= 6 and every rank, and complex Gaussians with
+    n = 2..6, m = 3..6 and 1 to m - 2 zero columns, two draws each.
+    """
+    gen = np.random.default_rng(23)
+    for n in range(1, 7):
+        for m in range(1, 7):
+            for r in range(1, min(n, m) + 1):
+                p, d = np.zeros((n, m)), np.zeros((n, m))
+                p[range(r), range(r)] = 1.0
+                d[range(r), range(r)] = gen.uniform(0.1, 2.0, r)
+                yield f"P_r {n}x{m} r={r}", p, r
+                yield f"diag {n}x{m} r={r}", d, r
+    for n in range(2, 7):
+        for m in range(3, 7):
+            for zeros in range(1, m - 1):
+                for _ in range(2):
+                    a = _crandn_from(gen, n, m)
+                    a[:, gen.choice(m, zeros, replace=False)] = 0.0
+                    yield f"zero columns {n}x{m} zeros={zeros}", a, min(n, m - zeros)
+
+
+def test_sparse_kernel_classes_certify_with_their_dimension():
+    """P_r, diag(d_1, ..., d_r, 0, ...) and zero-column inputs certify under both flags, with
+    the face dimension of their class: 1 at rank >= 2, 2m - 1 at rank 1
+
+    Invertible E, F send the map of A to that of E A F and faces to faces of
+    the same dimension, so the dimension depends only on (n, m, rank A).  In
+    the standard basis the curve probes alone add no relation on a kernel
+    spanned by basis vectors; in the singular basis the star probes do.
+    """
+    runs = 0
+    for label, a, rank in _sparse_kernel_inputs():
+        want = 1 if rank >= 2 else 2 * a.shape[1] - 1
+        verdict = Verdict.EXPOSED_LINEAR if want == 1 else Verdict.EXPOSED_FACE
+        for transposed in (False, True):
+            report = certify_exposed(a, transposed=transposed)
+            assert (report.verdict, report.nullspace.dim) == (verdict, want), (label, transposed)
+            runs += 1
+    assert runs == 564
+
+
+def _frame_inputs(gen):
+    """(label, A): P_r and complex Gaussians of every rank with n, m <= 5, and diag(1, s, 0)
+    over s in logspace(-14, -1, 27)."""
+    for n in range(1, 6):
+        for m in range(1, 6):
+            for r in range(1, min(n, m) + 1):
+                p = np.zeros((n, m))
+                p[range(r), range(r)] = 1.0
+                yield f"P_r {n}x{m} r={r}", p
+                yield f"gaussian {n}x{m} r={r}", _crandn_from(gen, n, r) @ _crandn_from(gen, r, m)
+    for s in np.logspace(-14, -1, 27):
+        yield f"diag(1,s,0) s={s!r}", np.diag([1.0, s, 0.0])
+
+
+def test_verdict_does_not_depend_on_the_frame():
+    """A and U A V* (Haar U, V) give the same verdict and face dimension under both flags
+
+    Ad_U and Ad_V* carry faces onto faces, so the face of A's map is that
+    of its singular values', and the solver probes in A's singular basis.
+    """
+    gen = np.random.default_rng(29)
+    runs = 0
+    for label, a in _frame_inputs(gen):
+        n, m = a.shape
+        rotated = haar_unitary(gen, n) @ a @ haar_unitary(gen, m).conj().T
+        for transposed in (False, True):
+            want, got = certify_exposed(a, transposed), certify_exposed(rotated, transposed)
+            assert got.verdict is want.verdict, (label, transposed)
+            assert got.nullspace.dim == want.nullspace.dim, (label, transposed)
+            runs += 1
+    assert runs == 274

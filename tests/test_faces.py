@@ -24,6 +24,7 @@ from conecert.faces import (
     kernel_probes,
     membership_residual,
     projector_coordinates,
+    star_frame,
     system_floor,
 )
 from conecert.linalg import (
@@ -317,17 +318,17 @@ def _spy_reduced_relations(monkeypatch, arguments=False):
 
     The system is the one it returns, over the kept unknowns' columns; the
     output columns are the live basis probes'.  With `arguments`, record
-    (system, lift, outputs, weights, live).  `double_prime_nullspace` solves
-    on every call.
+    (system, lift, outputs, live).  `double_prime_nullspace` solves on every
+    call.
     """
     seen = []
     reduce = faces._reduced_relations
 
-    def spy(outputs, weights, live):
-        system, lift = reduce(outputs, weights, live)
-        size = weights.shape[1]
+    def spy(outputs, live, families):
+        system, lift = reduce(outputs, live, families)
+        size = lift.shape[0]
         columns = outputs[:size][live[:size]]
-        seen.append((system, lift, outputs, weights, live) if arguments else (system, columns))
+        seen.append((system, lift, outputs, live) if arguments else (system, columns))
         return system, lift
 
     monkeypatch.setattr(faces, "_reduced_relations", spy)
@@ -338,8 +339,9 @@ def _spy_reduced_relations(monkeypatch, arguments=False):
 def test_full_rank_reduced_system_rows(m, monkeypatch):
     """full column rank keeps the m diagonal unknowns and 2 rows per relation, (x_j, x_k)
 
-    A rank-deficient input has kernel relations, so only the own probes are
-    eliminated and every basis probe keeps its unknown.
+    At rank m - 1 the output of the basis probe V e_{m-1} of ker A is dead,
+    so only the own probes are eliminated and every other basis probe keeps
+    its unknown.
     """
     seen = _spy_reduced_relations(monkeypatch)
     res = double_prime_nullspace(crandn(m, m))
@@ -348,7 +350,7 @@ def test_full_rank_reduced_system_rows(m, monkeypatch):
     assert system.shape == (2 * (m * m - m), m) and res.unknowns == m
     seen.clear()
     res = double_prime_nullspace(rand_rank(m, m, m - 1))
-    assert [system.shape[1] for system, _ in seen] == [res.unknowns] == [m * m]
+    assert [system.shape[1] for system, _ in seen] == [res.unknowns] == [m * m - 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -356,33 +358,64 @@ def test_full_rank_reduced_system_rows(m, monkeypatch):
 def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
     """A = u v*: the range frame has one direction, so every live unit output is exactly [1.0]
 
-    Each reflected relation, the first m^2 - m relations with one row each,
-    then cancels against its own output exactly, not to rounding.
+    In the singular basis the live basis probes are e_0 and the 2(m - 1)
+    pair probes of (0, k).  Each reflected relation then cancels against its
+    own output exactly, not to rounding, and there is no star, so the whole
+    system is 0.
     """
     seen = _spy_reduced_relations(monkeypatch)
     double_prime_nullspace(np.outer(crandn(n), crandn(m).conj()))
     ((system, outputs),) = seen
-    assert outputs.shape == (m * m, 1), (n, m)
+    assert outputs.shape == (2 * m - 1, 1), (n, m)
     assert np.all(outputs == 1.0), (n, m)
-    assert np.all(system[: m * m - m] == 0.0), (n, m)
+    assert np.all(system == 0.0), (n, m)
 
 
-def _unreduced_stack(outputs, weights, live, pair=True):
+def _star_probes(m, r):
+    """(e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < r <= c < m and z1, z2 in {1, i}, as rows.
+
+    Ordered by b, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i).
+    """
+    eye = np.eye(m, dtype=complex)
+    rows = [
+        (eye[0] + z1 * eye[b] + z2 * eye[c]) / math.sqrt(3)
+        for b in range(1, r) for c in range(r, m) for z1 in (1, 1j) for z2 in (1, 1j)
+    ]
+    return np.array(rows).reshape(-1, m)
+
+
+def _singular_probes(a, transposed=False):
+    """The probes of the face of A, as rows, and the rank r of A over the output floor.
+
+    V eta for the curve probes and, where 2 <= r < m, the star probes, with V
+    the right singular vectors of A; conjugated for X -> A X^T A*, which
+    sends eta eta* to the output of X -> A X A* at conj(eta).
+    """
+    m = a.shape[1]
+    _, s, vh = np.linalg.svd(a)
+    r = int(np.count_nonzero(s * s > faces._output_floor(a)))
+    etas = np.concatenate([curve_frame(m)[0], _star_probes(m, r)]) @ vh.conj()
+    return (etas.conj() if transposed else etas), r
+
+
+def _unreduced_stack(outputs, live, m, pair=True):
     """Every relation's projected f^2 x m^2 block, stacked: no fixed layout and no QR.
 
     The relations are read off the dense `projector_coordinates` of every
-    probe past the basis, and each block is projected off its own probe's
-    output column.  With `pair`, at full column rank (no kernel relation,
-    every output live) it is projected off its pair column m + q too and only
-    the m diagonal columns are kept; otherwise every live basis column is.
-    Without `pair` every m^2 column is kept.
+    probe past the basis (the live e_j are the first r), and each block is
+    projected off its own probe's output column.  With `pair`, at full
+    column rank (every output live, so no star) it is projected off its
+    pair column m + q too and only the m diagonal columns are kept;
+    otherwise every live basis column is.  Without `pair` every m^2 column
+    is kept.
     """
-    size = weights.shape[1]
-    m = math.isqrt(size)
-    coords = np.concatenate([curve_frame(m)[1][size:], weights])
+    size = m * m
+    etas = np.concatenate([curve_frame(m)[0][size:], _star_probes(m, int(live[:m].sum()))])
+    coords = projector_coordinates(_projectors(etas))
+    assert coords.shape[0] == outputs.shape[0] - size
     blocks = coords[:, None, :] * outputs[:size].T
     frame, kept = outputs[size:, :, None], np.flatnonzero(live[:size])
-    if pair and not weights.shape[0] and live.all():
+    if pair and live.all():
         rel = np.arange(size - m)
         frame = np.linalg.qr(np.concatenate([frame, blocks[rel, :, m + rel, None]], axis=2))[0]
         kept = kept[:m]
@@ -405,11 +438,12 @@ def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     """the cut system has the unreduced stack's singular values and null space, to 1e-13
 
     On every grid class, every nonzero 0/1 matrix with n, m <= 3, 8 x 8
-    rank 4 and full-rank inputs, square and rectangular, whose pair probes
-    are eliminated by the same QR.  The lift must carry the system to the
-    stack projected off the own columns only: both have the same singular
-    values, which checks the back-substituted pair rows.  The transposed
-    flag reads the same system (`test_transposed_face_is_the_partial_transpose`).
+    rank 4 (curve and star relations) and full-rank inputs, square and
+    rectangular, whose pair probes are eliminated by the same QR.  The lift
+    must carry the system to the stack projected off the own columns only:
+    both have the same singular values, which checks the back-substituted
+    pair rows.  The transposed flag reads the same system
+    (`test_transposed_face_is_the_partial_transpose`).
     """
     seen = _spy_reduced_relations(monkeypatch, arguments=True)
     grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
@@ -419,22 +453,23 @@ def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     full.append(haar_unitary(g, 4))
     for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4), *full]:
         double_prime_nullspace(a)
-        system, lift, outputs, weights, live = seen.pop()
-        unknowns = lift.shape[1]
+        system, lift, outputs, live = seen.pop()
+        unknowns, m = lift.shape[1], a.shape[1]
         s, vh = _spectrum(system)
-        want_s, want_vh = _spectrum(_unreduced_stack(outputs, weights, live))
+        want_s, want_vh = _spectrum(_unreduced_stack(outputs, live, m))
         top = want_s[0] if unknowns else 0.0
         assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, a
         rank = gap_rank(want_s, system_floor(want_s, unknowns))
         assert gap_rank(s, system_floor(s, unknowns)) == rank, a
         null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
         assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, a
-        lifted = _spectrum(_unreduced_stack(outputs, weights, live, pair=False) @ lift)[0]
+        lifted = _spectrum(_unreduced_stack(outputs, live, m, pair=False) @ lift)[0]
         assert np.abs(s - lifted).max(initial=0.0) <= 1e-13 * top, a
 
 
 def test_only_narrow_relations_are_cut(monkeypatch):
-    """rank 1 runs no batched QR; at 8 x 8 rank 4 every QR'd block is at most 3 wide"""
+    """rank 1 runs no batched QR; at 8 x 8 rank 4 one batched QR cuts the 3-wide curve blocks
+    and one the 9-wide star blocks"""
     widths = []
     qr = np.linalg.qr
 
@@ -448,7 +483,7 @@ def test_only_narrow_relations_are_cut(monkeypatch):
         double_prime_nullspace(rand_rank(n, m, 1))
     assert widths == []
     double_prime_nullspace(rand_rank(8, 8, 4))
-    assert widths and max(widths) <= 3
+    assert widths == [3, 9]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -470,6 +505,35 @@ def test_curve_relations_sit_on_their_fixed_columns(m):
     assert np.isin(scatter, (0.0, 1.0)).all() and scatter.sum() == 3 * (size - m)
     assert np.all(scatter[np.arange(size - m)[:, None], np.arange(3), cols] == 1.0)
     assert not any(x.flags.writeable for x in (cols, weights, scatter))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_star_relations_sit_on_their_fixed_columns(m):
+    """star probe q of rank r has coordinates only at cols[q]: P_0, P_b, P_c, then the pair
+    probes P_{+1}, P_{+i} of (0, b), (0, c) and (b, c)
+
+    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 in the documented order, the
+    cached weights are their projector coordinates there, bitwise, and the
+    scatter is one-hot on the same columns; every array is read-only.
+    """
+    size = m * m
+    iu, ju = triu_pairs(m)
+    pair = {(j, k): m + 2 * q for q, (j, k) in enumerate(zip(iu, ju))}
+    for r in range(2, m):
+        etas, cols, weights, scatter = star_frame(m, r)
+        k = 4 * (r - 1) * (m - r)
+        assert cols.shape == (k, 9) and scatter.shape == (k, 9, size), (m, r)
+        assert np.abs(etas - _star_probes(m, r)).max() <= np.finfo(float).eps, (m, r)
+        coords = projector_coordinates(_projectors(etas))
+        for q in range(k):
+            b, c = 1 + q // 4 // (m - r), r + q // 4 % (m - r)
+            ends = [pair[0, b], pair[0, b] + 1, pair[0, c], pair[0, c] + 1, pair[b, c], pair[b, c] + 1]
+            assert cols[q].tolist() == [0, b, c, *ends], (m, r, q)
+            assert set(np.flatnonzero(coords[q])) <= set(cols[q].tolist()), (m, r, q)
+            assert weights[q].tobytes() == coords[q, cols[q]].tobytes(), (m, r, q)
+        assert np.isin(scatter, (0.0, 1.0)).all() and scatter.sum() == 9 * k
+        assert np.all(scatter[np.arange(k)[:, None], np.arange(9), cols] == 1.0)
+        assert not any(x.flags.writeable for x in (etas, cols, weights, scatter))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -517,7 +581,7 @@ def _band(s2):
 
 @pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
 def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
-    """2x2 U diag(1, s2) V*: phi's coordinates |A e_j|^2 meet the system within its bound's floor
+    """2x2 U diag(1, s2) V*: phi's coordinates |A V e_j|^2 meet the system within its bound's floor
 
     The projection of the own and pair outputs cancels rows of order 1 down
     to a spectrum near s2; the floor, times the safety factor of
@@ -530,9 +594,10 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
         a = a / np.linalg.norm(a)
         res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
-        # one rank-1 output column per basis probe; the pairs are eliminated at full rank
-        assert res.unknowns == (4 if kernel_probes(a, transposed) else 2)
-        w = curve_frame(2)[0][: res.unknowns] @ a.T
+        # every s_j^2 is above the output floor here, so the pairs are eliminated
+        etas, rank = _singular_probes(a)
+        assert rank == res.unknowns == 2
+        w = etas[:2] @ a.T
         y = np.einsum("ui,ui->u", w, w.conj()).real
         leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
         assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
@@ -541,19 +606,24 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
 def _matches_dense_solve(a, transposed, label):
     a = a / np.linalg.norm(a)
     phi = choi_from_ad(a, transposed=transposed)
-    res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi)
+    etas, rank = _singular_probes(a, transposed)
+    res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi, etas)
     assert res.dim == ref.dim, label
-    # the dense solve keeps every probe's unknowns; the library keeps the basis probes',
+    # the dense solve keeps every probe's unknowns; the library keeps the live basis probes',
     # and only the diagonal ones at full column rank
-    ranks = probe_outputs(phi, curve_frame(phi.m)[0][: phi.m**2])[2]
-    full_rank = not kernel_probes(a, transposed)
-    assert res.unknowns == (phi.m if full_rank else int((ranks**2).sum())), label
+    ranks = probe_outputs(phi, etas[: phi.m**2])[2]
+    assert res.unknowns == (phi.m if rank == phi.m else int((ranks**2).sum())), label
     sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
     assert sin <= _face_bound(res), label
 
 
 def test_eliminated_probes_hold_on_grid():
-    """every hull element maps each eliminated probe into the range of phi's output there"""
+    """every hull element maps each eliminated probe into the range of phi's output there
+
+    The eliminated probes are the solver's own, V eta for the reflected and
+    star probes; the -1, -i probes of the standard basis and the kernel
+    probes, which the solver does not read, are zero-pairs of phi too.
+    """
     for n in (2, 3, 4):
         for m in (2, 3, 4):
             for r in range(1, min(n, m) + 1):
@@ -562,9 +632,9 @@ def test_eliminated_probes_hold_on_grid():
                     a = a / np.linalg.norm(a)
                     phi = choi_from_ad(a, transposed=transposed)
                     res = double_prime_nullspace(a, transposed)
-                    # the -1, -i and kernel probes, which keep no unknowns
+                    own = _singular_probes(a, transposed)[0][m * m :]
                     kernel = np.array(kernel_probes(a, transposed)).reshape(-1, m)
-                    etas = np.concatenate([curve_frame(m)[0][m * m :], kernel])
+                    etas = np.concatenate([own, curve_frame(m)[0][m * m :], kernel])
                     _, vecs, ranks = probe_outputs(phi, etas)
                     bound = _face_bound(res)
                     for b in res.basis:
@@ -576,7 +646,8 @@ def test_eliminated_probes_hold_on_grid():
 
 
 def test_nullspace_matches_dense_solve_on_grid():
-    """explicit relations and the dense frame-SVD solve give the same face on every grid class"""
+    """explicit relations and the dense frame-SVD solve of the same probes give the same face
+    on every grid class"""
     for n in (2, 3, 4):
         for m in (2, 3, 4):
             for r in range(1, min(n, m) + 1):
@@ -592,10 +663,9 @@ def test_nullspace_matches_dense_solve_on_band(s2):
         _matches_dense_solve(_band(s2), transposed, (s2, transposed))
 
 
-def _curve_outputs(a, transposed=False):
-    """Unit columns params(w w*) / |w|^2 of the curve probes' outputs (0 at the floor), |w|^2."""
-    etas = curve_frame(a.shape[1])[0]
-    w = (etas.conj() if transposed else etas) @ a.T
+def _curve_outputs(a, etas):
+    """Unit columns params(w w*) / |w|^2 of the outputs w = A eta (0 at the floor), |w|^2."""
+    w = etas @ a.T
     c = np.einsum("pi,pi->p", w, w.conj()).real
     live = c > faces._output_floor(a)
     outs = np.zeros((etas.shape[0], a.shape[0] ** 2))
@@ -633,8 +703,9 @@ def test_back_substitution_recovers_phi(transposed):
         n, m = a.shape
         res = double_prime_nullspace(a, transposed)
         assert (res.dim, res.unknowns) == (1, m), a
-        outs, c = _curve_outputs(a, transposed)
-        etas = curve_frame(m)[0][: m * m]
+        etas = curve_frame(m)[0]
+        outs, c = _curve_outputs(a, etas.conj() if transposed else etas)
+        etas = etas[: m * m]
         psi = MapRep(n=n, m=m, choi=res.basis[0])
         got = hermitian_params(np.array([apply(psi, np.outer(eta, eta.conj())) for eta in etas]))
         z, c = np.einsum("bi,bi->b", got, outs[: m * m]), c[: m * m]
@@ -647,17 +718,20 @@ def test_back_substitution_recovers_phi(transposed):
 def _coordinate_map(a):
     """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown.
 
-    At full column rank the unknowns are the m diagonal probes', and each
-    pair coordinate is solved from its reflected relation by least squares;
-    otherwise every basis probe with a nonzero output is an unknown.  The
-    Choi matrix sum_kl psi(E_kl) (x) E_kl takes psi(E_kl) from a dense
-    solve for the coordinates of E_kl on the P_b.
+    The probes are V eta, in the right singular basis of A.  At full column
+    rank the unknowns are the m diagonal probes', and each pair coordinate
+    is solved from its reflected relation by least squares; otherwise every
+    basis probe with a nonzero output is an unknown.  The Choi matrix
+    sum_kl psi(E_kl) (x) E_kl takes psi(E_kl) from a dense solve for the
+    coordinates of E_kl on the V P_b V*.
     """
     n, m = a.shape
     size = m * m
-    etas, coords, *_ = curve_frame(m)
-    outs, c = _curve_outputs(a)
-    full = not kernel_probes(a)
+    coords = curve_frame(m)[1]
+    etas, rank = _singular_probes(a)
+    etas = etas[: 2 * size - m]
+    outs, c = _curve_outputs(a, etas)
+    full = rank == m
     solved = np.arange(m) if full else np.flatnonzero(outs[:size].any(axis=1))
     proj = np.einsum("pi,pj->pij", etas[:size], etas[:size].conj()).reshape(size, size)
     on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)

@@ -14,12 +14,12 @@ from conecert.maps import (
     is_completely_positive,
     is_hermitian_preserving,
     is_positive,
-    map_floor,
     pairing,
     partial_transpose_in,
 )
 from conecert.sampling import crandn as sample_crandn
 from conecert.sampling import rng_from
+from constraint_oracle import map_floor
 from test_kernels import reference_scan
 
 rng = np.random.default_rng(7)
