@@ -24,8 +24,8 @@ import numpy as np
 from .errors import ClassificationError, HermiticityError
 from .faces import (
     NullSpaceResult,
+    _plain_face,
     _transposed_face,
-    double_prime_nullspace,
     membership_residual,
     system_floor,
 )
@@ -226,10 +226,12 @@ def _plain_certificate(
 ) -> tuple[NullSpaceResult, Verdict, FaceCertificate | None, float]:
     """(null space, verdict, face check, overlap) of X -> A X A*, for unit A read from its bytes.
 
-    Cached: `certify_exposed` relabels it for the transposed flag.
+    Cached: `certify_exposed` relabels it for the transposed flag.  It has
+    checked and normalised A, so the face is solved by `faces._plain_face`
+    directly, not through the checks of `double_prime_nullspace`.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
-    ns = double_prime_nullspace(a)
+    ns = _plain_face(a)
     if ns.dim == 0:
         return ns, Verdict.NOT_CERTIFIED, None, 0.0
 

@@ -36,6 +36,11 @@ Every relation sits on columns fixed by m and the rank r:
   pair probes of (0, b), (0, c) and (b, c) (`star_frame`).  A curve with a
   dead end c >= r has all its outputs on one line and ties nothing; the
   star ties the live ends of such curves together.
+This module owns every probe table: both frames are built here, vectorised
+over `triu_pairs`, and cached read-only per m (and r).  A frame keeps the
+probes, each relation's columns and weights, and the flat positions of its
+R rows among the m^2 basis columns, so no cached table but the dual basis
+and its Gram matrix grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through v_p v_p*, so that line is projected out
@@ -57,6 +62,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import (
+    SQRT2,
     UNIT_ROUNDOFF,
     _partial_transpose_slots,
     _read_only,
@@ -66,7 +72,6 @@ from .linalg import (
     triu_pairs,
 )
 from .maps import MapRep, _nonzero_operator
-from .sampling import combination_rows, reflected_probe_vectors, unit_probe_vectors
 
 
 @dataclass
@@ -106,9 +111,9 @@ class NullSpaceResult:
 def projector_coordinates(x: np.ndarray) -> np.ndarray:
     """Coordinates of Hermitian matrices x (..., m, m) in the unit-probe projector basis.
 
-    The basis is ordered as `unit_probe_vectors`: P_j = e_j e_j*, then per
-    pair j < k the projectors P_{+1}, P_{+i} of (e_j + e_k)/sqrt2 and
-    (e_j + i e_k)/sqrt2.  With c = x_jk the coefficient on P_{+1} is 2 Re c,
+    The basis is ordered as the first m^2 probes of `curve_frame`:
+    P_j = e_j e_j*, then per pair j < k the projectors P_{+1}, P_{+i} of
+    (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2.  With c = x_jk the coefficient on P_{+1} is 2 Re c,
     on P_{+i} it is -2 Im c, and on P_j it is x_jj minus the sum of
     Re c - Im c over the pairs that hold j.  For x = eta eta*, c is
     eta_j conj(eta_k), so a coefficient outside the pairs where eta has two
@@ -130,37 +135,47 @@ def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
 
 
-def _layout(coords: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cols (k, w), the weights coords[q, cols[q]] and a one-hot scatter (k, w, m^2) onto cols."""
-    rel = np.arange(cols.shape[0])[:, None]
-    scatter = np.zeros(cols.shape + coords.shape[1:])
-    scatter[rel, np.arange(cols.shape[1]), cols] = 1.0
-    return cols, coords[rel, cols], scatter
+def _layout(etas: np.ndarray, cols: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """cols (k, w), the weights of the probes etas there, and the flat spots (k, w, w) of their R rows.
+
+    Row i of relation q's R lands at (q * w + i) * size + cols[q, j] of a
+    (k, w, size) array, so one indexed assignment lays every block's rows on
+    the m^2 basis columns.
+    """
+    k, w = cols.shape
+    rel = np.arange(k)[:, None]
+    weights = projector_coordinates(_outer(etas))[rel, cols]
+    spots = (rel[:, :, None] * w + np.arange(w)[:, None]) * size + cols[:, None, :]
+    return cols, weights, spots
 
 
 @lru_cache(maxsize=None)
 def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     """Cached, read-only probe data that depends only on m.
 
-    Returns the 2m^2 - m curve probes as rows (`unit_probe_vectors`, then
-    `reflected_probe_vectors`), their `projector_coordinates`, the dual
-    basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the
-    coordinate of X on P_b, the Gram matrix Re tr(D_a D_b) of the dual, and
-    the layout of the reflected relations.  Reflected probe m^2 + q of pair
-    j < k has coordinates only on the pair probe m + q, P_{+z}(j, k), and on
-    P_j and P_k: row q of `cols` (m^2 - m, 3) is (m + q, j, k), `weights`
-    holds coords[m^2 + q, cols[q]], and the one-hot `scatter`
-    (m^2 - m, 3, m^2) places a row over those three columns on the m^2.
+    Returns the 2m^2 - m curve probes as rows: the m^2 unit probes e_j, then
+    per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
+    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2.
+    Then the dual basis D_b (m^2, m, m) of the unit-probe projectors:
+    Re tr(D_b X) is the coordinate of X on P_b; the Gram matrix
+    Re tr(D_a D_b) of the dual; and the layout of the reflected relations.
+    Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
+    on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
+    `cols` (m^2 - m, 3) is (m + q, j, k), `weights` holds the coordinates
+    there, and `spots` (m^2 - m, 3, 3) places the rows over those three
+    columns among the m^2 (`_layout`).
     """
-    etas = np.array(unit_probe_vectors(m) + reflected_probe_vectors(m))
-    coords = projector_coordinates(_outer(etas))
-    # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
-    dual_params = projector_coordinates(params_to_herm(np.eye(m * m), m)).T
-    dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
     size = m * m
     iu, ju = triu_pairs(m)
+    eye = np.eye(m, dtype=np.complex128)
+    # (e_j + z e_k)/sqrt2 per pair for z = 1, i (unit probes), then z = -1, -i (reflected)
+    curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
+    etas = np.concatenate([eye, curves[:, :2].reshape(-1, m), curves[:, 2:].reshape(-1, m)])
+    # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
+    dual_params = projector_coordinates(params_to_herm(np.eye(size), m)).T
+    dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
     cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    return _read_only((etas, coords, dual, dual_gram, *_layout(coords[size:], cols)))
+    return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols, size)))
 
 
 @lru_cache(maxsize=None)
@@ -172,8 +187,8 @@ def star_frame(m: int, r: int) -> tuple[np.ndarray, ...]:
     4 (r - 1)(m - r) rows.  Probe q has coordinates only on the 9 basis
     probes of row q of `cols`: P_0, P_b, P_c, then P_{+1} and P_{+i} of the
     pairs (0, b), (0, c) and (b, c).  Returns the probes, `cols`, `weights`
-    (their `projector_coordinates` there, some of them 0) and the one-hot
-    `scatter` (k, 9, m^2), as `curve_frame` does.
+    (their `projector_coordinates` there, some of them 0) and `spots`
+    (k, 9, 9), as `curve_frame` does.
     """
     b, c = np.divmod(np.repeat(np.arange((r - 1) * (m - r)), 4), m - r)
     b, c, z = b + 1, c + r, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((r - 1) * (m - r), 1))
@@ -184,7 +199,7 @@ def star_frame(m: int, r: int) -> tuple[np.ndarray, ...]:
     pair[iu, ju] = m + 2 * np.arange(iu.shape[0])
     ends = (pair[0, b], pair[0, c], pair[b, c])
     cols = np.stack([0 * b, b, c, *(e + k for e in ends for k in (0, 1))], axis=1)
-    return _read_only((etas, *_layout(projector_coordinates(_outer(etas)), cols)))
+    return _read_only((etas, *_layout(etas, cols, m * m)))
 
 
 def _output_floor(a: np.ndarray) -> float:
@@ -195,6 +210,14 @@ def _output_floor(a: np.ndarray) -> float:
     up to rounding reads as zero.
     """
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
+
+
+def combination_rows(vectors: np.ndarray) -> np.ndarray:
+    """Normalized (a + b)/sqrt2 and (a + i b)/sqrt2 per pair of rows a before b of vectors."""
+    iu, ju = triu_pairs(vectors.shape[0])
+    rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
+    rows = rows.reshape(-1, vectors.shape[1])
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
@@ -227,32 +250,36 @@ def _reduced_relations(
     One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*, read
     through its unit output column outputs[b] = params(v_b v_b*) / |v_b|^2
     (f^2 range-frame coordinates, zero where `live` is false).  `families`
-    holds the (cols, weights, scatter) layouts of `curve_frame` and, where
-    there is a star, of `star_frame`, in the order of their probes past the
-    m^2 basis probes.  Relation q, of probe p, reads B x = x_p outputs[p]:
-    B sums the basis columns cols[q] times weights[q], and x_p enters no
-    other relation, so the relation holds for some x_p exactly when B x
-    projected off outputs[p] is 0.  Where f^2 exceeds the w columns of a
-    family, one batched QR cuts each f^2 x w block to its R factor, which
-    keeps its null space, and `scatter` lays the rows on the m^2 basis
-    columns.  With no star and every output live (A has full column rank)
-    the pair probe m + q is in curve relation q only, so the same R
+    holds the (cols, weights, spots) layouts of `curve_frame` and, where
+    there is a star, of `star_frame`; each relation has one probe past the
+    m^2 basis probes, in the order of the relations.  Relation q, of probe
+    p, reads B x = x_p outputs[p]: B sums the basis columns cols[q] times
+    weights[q], and x_p enters no other relation, so the relation holds for
+    some x_p exactly when B x projected off outputs[p] is 0.  Where f^2
+    exceeds the w columns of a family, one batched QR cuts each f^2 x w
+    block to its R factor, which keeps its null space, and one assignment
+    at `spots` lays the rows on the m^2 basis columns (a block of f^2 < w
+    rows fills the first f^2 of its w).  With no star and every output live
+    (A has full column rank) the pair probe m + q is in curve relation q
+    only, so the same R
     eliminates it: row 0 gives x_pair = -(r01 x_j + r02 x_k) / r00, the row
     of L, and rows 1-2 are the (x_j, x_k) system, so only the m diagonal
     probes keep unknowns.  Otherwise every live basis probe keeps one.  Dead
     columns are dropped last; z = L x are the m^2 basis coordinates of a
     solution x.
     """
-    size = families[0][2].shape[2]
+    size = outputs.shape[0] - sum(cols.shape[0] for cols, _, _ in families)
     m = math.isqrt(size)
     curve, rows = size + families[0][0].shape[0], []
-    for (cols, weights, scatter), own in zip(families, (outputs[size:curve], outputs[curve:])):
+    for (cols, weights, spots), own in zip(families, (outputs[size:curve], outputs[curve:])):
         block = outputs[cols] * weights[..., None]
         block -= (block @ own[..., None]) * own[:, None, :]
         block = block.swapaxes(1, 2)
         if block.shape[1] > cols.shape[1]:
             block = np.linalg.qr(block, mode="r")
-        rows.append(block @ scatter)
+        laid = np.zeros(cols.shape + (size,))
+        laid.reshape(-1)[spots[:, : block.shape[1]]] = block
+        rows.append(laid[:, : block.shape[1]])
     basis, lift = np.flatnonzero(live[:size]), np.eye(size)
     if len(families) == 1 and live.all():
         # block is the curve family's R
@@ -331,7 +358,7 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     Deterministic: no random probes.
     """
     n, m = a.shape
-    curve, _, dual, dual_gram, *layout = curve_frame(m)
+    curve, dual, dual_gram, *layout = curve_frame(m)
     _, s, vh = np.linalg.svd(a)
     floor = _output_floor(a)
     rank = int(np.count_nonzero(s * s > floor))

@@ -2,7 +2,7 @@
 
 Every rank decision in the package reads a spectrum against the rounding
 level of the computation that produced it, not against a setting.  Most go
-through `gap_rank`: a descending spectrum is cut at its largest relative
+through `gap_rank`: one descending spectrum is cut at its largest relative
 gap, with every value below that floor read at the floor.  The floors:
 - `max(rows, cols) * u * s_0` for `null_space`;
 - `unknowns * u * max(s_0, 1)` for the face system (`faces.system_floor`);
@@ -44,31 +44,20 @@ POSITIVITY_RTOL = 1e-9
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def gap_rank(s, floor):
-    """Rank of a descending spectrum s (..., k) at its largest relative gap.
+def gap_rank(s, floor) -> int:
+    """Rank of a descending spectrum s (k,) at its largest relative gap.
 
-    Values below `floor` (a scalar, or one per leading index) read at the
-    floor, and one more value at the floor stands for the numerical zeros
-    past the last one, so full rank is a candidate.  The rank is the k that
-    maximises level_{k-1} / level_k, the first on ties; a spectrum whose top
-    value is not above the floor has rank 0.  Returns an int for a 1-D
-    spectrum and an int array over the leading axes otherwise.
+    Values below `floor` read at the floor, and one more value at the floor
+    stands for the numerical zeros past the last one, so full rank is a
+    candidate.  The rank is the k that maximises level_{k-1} / level_k, the
+    first on ties; a spectrum whose top value is not above the floor has
+    rank 0.
     """
     s = np.asarray(s, dtype=np.float64)
-    k = s.shape[-1]
-    if k == 0:
-        return 0 if s.ndim == 1 else np.zeros(s.shape[:-1], dtype=np.intp)
-    top_above = s[..., 0] > floor
-    if s.ndim == 1 and not top_above:
+    if s.shape[0] == 0 or not s[0] > floor:
         return 0
-    levels = np.empty(s.shape[:-1] + (k + 1,))
-    levels[..., k] = np.maximum(floor, _TINY)
-    np.maximum(s, levels[..., k:], out=levels[..., :k])
-    rank = (levels[..., :k] / levels[..., 1:]).argmax(axis=-1) + 1
-    if s.ndim == 1:
-        return int(rank)
-    rank[~top_above] = 0
-    return rank
+    levels = np.maximum(np.append(s, 0.0), max(floor, _TINY))
+    return int((levels[:-1] / levels[1:]).argmax()) + 1
 
 
 def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from conecert.errors import HermiticityError, ShapeError
-from conecert.faces import NullSpaceResult
+from conecert.faces import NullSpaceResult, combination_rows
 from conecert.linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
@@ -34,7 +34,7 @@ from conecert.linalg import (
     triu_pairs,
 )
 from conecert.maps import MapRep, is_hermitian_preserving
-from conecert.sampling import combination_rows, random_unit_vector, rng_from, unit_probe_vectors
+from conecert.sampling import random_unit_vector, rng_from
 
 PAIR_TOL = 1e-10
 _ASSEMBLE_ENTRIES = 1 << 16
@@ -108,7 +108,19 @@ def probe_outputs(map_rep: MapRep, etas: np.ndarray) -> tuple[np.ndarray, np.nda
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")
     size = np.take_along_axis(np.abs(w), order, axis=-1)
     vecs = np.take_along_axis(v, order[:, None, :], axis=-1)
-    return size, vecs, gap_rank(size, map_floor(map_rep))
+    floor = map_floor(map_rep)
+    return size, vecs, np.array([gap_rank(row, floor) for row in size], dtype=np.intp)
+
+
+def unit_probe_vectors(m: int) -> list[np.ndarray]:
+    """The m^2 unit probes e_j, then (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 per pair j < k.
+
+    Their projectors are a basis of Herm(m); the reference list for the
+    first m^2 rows of `faces.curve_frame`.
+    """
+    eye = np.eye(m, dtype=np.complex128)
+    pairs = [(eye[j] + z * eye[k]) / SQRT2 for j in range(m) for k in range(j + 1, m) for z in (1, 1j)]
+    return list(eye) + pairs
 
 
 def zero_pairs(

@@ -9,7 +9,7 @@ import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from conecert import exposedness, faces
+from conecert import exposedness
 from conecert.errors import ClassificationError
 from conecert.exposedness import (
     MapCase,
@@ -198,7 +198,7 @@ def _certify_with_hull(monkeypatch, a, transposed, hull):
     The certificate cache is cleared before the run, so the hull is read, and
     after it, so no later call is handed the hull's certificate.
     """
-    monkeypatch.setattr(exposedness, "double_prime_nullspace", lambda *args, **kw: hull)
+    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: hull)
     exposedness._plain_certificate.cache_clear()
     try:
         return certify_exposed(a, transposed=transposed)
@@ -288,7 +288,7 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    spy(faces, "_plain_face")
+    spy(exposedness, "_plain_face")
     spy(exposedness, "membership_residual")
     spy(exposedness, "face_certificate")
     gen = np.random.default_rng(17 + 10 * rank + m)

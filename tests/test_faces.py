@@ -13,6 +13,7 @@ from constraint_oracle import (
     functional_row,
     oracle_nullspace,
     probe_outputs,
+    unit_probe_vectors,
     zero_pairs,
 )
 from conecert import Verdict, certify_exposed, exposedness, faces
@@ -35,7 +36,6 @@ from conecert.linalg import (
     triu_pairs,
 )
 from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
-from conecert.sampling import reflected_probe_vectors, unit_probe_vectors
 from conecert.serialization import dumps_canonical, report_to_dict
 from structured_inputs import haar_unitary, structured_inputs, zero_one_matrices
 
@@ -286,7 +286,8 @@ def _projectors(etas):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_projector_coordinates_of_curve_probes(m):
     """the closed-form coordinates rebuild every curve projector and are sparse on reflected probes"""
-    etas, coords, *_ = curve_frame(m)
+    etas = curve_frame(m)[0]
+    coords = projector_coordinates(_projectors(etas))
     size = m * m
     assert etas.shape == (2 * m * m - m, m)
     basis = _projectors(etas[:size])
@@ -491,20 +492,21 @@ def test_curve_relations_sit_on_their_fixed_columns(m):
     """reflected relation q has nonzero coordinates exactly at cols[q] = (m + q, j, k)
 
     That is what makes the fixed layout of `curve_frame` exact.  The cached
-    weights are those coordinates, bitwise, and the scatter is one-hot on
-    the same columns and read-only.
+    weights are those coordinates, bitwise, row i of relation q's R lands at
+    (q * 3 + i) * m^2 + cols[q, j], and every array is read-only.
     """
     size = m * m
-    etas, coords, _, _, cols, weights, scatter = curve_frame(m)
-    assert cols.shape == (size - m, 3) and scatter.shape == (size - m, 3, size)
+    etas, _, _, cols, weights, spots = curve_frame(m)
+    coords = projector_coordinates(_projectors(etas))
+    assert cols.shape == (size - m, 3) and spots.shape == (size - m, 3, 3)
     for q in range(size - m):
         assert np.array_equal(np.flatnonzero(coords[size + q]), np.sort(cols[q])), (m, q)
         assert cols[q, 0] == m + q, (m, q)
         assert np.array_equal(np.flatnonzero(etas[size + q]), cols[q, 1:]), (m, q)
         assert weights[q].tobytes() == coords[size + q, cols[q]].tobytes(), (m, q)
-    assert np.isin(scatter, (0.0, 1.0)).all() and scatter.sum() == 3 * (size - m)
-    assert np.all(scatter[np.arange(size - m)[:, None], np.arange(3), cols] == 1.0)
-    assert not any(x.flags.writeable for x in (cols, weights, scatter))
+        for i in range(3):
+            assert spots[q, i].tolist() == ((q * 3 + i) * size + cols[q]).tolist(), (m, q, i)
+    assert not any(x.flags.writeable for x in (cols, weights, spots))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -513,16 +515,17 @@ def test_star_relations_sit_on_their_fixed_columns(m):
     probes P_{+1}, P_{+i} of (0, b), (0, c) and (b, c)
 
     The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 in the documented order, the
-    cached weights are their projector coordinates there, bitwise, and the
-    scatter is one-hot on the same columns; every array is read-only.
+    cached weights are their projector coordinates there, bitwise, row i of
+    relation q's R lands at (q * 9 + i) * m^2 + cols[q, j], and every array
+    is read-only.
     """
     size = m * m
     iu, ju = triu_pairs(m)
     pair = {(j, k): m + 2 * q for q, (j, k) in enumerate(zip(iu, ju))}
     for r in range(2, m):
-        etas, cols, weights, scatter = star_frame(m, r)
+        etas, cols, weights, spots = star_frame(m, r)
         k = 4 * (r - 1) * (m - r)
-        assert cols.shape == (k, 9) and scatter.shape == (k, 9, size), (m, r)
+        assert cols.shape == (k, 9) and spots.shape == (k, 9, 9), (m, r)
         assert np.abs(etas - _star_probes(m, r)).max() <= np.finfo(float).eps, (m, r)
         coords = projector_coordinates(_projectors(etas))
         for q in range(k):
@@ -531,9 +534,40 @@ def test_star_relations_sit_on_their_fixed_columns(m):
             assert cols[q].tolist() == [0, b, c, *ends], (m, r, q)
             assert set(np.flatnonzero(coords[q])) <= set(cols[q].tolist()), (m, r, q)
             assert weights[q].tobytes() == coords[q, cols[q]].tobytes(), (m, r, q)
-        assert np.isin(scatter, (0.0, 1.0)).all() and scatter.sum() == 9 * k
-        assert np.all(scatter[np.arange(k)[:, None], np.arange(9), cols] == 1.0)
-        assert not any(x.flags.writeable for x in (etas, cols, weights, scatter))
+            for i in range(9):
+                assert spots[q, i].tolist() == ((q * 9 + i) * size + cols[q]).tolist(), (m, r, q, i)
+        assert not any(x.flags.writeable for x in (etas, cols, weights, spots))
+
+
+def test_curve_probes_match_the_reference_lists():
+    """the vectorised curve probes are, bitwise, the loop-built unit probes and then the
+    reflected (e_j - e_k)/sqrt2, (e_j - i e_k)/sqrt2 per pair j < k"""
+    for m in range(1, 9):
+        eye = np.eye(m, dtype=complex)
+        reflected = [
+            (eye[j] + z * eye[k]) / np.sqrt(2.0)
+            for j in range(m) for k in range(j + 1, m) for z in (-1, -1j)
+        ]
+        want = np.array(unit_probe_vectors(m) + reflected).reshape(-1, m)
+        assert curve_frame(m)[0].tobytes() == want.tobytes(), m
+
+
+def test_cached_frames_grow_slower_than_m4():
+    """at m = 16 the curve frame and every star frame hold at most 5 MB together
+
+    Only the dual basis D_b (m^2, m, m) and its Gram matrix (m^2, m^2) grow
+    as m^4; the relation layouts hold k x w x w flat spots, not a one-hot
+    (k, w, m^2) table.
+    """
+    m = 16
+    frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
+    total = sum(x.nbytes for frame in frames for x in frame)
+    assert total <= 5e6, total
+    dual, gram = curve_frame(m)[1:3]
+    assert dual.shape == (m * m, m, m) and gram.shape == (m * m, m * m)
+    assert curve_frame(m)[-1].shape == (m * m - m, 3, 3)
+    for r in range(2, m):
+        assert star_frame(m, r)[-1].shape == (4 * (r - 1) * (m - r), 9, 9), r
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -553,19 +587,10 @@ def test_curve_frame_is_read_only():
             a[0] = 0
 
 
-def test_probe_lists_are_fresh():
-    """unit and reflected probe lists can be mutated without touching the next certificate"""
+def test_recomputed_certificate_matches_the_kept_one():
+    """a certificate solved afresh gives the report that the kept one gave"""
     a = crandn(3, 3)
     before = certify_exposed(a, transposed=True)
-    for make in (unit_probe_vectors, reflected_probe_vectors):
-        first = make(3)
-        reference = [v.copy() for v in first]
-        first[0][:] = 7.0
-        first.append(np.ones(3))
-        again = make(3)
-        assert again is not first
-        assert len(again) == len(reference)
-        assert all(np.array_equal(x, y) for x, y in zip(again, reference))
     # certify afresh, not from the kept certificate of a
     exposedness._plain_certificate.cache_clear()
     after = certify_exposed(a, transposed=True)
@@ -727,7 +752,7 @@ def _coordinate_map(a):
     """
     n, m = a.shape
     size = m * m
-    coords = curve_frame(m)[1]
+    coords = projector_coordinates(_projectors(curve_frame(m)[0]))
     etas, rank = _singular_probes(a)
     etas = etas[: 2 * size - m]
     outs, c = _curve_outputs(a, etas)

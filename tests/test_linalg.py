@@ -138,41 +138,6 @@ def test_gap_rank_reads_values_below_the_floor_at_the_floor():
     assert gap_rank(np.array([1e-15]), 1e-15) == 0
 
 
-def test_gap_rank_batch_matches_rows():
-    gen = np.random.default_rng(10)
-    for k in (0, 1, 3, 6):
-        spectra = []
-        for _ in range(40):
-            s = np.sort(gen.uniform(0.1, 1.0, k))[::-1] * 10.0 ** gen.integers(-3, 3)
-            cut = int(gen.integers(0, k + 1))
-            s[cut:] *= 10.0 ** -gen.integers(0, 20)
-            spectra.append(s)
-        batch = np.array(spectra).reshape(40, k)
-        floors = 10.0 ** -gen.integers(10, 18, 40)
-        for floor in (1e-15, floors):
-            got = gap_rank(batch, floor)
-            want = [gap_rank(row, f) for row, f in zip(batch, np.broadcast_to(floor, 40))]
-            assert got.shape == (40,) and np.issubdtype(got.dtype, np.integer)
-            assert got.tolist() == want
-    # ties, values below the floor and a zero floor, row by row and as a batch
-    special = np.array(
-        [
-            [8.0, 4.0, 2.0, 1.0],
-            [1.0, 1.0, 1.0, 1.0],
-            [1.0, 2.0**-20, 2.0**-40, 2.0**-60],
-            [1.0, 1e-3, 1e-20, 0.0],
-            [1e-20, 1e-25, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    with np.errstate(all="raise"):
-        for floor in (0.0, 1e-12, 0.5, 1.0, 2.0**-80):
-            got = gap_rank(special, floor)
-            assert got.tolist() == [gap_rank(row, floor) for row in special], floor
-        assert gap_rank(special, 0.5).tolist() == [1, 4, 1, 1, 0, 0]
-        assert gap_rank(special, 0.0).tolist() == [4, 4, 4, 3, 2, 0]
-
-
 def test_is_psd_examples():
     ok, low = is_psd(np.eye(2))
     assert ok and abs(low - 1.0) < 1e-14
