@@ -135,14 +135,14 @@ def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
 
 
-def _layout(etas: np.ndarray, cols: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+def _layout(etas: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
     """cols (k, w), the weights of the probes etas there, and the flat spots (k, w, w) of their R rows.
 
-    Row i of relation q's R lands at (q * w + i) * size + cols[q, j] of a
-    (k, w, size) array, so one indexed assignment lays every block's rows on
+    Row i of relation q's R lands at (q * w + i) * m^2 + cols[q, j] of a
+    (k, w, m^2) array, so one indexed assignment lays every block's rows on
     the m^2 basis columns.
     """
-    k, w = cols.shape
+    (k, w), size = cols.shape, etas.shape[1] ** 2
     rel = np.arange(k)[:, None]
     weights = projector_coordinates(_outer(etas))[rel, cols]
     spots = (rel[:, :, None] * w + np.arange(w)[:, None]) * size + cols[:, None, :]
@@ -175,7 +175,7 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     dual_params = projector_coordinates(params_to_herm(np.eye(size), m)).T
     dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
     cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols, size)))
+    return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols)))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +199,7 @@ def star_frame(m: int, r: int) -> tuple[np.ndarray, ...]:
     pair[iu, ju] = m + 2 * np.arange(iu.shape[0])
     ends = (pair[0, b], pair[0, c], pair[b, c])
     cols = np.stack([0 * b, b, c, *(e + k for e in ends for k in (0, 1))], axis=1)
-    return _read_only((etas, *_layout(etas, cols, m * m)))
+    return _read_only((etas, *_layout(etas, cols)))
 
 
 def _output_floor(a: np.ndarray) -> float:
