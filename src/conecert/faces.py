@@ -15,43 +15,49 @@ of the Choi parameters (`_transposed_face`).  Nothing here is cached per A:
 `exposedness.certify_exposed` keeps the last plain certificate, so the two
 flags on one A solve once.
 
-The face is solved in the right singular basis of A = U S V*, one real
-unknown x_p per probe with a nonzero output.  phi = Ad_U o phi_S o Ad_V*,
-and both outer factors carry faces onto faces, so the probes are V eta for
-fixed eta, and A V eta = U S eta is read in the range frame of A as
-v = S eta: f^2 real coordinates, not n^2.  ker A is spanned by the basis
-probes V e_j whose outputs are dead (|v|^2 at the rounding floor of the
-map), so no probe is read off it.  The projectors P_b of the m^2 unit
-probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a basis of
-Herm(m), and every other probe p has closed-form coordinates in it
-(`projector_coordinates`), which X -> V X V* keeps.  Because psi is linear,
-each relation P_p = sum_b coords[p, b] P_b must hold for the outputs too.
-Every relation sits on columns fixed by m and the rank r:
+The face is solved in the class of A, with one cut of its spectrum.  One
+svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
+rounding floor of `null_space`), and A reads as U_f S_f V_f* with S_f
+invertible.  So phi = Ad_{U_f S_f} o phi_f o Ad_V*, where phi_f is the map
+X -> Pi X Pi* of the class, Pi = [I_f 0] (f x m), and the congruences
+psi -> Ad_E o psi o Ad_F with E injective and F invertible carry faces
+onto faces.  The probes are V eta for fixed eta, and A's output on V eta
+is w w* with w = U_f S_f u, u = eta[:f]: a relation among A's outputs
+holds exactly when it holds for the class outputs u u*, carried back by
+S_f^-1.  So the face system reads only the probes and depends on A only
+through (m, f).  A probe is live exactly when u != 0: ker A is spanned by
+the dead basis probes V e_j, j >= f, so no probe is read off it.  The projectors P_b of
+the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a
+basis of Herm(m), and every other probe p has closed-form coordinates in
+it (`projector_coordinates`), which X -> V X V* keeps.  Because psi is
+linear, each relation P_p = sum_b coords[p, b] P_b must hold for the
+outputs too.  Every relation sits on columns fixed by m and f:
 - curve: the reflected probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put
   z = 1, i, -1, -i on the paper's curves e_j + z e_k, and their relations
   P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch the
   pair probe, P_j and P_k (`curve_frame`);
-- star: where 2 <= r < m, the probes (e_0 + z1 e_b + z2 e_c)/sqrt3 for
-  1 <= b < r <= c < m and z1, z2 in {1, i} touch P_0, P_b, P_c and the six
+- star: where 2 <= f < m, the probes (e_0 + z1 e_b + z2 e_c)/sqrt3 for
+  1 <= b < f <= c < m and z1, z2 in {1, i} touch P_0, P_b, P_c and the six
   pair probes of (0, b), (0, c) and (b, c) (`star_frame`).  A curve with a
-  dead end c >= r has all its outputs on one line and ties nothing; the
+  dead end c >= f has all its outputs on one line and ties nothing; the
   star ties the live ends of such curves together.
 This module owns every probe table: both frames are built here, vectorised
-over `triu_pairs`, and cached read-only per m (and r).  A frame keeps the
+over `triu_pairs`, and cached read-only per m (and f).  A frame keeps the
 probes, each relation's columns and weights, and the flat positions of its
 R rows among the m^2 basis columns, so no cached table but the dual basis
 and its Gram matrix grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
-basis side lies on the line through v_p v_p*, so that line is projected out
+basis side lies on the line through u_p u_p*, so that line is projected out
 of it and only the m^2 basis probes keep unknowns.  Each relation is then
-cut to the R factor of its columns by one batched QR per family.  When A
-has full column rank there is no star, and the pair probe P_{+z}(j, k)
-enters only the relation of its reflection P_{-z}(j, k), so the same R
-eliminates it too: its first row back-substitutes the pair coordinate, the
-other two tie x_j to x_k along the curve e_j + z e_k, and the system is in
-the m diagonal unknowns x_j.  One SVD of the stack gives the face, and the
-dual basis V D_b V* of the projectors V P_b V* turns it into Choi matrices.
+cut to the R factor of its columns by one batched QR per family.  When
+f = m there is no star, and the pair probe P_{+z}(j, k) enters only the
+relation of its reflection P_{-z}(j, k), so the same R eliminates it too:
+its first row back-substitutes the pair coordinate, the other two tie x_j
+to x_k along the curve e_j + z e_k, and the system is in the m diagonal
+unknowns x_j.  One SVD of the stack gives the face, and the dual basis
+V D_b V* of the projectors V P_b V* turns it into Choi matrices, with A's
+own outputs.
 """
 
 import math
@@ -80,16 +86,18 @@ class NullSpaceResult:
 
     `param_basis` holds its elements as orthonormal columns over the
     Hermitian parameterization; `basis` gives the same elements as Hermitian
-    Choi matrices.  `singular_values` is the spectrum of the system in the
-    coordinates of the basis probes V eta_b (V the right singular vectors
-    of A), one real unknown per basis probe with a live output,
-    psi(V P_b V*) = x_b w_b w_b*: `unknowns` columns, the m diagonal
-    probes' at full column rank (the pair coordinates are back-substituted)
-    and every live basis probe's otherwise (the other probes' coordinates
-    are eliminated).  `condition` is the largest stretch of the whole map
+    Choi matrices.  `singular_values` is the spectrum of the class system
+    (`faces` module docstring): one real unknown per basis probe V eta_b (V
+    the right singular vectors of A) whose class output u_b = eta_b[:f] is
+    nonzero, psi(V P_b V*) = x_b w_b w_b*, read as z_b = c_b x_b with
+    c_b = |u_b|^2: `unknowns` columns, the m diagonal probes' where f = m
+    (the pair coordinates are back-substituted) and every live basis
+    probe's otherwise (the other probes' coordinates are eliminated).  The
+    spectrum, `unknowns` and `pairs_used` (the probe count) depend on A only
+    through (m, f).  `condition` is the largest stretch of the whole map
     from those coordinates to Choi parameters, back-substitution included,
-    over its least stretch on the null space.  `pairs_used` counts the
-    probes.
+    over its least stretch on the null space: it carries A's singular
+    values.
     """
 
     singular_values: np.ndarray
@@ -179,19 +187,19 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def star_frame(m: int, r: int) -> tuple[np.ndarray, ...]:
-    """Cached, read-only star probes of rank r < m and the layout of their relations.
+def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
+    """Cached, read-only star probes of a class of rank f < m and the layout of their relations.
 
-    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < r <= c < m,
+    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < f <= c < m,
     b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
-    4 (r - 1)(m - r) rows.  Probe q has coordinates only on the 9 basis
+    4 (f - 1)(m - f) rows.  Probe q has coordinates only on the 9 basis
     probes of row q of `cols`: P_0, P_b, P_c, then P_{+1} and P_{+i} of the
     pairs (0, b), (0, c) and (b, c).  Returns the probes, `cols`, `weights`
     (their `projector_coordinates` there, some of them 0) and `spots`
     (k, 9, 9), as `curve_frame` does.
     """
-    b, c = np.divmod(np.repeat(np.arange((r - 1) * (m - r)), 4), m - r)
-    b, c, z = b + 1, c + r, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((r - 1) * (m - r), 1))
+    b, c = np.divmod(np.repeat(np.arange((f - 1) * (m - f)), 4), m - f)
+    b, c, z = b + 1, c + f, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((f - 1) * (m - f), 1))
     eye = np.eye(m, dtype=np.complex128)
     etas = (eye[0] + z[:, :1] * eye[b] + z[:, 1:] * eye[c]) / math.sqrt(3)
     iu, ju = triu_pairs(m)
@@ -207,7 +215,8 @@ def _output_floor(a: np.ndarray) -> float:
 
     |A|_F^2 is |Choi(phi)|_F, so this is the map's level n * m * u * |Choi|_F.
     It is relative to the map, not to one output, so an output that is zero
-    up to rounding reads as zero.
+    up to rounding reads as zero.  Only `kernel_probes` reads it: the face
+    reads its class outputs, which are exactly zero or not.
     """
     return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
 
@@ -247,26 +256,26 @@ def _reduced_relations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The face system in the kept unknowns, and the lift L (m^2, unknowns) to the basis coordinates.
 
-    One real unknown per kept basis probe, psi(P_b) = x_b w_b w_b*, read
-    through its unit output column outputs[b] = params(v_b v_b*) / |v_b|^2
-    (f^2 range-frame coordinates, zero where `live` is false).  `families`
-    holds the (cols, weights, spots) layouts of `curve_frame` and, where
-    there is a star, of `star_frame`; each relation has one probe past the
-    m^2 basis probes, in the order of the relations.  Relation q, of probe
-    p, reads B x = x_p outputs[p]: B sums the basis columns cols[q] times
-    weights[q], and x_p enters no other relation, so the relation holds for
-    some x_p exactly when B x projected off outputs[p] is 0.  Where f^2
-    exceeds the w columns of a family, one batched QR cuts each f^2 x w
-    block to its R factor, which keeps its null space, and one assignment
-    at `spots` lays the rows on the m^2 basis columns (a block of f^2 < w
-    rows fills the first f^2 of its w).  With no star and every output live
-    (A has full column rank) the pair probe m + q is in curve relation q
-    only, so the same R
-    eliminates it: row 0 gives x_pair = -(r01 x_j + r02 x_k) / r00, the row
-    of L, and rows 1-2 are the (x_j, x_k) system, so only the m diagonal
-    probes keep unknowns.  Otherwise every live basis probe keeps one.  Dead
-    columns are dropped last; z = L x are the m^2 basis coordinates of a
-    solution x.
+    One real unknown per kept basis probe, the coordinate of psi(V P_b V*)
+    on its unit class output column outputs[b] = params(u_b u_b*) / |u_b|^2,
+    u_b = eta_b[:f] (f^2 class-frame coordinates, zero where `live` is
+    false).  `families` holds the (cols, weights, spots) layouts of
+    `curve_frame` and, where there is a star, of `star_frame`; each relation
+    has one probe past the m^2 basis probes, in the order of the relations.
+    Relation q, of probe p, reads B x = x_p outputs[p]: B sums the basis
+    columns cols[q] times weights[q], and x_p enters no other relation, so
+    the relation holds for some x_p exactly when B x projected off
+    outputs[p] is 0.  Where f^2 exceeds the w columns of a family, one
+    batched QR cuts each f^2 x w block to its R factor, which keeps its null
+    space, and one assignment at `spots` lays the rows on the m^2 basis
+    columns (a block of f^2 < w rows fills the first f^2 of its w).  With no
+    star and every output live (f = m) the pair probe m + q is in curve
+    relation q only, so the same R eliminates it: row 0 gives
+    x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2 are the
+    (x_j, x_k) system, so only the m diagonal probes keep unknowns.
+    Otherwise every live basis probe keeps one.  Dead columns are dropped
+    last; z = L x are the m^2 basis coordinates of a solution x.  Nothing
+    here reads A.
     """
     size = outputs.shape[0] - sum(cols.shape[0] for cols, _, _ in families)
     m = math.isqrt(size)
@@ -292,9 +301,11 @@ def _reduced_relations(
 def system_floor(s: np.ndarray, unknowns: int) -> float:
     """Rounding level of the face system's SVD, unknowns * u * max(s_0, 1) (0 for no spectrum).
 
-    The rows are built from unit output columns with weights of order 1, so
-    their rounding is of order u even where the projection in
-    `_reduced_relations` cancels them down to a spectrum below 1.
+    The rows are built from the unit class output columns, which are exact
+    up to the rounding of the probes, with weights of order 1, so their
+    rounding is of order u even where the projection in `_reduced_relations`
+    cancels them down to a spectrum below 1.  Like the spectrum, it depends
+    on A only through (m, f).
     """
     return unknowns * UNIT_ROUNDOFF * max(float(s[0]), 1.0) if s.shape[0] else 0.0
 
@@ -329,69 +340,67 @@ def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
 def _plain_face(a: np.ndarray) -> NullSpaceResult:
     """The face of X -> A X A*, with read-only arrays.
 
-    One svd A = U S V*.  Probes: the cached `curve_frame` and, where
-    2 <= r < m, `star_frame(m, r)`, each applied as V eta.  Every output is
-    phi(V P_p V*) = w_p w_p* with w_p = A V eta_p = U S eta_p, read in the
-    range frame as v_p = S_f eta_p, f^2 real coordinates: f counts the
-    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`, which is
-    no rank decision and keeps the cross terms s_0 s_j of a small s_j.  An
-    output is live when c_p = |v_p|^2 is above n * m * u * |A|_F^2, and
-    then its probe has one real unknown, psi(V P_p V*) = x_p w_p w_p*; r
-    counts the s_j^2 above that level, which are the live e_j.  Every probe
-    p past the m^2 unit probes gives the relation
-    x_p v_p v_p* - sum_b coords[p, b] x_b v_b v_b* = 0, whose f^2 rows
+    One svd A = U S V* and one cut of its spectrum: f counts the
+    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`.  Probes:
+    the cached `curve_frame` and, where 2 <= f < m, `star_frame(m, f)`,
+    each applied as V eta.  The relations are solved for the class outputs
+    u_p u_p*, u_p = eta_p[:f] (f^2 real coordinates): A's outputs
+    w_p w_p*, w_p = A V eta_p = U_f S_f u_p, carried back by the invertible
+    S_f^-1 (`faces` module docstring).  A probe is live exactly when
+    u_p != 0, and then it has one real unknown, psi(V P_p V*) = x_p w_p w_p*.
+    Every probe p past the m^2 unit probes gives the relation
+    x_p u_p u_p* - sum_b coords[p, b] x_b u_b u_b* = 0, whose f^2 rows
     involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
     in no other relation, so `_reduced_relations` projects it out and cuts
-    each block to its R factor: the system has one unknown per basis probe
-    with a live output.  At full column rank (r = m, no star) the pair
-    probe P_{+z}(j, k) is in the relation of P_{-z}(j, k) only, so the same
-    R eliminates it: m unknowns, and the pair coordinates are L x, read off
-    the first row of that R.  The rank is `gap_rank` of the spectrum over
-    `system_floor`.  Null vectors, pair coordinates included, become Choi
-    matrices through the dual basis V D_b V* of the V P_b V*,
-    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), with the full
-    w_b w_b* read off A itself, and are orthonormalised there.  `condition`
-    is the largest stretch of the whole map x -> Choi, pair coordinates
-    included, over its least stretch on the null space; the largest is read
-    off the Gram matrix (O O^T) o (D D^T) of the unit output columns O and
-    the dual basis, which V keeps, one eigvalsh of `unknowns` columns.
+    each block to its R factor: the system has one unknown per live basis
+    probe.  Where f = m (no star) the pair probe P_{+z}(j, k) is in the
+    relation of P_{-z}(j, k) only, so the same R eliminates it: m unknowns,
+    and the pair coordinates are L x, read off the first row of that R.
+    The rank is `gap_rank` of the spectrum over `system_floor`.  The
+    relations, their QR and the system SVD read only the probes and
+    depend on A only through (m, f).  Null vectors z, pair coordinates
+    included, give x_b = z_b / c_b with the class norm c_b = |u_b|^2, and
+    become Choi matrices through the dual basis V D_b V* of the V P_b V*,
+    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), with A's own
+    outputs w_b w_b*, and are orthonormalised there.  `condition` is the
+    largest stretch of the whole map z -> Choi, pair coordinates included,
+    over its least stretch on the null space; the largest is read off the
+    Gram matrix (O O^T) o (D D^T) of A's output columns
+    O_b = params(w_b w_b*) / c_b and the dual basis, which V keeps, one
+    eigvalsh of `unknowns` columns.  O_b is the class column scaled
+    entrywise by s_j s_k, so the outputs are not read twice.
     Deterministic: no random probes.
     """
     n, m = a.shape
     curve, dual, dual_gram, *layout = curve_frame(m)
     _, s, vh = np.linalg.svd(a)
-    floor = _output_floor(a)
-    rank = int(np.count_nonzero(s * s > floor))
     f = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
     etas, families = curve, [layout]
-    if 2 <= rank < m:
-        star, *star_layout = star_frame(m, rank)
+    if 2 <= f < m:
+        star, *star_layout = star_frame(m, f)
         etas, families = np.concatenate([curve, star]), [layout, star_layout]
     size = m * m
-    raw = hermitian_params(_outer(etas[:, :f] * s[:f]))
+    # the class outputs u_p u_p*, u_p = eta_p[:f], and their class norms c_p = |u_p|^2
+    raw = hermitian_params(_outer(etas[:, :f]))
     c = raw[:, :f].sum(axis=1)
-    live = c > floor
-    # unit column params(v_p v_p*) / |v_p|^2 of each output, zero where the output is zero
+    live = c > 0
+    # unit column params(u_p u_p*) / c_p of each output, zero where the output is zero
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
     # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
     system, lift = _reduced_relations(outputs, live, families)
-    unknowns = lift.shape[1]
-    rows = system.shape[0]
+    rows, unknowns = system.shape
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor.  It pays
         # for itself: an SVD of the tall system was 1.3, 1.8 and 2.4 times slower at 8 x 8
         # rank 4, 12 x 12 rank 6 and 16 x 16 rank 8 (BENCH_relation_plan.json)
         system = np.linalg.qr(system, mode="r")
     if system.size:
-        # the rows are graded (projected blocks leave rows near rounding); as left
-        # singular vectors of the transpose the null vectors hold to a few u * s_0,
-        # as right ones of the system to 48 u * s_0 on 2 x 2 unitary inputs
         left, svals, _ = np.linalg.svd(system.T, full_matrices=rows < unknowns)
     else:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
 
-    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b;
+    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm;
     # Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
@@ -410,8 +419,12 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
         else:
             param_basis, sv, _ = np.linalg.svd(param_basis, full_matrices=False)
             least = float(sv[-1])
-        # |Choi|_F^2 = z^T ((O O^T) o (D D^T)) z over the unit output columns O and the dual D
-        gram = (outputs[:size] @ outputs[:size].T) * dual_gram
+        # |Choi|_F^2 = z^T ((O O^T) o (D D^T)) z over A's output columns O and the dual D;
+        # O_b = params(S_f u_b u_b* S_f) / c_b is the class column scaled entrywise by s_j s_k
+        iu, ju = triu_pairs(f)
+        cross = s[iu] * s[ju]
+        own = outputs[:size] * np.concatenate([s[:f] * s[:f], cross, cross])
+        gram = (own @ own.T) * dual_gram
         stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
         condition = stretch / least
     svals, param_basis = _read_only((svals, param_basis))

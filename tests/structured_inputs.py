@@ -6,7 +6,7 @@ unitaries are a generic control:
 
 - every nonzero 0/1 matrix with n, m <= 3;
 - P_r = [[I_r, 0], [0, 0]] for n, m <= 4 and every 1 <= r <= min(n, m);
-- diag(1, 1, s) and diag(1, s, 0) over s in logspace(-14, -1, 27);
+- diag(1, 1, s) and diag(1, s, 0) over s in logspace(-17, -1, 33);
 - u e_j* for n, m in 1..5, 10 draws each from one default_rng(0), with
   j = rng.integers(m) drawn first and then a complex Gaussian u;
 - Haar unitaries of size d = 1..4, 10 each from default_rng(3).
@@ -47,8 +47,8 @@ def projections():
 
 
 def diag_families():
-    """diag(1, 1, s) and diag(1, s, 0) over s in logspace(-14, -1, 27)."""
-    values = np.logspace(-14, -1, 27)
+    """diag(1, 1, s) and diag(1, s, 0) over s in logspace(-17, -1, 33)."""
+    values = np.logspace(-17, -1, 33)
     for s in values:
         yield f"diag(1,1,s) s={s!r}", np.diag([1.0, 1.0, s])
     for s in values:

@@ -103,23 +103,59 @@ def test_face_certificate_agrees_with_cone_fallback(shape, transposed):
 @pytest.mark.parametrize("s2", np.logspace(-12, -9, 4))
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_near_rank_one(s2, transposed):
-    """3x3 U diag(1, s2, 0) V*: the rank-1-like hull is not refused by a bound set too tight,
-    and it has the dimension of the hull of diag(1, s2, 0) itself"""
+    """3x3 U diag(1, s2, 0) V*: above the frame cut 3 u s_0 the class has rank 2, so rotated
+    and unrotated inputs certify the ray, as diag(1, s2, 0) itself does"""
     u, v = rand_unitary(3), rand_unitary(3)
     report = certify_exposed(u @ np.diag([1.0, s2, 0.0]) @ v.conj().T, transposed=transposed)
     unrotated = certify_exposed(np.diag([1.0, s2, 0.0]), transposed=transposed)
-    assert report.nullspace.dim == unrotated.nullspace.dim == 3
-    assert report.verdict is Verdict.EXPOSED_FACE
-    assert report.face.defect <= report.face.bound
+    for r in (report, unrotated):
+        assert r.nullspace.dim == 1
+        assert r.verdict is Verdict.EXPOSED_LINEAR
 
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_of_diag_near_rank_one(transposed):
-    """diag(1, 1e-14, 0): the exact stretch of the coordinate-to-Choi map keeps the bound below 1"""
+    """diag(1, 1e-14, 0): 1e-14 is above the frame cut, so the face is the ray"""
     report = certify_exposed(np.diag([1.0, 1e-14, 0.0]), transposed=transposed)
-    assert report.nullspace.dim == 3
-    assert report.verdict is Verdict.EXPOSED_FACE
-    assert report.face.defect <= report.face.bound
+    assert report.nullspace.dim == 1
+    assert report.verdict is Verdict.EXPOSED_LINEAR
+
+
+@pytest.mark.parametrize("s2", [1e-17, 1e-16])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_face_certificate_below_the_frame_cut(s2, transposed):
+    """3x3 U diag(1, s2, 0) V* with s2 below the SVD floor 3 u s_0: the class has rank 1, and
+    the hull of dimension 2m - 1 = 5 is not refused by a bound set too tight, rotated or not"""
+    gen = np.random.default_rng(int(-np.log10(s2)))
+    u, v = haar_unitary(gen, 3), haar_unitary(gen, 3)
+    for a in (u @ np.diag([1.0, s2, 0.0]) @ v.conj().T, np.diag([1.0, s2, 0.0])):
+        report = certify_exposed(a, transposed=transposed)
+        assert report.nullspace.dim == 5
+        assert report.verdict is Verdict.EXPOSED_FACE
+        assert report.face.defect <= report.face.bound
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (2, 6), (6, 2), (4, 8)])
+def test_band_certifies_on_both_sides_of_the_frame_cut(shape):
+    """U diag(1, s, 0, ...) V* and diag(1, s, 0, ...) certify at every s in logspace(-17, -6)
+
+    The face reads A's spectrum once, at the frame cut max(n, m) * u * s_0:
+    above twice the cut the class has rank 2 and the face is the ray
+    (dimension 1), below half of it the class has rank 1 (dimension
+    2m - 1).  Within that factor 2 either reading certifies.
+    """
+    n, m = shape
+    gen = np.random.default_rng([n, m])
+    cut = max(n, m) * UNIT_ROUNDOFF
+    for s in np.logspace(-17, -6, 45):
+        d = np.zeros(shape)
+        d[0, 0], d[1, 1] = 1.0, s
+        want = 1 if s > 2 * cut else 2 * m - 1 if s < cut / 2 else None
+        for a in (d, haar_unitary(gen, n) @ d @ haar_unitary(gen, m).conj().T):
+            for transposed in (False, True):
+                report = certify_exposed(a, transposed=transposed)
+                assert report.verdict is not Verdict.NOT_CERTIFIED, (shape, s, transposed)
+                assert want in (None, report.nullspace.dim), (shape, s, transposed)
 
 
 def _hull_plus(ns, extra_choi):

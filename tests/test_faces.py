@@ -29,6 +29,7 @@ from conecert.faces import (
     system_floor,
 )
 from conecert.linalg import (
+    UNIT_ROUNDOFF,
     _partial_transpose_slots,
     gap_rank,
     hermitian_params,
@@ -386,17 +387,18 @@ def _star_probes(m, r):
 
 
 def _singular_probes(a, transposed=False):
-    """The probes of the face of A, as rows, and the rank r of A over the output floor.
+    """The probes of the face of A, as rows, and the rank f of its class.
 
-    V eta for the curve probes and, where 2 <= r < m, the star probes, with V
-    the right singular vectors of A; conjugated for X -> A X^T A*, which
-    sends eta eta* to the output of X -> A X A* at conj(eta).
+    V eta for the curve probes and, where 2 <= f < m, the star probes, with V
+    the right singular vectors of A and f the count of singular values above
+    max(n, m) * u * s_0; conjugated for X -> A X^T A*, which sends eta eta*
+    to the output of X -> A X A* at conj(eta).
     """
-    m = a.shape[1]
+    n, m = a.shape
     _, s, vh = np.linalg.svd(a)
-    r = int(np.count_nonzero(s * s > faces._output_floor(a)))
-    etas = np.concatenate([curve_frame(m)[0], _star_probes(m, r)]) @ vh.conj()
-    return (etas.conj() if transposed else etas), r
+    f = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
+    etas = np.concatenate([curve_frame(m)[0], _star_probes(m, f)]) @ vh.conj()
+    return (etas.conj() if transposed else etas), f
 
 
 def _unreduced_stack(outputs, live, m, pair=True):
@@ -599,6 +601,30 @@ def test_recomputed_certificate_matches_the_kept_one():
     assert np.array_equal(after.nullspace.singular_values, before.nullspace.singular_values)
 
 
+def test_face_system_reads_only_the_probes():
+    """two draws of one class, and a rotation U A V* of the first, get one system, bitwise
+
+    The relations are solved for the class outputs eta[:f] eta[:f]*, so the
+    spectrum, the unknowns and the probe count depend on A only through
+    (m, f); only the Choi rebuild and `condition` read A.
+    """
+    g = np.random.default_rng(59)
+
+    def draw(n, m, r):
+        return (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+            g.standard_normal((r, m)) + 1j * g.standard_normal((r, m))
+        )
+
+    for n, m, r in ((4, 4, 4), (3, 5, 2), (5, 3, 3), (6, 6, 3), (4, 4, 1), (2, 4, 2)):
+        first = draw(n, m, r)
+        rotated = haar_unitary(g, n) @ first @ haar_unitary(g, m).conj().T
+        want = double_prime_nullspace(first)
+        for a in (draw(n, m, r), rotated):
+            res = double_prime_nullspace(a)
+            assert res.singular_values.tobytes() == want.singular_values.tobytes(), (n, m, r)
+            assert (res.unknowns, res.pairs_used) == (want.unknowns, want.pairs_used), (n, m, r)
+
+
 def _band(s2):
     g = np.random.default_rng(7)
     return haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ haar_unitary(g, 3).conj().T
@@ -606,11 +632,14 @@ def _band(s2):
 
 @pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
 def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
-    """2x2 U diag(1, s2) V*: phi's coordinates |A V e_j|^2 meet the system within its bound's floor
+    """2x2 U diag(1, s2) V*: phi's coordinates, the class norms c_b, meet the system within its
+    bound's floor
 
-    The projection of the own and pair outputs cancels rows of order 1 down
-    to a spectrum near s2; the floor, times the safety factor of
-    `_face_bound`, must stay at the rounding of those rows.
+    phi itself has x_b = 1, psi(V P_b V*) = w_b w_b*, so its coordinates on
+    the unit class output columns are c_b = |eta_b[:f]|^2.  The projection
+    of the own and pair outputs cancels rows of order 1; the floor, times
+    the safety factor of `_face_bound`, must stay at the rounding of those
+    rows.
     """
     seen = _spy_reduced_relations(monkeypatch)
     g = np.random.default_rng(5)
@@ -619,11 +648,11 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
         a = a / np.linalg.norm(a)
         res = double_prime_nullspace(a, transposed)
         system, outputs = seen.pop()
-        # every s_j^2 is above the output floor here, so the pairs are eliminated
-        etas, rank = _singular_probes(a)
-        assert rank == res.unknowns == 2
-        w = etas[:2] @ a.T
-        y = np.einsum("ui,ui->u", w, w.conj()).real
+        # both singular values are above the frame cut, so the pairs are eliminated
+        f = _singular_probes(a)[1]
+        assert f == res.unknowns == 2
+        u = curve_frame(2)[0][:2, :f]
+        y = np.einsum("ui,ui->u", u, u.conj()).real
         leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
         assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
 
@@ -631,13 +660,13 @@ def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
 def _matches_dense_solve(a, transposed, label):
     a = a / np.linalg.norm(a)
     phi = choi_from_ad(a, transposed=transposed)
-    etas, rank = _singular_probes(a, transposed)
+    etas, f = _singular_probes(a, transposed)
     res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi, etas)
     assert res.dim == ref.dim, label
     # the dense solve keeps every probe's unknowns; the library keeps the live basis probes',
     # and only the diagonal ones at full column rank
     ranks = probe_outputs(phi, etas[: phi.m**2])[2]
-    assert res.unknowns == (phi.m if rank == phi.m else int((ranks**2).sum())), label
+    assert res.unknowns == (phi.m if f == phi.m else int((ranks**2).sum())), label
     sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
     assert sin <= _face_bound(res), label
 
@@ -683,9 +712,30 @@ def test_nullspace_matches_dense_solve_on_grid():
 
 @pytest.mark.parametrize("s2", np.logspace(-12, -2, 11))
 def test_nullspace_matches_dense_solve_on_band(s2):
-    """3x3 U diag(1, s2, 0) V*: the same face as the dense solve across the near-rank-1 band"""
+    """3x3 U diag(1, s2, 0) V*: the face of the class, read off exact references, across the
+    near-rank-1 band
+
+    The references are exact at every s2: the dense solve for the partial
+    isometry U_f V_f*, whose outputs on the solver's probes V eta are
+    U_f eta[:f] eta[:f]* U_f*, the class outputs, and, where f >= 2, the
+    ray of Choi(phi).  The dense solve for A itself reads its own outputs,
+    with an error far above the face bound where s2 is small.
+    """
     for transposed in (False, True):
-        _matches_dense_solve(_band(s2), transposed, (s2, transposed))
+        a = _band(s2)
+        a = a / np.linalg.norm(a)
+        label = (s2, transposed)
+        phi = choi_from_ad(a, transposed=transposed)
+        etas, f = _singular_probes(a, transposed)
+        u, _, vh = np.linalg.svd(a)
+        isometry = choi_from_ad(u[:, :f] @ vh[:f], transposed=transposed)
+        res, ref = double_prime_nullspace(a, transposed), dense_nullspace(isometry, etas)
+        assert res.dim == ref.dim, label
+        if f >= 2:
+            assert res.dim == 1, label
+            p = hermitian_params(phi.choi) / np.linalg.norm(phi.choi)
+            sin = np.linalg.norm(p - res.param_basis @ (res.param_basis.T @ p))
+            assert sin <= _face_bound(res), label
 
 
 def _curve_outputs(a, etas):
@@ -743,31 +793,40 @@ def test_back_substitution_recovers_phi(transposed):
 def _coordinate_map(a):
     """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown.
 
-    The probes are V eta, in the right singular basis of A.  At full column
-    rank the unknowns are the m diagonal probes', and each pair coordinate
-    is solved from its reflected relation by least squares; otherwise every
-    basis probe with a nonzero output is an unknown.  The Choi matrix
+    The probes are V eta, in the right singular basis of A, and the
+    coordinates are the class ones: z_b = c_b x_b on the output w_b w_b* of
+    A, with the class norm c_b = |eta_b[:f]|^2, so column b is A's output
+    params(w_b w_b*) / |w_b|^2 scaled by |w_b|^2 / c_b.  Where f = m the
+    unknowns are the m diagonal probes', and each pair coordinate is solved
+    from its reflected relation by least squares over the unit class output
+    columns params(u u*) / c, u = eta[:f]; otherwise every basis probe with
+    a nonzero class output is an unknown.  The Choi matrix
     sum_kl psi(E_kl) (x) E_kl takes psi(E_kl) from a dense solve for the
     coordinates of E_kl on the V P_b V*.
     """
     n, m = a.shape
     size = m * m
     coords = projector_coordinates(_projectors(curve_frame(m)[0]))
-    etas, rank = _singular_probes(a)
+    etas, f = _singular_probes(a)
     etas = etas[: 2 * size - m]
-    outs, c = _curve_outputs(a, etas)
-    full = rank == m
-    solved = np.arange(m) if full else np.flatnonzero(outs[:size].any(axis=1))
+    u = curve_frame(m)[0][:, :f]
+    norms = np.einsum("pi,pi->p", u, u.conj()).real
+    live = norms > 0
+    cls, outs = np.zeros((u.shape[0], f * f)), np.zeros((u.shape[0], n * n))
+    cls[live] = hermitian_params(_projectors(u[live])) / norms[live, None]
+    outs[live] = hermitian_params(_projectors(etas[live] @ a.T)) / norms[live, None]
+    full = f == m
+    solved = np.arange(m) if full else np.flatnonzero(live[:size])
     proj = np.einsum("pi,pj->pij", etas[:size], etas[:size].conj()).reshape(size, size)
     on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)
     columns = []
-    for u in solved:
+    for b in solved:
         z = np.zeros(size)
-        z[u] = 1.0
+        z[b] = 1.0
         for r in range(size - m if full else 0):
             row, p = coords[size + r], m + r
-            rhs = outs[:m].T @ (row[:m] * z[:m])
-            frame = np.column_stack([outs[size + r], -row[p] * outs[p]])
+            rhs = cls[:m].T @ (row[:m] * z[:m])
+            frame = np.column_stack([cls[size + r], -row[p] * cls[p]])
             z[p] = np.linalg.lstsq(frame, rhs, rcond=None)[0][1]
         y = params_to_herm(z[:, None] * outs[:size], n)
         choi = np.einsum("bkl,bij->ikjl", on_basis, y).reshape(n * m, n * m)
