@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ClassificationError, HermiticityError
 from .faces import (
     NullSpaceResult,
+    _class_svd,
     _plain_face,
     _transposed_face,
     membership_residual,
@@ -250,6 +251,13 @@ def _plain_certificate(
 
 @dataclass
 class ObstructionResult:
+    """Solutions B of the kernel implication of A (`conjugate_obstruction_space`).
+
+    `basis` holds `dim` orthonormal n x m matrices.  `singular_values` is
+    the spectrum of the system solved in the class frame, whose rows are
+    constants of (n, m, r): A and U A V* report it bitwise equal.
+    """
+
     dim: int
     basis: list[np.ndarray]
     singular_values: np.ndarray
@@ -263,43 +271,46 @@ _OBSTRUCTION_Z = (1, -1, 1j, 2)
 def conjugate_obstruction_space(A) -> ObstructionResult:
     """Solve for all B with: <conj(xi), A eta> = 0 implies <conj(xi), B conj(eta)> = 0.
 
-    One SVD A = U S V* gives the split and the rank r (`gap_rank` of S over
-    max(n, m) * u * s_0).  The system is solved for the partial isometry
-    P = U_r V_r* instead of A: with G = V_r S_r V_r* + V_perp V_perp*,
-    which is invertible, A = P G, so (zeta, rho) is a zero-pair of A exactly
-    when (zeta, G rho) is one of P, and B solves for A exactly when
-    B conj(G)^-1 solves for P.  The solutions B' for P are mapped back as
-    B = B' conj(G) and orthonormalised.
+    One SVD A = U S V* gives the split and the rank r, the class rank f of
+    `faces._class_svd`.  The system is solved for the partial isometry
+    P = U Pi V*, Pi = [I_r 0; 0 0], instead of A: with
+    G = V_r S_r V_r* + V_perp V_perp*, which is invertible, A = P G, so
+    (zeta, rho) is a zero-pair of A exactly when (zeta, G rho) is one of P,
+    and B solves for A exactly when B conj(G)^-1 solves for P.  P's
+    system is solved in the class frame: (zeta, rho) is a zero-pair of P
+    exactly when (U* zeta, V* rho) is one of Pi, so B solves for P exactly
+    when U* B conj(V) solves for Pi.
 
-    P's system uses three probe families: kernel vectors v of A (forcing
-    B' conj(v) = 0), left-null directions u of A (forcing u* B' = 0), and
-    for each pair j < k of singular vector pairs the curves
-    rho_z = v_j + z v_k, zeta_z = -conj(z) u_j + u_k, which satisfy the
-    premise for every z and whose scale does not depend on S.  The curves
-    are read at z in `_OBSTRUCTION_Z`, which separates every coefficient of
-    the induced polynomial identity in z and conj(z), so no spurious
-    solution survives.  `singular_values` is the spectrum of P's system.
+    Pi's system uses three probe families: its kernel vectors e_j, j >= r
+    (forcing B'' e_j = 0), its left-null directions e_i, i >= r (forcing
+    e_i* B'' = 0), and for each pair j < k < r the curves
+    rho_z = e_j + z e_k, zeta_z = -conj(z) e_j + e_k, which satisfy the
+    premise for every z.  The curves are read at z in `_OBSTRUCTION_Z`,
+    which separates every coefficient of the induced polynomial identity in
+    z and conj(z), so no spurious solution survives.  The rows are exact
+    and depend only on (n, m, r), and so does `singular_values`, their
+    spectrum.  The solutions are mapped back as
+    B = U B'' V^T conj(G) = U B'' diag(S_r, 1, ..., 1) V^T and
+    orthonormalised.
 
     Returns the complex solution space: dimension 0 when rank(A) >= 2 or
     A = 0, dimension 1 (spanned by a rank-1 operator) when rank(A) = 1.
     """
     a = as_complex_matrix(A, "A")
     n, m = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = gap_rank(s, max(n, m) * UNIT_ROUNDOFF * s[0])
+    u, s, vh, rank = _class_svd(a)
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(m, dtype=np.complex128)
-    # kernel vectors v = conj(vh[j]): one row e_i (x) conj(v) per i
-    kernel_rows = eye_n[None, :, :, None] * vh[rank:, None, None, :]
-    # left-null directions u: one row conj(u) (x) e_j per j
-    left_rows = u[:, rank:].conj().T[:, None, :, None] * eye_m[None, :, None, :]
+    # kernel vectors e_j of Pi: one row e_i (x) e_j per i
+    kernel_rows = eye_n[None, :, :, None] * eye_m[rank:, None, None, :]
+    # left-null directions e_i of Pi: one row e_i (x) e_j per j
+    left_rows = eye_n[rank:, None, :, None] * eye_m[None, :, None, :]
 
-    # singular vector pairs j < k, one row per z
-    vr, ur = vh[:rank].conj(), u[:, :rank].T
+    # pairs j < k of the class, one row conj(zeta_z) (x) conj(rho_z) per z
     jj, kk = np.triu_indices(rank, 1)
     z = np.asarray(_OBSTRUCTION_Z)[None, :, None]
-    rho = vr[jj, None] + z * vr[kk, None]
-    zeta = -np.conj(z) * ur[jj, None] + ur[kk, None]
+    rho = eye_m[jj, None] + z * eye_m[kk, None]
+    zeta = -np.conj(z) * eye_n[jj, None] + eye_n[kk, None]
     curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
 
     rows = np.concatenate([r.reshape(-1, n * m) for r in (kernel_rows, left_rows, curve_rows)])
@@ -308,11 +319,10 @@ def conjugate_obstruction_space(A) -> ObstructionResult:
         svals = np.zeros(0)
     else:
         basis, svals = null_space(rows)
-    # B = B' conj(G), conj(G) = conj(V) diag(S_r, 1, ..., 1) V^T
+    # B = U B'' diag(S_r, 1, ..., 1) V^T
     stretch = np.ones(m)
     stretch[:rank] = s[:rank]
-    g_conj = (vh.T * stretch) @ vh.conj()
-    mapped = basis.T.reshape(-1, n, m) @ g_conj
+    mapped = u @ (basis.T.reshape(-1, n, m) * stretch) @ vh.conj()
     if mapped.shape[0]:
         basis = np.linalg.qr(mapped.reshape(-1, n * m).T)[0]
     mats = [basis[:, j].reshape(n, m) for j in range(basis.shape[1])]

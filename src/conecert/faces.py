@@ -18,8 +18,10 @@ flags on one A solve once.
 The face is solved in the class of A, with one cut of its spectrum.  One
 svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
 rounding floor of `null_space`), and A reads as U_f S_f V_f* with S_f
-invertible.  So phi = Ad_{U_f S_f} o phi_f o Ad_V*, where phi_f is the map
-X -> Pi X Pi* of the class, Pi = [I_f 0] (f x m), and the congruences
+invertible (`_class_svd`, which `kernel_probes` and
+`exposedness.conjugate_obstruction_space` read too).  So
+phi = Ad_{U_f S_f} o phi_f o Ad_V*, where phi_f is the map X -> Pi X Pi*
+of the class, Pi = [I_f 0] (f x m), and the congruences
 psi -> Ad_E o psi o Ad_F with E injective and F invertible carry faces
 onto faces.  The probes are V eta for fixed eta, and A's output on V eta
 is w w* with w = U_f S_f u, u = eta[:f]: a relation among A's outputs
@@ -210,15 +212,16 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     return _read_only((etas, *_layout(etas, cols)))
 
 
-def _output_floor(a: np.ndarray) -> float:
-    """Rounding level of spectra read off the map of a: n * m * u * |A|_F^2.
+def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One full svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
 
-    |A|_F^2 is |Choi(phi)|_F, so this is the map's level n * m * u * |Choi|_F.
-    It is relative to the map, not to one output, so an output that is zero
-    up to rounding reads as zero.  Only `kernel_probes` reads it: the face
-    reads its class outputs, which are exactly zero or not.
+    The cut is the rounding floor of `null_space`, and it is the only cut
+    of A's spectrum: the face, `kernel_probes` and
+    `exposedness.conjugate_obstruction_space` read A as U_f S_f V_f* with
+    S_f invertible.  f = 0 exactly when A = 0.
     """
-    return a.shape[0] * a.shape[1] * UNIT_ROUNDOFF * float(np.vdot(a, a).real)
+    u, s, vh = np.linalg.svd(a)
+    return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 
 def combination_rows(vectors: np.ndarray) -> np.ndarray:
@@ -233,19 +236,16 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
 
     For X -> A X A*, phi(eta eta*) = w w* with w = A eta, so the kernel
-    probes are ker A, conjugated (the rows of Vh), and their pairwise
-    combinations.  X -> A X^T A* sends eta eta* to the output of the plain
-    map at conj(eta), so its kernel probes are the plain ones conjugated.
-    The kernel is the part past the `gap_rank` of the squared singular
-    values, zero-padded to length m (the spectrum of the input compression
-    of Choi(phi)), over n * m * u * |A|_F^2.  The face does not read them:
-    it probes in the singular basis of A, where ker A is spanned by basis
-    probes with dead outputs.  A = 0 raises InputRejected.
+    probes are the m - f kernel vectors V e_j, j >= f, of `_class_svd`
+    (the conjugated rows of Vh), and their pairwise combinations:
+    k + k (k - 1) probes for k = m - f.  X -> A X^T A* sends eta eta* to the
+    output of the plain map at conj(eta), so its kernel probes are the plain
+    ones conjugated.  The face does not read them: it probes in the
+    singular basis of A, where ker A is spanned by the dead basis probes.
+    A = 0 raises InputRejected.
     """
-    a = _nonzero_operator(A)
-    _, s, vh = np.linalg.svd(a)
-    spectrum = np.pad(s * s, (0, a.shape[1] - s.shape[0]))
-    kernel = vh[gap_rank(spectrum, _output_floor(a)) :].conj()
+    _, _, vh, f = _class_svd(_nonzero_operator(A))
+    kernel = vh[f:].conj()
     if kernel.shape[0] > 1:
         kernel = np.concatenate([kernel, combination_rows(kernel)])
     return list(kernel.conj() if transposed else kernel)
@@ -340,8 +340,7 @@ def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
 def _plain_face(a: np.ndarray) -> NullSpaceResult:
     """The face of X -> A X A*, with read-only arrays.
 
-    One svd A = U S V* and one cut of its spectrum: f counts the
-    s_j > max(n, m) * u * s_0, the rounding floor of `null_space`.  Probes:
+    One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  Probes:
     the cached `curve_frame` and, where 2 <= f < m, `star_frame(m, f)`,
     each applied as V eta.  The relations are solved for the class outputs
     u_p u_p*, u_p = eta_p[:f] (f^2 real coordinates): A's outputs
@@ -373,8 +372,7 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     """
     n, m = a.shape
     curve, dual, dual_gram, *layout = curve_frame(m)
-    _, s, vh = np.linalg.svd(a)
-    f = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
+    _, s, vh, f = _class_svd(a)
     etas, families = curve, [layout]
     if 2 <= f < m:
         star, *star_layout = star_frame(m, f)

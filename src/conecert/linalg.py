@@ -4,14 +4,12 @@ Every rank decision in the package reads a spectrum against the rounding
 level of the computation that produced it, not against a setting.  Most go
 through `gap_rank`: one descending spectrum is cut at its largest relative
 gap, with every value below that floor read at the floor.  The floors:
-- `max(rows, cols) * u * s_0` for `null_space`.  The face cuts the
-  singular values of A there once: f, the rank of the class it solves
-  (`faces._plain_face`), whose outputs are exactly zero or not;
+- `max(rows, cols) * u * s_0` for `null_space`;
 - `unknowns * u * max(s_0, 1)` for the face system (`faces.system_floor`);
 - `n * m * u * |Choi(phi)|_F` for spectra read off a map.
-  `faces.kernel_probes` reads the same level off A as `n * m * u * |A|_F^2`
-  (`faces._output_floor`) and cuts the squared singular values of A at
-  their `gap_rank` over it.
+The singular values of A are not cut at a gap but counted once above the
+first floor: f, the rank of A's class (`faces._class_svd`), which the face,
+`faces.kernel_probes` and `exposedness.conjugate_obstruction_space` read.
 `exposedness.classify` reads the Choi matrix and its partial transpose at
 the map's level, its SVD across the H:K cut at `max(n^2, m^2) * u * s_0`,
 and its factors Q and S at `dim * u * |X|_F`.

@@ -81,8 +81,10 @@ def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
     T (and their pairwise combinations) are exactly the probes that vanish
     for positive phi.  The kernel is the part of T's descending spectrum
-    past its `gap_rank` over `map_floor`.  The reference for
-    `faces.kernel_probes`, which reads the same spectrum off one SVD of A.
+    past its `gap_rank` over `map_floor`.  `faces.kernel_probes` counts
+    A's singular values instead, and the two agree where T's spectrum has
+    a clean gap (the 0/1 matrices); `eigh` of T cannot resolve a squared
+    singular value near its own rounding.
     """
     t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
     w, v = np.linalg.eigh(t)

@@ -16,12 +16,15 @@ Run from the repository root,
     python tests/structured_inputs.py > digest.txt
 
 to print one line per input and flag: label, flag (N for X -> A X A*, T for
-X -> A X^T A*), verdict and nullspace_dim, tab-separated.  The script
+X -> A X^T A*), verdict and nullspace_dim, then the dimension of
+`conjugate_obstruction_space(A)` and the count of `kernel_probes(A)` for
+the flag, tab-separated.  The script
 imports the `conecert` of the checkout it sits in, so the digests of two
 checkouts can be compared with `diff`.  `tests/structured_digest.txt` is
 that output, committed: `test_structured_digest_is_unchanged` compares the
-checkout's digest with it, so a change that moves a verdict or a face
-dimension must regenerate the file on purpose.
+checkout's digest with it, so a change that moves a verdict, a face
+dimension, an obstruction dimension or a kernel-probe count must regenerate
+the file on purpose.
 """
 
 import numpy as np
@@ -89,15 +92,20 @@ def structured_inputs():
 
 
 def digest_lines():
-    """One line per input and flag: label, N or T, verdict and nullspace_dim."""
+    """One line per input and flag: label, N or T, verdict, nullspace_dim, obstruction, probes."""
     # imported here, so that the script can first put its own checkout's src/ on the path
-    from conecert import certify_exposed
+    from conecert import certify_exposed, conjugate_obstruction_space, kernel_probes
 
     for label, a in structured_inputs():
+        obstruction = conjugate_obstruction_space(a).dim
         for transposed in (False, True):
             report = certify_exposed(a, transposed=transposed)
             flag = "T" if transposed else "N"
-            yield f"{label}\t{flag}\t{report.verdict.value}\t{report.nullspace.dim}"
+            probes = len(kernel_probes(a, transposed))
+            yield (
+                f"{label}\t{flag}\t{report.verdict.value}\t{report.nullspace.dim}"
+                f"\t{obstruction}\t{probes}"
+            )
 
 
 if __name__ == "__main__":

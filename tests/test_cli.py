@@ -226,6 +226,14 @@ def test_obstruction(tmp_path, capsys):
     assert len(payload["basis"]) == 1
 
 
+def test_obstruction_reads_the_class_rank_of_expose(tmp_path, capsys):
+    """diag(1, 1e-10, 0) has rank 2: the obstruction space is 0 and the map certifies"""
+    a = dump(tmp_path / "a.json", matrix_to_json(np.diag([1.0, 1e-10, 0.0])))
+    assert main(["obstruction", a]) == 0
+    assert capsys.readouterr().out.strip() == "solution dim: 0"
+    assert main(["expose", a]) == 0
+
+
 def test_random_map_round_trip(tmp_path, capsys):
     out = tmp_path / "rand.json"
     assert main(["random-map", "--kind", "ad", "--n", "2", "--m", "3",

@@ -9,7 +9,7 @@ import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from conecert import exposedness
+from conecert import exposedness, faces
 from conecert.errors import ClassificationError
 from conecert.exposedness import (
     MapCase,
@@ -20,8 +20,13 @@ from conecert.exposedness import (
     conjugate_obstruction_space,
     face_certificate,
 )
-from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose_slots, gap_rank, hermitian_params
+from conecert.faces import (
+    NullSpaceResult,
+    double_prime_nullspace,
+    kernel_probes,
+    membership_residual,
+)
+from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose_slots, hermitian_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
 from conecert.serialization import report_to_dict
 from structured_inputs import digest_lines, haar_unitary
@@ -569,37 +574,34 @@ def test_obstruction_probe_premise():
                 assert abs(np.vdot(zeta, a @ np.linalg.solve(g, rho))) < 1e-12
 
 
-def _obstruction_rows_per_row(a, z_samples=(1, -1, 1j, 2)):
-    """Reference: the obstruction system's rows, one np.outer per row, in row order."""
-    n, m = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = gap_rank(s, max(n, m) * UNIT_ROUNDOFF * s[0])
+def _obstruction_rows_per_row(n, m, r, z_samples=(1, -1, 1j, 2)):
+    """Reference: the class-frame obstruction rows of rank r, one np.outer per row, in order."""
+    eye_n, eye_m = np.eye(n, dtype=complex), np.eye(m, dtype=complex)
     rows = []
-    for j in range(rank, m):
-        v = vh[j].conj()
-        rows += [np.outer(np.eye(n, dtype=complex)[i], v.conj()).ravel() for i in range(n)]
-    for col in range(rank, n):
-        rows += [np.outer(u[:, col].conj(), e).ravel() for e in np.eye(m, dtype=complex)]
-    for j in range(rank):
-        for k in range(j + 1, rank):
-            vj, vk = vh[j].conj(), vh[k].conj()
+    for j in range(r, m):
+        rows += [np.outer(e, eye_m[j]).ravel() for e in eye_n]
+    for i in range(r, n):
+        rows += [np.outer(eye_n[i], e).ravel() for e in eye_m]
+    for j in range(r):
+        for k in range(j + 1, r):
             for z in z_samples:
-                rho = vj + z * vk
-                zeta = -np.conj(z) * u[:, j] + u[:, k]
+                rho = eye_m[j] + z * eye_m[k]
+                zeta = -np.conj(z) * eye_n[j] + eye_n[k]
                 rows.append(np.outer(zeta.conj(), rho.conj()).ravel())
     return np.array(rows)
 
 
 @pytest.mark.parametrize("case", ["full", "rank2", "rank1", "wide", "tall", "near_rank1"])
 def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
-    """the broadcast row families are bit-identical to one outer product per row"""
-    a = {
-        "full": crandn(3, 3),
-        "rank2": crandn(4, 2) @ crandn(2, 3),
-        "rank1": crandn(3, 1) @ crandn(1, 4),
-        "wide": crandn(2, 4),
-        "tall": np.diag([1.0, 0.0, 2.0])[:, :2] @ crandn(2, 2),
-        "near_rank1": np.diag([1.0, 1e-9]),
+    """the broadcast row families are bit-identical to one outer product per row, built from
+    the e_j of the class frame, and A and U A V* (Haar) get the same rows"""
+    a, r = {
+        "full": (crandn(3, 3), 3),
+        "rank2": (crandn(4, 2) @ crandn(2, 3), 2),
+        "rank1": (crandn(3, 1) @ crandn(1, 4), 1),
+        "wide": (crandn(2, 4), 2),
+        "tall": (np.diag([1.0, 0.0, 2.0])[:, :2] @ crandn(2, 2), 1),
+        "near_rank1": (np.diag([1.0, 1e-9]), 2),
     }[case]
     seen = []
 
@@ -608,10 +610,13 @@ def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
         return np.zeros((rows.shape[1], 0), dtype=complex), np.zeros(0)
 
     monkeypatch.setattr(exposedness, "null_space", capture)
+    n, m = a.shape
+    gen = np.random.default_rng([17, n, m])
     conjugate_obstruction_space(a)
-    want = _obstruction_rows_per_row(np.asarray(a, dtype=complex))
-    assert len(seen) == 1 and seen[0].shape == want.shape
-    assert seen[0].tobytes() == want.tobytes()
+    conjugate_obstruction_space(haar_unitary(gen, n) @ a @ haar_unitary(gen, m).conj().T)
+    want = _obstruction_rows_per_row(n, m, r)
+    assert len(seen) == 2 and seen[0].shape == want.shape
+    assert seen[0].tobytes() == seen[1].tobytes() == want.tobytes()
 
 
 def test_obstruction_basis_solves_for_a():
@@ -636,20 +641,45 @@ def test_obstruction_basis_solves_for_a():
 @pytest.mark.parametrize("shape", [None, (2, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4)])
 def test_obstruction_dimension_follows_the_gap_rank(shape):
     """over s2 in logspace(-14, -1, 53): diag(1, s2) (shape None) or three rank-2
-    draws with second singular value s2; dim is 1 exactly at gap rank 1, else 0"""
+    draws with second singular value s2; every input has rank 2, so dim is 0
+
+    s2 stays far above the class cut max(n, m) * u * s_0, so the rank that
+    the obstruction reads is the exact one.
+    """
     s2s = np.logspace(-14, -1, 53)
     if shape is None:
         inputs = [np.diag([1.0, s2]) for s2 in s2s]
     else:
         gen = np.random.default_rng([11, *shape])
         inputs = [_with_smallest_singular_value(gen, *shape, 2, s2) for _ in range(3) for s2 in s2s]
+    dims = [conjugate_obstruction_space(a).dim for a in inputs]
+    assert dims == [0] * len(inputs)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 4), (4, 3), (4, 4)])
+def test_face_obstruction_and_kernel_probes_read_one_class(shape):
+    """U diag(1, s, 0, ...) V* and diag(1, s, 0, ...) over s in logspace(-17, -1, 33): the face,
+    the obstruction space and kernel_probes read A's one class rank f
+
+    The obstruction has dimension 1 exactly when the face hull has
+    dimension 2m - 1, and kernel_probes returns the k = m - f kernel
+    vectors and their k (k - 1) combinations.  Near the cut
+    max(n, m) * u * s_0 the computed f of a rotated input may be either
+    value, but all three read the same one.
+    """
+    n, m = shape
+    gen = np.random.default_rng([29, n, m])
     wrong = []
-    for a in inputs:
-        s = np.linalg.svd(a, compute_uv=False)
-        rank = gap_rank(s, max(a.shape) * UNIT_ROUNDOFF * s[0])
-        dim = conjugate_obstruction_space(a).dim
-        if dim != (rank == 1):
-            wrong.append((s[1], rank, dim))
+    for s in np.logspace(-17, -1, 33):
+        d = np.zeros(shape)
+        d[0, 0], d[1, 1] = 1.0, s
+        for a in (d, haar_unitary(gen, n) @ d @ haar_unitary(gen, m).conj().T):
+            k = m - faces._class_svd(a)[3]
+            face = double_prime_nullspace(a).dim
+            obstruction = conjugate_obstruction_space(a).dim
+            probes = len(kernel_probes(a))
+            if (obstruction == 1) != (face == 2 * m - 1) or probes != k + k * (k - 1):
+                wrong.append((s, face, obstruction, probes))
     assert wrong == []
 
 

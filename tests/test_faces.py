@@ -11,6 +11,7 @@ from constraint_oracle import (
     choi_kernel_probes,
     dense_nullspace,
     functional_row,
+    map_floor,
     oracle_nullspace,
     probe_outputs,
     unit_probe_vectors,
@@ -102,13 +103,33 @@ def test_kernel_probes_full_rank_empty():
 
 
 def test_kernel_probes_match_choi_oracle():
-    """the kernel read off svd(A) has the size of the one read off Choi(phi)"""
-    bands = (_band(s2) for s2 in np.logspace(-14, -1, 53))
-    for a in [*(a for _, a in zero_one_matrices()), *bands]:
+    """the kernel read off svd(A) has the size of the one read off Choi(phi) on the 0/1 matrices"""
+    for _, a in zero_one_matrices():
         for transposed in (False, True):
             phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
             want = len(choi_kernel_probes(phi))
             assert len(kernel_probes(a, transposed)) == want, (a, transposed)
+
+
+@pytest.mark.parametrize("s2", np.logspace(-14, -1, 53))
+def test_kernel_probes_of_the_band_are_its_exact_kernel(s2):
+    """3x3 U diag(1, s2, 0) V*: one probe, V e_2 (conjugated if transposed), up to phase and rounding
+
+    The rounding of the probe is the cut's level max(n, m) u s_0 over the
+    gap s2 that separates ker A from the rest of the spectrum (Wedin).  The
+    Choi oracle cannot read this band: `eigh` of the input compression of
+    Choi(phi) meets s2^2 below its own rounding for most of it.
+    """
+    g = np.random.default_rng(7)
+    haar_unitary(g, 3)  # U, drawn first by _band
+    v = haar_unitary(g, 3)[:, 2]
+    for transposed in (False, True):
+        probes = kernel_probes(_band(s2), transposed)
+        assert len(probes) == 1, transposed
+        want = v.conj() if transposed else v
+        phase = np.vdot(want, probes[0])
+        err = np.linalg.norm(probes[0] - phase / abs(phase) * want)
+        assert err <= 3 * UNIT_ROUNDOFF / s2, (transposed, err)
 
 
 def test_zero_operator_rejected():
@@ -742,7 +763,7 @@ def _curve_outputs(a, etas):
     """Unit columns params(w w*) / |w|^2 of the outputs w = A eta (0 at the floor), |w|^2."""
     w = etas @ a.T
     c = np.einsum("pi,pi->p", w, w.conj()).real
-    live = c > faces._output_floor(a)
+    live = c > map_floor(choi_from_ad(a))
     outs = np.zeros((etas.shape[0], a.shape[0] ** 2))
     outs[live] = hermitian_params(np.einsum("pi,pj->pij", w[live], w[live].conj())) / c[live, None]
     return outs, c
@@ -774,7 +795,7 @@ def test_back_substitution_recovers_phi(transposed):
     checked = 0
     for a in inputs:
         if kernel_probes(a, transposed):
-            continue  # the gap rule reads a kernel, so no pair is eliminated
+            continue  # A has a kernel (f < m), so no pair is eliminated
         n, m = a.shape
         res = double_prime_nullspace(a, transposed)
         assert (res.dim, res.unknowns) == (1, m), a
