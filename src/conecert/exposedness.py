@@ -283,7 +283,9 @@ def conjugate_obstruction_space(A) -> ObstructionResult:
 
     Pi's system uses three probe families: its kernel vectors e_j, j >= r
     (forcing B'' e_j = 0), its left-null directions e_i, i >= r (forcing
-    e_i* B'' = 0), and for each pair j < k < r the curves
+    e_i* B'' = 0, on the columns j < r only, as the kernel rows cover
+    j >= r: each row e_i (x) e_j is stacked once), and for each pair
+    j < k < r the curves
     rho_z = e_j + z e_k, zeta_z = -conj(z) e_j + e_k, which satisfy the
     premise for every z.  The curves are read at z in `_OBSTRUCTION_Z`,
     which separates every coefficient of the induced polynomial identity in
@@ -303,8 +305,8 @@ def conjugate_obstruction_space(A) -> ObstructionResult:
     eye_m = np.eye(m, dtype=np.complex128)
     # kernel vectors e_j of Pi: one row e_i (x) e_j per i
     kernel_rows = eye_n[None, :, :, None] * eye_m[rank:, None, None, :]
-    # left-null directions e_i of Pi: one row e_i (x) e_j per j
-    left_rows = eye_n[rank:, None, :, None] * eye_m[None, :, None, :]
+    # left-null directions e_i of Pi: one row e_i (x) e_j per j < r, the kernel rows hold the rest
+    left_rows = eye_n[rank:, None, :, None] * eye_m[None, :rank, None, :]
 
     # pairs j < k of the class, one row conj(zeta_z) (x) conj(rho_z) per z
     jj, kk = np.triu_indices(rank, 1)

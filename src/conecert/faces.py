@@ -11,9 +11,10 @@ w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
 and psi -> psi o T is a linear automorphism of the cone of positive maps, so
 its face is the image of phi's: only phi's face is solved, and the
 transposed basis is its input-side partial transpose, a signed permutation
-of the Choi parameters (`_transposed_face`).  Nothing here is cached per A:
-`exposedness.certify_exposed` keeps the last plain certificate, so the two
-flags on one A solve once.
+of the Choi parameters (`_transposed_face`).  Nothing here is cached per A,
+only per class: the face system is solved once per (m, f) (`class_solve`),
+and `exposedness.certify_exposed` keeps the last plain certificate, so the
+two flags on one A rebuild its face once.
 
 The face is solved in the class of A, with one cut of its spectrum.  One
 svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
@@ -57,9 +58,10 @@ f = m there is no star, and the pair probe P_{+z}(j, k) enters only the
 relation of its reflection P_{-z}(j, k), so the same R eliminates it too:
 its first row back-substitutes the pair coordinate, the other two tie x_j
 to x_k along the curve e_j + z e_k, and the system is in the m diagonal
-unknowns x_j.  One SVD of the stack gives the face, and the dual basis
-V D_b V* of the projectors V P_b V* turns it into Choi matrices, with A's
-own outputs.
+unknowns x_j.  One SVD of the stack gives the face of the class, cached
+read-only per (m, f) with what the rebuild reads (`class_solve`).  Per A
+only the rebuild is left: the dual basis V D_b V* of the projectors
+V P_b V* turns the class solve into Choi matrices, with A's own outputs.
 """
 
 import math
@@ -313,9 +315,11 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """Null space of the zero-pair constraints of X -> A X A*, or of X -> A X^T A* when transposed.
 
-    Solves the plain face on every call (`_plain_face`); the transposed face
-    is its `_transposed_face`, bitwise.  The arrays are read-only, as
-    `exposedness.certify_exposed` shares them between reports.  A = 0
+    Rebuilds the plain face from A on every call (`_plain_face`), over the
+    solve of A's class, cached per (m, f) (`class_solve`); the transposed
+    face is its `_transposed_face`, bitwise.  The arrays are read-only, as
+    `exposedness.certify_exposed` shares them between reports and the class
+    cache shares `singular_values` between every A of one class.  A = 0
     raises InputRejected.
     """
     # one memory layout for every input, so equal matrices give equal bits
@@ -337,17 +341,16 @@ def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
     return replace(plain, param_basis=_read_only((plain.param_basis[index] * sign[:, None],))[0])
 
 
-def _plain_face(a: np.ndarray) -> NullSpaceResult:
-    """The face of X -> A X A*, with read-only arrays.
+@lru_cache(maxsize=None)
+def class_solve(m: int, f: int) -> tuple:
+    """Cached, read-only solve of the face system of the class (m, f): input side m, rank f.
 
-    One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  Probes:
-    the cached `curve_frame` and, where 2 <= f < m, `star_frame(m, f)`,
-    each applied as V eta.  The relations are solved for the class outputs
-    u_p u_p*, u_p = eta_p[:f] (f^2 real coordinates): A's outputs
-    w_p w_p*, w_p = A V eta_p = U_f S_f u_p, carried back by the invertible
-    S_f^-1 (`faces` module docstring).  A probe is live exactly when
-    u_p != 0, and then it has one real unknown, psi(V P_p V*) = x_p w_p w_p*.
-    Every probe p past the m^2 unit probes gives the relation
+    Probes: the cached `curve_frame` and, where 2 <= f < m, `star_frame(m, f)`.
+    The relations are solved for the class outputs u_p u_p*, u_p = eta_p[:f]
+    (f^2 real coordinates), which S_f^-1 carries A's outputs to exactly
+    (`faces` module docstring).  A probe is live exactly when u_p != 0, and
+    then it has one real unknown, psi(V P_p V*) = x_p w_p w_p*.  Every probe
+    p past the m^2 unit probes gives the relation
     x_p u_p u_p* - sum_b coords[p, b] x_b u_b u_b* = 0, whose f^2 rows
     involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
     in no other relation, so `_reduced_relations` projects it out and cuts
@@ -355,24 +358,15 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     probe.  Where f = m (no star) the pair probe P_{+z}(j, k) is in the
     relation of P_{-z}(j, k) only, so the same R eliminates it: m unknowns,
     and the pair coordinates are L x, read off the first row of that R.
-    The rank is `gap_rank` of the spectrum over `system_floor`.  The
-    relations, their QR and the system SVD read only the probes and
-    depend on A only through (m, f).  Null vectors z, pair coordinates
-    included, give x_b = z_b / c_b with the class norm c_b = |u_b|^2, and
-    become Choi matrices through the dual basis V D_b V* of the V P_b V*,
-    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), with A's own
-    outputs w_b w_b*, and are orthonormalised there.  `condition` is the
-    largest stretch of the whole map z -> Choi, pair coordinates included,
-    over its least stretch on the null space; the largest is read off the
-    Gram matrix (O O^T) o (D D^T) of A's output columns
-    O_b = params(w_b w_b*) / c_b and the dual basis, which V keeps, one
-    eigvalsh of `unknowns` columns.  O_b is the class column scaled
-    entrywise by s_j s_k, so the outputs are not read twice.
-    Deterministic: no random probes.
+    The rank is `gap_rank` of the spectrum over `system_floor`.
+
+    Returns what the Choi rebuild of `_plain_face` reads: the unit class
+    output columns params(u_b u_b*) / c_b of the m^2 basis probes (zero
+    where dead), the lift L, the null vectors as basis coordinates
+    x_b = (L null)_b / c_b over the class norm c_b = |u_b|^2 (zero where
+    dead), the spectrum, `unknowns` and the probe count.  None of it reads A.
     """
-    n, m = a.shape
-    curve, dual, dual_gram, *layout = curve_frame(m)
-    _, s, vh, f = _class_svd(a)
+    curve, _, _, *layout = curve_frame(m)
     etas, families = curve, [layout]
     if 2 <= f < m:
         star, *star_layout = star_frame(m, f)
@@ -397,12 +391,37 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
     else:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
-
-    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm;
-    # Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
+    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    outer = _outer(etas[:size] @ vh.conj() @ a.T).reshape(size, n * n)
+    # a copy of the basis rows, so that the cache does not keep the other probes' columns
+    return (*_read_only((outputs[:size].copy(), lift, z, svals)), unknowns, etas.shape[0])
+
+
+def _plain_face(a: np.ndarray) -> NullSpaceResult:
+    """The face of X -> A X A*, with read-only arrays.
+
+    One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
+    probes are V eta, and the face system depends on A only through (m, f),
+    so its solve is cached per class (`class_solve`).  What is left reads A:
+    the null vectors become Choi matrices through the dual basis V D_b V*
+    of the V P_b V*, Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*),
+    with A's own outputs w_b w_b*, and are orthonormalised there.
+    `condition` is the largest stretch of the whole map z -> Choi, pair
+    coordinates included, over its least stretch on the null space; the
+    largest is read off the Gram matrix (O O^T) o (D D^T) of A's output
+    columns O_b = params(w_b w_b*) / c_b and the dual basis, which V keeps,
+    one eigvalsh of `unknowns` columns.  O_b is the class column scaled
+    entrywise by s_j s_k, so the outputs are not read twice.
+    Deterministic: no random probes.
+    """
+    n, m = a.shape
+    curve, dual, dual_gram = curve_frame(m)[:3]
+    _, s, vh, f = _class_svd(a)
+    outputs, lift, z, svals, unknowns, pairs_used = class_solve(m, f)
+    size = m * m
+    # Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), psi(V P_b V*) = x_b w_b w_b*
+    outer = _outer(curve[:size] @ vh.conj() @ a.T).reshape(size, n * n)
     y = z.T[:, None, :] * outer.T
     # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
     choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
@@ -421,13 +440,12 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
         # O_b = params(S_f u_b u_b* S_f) / c_b is the class column scaled entrywise by s_j s_k
         iu, ju = triu_pairs(f)
         cross = s[iu] * s[ju]
-        own = outputs[:size] * np.concatenate([s[:f] * s[:f], cross, cross])
+        own = outputs * np.concatenate([s[:f] * s[:f], cross, cross])
         gram = (own @ own.T) * dual_gram
         stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
         condition = stretch / least
-    svals, param_basis = _read_only((svals, param_basis))
     return NullSpaceResult(
-        singular_values=svals, pairs_used=etas.shape[0], param_basis=param_basis,
+        singular_values=svals, pairs_used=pairs_used, param_basis=_read_only((param_basis,))[0],
         unknowns=unknowns, condition=condition,
     )
 

@@ -545,6 +545,16 @@ def test_obstruction_trichotomy():
     assert conjugate_obstruction_space(np.diag([1.0, 0.0])).dim == 1
 
 
+def test_obstruction_stacks_each_kernel_row_once():
+    """a row e_i (x) e_j with i, j >= r is a kernel row only, not a left-null row as well
+
+    Each of the orthonormal rows then has singular value 1, not sqrt 2.
+    """
+    for a, rows in ((np.diag([1.0, 0.0]), 3), (np.zeros((4, 4)), 16)):
+        s = conjugate_obstruction_space(a).singular_values
+        assert s.shape == (rows,) and np.abs(s - 1.0).max() <= 1e-15, a.shape
+
+
 def test_obstruction_rank_one_basis_form():
     """for A = zeta rho* the solution line is spanned by zeta rho^T"""
     for n, m in [(2, 2), (3, 2), (2, 4)]:
@@ -581,7 +591,7 @@ def _obstruction_rows_per_row(n, m, r, z_samples=(1, -1, 1j, 2)):
     for j in range(r, m):
         rows += [np.outer(e, eye_m[j]).ravel() for e in eye_n]
     for i in range(r, n):
-        rows += [np.outer(eye_n[i], e).ravel() for e in eye_m]
+        rows += [np.outer(eye_n[i], e).ravel() for e in eye_m[:r]]
     for j in range(r):
         for k in range(j + 1, r):
             for z in z_samples:

@@ -341,11 +341,12 @@ def _spy_reduced_relations(monkeypatch, arguments=False):
 
     The system is the one it returns, over the kept unknowns' columns; the
     output columns are the live basis probes'.  With `arguments`, record
-    (system, lift, outputs, live).  `double_prime_nullspace` solves on every
-    call.
+    (system, lift, outputs, live).  The class cache is bypassed, so every
+    `double_prime_nullspace` call builds and records its own system.
     """
     seen = []
     reduce = faces._reduced_relations
+    monkeypatch.setattr(faces, "class_solve", faces.class_solve.__wrapped__)
 
     def spy(outputs, live, families):
         system, lift = reduce(outputs, live, families)
@@ -503,6 +504,7 @@ def test_only_narrow_relations_are_cut(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
+    monkeypatch.setattr(faces, "class_solve", faces.class_solve.__wrapped__)
     for n, m in ((2, 3), (4, 4), (8, 8)):
         double_prime_nullspace(rand_rank(n, m, 1))
     assert widths == []
@@ -603,11 +605,66 @@ def test_face_system_is_tall(n, m):
 
 
 def test_curve_frame_is_read_only():
-    """the cached per-m arrays refuse writes, so no caller can change the next certificate"""
-    for a in curve_frame(3):
+    """the cached per-m and per-class arrays refuse writes, so no caller can change the next
+    certificate"""
+    arrays = [*curve_frame(3), *star_frame(4, 2)]
+    for f in range(1, 4):
+        arrays += [x for x in faces.class_solve(3, f) if isinstance(x, np.ndarray)]
+    for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0] = 0
+            a[...] = 0
+
+
+def test_class_is_solved_once(monkeypatch):
+    """A, U A V* (Haar), another draw of its class and both flags build the class system once;
+    a new (m, f) builds its own"""
+    seen = []
+    reduce = faces._reduced_relations
+
+    def spy(outputs, live, families):
+        seen.append(outputs.shape)
+        return reduce(outputs, live, families)
+
+    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    faces.class_solve.cache_clear()
+    # its own generator, leaving the module stream to the later tests
+    g = np.random.default_rng(61)
+
+    def draw(n, m, r):
+        return (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ (
+            g.standard_normal((r, m)) + 1j * g.standard_normal((r, m))
+        )
+
+    a = draw(4, 5, 3)
+    for b in (a, haar_unitary(g, 4) @ a @ haar_unitary(g, 5).conj().T, draw(4, 5, 3)):
+        for transposed in (False, True):
+            double_prime_nullspace(b, transposed)
+    assert len(seen) == 1
+    assert faces.class_solve.cache_info().currsize == 1
+    double_prime_nullspace(draw(3, 5, 2))
+    double_prime_nullspace(draw(5, 4, 3))
+    assert len(seen) == 3
+    assert faces.class_solve.cache_info().currsize == 3
+
+
+def test_cold_and_warm_class_solves_match():
+    """on every grid class a call that solves the class and one that reads the cached solve
+    return the same null space, bitwise"""
+    g = np.random.default_rng(67)
+    for n in (2, 3, 4):
+        for m in (2, 3, 4):
+            for r in range(1, min(n, m) + 1):
+                a = g.standard_normal((n, r)) @ g.standard_normal((r, m))
+                faces.class_solve.cache_clear()
+                cold = double_prime_nullspace(a)
+                warm = double_prime_nullspace(a)
+                assert faces.class_solve.cache_info().hits == 1
+                for field in ("singular_values", "param_basis"):
+                    got, want = getattr(warm, field), getattr(cold, field)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, m, r)
+                want = (cold.unknowns, cold.pairs_used, cold.condition)
+                assert (warm.unknowns, warm.pairs_used, warm.condition) == want, (n, m, r)
 
 
 def test_recomputed_certificate_matches_the_kept_one():
@@ -926,7 +983,7 @@ def test_transposed_face_is_the_partial_transpose():
 
 def test_flag_pair_builds_one_system(monkeypatch):
     """both flags on one A certify once; a different A, or the same A after another, certifies
-    again, and double_prime_nullspace solves on every call"""
+    again, and double_prime_nullspace, past the class cache, solves on every call"""
     seen = _spy_reduced_relations(monkeypatch)
     exposedness._plain_certificate.cache_clear()
     a, b = rand_rank(3, 4, 2), rand_rank(3, 4, 2)
