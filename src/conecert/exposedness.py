@@ -34,6 +34,7 @@ from .linalg import (
     UNIT_ROUNDOFF,
     as_complex_matrix,
     fix_phase,
+    frobenius_norm,
     gap_rank,
     hermitian_within,
     hermitize,
@@ -205,7 +206,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
-    norm = float(np.linalg.norm(a))
+    norm = frobenius_norm(a)
     if norm == 0.0:
         ns, verdict, face, overlap = _empty_nullspace(), Verdict.INPUT_REJECTED, None, 0.0
     else:
@@ -383,7 +384,7 @@ def classify(map_rep: MapRep) -> Classification:
     the gap is positive.  Anything else raises ClassificationError.
     """
     n, m, choi = map_rep.n, map_rep.m, map_rep.choi
-    scale = float(np.linalg.norm(choi))
+    scale = frobenius_norm(choi)
     if not hermitian_within(choi, scale):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
     # the map's rounding level n * m * u * |Choi|_F, from the norm already read
@@ -424,8 +425,8 @@ def _omega_q_form(map_rep: MapRep) -> Classification | None:
     # the map is Hermitian, so Q and S are Hermitian up to rounding
     q = u[:, 0].reshape(n, n) / t
     smat = hermitize((float(s[0]) * t) * vh[0].reshape(m, m))
-    vec = _rank1_psd_vector(q, n * UNIT_ROUNDOFF * float(np.linalg.norm(q)))
-    s_floor = m * UNIT_ROUNDOFF * float(np.linalg.norm(smat))
+    vec = _rank1_psd_vector(q, n * UNIT_ROUNDOFF * frobenius_norm(q))
+    s_floor = m * UNIT_ROUNDOFF * frobenius_norm(smat)
     if vec is None or not _psd_rank(np.linalg.eigvalsh(smat), s_floor):
         return None
     zeta = fix_phase(normalized(vec))

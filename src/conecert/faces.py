@@ -45,10 +45,11 @@ outputs too.  Every relation sits on columns fixed by m and f:
   dead end c >= f has all its outputs on one line and ties nothing; the
   star ties the live ends of such curves together.
 This module owns every probe table: both frames are built here, vectorised
-over `triu_pairs`, and cached read-only per m (and f).  A frame keeps the
-probes, each relation's columns and weights, and the flat positions of its
-R rows among the m^2 basis columns, so no cached table but the dual basis
-and its Gram matrix grows as m^4.
+over `triu_pairs`; the curve frame is cached read-only per m, and the star
+frame is built once per (m, f), by the cached `class_solve`.  A frame keeps
+the probes, each relation's columns and weights, and the flat positions of
+its R rows among the m^2 basis columns, so no cached table but the dual
+basis and its Gram matrix grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
@@ -59,9 +60,11 @@ relation of its reflection P_{-z}(j, k), so the same R eliminates it too:
 its first row back-substitutes the pair coordinate, the other two tie x_j
 to x_k along the curve e_j + z e_k, and the system is in the m diagonal
 unknowns x_j.  One SVD of the stack gives the face of the class, cached
-read-only per (m, f) with what the rebuild reads (`class_solve`).  Per A
-only the rebuild is left: the dual basis V D_b V* of the projectors
-V P_b V* turns the class solve into Choi matrices, with A's own outputs.
+read-only per (m, f) with what the rebuild reads (`class_solve`): the lift
+and the null vectors, no output column.  Per A only the rebuild is left: the
+dual basis V D_b V* of the projectors V P_b V* turns the class solve into
+Choi matrices, with A's own outputs w_b = A V eta_b, and `condition` reads
+the Gram matrix of the same outputs.
 """
 
 import math
@@ -76,6 +79,7 @@ from .linalg import (
     UNIT_ROUNDOFF,
     _partial_transpose_slots,
     _read_only,
+    frobenius_norm,
     gap_rank,
     hermitian_params,
     params_to_herm,
@@ -100,8 +104,10 @@ class NullSpaceResult:
     spectrum, `unknowns` and `pairs_used` (the probe count) depend on A only
     through (m, f).  `condition` is the largest stretch of the whole map
     from those coordinates to Choi parameters, back-substitution included,
-    over its least stretch on the null space: it carries A's singular
-    values.
+    over its least stretch on the null space: it is read off A's outputs
+    w_b = A V eta_b, so it carries A's singular values, those below the cut
+    f included.  `double_prime_nullspace` and `exposedness.certify_exposed`
+    read it, and the basis, for A / |A|_F.
     """
 
     singular_values: np.ndarray
@@ -190,9 +196,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols)))
 
 
-@lru_cache(maxsize=None)
 def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
-    """Cached, read-only star probes of a class of rank f < m and the layout of their relations.
+    """Star probes of a class of rank f < m and the layout of their relations.
 
     The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < f <= c < m,
     b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
@@ -200,7 +205,8 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     probes of row q of `cols`: P_0, P_b, P_c, then P_{+1} and P_{+i} of the
     pairs (0, b), (0, c) and (b, c).  Returns the probes, `cols`, `weights`
     (their `projector_coordinates` there, some of them 0) and `spots`
-    (k, 9, 9), as `curve_frame` does.
+    (k, 9, 9), as `curve_frame` does.  Not cached: its only reader is the
+    cached `class_solve`, which builds it once per (m, f).
     """
     b, c = np.divmod(np.repeat(np.arange((f - 1) * (m - f)), 4), m - f)
     b, c, z = b + 1, c + f, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((f - 1) * (m - f), 1))
@@ -211,7 +217,7 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     pair[iu, ju] = m + 2 * np.arange(iu.shape[0])
     ends = (pair[0, b], pair[0, c], pair[b, c])
     cols = np.stack([0 * b, b, c, *(e + k for e in ends for k in (0, 1))], axis=1)
-    return _read_only((etas, *_layout(etas, cols)))
+    return (etas, *_layout(etas, cols))
 
 
 def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -315,16 +321,18 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """Null space of the zero-pair constraints of X -> A X A*, or of X -> A X^T A* when transposed.
 
-    Rebuilds the plain face from A on every call (`_plain_face`), over the
-    solve of A's class, cached per (m, f) (`class_solve`); the transposed
-    face is its `_transposed_face`, bitwise.  The arrays are read-only, as
-    `exposedness.certify_exposed` shares them between reports and the class
-    cache shares `singular_values` between every A of one class.  A = 0
-    raises InputRejected.
+    A is Frobenius normalised (`linalg.frobenius_norm`) as
+    `exposedness.certify_exposed` normalises it, so the two return bitwise
+    equal null spaces at any scale of A.  Rebuilds the plain face from A on
+    every call (`_plain_face`), over the solve of A's class, cached per
+    (m, f) (`class_solve`); the transposed face is its `_transposed_face`,
+    bitwise.  The arrays are read-only, as `certify_exposed` shares them
+    between reports and the class cache shares `singular_values` between
+    every A of one class.  A = 0 raises InputRejected.
     """
+    a = _nonzero_operator(A)
     # one memory layout for every input, so equal matrices give equal bits
-    a = np.ascontiguousarray(_nonzero_operator(A))
-    plain = _plain_face(a)
+    plain = _plain_face(np.ascontiguousarray(a / frobenius_norm(a)))
     return _transposed_face(plain, *a.shape) if transposed else plain
 
 
@@ -360,11 +368,11 @@ def class_solve(m: int, f: int) -> tuple:
     and the pair coordinates are L x, read off the first row of that R.
     The rank is `gap_rank` of the spectrum over `system_floor`.
 
-    Returns what the Choi rebuild of `_plain_face` reads: the unit class
-    output columns params(u_b u_b*) / c_b of the m^2 basis probes (zero
-    where dead), the lift L, the null vectors as basis coordinates
-    x_b = (L null)_b / c_b over the class norm c_b = |u_b|^2 (zero where
-    dead), the spectrum, `unknowns` and the probe count.  None of it reads A.
+    Returns what the Choi rebuild of `_plain_face` and its `condition`
+    read: the lift in x-coordinates, L / c_b per row, over the class norm
+    c_b = |u_b|^2 (zero rows where dead), the null vectors as basis
+    coordinates x_b = (L null)_b / c_b (zero where dead), the spectrum,
+    `unknowns` and the probe count.  None of it reads A.
     """
     curve, _, _, *layout = curve_frame(m)
     etas, families = curve, [layout]
@@ -394,8 +402,9 @@ def class_solve(m: int, f: int) -> tuple:
     # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm
     z = lift @ null
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    # a copy of the basis rows, so that the cache does not keep the other probes' columns
-    return (*_read_only((outputs[:size].copy(), lift, z, svals)), unknowns, etas.shape[0])
+    # the lift to the coordinates x_b = z_b / c_b on A's outputs, which `condition` reads
+    lift = np.divide(lift, c[:size, None], out=np.zeros_like(lift), where=live[:size, None])
+    return (*_read_only((lift, z, svals)), unknowns, etas.shape[0])
 
 
 def _plain_face(a: np.ndarray) -> NullSpaceResult:
@@ -403,26 +412,26 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
 
     One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
     probes are V eta, and the face system depends on A only through (m, f),
-    so its solve is cached per class (`class_solve`).  What is left reads A:
-    the null vectors become Choi matrices through the dual basis V D_b V*
-    of the V P_b V*, Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*),
-    with A's own outputs w_b w_b*, and are orthonormalised there.
-    `condition` is the largest stretch of the whole map z -> Choi, pair
-    coordinates included, over its least stretch on the null space; the
-    largest is read off the Gram matrix (O O^T) o (D D^T) of A's output
-    columns O_b = params(w_b w_b*) / c_b and the dual basis, which V keeps,
-    one eigvalsh of `unknowns` columns.  O_b is the class column scaled
-    entrywise by s_j s_k, so the outputs are not read twice.
-    Deterministic: no random probes.
+    so its solve is cached per class (`class_solve`).  What is left reads A
+    through its outputs w_b = A V eta_b alone: the null vectors become Choi
+    matrices through the dual basis V D_b V* of the V P_b V*,
+    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
+    psi(V P_b V*) = x_b w_b w_b*, and are orthonormalised there.
+    `condition` is the largest stretch of the whole map from the unknowns
+    to Choi, pair coordinates included, over its least stretch on the null
+    space; the largest is read off the Gram matrix (O O^T) o (D D^T) of the
+    outputs O_b = w_b w_b* and the dual basis, which V keeps, one eigvalsh
+    of `unknowns` columns.  <w_a w_a*, w_b w_b*>_F = |w_a* w_b|^2, so the
+    same w gives both.  Deterministic: no random probes.
     """
     n, m = a.shape
     curve, dual, dual_gram = curve_frame(m)[:3]
-    _, s, vh, f = _class_svd(a)
-    outputs, lift, z, svals, unknowns, pairs_used = class_solve(m, f)
+    _, _, vh, f = _class_svd(a)
+    lift, z, svals, unknowns, pairs_used = class_solve(m, f)
     size = m * m
-    # Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*), psi(V P_b V*) = x_b w_b w_b*
-    outer = _outer(curve[:size] @ vh.conj() @ a.T).reshape(size, n * n)
-    y = z.T[:, None, :] * outer.T
+    # w_b = A V eta_b as rows; Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
+    w = curve[:size] @ vh.conj() @ a.T
+    y = z.T[:, None, :] * _outer(w).reshape(size, n * n).T
     # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
     choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
     choi = choi.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m) @ vh
@@ -436,12 +445,8 @@ def _plain_face(a: np.ndarray) -> NullSpaceResult:
         else:
             param_basis, sv, _ = np.linalg.svd(param_basis, full_matrices=False)
             least = float(sv[-1])
-        # |Choi|_F^2 = z^T ((O O^T) o (D D^T)) z over A's output columns O and the dual D;
-        # O_b = params(S_f u_b u_b* S_f) / c_b is the class column scaled entrywise by s_j s_k
-        iu, ju = triu_pairs(f)
-        cross = s[iu] * s[ju]
-        own = outputs * np.concatenate([s[:f] * s[:f], cross, cross])
-        gram = (own @ own.T) * dual_gram
+        # |Choi|_F^2 = x^T ((O O^T) o (D D^T)) x, x = lift @ unknowns, <O_a, O_b>_F = |w_a* w_b|^2
+        gram = np.abs(w @ w.conj().T) ** 2 * dual_gram
         stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
         condition = stretch / least
     return NullSpaceResult(
@@ -457,7 +462,7 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
     normalized first, so the coefficient norm is the overlap in [0, 1].
     """
     c = map_rep.choi
-    scale = float(np.linalg.norm(c))
+    scale = frobenius_norm(c)
     if scale == 0.0:
         raise ShapeError("zero Choi matrix has no direction")
     p = hermitian_params(c / scale)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputRejected
-from .linalg import as_complex_matrix, normalized, null_space
+from .linalg import as_complex_matrix, frobenius_norm, normalized, null_space
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def operator_from_functional(f: FunctionalRep) -> np.ndarray:
 
 def functional_norm(f: FunctionalRep) -> float:
     """The Hilbert-space norm of f, equal to the Frobenius norm of coeffs."""
-    return float(np.linalg.norm(f.coeffs))
+    return frobenius_norm(f.coeffs)
 
 
 def norm_maximizer(f: FunctionalRep) -> np.ndarray:

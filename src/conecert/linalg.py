@@ -24,8 +24,16 @@ factor), `maps.is_completely_positive` (`is_psd` of the Choi matrix) and
 `maps.is_positive` read both; `maps.is_hermitian_preserving` and
 `exposedness.classify` read the first.  So no verdict depends on an absolute
 cutoff.
+
+Every norm read as a scale is `frobenius_norm`, which neither underflows
+nor overflows: `np.linalg.norm` where that lies in [2^-500, 2^500], and
+otherwise the norm of X rescaled exactly by a power of two (`np.ldexp`, by
+the exponent of max |x|).  So an in-range X keeps the bits of
+`np.linalg.norm`, and X and 2^k * X give |X|_F and 2^k * |X|_F exactly, as
+long as neither rescaled copy under- or overflows.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +48,8 @@ HERMITIAN_RTOL = 1e-10
 POSITIVITY_RTOL = 1e-9
 # an exact zero floor still reads as a positive level, so no ratio divides by 0
 _TINY = float(np.finfo(np.float64).tiny)
+# where np.linalg.norm is read as it is; its squares neither underflow nor overflow there
+_NORM_RANGE = (2.0**-500, 2.0**500)
 
 
 def gap_rank(s, floor) -> int:
@@ -88,6 +98,29 @@ def transpose(x: np.ndarray) -> np.ndarray:
     return as_complex_matrix(x).T.copy()
 
 
+@np.errstate(over="ignore")
+def frobenius_norm(x: np.ndarray) -> float:
+    """|X|_F of a finite array, with no underflow or overflow of its squares.
+
+    `np.linalg.norm` where it lies in `_NORM_RANGE`, at one range check.
+    Outside it (0 for a nonzero X included) X is rescaled by 2^-e, e the
+    exponent of max |x|, with `np.ldexp`, which is exact, and the norm of
+    the rescaled copy is scaled back by 2^e.  0 only for X = 0, and inf
+    only for a norm past the largest double.
+    """
+    norm = float(np.linalg.norm(x))
+    if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
+        return norm
+    top = float(np.abs(x).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1]
+    scaled = np.ldexp(x.real, -e)
+    if np.iscomplexobj(x):
+        scaled = scaled + 1j * np.ldexp(x.imag, -e)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Nearest Hermitian matrix, (M + M*)/2, over the last two axes."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
@@ -95,7 +128,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def hermitian_within(x: np.ndarray, scale: float) -> bool:
     """The Hermiticity rule: |X - X*|_F <= HERMITIAN_RTOL * scale, where scale is |X|_F."""
-    return float(np.linalg.norm(x - x.conj().T)) <= HERMITIAN_RTOL * scale
+    return frobenius_norm(x - x.conj().T) <= HERMITIAN_RTOL * scale
 
 
 def psd_threshold(dim: int, scale: float) -> float:
@@ -140,7 +173,7 @@ def is_psd(m: np.ndarray) -> tuple[bool, float]:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"psd check needs a square matrix, got {m.shape}")
-    scale = float(np.linalg.norm(m))
+    scale = frobenius_norm(m)
     if not hermitian_within(m, scale):
         raise HermiticityError("matrix is not Hermitian within tolerance")
     low = float(np.linalg.eigvalsh(hermitize(m))[0])
@@ -148,7 +181,7 @@ def is_psd(m: np.ndarray) -> tuple[bool, float]:
 
 
 def normalized(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = frobenius_norm(v)
     if n == 0:
         raise ShapeError("cannot normalize the zero vector")
     return v / n

@@ -206,7 +206,7 @@ def pairing(map_rep: MapRep, w) -> complex:
 
 def is_hermitian_preserving(map_rep: MapRep) -> bool:
     """True iff the Choi matrix is Hermitian by `linalg.hermitian_within`."""
-    return linalg.hermitian_within(map_rep.choi, float(np.linalg.norm(map_rep.choi)))
+    return linalg.hermitian_within(map_rep.choi, linalg.frobenius_norm(map_rep.choi))
 
 
 def is_completely_positive(map_rep: MapRep) -> tuple[bool, float]:
@@ -286,7 +286,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     descent.
     """
     n, m, c = map_rep.n, map_rep.m, map_rep.choi
-    scale = float(np.linalg.norm(c))
+    scale = linalg.frobenius_norm(c)
     if not linalg.hermitian_within(c, scale):
         raise HermiticityError("map is not Hermiticity-preserving within tolerance")
     threshold = linalg.psd_threshold(n * m, scale)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from constraint_oracle import functional_row
 
 from conecert.errors import HermiticityError, ShapeError
+from conecert.exposedness import Verdict, certify_exposed, classify
+from conecert.faces import double_prime_nullspace, membership_residual
+from conecert.functionals import functional_from_operator, functional_norm
 from conecert.linalg import (
     POSITIVITY_RTOL,
     SQRT2,
@@ -10,8 +15,10 @@ from conecert.linalg import (
     _partial_transpose_slots,
     conj_vector,
     fix_phase,
+    frobenius_norm,
     gap_rank,
     hermitian_params,
+    hermitian_within,
     hermitize,
     is_psd,
     normalized,
@@ -19,7 +26,15 @@ from conecert.linalg import (
     params_to_herm,
     transpose,
 )
-from conecert.maps import partial_transpose_in
+from conecert.maps import (
+    MapRep,
+    choi_from_ad,
+    choi_from_omega_q,
+    is_completely_positive,
+    is_hermitian_preserving,
+    is_positive,
+    partial_transpose_in,
+)
 
 
 def test_conj_vector_examples():
@@ -285,3 +300,66 @@ def test_partial_transpose_is_a_signed_permutation_of_the_params(n, m):
     want = hermitian_params(np.array([partial_transpose_in(c, n, m) for c in x]))
     got = sign * hermitian_params(x)[:, index]
     assert got.tobytes() == want.tobytes(), (n, m)
+
+
+def test_frobenius_norm_neither_underflows_nor_overflows():
+    """in range it is np.linalg.norm, bitwise; outside it 2^k X reads 2^k |X|_F exactly, and
+    only X = 0 reads 0"""
+    gen = np.random.default_rng(71)
+    for x in (gen.standard_normal((3, 4)) + 1j * gen.standard_normal((3, 4)), gen.standard_normal(5)):
+        norm = float(np.linalg.norm(x))
+        assert frobenius_norm(x) == norm
+        for k in (-900, -600, 600, 1000):
+            assert frobenius_norm(x * 2.0**k) == math.ldexp(norm, k), k
+    assert frobenius_norm(np.zeros((2, 2), dtype=complex)) == 0.0
+    assert frobenius_norm(np.array([0.0, 5e-324])) == 5e-324
+    assert frobenius_norm(np.full(4, 1e300)) == pytest.approx(2e300, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_every_norm_read_as_a_scale_holds_at_any_scale(scale):
+    """each entry point that reads |X|_F as a scale gives at scale 10^+-200 the verdict it
+    gives at scale 1, with no under- or overflow warning
+
+    certify_exposed and double_prime_nullspace normalise A by one norm, so
+    they return one null space, bitwise; classify, membership_residual,
+    is_psd, hermitian_within, is_hermitian_preserving, is_positive,
+    is_completely_positive and functional_norm read the map's or the
+    matrix's own norm.
+    """
+    gen = np.random.default_rng(73)
+
+    def crandn(*shape):
+        return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+    inputs = [crandn(3, 3), crandn(4, 3), crandn(4, 2) @ crandn(2, 4), np.outer(crandn(3), crandn(4))]
+    for a in inputs:
+        base, got = certify_exposed(a), certify_exposed(scale * a)
+        assert base.verdict is not Verdict.NOT_CERTIFIED, a.shape
+        assert (got.verdict, got.nullspace.dim) == (base.verdict, base.nullspace.dim), a.shape
+        ns = double_prime_nullspace(scale * a)
+        assert ns.param_basis.tobytes() == got.nullspace.param_basis.tobytes(), a.shape
+        assert ns.condition == got.nullspace.condition, a.shape
+        phi = choi_from_ad(a / np.linalg.norm(a))
+        resid = membership_residual(ns, MapRep(phi.n, phi.m, scale * phi.choi))[1]
+        assert resid == pytest.approx(membership_residual(ns, phi)[1], abs=1e-14), a.shape
+        norm = functional_norm(functional_from_operator(scale * a))
+        assert norm == pytest.approx(scale * np.linalg.norm(a), rel=1e-15), a.shape
+
+    a, b, r, z = crandn(3, 3), crandn(3, 3), crandn(3, 3), crandn(3)
+    ad, ad_t = choi_from_ad(a), choi_from_ad(a, transposed=True)
+    maps = [ad, ad_t, choi_from_omega_q(r @ r.conj().T, z), MapRep(3, 3, ad.choi - choi_from_ad(b).choi)]
+    for phi in maps[:3]:
+        want = classify(phi).case
+        assert classify(MapRep(3, 3, scale * phi.choi)).case is want
+    for phi in [*maps, MapRep(3, 3, crandn(9, 9))]:
+        c = scale * phi.choi
+        big = MapRep(3, 3, c)
+        assert hermitian_within(c, frobenius_norm(c)) is is_hermitian_preserving(phi)
+        assert is_hermitian_preserving(big) is is_hermitian_preserving(phi)
+        if is_hermitian_preserving(phi):
+            assert is_positive(big).verdict == is_positive(phi).verdict
+            assert is_completely_positive(big)[0] is is_completely_positive(phi)[0]
+            assert is_psd(c)[0] is is_psd(phi.choi)[0]
+    verdicts = [is_positive(phi).verdict for phi in maps]
+    assert verdicts == ["POSITIVE_EVIDENCE"] * 3 + ["NOT_POSITIVE"]
