@@ -32,6 +32,7 @@ from .faces import (
 )
 from .linalg import (
     UNIT_ROUNDOFF,
+    _partial_transpose,
     as_complex_matrix,
     fix_phase,
     frobenius_norm,
@@ -42,7 +43,7 @@ from .linalg import (
     null_space,
     params_to_herm,
 )
-from .maps import MapRep, _ad_map, _partial_transpose, choi_from_ad
+from .maps import MapRep, _ad_map, choi_from_ad
 
 # safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0

@@ -11,7 +11,9 @@ w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
 and psi -> psi o T is a linear automorphism of the cone of positive maps, so
 its face is the image of phi's: only phi's face is solved, and the
 transposed basis is its input-side partial transpose, a signed permutation
-of the Choi parameters (`_transposed_face`).  Nothing here is cached per A,
+of the Choi parameters (`_transposed_face`), which
+`linalg._partial_transpose_slots` reads off the one matrix partial
+transpose, `linalg._partial_transpose`.  Nothing here is cached per A,
 only per class: the face system is solved once per (m, f) (`class_solve`),
 and `exposedness.certify_exposed` keeps the last plain certificate, so the
 two flags on one A rebuild its face once.
@@ -46,10 +48,11 @@ outputs too.  Every relation sits on columns fixed by m and f:
   star ties the live ends of such curves together.
 This module owns every probe table: both frames are built here, vectorised
 over `triu_pairs`; the curve frame is cached read-only per m, and the star
-frame is built once per (m, f), by the cached `class_solve`.  A frame keeps
-the probes, each relation's columns and weights, and the flat positions of
-its R rows among the m^2 basis columns, so no cached table but the dual
-basis and its Gram matrix grows as m^4.
+frame is built once per (m, f), by the cached `class_solve`, and has no
+probe unless 2 <= f < m.  A frame keeps the probes and each relation's
+columns and weights; the R rows of a relation are laid on the m^2 basis
+columns by its columns, so no cached table but the dual basis and its Gram
+matrix grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
@@ -153,18 +156,14 @@ def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
 
 
-def _layout(etas: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cols (k, w), the weights of the probes etas there, and the flat spots (k, w, w) of their R rows.
+def _layout(etas: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cols (k, w) and the weights there of the probes etas, their `projector_coordinates`.
 
-    Row i of relation q's R lands at (q * w + i) * m^2 + cols[q, j] of a
-    (k, w, m^2) array, so one indexed assignment lays every block's rows on
-    the m^2 basis columns.
+    Relation q of probe etas[q] reads the basis columns cols[q] with
+    weights[q]; its R rows are laid on the m^2 basis columns by cols
+    (`_reduced_relations`).
     """
-    (k, w), size = cols.shape, etas.shape[1] ** 2
-    rel = np.arange(k)[:, None]
-    weights = projector_coordinates(_outer(etas))[rel, cols]
-    spots = (rel[:, :, None] * w + np.arange(w)[:, None]) * size + cols[:, None, :]
-    return cols, weights, spots
+    return cols, np.take_along_axis(projector_coordinates(_outer(etas)), cols, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +178,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     Re tr(D_a D_b) of the dual; and the layout of the reflected relations.
     Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
     on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
-    `cols` (m^2 - m, 3) is (m + q, j, k), `weights` holds the coordinates
-    there, and `spots` (m^2 - m, 3, 3) places the rows over those three
-    columns among the m^2 (`_layout`).
+    `cols` (m^2 - m, 3) is (m + q, j, k), and `weights` holds the
+    coordinates there (`_layout`).
     """
     size = m * m
     iu, ju = triu_pairs(m)
@@ -197,19 +195,23 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
 
 
 def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
-    """Star probes of a class of rank f < m and the layout of their relations.
+    """Star probes of the class (m, f) and the layout of their relations.
 
     The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < f <= c < m,
     b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
-    4 (f - 1)(m - f) rows.  Probe q has coordinates only on the 9 basis
-    probes of row q of `cols`: P_0, P_b, P_c, then P_{+1} and P_{+i} of the
-    pairs (0, b), (0, c) and (b, c).  Returns the probes, `cols`, `weights`
-    (their `projector_coordinates` there, some of them 0) and `spots`
-    (k, 9, 9), as `curve_frame` does.  Not cached: its only reader is the
+    4 (f - 1)(m - f) rows, none unless 2 <= f < m.  Probe q has coordinates
+    only on the 9 basis probes of row q of `cols`: P_0, P_b, P_c, then
+    P_{+1} and P_{+i} of the pairs (0, b), (0, c) and (b, c).  Returns the
+    probes, `cols` and `weights` (their `projector_coordinates` there, some
+    of them 0), as `curve_frame` does.  Not cached: its only reader is the
     cached `class_solve`, which builds it once per (m, f).
     """
-    b, c = np.divmod(np.repeat(np.arange((f - 1) * (m - f)), 4), m - f)
-    b, c, z = b + 1, c + f, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], ((f - 1) * (m - f), 1))
+    count = (f - 1) * (m - f)
+    if not count:
+        # no pair b < f <= c, so no probe: skip the cost of building empty tables
+        return np.zeros((0, m), dtype=np.complex128), np.zeros((0, 9), dtype=np.intp), np.zeros((0, 9))
+    b, c = np.divmod(np.repeat(np.arange(count), 4), m - f)
+    b, c, z = b + 1, c + f, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], (count, 1))
     eye = np.eye(m, dtype=np.complex128)
     etas = (eye[0] + z[:, :1] * eye[b] + z[:, 1:] * eye[c]) / math.sqrt(3)
     iu, ju = triu_pairs(m)
@@ -267,41 +269,45 @@ def _reduced_relations(
     One real unknown per kept basis probe, the coordinate of psi(V P_b V*)
     on its unit class output column outputs[b] = params(u_b u_b*) / |u_b|^2,
     u_b = eta_b[:f] (f^2 class-frame coordinates, zero where `live` is
-    false).  `families` holds the (cols, weights, spots) layouts of
-    `curve_frame` and, where there is a star, of `star_frame`; each relation
-    has one probe past the m^2 basis probes, in the order of the relations.
+    false).  `families` holds the (cols, weights) layouts of `curve_frame`
+    and `star_frame` (empty unless 2 <= f < m); each relation has one probe
+    past the m^2 basis probes, in the order of the relations.
     Relation q, of probe p, reads B x = x_p outputs[p]: B sums the basis
     columns cols[q] times weights[q], and x_p enters no other relation, so
     the relation holds for some x_p exactly when B x projected off
     outputs[p] is 0.  Where f^2 exceeds the w columns of a family, one
     batched QR cuts each f^2 x w block to its R factor, which keeps its null
-    space, and one assignment at `spots` lays the rows on the m^2 basis
-    columns (a block of f^2 < w rows fills the first f^2 of its w).  With no
-    star and every output live (f = m) the pair probe m + q is in curve
-    relation q only, so the same R eliminates it: row 0 gives
+    space, and one indexed assignment lays its rows on the m^2 basis columns
+    by `cols` (a block of f^2 < w rows has f^2 rows).  With every output
+    live (f = m, so no star) the pair probe m + q is in curve relation q
+    only, so the curve R eliminates it: row 0 gives
     x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2 are the
     (x_j, x_k) system, so only the m diagonal probes keep unknowns.
     Otherwise every live basis probe keeps one.  Dead columns are dropped
     last; z = L x are the m^2 basis coordinates of a solution x.  Nothing
     here reads A.
     """
-    size = outputs.shape[0] - sum(cols.shape[0] for cols, _, _ in families)
+    size = outputs.shape[0] - sum(cols.shape[0] for cols, _ in families)
     m = math.isqrt(size)
     curve, rows = size + families[0][0].shape[0], []
-    for (cols, weights, spots), own in zip(families, (outputs[size:curve], outputs[curve:])):
-        block = outputs[cols] * weights[..., None]
-        block -= (block @ own[..., None]) * own[:, None, :]
-        block = block.swapaxes(1, 2)
-        if block.shape[1] > cols.shape[1]:
-            block = np.linalg.qr(block, mode="r")
-        laid = np.zeros(cols.shape + (size,))
-        laid.reshape(-1)[spots[:, : block.shape[1]]] = block
-        rows.append(laid[:, : block.shape[1]])
+    for (cols, weights), own in zip(families, (outputs[size:curve], outputs[curve:])):
+        (k, w), f2 = cols.shape, outputs.shape[1]
+        # row i of relation q's R on the m^2 basis columns, transposed: laid[q, cols[q], i]
+        laid = np.zeros((k, size, min(f2, w)))
+        if k:
+            # the transposed blocks (k, w, f^2), projected off their own output columns
+            block = outputs[cols] * weights[..., None]
+            block -= (block @ own[..., None]) * own[:, None, :]
+            if f2 > w:
+                block = np.linalg.qr(block.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+            laid[np.arange(k)[:, None], cols] = block
+        rows.append(laid.swapaxes(1, 2))
     basis, lift = np.flatnonzero(live[:size]), np.eye(size)
-    if len(families) == 1 and live.all():
-        # block is the curve family's R
-        lift[m:] = -rows[0][:, 0] / block[:, :1, 0]
-        rows, basis = [rows[0][:, 1:]], basis[:m]
+    if live.all():
+        # the curve R: r00 of relation q is its row 0 at the pair column m + q
+        curve_r = rows[0]
+        lift[m:] = -curve_r[:, 0] / np.diagonal(curve_r[:, 0, m:])[:, None]
+        rows, basis = [curve_r[:, 1:]], basis[:m]
     system = np.concatenate([block.reshape(-1, size) for block in rows])
     return system[:, basis], lift[:, basis]
 
@@ -353,7 +359,7 @@ def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
 def class_solve(m: int, f: int) -> tuple:
     """Cached, read-only solve of the face system of the class (m, f): input side m, rank f.
 
-    Probes: the cached `curve_frame` and, where 2 <= f < m, `star_frame(m, f)`.
+    Probes: the cached `curve_frame` and `star_frame(m, f)`, empty unless 2 <= f < m.
     The relations are solved for the class outputs u_p u_p*, u_p = eta_p[:f]
     (f^2 real coordinates), which S_f^-1 carries A's outputs to exactly
     (`faces` module docstring).  A probe is live exactly when u_p != 0, and
@@ -363,9 +369,10 @@ def class_solve(m: int, f: int) -> tuple:
     involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
     in no other relation, so `_reduced_relations` projects it out and cuts
     each block to its R factor: the system has one unknown per live basis
-    probe.  Where f = m (no star) the pair probe P_{+z}(j, k) is in the
-    relation of P_{-z}(j, k) only, so the same R eliminates it: m unknowns,
-    and the pair coordinates are L x, read off the first row of that R.
+    probe.  Where f = m (every probe live, no star) the pair probe
+    P_{+z}(j, k) is in the relation of P_{-z}(j, k) only, so the same R
+    eliminates it: m unknowns, and the pair coordinates are L x, read off
+    the first row of that R.
     The rank is `gap_rank` of the spectrum over `system_floor`.
 
     Returns what the Choi rebuild of `_plain_face` and its `condition`
@@ -374,12 +381,9 @@ def class_solve(m: int, f: int) -> tuple:
     coordinates x_b = (L null)_b / c_b (zero where dead), the spectrum,
     `unknowns` and the probe count.  None of it reads A.
     """
-    curve, _, _, *layout = curve_frame(m)
-    etas, families = curve, [layout]
-    if 2 <= f < m:
-        star, *star_layout = star_frame(m, f)
-        etas, families = np.concatenate([curve, star]), [layout, star_layout]
-    size = m * m
+    curve, _, _, *curve_layout = curve_frame(m)
+    star, *star_layout = star_frame(m, f)
+    etas, size = np.concatenate([curve, star]), m * m
     # the class outputs u_p u_p*, u_p = eta_p[:f], and their class norms c_p = |u_p|^2
     raw = hermitian_params(_outer(etas[:, :f]))
     c = raw[:, :f].sum(axis=1)
@@ -387,7 +391,7 @@ def class_solve(m: int, f: int) -> tuple:
     # unit column params(u_p u_p*) / c_p of each output, zero where the output is zero
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
     # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
-    system, lift = _reduced_relations(outputs, live, families)
+    system, lift = _reduced_relations(outputs, live, [curve_layout, star_layout])
     rows, unknowns = system.shape
     if rows > unknowns > 0:
         # same singular values and right vectors, without the tall left factor.  It pays

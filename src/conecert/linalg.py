@@ -31,6 +31,11 @@ otherwise the norm of X rescaled exactly by a power of two (`np.ldexp`, by
 the exponent of max |x|).  So an in-range X keeps the bits of
 `np.linalg.norm`, and X and 2^k * X give |X|_F and 2^k * |X|_F exactly, as
 long as neither rescaled copy under- or overflows.
+
+The input-side partial transpose is written once, `_partial_transpose`:
+`maps` and `exposedness` apply it to Choi matrices, and
+`_partial_transpose_slots` reads its signed permutation of the
+`hermitian_params` coordinates off it.
 """
 
 import math
@@ -222,24 +227,25 @@ def _param_slots(n: int) -> np.ndarray:
     return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
 
 
+def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The input-side partial transpose (i, k, j, l) -> (i, l, j, k) of nm x nm c, unchecked."""
+    return np.ascontiguousarray(c.reshape(n, m, n, m).transpose(0, 3, 2, 1)).reshape(n * m, n * m)
+
+
 @lru_cache(maxsize=None)
 def _partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached, read-only (index, sign): params(PT(X)) = sign * params(X)[index] for Hermitian X.
 
-    PT is the input-side partial transpose (i, k, j, l) -> (i, l, j, k) of
-    nm x nm X.  It keeps the diagonal; an upper entry whose image is a lower
-    one reads the conjugate there, so its Im coordinate changes sign.
+    PT is `_partial_transpose`, a signed permutation of the `hermitian_params`
+    coordinates: it keeps the diagonal, and an upper entry whose image is a
+    lower one reads the conjugate there, so its Im coordinate changes sign.
+    The table is read off PT itself, applied to the labels 1 .. (nm)^2.
     """
     d = n * m
-    iu, ju = triu_pairs(d)
-    # entry (p, q) of PT(X) is X at (p, q) with the input indices swapped
-    p, q = iu - iu % m + ju % m, ju - ju % m + iu % m
-    slot = np.zeros((d, d), dtype=np.intp)
-    slot[iu, ju] = d + np.arange(iu.shape[0])
-    upper = slot[np.minimum(p, q), np.maximum(p, q)]
-    index = np.concatenate([np.arange(d), upper, upper + iu.shape[0]])
-    sign = np.concatenate([np.ones(d + iu.shape[0]), np.where(p > q, -1.0, 1.0)])
-    return _read_only((index, sign))
+    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
+    moved = hermitian_params(_partial_transpose(labels, n, m))
+    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
+    return _read_only((np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)))
 
 
 def hermitian_params(c: np.ndarray) -> np.ndarray:

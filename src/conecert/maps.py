@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from ._kernels import block_minimize
 from .errors import HermiticityError, InputRejected, SearchError, ShapeError
-from .linalg import as_complex_matrix, as_complex_vector, hermitize
+from .linalg import _partial_transpose, as_complex_matrix, as_complex_vector, hermitize
 from .sampling import crandn, rng_from
 
 
@@ -33,8 +33,11 @@ class MapRep:
     choi: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ShapeError(f"dimensions must be positive, got ({self.n}, {self.m})")
+        for side in (self.n, self.m):
+            if isinstance(side, bool) or not isinstance(side, (int, np.integer)) or side < 1:
+                raise ShapeError(
+                    f"dimensions must be positive integers, got ({self.n!r}, {self.m!r})"
+                )
         d = self.n * self.m
         c = as_complex_matrix(self.choi, "choi")
         if c.shape != (d, d):
@@ -129,11 +132,6 @@ class PositivityResult:
 def partial_transpose_in(choi: np.ndarray, n: int, m: int) -> np.ndarray:
     """Partial transpose on the K (input) factor of an (nm)x(nm) matrix."""
     return _partial_transpose(as_complex_matrix(choi, "choi"), n, m)
-
-
-def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
-    """`partial_transpose_in` of a complex matrix already known to be finite."""
-    return np.ascontiguousarray(c.reshape(n, m, n, m).transpose(0, 3, 2, 1)).reshape(n * m, n * m)
 
 
 def _nonzero_operator(A) -> np.ndarray:

@@ -7,8 +7,10 @@ Maps:     {"kind": "ad", "A": <matrix>, "transposed": bool}
         | {"kind": "choi", "n": n, "m": m, "choi": <matrix>}.
 
 Parsing is strict: wrong shapes, missing keys and non-finite entries raise
-EncodingError.  Serialized reports are canonical (sorted keys, fixed float
-repr) so identical runs produce byte-identical files.
+EncodingError.  One parser reads every array (`_array_from_json`), and every
+size (rows, cols, dim and a choi map's n and m) is a JSON integer >= 1;
+`true` is not a size.  Serialized reports are canonical (sorted keys, fixed
+float repr) so identical runs produce byte-identical files.
 """
 
 import json
@@ -91,38 +93,41 @@ def _parse_entry(e) -> complex:
     return complex(e[0], e[1])
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _size(obj: dict, key: str) -> int:
+    """obj[key] as a size: a JSON integer >= 1, and not a boolean."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise EncodingError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _entries(data, shape: tuple[int, ...]) -> list:
+    """Nested lists of [re, im] pairs of the given shape, as nested lists of complex."""
+    if not shape:
+        return _parse_entry(data)
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise EncodingError(f"expected a list of {shape[0]} entries in data")
+    return [_entries(x, shape[1:]) for x in data]
+
+
+def _array_from_json(obj, what: str, keys: tuple[str, ...]) -> np.ndarray:
+    """The array of an encoded matrix or vector, whose sizes are obj[key] for each key."""
     if not isinstance(obj, dict):
-        raise EncodingError(f"matrix must be an object, got {type(obj).__name__}")
+        raise EncodingError(f"{what} must be an object, got {type(obj).__name__}")
     try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        shape = tuple(_size(obj, key) for key in keys)
+        data = obj["data"]
     except KeyError as exc:
-        raise EncodingError(f"matrix is missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-        raise EncodingError("rows and cols must be positive integers")
-    if not isinstance(data, list) or len(data) != rows:
-        raise EncodingError(f"expected {rows} rows of data")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise EncodingError(f"row {i} must have {cols} entries")
-        for j, e in enumerate(row):
-            out[i, j] = _parse_entry(e)
-    return out
+        raise EncodingError(f"{what} is missing key {exc}") from exc
+    return np.array(_entries(data, shape), dtype=np.complex128)
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    return _array_from_json(obj, "matrix", ("rows", "cols"))
 
 
 def vector_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise EncodingError(f"vector must be an object, got {type(obj).__name__}")
-    try:
-        dim, data = obj["dim"], obj["data"]
-    except KeyError as exc:
-        raise EncodingError(f"vector is missing key {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
-        raise EncodingError("dim must be a positive integer")
-    if not isinstance(data, list) or len(data) != dim:
-        raise EncodingError(f"expected {dim} entries of data")
-    return np.array([_parse_entry(e) for e in data], dtype=np.complex128)
+    return _array_from_json(obj, "vector", ("dim",))
 
 
 def map_to_json(kind: str, **parts) -> dict:
@@ -170,9 +175,7 @@ def map_from_json(obj):
         for key in ("n", "m", "choi"):
             if key not in obj:
                 raise EncodingError(f"choi map needs key '{key}'")
-        if not isinstance(obj["n"], int) or not isinstance(obj["m"], int):
-            raise EncodingError("n and m must be integers")
-        return MapRep(n=obj["n"], m=obj["m"], choi=matrix_from_json(obj["choi"]))
+        return MapRep(n=_size(obj, "n"), m=_size(obj, "m"), choi=matrix_from_json(obj["choi"]))
     raise EncodingError(f"unknown map kind {kind!r}")
 
 

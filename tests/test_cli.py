@@ -57,6 +57,29 @@ def test_pairing_bad_operator_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"kind": "product", "x": matrix_to_json(E11)},
+    {"kind": "full"},
+])
+def test_pairing_malformed_operator_exit_2(tmp_path, capsys, obj):
+    """an operator file that is not an object, or lacks a factor or W, is an input error"""
+    m = identity_map_file(tmp_path)
+    assert main(["pairing", m, dump(tmp_path / "op.json", obj)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_boolean_sizes_exit_2(tmp_path, capsys):
+    """`true` is not a size: a matrix with rows true and a choi map with n true are input
+    errors (exit 2), not a TypeError"""
+    a = {"rows": True, "cols": 2, "data": [[[1, 0], [0, 0]]]}
+    assert main(["expose", dump(tmp_path / "a.json", a)]) == 2
+    assert "error: rows must be a positive integer" in capsys.readouterr().err
+    choi = {"kind": "choi", "n": True, "m": 1, "choi": matrix_to_json(np.eye(1))}
+    assert main(["classify", dump(tmp_path / "c.json", choi)]) == 2
+    assert "error: n must be a positive integer" in capsys.readouterr().err
+
+
 def test_expose_identity(tmp_path, capsys):
     a = dump(tmp_path / "a.json", matrix_to_json(np.eye(2)))
     report = tmp_path / "report.json"
@@ -351,3 +374,10 @@ def test_sweep_writes_nothing_to_stderr(tmp_path, capsys):
 def test_sweep_bad_dims_exit_2(tmp_path, capsys):
     assert main(["sweep", "--n", "0", "--m", "2", "--report", str(tmp_path / "d")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_negative_count_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "d"
+    assert main(["sweep", "--n", "2", "--m", "2", "--count", "-1", "--report", str(out_dir)]) == 2
+    assert "error: count must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -10,7 +10,7 @@ import pytest
 import conecert
 from cone_oracle import cone_evidence
 from conecert import exposedness, faces
-from conecert.errors import ClassificationError
+from conecert.errors import ClassificationError, HermiticityError
 from conecert.exposedness import (
     MapCase,
     Verdict,
@@ -310,6 +310,20 @@ def test_dim_one_hull_without_phi_refused(monkeypatch):
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.face is None
     assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_empty_hull_is_not_certified(transposed, monkeypatch):
+    """a face system with no null vector certifies nothing: NOT_CERTIFIED, overlap 0"""
+    a = _crandn_from(np.random.default_rng(12), 2, 3)
+    empty = NullSpaceResult(
+        singular_values=np.ones(3), pairs_used=3, param_basis=np.zeros((36, 0)),
+        unknowns=3, condition=1.0,
+    )
+    report = _certify_with_hull(monkeypatch, a, transposed, empty)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.nullspace.dim == 0 and report.face is None
+    assert report.overlap_with_phi == 0.0
 
 
 @pytest.mark.parametrize("order", [(False, True), (True, False)])
@@ -737,6 +751,11 @@ def test_classify_rejects_trace_map():
     trace_map = MapRep(n=2, m=2, choi=np.kron(np.eye(2), np.eye(2)))
     with pytest.raises(ClassificationError):
         classify(trace_map)
+
+
+def test_classify_rejects_a_non_hermitian_map():
+    with pytest.raises(HermiticityError):
+        classify(MapRep(n=2, m=2, choi=np.triu(np.ones((4, 4)))))
 
 
 def test_classify_omega_q_one_dimensional_output():

@@ -512,44 +512,81 @@ def test_only_narrow_relations_are_cut(monkeypatch):
     assert widths == [3, 9]
 
 
+def _laid_system(m, f, monkeypatch):
+    """The rows `_reduced_relations` lays for the class (m, f), over all m^2 basis columns,
+    and the class outputs it was handed; the class cache is bypassed."""
+    seen = []
+    reduce = faces._reduced_relations
+
+    def spy(outputs, live, families):
+        system, lift = reduce(outputs, live, families)
+        laid = np.zeros((system.shape[0], m * m))
+        laid[:, live[: m * m]] = system
+        seen.append((laid, outputs))
+        return system, lift
+
+    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    faces.class_solve.__wrapped__(m, f)
+    ((laid, outputs),) = seen
+    return laid, outputs
+
+
+def _assert_laid_by_cols(laid, outputs, cols, weights, own):
+    """the rows of relation q sit on cols[q] alone, consecutive in relation order, and are an R
+    factor of its block: Rᵀ R is the Gram matrix of the relation's weighted output columns
+    projected off its own output, to 1e-13"""
+    per = laid.shape[0] // cols.shape[0]
+    assert laid.shape[0] == per * cols.shape[0]
+    for q in range(cols.shape[0]):
+        rows = laid[q * per : (q + 1) * per]
+        off = np.delete(rows, cols[q], axis=1)
+        assert not off.any(), q
+        block = outputs[cols[q]].T * weights[q]
+        block -= np.outer(own[q], own[q] @ block)
+        r = rows[:, cols[q]]
+        assert np.abs(r.T @ r - block.T @ block).max() <= 1e-13, q
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_curve_relations_sit_on_their_fixed_columns(m):
+def test_curve_relations_sit_on_their_fixed_columns(m, monkeypatch):
     """reflected relation q has nonzero coordinates exactly at cols[q] = (m + q, j, k)
 
     That is what makes the fixed layout of `curve_frame` exact.  The cached
-    weights are those coordinates, bitwise, row i of relation q's R lands at
-    (q * 3 + i) * m^2 + cols[q, j], and every array is read-only.
+    weights are those coordinates, bitwise, every array is read-only, and
+    in the class (m, m - 1) the rows of relation q's R are laid on cols[q].
     """
     size = m * m
-    etas, _, _, cols, weights, spots = curve_frame(m)
+    etas, _, _, cols, weights = curve_frame(m)
     coords = projector_coordinates(_projectors(etas))
-    assert cols.shape == (size - m, 3) and spots.shape == (size - m, 3, 3)
+    assert cols.shape == weights.shape == (size - m, 3)
     for q in range(size - m):
         assert np.array_equal(np.flatnonzero(coords[size + q]), np.sort(cols[q])), (m, q)
         assert cols[q, 0] == m + q, (m, q)
         assert np.array_equal(np.flatnonzero(etas[size + q]), cols[q, 1:]), (m, q)
         assert weights[q].tobytes() == coords[size + q, cols[q]].tobytes(), (m, q)
-        for i in range(3):
-            assert spots[q, i].tolist() == ((q * 3 + i) * size + cols[q]).tolist(), (m, q, i)
-    assert not any(x.flags.writeable for x in (cols, weights, spots))
+    assert not any(x.flags.writeable for x in (cols, weights))
+    laid, outputs = _laid_system(m, m - 1, monkeypatch)
+    curve_rows = min((m - 1) ** 2, 3) * (size - m)
+    _assert_laid_by_cols(laid[:curve_rows], outputs, cols, weights, outputs[size : 2 * size - m])
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_star_relations_sit_on_their_fixed_columns(m):
+def test_star_relations_sit_on_their_fixed_columns(m, monkeypatch):
     """star probe q of rank r has coordinates only at cols[q]: P_0, P_b, P_c, then the pair
     probes P_{+1}, P_{+i} of (0, b), (0, c) and (b, c)
 
     The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 in the documented order, the
-    weights are their projector coordinates there, bitwise, and row i of
-    relation q's R lands at (q * 9 + i) * m^2 + cols[q, j].
+    weights are their projector coordinates there, bitwise, the rows of
+    relation q's R are laid on cols[q], after every curve row, and the
+    classes of rank 1 and m have no star probe.
     """
     size = m * m
     iu, ju = triu_pairs(m)
     pair = {(j, k): m + 2 * q for q, (j, k) in enumerate(zip(iu, ju))}
     for r in range(2, m):
-        etas, cols, weights, spots = star_frame(m, r)
+        etas, cols, weights = star_frame(m, r)
         k = 4 * (r - 1) * (m - r)
-        assert cols.shape == (k, 9) and spots.shape == (k, 9, 9), (m, r)
+        assert cols.shape == weights.shape == (k, 9), (m, r)
         assert np.abs(etas - _star_probes(m, r)).max() <= np.finfo(float).eps, (m, r)
         coords = projector_coordinates(_projectors(etas))
         for q in range(k):
@@ -558,8 +595,13 @@ def test_star_relations_sit_on_their_fixed_columns(m):
             assert cols[q].tolist() == [0, b, c, *ends], (m, r, q)
             assert set(np.flatnonzero(coords[q])) <= set(cols[q].tolist()), (m, r, q)
             assert weights[q].tobytes() == coords[q, cols[q]].tobytes(), (m, r, q)
-            for i in range(9):
-                assert spots[q, i].tolist() == ((q * 9 + i) * size + cols[q]).tolist(), (m, r, q, i)
+        laid, outputs = _laid_system(m, r, monkeypatch)
+        curve_rows = min(r * r, 3) * (size - m)
+        own = outputs[2 * size - m :]
+        _assert_laid_by_cols(laid[curve_rows:], outputs, cols, weights, own)
+    for r in (1, m):
+        etas, cols, weights = star_frame(m, r)
+        assert etas.shape == (0, m) and cols.shape == weights.shape == (0, 9), (m, r)
 
 
 def test_curve_probes_match_the_reference_lists():
@@ -580,9 +622,9 @@ def test_cached_frames_grow_slower_than_m4():
     class solves of every f at most 6 MB
 
     Only the dual basis D_b (m^2, m, m) and its Gram matrix (m^2, m^2) grow
-    as m^4; the relation layouts hold k x w x w flat spots, not a one-hot
-    (k, w, m^2) table.  A class solve keeps the lift, the null vectors and
-    the spectrum, and no output columns.
+    as m^4; the relation layouts hold k x w columns and weights, not a
+    one-hot (k, w, m^2) table.  A class solve keeps the lift, the null
+    vectors and the spectrum, and no output columns.
     """
     m = 16
     frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
@@ -593,9 +635,9 @@ def test_cached_frames_grow_slower_than_m4():
     assert total <= 6e6, total
     dual, gram = curve_frame(m)[1:3]
     assert dual.shape == (m * m, m, m) and gram.shape == (m * m, m * m)
-    assert curve_frame(m)[-1].shape == (m * m - m, 3, 3)
+    assert curve_frame(m)[3].shape == curve_frame(m)[4].shape == (m * m - m, 3)
     for r in range(2, m):
-        assert star_frame(m, r)[-1].shape == (4 * (r - 1) * (m - r), 9, 9), r
+        assert star_frame(m, r)[1].shape == star_frame(m, r)[2].shape == (4 * (r - 1) * (m - r), 9), r
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

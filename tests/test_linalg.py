@@ -13,6 +13,7 @@ from conecert.linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
     _partial_transpose_slots,
+    as_complex_vector,
     conj_vector,
     fix_phase,
     frobenius_norm,
@@ -212,6 +213,23 @@ def test_fix_phase():
     assert out[k].imag < 1e-15 and out[k].real > 0
     assert np.abs(np.abs(out) - np.abs(v)).max() < 1e-15
     assert np.array_equal(fix_phase(np.zeros(3)), np.zeros(3))
+
+
+def test_array_checks_refuse_bad_shapes_and_entries():
+    """a matrix is nonempty 2-D, a vector nonempty 1-D, and neither holds inf or nan"""
+    for bad in (np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2))):
+        with pytest.raises(ShapeError):
+            transpose(bad)
+    for bad in (np.ones((2, 2)), np.ones(0)):
+        with pytest.raises(ShapeError):
+            as_complex_vector(bad)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ShapeError):
+            certify_exposed(np.array([[1.0, bad], [0.0, 1.0]]))
+        with pytest.raises(ShapeError):
+            conj_vector(np.array([1.0, bad]))
+    with pytest.raises(ShapeError):
+        params_to_herm(np.ones(5), 2)
 
 
 def test_normalized_rejects_zero():

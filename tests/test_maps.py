@@ -18,7 +18,7 @@ from conecert.maps import (
     partial_transpose_in,
 )
 from conecert.sampling import crandn as sample_crandn
-from conecert.sampling import rng_from
+from conecert.sampling import random_operator, rng_from
 from constraint_oracle import map_floor
 from test_kernels import reference_scan
 
@@ -128,6 +128,24 @@ def test_pairing_block_form_identity():
         out = apply(phi, np.outer(eta, eta.conj()))
         rhs = np.vdot(xi.conj(), out @ xi.conj())
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_pairing_rejects_mismatched_operators():
+    phi = choi_from_ad(crandn(2, 3))
+    with pytest.raises(ShapeError):
+        pairing(phi, SeparableElement(np.eye(3), np.eye(3)))
+    with pytest.raises(ShapeError):
+        pairing(phi, np.eye(5))
+
+
+def test_is_positive_rejects_a_non_hermitian_choi():
+    with pytest.raises(HermiticityError):
+        is_positive(MapRep(n=2, m=2, choi=np.triu(np.ones((4, 4)))))
+
+
+def test_random_operator_rejects_a_rank_below_one():
+    with pytest.raises(ValueError):
+        random_operator(rng_from(0), 3, 3, 0)
 
 
 def test_partial_transpose_involution():
@@ -529,6 +547,11 @@ def test_map_rep_validation():
         MapRep(n=2, m=2, choi=np.eye(3))
     with pytest.raises(ShapeError):
         MapRep(n=0, m=2, choi=np.eye(0))
+    # a size is an integer, and a bool is not one: is_positive would raise a bare TypeError
+    for n, m in ((2.0, 2.0), (2.0, 2), (True, 1), (1, True)):
+        with pytest.raises(ShapeError):
+            MapRep(n=n, m=m, choi=np.eye(4 if n == 2 else 1))
+    assert MapRep(n=np.int64(2), m=2, choi=np.eye(4)).n == 2
 
 
 def test_informed_starts_shape():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import jsonschema
 import numpy as np
@@ -45,6 +46,10 @@ def test_vector_round_trip():
     {"rows": 1, "cols": 1, "data": [[[True, 0]]]},
     {"rows": 0, "cols": 1, "data": []},
     {"rows": 1.5, "cols": 1, "data": [[[1, 0]]]},
+    {"rows": True, "cols": 1, "data": [[[1, 0]]]},
+    {"rows": True, "cols": 2, "data": [[[1, 0], [0, 0]]]},
+    {"rows": 1, "cols": True, "data": [[[1, 0]]]},
+    {"rows": 1, "cols": 1},
 ])
 def test_matrix_strict_rejects(obj):
     with pytest.raises(EncodingError):
@@ -63,6 +68,9 @@ def test_matrix_rejects_nonfinite():
     {"dim": 0, "data": []},
     {"data": [[1, 0]]},
     42,
+    {"dim": True, "data": [[1, 0]]},
+    {"dim": 1.0, "data": [[1, 0]]},
+    {"dim": 1, "data": [1, 0]},
 ])
 def test_vector_strict_rejects(obj):
     with pytest.raises(EncodingError):
@@ -102,10 +110,18 @@ def test_map_round_trip_choi():
     {"kind": "omega_q", "R": {"rows": 1, "cols": 1, "data": [[[1, 0]]]}},
     {"kind": "choi", "n": 2, "m": 2},
     "ad",
+    {"kind": "choi", "n": True, "m": 1, "choi": {"rows": 1, "cols": 1, "data": [[[1, 0]]]}},
+    {"kind": "choi", "n": 1, "m": 1.0, "choi": {"rows": 1, "cols": 1, "data": [[[1, 0]]]}},
+    {"kind": "choi", "n": 0, "m": 1, "choi": {"rows": 1, "cols": 1, "data": [[[1, 0]]]}},
 ])
 def test_map_strict_rejects(obj):
     with pytest.raises(EncodingError):
         map_from_json(obj)
+
+
+def test_map_to_json_rejects_unknown_kind():
+    with pytest.raises(EncodingError):
+        map_to_json("nope", A=np.eye(2))
 
 
 def test_map_from_json_rejects_apex():
@@ -143,6 +159,21 @@ def test_write_json_atomic(tmp_path):
     assert load_json(str(path)) == {"k": 1}
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_write_json_atomic_leaves_no_temp_file_on_failure(tmp_path, monkeypatch):
+    """a failed rename removes the temp file, re-raises and leaves the target untouched"""
+    path = tmp_path / "out.json"
+    path.write_text("old")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write_json_atomic(str(path), {"k": 1})
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    assert path.read_text() == "old"
 
 
 def test_load_json_missing_file(tmp_path):
