@@ -67,7 +67,12 @@ read-only per (m, f) with what the rebuild reads (`class_solve`): the lift
 and the null vectors, no output column.  Per A only the rebuild is left: the
 dual basis V D_b V* of the projectors V P_b V* turns the class solve into
 Choi matrices, with A's own outputs w_b = A V eta_b, and `condition` reads
-the Gram matrix of the same outputs.
+the Gram matrix of the same outputs.  At f = 1 not even that: every output
+is a multiple of u_0 u_0*, so the class solve also keeps the hull as 2m - 1
+orthonormal Hermitian m x m matrices R_k and its condition, a constant of
+the class (`_class_hull`), and A's hull is u_0 u_0* (x) conj(V R_k V*),
+orthonormal as it stands, since u_0 (x) conj(V) is an isometry.  Its face
+check reads those factors (`exposedness._factor_face_certificate`).
 """
 
 import math
@@ -109,8 +114,9 @@ class NullSpaceResult:
     from those coordinates to Choi parameters, back-substitution included,
     over its least stretch on the null space: it is read off A's outputs
     w_b = A V eta_b, so it carries A's singular values, those below the cut
-    f included.  `double_prime_nullspace` and `exposedness.certify_exposed`
-    read it, and the basis, for A / |A|_F.
+    f included, except at f = 1, where s_0^2 cancels and it is a constant
+    of the class (`_class_hull`).  `double_prime_nullspace` and
+    `exposedness.certify_exposed` read it, and the basis, for A / |A|_F.
     """
 
     singular_values: np.ndarray
@@ -194,6 +200,21 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols)))
 
 
+@lru_cache(maxsize=None)
+def _star_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only star probes of (b, c) = (1, 2) at m = 3, and their projector coordinates.
+
+    Rows (z1, z2) = (1, 1), (1, i), (i, 1), (i, i).  Every star probe has
+    these entries at (0, b, c), and its coordinates on its 9 columns are
+    these, bitwise: each is one term, or the sum of two (`projector_coordinates`),
+    so no rounding depends on m, b or c.
+    """
+    z = np.array([[1, 1], [1, 1j], [1j, 1], [1j, 1j]])
+    eye = np.eye(3, dtype=np.complex128)
+    etas = (eye[0] + z[:, :1] * eye[1] + z[:, 1:] * eye[2]) / math.sqrt(3)
+    return _read_only((etas, projector_coordinates(_outer(etas))))
+
+
 def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     """Star probes of the class (m, f) and the layout of their relations.
 
@@ -203,23 +224,26 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     only on the 9 basis probes of row q of `cols`: P_0, P_b, P_c, then
     P_{+1} and P_{+i} of the pairs (0, b), (0, c) and (b, c).  Returns the
     probes, `cols` and `weights` (their `projector_coordinates` there, some
-    of them 0), as `curve_frame` does.  Not cached: its only reader is the
-    cached `class_solve`, which builds it once per (m, f).
+    of them 0), as `curve_frame` does.  Both are written directly: the
+    weights are the four rows of `_star_rows` repeated, and P_{+1}(j, k)
+    sits at m + 2 q, q = j (2m - j - 3) / 2 + k - 1 its `triu_pairs` index.
+    Not cached: its only reader is the cached `class_solve`, which
+    builds it once per (m, f).
     """
     count = (f - 1) * (m - f)
     if not count:
         # no pair b < f <= c, so no probe: skip the cost of building empty tables
         return np.zeros((0, m), dtype=np.complex128), np.zeros((0, 9), dtype=np.intp), np.zeros((0, 9))
-    b, c = np.divmod(np.repeat(np.arange(count), 4), m - f)
-    b, c, z = b + 1, c + f, np.tile([[1, 1], [1, 1j], [1j, 1], [1j, 1j]], (count, 1))
-    eye = np.eye(m, dtype=np.complex128)
-    etas = (eye[0] + z[:, :1] * eye[b] + z[:, 1:] * eye[c]) / math.sqrt(3)
-    iu, ju = triu_pairs(m)
-    pair = np.zeros((m, m), dtype=np.intp)
-    pair[iu, ju] = m + 2 * np.arange(iu.shape[0])
-    ends = (pair[0, b], pair[0, c], pair[b, c])
-    cols = np.stack([0 * b, b, c, *(e + k for e in ends for k in (0, 1))], axis=1)
-    return (etas, *_layout(etas, cols))
+    rows, weights = _star_rows()
+    b, c = np.divmod(np.arange(count), m - f)
+    b, c = b + 1, c + f
+    etas = np.zeros((count, 4, m), dtype=np.complex128)
+    for k, at in enumerate((0, b, c)):
+        etas[np.arange(count), :, at] = rows[:, k]
+    # P_{+1} of the pairs (0, b), (0, c) and (b, c)
+    ends = m - 2 + 2 * np.stack([b, c, b * (2 * m - b - 3) // 2 + c], axis=1)
+    cols = np.column_stack([0 * b, b, c, (ends[:, :, None] + [0, 1]).reshape(count, 6)])
+    return etas.reshape(-1, m), np.repeat(cols, 4, axis=0), np.tile(weights, (count, 1))
 
 
 def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -338,7 +362,7 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """
     a = _nonzero_operator(A)
     # one memory layout for every input, so equal matrices give equal bits
-    plain = _plain_face(np.ascontiguousarray(a / frobenius_norm(a)))
+    plain = _plain_face(np.ascontiguousarray(a / frobenius_norm(a)))[0]
     return _transposed_face(plain, *a.shape) if transposed else plain
 
 
@@ -379,7 +403,9 @@ def class_solve(m: int, f: int) -> tuple:
     read: the lift in x-coordinates, L / c_b per row, over the class norm
     c_b = |u_b|^2 (zero rows where dead), the null vectors as basis
     coordinates x_b = (L null)_b / c_b (zero where dead), the spectrum,
-    `unknowns` and the probe count.  None of it reads A.
+    `unknowns`, the probe count and, at f = 1 only (else None), the hull
+    and its condition (`_class_hull`), which `_plain_face` reads in place of
+    the rebuild.  None of it reads A.
     """
     curve, _, _, *curve_layout = curve_frame(m)
     star, *star_layout = star_frame(m, f)
@@ -405,58 +431,116 @@ def class_solve(m: int, f: int) -> tuple:
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
     # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm
     z = lift @ null
+    hull = _class_hull(lift, z) if f == 1 else None
     np.divide(z, c[:size, None], out=z, where=live[:size, None])
     # the lift to the coordinates x_b = z_b / c_b on A's outputs, which `condition` reads
     lift = np.divide(lift, c[:size, None], out=np.zeros_like(lift), where=live[:size, None])
-    return (*_read_only((lift, z, svals)), unknowns, etas.shape[0])
+    return (*_read_only((lift, z, svals)), unknowns, etas.shape[0], hull)
 
 
-def _plain_face(a: np.ndarray) -> NullSpaceResult:
-    """The face of X -> A X A*, with read-only arrays.
+def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """The hull of the class (m, 1) as orthonormal Hermitian m x m matrices R_k, and its condition.
+
+    At f = 1 every output is w_b = s_0 eta_b[0] u_0, so a null vector with
+    basis coordinates z = L null gives psi(V P_b V*) = s_0^2 z_b u_0 u_0*
+    and Choi(psi) = s_0^2 u_0 u_0* (x) conj(V R V*), R = sum_b z_b D_b.
+    Each R is compressed to e_0-perp = 0, from the null vectors alone.  As
+    u_0 is a unit vector and V unitary, R -> u_0 u_0* (x) conj(V R V*) keeps
+    the Frobenius norm, so the R orthonormalised here (one SVD of their
+    parameters) give an orthonormal hull for every A of the class
+    (`_factor_params`).  `condition`'s largest stretch, read off the Gram
+    matrix c_a c_b (D D^T)_ab of the class outputs, and its least stretch,
+    the least singular value of the R, both carry s_0^2, which cancels: it
+    is a constant of the class.
+    """
+    m = math.isqrt(lift.shape[0])
+    dual, dual_gram = curve_frame(m)[1:3]
+    r = z.T @ dual.reshape(m * m, -1)
+    # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
+    left, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
+    hull = ((left.T / least[:, None]) @ r).reshape(-1, m, m)
+    stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ dual_gram @ lift)[-1]))
+    return _read_only((hull,))[0], stretch / float(least[-1])
+
+
+def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.ndarray] | None]:
+    """The face of X -> A X A*, with read-only arrays, and its factors (u_0, T) at f = 1.
 
     One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
     probes are V eta, and the face system depends on A only through (m, f),
-    so its solve is cached per class (`class_solve`).  What is left reads A
-    through its outputs w_b = A V eta_b alone: the null vectors become Choi
-    matrices through the dual basis V D_b V* of the V P_b V*,
-    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
-    psi(V P_b V*) = x_b w_b w_b*, and are orthonormalised there.
-    `condition` is the largest stretch of the whole map from the unknowns
-    to Choi, pair coordinates included, over its least stretch on the null
-    space; the largest is read off the Gram matrix (O O^T) o (D D^T) of the
-    outputs O_b = w_b w_b* and the dual basis, which V keeps, one eigvalsh
-    of `unknowns` columns.  <w_a w_a*, w_b w_b*>_F = |w_a* w_b|^2, so the
-    same w gives both.  Deterministic: no random probes.
+    so its solve is cached per class (`class_solve`).
+
+    At f >= 2 what is left reads A through its outputs w_b = A V eta_b
+    alone: the one null vector (`class_solve` has exactly one at every
+    f >= 2) becomes a Choi matrix through the dual basis V D_b V* of the
+    V P_b V*, Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
+    psi(V P_b V*) = x_b w_b w_b*, and is normalised there.  `condition` is
+    the largest stretch of the whole map from the unknowns to Choi, pair
+    coordinates included, over its least stretch on the null space; the
+    largest is read off the Gram matrix (O O^T) o (D D^T) of the outputs
+    O_b = w_b w_b* and the dual basis, which V keeps, one eigvalsh of
+    `unknowns` columns.  <w_a w_a*, w_b w_b*>_F = |w_a* w_b|^2, so the same
+    w gives both.  The factors are None.
+
+    At f = 1 the class solve holds the hull as orthonormal m x m matrices
+    R_k and its condition (`_class_hull`): the hull is u_0 u_0* (x) T_k,
+    T_k = conj(V R_k V*), orthonormal as it stands, and (u_0, T) are
+    returned for the face check (`exposedness._factor_face_certificate`).
+    Deterministic: no random probes.
     """
     n, m = a.shape
-    curve, dual, dual_gram = curve_frame(m)[:3]
     _, _, vh, f = _class_svd(a)
-    lift, z, svals, unknowns, pairs_used = class_solve(m, f)
-    size = m * m
-    # w_b = A V eta_b as rows; Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
-    w = curve[:size] @ vh.conj() @ a.T
-    y = z.T[:, None, :] * _outer(w).reshape(size, n * n).T
-    # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
-    choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
-    choi = choi.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m) @ vh
-    # (i, j, l, k) -> (i, k, j, l) is Choi(psi)
-    choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 4, 2, 3).reshape(-1, n * m, n * m)
-    param_basis, condition = hermitian_params(choi).T, 1.0
-    if param_basis.shape[1]:
-        if param_basis.shape[1] == 1:
-            least = float(np.linalg.norm(param_basis))
-            param_basis = param_basis / least
-        else:
-            param_basis, sv, _ = np.linalg.svd(param_basis, full_matrices=False)
-            least = float(sv[-1])
+    lift, z, svals, unknowns, pairs_used, hull = class_solve(m, f)
+    if hull is None:
+        curve, dual, dual_gram = curve_frame(m)[:3]
+        size = m * m
+        # w_b = A V eta_b as rows; Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
+        w = curve[:size] @ vh.conj() @ a.T
+        y = z.T[:, None, :] * _outer(w).reshape(size, n * n).T
+        # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
+        choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
+        choi = choi.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m) @ vh
+        # (i, j, l, k) -> (i, k, j, l) is Choi(psi)
+        choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 4, 2, 3).reshape(-1, n * m, n * m)
+        param_basis = hermitian_params(choi).T
+        least = float(np.linalg.norm(param_basis))
+        param_basis = param_basis / least
         # |Choi|_F^2 = x^T ((O O^T) o (D D^T)) x, x = lift @ unknowns, <O_a, O_b>_F = |w_a* w_b|^2
         gram = np.abs(w @ w.conj().T) ** 2 * dual_gram
-        stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1]))
-        condition = stretch / least
-    return NullSpaceResult(
+        condition = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1])) / least
+        factors = None
+    else:
+        class_basis, condition = hull
+        # u_0 = A v_0 / s_0, read off A's own output: it carries no rounding of the svd's U,
+        # which put n x 1 inputs past the membership bound
+        w = a @ vh[0].conj()
+        # conj(V R V*) = conj(V) conj(R) V^T, V = vh*
+        factors = (w / np.linalg.norm(w), vh.T @ class_basis.conj() @ vh.conj())
+        param_basis = _factor_params(*factors)
+    face = NullSpaceResult(
         singular_values=svals, pairs_used=pairs_used, param_basis=_read_only((param_basis,))[0],
         unknowns=unknowns, condition=condition,
     )
+    return face, factors
+
+
+def _factor_params(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Choi parameters of the hull elements u u* (x) t[k], as unit columns, for u (n,), t (d, m, m).
+
+    For unit u and orthonormal t[k] the columns are orthonormal as they
+    stand, to rounding; each is normalised once more, in place, because a
+    one-element hull (m = 1) is held to a membership bound of 16 u, and the
+    rounding of |u|^2 |t[k]|_F alone took 0.5-0.6 of it on n x 1 inputs.
+    """
+    n, m, d = u.shape[0], t.shape[-1], t.shape[0]
+    uu, params = np.outer(u, u.conj())[None, :, None, :, None], np.empty((d, (n * m) ** 2))
+    for k in range(0, d, 8):
+        # 8 elements at a time, so the complex Choi matrices of the whole hull are never held
+        choi = uu * t[k : k + 8, None, :, None, :]
+        params[k : k + 8] = hermitian_params(choi.reshape(-1, n * m, n * m))
+    # one BLAS dot per column: an einsum sum lost 30-60 u at (nm)^2 = 16,384 and more
+    params /= np.sqrt(params[:, None, :] @ params[:, :, None])[:, 0]
+    return params.T
 
 
 def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.ndarray, float]:

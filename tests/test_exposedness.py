@@ -233,13 +233,15 @@ def _partial_transpose_hull(ns, shape):
     return replace(ns, param_basis=ns.param_basis[index] * sign[:, None])
 
 
-def _certify_with_hull(monkeypatch, a, transposed, hull):
+def _certify_with_hull(monkeypatch, a, transposed, hull, factors=None):
     """certify_exposed(a, transposed) with `hull` handed to it as the plain null space.
 
-    The certificate cache is cleared before the run, so the hull is read, and
-    after it, so no later call is handed the hull's certificate.
+    `factors` are the hull's (u, t), element k being u u* (x) t[k], as
+    `faces._plain_face` returns them at f = 1, or None.  The certificate
+    cache is cleared before the run, so the hull is read, and after it, so
+    no later call is handed the hull's certificate.
     """
-    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: hull)
+    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: (hull, factors))
     exposedness._plain_certificate.cache_clear()
     try:
         return certify_exposed(a, transposed=transposed)
@@ -249,6 +251,9 @@ def _certify_with_hull(monkeypatch, a, transposed, hull):
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
+    """face_certificate refuses both larger spans; the class hull plus an element outside its
+    face, handed to the pipeline as factors, is refused under either flag with the defect and
+    bound that face_certificate reads off the same hull, to rounding"""
     a, phi, ns, controls = _rank_one_controls(transposed)
     exact = face_certificate(ns, phi)
     assert exact.holds
@@ -257,16 +262,87 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         cert = face_certificate(hull, phi)
         assert cert.defect > 0.5 and cert.defect > cert.bound, name
         assert not cert.holds
-        # the plain hull handed to the pipeline: refused under either flag with its margins,
-        # which are those of the transposed hull against the transposed phi, to rounding
-        plain = _partial_transpose_hull(hull, a.shape) if transposed else hull
-        plain_cert = face_certificate(plain, _unit_phi(a))
-        report = _certify_with_hull(monkeypatch, a, transposed, plain)
-        assert report.verdict is Verdict.NOT_CERTIFIED, name
-        assert report.face == plain_cert
-        assert report.nullspace.param_basis.tobytes() == hull.param_basis.tobytes(), name
-        assert abs(cert.defect - plain_cert.defect) <= 1e-12, name
-        assert abs(cert.bound - plain_cert.bound) <= 1e-12, name
+    # the plain class hull u u* (x) t[k] plus I orthogonalised against it, its part on s-perp
+    plain, (u, t) = faces._plain_face(a / np.linalg.norm(a))
+    extra = np.eye(a.shape[1]) - np.einsum("k,kij->ij", np.einsum("kii->k", t).real, t)
+    t_plus = np.concatenate([t, (extra / np.linalg.norm(extra))[None]])
+    hull = _hull_plus(plain, np.kron(np.outer(u, u.conj()), extra))
+    assert np.abs(hull.param_basis - faces._factor_params(u, t_plus)).max() <= 1e-15
+    want = face_certificate(hull, _unit_phi(a))
+    report = _certify_with_hull(monkeypatch, a, transposed, hull, (u, t_plus))
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.face.defect > 0.5 and not report.face.holds
+    assert abs(report.face.defect - want.defect) <= 1e-12
+    assert report.face.bound == want.bound
+    flipped = _partial_transpose_hull(hull, a.shape) if transposed else hull
+    assert report.nullspace.param_basis.tobytes() == flipped.param_basis.tobytes()
+    # the transposed hull against the transposed phi has the plain margins, to rounding
+    assert abs(face_certificate(flipped, phi).defect - want.defect) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)] + [(1, 3), (3, 1)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
+    """the face check on the factors of a rank-1 hull gives face_certificate's defect and
+    bound, under either flag: the plain check stands for the transposed one, as the pipeline
+    reads it.  At m = 1 the hull is the ray, which the pipeline does not check, so the check
+    is called directly"""
+    n, m = shape
+    gen = np.random.default_rng([n, m, 5])
+    a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
+    ns, (u, t) = faces._plain_face(a / np.linalg.norm(a))
+    assert ns.dim == t.shape[0] == 2 * m - 1
+    got = exposedness._factor_face_certificate(ns, _unit_phi(a), u, t)
+    hull = _partial_transpose_hull(ns, shape) if transposed else ns
+    want = face_certificate(hull, _unit_phi(a, transposed))
+    assert abs(got.defect - want.defect) <= 1e-12
+    assert got.bound == want.bound and got.holds
+    if m > 1:
+        assert certify_exposed(a, transposed=transposed).face == got
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (16, 16)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_large_rank_one_certificates(shape, transposed):
+    """rank-1 12 x 12 and 16 x 16 certify EXPOSED_FACE with an orthonormal hull of dimension
+    2m - 1 that sits within face.bound of the closed-form hull"""
+    n, m = shape
+    gen = np.random.default_rng([n, m, 6])
+    u, v = _crandn_from(gen, n), _crandn_from(gen, m)
+    report = certify_exposed(np.outer(u, v.conj()), transposed=transposed)
+    assert report.verdict is Verdict.EXPOSED_FACE
+    got = report.nullspace.param_basis
+    assert got.shape == ((n * m) ** 2, 2 * m - 1)
+    assert np.abs(got.T @ got - np.eye(2 * m - 1)).max() < 1e-12
+    assert report.face.defect <= report.face.bound < 1e-9
+    exact = _exact_rank_one_hull(u, v, transposed)
+    assert np.linalg.norm(got - exact @ (exact.T @ got), 2) <= report.face.bound
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_inputs_straddling_the_class_cut(transposed):
+    """U diag(1, s) V* with s / s_0 just above and just below the class cut max(n, m) u = 2u
+    certify under either flag: above it the class has rank 2 and the hull is the ray,
+    below it rank 1 and the hull has dimension 2m - 1 = 3.  The side is read off the same
+    svd of the normalised input as the class, as rounding moves a rotated s by about u"""
+    gen = np.random.default_rng(18)
+    cut = 2 * UNIT_ROUNDOFF
+    sides = set()
+    for ratio in (0.5, 0.8, 0.95, 1.05, 1.25, 2.0):
+        for rotated in (False, True, True, True):
+            a = np.diag([1.0, ratio * cut]).astype(complex)
+            if rotated:
+                a = haar_unitary(gen, 2) @ a @ haar_unitary(gen, 2).conj().T
+            s = np.linalg.svd(a / np.linalg.norm(a))[1]
+            above = bool(s[1] > cut * s[0])
+            sides.add(above)
+            report = certify_exposed(a, transposed=transposed)
+            label = (ratio, rotated, s[1] / s[0])
+            want = Verdict.EXPOSED_LINEAR if above else Verdict.EXPOSED_FACE
+            assert report.verdict is want, label
+            assert report.nullspace.dim == (1 if above else 3), label
+            assert report.face is None if above else report.face.holds, label
+    assert sides == {False, True}
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 4)])
@@ -329,9 +405,10 @@ def test_empty_hull_is_not_certified(transposed, monkeypatch):
 @pytest.mark.parametrize("order", [(False, True), (True, False)])
 @pytest.mark.parametrize("n, m, rank", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (4, 4, 4)])
 def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
-    """a flag pair, in either order, solves, projects and checks the face once, and the
-    transposed report is the plain certificate relabelled: the same verdict, face check and
-    overlap, and the plain basis under the signed permutation of the partial transpose, bitwise"""
+    """a flag pair, in either order, solves, projects and checks the face (on its factors) once,
+    and the transposed report is the plain certificate relabelled: the same verdict, face check
+    and overlap, and the plain basis under the signed permutation of the partial transpose,
+    bitwise"""
     calls = {}
 
     def spy(module, name):
@@ -346,13 +423,14 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     spy(exposedness, "_plain_face")
     spy(exposedness, "membership_residual")
     spy(exposedness, "face_certificate")
+    spy(exposedness, "_factor_face_certificate")
     gen = np.random.default_rng(17 + 10 * rank + m)
     a = _crandn_from(gen, n, rank) @ _crandn_from(gen, rank, m)
     exposedness._plain_certificate.cache_clear()
     reports = {transposed: certify_exposed(a, transposed=transposed) for transposed in order}
-    assert calls == {
-        "_plain_face": 1, "membership_residual": 1, **({"face_certificate": 1} if rank == 1 else {})
-    }
+    # the pipeline checks a rank-1 hull on its factors; the general face_certificate is not run
+    checked = {"_factor_face_certificate": 1} if rank == 1 else {}
+    assert calls == {"_plain_face": 1, "membership_residual": 1, **checked}
     plain, flipped = reports[False], reports[True]
     assert plain.verdict is (Verdict.EXPOSED_FACE if rank == 1 else Verdict.EXPOSED_LINEAR)
     assert flipped.verdict is plain.verdict

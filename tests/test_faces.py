@@ -655,10 +655,31 @@ def test_curve_frame_is_read_only():
     arrays = [*curve_frame(3)]
     for f in range(1, 4):
         arrays += [x for x in faces.class_solve(3, f) if isinstance(x, np.ndarray)]
+    arrays.append(faces.class_solve(3, 1)[5][0])
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_class_null_dimensions():
+    """every class (m, f) with m <= 8 has one null vector at f >= 2 and 2m - 1 at f = 1
+
+    So the Choi rebuild at f >= 2 normalises one column, and only f = 1 has
+    a larger hull, which the class solve keeps as 2m - 1 orthonormal
+    Hermitian m x m matrices R_k, each compressed to e_0-perp = 0.
+    """
+    for m in range(1, 9):
+        for f in range(1, m + 1):
+            _, z, _, _, _, hull = faces.class_solve(m, f)
+            assert z.shape[1] == (2 * m - 1 if f == 1 else 1), (m, f)
+            assert (hull is None) == (f > 1), (m, f)
+        r = faces.class_solve(m, 1)[5][0]
+        assert r.shape == (2 * m - 1, m, m), m
+        assert np.abs(r - r.conj().swapaxes(1, 2)).max() <= 1e-15, m
+        gram = np.einsum("kij,lij->kl", r.conj(), r).real
+        assert np.abs(gram - np.eye(2 * m - 1)).max() <= 1e-14, m
+        assert np.abs(r[:, 1:, 1:]).max(initial=0.0) <= 1e-15, m
 
 
 def test_class_is_solved_once(monkeypatch):
