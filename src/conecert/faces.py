@@ -532,12 +532,9 @@ def _factor_params(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     one-element hull (m = 1) is held to a membership bound of 16 u, and the
     rounding of |u|^2 |t[k]|_F alone took 0.5-0.6 of it on n x 1 inputs.
     """
-    n, m, d = u.shape[0], t.shape[-1], t.shape[0]
-    uu, params = np.outer(u, u.conj())[None, :, None, :, None], np.empty((d, (n * m) ** 2))
-    for k in range(0, d, 8):
-        # 8 elements at a time, so the complex Choi matrices of the whole hull are never held
-        choi = uu * t[k : k + 8, None, :, None, :]
-        params[k : k + 8] = hermitian_params(choi.reshape(-1, n * m, n * m))
+    n, m = u.shape[0], t.shape[-1]
+    choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
+    params = hermitian_params(choi.reshape(-1, n * m, n * m))
     # one BLAS dot per column: an einsum sum lost 30-60 u at (nm)^2 = 16,384 and more
     params /= np.sqrt(params[:, None, :] @ params[:, :, None])[:, 0]
     return params.T
