@@ -286,7 +286,7 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     """the face check on the factors of a rank-1 hull gives face_certificate's defect and
     bound, under either flag: the plain check stands for the transposed one, as the pipeline
     reads it.  At m = 1 the hull is the ray, which the pipeline does not check, so the check
-    is called directly"""
+    is called directly.  A hull whose output factor is tilted off phi's agrees too"""
     n, m = shape
     gen = np.random.default_rng([n, m, 5])
     a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
@@ -299,6 +299,16 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     assert got.bound == want.bound and got.holds
     if m > 1:
         assert certify_exposed(a, transposed=transposed).face == got
+    if n > 1:
+        # u tilted off phi's output factor puts weight on rho, which a rank-1 input leaves at 0
+        off = _crandn_from(gen, n)
+        off -= u * np.vdot(u, off)
+        tilt = np.cos(0.3) * u + np.sin(0.3) * off / np.linalg.norm(off)
+        tilted = replace(ns, param_basis=faces._factor_params(tilt, t))
+        got = exposedness._factor_face_certificate(tilted, _unit_phi(a), tilt, t)
+        want = face_certificate(_partial_transpose_hull(tilted, shape) if transposed else tilted,
+                                _unit_phi(a, transposed))
+        assert got.defect > 0.3 and abs(got.defect - want.defect) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(12, 12), (16, 16)])
