@@ -7,14 +7,11 @@ certificate (EXPOSED_LINEAR).  When the hull is larger (rank-1 A = u v*)
 it is {X -> Tr(R X) uu* : R compressed to v-perp is 0}; the only positive
 elements of that set form the ray through the map, and the face check
 verifies that every computed basis element lies in that face, read off the
-map itself (EXPOSED_FACE).  The pipeline holds that hull as factors,
-u_0 u_0* (x) T_k (`faces._plain_face`), and reads the principal angles
-off the m x m factors (`_factor_face_certificate`); `face_certificate`
-checks any orthonormal hull in Choi coordinates and is the tests'
-reference for it.  Both verdicts are exact checks on the computed hull:
-no positivity search and no random number is involved.  Only the plain
-map is certified: the transposed report relabels the plain certificate of
-the same A.
+map itself (EXPOSED_FACE), on the hull's m x m factors
+(`_factor_face_certificate`; `face_certificate` is its reference).  Both
+verdicts are exact checks on the computed hull: no positivity search and no
+random number is involved.  Only the plain map is certified: the transposed
+report relabels the plain certificate of the same A.
 """
 
 import math
@@ -144,12 +141,8 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
 
 
 def _face_frame(phi: MapRep) -> tuple[float, np.ndarray, np.ndarray]:
-    """The rank-1 face read off phi: the larger rank-1 defect, and the frames W and V.
-
-    W are the eigenvectors of the output marginal phi(I), top first, and V
-    those of phi's compression (u* (x) I) Choi(phi) (u (x) I) by its top
-    one, u.  The defect is the larger of the two `_rank1_defect`s.
-    """
+    """The larger `_rank1_defect` of phi(I) and of phi's compression by its top eigenvector u, and
+    the eigenvectors W and V of the two, top first."""
     n, m = phi.n, phi.m
     u_defect, w = _rank1_defect(np.einsum("ikjk->ij", phi.choi4))
     top = w[:, 0]
@@ -160,15 +153,14 @@ def _face_frame(phi: MapRep) -> tuple[float, np.ndarray, np.ndarray]:
 def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate:
     """Check that every hull element lies in the rank-1 face {uu* (x) S : S vanishes on s-perp}.
 
-    The general check, for any orthonormal hull handed in: the tests'
-    reference for the check the pipeline runs on the factors of its hull
-    (`_factor_face_certificate`).  For A = u v* every hull element is
+    The general check of any orthonormal hull, and the reference for
+    `_factor_face_certificate`.  For A = u v* every hull element is
     uu* (x) S with S = R^T (or R for the transposed map), and R compressed
     to v-perp is 0.  A PSD matrix whose compression to a subspace is 0 has
     that subspace in its kernel, so the positive part of such a hull is the
     ray through phi.  The face is read off phi: u is the top eigenvector of
     the output marginal phi(I), and s the top eigenvector of phi's
-    compression (u* (x) I) Choi(phi) (u (x) I) (`_face_frame`).
+    compression (u* (x) I) Choi(phi) (u (x) I).
 
     Each basis element B_j is rotated into the frame W (x) V of those two
     eigenbases, top vectors first.  There the face is every entry with
@@ -207,17 +199,12 @@ def _factor_face_certificate(
 ) -> FaceCertificate:
     """`face_certificate` of the orthonormal hull {u u* (x) t[k]}, read off its factors.
 
-    In the frame W (x) V of `_face_frame` an element is q q* (x) tau_k, with
-    q = W* u and tau_k = V* t[k] V.  Its entries off the face are those
-    with an output index past 0 on either side, whose squares sum to
-    rho (rho + 2 |q_0|^2) |tau_k|^2 (rho = sum_{i >= 1} |q_i|^2), and those
-    at output 0 on both sides and input indices both past 0, |q_0|^4
-    |tau_k^perp|^2 (tau^perp: tau with row 0 and column 0 zeroed).  So the
-    Gram matrix of the residuals is
-    rho (rho + 2 |q_0|^2) <tau_k, tau_l> + |q_0|^4 <tau_k^perp, tau_l^perp>,
-    with no term that cancels, and the sine of the largest principal angle
-    is read off it with no (nm)^2 array.  The rank-1 defects and the bound
-    are `face_certificate`'s.
+    In the frame W (x) V an element is q q* (x) tau_k, q = W* u and
+    tau_k = V* t[k] V.  Its entries off the face have an output index past 0
+    (squares summing to rho (rho + 2 |q_0|^2) |tau_k|^2, with
+    rho = sum_{i >= 1} |q_i|^2) or both input indices past 0 (|q_0|^4
+    |tau_k^perp|^2, tau^perp: tau with row and column 0 zeroed), so the
+    residual Gram matrix sums those two terms, none of which cancels.
     """
     d = t.shape[0]
     defect, w, v = _face_frame(phi)
@@ -240,8 +227,8 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     with a membership residual that meets the bound of `_face_bound`, and
     that bound must be below 1 (the reported overlap adds nothing:
     overlap^2 + residual^2 = 1).  Dimension 1 then gives EXPOSED_LINEAR; a
-    larger hull, which only the class (m, 1) has, gives EXPOSED_FACE when
-    the face check on its factors holds (`_factor_face_certificate`).  Every
+    larger hull (f = 1) gives EXPOSED_FACE when `_factor_face_certificate`
+    holds.  Every
     other outcome is NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.
 
     The transposed report is the plain certificate relabelled: the same
@@ -281,8 +268,7 @@ def _plain_certificate(
 
     Cached: `certify_exposed` relabels it for the transposed flag.  It has
     checked and normalised A, so the face is solved by `faces._plain_face`
-    directly, not through the checks of `double_prime_nullspace`, which
-    also hands over the factors of a rank-1 hull for the face check.
+    directly, not through the checks of `double_prime_nullspace`.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
     ns, factors = _plain_face(a)

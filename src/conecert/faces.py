@@ -67,12 +67,9 @@ read-only per (m, f) with what the rebuild reads (`class_solve`): the lift
 and the null vectors, no output column.  Per A only the rebuild is left: the
 dual basis V D_b V* of the projectors V P_b V* turns the class solve into
 Choi matrices, with A's own outputs w_b = A V eta_b, and `condition` reads
-the Gram matrix of the same outputs.  At f = 1 not even that: every output
-is a multiple of u_0 u_0*, so the class solve also keeps the hull as 2m - 1
-orthonormal Hermitian m x m matrices R_k and its condition, a constant of
-the class (`_class_hull`), and A's hull is u_0 u_0* (x) conj(V R_k V*),
-orthonormal as it stands, since u_0 (x) conj(V) is an isometry.  Its face
-check reads those factors (`exposedness._factor_face_certificate`).
+the Gram matrix of the same outputs.  At f = 1 not even that: the class
+solve keeps the hull itself (`_class_hull`), which `_plain_face` carries to A
+by an isometry.
 """
 
 import math
@@ -114,9 +111,9 @@ class NullSpaceResult:
     from those coordinates to Choi parameters, back-substitution included,
     over its least stretch on the null space: it is read off A's outputs
     w_b = A V eta_b, so it carries A's singular values, those below the cut
-    f included, except at f = 1, where s_0^2 cancels and it is a constant
-    of the class (`_class_hull`).  `double_prime_nullspace` and
-    `exposedness.certify_exposed` read it, and the basis, for A / |A|_F.
+    f included (at f = 1 it is a constant of the class, `_class_hull`).
+    `double_prime_nullspace` and `exposedness.certify_exposed` read it, and
+    the basis, for A / |A|_F.
     """
 
     singular_values: np.ndarray
@@ -202,12 +199,10 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _star_rows() -> tuple[np.ndarray, np.ndarray]:
-    """Cached, read-only star probes of (b, c) = (1, 2) at m = 3, and their projector coordinates.
+    """Cached, read-only star probes of (b, c) = (1, 2) at m = 3 and their projector coordinates.
 
-    Rows (z1, z2) = (1, 1), (1, i), (i, 1), (i, i).  Every star probe has
-    these entries at (0, b, c), and its coordinates on its 9 columns are
-    these, bitwise: each is one term, or the sum of two (`projector_coordinates`),
-    so no rounding depends on m, b or c.
+    Every star probe has these entries at (0, b, c) and these weights on its
+    9 columns, bitwise: each weight sums at most two terms, whatever m is.
     """
     z = np.array([[1, 1], [1, 1j], [1j, 1], [1j, 1j]])
     eye = np.eye(3, dtype=np.complex128)
@@ -224,11 +219,9 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     only on the 9 basis probes of row q of `cols`: P_0, P_b, P_c, then
     P_{+1} and P_{+i} of the pairs (0, b), (0, c) and (b, c).  Returns the
     probes, `cols` and `weights` (their `projector_coordinates` there, some
-    of them 0), as `curve_frame` does.  Both are written directly: the
-    weights are the four rows of `_star_rows` repeated, and P_{+1}(j, k)
-    sits at m + 2 q, q = j (2m - j - 3) / 2 + k - 1 its `triu_pairs` index.
-    Not cached: its only reader is the cached `class_solve`, which
-    builds it once per (m, f).
+    of them 0), as `curve_frame` does, written directly (`_star_rows`).
+    Not cached: its only reader is the cached `class_solve`, which builds it
+    once per (m, f).
     """
     count = (f - 1) * (m - f)
     if not count:
@@ -240,7 +233,7 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     etas = np.zeros((count, 4, m), dtype=np.complex128)
     for k, at in enumerate((0, b, c)):
         etas[np.arange(count), :, at] = rows[:, k]
-    # P_{+1} of the pairs (0, b), (0, c) and (b, c)
+    # P_{+1}(j, k) of the pairs (0, b), (0, c), (b, c) is m + 2 (j (2m - j - 3) / 2 + k - 1)
     ends = m - 2 + 2 * np.stack([b, c, b * (2 * m - b - 3) // 2 + c], axis=1)
     cols = np.column_stack([0 * b, b, c, (ends[:, :, None] + [0, 1]).reshape(count, 6)])
     return etas.reshape(-1, m), np.repeat(cols, 4, axis=0), np.tile(weights, (count, 1))
@@ -404,8 +397,7 @@ def class_solve(m: int, f: int) -> tuple:
     c_b = |u_b|^2 (zero rows where dead), the null vectors as basis
     coordinates x_b = (L null)_b / c_b (zero where dead), the spectrum,
     `unknowns`, the probe count and, at f = 1 only (else None), the hull
-    and its condition (`_class_hull`), which `_plain_face` reads in place of
-    the rebuild.  None of it reads A.
+    and its condition (`_class_hull`).  None of it reads A.
     """
     curve, _, _, *curve_layout = curve_frame(m)
     star, *star_layout = star_frame(m, f)
@@ -441,17 +433,12 @@ def class_solve(m: int, f: int) -> tuple:
 def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
     """The hull of the class (m, 1) as orthonormal Hermitian m x m matrices R_k, and its condition.
 
-    At f = 1 every output is w_b = s_0 eta_b[0] u_0, so a null vector with
-    basis coordinates z = L null gives psi(V P_b V*) = s_0^2 z_b u_0 u_0*
-    and Choi(psi) = s_0^2 u_0 u_0* (x) conj(V R V*), R = sum_b z_b D_b.
-    Each R is compressed to e_0-perp = 0, from the null vectors alone.  As
-    u_0 is a unit vector and V unitary, R -> u_0 u_0* (x) conj(V R V*) keeps
-    the Frobenius norm, so the R orthonormalised here (one SVD of their
-    parameters) give an orthonormal hull for every A of the class
-    (`_factor_params`).  `condition`'s largest stretch, read off the Gram
-    matrix c_a c_b (D D^T)_ab of the class outputs, and its least stretch,
-    the least singular value of the R, both carry s_0^2, which cancels: it
-    is a constant of the class.
+    Every output is w_b = s_0 eta_b[0] u_0, so the null vector z = L null
+    gives Choi(psi) = s_0^2 u_0 u_0* (x) conj(V R V*), R = sum_b z_b D_b,
+    compressed to e_0-perp = 0.  R -> u_0 u_0* (x) conj(V R V*) keeps the
+    Frobenius norm, so the R orthonormalised once here are orthonormal for
+    every A of the class.  Both stretches of `condition` carry s_0^2, which
+    cancels.
     """
     m = math.isqrt(lift.shape[0])
     dual, dual_gram = curve_frame(m)[1:3]
@@ -464,28 +451,23 @@ def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.ndarray] | None]:
-    """The face of X -> A X A*, with read-only arrays, and its factors (u_0, T) at f = 1.
+    """The face of X -> A X A*, with read-only arrays, and its factors (u_0, T) at f = 1, else None.
 
     One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
     probes are V eta, and the face system depends on A only through (m, f),
-    so its solve is cached per class (`class_solve`).
-
-    At f >= 2 what is left reads A through its outputs w_b = A V eta_b
-    alone: the one null vector (`class_solve` has exactly one at every
-    f >= 2) becomes a Choi matrix through the dual basis V D_b V* of the
-    V P_b V*, Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
+    so its solve is cached per class (`class_solve`).  At f >= 2 what is
+    left reads A through its outputs w_b = A V eta_b alone: the one null
+    vector (there is one at every f >= 2) becomes a Choi matrix through the
+    dual basis V D_b V* of the V P_b V*,
+    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
     psi(V P_b V*) = x_b w_b w_b*, and is normalised there.  `condition` is
     the largest stretch of the whole map from the unknowns to Choi, pair
     coordinates included, over its least stretch on the null space; the
     largest is read off the Gram matrix (O O^T) o (D D^T) of the outputs
     O_b = w_b w_b* and the dual basis, which V keeps, one eigvalsh of
     `unknowns` columns.  <w_a w_a*, w_b w_b*>_F = |w_a* w_b|^2, so the same
-    w gives both.  The factors are None.
-
-    At f = 1 the class solve holds the hull as orthonormal m x m matrices
-    R_k and its condition (`_class_hull`): the hull is u_0 u_0* (x) T_k,
-    T_k = conj(V R_k V*), orthonormal as it stands, and (u_0, T) are
-    returned for the face check (`exposedness._factor_face_certificate`).
+    w gives both.  At f = 1 the hull is u_0 u_0* (x) T_k,
+    T_k = conj(V R_k V*), over the class's R_k (`_class_hull`).
     Deterministic: no random probes.
     """
     n, m = a.shape
@@ -511,8 +493,7 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.nd
         factors = None
     else:
         class_basis, condition = hull
-        # u_0 = A v_0 / s_0, read off A's own output: it carries no rounding of the svd's U,
-        # which put n x 1 inputs past the membership bound
+        # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
         # conj(V R V*) = conj(V) conj(R) V^T, V = vh*
         factors = (w / np.linalg.norm(w), vh.T @ class_basis.conj() @ vh.conj())
@@ -527,15 +508,14 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.nd
 def _factor_params(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Choi parameters of the hull elements u u* (x) t[k], as unit columns, for u (n,), t (d, m, m).
 
-    For unit u and orthonormal t[k] the columns are orthonormal as they
-    stand, to rounding; each is normalised once more, in place, because a
-    one-element hull (m = 1) is held to a membership bound of 16 u, and the
-    rounding of |u|^2 |t[k]|_F alone took 0.5-0.6 of it on n x 1 inputs.
+    Orthonormal for unit u and orthonormal t[k], and normalised once more:
+    at m = 1 the membership bound is 16 u, and the rounding of |u|^2 |t|_F
+    took half of it.
     """
     n, m = u.shape[0], t.shape[-1]
     choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
     params = hermitian_params(choi.reshape(-1, n * m, n * m))
-    # one BLAS dot per column: an einsum sum lost 30-60 u at (nm)^2 = 16,384 and more
+    # a BLAS dot per column: einsum lost 30-60 u at (nm)^2 >= 16,384
     params /= np.sqrt(params[:, None, :] @ params[:, :, None])[:, 0]
     return params.T
 
