@@ -108,7 +108,7 @@ def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
     return (rest / w[-1] if w[-1] > 0 else 1.0), v[:, ::-1]
 
 
-def _face_bound(nullspace: NullSpaceResult) -> float:
+def _face_bound(nullspace: NullSpaceResult, tail: float = 0.0) -> float:
     """Relative bound on how far the computed hull may sit from an exact one.
 
     The system in basis-probe coordinates keeps `unknowns - dim` singular
@@ -118,14 +118,18 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     |E| / s_kept, over the smallest kept singular value; |E| is read as the
     largest discarded value, or the system's rounding level
     unknowns * u * max(s_0, 1) when that is larger (`system_floor`).  With
-    nothing kept the ratio is read at that level, unknowns * u.  A null
-    vector turns into a Choi matrix through a linear map that is not an
-    isometry (at full column rank it includes the back-substituted pair
-    coordinates).  An error component outside the null space is stretched
-    by the whole map, so an angle in probe coordinates grows in Choi
-    coordinates by at most the map's largest stretch over its least stretch
-    on the null space, which is `condition`.  The bound is
-    FACE_SAFETY * condition * that ratio.
+    nothing kept the ratio is read at that level, unknowns * u.  At f = 1 a
+    null vector turns into a Choi matrix through a linear map that is not an
+    isometry, so an error component outside the null space is stretched by
+    the whole map: an angle in probe coordinates grows in Choi coordinates
+    by at most the map's largest stretch over its least stretch on the null
+    space, which is `condition`.  At f >= 2 nothing is lifted (`condition`
+    is 1): the face is the closed-form ray of A_f, the class cut of A, and
+    the ratio is the class's evidence that its face is that one ray.  That
+    ray misses Choi(phi) by the tail of A's spectrum below the cut, which
+    `faces._plain_face` hands over as `tail`, its largest value for unit A:
+    sqrt(2 (min(n, m) - f)) * max(n, m) * u.  The bound is
+    FACE_SAFETY * (condition * ratio + tail).
     """
     s = nullspace.singular_values
     unknowns = nullspace.unknowns
@@ -137,7 +141,7 @@ def _face_bound(nullspace: NullSpaceResult) -> float:
     else:
         discarded = s[rank] if rank < s.shape[0] else 0.0
         ratio = float(max(discarded, system_floor(s, unknowns)) / s[rank - 1])
-    return FACE_SAFETY * nullspace.condition * ratio
+    return FACE_SAFETY * (nullspace.condition * ratio + tail)
 
 
 def _face_frame(phi: MapRep) -> tuple[float, np.ndarray, np.ndarray]:
@@ -271,14 +275,14 @@ def _plain_certificate(
     directly, not through the checks of `double_prime_nullspace`.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
-    ns, factors = _plain_face(a)
+    ns, factors, tail = _plain_face(a)
     if ns.dim == 0:
         return ns, Verdict.NOT_CERTIFIED, None, 0.0
 
     phi = _ad_map(a, False)
     coeffs, resid = membership_residual(ns, phi)
     overlap = float(np.linalg.norm(coeffs))
-    if not resid <= _face_bound(ns) < 1.0:
+    if not resid <= _face_bound(ns, tail) < 1.0:
         return ns, Verdict.NOT_CERTIFIED, None, overlap
 
     if ns.dim == 1:

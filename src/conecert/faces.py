@@ -16,7 +16,7 @@ of the Choi parameters (`_transposed_face`), which
 transpose, `linalg._partial_transpose`.  Nothing here is cached per A,
 only per class: the face system is solved once per (m, f) (`class_solve`),
 and `exposedness.certify_exposed` keeps the last plain certificate, so the
-two flags on one A rebuild its face once.
+two flags on one A build its face once.
 
 The face is solved in the class of A, with one cut of its spectrum.  One
 svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
@@ -51,8 +51,7 @@ over `triu_pairs`; the curve frame is cached read-only per m, and the star
 frame is built once per (m, f), by the cached `class_solve`, and has no
 probe unless 2 <= f < m.  A frame keeps the probes and each relation's
 columns and weights; the R rows of a relation are laid on the m^2 basis
-columns by its columns, so no cached table but the dual basis and its Gram
-matrix grows as m^4.
+columns by its columns, so no cached table but the dual basis grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
@@ -63,13 +62,14 @@ relation of its reflection P_{-z}(j, k), so the same R eliminates it too:
 its first row back-substitutes the pair coordinate, the other two tie x_j
 to x_k along the curve e_j + z e_k, and the system is in the m diagonal
 unknowns x_j.  One SVD of the stack gives the face of the class, cached
-read-only per (m, f) with what the rebuild reads (`class_solve`): the lift
-and the null vectors, no output column.  Per A only the rebuild is left: the
-dual basis V D_b V* of the projectors V P_b V* turns the class solve into
-Choi matrices, with A's own outputs w_b = A V eta_b, and `condition` reads
-the Gram matrix of the same outputs.  At f = 1 not even that: the class
-solve keeps the hull itself (`_class_hull`), which `_plain_face` carries to A
-by an isometry.
+read-only per (m, f) as evidence only (`class_solve`): the spectrum, the
+null dimension at its gap and the counts, with no lift and no null vector.
+At f >= 2 the class face is one ray, x_b = 1 on every live basis probe:
+the class map X -> Pi X Pi* itself.  The congruence carries it to the ray
+of A_f = U_f S_f V_f*, so `_plain_face` writes A's face in closed form,
+Choi(X -> A_f X A_f*), and nothing is rebuilt per A.  At f = 1 the class
+solve keeps the hull itself (`_class_hull`), which `_plain_face` carries to
+A by an isometry.
 """
 
 import math
@@ -107,11 +107,12 @@ class NullSpaceResult:
     (the pair coordinates are back-substituted) and every live basis
     probe's otherwise (the other probes' coordinates are eliminated).  The
     spectrum, `unknowns` and `pairs_used` (the probe count) depend on A only
-    through (m, f).  `condition` is the largest stretch of the whole map
-    from those coordinates to Choi parameters, back-substitution included,
-    over its least stretch on the null space: it is read off A's outputs
-    w_b = A V eta_b, so it carries A's singular values, those below the cut
-    f included (at f = 1 it is a constant of the class, `_class_hull`).
+    through (m, f).  At f >= 2 the basis is the closed-form ray of
+    A_f = U_f S_f V_f*, and the spectrum is the evidence that the class face
+    is that one ray: nothing is lifted, and `condition` is 1.0.  At f = 1
+    `condition` is the largest stretch of the map from the class
+    coordinates to Choi parameters, back-substitution included, over its
+    least stretch on the null space, a constant of the class (`_class_hull`).
     `double_prime_nullspace` and `exposedness.certify_exposed` read it, and
     the basis, for A / |A|_F.
     """
@@ -177,8 +178,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
     then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2.
     Then the dual basis D_b (m^2, m, m) of the unit-probe projectors:
-    Re tr(D_b X) is the coordinate of X on P_b; the Gram matrix
-    Re tr(D_a D_b) of the dual; and the layout of the reflected relations.
+    Re tr(D_b X) is the coordinate of X on P_b; and the layout of the
+    reflected relations.
     Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
     on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
     `cols` (m^2 - m, 3) is (m + q, j, k), and `weights` holds the
@@ -191,10 +192,9 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
     etas = np.concatenate([eye, curves[:, :2].reshape(-1, m), curves[:, 2:].reshape(-1, m)])
     # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
-    dual_params = projector_coordinates(params_to_herm(np.eye(size), m)).T
-    dual, dual_gram = params_to_herm(dual_params, m), dual_params @ dual_params.T
+    dual = params_to_herm(projector_coordinates(params_to_herm(np.eye(size), m)).T, m)
     cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    return _read_only((etas, dual, dual_gram, *_layout(etas[size:], cols)))
+    return _read_only((etas, dual, *_layout(etas[size:], cols)))
 
 
 @lru_cache(maxsize=None)
@@ -346,7 +346,7 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
 
     A is Frobenius normalised (`linalg.frobenius_norm`) as
     `exposedness.certify_exposed` normalises it, so the two return bitwise
-    equal null spaces at any scale of A.  Rebuilds the plain face from A on
+    equal null spaces at any scale of A.  Builds the plain face from A on
     every call (`_plain_face`), over the solve of A's class, cached per
     (m, f) (`class_solve`); the transposed face is its `_transposed_face`,
     bitwise.  The arrays are read-only, as `certify_exposed` shares them
@@ -392,16 +392,14 @@ def class_solve(m: int, f: int) -> tuple:
     the first row of that R.
     The rank is `gap_rank` of the spectrum over `system_floor`.
 
-    Returns what the Choi rebuild of `_plain_face` and its `condition`
-    read: the lift in x-coordinates, L / c_b per row, over the class norm
-    c_b = |u_b|^2 (zero rows where dead), the null vectors as basis
-    coordinates x_b = (L null)_b / c_b (zero where dead), the spectrum,
-    `unknowns`, the probe count and, at f = 1 only (else None), the hull
-    and its condition (`_class_hull`).  None of it reads A.
+    Returns the class's evidence: the spectrum, `unknowns`, the probe
+    count, the null dimension at the gap and, at f = 1 only (else None),
+    the hull and its condition (`_class_hull`), built here from the lift and
+    the null vectors, which are not kept.  None of it reads A.
     """
-    curve, _, _, *curve_layout = curve_frame(m)
+    curve, _, *curve_layout = curve_frame(m)
     star, *star_layout = star_frame(m, f)
-    etas, size = np.concatenate([curve, star]), m * m
+    etas = np.concatenate([curve, star])
     # the class outputs u_p u_p*, u_p = eta_p[:f], and their class norms c_p = |u_p|^2
     raw = hermitian_params(_outer(etas[:, :f]))
     c = raw[:, :f].sum(axis=1)
@@ -421,13 +419,8 @@ def class_solve(m: int, f: int) -> tuple:
     else:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
-    # psi(V P_b V*) = z_b w_b w_b* / c_b per null vector, w_b = A V eta_b, c_b the class norm
-    z = lift @ null
-    hull = _class_hull(lift, z) if f == 1 else None
-    np.divide(z, c[:size, None], out=z, where=live[:size, None])
-    # the lift to the coordinates x_b = z_b / c_b on A's outputs, which `condition` reads
-    lift = np.divide(lift, c[:size, None], out=np.zeros_like(lift), where=live[:size, None])
-    return (*_read_only((lift, z, svals)), unknowns, etas.shape[0], hull)
+    hull = _class_hull(lift, lift @ null) if f == 1 else None
+    return _read_only((svals,))[0], unknowns, etas.shape[0], null.shape[1], hull
 
 
 def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -441,68 +434,58 @@ def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
     cancels.
     """
     m = math.isqrt(lift.shape[0])
-    dual, dual_gram = curve_frame(m)[1:3]
+    dual = curve_frame(m)[1]
     r = z.T @ dual.reshape(m * m, -1)
     # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
     left, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
     hull = ((left.T / least[:, None]) @ r).reshape(-1, m, m)
-    stretch = math.sqrt(float(np.linalg.eigvalsh(lift.T @ dual_gram @ lift)[-1]))
+    # params(sum_b (L x)_b D_b) = params(D)^T L x, so the largest stretch is one 2-norm
+    stretch = float(np.linalg.norm(hermitian_params(dual).T @ lift, 2))
     return _read_only((hull,))[0], stretch / float(least[-1])
 
 
-def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.ndarray] | None]:
-    """The face of X -> A X A*, with read-only arrays, and its factors (u_0, T) at f = 1, else None.
+def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.ndarray] | None, float]:
+    """The face of X -> A X A*, with read-only arrays, its factors (u_0, T) at f = 1, else None,
+    and the tail level at f >= 2, else 0.
 
     One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
     probes are V eta, and the face system depends on A only through (m, f),
-    so its solve is cached per class (`class_solve`).  At f >= 2 what is
-    left reads A through its outputs w_b = A V eta_b alone: the one null
-    vector (there is one at every f >= 2) becomes a Choi matrix through the
-    dual basis V D_b V* of the V P_b V*,
-    Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*) with
-    psi(V P_b V*) = x_b w_b w_b*, and is normalised there.  `condition` is
-    the largest stretch of the whole map from the unknowns to Choi, pair
-    coordinates included, over its least stretch on the null space; the
-    largest is read off the Gram matrix (O O^T) o (D D^T) of the outputs
-    O_b = w_b w_b* and the dual basis, which V keeps, one eigvalsh of
-    `unknowns` columns.  <w_a w_a*, w_b w_b*>_F = |w_a* w_b|^2, so the same
-    w gives both.  At f = 1 the hull is u_0 u_0* (x) T_k,
+    so its solve is cached per class (`class_solve`).  At f >= 2 the class
+    face is the ray of X -> Pi X Pi*, which the congruence carries to the
+    ray of A_f = U_f S_f V_f*: the basis is the one unit column
+    params(Choi(X -> A_f X A_f*)), with A_f = A where f = min(n, m), and
+    `condition` is 1.0, as nothing is lifted.  A class whose gap reads
+    another null dimension gets an empty basis, which certifies nothing.
+    The ray misses Choi(phi) by the tail A - A_f alone, at most
+    sqrt(2 (min(n, m) - f)) * max(n, m) * u for unit A, the level returned
+    for `exposedness._face_bound`.  At f = 1 the hull is u_0 u_0* (x) T_k,
     T_k = conj(V R_k V*), over the class's R_k (`_class_hull`).
     Deterministic: no random probes.
     """
     n, m = a.shape
-    _, _, vh, f = _class_svd(a)
-    lift, z, svals, unknowns, pairs_used, hull = class_solve(m, f)
+    u, s, vh, f = _class_svd(a)
+    svals, unknowns, pairs_used, dim, hull = class_solve(m, f)
     if hull is None:
-        curve, dual, dual_gram = curve_frame(m)[:3]
-        size = m * m
-        # w_b = A V eta_b as rows; Choi(psi) = sum_b psi(V P_b V*) (x) conj(V D_b V*)
-        w = curve[:size] @ vh.conj() @ a.T
-        y = z.T[:, None, :] * _outer(w).reshape(size, n * n).T
-        # conj(V D_b V*) = conj(V) conj(D_b) V^T: one GEMM for each factor, at (n m)^2 m each
-        choi = (y @ dual.conj().reshape(size, size)).reshape(-1, m) @ vh.conj()
-        choi = choi.reshape(-1, m, m).swapaxes(1, 2).reshape(-1, m) @ vh
-        # (i, j, l, k) -> (i, k, j, l) is Choi(psi)
-        choi = choi.reshape(-1, n, n, m, m).transpose(0, 1, 4, 2, 3).reshape(-1, n * m, n * m)
-        param_basis = hermitian_params(choi).T
-        least = float(np.linalg.norm(param_basis))
-        param_basis = param_basis / least
-        # |Choi|_F^2 = x^T ((O O^T) o (D D^T)) x, x = lift @ unknowns, <O_a, O_b>_F = |w_a* w_b|^2
-        gram = np.abs(w @ w.conj().T) ** 2 * dual_gram
-        condition = math.sqrt(float(np.linalg.eigvalsh(lift.T @ gram @ lift)[-1])) / least
-        factors = None
+        a_f = a if f == min(n, m) else (u[:, :f] * s[:f]) @ vh[:f]
+        # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
+        param_basis = hermitian_params(_outer(a_f.reshape(1, -1))).T
+        param_basis = param_basis / np.linalg.norm(param_basis)
+        if dim != 1:
+            param_basis = param_basis[:, :0]
+        factors, condition = None, 1.0
+        tail = math.sqrt(2 * (min(n, m) - f)) * max(n, m) * UNIT_ROUNDOFF
     else:
         class_basis, condition = hull
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
         # conj(V R V*) = conj(V) conj(R) V^T, V = vh*
         factors = (w / np.linalg.norm(w), vh.T @ class_basis.conj() @ vh.conj())
-        param_basis = _factor_params(*factors)
+        param_basis, tail = _factor_params(*factors), 0.0
     face = NullSpaceResult(
         singular_values=svals, pairs_used=pairs_used, param_basis=_read_only((param_basis,))[0],
         unknowns=unknowns, condition=condition,
     )
-    return face, factors
+    return face, factors, tail
 
 
 def _factor_params(u: np.ndarray, t: np.ndarray) -> np.ndarray:

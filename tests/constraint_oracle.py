@@ -11,7 +11,9 @@ unknowns (a Hermitian H_p in Herm(r_p) per probe, `_output_columns`), where
 the library keeps one real unknown per probe output of rank 1.  The oracle
 reads the kernel probes and the probe outputs off Choi(phi), with `eigh`,
 where the library reads them off A, so it works for any
-Hermiticity-preserving map.
+Hermiticity-preserving map.  `rebuilt_face` is the library's own class
+solve carried to A numerically, through the dual basis and A's outputs, the
+reference for the face that `faces._plain_face` writes in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from conecert.errors import HermiticityError, ShapeError
+from conecert import faces
 from conecert.faces import NullSpaceResult, combination_rows
 from conecert.linalg import (
     SQRT2,
@@ -33,7 +36,7 @@ from conecert.linalg import (
     params_to_herm,
     triu_pairs,
 )
-from conecert.maps import MapRep, is_hermitian_preserving
+from conecert.maps import MapRep, is_hermitian_preserving, partial_transpose_in
 from conecert.sampling import random_unit_vector, rng_from
 
 PAIR_TOL = 1e-10
@@ -330,3 +333,47 @@ def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> NullSpaceResult:
         singular_values=svals, pairs_used=count, param_basis=param_basis,
         unknowns=unknowns, condition=condition,
     )
+
+
+def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """The face of X -> A X A* (X -> A X^T A* when transposed), for unit A, rebuilt from the
+    class system through the dual basis: orthonormal columns over the Choi parameters.
+
+    The class system of (m, f) is `faces._reduced_relations` on the class
+    outputs u_p u_p*, u_p = eta_p[:f], with its lift L, as `faces.class_solve`
+    builds it.  Each null vector z = L null gives the coordinates
+    x_b = z_b / c_b on A's outputs w_b = A V eta_b, c_b = |u_b|^2, and
+    Choi(psi) = sum_b x_b w_b w_b* (x) conj(V D_b V*), over the dual basis D_b
+    of `faces.curve_frame`; the transposed face is its partial transpose.
+    The columns are orthonormalised by one SVD.  This is the rebuild that
+    `faces._plain_face` ran on every input before it wrote the face in
+    closed form: it reads A's outputs, tail below the class cut included.
+    """
+    n, m = a.shape
+    size = m * m
+    _, _, vh, f = faces._class_svd(a)
+    curve, dual, *curve_layout = faces.curve_frame(m)
+    star, *star_layout = faces.star_frame(m, f)
+    u = np.concatenate([curve, star])[:, :f]
+    raw = hermitian_params(u[:, :, None] * u[:, None, :].conj())
+    c = raw[:, :f].sum(axis=1)
+    live = c > 0
+    outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
+    system, lift = faces._reduced_relations(outputs, live, [curve_layout, star_layout])
+    unknowns = system.shape[1]
+    if system.shape[0]:
+        _, svals, right = np.linalg.svd(system)
+        null = right[gap_rank(svals, faces.system_floor(svals, unknowns)) :].T
+    else:
+        null = np.eye(unknowns)
+    x = np.divide(lift @ null, c[:size, None], out=np.zeros((size, null.shape[1])), where=live[:size, None])
+    # w_b = A V eta_b as rows, and psi(V P_b V*) = x_b w_b w_b* per null vector
+    w = curve[:size] @ vh.conj() @ a.T
+    y = x.T[:, :, None, None] * (w[:, :, None] * w[:, None, :].conj())
+    # conj(V D_b V*) = conj(V) conj(D_b) V^T, V = vh*
+    carried = vh.T @ dual.conj() @ vh.conj()
+    choi = np.einsum("dbij,bkl->dikjl", y, carried).reshape(-1, n * m, n * m)
+    if transposed:
+        choi = np.array([partial_transpose_in(x, n, m) for x in choi])
+    params = hermitian_params(choi).T
+    return np.linalg.svd(params, full_matrices=False)[0]

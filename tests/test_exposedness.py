@@ -237,11 +237,11 @@ def _certify_with_hull(monkeypatch, a, transposed, hull, factors=None):
     """certify_exposed(a, transposed) with `hull` handed to it as the plain null space.
 
     `factors` are the hull's (u, t), element k being u u* (x) t[k], as
-    `faces._plain_face` returns them at f = 1, or None.  The certificate
-    cache is cleared before the run, so the hull is read, and after it, so
-    no later call is handed the hull's certificate.
+    `faces._plain_face` returns them at f = 1, or None; the tail level is 0.
+    The certificate cache is cleared before the run, so the hull is read,
+    and after it, so no later call is handed the hull's certificate.
     """
-    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: (hull, factors))
+    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: (hull, factors, 0.0))
     exposedness._plain_certificate.cache_clear()
     try:
         return certify_exposed(a, transposed=transposed)
@@ -263,7 +263,7 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         assert cert.defect > 0.5 and cert.defect > cert.bound, name
         assert not cert.holds
     # the plain class hull u u* (x) t[k] plus I orthogonalised against it, its part on s-perp
-    plain, (u, t) = faces._plain_face(a / np.linalg.norm(a))
+    plain, (u, t), _ = faces._plain_face(a / np.linalg.norm(a))
     extra = np.eye(a.shape[1]) - np.einsum("k,kij->ij", np.einsum("kii->k", t).real, t)
     t_plus = np.concatenate([t, (extra / np.linalg.norm(extra))[None]])
     hull = _hull_plus(plain, np.kron(np.outer(u, u.conj()), extra))
@@ -290,7 +290,7 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     n, m = shape
     gen = np.random.default_rng([n, m, 5])
     a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
-    ns, (u, t) = faces._plain_face(a / np.linalg.norm(a))
+    ns, (u, t), _ = faces._plain_face(a / np.linalg.norm(a))
     assert ns.dim == t.shape[0] == 2 * m - 1
     got = exposedness._factor_face_certificate(ns, _unit_phi(a), u, t)
     hull = _partial_transpose_hull(ns, shape) if transposed else ns
@@ -410,6 +410,23 @@ def test_empty_hull_is_not_certified(transposed, monkeypatch):
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.nullspace.dim == 0 and report.face is None
     assert report.overlap_with_phi == 0.0
+
+
+@pytest.mark.parametrize("dim", [0, 2])
+def test_class_without_one_ray_is_not_certified(dim, monkeypatch):
+    """at f >= 2 a class system whose gap reads a null dimension other than 1 gives an empty
+    face, whatever the closed-form ray: NOT_CERTIFIED, overlap 0, under both flags"""
+    a = _crandn_from(np.random.default_rng(13), 3, 3)
+    solve = faces.class_solve
+    monkeypatch.setattr(faces, "class_solve", lambda m, f: (*solve(m, f)[:3], dim, None))
+    exposedness._plain_certificate.cache_clear()
+    try:
+        for transposed in (False, True):
+            report = certify_exposed(a, transposed=transposed)
+            assert report.verdict is Verdict.NOT_CERTIFIED
+            assert report.nullspace.dim == 0 and report.overlap_with_phi == 0.0
+    finally:
+        exposedness._plain_certificate.cache_clear()
 
 
 @pytest.mark.parametrize("order", [(False, True), (True, False)])
@@ -599,6 +616,32 @@ def test_band_certifies(s2, transposed):
     a = _with_smallest_singular_value(np.random.default_rng(7), 3, 3, 2, s2)
     report = certify_exposed(a, transposed=transposed)
     assert report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_tall_tail_below_the_cut_certifies(n):
+    """Haar-rotated n x 3 with singular values (1, 0.5, 0.99 n u), just under the class cut
+    max(n, m) u s_0: both flags EXPOSED_LINEAR, and the membership residual is the tail's
+    distance |s_t| sqrt(|s_t|^2 + 2 |s_f|^2) within 1%
+
+    The face is the ray of A_f, the rank-2 cut of A, so the residual grows
+    with n; the bound admits the largest tail the cut allows, where the
+    class's Wedin ratio alone refuses n = 256 and 1024.
+    """
+    gen = np.random.default_rng([23, n])
+    q, r = np.linalg.qr(_crandn_from(gen, n, 3))
+    # an n x 3 Haar isometry, and a 3 x 3 Haar unitary
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    a = q @ np.diag([1.0, 0.5, 0.99 * n * UNIT_ROUNDOFF]) @ haar_unitary(gen, 3).conj().T
+    for transposed in (False, True):
+        assert certify_exposed(a, transposed=transposed).verdict is Verdict.EXPOSED_LINEAR
+    a = a / np.linalg.norm(a)
+    _, s, _, f = faces._class_svd(a)
+    assert f == 2
+    tail = float(np.sum(s[f:] ** 2))
+    want = np.sqrt(tail * (tail + 2 * float(np.sum(s[:f] ** 2))))
+    resid = membership_residual(certify_exposed(a).nullspace, _unit_phi(a))[1]
+    assert abs(resid - want) <= 0.01 * want, (resid, want)
 
 
 @pytest.mark.parametrize(

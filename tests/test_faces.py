@@ -14,6 +14,7 @@ from constraint_oracle import (
     map_floor,
     oracle_nullspace,
     probe_outputs,
+    rebuilt_face,
     unit_probe_vectors,
     zero_pairs,
 )
@@ -556,7 +557,7 @@ def test_curve_relations_sit_on_their_fixed_columns(m, monkeypatch):
     in the class (m, m - 1) the rows of relation q's R are laid on cols[q].
     """
     size = m * m
-    etas, _, _, cols, weights = curve_frame(m)
+    etas, _, cols, weights = curve_frame(m)
     coords = projector_coordinates(_projectors(etas))
     assert cols.shape == weights.shape == (size - m, 3)
     for q in range(size - m):
@@ -618,24 +619,26 @@ def test_curve_probes_match_the_reference_lists():
 
 
 def test_cached_frames_grow_slower_than_m4():
-    """at m = 16 the curve frame and every star frame hold at most 5 MB together, and the
-    class solves of every f at most 6 MB
+    """at m = 16 the curve frame and every star frame hold at most 2.5 MB together, and the
+    class solves of every f at most 0.2 MB
 
-    Only the dual basis D_b (m^2, m, m) and its Gram matrix (m^2, m^2) grow
-    as m^4; the relation layouts hold k x w columns and weights, not a
-    one-hot (k, w, m^2) table.  A class solve keeps the lift, the null
-    vectors and the spectrum, and no output columns.
+    Only the dual basis D_b (m^2, m, m) grows as m^4; the relation layouts
+    hold k x w columns and weights, not a one-hot (k, w, m^2) table.  A
+    class solve keeps its spectrum and, at f = 1, the hull of 2m - 1 m x m
+    matrices: no lift, no null vector and no output column.
     """
     m = 16
     frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
     total = sum(x.nbytes for frame in frames for x in frame)
-    assert total <= 5e6, total
+    assert total <= 2.5e6, total
     solves = [faces.class_solve(m, f) for f in range(1, m + 1)]
-    total = sum(x.nbytes for solve in solves for x in solve if isinstance(x, np.ndarray))
-    assert total <= 6e6, total
-    dual, gram = curve_frame(m)[1:3]
-    assert dual.shape == (m * m, m, m) and gram.shape == (m * m, m * m)
-    assert curve_frame(m)[3].shape == curve_frame(m)[4].shape == (m * m - m, 3)
+    # the spectrum, three counts and, at f = 1 only, the hull (R_k, condition)
+    assert all(isinstance(x, int) for solve in solves for x in solve[1:4])
+    assert all(solve[4] is None for solve in solves[1:])
+    total = sum(solve[0].nbytes for solve in solves) + solves[0][4][0].nbytes
+    assert total <= 0.2e6, total
+    assert len(curve_frame(m)) == 4 and curve_frame(m)[1].shape == (m * m, m, m)
+    assert curve_frame(m)[2].shape == curve_frame(m)[3].shape == (m * m - m, 3)
     for r in range(2, m):
         assert star_frame(m, r)[1].shape == star_frame(m, r)[2].shape == (4 * (r - 1) * (m - r), 9), r
 
@@ -654,8 +657,8 @@ def test_curve_frame_is_read_only():
     certificate"""
     arrays = [*curve_frame(3)]
     for f in range(1, 4):
-        arrays += [x for x in faces.class_solve(3, f) if isinstance(x, np.ndarray)]
-    arrays.append(faces.class_solve(3, 1)[5][0])
+        arrays.append(faces.class_solve(3, f)[0])
+    arrays.append(faces.class_solve(3, 1)[4][0])
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -665,16 +668,18 @@ def test_curve_frame_is_read_only():
 def test_class_null_dimensions():
     """every class (m, f) with m <= 8 has one null vector at f >= 2 and 2m - 1 at f = 1
 
-    So the Choi rebuild at f >= 2 normalises one column, and only f = 1 has
-    a larger hull, which the class solve keeps as 2m - 1 orthonormal
-    Hermitian m x m matrices R_k, each compressed to e_0-perp = 0.
+    So at f >= 2 the face is one ray, which `_plain_face` writes in closed
+    form, and only f = 1 has a larger hull, which the class solve keeps as
+    2m - 1 orthonormal Hermitian m x m matrices R_k, each compressed to
+    e_0-perp = 0.
     """
     for m in range(1, 9):
         for f in range(1, m + 1):
-            _, z, _, _, _, hull = faces.class_solve(m, f)
-            assert z.shape[1] == (2 * m - 1 if f == 1 else 1), (m, f)
+            svals, unknowns, _, dim, hull = faces.class_solve(m, f)
+            assert dim == (2 * m - 1 if f == 1 else 1), (m, f)
+            assert dim == unknowns - gap_rank(svals, system_floor(svals, unknowns)), (m, f)
             assert (hull is None) == (f > 1), (m, f)
-        r = faces.class_solve(m, 1)[5][0]
+        r = faces.class_solve(m, 1)[4][0]
         assert r.shape == (2 * m - 1, m, m), m
         assert np.abs(r - r.conj().swapaxes(1, 2)).max() <= 1e-15, m
         gram = np.einsum("kij,lij->kl", r.conj(), r).real
@@ -714,9 +719,36 @@ def test_class_is_solved_once(monkeypatch):
     assert faces.class_solve.cache_info().currsize == 3
 
 
+def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
+    """with its class solved, a face at f >= 2 runs no eigvalsh and reads no dual basis: at
+    f = min(n, m) it is the unit ray of Choi(phi) itself, bitwise, and below that the ray of
+    the class cut A_f = U_f S_f V_f*, with condition 1.0"""
+    g = np.random.default_rng(71)
+    shapes = ((4, 4, 4), (3, 5, 3), (5, 3, 3), (6, 6, 3), (4, 5, 2))
+    inputs = [(g.standard_normal((n, r)) + 1j) @ g.standard_normal((r, m)) for n, m, r in shapes]
+    for a in inputs:
+        double_prime_nullspace(a)
+    calls = []
+    for module, name in ((np.linalg, "eigvalsh"), (faces, "curve_frame")):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _c=call, _n=name: calls.append(_n) or _c(*args))
+    for (n, m, r), a in zip(shapes, inputs):
+        res = double_prime_nullspace(a)
+        a = a / np.linalg.norm(a)
+        want = hermitian_params(choi_from_ad(a).choi)
+        want = want / np.linalg.norm(want)
+        assert res.dim == 1 and res.condition == 1.0, (n, m, r)
+        if r == min(n, m):
+            assert res.param_basis[:, 0].tobytes() == want.tobytes(), (n, m, r)
+        else:
+            assert np.linalg.norm(res.param_basis[:, 0] - want) <= 1e-14, (n, m, r)
+    assert calls == []
+
+
 def test_cold_and_warm_class_solves_match():
     """on every grid class a call that solves the class and one that reads the cached solve
-    return the same null space, bitwise"""
+    return the same null space, bitwise, and the cached class solve is a fresh solve's:
+    spectrum, counts and, at f = 1, the hull"""
     g = np.random.default_rng(67)
     for n in (2, 3, 4):
         for m in (2, 3, 4):
@@ -731,6 +763,14 @@ def test_cold_and_warm_class_solves_match():
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, m, r)
                 want = (cold.unknowns, cold.pairs_used, cold.condition)
                 assert (warm.unknowns, warm.pairs_used, warm.condition) == want, (n, m, r)
+                svals, *counts, hull = faces.class_solve(m, r)
+                fresh, *fresh_counts, fresh_hull = faces.class_solve.__wrapped__(m, r)
+                assert svals.tobytes() == fresh.tobytes() and counts == fresh_counts, (n, m, r)
+                if r == 1:
+                    assert hull[0].tobytes() == fresh_hull[0].tobytes(), (n, m)
+                    assert hull[1] == fresh_hull[1], (n, m)
+                else:
+                    assert hull is fresh_hull is None, (n, m, r)
 
 
 def test_recomputed_certificate_matches_the_kept_one():
@@ -774,31 +814,46 @@ def _band(s2):
     return haar_unitary(g, 3) @ np.diag([1.0, s2, 0.0]) @ haar_unitary(g, 3).conj().T
 
 
-@pytest.mark.parametrize("s2", np.logspace(-4, 0, 9))
-def test_system_floor_covers_the_maps_coordinates(s2, monkeypatch):
-    """2x2 U diag(1, s2) V*: phi's coordinates, the class norms c_b, meet the system within its
-    bound's floor
+@pytest.mark.parametrize(
+    "case",
+    [*np.logspace(-4, 0, 9)]
+    + [pytest.param((m, f), id=f"class-{m}-{f}") for m in range(2, 9) for f in range(2, m + 1)],
+)
+def test_system_floor_covers_the_maps_coordinates(case, monkeypatch):
+    """phi's coordinates, the class norms c_b, meet the class system within its bound's floor:
+    on 2x2 U diag(s2) V*, s2 = case, both flags, and on every class (m, f) = case, m <= 8,
+    f >= 2
 
     phi itself has x_b = 1, psi(V P_b V*) = w_b w_b*, so its coordinates on
-    the unit class output columns are c_b = |eta_b[:f]|^2.  The projection
-    of the own and pair outputs cancels rows of order 1; the floor, times
-    the safety factor of `_face_bound`, must stay at the rounding of those
-    rows.
+    the unit class output columns are c_b = |eta_b[:f]|^2, over the kept
+    unknowns: the m diagonal probes' where f = m, every live basis probe's
+    otherwise.  The projection of the own and pair outputs cancels rows of
+    order 1; the floor, times the safety factor of `_face_bound`, must stay
+    at the rounding of those rows.  At f >= 2 this is the class's evidence
+    that its face is the ray `_plain_face` writes in closed form.
     """
     seen = _spy_reduced_relations(monkeypatch)
-    g = np.random.default_rng(5)
-    for transposed in (False, True):
-        a = haar_unitary(g, 2) @ np.diag([1.0, s2]) @ haar_unitary(g, 2).conj().T
-        a = a / np.linalg.norm(a)
-        res = double_prime_nullspace(a, transposed)
-        system, outputs = seen.pop()
-        # both singular values are above the frame cut, so the pairs are eliminated
-        f = _singular_probes(a)[1]
-        assert f == res.unknowns == 2
-        u = curve_frame(2)[0][:2, :f]
-        y = np.einsum("ui,ui->u", u, u.conj()).real
-        leak = np.linalg.norm(system @ y) / np.linalg.norm(y)
-        assert leak <= FACE_SAFETY * system_floor(res.singular_values, res.unknowns)
+    solves = []
+    if isinstance(case, tuple):
+        m, f = case
+        solves.append((m, f, *faces.class_solve(m, f)[:2]))
+    else:
+        g = np.random.default_rng(5)
+        for transposed in (False, True):
+            a = haar_unitary(g, 2) @ np.diag([1.0, case]) @ haar_unitary(g, 2).conj().T
+            a = a / np.linalg.norm(a)
+            res = double_prime_nullspace(a, transposed)
+            # both singular values are above the frame cut, so the pairs are eliminated
+            f = _singular_probes(a)[1]
+            assert f == res.unknowns == 2
+            solves.append((2, f, res.singular_values, res.unknowns))
+    for (m, f, svals, unknowns), (system, _) in zip(solves, seen, strict=True):
+        u = curve_frame(m)[0][: m * m, :f]
+        c = np.einsum("ui,ui->u", u, u.conj()).real
+        c = c[:m] if f == m else c[c > 0]
+        assert c.shape == (unknowns,), (m, f)
+        leak = np.linalg.norm(system @ c) / np.linalg.norm(c)
+        assert leak <= FACE_SAFETY * system_floor(svals, unknowns), (m, f)
 
 
 def _matches_dense_solve(a, transposed, label):
@@ -852,6 +907,32 @@ def test_nullspace_matches_dense_solve_on_grid():
                 a = rand_rank(n, m, r)
                 for transposed in (False, True):
                     _matches_dense_solve(a, transposed, (n, m, r, transposed))
+
+
+def test_rebuilt_face_matches_the_closed_form():
+    """the class solve rebuilt numerically through the dual basis spans the face that
+    `_plain_face` writes, within its bound, under both flags
+
+    At f >= 2 the face is the closed-form ray of A_f, the class cut of A, and
+    the rebuild (`constraint_oracle.rebuilt_face`) reads A's own outputs, so
+    the two differ by the tail of A's spectrum below the cut, which the
+    bound admits; at f = 1 both carry the class hull to A.  On every grid
+    class, the band of `test_nullspace_matches_dense_solve_on_band` and every
+    structured input.
+    """
+    grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
+    inputs = [*grid, *(_band(s2) for s2 in np.logspace(-12, -2, 11))]
+    inputs += [a for _, a in structured_inputs()]
+    for a in inputs:
+        a = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
+        plain, _, tail = faces._plain_face(a)
+        for transposed in (False, True):
+            res = double_prime_nullspace(a, transposed)
+            rebuilt = rebuilt_face(a, transposed)
+            label = (a.shape, res.dim, transposed)
+            assert rebuilt.shape == res.param_basis.shape, label
+            sin = np.linalg.norm(rebuilt - res.param_basis @ (res.param_basis.T @ rebuilt), 2)
+            assert sin <= _face_bound(res, tail) < 1.0, label
 
 
 @pytest.mark.parametrize("s2", np.logspace(-12, -2, 11))
@@ -935,60 +1016,47 @@ def test_back_substitution_recovers_phi(transposed):
 
 
 def _coordinate_map(a):
-    """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown.
+    """Matrix of the map from the solved coordinates to Choi parameters, one column per unknown,
+    for A of rank f = 1 with m >= 2.
 
     The probes are V eta, in the right singular basis of A, and the
     coordinates are the class ones: z_b = c_b x_b on the output w_b w_b* of
-    A, with the class norm c_b = |eta_b[:f]|^2, so column b is A's output
-    params(w_b w_b*) / |w_b|^2 scaled by |w_b|^2 / c_b.  Where f = m the
-    unknowns are the m diagonal probes', and each pair coordinate is solved
-    from its reflected relation by least squares over the unit class output
-    columns params(u u*) / c, u = eta[:f]; otherwise every basis probe with
-    a nonzero class output is an unknown.  The Choi matrix
+    A, with the class norm c_b = |eta_b[0]|^2, so column b is A's output
+    params(w_b w_b*) / |w_b|^2 scaled by |w_b|^2 / c_b.  Every basis probe
+    with a nonzero class output is an unknown, and no pair coordinate is
+    back-substituted, as f < m.  The Choi matrix
     sum_kl psi(E_kl) (x) E_kl takes psi(E_kl) from a dense solve for the
     coordinates of E_kl on the V P_b V*.
     """
     n, m = a.shape
     size = m * m
-    coords = projector_coordinates(_projectors(curve_frame(m)[0]))
     etas, f = _singular_probes(a)
-    etas = etas[: 2 * size - m]
-    u = curve_frame(m)[0][:, :f]
+    assert f == 1 < m
+    etas = etas[:size]
+    u = curve_frame(m)[0][:size, :f]
     norms = np.einsum("pi,pi->p", u, u.conj()).real
-    live = norms > 0
-    cls, outs = np.zeros((u.shape[0], f * f)), np.zeros((u.shape[0], n * n))
-    cls[live] = hermitian_params(_projectors(u[live])) / norms[live, None]
-    outs[live] = hermitian_params(_projectors(etas[live] @ a.T)) / norms[live, None]
-    full = f == m
-    solved = np.arange(m) if full else np.flatnonzero(live[:size])
-    proj = np.einsum("pi,pj->pij", etas[:size], etas[:size].conj()).reshape(size, size)
+    solved = np.flatnonzero(norms > 0)
+    outs = hermitian_params(_projectors(etas[solved] @ a.T)) / norms[solved, None]
+    proj = np.einsum("pi,pj->pij", etas, etas.conj()).reshape(size, size)
     on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)
-    columns = []
-    for b in solved:
-        z = np.zeros(size)
-        z[b] = 1.0
-        for r in range(size - m if full else 0):
-            row, p = coords[size + r], m + r
-            rhs = cls[:m].T @ (row[:m] * z[:m])
-            frame = np.column_stack([cls[size + r], -row[p] * cls[p]])
-            z[p] = np.linalg.lstsq(frame, rhs, rcond=None)[0][1]
-        y = params_to_herm(z[:, None] * outs[:size], n)
-        choi = np.einsum("bkl,bij->ikjl", on_basis, y).reshape(n * m, n * m)
-        columns.append(hermitian_params(choi))
-    return np.array(columns).T
+    y = params_to_herm(outs, n)
+    choi = np.einsum("bkl,bij->bikjl", on_basis[solved], y).reshape(-1, n * m, n * m)
+    return hermitian_params(choi).T
 
 
 def test_condition_bounds_the_whole_map():
-    """condition is sigma_max of the coordinate-to-Choi map over its least stretch on the face
+    """at f = 1 condition is sigma_max of the coordinate-to-Choi map over its least stretch on
+    the face; at f >= 2 nothing is lifted and condition is 1.0
 
-    The map is built here per probe, back-substitution included, on every
-    grid class, on 2x2 and 3x3 Haar unitaries, on the star classes 6x6
-    rank 3 and 8x8 rank 4, on 5x5 rank 1 and on the rotated bands
-    U diag(1, 0.1, 0, ...) V* at 3x3 and 4x4.  An error of the null
-    vectors outside the face is stretched by the whole map, so the face
-    bound needs this ratio, not the one on the null space alone.  The
-    transposed flag shares this system, and its condition is checked
-    against the plain one in `test_transposed_face_is_the_partial_transpose`.
+    The map is built here per probe on every rank-1 grid class and on 5x5
+    rank 1.  An error of the null vectors outside the face is stretched by
+    the whole map, so the face bound needs this ratio, not the one on the
+    null space alone.  Every other input, the grid at rank >= 2, 2x2 and
+    3x3 Haar unitaries, the star classes 6x6 rank 3 and 8x8 rank 4 and the
+    rotated bands U diag(1, 0.1, 0, ...) V* at 3x3 and 4x4, reads the
+    closed-form ray of its class cut, with condition 1.0.  The transposed
+    flag shares this face, and its condition is checked against the plain
+    one in `test_transposed_face_is_the_partial_transpose`.
     """
     g = np.random.default_rng(47)
     shapes = [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)]
@@ -1005,17 +1073,23 @@ def test_condition_bounds_the_whole_map():
         band = np.zeros(d)
         band[:2] = 1.0, 0.1
         inputs.append(haar_unitary(g, d) @ np.diag(band) @ haar_unitary(g, d).conj().T)
+    rank_one = 0
     for a in inputs:
         a = a / np.linalg.norm(a)
         res = double_prime_nullspace(a)
-        stretch = _coordinate_map(a)
         label = (a.shape, res.dim)
+        if _singular_probes(a)[1] > 1:
+            assert res.dim == 1 and res.condition == 1.0, label
+            continue
+        stretch = _coordinate_map(a)
         assert stretch.shape[1] == res.unknowns, label
         x = np.linalg.lstsq(stretch, res.param_basis, rcond=None)[0]
         assert np.linalg.norm(stretch @ x - res.param_basis) <= 1e-10, label
         s = np.linalg.svd(stretch, compute_uv=False)
         least = np.linalg.svd(stretch @ np.linalg.qr(x)[0], compute_uv=False)[-1]
         assert s[0] / least == pytest.approx(res.condition, rel=1e-12), label
+        rank_one += 1
+    assert rank_one == len(shapes) + 1
 
 
 @pytest.mark.parametrize("m", [2, 3])
