@@ -453,10 +453,11 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.nd
     so its solve is cached per class (`class_solve`).  At f >= 2 the class
     face is the ray of X -> Pi X Pi*, which the congruence carries to the
     ray of A_f = U_f S_f V_f*: the basis is the one unit column
-    params(Choi(X -> A_f X A_f*)), with A_f = A where f = min(n, m), and
-    `condition` is 1.0, as nothing is lifted.  A class whose gap reads
-    another null dimension gets an empty basis, which certifies nothing.
-    The ray misses Choi(phi) by the tail A - A_f alone, at most
+    params(Choi(X -> A_f X A_f*)), with A_f read as A - U_t S_t V_t*, A
+    itself where f = min(n, m), and `condition` is 1.0, as nothing is
+    lifted.  A class whose gap reads another null dimension gets an empty
+    basis, which certifies nothing.  The ray misses Choi(phi) by the tail
+    A - A_f alone, |s_t| sqrt(|s_t|^2 + 2 |s_f|^2), at most
     sqrt(2 (min(n, m) - f)) * max(n, m) * u for unit A, the level returned
     for `exposedness._face_bound`.  At f = 1 the hull is u_0 u_0* (x) T_k,
     T_k = conj(V R_k V*), over the class's R_k (`_class_hull`).
@@ -466,7 +467,9 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.nd
     u, s, vh, f = _class_svd(a)
     svals, unknowns, pairs_used, dim, hull = class_solve(m, f)
     if hull is None:
-        a_f = a if f == min(n, m) else (u[:, :f] * s[:f]) @ vh[:f]
+        # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
+        # out of A_f, so the membership residual is the tail's distance alone
+        a_f = a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
         # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
         param_basis = hermitian_params(_outer(a_f.reshape(1, -1))).T
         param_basis = param_basis / np.linalg.norm(param_basis)
