@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from conecert.errors import HermiticityError, ShapeError
 from conecert import faces
+from conecert.errors import HermiticityError, ShapeError
 from conecert.faces import NullSpaceResult, combination_rows
 from conecert.linalg import (
     SQRT2,
@@ -366,7 +366,8 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
         null = right[gap_rank(svals, faces.system_floor(svals, unknowns)) :].T
     else:
         null = np.eye(unknowns)
-    x = np.divide(lift @ null, c[:size, None], out=np.zeros((size, null.shape[1])), where=live[:size, None])
+    x = np.zeros((size, null.shape[1]))
+    np.divide(lift @ null, c[:size, None], out=x, where=live[:size, None])
     # w_b = A V eta_b as rows, and psi(V P_b V*) = x_b w_b w_b* per null vector
     w = curve[:size] @ vh.conj() @ a.T
     y = x.T[:, :, None, None] * (w[:, :, None] * w[:, None, :].conj())
@@ -374,6 +375,6 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     carried = vh.T @ dual.conj() @ vh.conj()
     choi = np.einsum("dbij,bkl->dikjl", y, carried).reshape(-1, n * m, n * m)
     if transposed:
-        choi = np.array([partial_transpose_in(x, n, m) for x in choi])
+        choi = np.array([partial_transpose_in(k, n, m) for k in choi])
     params = hermitian_params(choi).T
     return np.linalg.svd(params, full_matrices=False)[0]

@@ -633,14 +633,14 @@ def test_tall_tail_below_the_cut_certifies(n):
     # an n x 3 Haar isometry, and a 3 x 3 Haar unitary
     q = q * (np.diag(r) / np.abs(np.diag(r)))
     a = q @ np.diag([1.0, 0.5, 0.99 * n * UNIT_ROUNDOFF]) @ haar_unitary(gen, 3).conj().T
-    for transposed in (False, True):
-        assert certify_exposed(a, transposed=transposed).verdict is Verdict.EXPOSED_LINEAR
+    plain, flipped = (certify_exposed(a, transposed=transposed) for transposed in (False, True))
+    assert plain.verdict is flipped.verdict is Verdict.EXPOSED_LINEAR
     a = a / np.linalg.norm(a)
     _, s, _, f = faces._class_svd(a)
     assert f == 2
     tail = float(np.sum(s[f:] ** 2))
     want = np.sqrt(tail * (tail + 2 * float(np.sum(s[:f] ** 2))))
-    resid = membership_residual(certify_exposed(a).nullspace, _unit_phi(a))[1]
+    resid = membership_residual(plain.nullspace, _unit_phi(a))[1]
     assert abs(resid - want) <= 0.01 * want, (resid, want)
 
 

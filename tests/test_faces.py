@@ -821,7 +821,7 @@ def _band(s2):
 )
 def test_system_floor_covers_the_maps_coordinates(case, monkeypatch):
     """phi's coordinates, the class norms c_b, meet the class system within its bound's floor:
-    on 2x2 U diag(s2) V*, s2 = case, both flags, and on every class (m, f) = case, m <= 8,
+    on 2x2 U diag(1, s2) V*, s2 = case, both flags, and on every class (m, f) = case, m <= 8,
     f >= 2
 
     phi itself has x_b = 1, psi(V P_b V*) = w_b w_b*, so its coordinates on
@@ -925,7 +925,7 @@ def test_rebuilt_face_matches_the_closed_form():
     inputs += [a for _, a in structured_inputs()]
     for a in inputs:
         a = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
-        plain, _, tail = faces._plain_face(a)
+        tail = faces._plain_face(a)[2]
         for transposed in (False, True):
             res = double_prime_nullspace(a, transposed)
             rebuilt = rebuilt_face(a, transposed)
