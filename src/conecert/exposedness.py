@@ -16,21 +16,14 @@ report relabels the plain certificate of the same A.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ClassificationError, HermiticityError
-from .faces import (
-    NullSpaceResult,
-    _class_svd,
-    _plain_face,
-    _transposed_face,
-    membership_residual,
-    system_floor,
-)
+from .faces import NullSpaceResult, _class_svd, _plain_face, system_floor
 from .linalg import (
     UNIT_ROUNDOFF,
     _partial_transpose,
@@ -38,13 +31,14 @@ from .linalg import (
     fix_phase,
     frobenius_norm,
     gap_rank,
+    hermitian_params,
     hermitian_within,
     hermitize,
     normalized,
     null_space,
     params_to_herm,
 )
-from .maps import MapRep, _ad_map, choi_from_ad
+from .maps import MapRep, choi_from_ad
 
 # safety factor on the Davis-Kahan bound of membership and the face check
 FACE_SAFETY = 16.0
@@ -90,13 +84,6 @@ class ExposednessReport:
     wall_time_ms: int
 
 
-def _empty_nullspace() -> NullSpaceResult:
-    return NullSpaceResult(
-        singular_values=np.zeros(0), pairs_used=0, param_basis=np.zeros((0, 0)),
-        unknowns=0, condition=1.0,
-    )
-
-
 def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest other |eigenvalue| over the top eigenvalue of Hermitian h, and its eigenvectors.
 
@@ -126,8 +113,8 @@ def _face_bound(nullspace: NullSpaceResult, tail: float = 0.0) -> float:
     space, which is `condition`.  At f >= 2 nothing is lifted (`condition`
     is 1): the face is the closed-form ray of A_f, the class cut of A, and
     the ratio is the class's evidence that its face is that one ray.  That
-    ray misses Choi(phi) by the tail of A's spectrum below the cut, which
-    `faces._plain_face` hands over as `tail`, its largest value for unit A:
+    ray misses Choi(phi) by the tail of A's spectrum below the cut, whose
+    largest value for unit A `_membership` hands over as `tail`:
     sqrt(2 (min(n, m) - f)) * max(n, m) * u.  The bound is
     FACE_SAFETY * (condition * ratio + tail).
     """
@@ -198,29 +185,64 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     return FaceCertificate(defect=max(sine, defect), bound=_face_bound(nullspace))
 
 
-def _factor_face_certificate(
-    nullspace: NullSpaceResult, phi: MapRep, u: np.ndarray, t: np.ndarray
-) -> FaceCertificate:
-    """`face_certificate` of the orthonormal hull {u u* (x) t[k]}, read off its factors.
+def _factor_face_certificate(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> FaceCertificate:
+    """`face_certificate` of the hull {u u* (x) t[k]} of `ns.factors` for X -> A X A*, read off
+    A's `_class_svd` and the factors: no Choi matrix and no eigh.
 
-    In the frame W (x) V an element is q q* (x) tau_k, q = W* u and
-    tau_k = V* t[k] V.  Its entries off the face have an output index past 0
-    (squares summing to rho (rho + 2 |q_0|^2) |tau_k|^2, with
-    rho = sum_{i >= 1} |q_i|^2) or both input indices past 0 (|q_0|^4
-    |tau_k^perp|^2, tau^perp: tau with row and column 0 zeroed), so the
-    residual Gram matrix sums those two terms, none of which cancels.
+    phi(I) = A A* has top eigenvector w = U[:, 0] and rank-1 defect
+    (s_1 / s_0)^2; phi's compression by w is g g*, g = (w* A)^T, of rank 1.
+    In their eigenbases an element's entries off the face have an output
+    index past 0 (squares summing to rho (rho + 2 |q|^2) |t[k]|^2, q = w* u,
+    rho = |u - q w|^2) or both input indices past 0 (|q|^4 |P t[k] P|^2,
+    P = I - g g* / |g|^2): the residual Gram matrix sums the two.
     """
-    d = t.shape[0]
-    defect, w, v = _face_frame(phi)
-    weight = np.abs(w.conj().T @ u) ** 2
-    rho, top = float(weight[1:].sum()), float(weight[0])
-    tau = v.conj().T @ t @ v
-    whole, perp = tau.reshape(d, -1), tau[:, 1:, 1:].reshape(d, -1)
-    # tau is Hermitian, so both Gram matrices are real
+    u, t = ns.factors
+    w, s = svd[0][:, 0], svd[1]
+    q = np.vdot(w, u)
+    rho, top = float(np.linalg.norm(u - q * w)) ** 2, abs(q) ** 2
+    g = w.conj() @ a
+    proj = np.eye(a.shape[1]) - np.outer(g, g.conj()) / np.vdot(g, g).real
+    whole, perp = (x.reshape(t.shape[0], -1) for x in (t, proj @ t @ proj))
+    # t[k] is Hermitian, so both Gram matrices are real
     gram = rho * (rho + 2 * top) * (whole.conj() @ whole.T).real
     gram += top**2 * (perp.conj() @ perp.T).real
     sine = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    return FaceCertificate(defect=max(sine, defect), bound=_face_bound(nullspace))
+    defect = float(s[1] / s[0]) ** 2 if s.shape[0] > 1 else 0.0
+    return FaceCertificate(defect=max(sine, defect), bound=_face_bound(ns))
+
+
+def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndarray, float, float]:
+    """`faces.membership_residual` on the face, read off A's `_class_svd` and the factors, and
+    the tail level that `_face_bound` adds.
+
+    Choi(phi) = c c*, c = vec(A) = p + d, d orthogonal to the face's factor
+    space: p d* + d p* + d d* is off the face, of squared norm
+    |d|^2 (|d|^2 + 2 |p|^2).  At f >= 2 p = vec(A_f), the ray holds p p*, and
+    |p|^2 and |d|^2 are the sums of s_j^2 above and below the cut; the level
+    is the largest tail the cut allows, sqrt(2 (min(n, m) - f)) max(n, m) u.
+    At f = 1 p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves the residual
+    of b b* / |u|^2 off span t[k]; the level is 0.
+    """
+    s, f = svd[1], svd[3]
+    if len(ns.factors) == 1:
+        kept, off = float(s[:f] @ s[:f]), float(s[f:] @ s[f:])
+        coeffs, on = np.array([kept]), 0.0
+        level = math.sqrt(2 * (min(a.shape) - f)) * max(a.shape) * UNIT_ROUNDOFF
+    else:
+        u, t = ns.factors
+        # projected by u u* / |u|^2: |u| read as 1 took 0.52 of the bound 16 u at m = 1
+        norm2 = float(np.vdot(u, u).real)
+        b = u.conj() @ a
+        d = a - np.outer(u, b / norm2)
+        kept, off = float(np.vdot(b, b).real) / norm2, float(np.vdot(d, d).real)
+        # renormalised once, for the bound 16 u at m = 1
+        hull = hermitian_params(t)
+        hull /= np.linalg.norm(hull, axis=1, keepdims=True)
+        p = hermitian_params(np.outer(b, b.conj() / norm2))
+        coeffs = hull @ p
+        on, level = float(np.linalg.norm(p - coeffs @ hull)), 0.0
+    scale = kept + off
+    return coeffs / scale, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level
 
 
 def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
@@ -236,32 +258,29 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     other outcome is NOT_CERTIFIED, and the zero operator is INPUT_REJECTED.
 
     The transposed report is the plain certificate relabelled: the same
-    verdict, face check and overlap, with the null space carried to
-    X -> A X^T A* by `faces._transposed_face`.  That input-side partial
-    transpose is a signed permutation of the Choi parameters, an isometry
-    that maps the cone onto itself, sends Choi(phi) to Choi(phi o T) and
-    keeps phi(I), so the membership residual, the overlap, the principal
-    angles and both rank-1 defects of the transposed map are the plain
-    ones.  The last plain certificate is kept, keyed on the normalized A,
-    so the two flags on one A certify once; its arrays are read-only and
-    every report gets a fresh `NullSpaceResult`.  Draws no random number.
+    verdict, face check and overlap, with the null space's factors read
+    through the input-side partial transpose (`NullSpaceResult.transposed`),
+    an isometry that maps the cone onto itself, sends Choi(phi) to
+    Choi(phi o T) and keeps phi(I), so the membership residual, the overlap,
+    the principal angles and both rank-1 defects of the transposed map are
+    the plain ones.  The last plain certificate is kept, keyed on the
+    normalized A, so the two flags on one A certify once; its arrays are
+    read-only and every report gets a fresh `NullSpaceResult`.  Draws no
+    random number.
     """
     t0 = time.perf_counter()
     a = as_complex_matrix(A, "A")
     norm = frobenius_norm(a)
     if norm == 0.0:
-        ns, verdict, face, overlap = _empty_nullspace(), Verdict.INPUT_REJECTED, None, 0.0
+        ns, verdict, face = NullSpaceResult(np.zeros(0), 0, 0, 1.0), Verdict.INPUT_REJECTED, None
+        overlap = 0.0
     else:
         a = a / norm
         plain, verdict, face, overlap = _plain_certificate(a.tobytes(), a.shape)
-        ns = _transposed_face(plain, *a.shape) if transposed else replace(plain)
-    return ExposednessReport(
-        verdict=verdict,
-        nullspace=ns,
-        face=face,
-        overlap_with_phi=overlap,
-        wall_time_ms=int(round((time.perf_counter() - t0) * 1000)),
-    )
+        evidence = plain.singular_values, plain.pairs_used, plain.unknowns, plain.condition
+        ns = NullSpaceResult(*evidence, plain.factors, transposed)
+    wall_time_ms = int(round((time.perf_counter() - t0) * 1000))
+    return ExposednessReport(verdict, ns, face, overlap, wall_time_ms)
 
 
 @lru_cache(maxsize=1)
@@ -272,23 +291,24 @@ def _plain_certificate(
 
     Cached: `certify_exposed` relabels it for the transposed flag.  It has
     checked and normalised A, so the face is solved by `faces._plain_face`
-    directly, not through the checks of `double_prime_nullspace`.
+    directly, not through the checks of `double_prime_nullspace`.  Every
+    number is read off the svd of A and the face's factors (`_membership`,
+    `_factor_face_certificate`): no array of size (nm)^2 is built.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
-    ns, factors, tail = _plain_face(a)
+    ns, svd = _plain_face(a)
     if ns.dim == 0:
         return ns, Verdict.NOT_CERTIFIED, None, 0.0
 
-    phi = _ad_map(a, False)
-    coeffs, resid = membership_residual(ns, phi)
-    overlap = float(np.linalg.norm(coeffs))
+    coeffs, resid, tail = _membership(ns, a, svd)
+    overlap = math.sqrt(float(coeffs @ coeffs))
     if not resid <= _face_bound(ns, tail) < 1.0:
         return ns, Verdict.NOT_CERTIFIED, None, overlap
 
     if ns.dim == 1:
         return ns, Verdict.EXPOSED_LINEAR, None, overlap
 
-    face = _factor_face_certificate(ns, phi, *factors)
+    face = _factor_face_certificate(ns, a, svd)
     return ns, Verdict.EXPOSED_FACE if face.holds else Verdict.NOT_CERTIFIED, face, overlap
 
 

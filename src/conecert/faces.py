@@ -10,10 +10,8 @@ phi(eta eta*) = w w*, with w = A eta, so that set is the real line through
 w w*: psi(P_p) = x_p w_p w_p*.  The transposed map X -> A X^T A* is phi o T,
 and psi -> psi o T is a linear automorphism of the cone of positive maps, so
 its face is the image of phi's: only phi's face is solved, and the
-transposed basis is its input-side partial transpose, a signed permutation
-of the Choi parameters (`_transposed_face`), which
-`linalg._partial_transpose_slots` reads off the one matrix partial
-transpose, `linalg._partial_transpose`.  Nothing here is cached per A,
+transposed face is the same factors read through the input-side partial
+transpose (`NullSpaceResult.transposed`).  Nothing here is cached per A,
 only per class: the face system is solved once per (m, f) (`class_solve`),
 and `exposedness.certify_exposed` keeps the last plain certificate, so the
 two flags on one A build its face once.
@@ -66,15 +64,15 @@ read-only per (m, f) as evidence only (`class_solve`): the spectrum, the
 null dimension at its gap and the counts, with no lift and no null vector.
 At f >= 2 the class face is one ray, x_b = 1 on every live basis probe:
 the class map X -> Pi X Pi* itself.  The congruence carries it to the ray
-of A_f = U_f S_f V_f*, so `_plain_face` writes A's face in closed form,
-Choi(X -> A_f X A_f*), and nothing is rebuilt per A.  At f = 1 the class
-solve keeps the hull itself (`_class_hull`), which `_plain_face` carries to
-A by an isometry.
+of A_f = U_f S_f V_f*, so `_plain_face` writes A's face as the factor A_f,
+and nothing is rebuilt per A.  At f = 1 the class solve keeps the hull
+itself (`_class_hull`), which `_plain_face` carries to A by an isometry, as
+the factors (u_0, T).  No (nm)^2-sized array is built until a basis is read.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,7 +80,7 @@ from .errors import ShapeError
 from .linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
-    _partial_transpose_slots,
+    _partial_transpose,
     _read_only,
     frobenius_norm,
     gap_rank,
@@ -95,42 +93,66 @@ from .maps import MapRep, _nonzero_operator
 
 @dataclass
 class NullSpaceResult:
-    """Null space of the face's linear system.
+    """Null space of the face's linear system, held as read-only factors.
 
-    `param_basis` holds its elements as orthonormal columns over the
-    Hermitian parameterization; `basis` gives the same elements as Hermitian
-    Choi matrices.  `singular_values` is the spectrum of the class system
-    (`faces` module docstring): one real unknown per basis probe V eta_b (V
-    the right singular vectors of A) whose class output u_b = eta_b[:f] is
-    nonzero, psi(V P_b V*) = x_b w_b w_b*, read as z_b = c_b x_b with
-    c_b = |u_b|^2: `unknowns` columns, the m diagonal probes' where f = m
-    (the pair coordinates are back-substituted) and every live basis
-    probe's otherwise (the other probes' coordinates are eliminated).  The
-    spectrum, `unknowns` and `pairs_used` (the probe count) depend on A only
-    through (m, f).  At f >= 2 the basis is the closed-form ray of
-    A_f = U_f S_f V_f*, and the spectrum is the evidence that the class face
-    is that one ray: nothing is lifted, and `condition` is 1.0.  At f = 1
-    `condition` is the largest stretch of the map from the class
-    coordinates to Choi parameters, back-substitution included, over its
-    least stretch on the null space, a constant of the class (`_class_hull`).
-    `double_prime_nullspace` and `exposedness.certify_exposed` read it, and
-    the basis, for A / |A|_F.
+    `factors` is the face: () for none, (A_f,) for the ray of
+    Choi(X -> A_f X A_f*), or (u, t) for the hull of u u* (x) t[k], u (n,)
+    and t (dim, m, m) orthonormal.  `transposed` reads every element through
+    the input-side partial transpose, the face of X -> A X^T A*.
+    `param_basis` (orthonormal columns over the Hermitian parameterization)
+    and `basis` (the same elements as Choi matrices) are built when read,
+    (nm)^2 entries per element.  `singular_values` is the spectrum of the
+    class system (`faces` module docstring), in `unknowns` real unknowns:
+    the m diagonal probes' where f = m (the pair coordinates are
+    back-substituted), else every live basis probe's.  It, `unknowns` and
+    `pairs_used` (the probe count) depend on A only through (m, f).  At
+    f >= 2 nothing is lifted, and `condition` is 1.0.  At f = 1 it is the
+    largest stretch of the map from the class coordinates to Choi
+    parameters over its least stretch on the null space (`_class_hull`).
     """
 
     singular_values: np.ndarray
     pairs_used: int
-    param_basis: np.ndarray
     unknowns: int
     condition: float
+    factors: tuple = ()
+    transposed: bool = False
 
     @property
     def dim(self) -> int:
-        return self.param_basis.shape[1]
+        return self.factors[1].shape[0] if len(self.factors) == 2 else len(self.factors)
+
+    def _elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Choi matrices (dim, nm, nm) of the elements and their parameters, partially transposed
+        under the flag, and the norms (dim, 1) of the plain parameters."""
+        if len(self.factors) == 1:
+            # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
+            (n, m), choi = self.factors[0].shape, _outer(self.factors[0].reshape(1, -1))
+        else:
+            u, t = self.factors or (np.zeros(0), np.zeros((0, 0, 0)))
+            n, m = u.shape[0], t.shape[-1]
+            choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
+            choi = choi.reshape(t.shape[0], n * m, n * m)
+        params = hermitian_params(choi)
+        # a BLAS dot per element: einsum lost 30-60 u at (nm)^2 >= 16,384
+        norms = np.array([np.linalg.norm(p) for p in params]).reshape(-1, 1)
+        if self.transposed:
+            # the lower triangle made the conjugate of the upper one, which the parameters read:
+            # the partial transpose then permutes them, signed, and keeps their norms
+            choi = np.triu(choi) + np.triu(choi, 1).conj().swapaxes(1, 2)
+            choi = _partial_transpose(choi, n, m)
+            params = hermitian_params(choi)
+        return choi, params, norms
+
+    @cached_property
+    def param_basis(self) -> np.ndarray:
+        _, params, norms = self._elements()
+        return _read_only(((params / norms).T,))[0]
 
     @property
     def basis(self) -> list[np.ndarray]:
-        side = math.isqrt(self.param_basis.shape[0])
-        return list(params_to_herm(self.param_basis.T, side))
+        choi, _, norms = self._elements()
+        return list(choi / norms[:, :, None])
 
 
 def projector_coordinates(x: np.ndarray) -> np.ndarray:
@@ -348,28 +370,15 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     `exposedness.certify_exposed` normalises it, so the two return bitwise
     equal null spaces at any scale of A.  Builds the plain face from A on
     every call (`_plain_face`), over the solve of A's class, cached per
-    (m, f) (`class_solve`); the transposed face is its `_transposed_face`,
-    bitwise.  The arrays are read-only, as `certify_exposed` shares them
-    between reports and the class cache shares `singular_values` between
-    every A of one class.  A = 0 raises InputRejected.
+    (m, f) (`class_solve`); the transposed face holds the same factors.
+    The arrays are read-only, as `certify_exposed` shares them between
+    reports and the class cache shares `singular_values` between every A of
+    one class.  A = 0 raises InputRejected.
     """
     a = _nonzero_operator(A)
     # one memory layout for every input, so equal matrices give equal bits
     plain = _plain_face(np.ascontiguousarray(a / frobenius_norm(a)))[0]
-    return _transposed_face(plain, *a.shape) if transposed else plain
-
-
-def _transposed_face(plain: NullSpaceResult, n: int, m: int) -> NullSpaceResult:
-    """The face of X -> A X^T A* read off that of X -> A X A*, for n x m A.
-
-    It is the plain face's input-side partial transpose, a signed
-    permutation of the Choi parameters (`linalg._partial_transpose_slots`):
-    the plain basis with rows permuted and signed, bitwise, and every other
-    field shared.  The permutation is an isometry, so the spectrum, counts
-    and condition are the plain face's.
-    """
-    index, sign = _partial_transpose_slots(n, m)
-    return replace(plain, param_basis=_read_only((plain.param_basis[index] * sign[:, None],))[0])
+    return replace(plain, transposed=transposed)
 
 
 @lru_cache(maxsize=None)
@@ -444,66 +453,34 @@ def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
     return _read_only((hull,))[0], stretch / float(least[-1])
 
 
-def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple[np.ndarray, np.ndarray] | None, float]:
-    """The face of X -> A X A*, with read-only arrays, its factors (u_0, T) at f = 1, else None,
-    and the tail level at f >= 2, else 0.
+def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
+    """The face of X -> A X A* in factors, and the `_class_svd` (u, s, vh, f) it was read off.
 
-    One svd A = U S V* and one cut of its spectrum, f (`_class_svd`).  The
-    probes are V eta, and the face system depends on A only through (m, f),
-    so its solve is cached per class (`class_solve`).  At f >= 2 the class
-    face is the ray of X -> Pi X Pi*, which the congruence carries to the
-    ray of A_f = U_f S_f V_f*: the basis is the one unit column
-    params(Choi(X -> A_f X A_f*)), with A_f read as A - U_t S_t V_t*, A
-    itself where f = min(n, m), and `condition` is 1.0, as nothing is
-    lifted.  A class whose gap reads another null dimension gets an empty
-    basis, which certifies nothing.  The ray misses Choi(phi) by the tail
-    A - A_f alone, |s_t| sqrt(|s_t|^2 + 2 |s_f|^2), at most
-    sqrt(2 (min(n, m) - f)) * max(n, m) * u for unit A, the level returned
-    for `exposedness._face_bound`.  At f = 1 the hull is u_0 u_0* (x) T_k,
+    The probes are V eta, and the face system depends on A only through
+    (m, f), so its solve is cached per class (`class_solve`).  At f >= 2 the
+    class face is the ray of X -> Pi X Pi*, which the congruence carries to
+    the ray of A_f = U_f S_f V_f*, read as A - U_t S_t V_t*, A itself where
+    f = min(n, m), and `condition` is 1.0, as nothing is lifted.  A class
+    whose gap reads another null dimension gets the empty face, which
+    certifies nothing.  At f = 1 the hull is u_0 u_0* (x) T_k,
     T_k = conj(V R_k V*), over the class's R_k (`_class_hull`).
     Deterministic: no random probes.
     """
-    n, m = a.shape
-    u, s, vh, f = _class_svd(a)
-    svals, unknowns, pairs_used, dim, hull = class_solve(m, f)
+    u, s, vh, f = svd = _class_svd(a)
+    svals, unknowns, pairs_used, dim, hull = class_solve(a.shape[1], f)
     if hull is None:
         # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
-        # out of A_f, so the membership residual is the tail's distance alone
-        a_f = a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
-        # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
-        param_basis = hermitian_params(_outer(a_f.reshape(1, -1))).T
-        param_basis = param_basis / np.linalg.norm(param_basis)
-        if dim != 1:
-            param_basis = param_basis[:, :0]
-        factors, condition = None, 1.0
-        tail = math.sqrt(2 * (min(n, m) - f)) * max(n, m) * UNIT_ROUNDOFF
+        # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
+        a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
+        factors, condition = (a_f,) if dim == 1 else (), 1.0
     else:
         class_basis, condition = hull
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
         # conj(V R V*) = conj(V) conj(R) V^T, V = vh*
         factors = (w / np.linalg.norm(w), vh.T @ class_basis.conj() @ vh.conj())
-        param_basis, tail = _factor_params(*factors), 0.0
-    face = NullSpaceResult(
-        singular_values=svals, pairs_used=pairs_used, param_basis=_read_only((param_basis,))[0],
-        unknowns=unknowns, condition=condition,
-    )
-    return face, factors, tail
-
-
-def _factor_params(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Choi parameters of the hull elements u u* (x) t[k], as unit columns, for u (n,), t (d, m, m).
-
-    Orthonormal for unit u and orthonormal t[k], and normalised once more:
-    at m = 1 the membership bound is 16 u, and the rounding of |u|^2 |t|_F
-    took half of it.
-    """
-    n, m = u.shape[0], t.shape[-1]
-    choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
-    params = hermitian_params(choi.reshape(-1, n * m, n * m))
-    # a BLAS dot per column: einsum lost 30-60 u at (nm)^2 >= 16,384
-    params /= np.sqrt(params[:, None, :] @ params[:, :, None])[:, 0]
-    return params.T
+    face = NullSpaceResult(svals, pairs_used, unknowns, condition, _read_only(factors))
+    return face, svd
 
 
 def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.ndarray, float]:
@@ -511,6 +488,7 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
 
     Returns (coefficients, residual norm); the Choi matrix is Frobenius
     normalized first, so the coefficient norm is the overlap in [0, 1].
+    The reference for `exposedness._membership`, which reads the factors.
     """
     c = map_rep.choi
     scale = frobenius_norm(c)

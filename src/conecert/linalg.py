@@ -33,9 +33,8 @@ the exponent of max |x|).  So an in-range X keeps the bits of
 long as neither rescaled copy under- or overflows.
 
 The input-side partial transpose is written once, `_partial_transpose`:
-`maps` and `exposedness` apply it to Choi matrices, and
-`_partial_transpose_slots` reads its signed permutation of the
-`hermitian_params` coordinates off it.
+`maps` and `exposedness` apply it to Choi matrices, and `faces` to the
+elements of a transposed face.
 """
 
 import math
@@ -228,24 +227,12 @@ def _param_slots(n: int) -> np.ndarray:
 
 
 def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The input-side partial transpose (i, k, j, l) -> (i, l, j, k) of nm x nm c, unchecked."""
-    return np.ascontiguousarray(c.reshape(n, m, n, m).transpose(0, 3, 2, 1)).reshape(n * m, n * m)
+    """The input-side partial transpose (i, k, j, l) -> (i, l, j, k) of nm x nm c, unchecked.
 
-
-@lru_cache(maxsize=None)
-def _partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached, read-only (index, sign): params(PT(X)) = sign * params(X)[index] for Hermitian X.
-
-    PT is `_partial_transpose`, a signed permutation of the `hermitian_params`
-    coordinates: it keeps the diagonal, and an upper entry whose image is a
-    lower one reads the conjugate there, so its Im coordinate changes sign.
-    The table is read off PT itself, applied to the labels 1 .. (nm)^2.
+    Leading axes of c are batch axes.
     """
-    d = n * m
-    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
-    moved = hermitian_params(_partial_transpose(labels, n, m))
-    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
-    return _read_only((np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)))
+    c = c.reshape(c.shape[:-2] + (n, m, n, m))
+    return np.ascontiguousarray(c.swapaxes(-3, -1)).reshape(c.shape[:-4] + (n * m, n * m))
 
 
 def hermitian_params(c: np.ndarray) -> np.ndarray:

@@ -14,16 +14,20 @@ where the library reads them off A, so it works for any
 Hermiticity-preserving map.  `rebuilt_face` is the library's own class
 solve carried to A numerically, through the dual basis and A's outputs, the
 reference for the face that `faces._plain_face` writes in closed form.
+`partial_transpose_slots` is the input-side partial transpose read as a
+signed permutation of the Choi parameters, the reference for transposed
+faces, which `faces` builds from the factors.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from conecert import faces
 from conecert.errors import HermiticityError, ShapeError
-from conecert.faces import NullSpaceResult, combination_rows
+from conecert.faces import combination_rows
 from conecert.linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
@@ -274,7 +278,22 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(columns)[order], owner[order]
 
 
-def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> NullSpaceResult:
+def partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with params(PT(X)) = sign * params(X)[index] for Hermitian nm x nm X.
+
+    PT is the input-side partial transpose (`partial_transpose_in`): it
+    keeps the diagonal, and an upper entry whose image is a lower one reads
+    the conjugate there, so its Im coordinate changes sign.  The table is
+    read off PT applied to the labels 1 .. (nm)^2.
+    """
+    d = n * m
+    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
+    moved = hermitian_params(partial_transpose_in(labels, n, m))
+    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
+    return np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)
+
+
+def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:
     """The face solved densely in the coordinates of the probes etas (N, m), basis probes first.
 
     The caller hands in the library's probes (the curve and star probes in
@@ -329,9 +348,9 @@ def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> NullSpaceResult:
         condition = float(sv[0] / sv[-1])
     else:
         param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
-    return NullSpaceResult(
+    return SimpleNamespace(
         singular_values=svals, pairs_used=count, param_basis=param_basis,
-        unknowns=unknowns, condition=condition,
+        unknowns=unknowns, condition=condition, dim=param_basis.shape[1],
     )
 
 

@@ -3,13 +3,15 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from conecert import exposedness, faces
+from constraint_oracle import partial_transpose_slots
+from conecert import exposedness, faces, linalg
 from conecert.errors import ClassificationError, HermiticityError
 from conecert.exposedness import (
     MapCase,
@@ -26,10 +28,10 @@ from conecert.faces import (
     kernel_probes,
     membership_residual,
 )
-from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose_slots, hermitian_params
-from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q
+from conecert.linalg import UNIT_ROUNDOFF, hermitian_params
+from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q, partial_transpose_in
 from conecert.serialization import report_to_dict
-from structured_inputs import digest_lines, haar_unitary
+from structured_inputs import digest_lines, haar_unitary, structured_inputs
 
 rng = np.random.default_rng(41)
 
@@ -163,6 +165,13 @@ def test_band_certifies_on_both_sides_of_the_frame_cut(shape):
                 assert want in (None, report.nullspace.dim), (shape, s, transposed)
 
 
+def _explicit(ns, param_basis, **fields):
+    """ns's class evidence with the face given as orthonormal Choi-parameter columns: the hull as
+    `face_certificate`, `membership_residual` and `_face_bound` read it"""
+    evidence = {k: getattr(ns, k) for k in ("singular_values", "pairs_used", "unknowns", "condition")}
+    return SimpleNamespace(**{**evidence, **fields}, param_basis=param_basis, dim=param_basis.shape[1])
+
+
 def _hull_plus(ns, extra_choi):
     """ns with one more orthonormal element, the part of extra_choi outside its span.
 
@@ -178,13 +187,7 @@ def _hull_plus(ns, extra_choi):
     dim = param_basis.shape[1]
     unknowns = max(ns.unknowns, dim)
     svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
-    return NullSpaceResult(
-        singular_values=svals,
-        pairs_used=ns.pairs_used,
-        param_basis=param_basis,
-        unknowns=unknowns,
-        condition=ns.condition,
-    )
+    return _explicit(ns, param_basis, singular_values=svals, unknowns=unknowns)
 
 
 def _rank_one_controls(transposed):
@@ -226,22 +229,46 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
     assert run.returncode == 0, run.stderr
 
 
+def test_tall_certificates_stay_small():
+    """a fresh process certifies a 1024 x 3 input, a Haar isometry times a diagonal, and a rank-1
+    1024 x 3 under both flags within 200 MB peak RSS: one (nm)^2 Choi matrix would take 151 MB,
+    and the certificate builds nothing of that size"""
+    code = """
+import resource
+import numpy as np
+import conecert
+g = np.random.default_rng(29)
+q = np.linalg.qr(g.standard_normal((1024, 3)) + 1j * g.standard_normal((1024, 3)))[0]
+for a in (q * [1.0, 0.5, 0.25], np.outer(q[:, 0], g.standard_normal(3))):
+    for transposed in (False, True):
+        verdict = conecert.certify_exposed(a, transposed=transposed).verdict.value
+        assert verdict.startswith("EXPOSED_"), verdict
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    # ru_maxrss is in KiB on Linux
+    assert int(run.stdout) < 200 * 1024, run.stdout
+
+
 def _partial_transpose_hull(ns, shape):
-    """ns carried through the input-side partial transpose, an involution: the
-    transposed hull of a plain one, or the plain hull of a transposed one"""
-    index, sign = _partial_transpose_slots(*shape)
-    return replace(ns, param_basis=ns.param_basis[index] * sign[:, None])
+    """ns carried through the input-side partial transpose, an involution, with explicit columns:
+    the transposed hull of a plain one, or the plain hull of a transposed one"""
+    index, sign = partial_transpose_slots(*shape)
+    return _explicit(ns, ns.param_basis[index] * sign[:, None])
 
 
-def _certify_with_hull(monkeypatch, a, transposed, hull, factors=None):
-    """certify_exposed(a, transposed) with `hull` handed to it as the plain null space.
+def _certify_with_hull(monkeypatch, a, transposed, hull):
+    """certify_exposed(a, transposed) with the factored `hull` handed to it as the plain null space.
 
-    `factors` are the hull's (u, t), element k being u u* (x) t[k], as
-    `faces._plain_face` returns them at f = 1, or None; the tail level is 0.
-    The certificate cache is cleared before the run, so the hull is read,
-    and after it, so no later call is handed the hull's certificate.
+    The certificate reads it with the svd of the normalised a, as
+    `faces._plain_face` returns them.  The certificate cache is cleared
+    before the run, so the hull is read, and after it, so no later call is
+    handed the hull's certificate.
     """
-    monkeypatch.setattr(exposedness, "_plain_face", lambda *args, **kw: (hull, factors, 0.0))
+    monkeypatch.setattr(exposedness, "_plain_face", lambda b: (hull, faces._class_svd(b)))
     exposedness._plain_certificate.cache_clear()
     try:
         return certify_exposed(a, transposed=transposed)
@@ -263,19 +290,23 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         assert cert.defect > 0.5 and cert.defect > cert.bound, name
         assert not cert.holds
     # the plain class hull u u* (x) t[k] plus I orthogonalised against it, its part on s-perp
-    plain, (u, t), _ = faces._plain_face(a / np.linalg.norm(a))
+    plain = faces._plain_face(a / np.linalg.norm(a))[0]
+    u, t = plain.factors
     extra = np.eye(a.shape[1]) - np.einsum("k,kij->ij", np.einsum("kii->k", t).real, t)
     t_plus = np.concatenate([t, (extra / np.linalg.norm(extra))[None]])
     hull = _hull_plus(plain, np.kron(np.outer(u, u.conj()), extra))
-    assert np.abs(hull.param_basis - faces._factor_params(u, t_plus)).max() <= 1e-15
+    factored = replace(plain, factors=(u, t_plus), singular_values=hull.singular_values,
+                       unknowns=hull.unknowns)
+    assert np.abs(hull.param_basis - factored.param_basis).max() <= 1e-15
     want = face_certificate(hull, _unit_phi(a))
-    report = _certify_with_hull(monkeypatch, a, transposed, hull, (u, t_plus))
+    report = _certify_with_hull(monkeypatch, a, transposed, factored)
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.face.defect > 0.5 and not report.face.holds
     assert abs(report.face.defect - want.defect) <= 1e-12
     assert report.face.bound == want.bound
+    flipped = _partial_transpose_hull(factored, a.shape) if transposed else factored
+    assert np.array_equal(report.nullspace.param_basis, flipped.param_basis)
     flipped = _partial_transpose_hull(hull, a.shape) if transposed else hull
-    assert report.nullspace.param_basis.tobytes() == flipped.param_basis.tobytes()
     # the transposed hull against the transposed phi has the plain margins, to rounding
     assert abs(face_certificate(flipped, phi).defect - want.defect) <= 1e-12
 
@@ -290,9 +321,10 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     n, m = shape
     gen = np.random.default_rng([n, m, 5])
     a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
-    ns, (u, t), _ = faces._plain_face(a / np.linalg.norm(a))
+    ns, svd = faces._plain_face(a / np.linalg.norm(a))
+    u, t = ns.factors
     assert ns.dim == t.shape[0] == 2 * m - 1
-    got = exposedness._factor_face_certificate(ns, _unit_phi(a), u, t)
+    got = exposedness._factor_face_certificate(ns, a / np.linalg.norm(a), svd)
     hull = _partial_transpose_hull(ns, shape) if transposed else ns
     want = face_certificate(hull, _unit_phi(a, transposed))
     assert abs(got.defect - want.defect) <= 1e-12
@@ -304,8 +336,8 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
         off = _crandn_from(gen, n)
         off -= u * np.vdot(u, off)
         tilt = np.cos(0.3) * u + np.sin(0.3) * off / np.linalg.norm(off)
-        tilted = replace(ns, param_basis=faces._factor_params(tilt, t))
-        got = exposedness._factor_face_certificate(tilted, _unit_phi(a), tilt, t)
+        tilted = replace(ns, factors=(tilt, t))
+        got = exposedness._factor_face_certificate(tilted, a / np.linalg.norm(a), svd)
         want = face_certificate(_partial_transpose_hull(tilted, shape) if transposed else tilted,
                                 _unit_phi(a, transposed))
         assert got.defect > 0.3 and abs(got.defect - want.defect) <= 1e-12
@@ -374,25 +406,28 @@ def test_face_defect_is_the_sine_of_a_tilt(shape, transposed):
     for theta in (1e-6, 1e-3, 0.3):
         basis = face.copy()
         basis[:, 0] = np.cos(theta) * face[:, 0] + np.sin(theta) * off
-        tilted = NullSpaceResult(
-            singular_values=ns.singular_values, pairs_used=ns.pairs_used,
-            param_basis=basis, unknowns=ns.unknowns, condition=ns.condition,
-        )
-        defect = face_certificate(tilted, phi).defect
+        defect = face_certificate(_explicit(ns, basis), phi).defect
         assert abs(defect - np.sin(theta)) <= 1e-9 * np.sin(theta), (theta, defect)
 
 
 def test_dim_one_hull_without_phi_refused(monkeypatch):
-    """a 1-D hull that misses Choi(phi) fails membership: NOT_CERTIFIED, no face check"""
+    """a 1-D face that misses Choi(phi), the ray of a class cut below the rank of a full-rank
+    3 x 3 A, fails membership: NOT_CERTIFIED, no face check, and the overlap is the one the
+    reference projection reads"""
     gen = np.random.default_rng(11)
     a = _crandn_from(gen, 3, 3)
     phi = _unit_phi(a)
-    b = _crandn_from(gen, 3, 3)
-    other = double_prime_nullspace(b / np.linalg.norm(b))
+    svd = faces._class_svd
+    monkeypatch.setattr(faces, "_class_svd", lambda b: (*svd(b)[:3], 2))
+    exposedness._plain_certificate.cache_clear()
+    try:
+        report = certify_exposed(a)
+    finally:
+        exposedness._plain_certificate.cache_clear()
+    other = report.nullspace
     assert other.dim == 1
     resid = membership_residual(other, phi)[1]
-    assert resid > _face_bound(other)
-    report = _certify_with_hull(monkeypatch, a, False, other)
+    assert resid > _face_bound(other) and resid > 0.1
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.face is None
     assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
@@ -402,10 +437,7 @@ def test_dim_one_hull_without_phi_refused(monkeypatch):
 def test_empty_hull_is_not_certified(transposed, monkeypatch):
     """a face system with no null vector certifies nothing: NOT_CERTIFIED, overlap 0"""
     a = _crandn_from(np.random.default_rng(12), 2, 3)
-    empty = NullSpaceResult(
-        singular_values=np.ones(3), pairs_used=3, param_basis=np.zeros((36, 0)),
-        unknowns=3, condition=1.0,
-    )
+    empty = NullSpaceResult(singular_values=np.ones(3), pairs_used=3, unknowns=3, condition=1.0)
     report = _certify_with_hull(monkeypatch, a, transposed, empty)
     assert report.verdict is Verdict.NOT_CERTIFIED
     assert report.nullspace.dim == 0 and report.face is None
@@ -435,7 +467,7 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     """a flag pair, in either order, solves, projects and checks the face (on its factors) once,
     and the transposed report is the plain certificate relabelled: the same verdict, face check
     and overlap, and the plain basis under the signed permutation of the partial transpose,
-    bitwise"""
+    exactly (a sign flip there reads an exact zero as -0.0, which the factors give as 0.0)"""
     calls = {}
 
     def spy(module, name):
@@ -448,7 +480,7 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     spy(exposedness, "_plain_face")
-    spy(exposedness, "membership_residual")
+    spy(exposedness, "_membership")
     spy(exposedness, "face_certificate")
     spy(exposedness, "_factor_face_certificate")
     gen = np.random.default_rng(17 + 10 * rank + m)
@@ -457,15 +489,15 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     reports = {transposed: certify_exposed(a, transposed=transposed) for transposed in order}
     # the pipeline checks a rank-1 hull on its factors; the general face_certificate is not run
     checked = {"_factor_face_certificate": 1} if rank == 1 else {}
-    assert calls == {"_plain_face": 1, "membership_residual": 1, **checked}
+    assert calls == {"_plain_face": 1, "_membership": 1, **checked}
     plain, flipped = reports[False], reports[True]
     assert plain.verdict is (Verdict.EXPOSED_FACE if rank == 1 else Verdict.EXPOSED_LINEAR)
     assert flipped.verdict is plain.verdict
     assert flipped.face == plain.face
     assert flipped.overlap_with_phi == plain.overlap_with_phi
-    index, sign = _partial_transpose_slots(n, m)
+    index, sign = partial_transpose_slots(n, m)
     want = plain.nullspace.param_basis[index] * sign[:, None]
-    assert flipped.nullspace.param_basis.tobytes() == want.tobytes()
+    assert np.array_equal(flipped.nullspace.param_basis, want)
     for report in (plain, flipped):
         for array in (report.nullspace.singular_values, report.nullspace.param_basis):
             assert not array.flags.writeable
@@ -493,10 +525,7 @@ def test_face_bound_needs_a_gap():
     ns = double_prime_nullspace(a / np.linalg.norm(a))
     # the system keeps a rank, so the zeroed spectrum has no gap to read
     assert ns.unknowns > ns.dim
-    flat = NullSpaceResult(
-        singular_values=np.zeros(ns.singular_values.shape), pairs_used=ns.pairs_used,
-        param_basis=ns.param_basis, unknowns=ns.unknowns, condition=ns.condition,
-    )
+    flat = replace(ns, singular_values=np.zeros(ns.singular_values.shape))
     cert = face_certificate(flat, phi)
     assert cert.bound >= 1.0
     assert not cert.holds
@@ -618,6 +647,15 @@ def test_band_certifies(s2, transposed):
     assert report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE)
 
 
+def _tall_tail(n):
+    """Haar-rotated n x 3 with singular values (1, 0.5, 0.99 n u), just under the class cut"""
+    gen = np.random.default_rng([23, n])
+    q, r = np.linalg.qr(_crandn_from(gen, n, 3))
+    # an n x 3 Haar isometry, and a 3 x 3 Haar unitary
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return q @ np.diag([1.0, 0.5, 0.99 * n * UNIT_ROUNDOFF]) @ haar_unitary(gen, 3).conj().T
+
+
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_tall_tail_below_the_cut_certifies(n):
     """Haar-rotated n x 3 with singular values (1, 0.5, 0.99 n u), just under the class cut
@@ -628,11 +666,7 @@ def test_tall_tail_below_the_cut_certifies(n):
     with n; the bound admits the largest tail the cut allows, where the
     class's Wedin ratio alone refuses n = 256 and 1024.
     """
-    gen = np.random.default_rng([23, n])
-    q, r = np.linalg.qr(_crandn_from(gen, n, 3))
-    # an n x 3 Haar isometry, and a 3 x 3 Haar unitary
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    a = q @ np.diag([1.0, 0.5, 0.99 * n * UNIT_ROUNDOFF]) @ haar_unitary(gen, 3).conj().T
+    a = _tall_tail(n)
     plain, flipped = (certify_exposed(a, transposed=transposed) for transposed in (False, True))
     assert plain.verdict is flipped.verdict is Verdict.EXPOSED_LINEAR
     a = a / np.linalg.norm(a)
@@ -642,6 +676,92 @@ def test_tall_tail_below_the_cut_certifies(n):
     want = np.sqrt(tail * (tail + 2 * float(np.sum(s[:f] ** 2))))
     resid = membership_residual(plain.nullspace, _unit_phi(a))[1]
     assert abs(resid - want) <= 0.01 * want, (resid, want)
+
+
+def test_column_inputs_keep_half_their_membership_bound():
+    """on n x 1 inputs, whose membership bound is the rounding level 16 u times the class's
+    condition, the certificate's residual stays below half its bound: u_0 = A v_0 / s_0 leaves
+    the part off the hull at the rounding of one division"""
+    gen = np.random.default_rng(53)
+    worst = 0.0
+    for n in (1, 2, 3, 5, 8, 16, 64, 256, 1024):
+        for _ in range(8):
+            a = _crandn_from(gen, n, 1)
+            unit = np.ascontiguousarray(a / np.linalg.norm(a))
+            ns, svd = faces._plain_face(unit)
+            _, resid, tail = exposedness._membership(ns, unit, svd)
+            assert certify_exposed(a).verdict is Verdict.EXPOSED_LINEAR, n
+            worst = max(worst, resid / _face_bound(ns, tail))
+    assert worst < 0.5, worst
+
+
+def _reference_inputs(kind):
+    """The inputs the certificate is checked on against the (nm)^2 references"""
+    if kind == "grid":
+        gen = np.random.default_rng(37)
+        shapes = [(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
+        return [_crandn_from(gen, n, r) @ _crandn_from(gen, r, m) for n, m, r in shapes]
+    if kind == "band":
+        gen = np.random.default_rng(7)
+        return [_with_smallest_singular_value(gen, 3, 3, 2, s2) for s2 in np.logspace(-12, -2, 11)]
+    if kind == "structured":
+        return [a for _, a in structured_inputs()]
+    return [_tall_tail(n) for n in (64, 256)]
+
+
+@pytest.mark.parametrize("kind", ["grid", "band", "structured", "tall"])
+def test_certificate_agrees_with_the_references(kind):
+    """the certificate, read off A's svd and the face's factors, against the references that
+    build Choi(phi) and the basis, under both flags: the overlap and the membership residual
+    within 1e-14 of `membership_residual`'s, the residual under its bound, the face defect
+    within 1e-12 of `face_certificate`'s, and the transposed basis within 1e-15 of the
+    input-side partial transpose of the plain one"""
+    for a in _reference_inputs(kind):
+        n, m = a.shape
+        unit = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
+        plain, svd = faces._plain_face(unit)
+        coeffs, resid, tail = exposedness._membership(plain, unit, svd)
+        want_coeffs, want = membership_residual(plain, _unit_phi(a))
+        label = (kind, a.shape, plain.dim)
+        assert np.abs(coeffs - want_coeffs).max() <= 1e-14, label
+        assert abs(resid - want) <= 1e-14 and resid <= _face_bound(plain, tail), label
+        flipped = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in plain.basis])).T
+        for transposed in (False, True):
+            report = certify_exposed(a, transposed=transposed)
+            ns, phi = report.nullspace, _unit_phi(a, transposed)
+            assert report.verdict.value.startswith("EXPOSED_"), label
+            want_coeffs, want = membership_residual(ns, phi)
+            assert abs(report.overlap_with_phi - np.linalg.norm(want_coeffs)) <= 1e-14, label
+            assert abs(resid - want) <= 1e-14, label
+            if report.face is not None:
+                assert abs(report.face.defect - face_certificate(ns, phi).defect) <= 1e-12, label
+        assert np.abs(report.nullspace.param_basis - flipped).max() <= 1e-15, label
+
+
+def test_certificates_add_no_table_per_choi_size():
+    """certifying 256 x 3 inputs, at full rank and rank 1, under both flags adds no entry to the
+    per-size tables `triu_pairs` and `_param_slots`: nothing is sized by nm = 768 until
+    `param_basis` is read"""
+    gen = np.random.default_rng(43)
+    tables = (linalg.triu_pairs, linalg._param_slots)
+
+    def certify(n):
+        for r in (3, 1):
+            a = _crandn_from(gen, n, r) @ _crandn_from(gen, r, 3)
+            for transposed in (False, True):
+                report = certify_exposed(a, transposed=transposed)
+                assert report.verdict.value.startswith("EXPOSED_"), (n, r, transposed)
+        return report
+
+    for table in tables:
+        table.cache_clear()
+    # the tables of m = 3, which every n x 3 certificate reads
+    certify(4)
+    before = [table.cache_info().currsize for table in tables]
+    report = certify(256)
+    assert [table.cache_info().currsize for table in tables] == before
+    assert report.nullspace.param_basis.shape == (768**2, 5)
+    assert [table.cache_info().currsize for table in tables] == [size + 1 for size in before]
 
 
 @pytest.mark.parametrize(
@@ -959,7 +1079,7 @@ def test_face_defect_does_not_depend_on_the_basis(transposed):
         dim = hull.dim
         for _ in range(20):
             rot = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-            defect = face_certificate(replace(hull, param_basis=hull.param_basis @ rot), phi).defect
+            defect = face_certificate(_explicit(hull, hull.param_basis @ rot), phi).defect
             assert abs(defect - want) <= 1e-12, dim
     assert face_certificate(plus, phi).defect > 0.5
 

@@ -13,12 +13,13 @@ from constraint_oracle import (
     functional_row,
     map_floor,
     oracle_nullspace,
+    partial_transpose_slots,
     probe_outputs,
     rebuilt_face,
     unit_probe_vectors,
     zero_pairs,
 )
-from conecert import Verdict, certify_exposed, exposedness, faces
+from conecert import Verdict, certify_exposed, exposedness, faces, maps
 from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import (
@@ -32,7 +33,6 @@ from conecert.faces import (
 )
 from conecert.linalg import (
     UNIT_ROUNDOFF,
-    _partial_transpose_slots,
     gap_rank,
     hermitian_params,
     params_to_herm,
@@ -722,7 +722,9 @@ def test_class_is_solved_once(monkeypatch):
 def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     """with its class solved, a face at f >= 2 runs no eigvalsh and reads no dual basis: at
     f = min(n, m) it is the unit ray of Choi(phi) itself, bitwise, and below that the ray of
-    the class cut A_f = U_f S_f V_f*, with condition 1.0"""
+    the class cut A_f = U_f S_f V_f*, with condition 1.0.  A certificate at any f, under
+    either flag, builds no Choi matrix: it calls none of maps._ad_map, membership_residual,
+    exposedness._face_frame and NullSpaceResult._elements, which builds the basis"""
     g = np.random.default_rng(71)
     shapes = ((4, 4, 4), (3, 5, 3), (5, 3, 3), (6, 6, 3), (4, 5, 2))
     inputs = [(g.standard_normal((n, r)) + 1j) @ g.standard_normal((r, m)) for n, m, r in shapes]
@@ -743,6 +745,19 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
         else:
             assert np.linalg.norm(res.param_basis[:, 0] - want) <= 1e-14, (n, m, r)
     assert calls == []
+    built, spied = [], (
+        (maps, "_ad_map"), (faces, "membership_residual"), (exposedness, "_face_frame"),
+        (faces.NullSpaceResult, "_elements"),
+    )
+    for owner, name in spied:
+        call = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _c=call, _n=name: built.append(_n) or _c(*args))
+    rank_one = [np.outer(g.standard_normal(n) + 1j, g.standard_normal(m)) for n, m in ((4, 5), (5, 1), (1, 4))]
+    for a in [*inputs, *rank_one]:
+        exposedness._plain_certificate.cache_clear()
+        reports = [certify_exposed(a, transposed) for transposed in (False, True)]
+        assert reports[0].verdict.value.startswith("EXPOSED_"), a.shape
+    assert built == []
 
 
 def test_cold_and_warm_class_solves_match():
@@ -925,7 +940,8 @@ def test_rebuilt_face_matches_the_closed_form():
     inputs += [a for _, a in structured_inputs()]
     for a in inputs:
         a = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
-        tail = faces._plain_face(a)[2]
+        plain, svd = faces._plain_face(a)
+        tail = exposedness._membership(plain, a, svd)[2]
         for transposed in (False, True):
             res = double_prime_nullspace(a, transposed)
             rebuilt = rebuilt_face(a, transposed)
@@ -1112,7 +1128,8 @@ def test_transposed_face_is_the_partial_transpose():
     positive maps, so it carries the one face onto the other.  Both flags
     read the same solve: on every structured input they must give the same
     verdict, counts, spectrum and condition, bitwise, a transposed basis
-    that is the signed permutation of the plain one, bitwise, and the same
+    that is the signed permutation of the plain one, exactly (the factors
+    give an exact zero as 0.0 where a sign flip gives -0.0), and the same
     face defect to 1e-15.
     """
     for label, a in structured_inputs():
@@ -1122,8 +1139,8 @@ def test_transposed_face_is_the_partial_transpose():
         assert (t.dim, t.unknowns, t.pairs_used) == (p.dim, p.unknowns, p.pairs_used), label
         assert np.array_equal(t.singular_values, p.singular_values), label
         assert t.condition == p.condition, label
-        index, sign = _partial_transpose_slots(*a.shape)
-        assert t.param_basis.tobytes() == (p.param_basis[index] * sign[:, None]).tobytes(), label
+        index, sign = partial_transpose_slots(*a.shape)
+        assert np.array_equal(t.param_basis, p.param_basis[index] * sign[:, None]), label
         if p.dim:
             n, m = a.shape
             want = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from constraint_oracle import functional_row
+from constraint_oracle import functional_row, partial_transpose_slots
 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.exposedness import Verdict, certify_exposed, classify
@@ -12,7 +12,7 @@ from conecert.linalg import (
     POSITIVITY_RTOL,
     SQRT2,
     UNIT_ROUNDOFF,
-    _partial_transpose_slots,
+    _partial_transpose,
     as_complex_vector,
     conj_vector,
     fix_phase,
@@ -306,18 +306,19 @@ def test_cached_param_maps_are_bitwise_the_reference(n):
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("m", range(1, 6))
 def test_partial_transpose_is_a_signed_permutation_of_the_params(n, m):
-    """params(PT(X)) = sign * params(X)[index], bitwise, for Hermitian nm x nm X"""
-    index, sign = _partial_transpose_slots(n, m)
-    assert not index.flags.writeable and not sign.flags.writeable
+    """params(PT(X)) = sign * params(X)[index], bitwise, for Hermitian nm x nm X, and the batched
+    `_partial_transpose` is the partial transpose of each matrix, bitwise"""
+    index, sign = partial_transpose_slots(n, m)
     assert np.array_equal(np.sort(index), np.arange((n * m) ** 2))
     assert set(np.unique(sign)) <= {-1.0, 1.0}
     gen = np.random.default_rng(10 * n + m)
     p = gen.standard_normal((3, (n * m) ** 2))
     p[:, ::4] = 0.0
     x = params_to_herm(p, n * m)
-    want = hermitian_params(np.array([partial_transpose_in(c, n, m) for c in x]))
+    want = np.array([partial_transpose_in(c, n, m) for c in x])
+    assert _partial_transpose(x, n, m).tobytes() == want.tobytes(), (n, m)
     got = sign * hermitian_params(x)[:, index]
-    assert got.tobytes() == want.tobytes(), (n, m)
+    assert got.tobytes() == hermitian_params(want).tobytes(), (n, m)
 
 
 def test_frobenius_norm_neither_underflows_nor_overflows():
