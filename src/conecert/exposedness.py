@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ClassificationError, HermiticityError
-from .faces import NullSpaceResult, _class_svd, _plain_face, system_floor
+from .faces import NullSpaceResult, _class_svd, _membership, _plain_face, system_floor
 from .linalg import (
     UNIT_ROUNDOFF,
     _partial_transpose,
@@ -31,7 +31,6 @@ from .linalg import (
     fix_phase,
     frobenius_norm,
     gap_rank,
-    hermitian_params,
     hermitian_within,
     hermitize,
     normalized,
@@ -111,11 +110,9 @@ def _face_bound(nullspace: NullSpaceResult, tail: float = 0.0) -> float:
     the whole map: an angle in probe coordinates grows in Choi coordinates
     by at most the map's largest stretch over its least stretch on the null
     space, which is `condition`.  At f >= 2 nothing is lifted (`condition`
-    is 1): the face is the closed-form ray of A_f, the class cut of A, and
-    the ratio is the class's evidence that its face is that one ray.  That
-    ray misses Choi(phi) by the tail of A's spectrum below the cut, whose
-    largest value for unit A `_membership` hands over as `tail`:
-    sqrt(2 (min(n, m) - f)) * max(n, m) * u.  The bound is
+    is 1): the face is the ray of A_f, the class cut of A, which misses
+    Choi(phi) by A's tail below the cut, at most `tail`
+    (`faces._membership`).  The bound is
     FACE_SAFETY * (condition * ratio + tail).
     """
     s = nullspace.singular_values
@@ -211,40 +208,6 @@ def _factor_face_certificate(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> 
     return FaceCertificate(defect=max(sine, defect), bound=_face_bound(ns))
 
 
-def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndarray, float, float]:
-    """`faces.membership_residual` on the face, read off A's `_class_svd` and the factors, and
-    the tail level that `_face_bound` adds.
-
-    Choi(phi) = c c*, c = vec(A) = p + d, d orthogonal to the face's factor
-    space: p d* + d p* + d d* is off the face, of squared norm
-    |d|^2 (|d|^2 + 2 |p|^2).  At f >= 2 p = vec(A_f), the ray holds p p*, and
-    |p|^2 and |d|^2 are the sums of s_j^2 above and below the cut; the level
-    is the largest tail the cut allows, sqrt(2 (min(n, m) - f)) max(n, m) u.
-    At f = 1 p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves the residual
-    of b b* / |u|^2 off span t[k]; the level is 0.
-    """
-    s, f = svd[1], svd[3]
-    if len(ns.factors) == 1:
-        kept, off = float(s[:f] @ s[:f]), float(s[f:] @ s[f:])
-        coeffs, on = np.array([kept]), 0.0
-        level = math.sqrt(2 * (min(a.shape) - f)) * max(a.shape) * UNIT_ROUNDOFF
-    else:
-        u, t = ns.factors
-        # projected by u u* / |u|^2: |u| read as 1 took 0.52 of the bound 16 u at m = 1
-        norm2 = float(np.vdot(u, u).real)
-        b = u.conj() @ a
-        d = a - np.outer(u, b / norm2)
-        kept, off = float(np.vdot(b, b).real) / norm2, float(np.vdot(d, d).real)
-        # renormalised once, for the bound 16 u at m = 1
-        hull = hermitian_params(t)
-        hull /= np.linalg.norm(hull, axis=1, keepdims=True)
-        p = hermitian_params(np.outer(b, b.conj() / norm2))
-        coeffs = hull @ p
-        on, level = float(np.linalg.norm(p - coeffs @ hull)), 0.0
-    scale = kept + off
-    return coeffs / scale, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level
-
-
 def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     """Certify that the conjugation map built from A spans an exposed ray.
 
@@ -292,8 +255,8 @@ def _plain_certificate(
     Cached: `certify_exposed` relabels it for the transposed flag.  It has
     checked and normalised A, so the face is solved by `faces._plain_face`
     directly, not through the checks of `double_prime_nullspace`.  Every
-    number is read off the svd of A and the face's factors (`_membership`,
-    `_factor_face_certificate`): no array of size (nm)^2 is built.
+    number is read off the svd of A and the face's factors
+    (`faces._membership`, `_factor_face_certificate`): no (nm)^2 array.
     """
     a = np.frombuffer(key, dtype=np.complex128).reshape(shape)
     ns, svd = _plain_face(a)

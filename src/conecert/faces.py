@@ -95,10 +95,10 @@ from .maps import MapRep, _nonzero_operator
 class NullSpaceResult:
     """Null space of the face's linear system, held as read-only factors.
 
-    `factors` is the face: () for none, (A_f,) for the ray of
-    Choi(X -> A_f X A_f*), or (u, t) for the hull of u u* (x) t[k], u (n,)
-    and t (dim, m, m) orthonormal.  `transposed` reads every element through
-    the input-side partial transpose, the face of X -> A X^T A*.
+    `factors` is the face: (A_f,) for the ray of Choi(X -> A_f X A_f*), or
+    (u, t) for the hull of u u* (x) t[k], u (n,) and t (dim, m, m)
+    orthonormal, dim 0 (or ()) for none.  `transposed` reads every element
+    through the input-side partial transpose, the face of X -> A X^T A*.
     `param_basis` (orthonormal columns over the Hermitian parameterization)
     and `basis` (the same elements as Choi matrices) are built when read,
     (nm)^2 entries per element.  `singular_values` is the spectrum of the
@@ -472,7 +472,9 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
         # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
         # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
         a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
-        factors, condition = (a_f,) if dim == 1 else (), 1.0
+        # an empty face keeps its (n, m): a u of length n and no t[k]
+        empty = (np.zeros(a.shape[0]), np.zeros((0, a.shape[1], a.shape[1])))
+        factors, condition = (a_f,) if dim == 1 else empty, 1.0
     else:
         class_basis, condition = hull
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
@@ -488,13 +490,48 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
 
     Returns (coefficients, residual norm); the Choi matrix is Frobenius
     normalized first, so the coefficient norm is the overlap in [0, 1].
-    The reference for `exposedness._membership`, which reads the factors.
+    The reference for `_membership`, which reads the factors.
     """
     c = map_rep.choi
     scale = frobenius_norm(c)
     if scale == 0.0:
         raise ShapeError("zero Choi matrix has no direction")
     p = hermitian_params(c / scale)
-    coeffs = result.param_basis.T @ p
-    residual = float(np.linalg.norm(p - result.param_basis @ coeffs))
+    # a face built with no factors has a (0, 0) basis
+    basis = result.param_basis.reshape(p.shape[0], -1)
+    coeffs = basis.T @ p
+    residual = float(np.linalg.norm(p - basis @ coeffs))
     return coeffs, residual
+
+
+def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndarray, float, float]:
+    """`membership_residual` of X -> A X A*, unit A, read off the factors and `_class_svd`, and
+    the tail level that `exposedness._face_bound` adds.
+
+    Choi(phi) = c c*, c = vec(A) = p + d, p the projection of c on the
+    factor space: the line of vec(A_f) for the ray, u (x) C^m for the hull.
+    p d* + d p* + d d* is off the face, of squared norm
+    |d|^2 (|d|^2 + 2 |p|^2).  The ray holds p p*, and its level is the
+    largest tail the class cut allows, sqrt(2 (min(n, m) - f)) max(n, m) u.
+    For the hull p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves the
+    residual of b b* / |u|^2 off span t[k]; the level is 0.
+    """
+    if len(ns.factors) == 1:
+        a_f = ns.factors[0]
+        p = a_f * (np.vdot(a_f, a) / np.vdot(a_f, a_f).real)
+        coeffs, on = np.array([float(np.vdot(p, p).real)]), 0.0
+        level = math.sqrt(2 * (min(a.shape) - svd[3])) * max(a.shape) * UNIT_ROUNDOFF
+    else:
+        u, t = ns.factors
+        # projected by u u* / |u|^2: |u| read as 1 took 0.52 of the bound 16 u at m = 1
+        b, norm2 = u.conj() @ a, float(np.vdot(u, u).real)
+        p = np.outer(u, b / norm2)
+        # renormalised once, for the bound 16 u at m = 1
+        hull = hermitian_params(t)
+        hull /= np.linalg.norm(hull, axis=1, keepdims=True)
+        bb = hermitian_params(np.outer(b, b.conj() / norm2))
+        coeffs = hull @ bb
+        on, level = float(np.linalg.norm(bb - coeffs @ hull)), 0.0
+    kept, off = (float(np.vdot(x, x).real) for x in (p, a - p))
+    scale = kept + off
+    return coeffs / scale, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level

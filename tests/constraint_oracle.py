@@ -293,6 +293,12 @@ def partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)
 
 
+def bitwise_but_zero_sign(x: np.ndarray, y: np.ndarray) -> bool:
+    """x and y are equal, and bitwise so but for the sign of an exact zero"""
+    unsigned = [np.where(v == 0, 0.0, v).tobytes() for v in (x, y)]
+    return np.array_equal(x, y) and unsigned[0] == unsigned[1]
+
+
 def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:
     """The face solved densely in the coordinates of the probes etas (N, m), basis probes first.
 

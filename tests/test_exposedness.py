@@ -10,7 +10,7 @@ import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from constraint_oracle import partial_transpose_slots
+from constraint_oracle import bitwise_but_zero_sign, partial_transpose_slots
 from conecert import exposedness, faces, linalg
 from conecert.errors import ClassificationError, HermiticityError
 from conecert.exposedness import (
@@ -305,7 +305,7 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
     assert abs(report.face.defect - want.defect) <= 1e-12
     assert report.face.bound == want.bound
     flipped = _partial_transpose_hull(factored, a.shape) if transposed else factored
-    assert np.array_equal(report.nullspace.param_basis, flipped.param_basis)
+    assert bitwise_but_zero_sign(report.nullspace.param_basis, flipped.param_basis)
     flipped = _partial_transpose_hull(hull, a.shape) if transposed else hull
     # the transposed hull against the transposed phi has the plain margins, to rounding
     assert abs(face_certificate(flipped, phi).defect - want.defect) <= 1e-12
@@ -411,6 +411,22 @@ def test_face_defect_is_the_sine_of_a_tilt(shape, transposed):
 
 
 def test_dim_one_hull_without_phi_refused(monkeypatch):
+    """a 1-D hull that misses Choi(phi) fails membership: NOT_CERTIFIED, no face check"""
+    gen = np.random.default_rng(11)
+    a = _crandn_from(gen, 3, 3)
+    phi = _unit_phi(a)
+    b = _crandn_from(gen, 3, 3)
+    other = double_prime_nullspace(b / np.linalg.norm(b))
+    assert other.dim == 1
+    resid = membership_residual(other, phi)[1]
+    assert resid > _face_bound(other)
+    report = _certify_with_hull(monkeypatch, a, False, other)
+    assert report.verdict is Verdict.NOT_CERTIFIED
+    assert report.face is None
+    assert abs(report.overlap_with_phi**2 + resid**2 - 1.0) <= 1e-12
+
+
+def test_ray_of_a_cut_below_the_rank_refused(monkeypatch):
     """a 1-D face that misses Choi(phi), the ray of a class cut below the rank of a full-rank
     3 x 3 A, fails membership: NOT_CERTIFIED, no face check, and the overlap is the one the
     reference projection reads"""
@@ -444,6 +460,24 @@ def test_empty_hull_is_not_certified(transposed, monkeypatch):
     assert report.overlap_with_phi == 0.0
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_membership_of_an_empty_face(transposed, monkeypatch):
+    """an empty face, as `_plain_face` writes it where the class reads no ray or as the public
+    constructor builds it, has no column of Choi parameters: `membership_residual` reads no
+    coefficient and the whole residual"""
+    a = _crandn_from(np.random.default_rng(13), 2, 3)
+    a = np.ascontiguousarray(a / np.linalg.norm(a))
+    solve = faces.class_solve
+    # the class (3, 2) read with null dimension 0
+    monkeypatch.setattr(faces, "class_solve", lambda m, f: (*solve(m, f)[:3], 0, None))
+    written = replace(faces._plain_face(a)[0], transposed=transposed)
+    assert written.dim == 0 and written.param_basis.shape == (36, 0)
+    bare = NullSpaceResult(np.ones(3), 3, 3, 1.0, transposed=transposed)
+    for ns in (written, bare):
+        coeffs, resid = membership_residual(ns, _unit_phi(a, transposed))
+        assert coeffs.shape == (0,) and abs(resid - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("dim", [0, 2])
 def test_class_without_one_ray_is_not_certified(dim, monkeypatch):
     """at f >= 2 a class system whose gap reads a null dimension other than 1 gives an empty
@@ -467,7 +501,8 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     """a flag pair, in either order, solves, projects and checks the face (on its factors) once,
     and the transposed report is the plain certificate relabelled: the same verdict, face check
     and overlap, and the plain basis under the signed permutation of the partial transpose,
-    exactly (a sign flip there reads an exact zero as -0.0, which the factors give as 0.0)"""
+    bitwise but for the sign of an exact zero (a sign flip there reads -0.0 where the factors
+    give 0.0)"""
     calls = {}
 
     def spy(module, name):
@@ -497,7 +532,7 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     assert flipped.overlap_with_phi == plain.overlap_with_phi
     index, sign = partial_transpose_slots(n, m)
     want = plain.nullspace.param_basis[index] * sign[:, None]
-    assert np.array_equal(flipped.nullspace.param_basis, want)
+    assert bitwise_but_zero_sign(flipped.nullspace.param_basis, want)
     for report in (plain, flipped):
         for array in (report.nullspace.singular_values, report.nullspace.param_basis):
             assert not array.flags.writeable
@@ -689,7 +724,7 @@ def test_column_inputs_keep_half_their_membership_bound():
             a = _crandn_from(gen, n, 1)
             unit = np.ascontiguousarray(a / np.linalg.norm(a))
             ns, svd = faces._plain_face(unit)
-            _, resid, tail = exposedness._membership(ns, unit, svd)
+            _, resid, tail = faces._membership(ns, unit, svd)
             assert certify_exposed(a).verdict is Verdict.EXPOSED_LINEAR, n
             worst = max(worst, resid / _face_bound(ns, tail))
     assert worst < 0.5, worst
@@ -720,7 +755,7 @@ def test_certificate_agrees_with_the_references(kind):
         n, m = a.shape
         unit = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
         plain, svd = faces._plain_face(unit)
-        coeffs, resid, tail = exposedness._membership(plain, unit, svd)
+        coeffs, resid, tail = faces._membership(plain, unit, svd)
         want_coeffs, want = membership_residual(plain, _unit_phi(a))
         label = (kind, a.shape, plain.dim)
         assert np.abs(coeffs - want_coeffs).max() <= 1e-14, label

@@ -8,6 +8,7 @@ from constraint_oracle import (
     PairStrategy,
     ZeroPair,
     assemble_constraints,
+    bitwise_but_zero_sign,
     choi_kernel_probes,
     dense_nullspace,
     functional_row,
@@ -941,7 +942,7 @@ def test_rebuilt_face_matches_the_closed_form():
     for a in inputs:
         a = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
         plain, svd = faces._plain_face(a)
-        tail = exposedness._membership(plain, a, svd)[2]
+        tail = faces._membership(plain, a, svd)[2]
         for transposed in (False, True):
             res = double_prime_nullspace(a, transposed)
             rebuilt = rebuilt_face(a, transposed)
@@ -1128,8 +1129,9 @@ def test_transposed_face_is_the_partial_transpose():
     positive maps, so it carries the one face onto the other.  Both flags
     read the same solve: on every structured input they must give the same
     verdict, counts, spectrum and condition, bitwise, a transposed basis
-    that is the signed permutation of the plain one, exactly (the factors
-    give an exact zero as 0.0 where a sign flip gives -0.0), and the same
+    that is the signed permutation of the plain one, bitwise but for the
+    sign of an exact zero (the factors give 0.0 where a sign flip gives
+    -0.0), and the same
     face defect to 1e-15.
     """
     for label, a in structured_inputs():
@@ -1140,7 +1142,7 @@ def test_transposed_face_is_the_partial_transpose():
         assert np.array_equal(t.singular_values, p.singular_values), label
         assert t.condition == p.condition, label
         index, sign = partial_transpose_slots(*a.shape)
-        assert np.array_equal(t.param_basis, p.param_basis[index] * sign[:, None]), label
+        assert bitwise_but_zero_sign(t.param_basis, p.param_basis[index] * sign[:, None]), label
         if p.dim:
             n, m = a.shape
             want = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
