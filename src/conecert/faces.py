@@ -473,8 +473,8 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
         # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
         a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
         # an empty face keeps its (n, m): a u of length n and no t[k]
-        empty = (np.zeros(a.shape[0]), np.zeros((0, a.shape[1], a.shape[1])))
-        factors, condition = (a_f,) if dim == 1 else empty, 1.0
+        factors = (a_f,) if dim == 1 else (np.zeros(a.shape[0]), np.zeros((0,) + a.shape[1:] * 2))
+        condition = 1.0
     else:
         class_basis, condition = hull
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
