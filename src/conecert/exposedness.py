@@ -7,7 +7,7 @@ certificate (EXPOSED_LINEAR).  When the hull is larger (rank-1 A = u v*)
 it is {X -> Tr(R X) uu* : R compressed to v-perp is 0}; the only positive
 elements of that set form the ray through the map, and the face check
 verifies that every computed basis element lies in that face, read off the
-map itself (EXPOSED_FACE), on the hull's m x m factors
+map itself (EXPOSED_FACE), on the hull's factors (u_0, V)
 (`_factor_face_certificate`; `face_certificate` is its reference).  Both
 verdicts are exact checks on the computed hull: no positivity search and no
 random number is involved.  Only the plain map is certified: the transposed
@@ -61,9 +61,10 @@ class FaceCertificate:
     """Rank-1 face check of a hull: its defect and the bound it must meet.
 
     The defect is the sine of the largest principal angle from the hull to
-    the face read off phi, or a rank-1 defect of phi if that is larger.  Both
-    are relative: the defect is at most 1 on any hull, so a bound of 1 or
-    more would pass anything and certifies nothing.
+    the face read off phi (or, on the factors, an upper bound on it), or a
+    rank-1 defect of phi if that is larger; a hull with no element reads 1.
+    Both are relative: a bound of 1 or more would pass anything and
+    certifies nothing.
     """
 
     defect: float
@@ -104,12 +105,12 @@ def _face_bound(nullspace: NullSpaceResult, tail: float = 0.0) -> float:
     |E| / s_kept, over the smallest kept singular value; |E| is read as the
     largest discarded value, or the system's rounding level
     unknowns * u * max(s_0, 1) when that is larger (`system_floor`).  With
-    nothing kept the ratio is read at that level, unknowns * u.  At f = 1 a
-    null vector turns into a Choi matrix through a linear map that is not an
-    isometry, so an error component outside the null space is stretched by
-    the whole map: an angle in probe coordinates grows in Choi coordinates
-    by at most the map's largest stretch over its least stretch on the null
-    space, which is `condition`.  At f >= 2 nothing is lifted (`condition`
+    nothing kept, as at f = 1, whose class system is exactly 0, the ratio is
+    read at that level, unknowns * u.  At f = 1 a null vector turns into a
+    Choi matrix through a linear map that is not an isometry, so an error
+    component outside the null space is stretched by the whole map: an angle
+    in probe coordinates grows in Choi coordinates by at most the map's
+    condition number, `condition`.  At f >= 2 nothing is lifted (`condition`
     is 1): the face is the ray of A_f, the class cut of A, which misses
     Choi(phi) by A's tail below the cut, at most `tail`
     (`faces._membership`).  The bound is
@@ -160,9 +161,12 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     Wedin argument of `_face_bound` bounds.
 
     The defect is the largest of that sine and of the rank-1 defects of
-    phi(I) and of phi's compression; the bound is `_face_bound`.
+    phi(I) and of phi's compression; the bound is `_face_bound`.  A hull
+    with no element certifies nothing: its defect reads 1.
     """
     n, m, d = phi.n, phi.m, nullspace.dim
+    if d == 0:
+        return FaceCertificate(defect=1.0, bound=_face_bound(nullspace))
     defect, w, v = _face_frame(phi)
 
     def frame(x):  # x (d, nm, nm) -> x (W (x) V), one GEMM per factor
@@ -183,27 +187,26 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
 
 
 def _factor_face_certificate(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> FaceCertificate:
-    """`face_certificate` of the hull {u u* (x) t[k]} of `ns.factors` for X -> A X A*, read off
-    A's `_class_svd` and the factors: no Choi matrix and no eigh.
+    """`face_certificate` of the rank-1 hull of `ns.factors` (u, V) for X -> A X A*, read off A's
+    `_class_svd` and the factors: no Choi matrix and no eigh.
 
     phi(I) = A A* has top eigenvector w = U[:, 0] and rank-1 defect
     (s_1 / s_0)^2; phi's compression by w is g g*, g = (w* A)^T, of rank 1.
-    In their eigenbases an element's entries off the face have an output
-    index past 0 (squares summing to rho (rho + 2 |q|^2) |t[k]|^2, q = w* u,
-    rho = |u - q w|^2) or both input indices past 0 (|q|^4 |P t[k] P|^2,
-    P = I - g g* / |g|^2): the residual Gram matrix sums the two.
+    The hull is u u* (x) Y, Y = x c* + c x* unit, x = conj(V[:, 0]).  In
+    those eigenbases its entries off the face have an output index past 0
+    (squares summing to rho (rho + 2 |q|^2), q = w* u, rho = |u - q w|^2) or
+    both input indices past 0 (|q|^4 |P Y P|^2, P = I - g g* / |g|^2).  With
+    delta = P x, |P Y P| <= |delta|^2 |x* Y x| + 2 |delta| |Y x - (x* Y x) x|
+    and Cauchy-Schwarz give |P Y P|^2 <= |delta|^2 (|delta|^2 + 2): the sine
+    is an upper bound on face_certificate's, exact where delta = 0.
     """
-    u, t = ns.factors
+    u, v = ns.factors
     w, s = svd[0][:, 0], svd[1]
-    q = np.vdot(w, u)
-    rho, top = float(np.linalg.norm(u - q * w)) ** 2, abs(q) ** 2
-    g = w.conj() @ a
-    proj = np.eye(a.shape[1]) - np.outer(g, g.conj()) / np.vdot(g, g).real
-    whole, perp = (x.reshape(t.shape[0], -1) for x in (t, proj @ t @ proj))
-    # t[k] is Hermitian, so both Gram matrices are real
-    gram = rho * (rho + 2 * top) * (whole.conj() @ whole.T).real
-    gram += top**2 * (perp.conj() @ perp.T).real
-    sine = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    q, g, x = np.vdot(w, u), w.conj() @ a, v[:, 0].conj()
+    off = (u - q * w, x - g * (np.vdot(g, x) / np.vdot(g, g).real))
+    # delta2 = |delta|^2
+    (rho, delta2), top = (float(np.vdot(y, y).real) for y in off), abs(q) ** 2
+    sine = math.sqrt(rho * (rho + 2 * top) + top**2 * delta2 * (delta2 + 2))
     defect = float(s[1] / s[0]) ** 2 if s.shape[0] > 1 else 0.0
     return FaceCertificate(defect=max(sine, defect), bound=_face_bound(ns))
 

@@ -49,7 +49,7 @@ over `triu_pairs`; the curve frame is cached read-only per m, and the star
 frame is built once per (m, f), by the cached `class_solve`, and has no
 probe unless 2 <= f < m.  A frame keeps the probes and each relation's
 columns and weights; the R rows of a relation are laid on the m^2 basis
-columns by its columns, so no cached table but the dual basis grows as m^4.
+columns by its columns, so no cached table grows as m^4.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
@@ -65,9 +65,11 @@ null dimension at its gap and the counts, with no lift and no null vector.
 At f >= 2 the class face is one ray, x_b = 1 on every live basis probe:
 the class map X -> Pi X Pi* itself.  The congruence carries it to the ray
 of A_f = U_f S_f V_f*, so `_plain_face` writes A's face as the factor A_f,
-and nothing is rebuilt per A.  At f = 1 the class solve keeps the hull
-itself (`_class_hull`), which `_plain_face` carries to A by an isometry, as
-the factors (u_0, T).  No (nm)^2-sized array is built until a basis is read.
+and nothing is rebuilt per A.  At f = 1 nothing is solved: every live
+class output is [1.0], so every relation is exactly 0 and the hull is the
+paper's face {X -> Tr(R X) u u* : R compressed to v-perp = 0} in closed
+form, which `_plain_face` writes as the factors (u_0, V) of A's svd.  No
+(nm)^2-sized array is built until a basis is read.
 """
 
 import math
@@ -85,7 +87,6 @@ from .linalg import (
     frobenius_norm,
     gap_rank,
     hermitian_params,
-    params_to_herm,
     triu_pairs,
 )
 from .maps import MapRep, _nonzero_operator
@@ -96,8 +97,9 @@ class NullSpaceResult:
     """Null space of the face's linear system, held as read-only factors.
 
     `factors` is the face: (A_f,) for the ray of Choi(X -> A_f X A_f*), or
-    (u, t) for the hull of u u* (x) t[k], u (n,) and t (dim, m, m)
-    orthonormal, dim 0 (or ()) for none.  `transposed` reads every element
+    (u, V) for the rank-1 hull of u u* (x) conj(V R_k V*), u (n,) and V
+    (m, m) unitary, over the 2m - 1 R_k of `class_solve(m, 1)`; V (m, 0)
+    (or ()) for none.  `transposed` reads every element
     through the input-side partial transpose, the face of X -> A X^T A*.
     `param_basis` (orthonormal columns over the Hermitian parameterization)
     and `basis` (the same elements as Choi matrices) are built when read,
@@ -107,8 +109,8 @@ class NullSpaceResult:
     back-substituted), else every live basis probe's.  It, `unknowns` and
     `pairs_used` (the probe count) depend on A only through (m, f).  At
     f >= 2 nothing is lifted, and `condition` is 1.0.  At f = 1 it is the
-    largest stretch of the map from the class coordinates to Choi
-    parameters over its least stretch on the null space (`_class_hull`).
+    condition number of the map from the class coordinates to Choi
+    parameters, a class constant (`class_solve`).
     """
 
     singular_values: np.ndarray
@@ -120,7 +122,7 @@ class NullSpaceResult:
 
     @property
     def dim(self) -> int:
-        return self.factors[1].shape[0] if len(self.factors) == 2 else len(self.factors)
+        return max(2 * self.factors[1].shape[1] - 1, 0) if len(self.factors) == 2 else len(self.factors)
 
     def _elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Choi matrices (dim, nm, nm) of the elements and their parameters, partially transposed
@@ -129,8 +131,10 @@ class NullSpaceResult:
             # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
             (n, m), choi = self.factors[0].shape, _outer(self.factors[0].reshape(1, -1))
         else:
-            u, t = self.factors or (np.zeros(0), np.zeros((0, 0, 0)))
-            n, m = u.shape[0], t.shape[-1]
+            u, v = self.factors or (np.zeros(0), np.zeros((0, 0)))
+            (n,), m = u.shape, v.shape[0]
+            # conj(V R_k V*) = conj(V) conj(R_k) V^T
+            t = v.conj() @ class_solve(m, 1)[4][0].conj() @ v.T if v.size else np.zeros((0, m, m))
             choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
             choi = choi.reshape(t.shape[0], n * m, n * m)
         params = hermitian_params(choi)
@@ -198,10 +202,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
 
     Returns the 2m^2 - m curve probes as rows: the m^2 unit probes e_j, then
     per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
-    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2.
-    Then the dual basis D_b (m^2, m, m) of the unit-probe projectors:
-    Re tr(D_b X) is the coordinate of X on P_b; and the layout of the
-    reflected relations.
+    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2;
+    then the layout of the reflected relations.
     Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
     on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
     `cols` (m^2 - m, 3) is (m + q, j, k), and `weights` holds the
@@ -213,10 +215,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     # (e_j + z e_k)/sqrt2 per pair for z = 1, i (unit probes), then z = -1, -i (reflected)
     curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
     etas = np.concatenate([eye, curves[:, :2].reshape(-1, m), curves[:, 2:].reshape(-1, m)])
-    # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
-    dual = params_to_herm(projector_coordinates(params_to_herm(np.eye(size), m)).T, m)
     cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    return _read_only((etas, dual, *_layout(etas[size:], cols)))
+    return _read_only((etas, *_layout(etas[size:], cols)))
 
 
 @lru_cache(maxsize=None)
@@ -403,10 +403,24 @@ def class_solve(m: int, f: int) -> tuple:
 
     Returns the class's evidence: the spectrum, `unknowns`, the probe
     count, the null dimension at the gap and, at f = 1 only (else None),
-    the hull and its condition (`_class_hull`), built here from the lift and
-    the null vectors, which are not kept.  None of it reads A.
+    the hull and its condition.  None of it reads A.  At f = 1 it is exact,
+    with no system built: every live class output is [1.0], so every
+    relation, projected off its own output, is 0, and the 2m - 1 live basis
+    probes (e_0, and the pairs (0, j)) are free.  The hull is E_00,
+    (E_0j + E_j0)/sqrt2 and i(E_0j - E_j0)/sqrt2, j >= 1, and `condition`
+    that of the live dual elements, whose Gram matrix is the arrowhead
+    [[m, -1], [-1, 2 I]], with extreme eigenvalues x^2 - (m + 2) x + 2 = 0.
     """
-    curve, _, *curve_layout = curve_frame(m)
+    if f == 1:
+        k = np.arange(1, m)
+        hull = np.zeros((2 * m - 1, m, m), dtype=np.complex128)
+        hull[0, 0, 0] = 1.0
+        hull[2 * k - 1, 0, k] = hull[2 * k - 1, k, 0] = 1 / SQRT2
+        hull[2 * k, 0, k], hull[2 * k, k, 0] = 1j / SQRT2, -1j / SQRT2
+        condition = (m + 2 + math.sqrt((m + 2) ** 2 - 8)) / math.sqrt(8) if m > 1 else 1.0
+        svals, hull = _read_only((np.zeros(min(m * m - m, 2 * m - 1)), hull))
+        return svals, 2 * m - 1, 2 * m * m - m, 2 * m - 1, (hull, condition)
+    curve, *curve_layout = curve_frame(m)
     star, *star_layout = star_frame(m, f)
     etas = np.concatenate([curve, star])
     # the class outputs u_p u_p*, u_p = eta_p[:f], and their class norms c_p = |u_p|^2
@@ -418,39 +432,14 @@ def class_solve(m: int, f: int) -> tuple:
     # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
     system, lift = _reduced_relations(outputs, live, [curve_layout, star_layout])
     rows, unknowns = system.shape
-    if rows > unknowns > 0:
+    if rows > unknowns:
         # same singular values and right vectors, without the tall left factor.  It pays
         # for itself: an SVD of the tall system was 1.3, 1.8 and 2.4 times slower at 8 x 8
         # rank 4, 12 x 12 rank 6 and 16 x 16 rank 8 (BENCH_relation_plan.json)
         system = np.linalg.qr(system, mode="r")
-    if system.size:
-        left, svals, _ = np.linalg.svd(system.T, full_matrices=rows < unknowns)
-    else:
-        svals, left = np.zeros(0), np.eye(unknowns)
-    null = left[:, gap_rank(svals, system_floor(svals, unknowns)) :]
-    hull = _class_hull(lift, lift @ null) if f == 1 else None
-    return _read_only((svals,))[0], unknowns, etas.shape[0], null.shape[1], hull
-
-
-def _class_hull(lift: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """The hull of the class (m, 1) as orthonormal Hermitian m x m matrices R_k, and its condition.
-
-    Every output is w_b = s_0 eta_b[0] u_0, so the null vector z = L null
-    gives Choi(psi) = s_0^2 u_0 u_0* (x) conj(V R V*), R = sum_b z_b D_b,
-    compressed to e_0-perp = 0.  R -> u_0 u_0* (x) conj(V R V*) keeps the
-    Frobenius norm, so the R orthonormalised once here are orthonormal for
-    every A of the class.  Both stretches of `condition` carry s_0^2, which
-    cancels.
-    """
-    m = math.isqrt(lift.shape[0])
-    dual = curve_frame(m)[1]
-    r = z.T @ dual.reshape(m * m, -1)
-    # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
-    left, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
-    hull = ((left.T / least[:, None]) @ r).reshape(-1, m, m)
-    # params(sum_b (L x)_b D_b) = params(D)^T L x, so the largest stretch is one 2-norm
-    stretch = float(np.linalg.norm(hermitian_params(dual).T @ lift, 2))
-    return _read_only((hull,))[0], stretch / float(least[-1])
+    svals = np.linalg.svd(system.T, full_matrices=rows < unknowns)[1]
+    dim = unknowns - gap_rank(svals, system_floor(svals, unknowns))
+    return _read_only((svals,))[0], unknowns, etas.shape[0], dim, None
 
 
 def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
@@ -462,8 +451,8 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
     the ray of A_f = U_f S_f V_f*, read as A - U_t S_t V_t*, A itself where
     f = min(n, m), and `condition` is 1.0, as nothing is lifted.  A class
     whose gap reads another null dimension gets the empty face, which
-    certifies nothing.  At f = 1 the hull is u_0 u_0* (x) T_k,
-    T_k = conj(V R_k V*), over the class's R_k (`_class_hull`).
+    certifies nothing.  At f = 1 the hull is u_0 u_0* (x) conj(V R_k V*)
+    over the class's R_k, held as the factors (u_0, V).
     Deterministic: no random probes.
     """
     u, s, vh, f = svd = _class_svd(a)
@@ -472,15 +461,13 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
         # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
         # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
         a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
-        # an empty face keeps its (n, m): a u of length n and no t[k]
-        factors = (a_f,) if dim == 1 else (np.zeros(a.shape[0]), np.zeros((0,) + a.shape[1:] * 2))
+        # an empty face keeps its (n, m): a u of length n and a V of no column
+        factors = (a_f,) if dim == 1 else (np.zeros(a.shape[0]), np.zeros((a.shape[1], 0)))
         condition = 1.0
     else:
-        class_basis, condition = hull
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
-        # conj(V R V*) = conj(V) conj(R) V^T, V = vh*
-        factors = (w / np.linalg.norm(w), vh.T @ class_basis.conj() @ vh.conj())
+        factors, condition = (w / np.linalg.norm(w), vh.conj().T), hull[1]
     face = NullSpaceResult(svals, pairs_used, unknowns, condition, _read_only(factors))
     return face, svd
 
@@ -513,8 +500,11 @@ def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndar
     p d* + d p* + d d* is off the face, of squared norm
     |d|^2 (|d|^2 + 2 |p|^2).  The ray holds p p*, and its level is the
     largest tail the class cut allows, sqrt(2 (min(n, m) - f)) max(n, m) u.
-    For the hull p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves the
-    residual of b b* / |u|^2 off span t[k]; the level is 0.
+    For the hull p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves
+    b b* / |u|^2 = conj(V) beta beta* V^T / |u|^2, beta = V^T b: its
+    coefficients on the conj(V R_k V*) are |beta_0|^2 and sqrt2 (Re, Im) of
+    conj(beta_0) beta_j, over |u|^2, and its residual off their span is
+    sum_{j >= 1} |beta_j|^2 / |u|^2; the level is 0.
     """
     if len(ns.factors) == 1:
         a_f = ns.factors[0]
@@ -522,16 +512,13 @@ def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndar
         coeffs, on = np.array([float(np.vdot(p, p).real)]), 0.0
         level = math.sqrt(2 * (min(a.shape) - svd[3])) * max(a.shape) * UNIT_ROUNDOFF
     else:
-        u, t = ns.factors
+        u, v = ns.factors
         # projected by u u* / |u|^2: |u| read as 1 took 0.52 of the bound 16 u at m = 1
         b, norm2 = u.conj() @ a, float(np.vdot(u, u).real)
-        p = np.outer(u, b / norm2)
-        # renormalised once, for the bound 16 u at m = 1
-        hull = hermitian_params(t)
-        hull /= np.linalg.norm(hull, axis=1, keepdims=True)
-        bb = hermitian_params(np.outer(b, b.conj() / norm2))
-        coeffs = hull @ bb
-        on, level = float(np.linalg.norm(bb - coeffs @ hull)), 0.0
+        p, beta = np.outer(u, b / norm2), v.T @ b
+        cross = SQRT2 * beta[0].conj() * beta[1:]
+        coeffs = np.concatenate([[abs(beta[0]) ** 2], cross.view(np.float64)]) / norm2
+        on, level = float(np.vdot(beta[1:], beta[1:]).real) / norm2, 0.0
     kept, off = (float(np.vdot(x, x).real) for x in (p, a - p))
     scale = kept + off
     return coeffs / scale, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level

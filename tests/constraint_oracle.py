@@ -11,9 +11,13 @@ unknowns (a Hermitian H_p in Herm(r_p) per probe, `_output_columns`), where
 the library keeps one real unknown per probe output of rank 1.  The oracle
 reads the kernel probes and the probe outputs off Choi(phi), with `eigh`,
 where the library reads them off A, so it works for any
-Hermiticity-preserving map.  `rebuilt_face` is the library's own class
-solve carried to A numerically, through the dual basis and A's outputs, the
-reference for the face that `faces._plain_face` writes in closed form.
+Hermiticity-preserving map.  `built_class_solve` is the class solve built
+and solved numerically at every (m, f), f = 1 included, with the rank-1
+hull read through the dual basis of the unit-probe projectors
+(`curve_dual`), the reference for `faces.class_solve`, which writes f = 1
+in closed form.  `rebuilt_face` is that solve carried to A numerically,
+through the dual basis and A's outputs, the reference for the face that
+`faces._plain_face` writes in closed form.
 `partial_transpose_slots` is the input-side partial transpose read as a
 signed permutation of the Choi parameters, the reference for transposed
 faces, which `faces` builds from the factors.
@@ -360,16 +364,66 @@ def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:
     )
 
 
+def curve_dual(m: int) -> np.ndarray:
+    """The dual basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the coordinate
+    of X on P_b (`faces.projector_coordinates`)."""
+    # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
+    return params_to_herm(faces.projector_coordinates(params_to_herm(np.eye(m * m), m)).T, m)
+
+
+def class_system(m: int, f: int) -> tuple[np.ndarray, ...]:
+    """The face system of the class (m, f) as `faces._reduced_relations` lays it: the probes,
+    the class norms c_p = |eta_p[:f]|^2, the system over the kept unknowns and its lift."""
+    curve, *curve_layout = faces.curve_frame(m)
+    star, *star_layout = faces.star_frame(m, f)
+    etas = np.concatenate([curve, star])
+    u = etas[:, :f]
+    raw = hermitian_params(u[:, :, None] * u[:, None, :].conj())
+    c = raw[:, :f].sum(axis=1)
+    live = c > 0
+    outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
+    return (etas, c, *faces._reduced_relations(outputs, live, [curve_layout, star_layout]))
+
+
+def built_class_solve(m: int, f: int) -> tuple:
+    """`faces.class_solve(m, f)` built and solved: the same QR and SVD at every f, f = 1 included.
+
+    Returns the class's evidence as `faces.class_solve` does.  At f = 1 the
+    hull is read off the null vectors z = L null through the dual basis,
+    R = sum_b z_b D_b, and orthonormalised by one SVD of the parameters of
+    the R; `condition` is the largest stretch of the map from the kept
+    unknowns to Choi parameters over its least stretch on the null space.
+    """
+    etas, _, system, lift = class_system(m, f)
+    rows, unknowns = system.shape
+    if rows > unknowns > 0:
+        system = np.linalg.qr(system, mode="r")
+    if system.size:
+        left, svals, _ = np.linalg.svd(system.T, full_matrices=rows < unknowns)
+    else:
+        svals, left = np.zeros(0), np.eye(unknowns)
+    null = left[:, gap_rank(svals, faces.system_floor(svals, unknowns)) :]
+    hull = None
+    if f == 1:
+        dual = curve_dual(m)
+        r = (lift @ null).T @ dual.reshape(m * m, -1)
+        # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
+        u, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
+        stretch = float(np.linalg.norm(hermitian_params(dual).T @ lift, 2))
+        hull = (((u.T / least[:, None]) @ r).reshape(-1, m, m), stretch / float(least[-1]))
+    return svals, unknowns, etas.shape[0], null.shape[1], hull
+
+
 def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     """The face of X -> A X A* (X -> A X^T A* when transposed), for unit A, rebuilt from the
     class system through the dual basis: orthonormal columns over the Choi parameters.
 
     The class system of (m, f) is `faces._reduced_relations` on the class
-    outputs u_p u_p*, u_p = eta_p[:f], with its lift L, as `faces.class_solve`
-    builds it.  Each null vector z = L null gives the coordinates
-    x_b = z_b / c_b on A's outputs w_b = A V eta_b, c_b = |u_b|^2, and
+    outputs u_p u_p*, u_p = eta_p[:f], with its lift L (`class_system`).
+    Each null vector z = L null gives the coordinates x_b = z_b / c_b on
+    A's outputs w_b = A V eta_b, c_b = |u_b|^2, and
     Choi(psi) = sum_b x_b w_b w_b* (x) conj(V D_b V*), over the dual basis D_b
-    of `faces.curve_frame`; the transposed face is its partial transpose.
+    of `curve_dual`; the transposed face is its partial transpose.
     The columns are orthonormalised by one SVD.  This is the rebuild that
     `faces._plain_face` ran on every input before it wrote the face in
     closed form: it reads A's outputs, tail below the class cut included.
@@ -377,15 +431,8 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     n, m = a.shape
     size = m * m
     _, _, vh, f = faces._class_svd(a)
-    curve, dual, *curve_layout = faces.curve_frame(m)
-    star, *star_layout = faces.star_frame(m, f)
-    u = np.concatenate([curve, star])[:, :f]
-    raw = hermitian_params(u[:, :, None] * u[:, None, :].conj())
-    c = raw[:, :f].sum(axis=1)
-    live = c > 0
-    outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    system, lift = faces._reduced_relations(outputs, live, [curve_layout, star_layout])
-    unknowns = system.shape[1]
+    etas, c, system, lift = class_system(m, f)
+    live, unknowns = c > 0, system.shape[1]
     if system.shape[0]:
         _, svals, right = np.linalg.svd(system)
         null = right[gap_rank(svals, faces.system_floor(svals, unknowns)) :].T
@@ -394,10 +441,10 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     x = np.zeros((size, null.shape[1]))
     np.divide(lift @ null, c[:size, None], out=x, where=live[:size, None])
     # w_b = A V eta_b as rows, and psi(V P_b V*) = x_b w_b w_b* per null vector
-    w = curve[:size] @ vh.conj() @ a.T
+    w = etas[:size] @ vh.conj() @ a.T
     y = x.T[:, :, None, None] * (w[:, :, None] * w[:, None, :].conj())
     # conj(V D_b V*) = conj(V) conj(D_b) V^T, V = vh*
-    carried = vh.T @ dual.conj() @ vh.conj()
+    carried = vh.T @ curve_dual(m).conj() @ vh.conj()
     choi = np.einsum("dbij,bkl->dikjl", y, carried).reshape(-1, n * m, n * m)
     if transposed:
         choi = np.array([partial_transpose_in(k, n, m) for k in choi])

@@ -278,9 +278,11 @@ def _certify_with_hull(monkeypatch, a, transposed, hull):
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
-    """face_certificate refuses both larger spans; the class hull plus an element outside its
-    face, handed to the pipeline as factors, is refused under either flag with the defect and
-    bound that face_certificate reads off the same hull, to rounding"""
+    """face_certificate refuses both larger spans.  The factors (u_0, V) hold no larger hull, so
+    the pipeline is handed the rank-1 hull turned off phi's: V rotated off v_0, and u_0 rotated
+    off U[:, 0].  Each is refused under either flag; membership on those factors reads the
+    reference's coefficients and residual, and the face check at least face_certificate's
+    defect of the same hull, to rounding"""
     a, phi, ns, controls = _rank_one_controls(transposed)
     exact = face_certificate(ns, phi)
     assert exact.holds
@@ -289,26 +291,27 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         cert = face_certificate(hull, phi)
         assert cert.defect > 0.5 and cert.defect > cert.bound, name
         assert not cert.holds
-    # the plain class hull u u* (x) t[k] plus I orthogonalised against it, its part on s-perp
-    plain = faces._plain_face(a / np.linalg.norm(a))[0]
-    u, t = plain.factors
-    extra = np.eye(a.shape[1]) - np.einsum("k,kij->ij", np.einsum("kii->k", t).real, t)
-    t_plus = np.concatenate([t, (extra / np.linalg.norm(extra))[None]])
-    hull = _hull_plus(plain, np.kron(np.outer(u, u.conj()), extra))
-    factored = replace(plain, factors=(u, t_plus), singular_values=hull.singular_values,
-                       unknowns=hull.unknowns)
-    assert np.abs(hull.param_basis - factored.param_basis).max() <= 1e-15
-    want = face_certificate(hull, _unit_phi(a))
-    report = _certify_with_hull(monkeypatch, a, transposed, factored)
-    assert report.verdict is Verdict.NOT_CERTIFIED
-    assert report.face.defect > 0.5 and not report.face.holds
-    assert abs(report.face.defect - want.defect) <= 1e-12
-    assert report.face.bound == want.bound
-    flipped = _partial_transpose_hull(factored, a.shape) if transposed else factored
-    assert bitwise_but_zero_sign(report.nullspace.param_basis, flipped.param_basis)
-    flipped = _partial_transpose_hull(hull, a.shape) if transposed else hull
-    # the transposed hull against the transposed phi has the plain margins, to rounding
-    assert abs(face_certificate(flipped, phi).defect - want.defect) <= 1e-12
+    unit = a / np.linalg.norm(a)
+    plain, svd = faces._plain_face(unit)
+    u, v = plain.factors
+    turn = np.eye(3, dtype=complex)
+    # a complex plane rotation, so conj(beta_0) beta_1 has both a real and an imaginary part
+    turn[:2, :2] = [[np.cos(0.3), -np.sin(0.3) * 1j], [-np.sin(0.3) * 1j, np.cos(0.3)]]
+    off = np.array([-u[1].conj(), u[0].conj()])
+    for factors in ((u, v @ turn), (np.cos(0.3) * u + np.sin(0.3) * off, v)):
+        turned = replace(plain, factors=factors)
+        report = _certify_with_hull(monkeypatch, a, transposed, turned)
+        assert report.verdict is Verdict.NOT_CERTIFIED
+        flipped = _partial_transpose_hull(turned, a.shape) if transposed else turned
+        assert bitwise_but_zero_sign(report.nullspace.param_basis, flipped.param_basis)
+        coeffs, resid, _ = faces._membership(turned, unit, svd)
+        want_coeffs, want = membership_residual(turned, _unit_phi(a))
+        assert np.abs(coeffs - want_coeffs).max() <= 1e-14 and abs(resid - want) <= 1e-14
+        assert resid > 0.05
+        got = exposedness._factor_face_certificate(turned, unit, svd)
+        want = face_certificate(turned, _unit_phi(a))
+        assert want.defect > 0.1 and got.defect >= want.defect - 1e-12 and not got.holds
+        assert got.bound == want.bound
 
 
 @pytest.mark.parametrize("shape", [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)] + [(1, 3), (3, 1)])
@@ -322,8 +325,8 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     gen = np.random.default_rng([n, m, 5])
     a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
     ns, svd = faces._plain_face(a / np.linalg.norm(a))
-    u, t = ns.factors
-    assert ns.dim == t.shape[0] == 2 * m - 1
+    u, v = ns.factors
+    assert ns.dim == 2 * m - 1 and v.shape == (m, m)
     got = exposedness._factor_face_certificate(ns, a / np.linalg.norm(a), svd)
     hull = _partial_transpose_hull(ns, shape) if transposed else ns
     want = face_certificate(hull, _unit_phi(a, transposed))
@@ -336,7 +339,7 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
         off = _crandn_from(gen, n)
         off -= u * np.vdot(u, off)
         tilt = np.cos(0.3) * u + np.sin(0.3) * off / np.linalg.norm(off)
-        tilted = replace(ns, factors=(tilt, t))
+        tilted = replace(ns, factors=(tilt, v))
         got = exposedness._factor_face_certificate(tilted, a / np.linalg.norm(a), svd)
         want = face_certificate(_partial_transpose_hull(tilted, shape) if transposed else tilted,
                                 _unit_phi(a, transposed))
@@ -464,7 +467,8 @@ def test_empty_hull_is_not_certified(transposed, monkeypatch):
 def test_membership_of_an_empty_face(transposed, monkeypatch):
     """an empty face, as `_plain_face` writes it where the class reads no ray or as the public
     constructor builds it, has no column of Choi parameters: `membership_residual` reads no
-    coefficient and the whole residual"""
+    coefficient and the whole residual, and `face_certificate` a defect of 1 that does not
+    hold"""
     a = _crandn_from(np.random.default_rng(13), 2, 3)
     a = np.ascontiguousarray(a / np.linalg.norm(a))
     solve = faces.class_solve
@@ -476,6 +480,8 @@ def test_membership_of_an_empty_face(transposed, monkeypatch):
     for ns in (written, bare):
         coeffs, resid = membership_residual(ns, _unit_phi(a, transposed))
         assert coeffs.shape == (0,) and abs(resid - 1.0) <= 1e-15
+        cert = face_certificate(ns, _unit_phi(a, transposed))
+        assert cert.defect == 1.0 and not cert.holds
 
 
 @pytest.mark.parametrize("dim", [0, 2])

@@ -9,7 +9,9 @@ from constraint_oracle import (
     ZeroPair,
     assemble_constraints,
     bitwise_but_zero_sign,
+    built_class_solve,
     choi_kernel_probes,
+    class_system,
     dense_nullspace,
     functional_row,
     map_floor,
@@ -343,12 +345,13 @@ def _spy_reduced_relations(monkeypatch, arguments=False):
 
     The system is the one it returns, over the kept unknowns' columns; the
     output columns are the live basis probes'.  With `arguments`, record
-    (system, lift, outputs, live).  The class cache is bypassed, so every
-    `double_prime_nullspace` call builds and records its own system.
+    (system, lift, outputs, live).  The class cache is bypassed for the
+    oracle's `built_class_solve`, which builds the system at f = 1 too, so
+    every `double_prime_nullspace` call builds and records its own system.
     """
     seen = []
     reduce = faces._reduced_relations
-    monkeypatch.setattr(faces, "class_solve", faces.class_solve.__wrapped__)
+    monkeypatch.setattr(faces, "class_solve", built_class_solve)
 
     def spy(outputs, live, families):
         system, lift = reduce(outputs, live, families)
@@ -506,7 +509,7 @@ def test_only_narrow_relations_are_cut(monkeypatch):
         return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    monkeypatch.setattr(faces, "class_solve", faces.class_solve.__wrapped__)
+    monkeypatch.setattr(faces, "class_solve", built_class_solve)
     for n, m in ((2, 3), (4, 4), (8, 8)):
         double_prime_nullspace(rand_rank(n, m, 1))
     assert widths == []
@@ -516,7 +519,7 @@ def test_only_narrow_relations_are_cut(monkeypatch):
 
 def _laid_system(m, f, monkeypatch):
     """The rows `_reduced_relations` lays for the class (m, f), over all m^2 basis columns,
-    and the class outputs it was handed; the class cache is bypassed."""
+    and the class outputs it was handed, as the oracle's `built_class_solve` builds them."""
     seen = []
     reduce = faces._reduced_relations
 
@@ -528,7 +531,7 @@ def _laid_system(m, f, monkeypatch):
         return system, lift
 
     monkeypatch.setattr(faces, "_reduced_relations", spy)
-    faces.class_solve.__wrapped__(m, f)
+    built_class_solve(m, f)
     ((laid, outputs),) = seen
     return laid, outputs
 
@@ -558,7 +561,7 @@ def test_curve_relations_sit_on_their_fixed_columns(m, monkeypatch):
     in the class (m, m - 1) the rows of relation q's R are laid on cols[q].
     """
     size = m * m
-    etas, _, cols, weights = curve_frame(m)
+    etas, cols, weights = curve_frame(m)
     coords = projector_coordinates(_projectors(etas))
     assert cols.shape == weights.shape == (size - m, 3)
     for q in range(size - m):
@@ -623,8 +626,8 @@ def test_cached_frames_grow_slower_than_m4():
     """at m = 16 the curve frame and every star frame hold at most 2.5 MB together, and the
     class solves of every f at most 0.2 MB
 
-    Only the dual basis D_b (m^2, m, m) grows as m^4; the relation layouts
-    hold k x w columns and weights, not a one-hot (k, w, m^2) table.  A
+    No frame grows as m^4: the relation layouts hold k x w columns and
+    weights, not a one-hot (k, w, m^2) table, and no dual basis is kept.  A
     class solve keeps its spectrum and, at f = 1, the hull of 2m - 1 m x m
     matrices: no lift, no null vector and no output column.
     """
@@ -638,8 +641,8 @@ def test_cached_frames_grow_slower_than_m4():
     assert all(solve[4] is None for solve in solves[1:])
     total = sum(solve[0].nbytes for solve in solves) + solves[0][4][0].nbytes
     assert total <= 0.2e6, total
-    assert len(curve_frame(m)) == 4 and curve_frame(m)[1].shape == (m * m, m, m)
-    assert curve_frame(m)[2].shape == curve_frame(m)[3].shape == (m * m - m, 3)
+    assert len(curve_frame(m)) == 3
+    assert curve_frame(m)[1].shape == curve_frame(m)[2].shape == (m * m - m, 3)
     for r in range(2, m):
         assert star_frame(m, r)[1].shape == star_frame(m, r)[2].shape == (4 * (r - 1) * (m - r), 9), r
 
@@ -688,6 +691,21 @@ def test_class_null_dimensions():
         assert np.abs(r[:, 1:, 1:]).max(initial=0.0) <= 1e-15, m
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rank_one_class_matches_the_built_solve(m):
+    """the closed-form class solve at f = 1 against the system built and solved by the oracle
+    (`built_class_solve`): the spectrum, unknowns and probe count bitwise, the built system
+    exactly 0.0, the span of the R_k within 1e-14 and condition within 2e-15 relative"""
+    svals, unknowns, pairs_used, dim, (hull, condition) = faces.class_solve(m, 1)
+    built, *counts, (built_hull, built_condition) = built_class_solve(m, 1)
+    assert svals.shape == built.shape and svals.tobytes() == built.tobytes()
+    assert [unknowns, pairs_used, dim] == counts
+    assert np.all(class_system(m, 1)[2] == 0.0)
+    p, q = (hermitian_params(r).T for r in (hull, built_hull))
+    assert np.abs(p @ p.T - q @ q.T).max() <= 1e-14
+    assert abs(condition - built_condition) <= 2e-15 * built_condition
+
+
 def test_class_is_solved_once(monkeypatch):
     """A, U A V* (Haar), another draw of its class and both flags build the class system once;
     a new (m, f) builds its own"""
@@ -721,11 +739,12 @@ def test_class_is_solved_once(monkeypatch):
 
 
 def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
-    """with its class solved, a face at f >= 2 runs no eigvalsh and reads no dual basis: at
+    """with its class solved, a face at f >= 2 runs no eigvalsh and reads no curve frame: at
     f = min(n, m) it is the unit ray of Choi(phi) itself, bitwise, and below that the ray of
     the class cut A_f = U_f S_f V_f*, with condition 1.0.  A certificate at any f, under
     either flag, builds no Choi matrix: it calls none of maps._ad_map, membership_residual,
-    exposedness._face_frame and NullSpaceResult._elements, which builds the basis"""
+    exposedness._face_frame and NullSpaceResult._elements, which builds the basis, nor
+    hermitian_params or eigvalsh, at f = 1 either"""
     g = np.random.default_rng(71)
     shapes = ((4, 4, 4), (3, 5, 3), (5, 3, 3), (6, 6, 3), (4, 5, 2))
     inputs = [(g.standard_normal((n, r)) + 1j) @ g.standard_normal((r, m)) for n, m, r in shapes]
@@ -748,7 +767,7 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     assert calls == []
     built, spied = [], (
         (maps, "_ad_map"), (faces, "membership_residual"), (exposedness, "_face_frame"),
-        (faces.NullSpaceResult, "_elements"),
+        (faces.NullSpaceResult, "_elements"), (faces, "hermitian_params"), (np.linalg, "eigvalsh"),
     )
     for owner, name in spied:
         call = getattr(owner, name)
