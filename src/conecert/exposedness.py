@@ -329,7 +329,7 @@ def conjugate_obstruction_space(A) -> ObstructionResult:
     """
     a = as_complex_matrix(A, "A")
     n, m = a.shape
-    u, s, vh, rank = _class_svd(a)
+    u, s, vh, rank = _class_svd(a, full=True)
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(m, dtype=np.complex128)
     # kernel vectors e_j of Pi: one row e_i (x) e_j per i

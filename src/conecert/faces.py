@@ -54,22 +54,22 @@ A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
 of it and only the m^2 basis probes keep unknowns.  Each relation is then
-cut to the R factor of its columns by one batched QR per family.  When
-f = m there is no star, and the pair probe P_{+z}(j, k) enters only the
-relation of its reflection P_{-z}(j, k), so the same R eliminates it too:
-its first row back-substitutes the pair coordinate, the other two tie x_j
-to x_k along the curve e_j + z e_k, and the system is in the m diagonal
-unknowns x_j.  One SVD of the stack gives the face of the class, cached
-read-only per (m, f) as evidence only (`class_solve`): the spectrum, the
-null dimension at its gap and the counts, with no lift and no null vector.
-At f >= 2 the class face is one ray, x_b = 1 on every live basis probe:
-the class map X -> Pi X Pi* itself.  The congruence carries it to the ray
-of A_f = U_f S_f V_f*, so `_plain_face` writes A's face as the factor A_f,
-and nothing is rebuilt per A.  At f = 1 nothing is solved: every live
+cut to the R factor of its columns by one batched QR per family.  One SVD
+of the stack gives the face of the class, cached read-only per (m, f) as
+evidence only (`class_solve`): the spectrum, the null dimension at its gap
+and the counts, with no null vector.  At f >= 2 the class face is one ray,
+x_b = 1 on every live basis probe: the class map X -> Pi X Pi* itself.  The
+congruence carries it to the ray of A_f = U_f S_f V_f*, so `_plain_face`
+writes A's face as the factor A_f, and nothing is rebuilt per A.  Both ends
+of the spectrum are written with no system built.  At f = 1 every live
 class output is [1.0], so every relation is exactly 0 and the hull is the
-paper's face {X -> Tr(R X) u u* : R compressed to v-perp = 0} in closed
-form, which `_plain_face` writes as the factors (u_0, V) of A's svd.  No
-(nm)^2-sized array is built until a basis is read.
+paper's face {X -> Tr(R X) u u* : R compressed to v-perp = 0}, which
+`_plain_face` writes as the factors (u_0, V) of A's svd.  At f = m the pair
+probe P_{+z}(j, k) is in the relation of P_{-z}(j, k) only; eliminated, it
+leaves that relation the single row +-(e_j - e_k)/sqrt2 on the m diagonal
+unknowns, x_j = x_k.  The system's Gram matrix is then m I - J, the
+Laplacian of the complete graph K_m: spectrum sqrt(m), m - 1 times, and 0
+on the ray x_j = 1.  No (nm)^2-sized array is built until a basis is read.
 """
 
 import math
@@ -98,15 +98,15 @@ class NullSpaceResult:
 
     `factors` is the face: (A_f,) for the ray of Choi(X -> A_f X A_f*), or
     (u, V) for the rank-1 hull of u u* (x) conj(V R_k V*), u (n,) and V
-    (m, m) unitary, over the 2m - 1 R_k of `class_solve(m, 1)`; V (m, 0)
-    (or ()) for none.  `transposed` reads every element
+    (m, m) unitary, over the 2m - 1 R_k of the class (m, 1) (`rank_one_hull`);
+    V (m, 0) (or ()) for none.  `transposed` reads every element
     through the input-side partial transpose, the face of X -> A X^T A*.
     `param_basis` (orthonormal columns over the Hermitian parameterization)
     and `basis` (the same elements as Choi matrices) are built when read,
     (nm)^2 entries per element.  `singular_values` is the spectrum of the
     class system (`faces` module docstring), in `unknowns` real unknowns:
-    the m diagonal probes' where f = m (the pair coordinates are
-    back-substituted), else every live basis probe's.  It, `unknowns` and
+    the m diagonal probes' where f = m (the pairs are eliminated), else
+    every live basis probe's.  It, `unknowns` and
     `pairs_used` (the probe count) depend on A only through (m, f).  At
     f >= 2 nothing is lifted, and `condition` is 1.0.  At f = 1 it is the
     condition number of the map from the class coordinates to Choi
@@ -132,9 +132,7 @@ class NullSpaceResult:
             (n, m), choi = self.factors[0].shape, _outer(self.factors[0].reshape(1, -1))
         else:
             u, v = self.factors or (np.zeros(0), np.zeros((0, 0)))
-            (n,), m = u.shape, v.shape[0]
-            # conj(V R_k V*) = conj(V) conj(R_k) V^T
-            t = v.conj() @ class_solve(m, 1)[4][0].conj() @ v.T if v.size else np.zeros((0, m, m))
+            (n,), m, t = u.shape, v.shape[0], rank_one_hull(v)
             choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
             choi = choi.reshape(t.shape[0], n * m, n * m)
         params = hermitian_params(choi)
@@ -157,6 +155,20 @@ class NullSpaceResult:
     def basis(self) -> list[np.ndarray]:
         choi, _, norms = self._elements()
         return list(choi / norms[:, :, None])
+
+
+def rank_one_hull(v: np.ndarray) -> np.ndarray:
+    """conj(V R_k V*) (2k - 1, m, m) from the k columns v_j of V, over the hull R_k of the class
+    (m, 1) (`class_solve`): conj(v_0) v_0^T, then (c_j + c_j*)/sqrt2 and -i(c_j - c_j*)/sqrt2,
+    c_j = conj(v_0) v_j^T, per j >= 1.  At V = I they are conj(R_k)."""
+    m, k = v.shape
+    t = np.zeros((max(2 * k - 1, 0), m, m), dtype=np.complex128)
+    if k:
+        t[0] = np.outer(v[:, 0].conj(), v[:, 0])
+        c = v[:, 0].conj()[None, :, None] * v[:, 1:].T[:, None, :]
+        h = c.conj().swapaxes(1, 2)
+        t[1::2], t[2::2] = (c + h) / SQRT2, -1j * (c - h) / SQRT2
+    return t
 
 
 def projector_coordinates(x: np.ndarray) -> np.ndarray:
@@ -261,15 +273,16 @@ def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
     return etas.reshape(-1, m), np.repeat(cols, 4, axis=0), np.tile(weights, (count, 1))
 
 
-def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One full svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
+def _class_svd(a: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
 
+    V is full; U is n x min(n, m) unless `full` (the obstruction space's).
     The cut is the rounding floor of `null_space`, and it is the only cut
     of A's spectrum: the face, `kernel_probes` and
     `exposedness.conjugate_obstruction_space` read A as U_f S_f V_f* with
     S_f invertible.  f = 0 exactly when A = 0.
     """
-    u, s, vh = np.linalg.svd(a)
+    u, s, vh = np.linalg.svd(a, full_matrices=full or a.shape[0] < a.shape[1])
     return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 
@@ -300,12 +313,10 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     return list(kernel.conj() if transposed else kernel)
 
 
-def _reduced_relations(
-    outputs: np.ndarray, live: np.ndarray, families: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """The face system in the kept unknowns, and the lift L (m^2, unknowns) to the basis coordinates.
+def _reduced_relations(outputs: np.ndarray, live: np.ndarray, families: list) -> np.ndarray:
+    """The face system in the live basis probes' unknowns.
 
-    One real unknown per kept basis probe, the coordinate of psi(V P_b V*)
+    One real unknown per live basis probe, the coordinate of psi(V P_b V*)
     on its unit class output column outputs[b] = params(u_b u_b*) / |u_b|^2,
     u_b = eta_b[:f] (f^2 class-frame coordinates, zero where `live` is
     false).  `families` holds the (cols, weights) layouts of `curve_frame`
@@ -317,17 +328,12 @@ def _reduced_relations(
     outputs[p] is 0.  Where f^2 exceeds the w columns of a family, one
     batched QR cuts each f^2 x w block to its R factor, which keeps its null
     space, and one indexed assignment lays its rows on the m^2 basis columns
-    by `cols` (a block of f^2 < w rows has f^2 rows).  With every output
-    live (f = m, so no star) the pair probe m + q is in curve relation q
-    only, so the curve R eliminates it: row 0 gives
-    x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2 are the
-    (x_j, x_k) system, so only the m diagonal probes keep unknowns.
-    Otherwise every live basis probe keeps one.  Dead columns are dropped
-    last; z = L x are the m^2 basis coordinates of a solution x.  Nothing
-    here reads A.
+    by `cols` (a block of f^2 < w rows has f^2 rows).  Dead columns are
+    dropped last.  `class_solve` calls it only where 2 <= f < m; f = m, whose
+    pair probes are eliminated too, is written in closed form.  Nothing here
+    reads A.
     """
     size = outputs.shape[0] - sum(cols.shape[0] for cols, _ in families)
-    m = math.isqrt(size)
     curve, rows = size + families[0][0].shape[0], []
     for (cols, weights), own in zip(families, (outputs[size:curve], outputs[curve:])):
         (k, w), f2 = cols.shape, outputs.shape[1]
@@ -341,14 +347,7 @@ def _reduced_relations(
                 block = np.linalg.qr(block.swapaxes(1, 2), mode="r").swapaxes(1, 2)
             laid[np.arange(k)[:, None], cols] = block
         rows.append(laid.swapaxes(1, 2))
-    basis, lift = np.flatnonzero(live[:size]), np.eye(size)
-    if live.all():
-        # the curve R: r00 of relation q is its row 0 at the pair column m + q
-        curve_r = rows[0]
-        lift[m:] = -curve_r[:, 0] / np.diagonal(curve_r[:, 0, m:])[:, None]
-        rows, basis = [curve_r[:, 1:]], basis[:m]
-    system = np.concatenate([block.reshape(-1, size) for block in rows])
-    return system[:, basis], lift[:, basis]
+    return np.concatenate([block.reshape(-1, size) for block in rows])[:, live[:size]]
 
 
 def system_floor(s: np.ndarray, unknowns: int) -> float:
@@ -395,31 +394,29 @@ def class_solve(m: int, f: int) -> tuple:
     involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
     in no other relation, so `_reduced_relations` projects it out and cuts
     each block to its R factor: the system has one unknown per live basis
-    probe.  Where f = m (every probe live, no star) the pair probe
-    P_{+z}(j, k) is in the relation of P_{-z}(j, k) only, so the same R
-    eliminates it: m unknowns, and the pair coordinates are L x, read off
-    the first row of that R.
-    The rank is `gap_rank` of the spectrum over `system_floor`.
+    probe.  The rank is `gap_rank` of the spectrum over `system_floor`.
 
     Returns the class's evidence: the spectrum, `unknowns`, the probe
-    count, the null dimension at the gap and, at f = 1 only (else None),
-    the hull and its condition.  None of it reads A.  At f = 1 it is exact,
-    with no system built: every live class output is [1.0], so every
+    count, the null dimension at the gap and, at f = 1 only (else None), the
+    hull's condition.  None of it reads A, and both ends of the spectrum
+    build no system.  At f = 1 every live class output is [1.0], so every
     relation, projected off its own output, is 0, and the 2m - 1 live basis
-    probes (e_0, and the pairs (0, j)) are free.  The hull is E_00,
-    (E_0j + E_j0)/sqrt2 and i(E_0j - E_j0)/sqrt2, j >= 1, and `condition`
-    that of the live dual elements, whose Gram matrix is the arrowhead
-    [[m, -1], [-1, 2 I]], with extreme eigenvalues x^2 - (m + 2) x + 2 = 0.
+    probes (e_0, and the pairs (0, j)) are free: the hull is E_00,
+    (E_0j + E_j0)/sqrt2 and i(E_0j - E_j0)/sqrt2, j >= 1 (`rank_one_hull`),
+    and `condition` that of the live dual elements, whose Gram matrix is the
+    arrowhead [[m, -1], [-1, 2 I]], with extreme eigenvalues
+    x^2 - (m + 2) x + 2 = 0.  At f = m >= 2 the pair probes are eliminated
+    too, and the Gram matrix of the system in the m diagonal unknowns is
+    m I - J (`faces` module docstring): spectrum sqrt(m), m - 1 times, then 0.
     """
     if f == 1:
-        k = np.arange(1, m)
-        hull = np.zeros((2 * m - 1, m, m), dtype=np.complex128)
-        hull[0, 0, 0] = 1.0
-        hull[2 * k - 1, 0, k] = hull[2 * k - 1, k, 0] = 1 / SQRT2
-        hull[2 * k, 0, k], hull[2 * k, k, 0] = 1j / SQRT2, -1j / SQRT2
         condition = (m + 2 + math.sqrt((m + 2) ** 2 - 8)) / math.sqrt(8) if m > 1 else 1.0
-        svals, hull = _read_only((np.zeros(min(m * m - m, 2 * m - 1)), hull))
-        return svals, 2 * m - 1, 2 * m * m - m, 2 * m - 1, (hull, condition)
+        svals = _read_only((np.zeros(min(m * m - m, 2 * m - 1)),))[0]
+        return svals, 2 * m - 1, 2 * m * m - m, 2 * m - 1, condition
+    if f == m:
+        svals = np.full(m, math.sqrt(m))
+        svals[-1] = 0.0
+        return _read_only((svals,))[0], m, 2 * m * m - m, 1, None
     curve, *curve_layout = curve_frame(m)
     star, *star_layout = star_frame(m, f)
     etas = np.concatenate([curve, star])
@@ -429,8 +426,7 @@ def class_solve(m: int, f: int) -> tuple:
     live = c > 0
     # unit column params(u_p u_p*) / c_p of each output, zero where the output is zero
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    # z = lift x: the m^2 basis coordinates, solved, back-substituted (the pairs) or zero
-    system, lift = _reduced_relations(outputs, live, [curve_layout, star_layout])
+    system = _reduced_relations(outputs, live, [curve_layout, star_layout])
     rows, unknowns = system.shape
     if rows > unknowns:
         # same singular values and right vectors, without the tall left factor.  It pays
@@ -452,12 +448,12 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
     f = min(n, m), and `condition` is 1.0, as nothing is lifted.  A class
     whose gap reads another null dimension gets the empty face, which
     certifies nothing.  At f = 1 the hull is u_0 u_0* (x) conj(V R_k V*)
-    over the class's R_k, held as the factors (u_0, V).
+    over the class's R_k, held as the factors (u_0, V) (`rank_one_hull`).
     Deterministic: no random probes.
     """
     u, s, vh, f = svd = _class_svd(a)
-    svals, unknowns, pairs_used, dim, hull = class_solve(a.shape[1], f)
-    if hull is None:
+    svals, unknowns, pairs_used, dim, condition = class_solve(a.shape[1], f)
+    if condition is None:
         # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
         # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
         a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
@@ -467,7 +463,7 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
     else:
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
-        factors, condition = (w / np.linalg.norm(w), vh.conj().T), hull[1]
+        factors = (w / np.linalg.norm(w), vh.conj().T)
     face = NullSpaceResult(svals, pairs_used, unknowns, condition, _read_only(factors))
     return face, svd
 

@@ -14,8 +14,9 @@ where the library reads them off A, so it works for any
 Hermiticity-preserving map.  `built_class_solve` is the class solve built
 and solved numerically at every (m, f), f = 1 included, with the rank-1
 hull read through the dual basis of the unit-probe projectors
-(`curve_dual`), the reference for `faces.class_solve`, which writes f = 1
-in closed form.  `rebuilt_face` is that solve carried to A numerically,
+(`curve_dual`, `built_rank_one_hull`) and the pair probes eliminated at
+f = m (`class_system`), the reference for `faces.class_solve`, which writes
+f = 1 and f = m in closed form.  `rebuilt_face` is that solve carried to A numerically,
 through the dual basis and A's outputs, the reference for the face that
 `faces._plain_face` writes in closed form.
 `partial_transpose_slots` is the input-side partial transpose read as a
@@ -372,8 +373,18 @@ def curve_dual(m: int) -> np.ndarray:
 
 
 def class_system(m: int, f: int) -> tuple[np.ndarray, ...]:
-    """The face system of the class (m, f) as `faces._reduced_relations` lays it: the probes,
-    the class norms c_p = |eta_p[:f]|^2, the system over the kept unknowns and its lift."""
+    """The face system of the class (m, f) built as `faces._reduced_relations` lays it: the
+    probes, the class norms c_p = |eta_p[:f]|^2, the system over the kept unknowns and its lift
+    L (m^2, unknowns) to the basis coordinates.
+
+    Every live basis probe keeps an unknown, and L is the identity on them,
+    except where f = m: every output is live and there is no star, so the
+    pair probe m + q is in curve relation q only, and the curve R
+    eliminates it.  Row 0 of relation q's R, with r00 at the pair column,
+    gives x_pair = -(r01 x_j + r02 x_k) / r00, the row of L, and rows 1-2
+    are the (x_j, x_k) system, so only the m diagonal probes keep unknowns.
+    This is the elimination that `faces.class_solve` writes in closed form.
+    """
     curve, *curve_layout = faces.curve_frame(m)
     star, *star_layout = faces.star_frame(m, f)
     etas = np.concatenate([curve, star])
@@ -382,18 +393,20 @@ def class_system(m: int, f: int) -> tuple[np.ndarray, ...]:
     c = raw[:, :f].sum(axis=1)
     live = c > 0
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    return (etas, c, *faces._reduced_relations(outputs, live, [curve_layout, star_layout]))
+    system = faces._reduced_relations(outputs, live, [curve_layout, star_layout])
+    size = m * m
+    lift = np.eye(size)[:, live[:size]]
+    if f == m:
+        # three R rows per curve relation (f^2 > 3 columns), on every m^2 basis column
+        curve_r = system.reshape(size - m, 3, size)
+        lift[m:] = -curve_r[:, 0] / np.diagonal(curve_r[:, 0, m:])[:, None]
+        system, lift = curve_r[:, 1:].reshape(-1, size)[:, :m], lift[:, :m]
+    return etas, c, system, lift
 
 
-def built_class_solve(m: int, f: int) -> tuple:
-    """`faces.class_solve(m, f)` built and solved: the same QR and SVD at every f, f = 1 included.
-
-    Returns the class's evidence as `faces.class_solve` does.  At f = 1 the
-    hull is read off the null vectors z = L null through the dual basis,
-    R = sum_b z_b D_b, and orthonormalised by one SVD of the parameters of
-    the R; `condition` is the largest stretch of the map from the kept
-    unknowns to Choi parameters over its least stretch on the null space.
-    """
+def _built_solve(m: int, f: int) -> tuple[np.ndarray, ...]:
+    """The probes, spectrum, null vectors (unknowns, dim) and lift of the built class system, with
+    the same QR and SVD at every f."""
     etas, _, system, lift = class_system(m, f)
     rows, unknowns = system.shape
     if rows > unknowns > 0:
@@ -403,15 +416,37 @@ def built_class_solve(m: int, f: int) -> tuple:
     else:
         svals, left = np.zeros(0), np.eye(unknowns)
     null = left[:, gap_rank(svals, faces.system_floor(svals, unknowns)) :]
-    hull = None
-    if f == 1:
-        dual = curve_dual(m)
-        r = (lift @ null).T @ dual.reshape(m * m, -1)
-        # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
-        u, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
-        stretch = float(np.linalg.norm(hermitian_params(dual).T @ lift, 2))
-        hull = (((u.T / least[:, None]) @ r).reshape(-1, m, m), stretch / float(least[-1]))
-    return svals, unknowns, etas.shape[0], null.shape[1], hull
+    return etas, svals, null, lift
+
+
+def _read_hull(m: int, null: np.ndarray, lift: np.ndarray) -> tuple[np.ndarray, float]:
+    """The hull R_k of the class (m, 1) and its condition, read off its null vectors.
+
+    The null vectors z = L null become R = sum_b z_b D_b through the dual
+    basis, orthonormalised by one SVD of the parameters of the R;
+    `condition` is the largest stretch of the map from the kept unknowns to
+    Choi parameters over its least stretch on the null space.
+    """
+    dual = curve_dual(m)
+    r = (lift @ null).T @ dual.reshape(m * m, -1)
+    # params(R) = U S W^T, so the rows of S^-1 U^T R are orthonormal
+    u, least, _ = np.linalg.svd(hermitian_params(r.reshape(-1, m, m)), full_matrices=False)
+    stretch = float(np.linalg.norm(hermitian_params(dual).T @ lift, 2))
+    return ((u.T / least[:, None]) @ r).reshape(-1, m, m), stretch / float(least[-1])
+
+
+def built_rank_one_hull(m: int) -> tuple[np.ndarray, float]:
+    """The hull R_k (2m - 1, m, m) of the class (m, 1) and its condition, from the built solve."""
+    return _read_hull(m, *_built_solve(m, 1)[2:])
+
+
+def built_class_solve(m: int, f: int) -> tuple:
+    """`faces.class_solve(m, f)` built and solved: the same QR and SVD at every f, f = 1 and f = m
+    included, one system built per call.  Returns the class's evidence as `faces.class_solve`
+    does, with the condition of the built hull at f = 1 (`built_rank_one_hull`)."""
+    etas, svals, null, lift = _built_solve(m, f)
+    condition = _read_hull(m, null, lift)[1] if f == 1 else None
+    return svals, null.shape[0], etas.shape[0], null.shape[1], condition
 
 
 def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:

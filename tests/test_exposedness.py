@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -229,20 +230,19 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
     assert run.returncode == 0, run.stderr
 
 
-def test_tall_certificates_stay_small():
-    """a fresh process certifies a 1024 x 3 input, a Haar isometry times a diagonal, and a rank-1
-    1024 x 3 under both flags within 200 MB peak RSS: one (nm)^2 Choi matrix would take 151 MB,
-    and the certificate builds nothing of that size"""
-    code = """
+def _fresh_peak_kib(setup: str, verdict: str) -> int:
+    """Peak RSS in KiB of a fresh process that certifies every A of `inputs`, which the code
+    `setup` builds from g = default_rng(29), under both flags, each verdict starting `verdict`"""
+    code = f"""
 import resource
 import numpy as np
 import conecert
 g = np.random.default_rng(29)
-q = np.linalg.qr(g.standard_normal((1024, 3)) + 1j * g.standard_normal((1024, 3)))[0]
-for a in (q * [1.0, 0.5, 0.25], np.outer(q[:, 0], g.standard_normal(3))):
+{setup}
+for a in inputs:
     for transposed in (False, True):
         verdict = conecert.certify_exposed(a, transposed=transposed).verdict.value
-        assert verdict.startswith("EXPOSED_"), verdict
+        assert verdict.startswith({verdict!r}), verdict
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
@@ -250,7 +250,55 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     # ru_maxrss is in KiB on Linux
-    assert int(run.stdout) < 200 * 1024, run.stdout
+    return int(run.stdout)
+
+
+def test_tall_certificates_stay_small():
+    """a fresh process certifies a 1024 x 3 input, a Haar isometry times a diagonal, and a rank-1
+    1024 x 3 under both flags within 200 MB peak RSS: one (nm)^2 Choi matrix would take 151 MB,
+    and the certificate builds nothing of that size"""
+    setup = """
+q = np.linalg.qr(g.standard_normal((1024, 3)) + 1j * g.standard_normal((1024, 3)))[0]
+inputs = (q * [1.0, 0.5, 0.25], np.outer(q[:, 0], g.standard_normal(3)))
+"""
+    assert _fresh_peak_kib(setup, "EXPOSED_") < 200 * 1024
+
+
+def test_wide_rank_one_certificates_stay_small():
+    """a fresh process certifies rank-1 1 x 1024 and 2 x 1024 inputs EXPOSED_FACE under both
+    flags within 200 MB peak RSS: the class (1024, 1) keeps no (2m - 1, m, m) hull, 32 GiB"""
+    setup = """
+v = g.standard_normal(1024) + 1j * g.standard_normal(1024)
+inputs = [np.outer(g.standard_normal(n) + 1j * g.standard_normal(n), v) for n in (1, 2)]
+"""
+    assert _fresh_peak_kib(setup, "EXPOSED_FACE") < 200 * 1024
+
+
+def test_full_rank_certificates_stay_small():
+    """a fresh process certifies a full-rank 64 x 64 and a full-column-rank 96 x 64 input
+    EXPOSED_LINEAR under both flags within 200 MB peak RSS: the class (64, 64) is written in
+    closed form, so no curve frame or class system of m^2 = 4096 columns is built"""
+    setup = """
+inputs = [g.standard_normal((n, 64)) + 1j * g.standard_normal((n, 64)) for n in (64, 96)]
+"""
+    assert _fresh_peak_kib(setup, "EXPOSED_LINEAR") < 200 * 1024
+
+
+def test_tall_certificate_builds_no_square_u():
+    """a 1024 x 3 certificate pair, full rank and rank 1, allocates less than one real
+    1024 x 1024 array: `faces._class_svd` reads the economy U of a tall input"""
+    g = np.random.default_rng(29)
+    q = np.linalg.qr(_crandn_from(g, 1024, 3))[0]
+    for a in (q * [1.0, 0.5, 0.25], np.outer(q[:, 0], g.standard_normal(3))):
+        exposedness._plain_certificate.cache_clear()
+        tracemalloc.start()
+        try:
+            for transposed in (False, True):
+                assert certify_exposed(a, transposed).verdict.value.startswith("EXPOSED_")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8, peak
 
 
 def _partial_transpose_hull(ns, shape):

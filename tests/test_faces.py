@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import constraint_oracle
 from constraint_oracle import (
     _ASSEMBLE_ENTRIES,
     PairStrategy,
@@ -10,6 +11,7 @@ from constraint_oracle import (
     assemble_constraints,
     bitwise_but_zero_sign,
     built_class_solve,
+    built_rank_one_hull,
     choi_kernel_probes,
     class_system,
     dense_nullspace,
@@ -340,27 +342,33 @@ def test_projector_coordinates_of_kernel_probes():
         assert np.abs(rebuilt - _projectors(etas)).max() <= 1e-14
 
 
-def _spy_reduced_relations(monkeypatch, arguments=False):
-    """Record (system, basis output columns) of every `_reduced_relations` call.
+def _spy_class_systems(monkeypatch, arguments=False):
+    """Record (system, basis output columns) of every class system the oracle builds.
 
-    The system is the one it returns, over the kept unknowns' columns; the
-    output columns are the live basis probes'.  With `arguments`, record
-    (system, lift, outputs, live).  The class cache is bypassed for the
-    oracle's `built_class_solve`, which builds the system at f = 1 too, so
-    every `double_prime_nullspace` call builds and records its own system.
+    The system is `constraint_oracle.class_system`'s, over the kept unknowns'
+    columns, pairs eliminated at f = m; the output columns are the live basis
+    probes', as `faces._reduced_relations` was handed them.  With
+    `arguments`, record (system, lift, outputs, live).  The class cache is
+    bypassed for the oracle's `built_class_solve`, which builds the system
+    at f = 1 and f = m too, so every `double_prime_nullspace` call builds and
+    records its own system.
     """
-    seen = []
-    reduce = faces._reduced_relations
+    seen, handed = [], []
+    reduce, build = faces._reduced_relations, constraint_oracle.class_system
     monkeypatch.setattr(faces, "class_solve", built_class_solve)
 
-    def spy(outputs, live, families):
-        system, lift = reduce(outputs, live, families)
-        size = lift.shape[0]
-        columns = outputs[:size][live[:size]]
-        seen.append((system, lift, outputs, live) if arguments else (system, columns))
-        return system, lift
+    def hand(outputs, live, families):
+        handed.append((outputs, live))
+        return reduce(outputs, live, families)
 
-    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    def spy(m, f):
+        etas, c, system, lift = build(m, f)
+        (outputs, live), size = handed.pop(), m * m
+        seen.append((system, lift, outputs, live) if arguments else (system, outputs[:size][live[:size]]))
+        return etas, c, system, lift
+
+    monkeypatch.setattr(faces, "_reduced_relations", hand)
+    monkeypatch.setattr(constraint_oracle, "class_system", spy)
     return seen
 
 
@@ -372,7 +380,7 @@ def test_full_rank_reduced_system_rows(m, monkeypatch):
     so only the own probes are eliminated and every other basis probe keeps
     its unknown.
     """
-    seen = _spy_reduced_relations(monkeypatch)
+    seen = _spy_class_systems(monkeypatch)
     res = double_prime_nullspace(crandn(m, m))
     assert res.dim == 1
     ((system, _),) = seen
@@ -392,7 +400,7 @@ def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
     own output exactly, not to rounding, and there is no star, so the whole
     system is 0.
     """
-    seen = _spy_reduced_relations(monkeypatch)
+    seen = _spy_class_systems(monkeypatch)
     double_prime_nullspace(np.outer(crandn(n), crandn(m).conj()))
     ((system, outputs),) = seen
     assert outputs.shape == (2 * m - 1, 1), (n, m)
@@ -475,7 +483,7 @@ def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
     pair rows.  The transposed flag reads the same system
     (`test_transposed_face_is_the_partial_transpose`).
     """
-    seen = _spy_reduced_relations(monkeypatch, arguments=True)
+    seen = _spy_class_systems(monkeypatch, arguments=True)
     grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
     # full rank from their own generator, leaving the module stream to the later tests
     g = np.random.default_rng(2)
@@ -524,11 +532,11 @@ def _laid_system(m, f, monkeypatch):
     reduce = faces._reduced_relations
 
     def spy(outputs, live, families):
-        system, lift = reduce(outputs, live, families)
+        system = reduce(outputs, live, families)
         laid = np.zeros((system.shape[0], m * m))
         laid[:, live[: m * m]] = system
         seen.append((laid, outputs))
-        return system, lift
+        return system
 
     monkeypatch.setattr(faces, "_reduced_relations", spy)
     built_class_solve(m, f)
@@ -628,18 +636,18 @@ def test_cached_frames_grow_slower_than_m4():
 
     No frame grows as m^4: the relation layouts hold k x w columns and
     weights, not a one-hot (k, w, m^2) table, and no dual basis is kept.  A
-    class solve keeps its spectrum and, at f = 1, the hull of 2m - 1 m x m
-    matrices: no lift, no null vector and no output column.
+    class solve keeps its spectrum and, at f = 1, the hull's condition: no
+    hull, lift, null vector or output column.
     """
     m = 16
     frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
     total = sum(x.nbytes for frame in frames for x in frame)
     assert total <= 2.5e6, total
     solves = [faces.class_solve(m, f) for f in range(1, m + 1)]
-    # the spectrum, three counts and, at f = 1 only, the hull (R_k, condition)
+    # the spectrum, three counts and, at f = 1 only, the hull's condition
     assert all(isinstance(x, int) for solve in solves for x in solve[1:4])
-    assert all(solve[4] is None for solve in solves[1:])
-    total = sum(solve[0].nbytes for solve in solves) + solves[0][4][0].nbytes
+    assert all(solve[4] is None for solve in solves[1:]) and isinstance(solves[0][4], float)
+    total = sum(solve[0].nbytes for solve in solves)
     assert total <= 0.2e6, total
     assert len(curve_frame(m)) == 3
     assert curve_frame(m)[1].shape == curve_frame(m)[2].shape == (m * m - m, 3)
@@ -662,7 +670,6 @@ def test_curve_frame_is_read_only():
     arrays = [*curve_frame(3)]
     for f in range(1, 4):
         arrays.append(faces.class_solve(3, f)[0])
-    arrays.append(faces.class_solve(3, 1)[4][0])
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -673,17 +680,17 @@ def test_class_null_dimensions():
     """every class (m, f) with m <= 8 has one null vector at f >= 2 and 2m - 1 at f = 1
 
     So at f >= 2 the face is one ray, which `_plain_face` writes in closed
-    form, and only f = 1 has a larger hull, which the class solve keeps as
-    2m - 1 orthonormal Hermitian m x m matrices R_k, each compressed to
-    e_0-perp = 0.
+    form, and only f = 1 has a larger hull: 2m - 1 orthonormal Hermitian
+    m x m matrices R_k, each compressed to e_0-perp = 0, read through
+    `rank_one_hull` at V = I, which writes conj(R_k).
     """
     for m in range(1, 9):
         for f in range(1, m + 1):
-            svals, unknowns, _, dim, hull = faces.class_solve(m, f)
+            svals, unknowns, _, dim, condition = faces.class_solve(m, f)
             assert dim == (2 * m - 1 if f == 1 else 1), (m, f)
             assert dim == unknowns - gap_rank(svals, system_floor(svals, unknowns)), (m, f)
-            assert (hull is None) == (f > 1), (m, f)
-        r = faces.class_solve(m, 1)[4][0]
+            assert (condition is None) == (f > 1), (m, f)
+        r = faces.rank_one_hull(np.eye(m)).conj()
         assert r.shape == (2 * m - 1, m, m), m
         assert np.abs(r - r.conj().swapaxes(1, 2)).max() <= 1e-15, m
         gram = np.einsum("kij,lij->kl", r.conj(), r).real
@@ -695,15 +702,47 @@ def test_class_null_dimensions():
 def test_rank_one_class_matches_the_built_solve(m):
     """the closed-form class solve at f = 1 against the system built and solved by the oracle
     (`built_class_solve`): the spectrum, unknowns and probe count bitwise, the built system
-    exactly 0.0, the span of the R_k within 1e-14 and condition within 2e-15 relative"""
-    svals, unknowns, pairs_used, dim, (hull, condition) = faces.class_solve(m, 1)
-    built, *counts, (built_hull, built_condition) = built_class_solve(m, 1)
+    exactly 0.0, the span of the R_k within 1e-14 and condition within 2e-15 relative.  The
+    R_k are read through `rank_one_hull` at V = I, which writes conj(R_k)"""
+    svals, unknowns, pairs_used, dim, condition = faces.class_solve(m, 1)
+    built, *counts, built_condition = built_class_solve(m, 1)
     assert svals.shape == built.shape and svals.tobytes() == built.tobytes()
     assert [unknowns, pairs_used, dim] == counts
     assert np.all(class_system(m, 1)[2] == 0.0)
+    hull, built_hull = faces.rank_one_hull(np.eye(m)).conj(), built_rank_one_hull(m)[0]
     p, q = (hermitian_params(r).T for r in (hull, built_hull))
     assert np.abs(p @ p.T - q @ q.T).max() <= 1e-14
     assert abs(condition - built_condition) <= 2e-15 * built_condition
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_full_rank_class_matches_the_built_solve(m):
+    """the closed-form class solve at f = m against the system built, pairs eliminated, and
+    solved by the oracle: the spectrum within 1e-14, unknowns, probe count and null dimension
+    equal, and the built system's Gram matrix m I - J, the Laplacian of K_m, within 1e-14"""
+    svals, *counts = faces.class_solve(m, m)
+    built, *built_counts = built_class_solve(m, m)
+    assert svals.shape == built.shape and np.abs(svals - built).max(initial=0.0) <= 1e-14
+    assert counts[:3] == built_counts[:3] == [m, 2 * m * m - m, 1]
+    system = class_system(m, m)[2]
+    assert np.abs(system.T @ system - (m * np.eye(m) - 1.0)).max() <= 1e-14
+
+
+def test_full_rank_certificate_builds_no_class_system(monkeypatch):
+    """a cold full-rank certificate, square or tall, under both flags, calls neither
+    `curve_frame` nor `_reduced_relations`: its class evidence is written"""
+    calls = []
+    for name in ("curve_frame", "_reduced_relations"):
+        call = getattr(faces, name)
+        monkeypatch.setattr(faces, name, lambda *args, _c=call, _n=name: calls.append(_n) or _c(*args))
+    g = np.random.default_rng(73)
+    for n, m in ((4, 4), (6, 4), (7, 7)):
+        faces.class_solve.cache_clear()
+        exposedness._plain_certificate.cache_clear()
+        a = g.standard_normal((n, m)) + 1j * g.standard_normal((n, m))
+        for transposed in (False, True):
+            assert certify_exposed(a, transposed).verdict is Verdict.EXPOSED_LINEAR, (n, m)
+    assert calls == []
 
 
 def test_class_is_solved_once(monkeypatch):
@@ -783,7 +822,7 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
 def test_cold_and_warm_class_solves_match():
     """on every grid class a call that solves the class and one that reads the cached solve
     return the same null space, bitwise, and the cached class solve is a fresh solve's:
-    spectrum, counts and, at f = 1, the hull"""
+    spectrum, counts and, at f = 1, the hull's condition"""
     g = np.random.default_rng(67)
     for n in (2, 3, 4):
         for m in (2, 3, 4):
@@ -798,14 +837,13 @@ def test_cold_and_warm_class_solves_match():
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, m, r)
                 want = (cold.unknowns, cold.pairs_used, cold.condition)
                 assert (warm.unknowns, warm.pairs_used, warm.condition) == want, (n, m, r)
-                svals, *counts, hull = faces.class_solve(m, r)
-                fresh, *fresh_counts, fresh_hull = faces.class_solve.__wrapped__(m, r)
+                svals, *counts, condition = faces.class_solve(m, r)
+                fresh, *fresh_counts, fresh_condition = faces.class_solve.__wrapped__(m, r)
                 assert svals.tobytes() == fresh.tobytes() and counts == fresh_counts, (n, m, r)
                 if r == 1:
-                    assert hull[0].tobytes() == fresh_hull[0].tobytes(), (n, m)
-                    assert hull[1] == fresh_hull[1], (n, m)
+                    assert condition == fresh_condition, (n, m)
                 else:
-                    assert hull is fresh_hull is None, (n, m, r)
+                    assert condition is fresh_condition is None, (n, m, r)
 
 
 def test_recomputed_certificate_matches_the_kept_one():
@@ -867,7 +905,7 @@ def test_system_floor_covers_the_maps_coordinates(case, monkeypatch):
     at the rounding of those rows.  At f >= 2 this is the class's evidence
     that its face is the ray `_plain_face` writes in closed form.
     """
-    seen = _spy_reduced_relations(monkeypatch)
+    seen = _spy_class_systems(monkeypatch)
     solves = []
     if isinstance(case, tuple):
         m, f = case
@@ -1175,7 +1213,7 @@ def test_transposed_face_is_the_partial_transpose():
 def test_flag_pair_builds_one_system(monkeypatch):
     """both flags on one A certify once; a different A, or the same A after another, certifies
     again, and double_prime_nullspace, past the class cache, solves on every call"""
-    seen = _spy_reduced_relations(monkeypatch)
+    seen = _spy_class_systems(monkeypatch)
     exposedness._plain_certificate.cache_clear()
     a, b = rand_rank(3, 4, 2), rand_rank(3, 4, 2)
     certify_exposed(a)
