@@ -31,7 +31,6 @@ from .exposedness import (
 from .faces import (
     NullSpaceResult,
     double_prime_nullspace,
-    kernel_probes,
     membership_residual,
 )
 from .functionals import (
@@ -96,7 +95,6 @@ __all__ = [
     "is_positive",
     "is_psd",
     "kernel_basis",
-    "kernel_probes",
     "membership_residual",
     "norm_maximizer",
     "null_space",

@@ -19,8 +19,8 @@ two flags on one A build its face once.
 The face is solved in the class of A, with one cut of its spectrum.  One
 svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
 rounding floor of `null_space`), and A reads as U_f S_f V_f* with S_f
-invertible (`_class_svd`, which `kernel_probes` and
-`exposedness.conjugate_obstruction_space` read too).  So
+invertible (`_class_svd`, which `exposedness.conjugate_obstruction_space`
+reads too).  So
 phi = Ad_{U_f S_f} o phi_f o Ad_V*, where phi_f is the map X -> Pi X Pi*
 of the class, Pi = [I_f 0] (f x m), and the congruences
 psi -> Ad_E o psi o Ad_F with E injective and F invertible carry faces
@@ -29,44 +29,43 @@ is w w* with w = U_f S_f u, u = eta[:f]: a relation among A's outputs
 holds exactly when it holds for the class outputs u u*, carried back by
 S_f^-1.  So the face system reads only the probes and depends on A only
 through (m, f).  A probe is live exactly when u != 0: ker A is spanned by
-the dead basis probes V e_j, j >= f, so no probe is read off it.  The projectors P_b of
-the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 are a
-basis of Herm(m), and every other probe p has closed-form coordinates in
-it (`projector_coordinates`), which X -> V X V* keeps.  Because psi is
-linear, each relation P_p = sum_b coords[p, b] P_b must hold for the
-outputs too.  Every relation sits on columns fixed by m and f:
+the dead basis probes V e_j, j >= f, so no probe is read off it.  The
+projectors P_b of the m^2 unit probes e_j, (e_j + e_k)/sqrt2 and
+(e_j + i e_k)/sqrt2 are a basis of Herm(m), which X -> V X V* keeps.
+Because psi is linear, every other probe p gives the relation
+x_p u_p u_p* = sum_b coords[p, b] x_b u_b u_b* among the class outputs,
+over the coordinates of P_p on the P_b:
 - curve: the reflected probes (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2 put
   z = 1, i, -1, -i on the paper's curves e_j + z e_k, and their relations
   P_{-1} = P_j + P_k - P_{+1} and P_{-i} = P_j + P_k - P_{+i} touch the
-  pair probe, P_j and P_k (`curve_frame`);
+  pair probe, P_j and P_k;
 - star: where 2 <= f < m, the probes (e_0 + z1 e_b + z2 e_c)/sqrt3 for
   1 <= b < f <= c < m and z1, z2 in {1, i} touch P_0, P_b, P_c and the six
-  pair probes of (0, b), (0, c) and (b, c) (`star_frame`).  A curve with a
-  dead end c >= f has all its outputs on one line and ties nothing; the
-  star ties the live ends of such curves together.
-This module owns every probe table: both frames are built here, vectorised
-over `triu_pairs`; the curve frame is cached read-only per m, and the star
-frame is built once per (m, f), by the cached `class_solve`, and has no
-probe unless 2 <= f < m.  A frame keeps the probes and each relation's
-columns and weights; the R rows of a relation are laid on the m^2 basis
-columns by its columns, so no cached table grows as m^4.
+  pair probes of (0, b), (0, c) and (b, c).  A curve with a dead end
+  c >= f has all its outputs on one line and ties nothing; the star ties
+  the live ends of such curves together.
 A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
-of it and only the m^2 basis probes keep unknowns.  Each relation is then
-cut to the R factor of its columns by one batched QR per family.  One SVD
-of the stack gives the face of the class, cached read-only per (m, f) as
-evidence only (`class_solve`): the spectrum, the null dimension at its gap
-and the counts, with no null vector.  At f >= 2 the class face is one ray,
-x_b = 1 on every live basis probe: the class map X -> Pi X Pi* itself.  The
-congruence carries it to the ray of A_f = U_f S_f V_f*, so `_plain_face`
-writes A's face as the factor A_f, and nothing is rebuilt per A.  Both ends
-of the spectrum are written with no system built.  At f = 1 every live
-class output is [1.0], so every relation is exactly 0 and the hull is the
-paper's face {X -> Tr(R X) u u* : R compressed to v-perp = 0}, which
-`_plain_face` writes as the factors (u_0, V) of A's svd.  At f = m the pair
-probe P_{+z}(j, k) is in the relation of P_{-z}(j, k) only; eliminated, it
-leaves that relation the single row +-(e_j - e_k)/sqrt2 on the m diagonal
+of it and only the basis probes keep unknowns, one per live basis probe on
+its unit output column params(u_b u_b*) / |u_b|^2.  Projected, each
+relation is a block of rank at most 2 whose entries are constants of the
+class frame, so the system is written down, two literal rows per relation
+(`_class_rows`), with no probe, coordinate or m^2-column table built.  One
+SVD gives the face of the class, cached read-only per (m, f) as evidence
+only (`class_solve`): the spectrum, the null dimension at its gap and the
+counts, with no null vector.  At f >= 2 the class face is one ray, the
+class map X -> Pi X Pi* itself: its coordinate on the unit output column
+of probe b is x_b = |u_b|^2, 1 on e_j and on the pair probes inside f, and
+1/2 on the pair probes (j, c), c >= f.  The congruence carries it to the ray
+of A_f = U_f S_f V_f*, so `_plain_face` writes A's face as the factor A_f,
+and nothing is rebuilt per A.  Both ends of the spectrum are written with
+no system built.  At f = 1 every live class output is [1.0], so every
+relation is exactly 0 and the hull is the paper's face
+{X -> Tr(R X) u u* : R compressed to v-perp = 0}, which `_plain_face`
+writes as the factors (u_0, V) of A's svd.  At f = m the pair probe
+P_{+z}(j, k) is in the relation of P_{-z}(j, k) only; eliminated, it leaves
+that relation the single row +-(e_j - e_k)/sqrt2 on the m diagonal
 unknowns, x_j = x_k.  The system's Gram matrix is then m I - J, the
 Laplacian of the complete graph K_m: spectrum sqrt(m), m - 1 times, and 0
 on the ray x_j = 1.  No (nm)^2-sized array is built until a basis is read.
@@ -171,106 +170,8 @@ def rank_one_hull(v: np.ndarray) -> np.ndarray:
     return t
 
 
-def projector_coordinates(x: np.ndarray) -> np.ndarray:
-    """Coordinates of Hermitian matrices x (..., m, m) in the unit-probe projector basis.
-
-    The basis is ordered as the first m^2 probes of `curve_frame`:
-    P_j = e_j e_j*, then per pair j < k the projectors P_{+1}, P_{+i} of
-    (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2.  With c = x_jk the coefficient on P_{+1} is 2 Re c,
-    on P_{+i} it is -2 Im c, and on P_j it is x_jj minus the sum of
-    Re c - Im c over the pairs that hold j.  For x = eta eta*, c is
-    eta_j conj(eta_k), so a coefficient outside the pairs where eta has two
-    nonzero entries is exactly 0.
-    """
-    m = x.shape[-1]
-    iu, ju = triu_pairs(m)
-    c = x[..., iu, ju]
-    out = np.empty(x.shape[:-2] + (m * m,))
-    out[..., m::2] = 2 * c.real
-    out[..., m + 1 :: 2] = -2 * c.imag
-    shift = np.zeros(x.shape)
-    shift[..., iu, ju] = c.real - c.imag
-    out[..., :m] = np.diagonal(x, axis1=-2, axis2=-1).real - shift.sum(-1) - shift.sum(-2)
-    return out
-
-
 def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
-
-
-def _layout(etas: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cols (k, w) and the weights there of the probes etas, their `projector_coordinates`.
-
-    Relation q of probe etas[q] reads the basis columns cols[q] with
-    weights[q]; its R rows are laid on the m^2 basis columns by cols
-    (`_reduced_relations`).
-    """
-    return cols, np.take_along_axis(projector_coordinates(_outer(etas)), cols, axis=1)
-
-
-@lru_cache(maxsize=None)
-def curve_frame(m: int) -> tuple[np.ndarray, ...]:
-    """Cached, read-only probe data that depends only on m.
-
-    Returns the 2m^2 - m curve probes as rows: the m^2 unit probes e_j, then
-    per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
-    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2;
-    then the layout of the reflected relations.
-    Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
-    on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
-    `cols` (m^2 - m, 3) is (m + q, j, k), and `weights` holds the
-    coordinates there (`_layout`).
-    """
-    size = m * m
-    iu, ju = triu_pairs(m)
-    eye = np.eye(m, dtype=np.complex128)
-    # (e_j + z e_k)/sqrt2 per pair for z = 1, i (unit probes), then z = -1, -i (reflected)
-    curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
-    etas = np.concatenate([eye, curves[:, :2].reshape(-1, m), curves[:, 2:].reshape(-1, m)])
-    cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
-    return _read_only((etas, *_layout(etas[size:], cols)))
-
-
-@lru_cache(maxsize=None)
-def _star_rows() -> tuple[np.ndarray, np.ndarray]:
-    """Cached, read-only star probes of (b, c) = (1, 2) at m = 3 and their projector coordinates.
-
-    Every star probe has these entries at (0, b, c) and these weights on its
-    9 columns, bitwise: each weight sums at most two terms, whatever m is.
-    """
-    z = np.array([[1, 1], [1, 1j], [1j, 1], [1j, 1j]])
-    eye = np.eye(3, dtype=np.complex128)
-    etas = (eye[0] + z[:, :1] * eye[1] + z[:, 1:] * eye[2]) / math.sqrt(3)
-    return _read_only((etas, projector_coordinates(_outer(etas))))
-
-
-def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
-    """Star probes of the class (m, f) and the layout of their relations.
-
-    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < f <= c < m,
-    b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
-    4 (f - 1)(m - f) rows, none unless 2 <= f < m.  Probe q has coordinates
-    only on the 9 basis probes of row q of `cols`: P_0, P_b, P_c, then
-    P_{+1} and P_{+i} of the pairs (0, b), (0, c) and (b, c).  Returns the
-    probes, `cols` and `weights` (their `projector_coordinates` there, some
-    of them 0), as `curve_frame` does, written directly (`_star_rows`).
-    Not cached: its only reader is the cached `class_solve`, which builds it
-    once per (m, f).
-    """
-    count = (f - 1) * (m - f)
-    if not count:
-        # no pair b < f <= c, so no probe: skip the cost of building empty tables
-        return np.zeros((0, m), dtype=np.complex128), np.zeros((0, 9), dtype=np.intp), np.zeros((0, 9))
-    rows, weights = _star_rows()
-    b, c = np.divmod(np.arange(count), m - f)
-    b, c = b + 1, c + f
-    etas = np.zeros((count, 4, m), dtype=np.complex128)
-    for k, at in enumerate((0, b, c)):
-        etas[np.arange(count), :, at] = rows[:, k]
-    # P_{+1}(j, k) of the pairs (0, b), (0, c), (b, c) is m + 2 (j (2m - j - 3) / 2 + k - 1)
-    ends = m - 2 + 2 * np.stack([b, c, b * (2 * m - b - 3) // 2 + c], axis=1)
-    cols = np.column_stack([0 * b, b, c, (ends[:, :, None] + [0, 1]).reshape(count, 6)])
-    return etas.reshape(-1, m), np.repeat(cols, 4, axis=0), np.tile(weights, (count, 1))
 
 
 def _class_svd(a: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -278,85 +179,19 @@ def _class_svd(a: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarra
 
     V is full; U is n x min(n, m) unless `full` (the obstruction space's).
     The cut is the rounding floor of `null_space`, and it is the only cut
-    of A's spectrum: the face, `kernel_probes` and
-    `exposedness.conjugate_obstruction_space` read A as U_f S_f V_f* with
-    S_f invertible.  f = 0 exactly when A = 0.
+    of A's spectrum: the face and `exposedness.conjugate_obstruction_space`
+    read A as U_f S_f V_f* with S_f invertible.  f = 0 exactly when A = 0.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=full or a.shape[0] < a.shape[1])
     return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 
-def combination_rows(vectors: np.ndarray) -> np.ndarray:
-    """Normalized (a + b)/sqrt2 and (a + i b)/sqrt2 per pair of rows a before b of vectors."""
-    iu, ju = triu_pairs(vectors.shape[0])
-    rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
-    rows = rows.reshape(-1, vectors.shape[1])
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
-    """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
-
-    For X -> A X A*, phi(eta eta*) = w w* with w = A eta, so the kernel
-    probes are the m - f kernel vectors V e_j, j >= f, of `_class_svd`
-    (the conjugated rows of Vh), and their pairwise combinations:
-    k + k (k - 1) probes for k = m - f.  X -> A X^T A* sends eta eta* to the
-    output of the plain map at conj(eta), so its kernel probes are the plain
-    ones conjugated.  The face does not read them: it probes in the
-    singular basis of A, where ker A is spanned by the dead basis probes.
-    A = 0 raises InputRejected.
-    """
-    _, _, vh, f = _class_svd(_nonzero_operator(A))
-    kernel = vh[f:].conj()
-    if kernel.shape[0] > 1:
-        kernel = np.concatenate([kernel, combination_rows(kernel)])
-    return list(kernel.conj() if transposed else kernel)
-
-
-def _reduced_relations(outputs: np.ndarray, live: np.ndarray, families: list) -> np.ndarray:
-    """The face system in the live basis probes' unknowns.
-
-    One real unknown per live basis probe, the coordinate of psi(V P_b V*)
-    on its unit class output column outputs[b] = params(u_b u_b*) / |u_b|^2,
-    u_b = eta_b[:f] (f^2 class-frame coordinates, zero where `live` is
-    false).  `families` holds the (cols, weights) layouts of `curve_frame`
-    and `star_frame` (empty unless 2 <= f < m); each relation has one probe
-    past the m^2 basis probes, in the order of the relations.
-    Relation q, of probe p, reads B x = x_p outputs[p]: B sums the basis
-    columns cols[q] times weights[q], and x_p enters no other relation, so
-    the relation holds for some x_p exactly when B x projected off
-    outputs[p] is 0.  Where f^2 exceeds the w columns of a family, one
-    batched QR cuts each f^2 x w block to its R factor, which keeps its null
-    space, and one indexed assignment lays its rows on the m^2 basis columns
-    by `cols` (a block of f^2 < w rows has f^2 rows).  Dead columns are
-    dropped last.  `class_solve` calls it only where 2 <= f < m; f = m, whose
-    pair probes are eliminated too, is written in closed form.  Nothing here
-    reads A.
-    """
-    size = outputs.shape[0] - sum(cols.shape[0] for cols, _ in families)
-    curve, rows = size + families[0][0].shape[0], []
-    for (cols, weights), own in zip(families, (outputs[size:curve], outputs[curve:])):
-        (k, w), f2 = cols.shape, outputs.shape[1]
-        # row i of relation q's R on the m^2 basis columns, transposed: laid[q, cols[q], i]
-        laid = np.zeros((k, size, min(f2, w)))
-        if k:
-            # the transposed blocks (k, w, f^2), projected off their own output columns
-            block = outputs[cols] * weights[..., None]
-            block -= (block @ own[..., None]) * own[:, None, :]
-            if f2 > w:
-                block = np.linalg.qr(block.swapaxes(1, 2), mode="r").swapaxes(1, 2)
-            laid[np.arange(k)[:, None], cols] = block
-        rows.append(laid.swapaxes(1, 2))
-    return np.concatenate([block.reshape(-1, size) for block in rows])[:, live[:size]]
-
-
 def system_floor(s: np.ndarray, unknowns: int) -> float:
     """Rounding level of the face system's SVD, unknowns * u * max(s_0, 1) (0 for no spectrum).
 
-    The rows are built from the unit class output columns, which are exact
-    up to the rounding of the probes, with weights of order 1, so their
-    rounding is of order u even where the projection in `_reduced_relations`
-    cancels them down to a spectrum below 1.  Like the spectrum, it depends
+    The rows are literal constants of order 1 (`_class_rows`), exact but for
+    the rounding of sqrt2, so the SVD rounds them at the order of u, even
+    where the spectrum falls below 1.  Like the spectrum, it depends
     on A only through (m, f).
     """
     return unknowns * UNIT_ROUNDOFF * max(float(s[0]), 1.0) if s.shape[0] else 0.0
@@ -380,21 +215,84 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     return replace(plain, transposed=transposed)
 
 
+# the two rows of a curve relation on (P_{+z}(j, k), P_j, P_k), and of a star relation on
+# (P_0, P_b, P_{+z2}(0, c), P(b, c)) before its signs (`_class_rows`)
+CURVE_ROWS = np.array([[1.0, -0.5, -0.5], [0.0, 1 / SQRT2, -1 / SQRT2]])
+STAR_ROWS = np.array([SQRT2 / 6 * np.array([1, -1, -2, 2]), np.array([1, 1, -2, -2]) / 6])
+
+
+def _class_rows(m: int, f: int) -> np.ndarray:
+    """The face system of the class (m, f), 2 <= f < m: two literal rows per relation on the
+    f^2 + 2f(m - f) unknowns of the live basis probes.
+
+    Column j < f is P_j, and column f + 2q + z is P_{+1} (z = 0) or P_{+i}
+    (z = 1) of pair q = j (2m - j - 3)/2 + k - 1 of `triu_pairs(m)`: the
+    pairs with j < f, which come first.  Each relation, its own probe
+    eliminated (`faces` module docstring), gives two rows by index:
+    - curve (j, k, z), j < k < f: (1, -1/2, -1/2) and (0, 1/sqrt2, -1/sqrt2)
+      on (P_{+z}(j, k), P_j, P_k).  A curve with an end >= f gives none;
+    - star (b, c, z1, z2): (sqrt2/6)(1, -s, -2, 2s) and (1/6)(1, s, -2, -2s)
+      on (P_0, P_b, P_{+z2}(0, c), P(b, c)), with P(b, c) the P_{+1} pair
+      probe where z1 = z2 and the P_{+i} one otherwise, and s = -1 at
+      (z1, z2) = (i, 1), else 1.
+
+    These rows have the spectrum and the null space of the relations' blocks
+    projected off their own outputs: S^T S is the sum of the relations' Gram
+    matrices, and each pair of rows has its block's Gram matrix.  Curve: the
+    outputs are E_jj, E_kk and o_{+-} = (E_jj + E_kk)/2 +- D, D the
+    off-diagonal part of z, |D|^2 = 1/2, so o_+ is orthogonal to the own
+    output o_-, and E_jj, E_kk meet it at 1/2.  By P_{-z} = P_j + P_k - P_{+z}
+    the projected block is (-o_+, E_jj - o_-/2, E_kk - o_-/2), with Gram
+    [[1, -1/2, -1/2], [-1/2, 3/4, -1/4], [-1/2, -1/4, 3/4]], the rows' Gram.
+    With an end >= f every output of the relation is on the own output's
+    line, so its block is 0.  Star: u_p = (e_0 + z1 e_b)/sqrt3, so the own
+    output is that of P_{+z1}(0, b), whose column projects to 0, the other
+    pair probe of (0, b) has coordinate 0, and P_c is dead.  The probe's
+    coordinates are -1/3 on P_0 and 2/3 on P_{+z2}(0, c), both with output
+    E_00, and -s/3 on P_b and 2s/3 on P(b, c), both with output E_bb.
+    Projected off (E_00 + E_bb)/2 + D, E_00 and E_bb have Gram
+    M = [[3/4, -1/4], [-1/4, 3/4]] = (1/4)(1, 1)^T (1, 1) + (1/2)(1, -1)^T (1, -1),
+    so the block's Gram is W^T M W, W = [[-1, 0, 2, 0], [0, -s, 0, 2s]]/3:
+    that of the rows (1/2)(1, 1) W and (1/sqrt2)(1, -1) W, the star rows
+    negated.
+    """
+
+    def pair(j, k):
+        # the column of P_{+1}(j, k); P_{+i}(j, k) is the next one
+        return f + j * (2 * m - j - 3) + 2 * (k - 1)
+
+    j, k = (np.repeat(x, 2) for x in triu_pairs(f))
+    curve = np.stack([pair(j, k) + np.arange(j.shape[0]) % 2, j, k], axis=1)
+    # star probe q: (b, c) by b then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i), read
+    # as 0 for 1 and 1 for i
+    q = np.arange(4 * (f - 1) * (m - f))
+    b, c = np.divmod(q // 4, m - f)
+    b, c, z1, z2 = b + 1, c + f, q // 2 % 2, q % 2
+    star = np.stack([0 * b, b, pair(0, c) + z2, pair(b, c) + (z1 ^ z2)], axis=1)
+    signs = np.ones((q.shape[0], 1, 4))
+    signs[z1 > z2, :, 1::2] = -1.0
+    unknowns, laid = f * f + 2 * f * (m - f), []
+    for cols, rows in ((curve, CURVE_ROWS), (star, STAR_ROWS * signs)):
+        system = np.zeros((cols.shape[0], 2, unknowns))
+        np.put_along_axis(system, cols[:, None, :], rows, axis=2)
+        laid.append(system.reshape(-1, unknowns))
+    return np.concatenate(laid)
+
+
 @lru_cache(maxsize=None)
 def class_solve(m: int, f: int) -> tuple:
     """Cached, read-only solve of the face system of the class (m, f): input side m, rank f.
 
-    Probes: the cached `curve_frame` and `star_frame(m, f)`, empty unless 2 <= f < m.
     The relations are solved for the class outputs u_p u_p*, u_p = eta_p[:f]
     (f^2 real coordinates), which S_f^-1 carries A's outputs to exactly
     (`faces` module docstring).  A probe is live exactly when u_p != 0, and
     then it has one real unknown, psi(V P_p V*) = x_p w_p w_p*.  Every probe
-    p past the m^2 unit probes gives the relation
-    x_p u_p u_p* - sum_b coords[p, b] x_b u_b u_b* = 0, whose f^2 rows
-    involve only x_p and the x_b of the P_b it has coordinates on.  x_p is
-    in no other relation, so `_reduced_relations` projects it out and cuts
-    each block to its R factor: the system has one unknown per live basis
-    probe.  The rank is `gap_rank` of the spectrum over `system_floor`.
+    p past the m^2 unit probes gives one relation, in which x_p is
+    eliminated: the system has one unknown per live basis probe, and at
+    2 <= f < m it is written as literal rows (`_class_rows`), 2f(f - 1) for
+    the curves and 8(f - 1)(m - f) for the stars, and solved by one SVD.  The
+    rank is `gap_rank` of the spectrum over `system_floor`.  The probes are
+    the 2m^2 - m curve probes and 4(f - 1)(m - f) star probes.
 
     Returns the class's evidence: the spectrum, `unknowns`, the probe
     count, the null dimension at the gap and, at f = 1 only (else None), the
@@ -409,33 +307,22 @@ def class_solve(m: int, f: int) -> tuple:
     too, and the Gram matrix of the system in the m diagonal unknowns is
     m I - J (`faces` module docstring): spectrum sqrt(m), m - 1 times, then 0.
     """
+    pairs_used = 2 * m * m - m + 4 * (f - 1) * (m - f)
     if f == 1:
         condition = (m + 2 + math.sqrt((m + 2) ** 2 - 8)) / math.sqrt(8) if m > 1 else 1.0
         svals = _read_only((np.zeros(min(m * m - m, 2 * m - 1)),))[0]
-        return svals, 2 * m - 1, 2 * m * m - m, 2 * m - 1, condition
+        return svals, 2 * m - 1, pairs_used, 2 * m - 1, condition
     if f == m:
         svals = np.full(m, math.sqrt(m))
         svals[-1] = 0.0
-        return _read_only((svals,))[0], m, 2 * m * m - m, 1, None
-    curve, *curve_layout = curve_frame(m)
-    star, *star_layout = star_frame(m, f)
-    etas = np.concatenate([curve, star])
-    # the class outputs u_p u_p*, u_p = eta_p[:f], and their class norms c_p = |u_p|^2
-    raw = hermitian_params(_outer(etas[:, :f]))
-    c = raw[:, :f].sum(axis=1)
-    live = c > 0
-    # unit column params(u_p u_p*) / c_p of each output, zero where the output is zero
-    outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    system = _reduced_relations(outputs, live, [curve_layout, star_layout])
-    rows, unknowns = system.shape
-    if rows > unknowns:
-        # same singular values and right vectors, without the tall left factor.  It pays
-        # for itself: an SVD of the tall system was 1.3, 1.8 and 2.4 times slower at 8 x 8
-        # rank 4, 12 x 12 rank 6 and 16 x 16 rank 8 (BENCH_relation_plan.json)
-        system = np.linalg.qr(system, mode="r")
-    svals = np.linalg.svd(system.T, full_matrices=rows < unknowns)[1]
+        return _read_only((svals,))[0], m, pairs_used, 1, None
+    # no QR first: LAPACK's gesdd cuts a matrix of over 11/6 rows per column, as the system
+    # is but at the smallest m, to its R itself when no singular vector is asked for, so a
+    # QR here only costs time (BENCH_class_system_closed_form.json)
+    system = _class_rows(m, f)
+    svals, unknowns = np.linalg.svd(system, compute_uv=False), system.shape[1]
     dim = unknowns - gap_rank(svals, system_floor(svals, unknowns))
-    return _read_only((svals,))[0], unknowns, etas.shape[0], dim, None
+    return _read_only((svals,))[0], unknowns, pairs_used, dim, None
 
 
 def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:

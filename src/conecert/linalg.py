@@ -8,8 +8,8 @@ gap, with every value below that floor read at the floor.  The floors:
 - `unknowns * u * max(s_0, 1)` for the face system (`faces.system_floor`);
 - `n * m * u * |Choi(phi)|_F` for spectra read off a map.
 The singular values of A are not cut at a gap but counted once above the
-first floor: f, the rank of A's class (`faces._class_svd`), which the face,
-`faces.kernel_probes` and `exposedness.conjugate_obstruction_space` read.
+first floor: f, the rank of A's class (`faces._class_svd`), which the face
+and `exposedness.conjugate_obstruction_space` read.
 `exposedness.classify` reads the Choi matrix and its partial transpose at
 the map's level, its SVD across the H:K cut at `max(n^2, m^2) * u * s_0`,
 and its factors Q and S at `dim * u * |X|_F`.

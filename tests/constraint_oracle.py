@@ -12,11 +12,16 @@ the library keeps one real unknown per probe output of rank 1.  The oracle
 reads the kernel probes and the probe outputs off Choi(phi), with `eigh`,
 where the library reads them off A, so it works for any
 Hermiticity-preserving map.  `built_class_solve` is the class solve built
-and solved numerically at every (m, f), f = 1 included, with the rank-1
-hull read through the dual basis of the unit-probe projectors
-(`curve_dual`, `built_rank_one_hull`) and the pair probes eliminated at
-f = m (`class_system`), the reference for `faces.class_solve`, which writes
-f = 1 and f = m in closed form.  `rebuilt_face` is that solve carried to A numerically,
+from probe vectors and solved numerically at every (m, f): the curve and
+star probes (`curve_frame`, `star_frame`), their `projector_coordinates`,
+the class outputs and one batched QR per relation family
+(`_reduced_relations`), with the rank-1 hull read through the dual basis of
+the unit-probe projectors (`curve_dual`, `built_rank_one_hull`) and the pair
+probes eliminated at f = m (`class_system`).  It is the reference for
+`faces.class_solve`, which writes f = 1 and f = m in closed form and the
+classes between as literal rows.  `kernel_probes` reads the kernel of A off
+its SVD, the reference for the Choi oracle's `choi_kernel_probes` and the
+count in the structured digest.  `rebuilt_face` is that solve carried to A numerically,
 through the dual basis and A's outputs, the reference for the face that
 `faces._plain_face` writes in closed form.
 `partial_transpose_slots` is the input-side partial transpose read as a
@@ -24,6 +29,7 @@ signed permutation of the Choi parameters, the reference for transposed
 faces, which `faces` builds from the factors.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
@@ -32,10 +38,10 @@ import numpy as np
 
 from conecert import faces
 from conecert.errors import HermiticityError, ShapeError
-from conecert.faces import combination_rows
 from conecert.linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
+    _read_only,
     as_complex_matrix,
     gap_rank,
     hermitian_params,
@@ -45,7 +51,7 @@ from conecert.linalg import (
     params_to_herm,
     triu_pairs,
 )
-from conecert.maps import MapRep, is_hermitian_preserving, partial_transpose_in
+from conecert.maps import MapRep, _nonzero_operator, is_hermitian_preserving, partial_transpose_in
 from conecert.sampling import random_unit_vector, rng_from
 
 PAIR_TOL = 1e-10
@@ -86,6 +92,33 @@ class PairStrategy:
     seed: int = 0
 
 
+def combination_rows(vectors: np.ndarray) -> np.ndarray:
+    """Normalized (a + b)/sqrt2 and (a + i b)/sqrt2 per pair of rows a before b of vectors."""
+    iu, ju = triu_pairs(vectors.shape[0])
+    rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
+    rows = rows.reshape(-1, vectors.shape[1])
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
+    """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
+
+    For X -> A X A*, phi(eta eta*) = w w* with w = A eta, so the kernel
+    probes are the m - f kernel vectors V e_j, j >= f, of `faces._class_svd`
+    (the conjugated rows of Vh), and their pairwise combinations:
+    k + k (k - 1) probes for k = m - f.  X -> A X^T A* sends eta eta* to the
+    output of the plain map at conj(eta), so its kernel probes are the plain
+    ones conjugated.  The face does not read them: it probes in the
+    singular basis of A, where ker A is spanned by the dead basis probes.
+    A = 0 raises InputRejected.
+    """
+    _, _, vh, f = faces._class_svd(_nonzero_operator(A))
+    kernel = vh[f:].conj()
+    if kernel.shape[0] > 1:
+        kernel = np.concatenate([kernel, combination_rows(kernel)])
+    return list(kernel.conj() if transposed else kernel)
+
+
 def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, read off Choi(phi).
 
@@ -93,7 +126,7 @@ def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
     T (and their pairwise combinations) are exactly the probes that vanish
     for positive phi.  The kernel is the part of T's descending spectrum
-    past its `gap_rank` over `map_floor`.  `faces.kernel_probes` counts
+    past its `gap_rank` over `map_floor`.  `kernel_probes` counts
     A's singular values instead, and the two agree where T's spectrum has
     a clean gap (the 0/1 matrices); `eigh` of T cannot resolve a squared
     singular value near its own rounding.
@@ -130,7 +163,7 @@ def unit_probe_vectors(m: int) -> list[np.ndarray]:
     """The m^2 unit probes e_j, then (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2 per pair j < k.
 
     Their projectors are a basis of Herm(m); the reference list for the
-    first m^2 rows of `faces.curve_frame`.
+    first m^2 rows of `curve_frame`.
     """
     eye = np.eye(m, dtype=np.complex128)
     pairs = [(eye[j] + z * eye[k]) / SQRT2 for j in range(m) for k in range(j + 1, m) for z in (1, 1j)]
@@ -365,15 +398,154 @@ def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:
     )
 
 
+def projector_coordinates(x: np.ndarray) -> np.ndarray:
+    """Coordinates of Hermitian matrices x (..., m, m) in the unit-probe projector basis.
+
+    The basis is ordered as the first m^2 probes of `curve_frame`:
+    P_j = e_j e_j*, then per pair j < k the projectors P_{+1}, P_{+i} of
+    (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2.  With c = x_jk the coefficient on P_{+1} is 2 Re c,
+    on P_{+i} it is -2 Im c, and on P_j it is x_jj minus the sum of
+    Re c - Im c over the pairs that hold j.  For x = eta eta*, c is
+    eta_j conj(eta_k), so a coefficient outside the pairs where eta has two
+    nonzero entries is exactly 0.
+    """
+    m = x.shape[-1]
+    iu, ju = triu_pairs(m)
+    c = x[..., iu, ju]
+    out = np.empty(x.shape[:-2] + (m * m,))
+    out[..., m::2] = 2 * c.real
+    out[..., m + 1 :: 2] = -2 * c.imag
+    shift = np.zeros(x.shape)
+    shift[..., iu, ju] = c.real - c.imag
+    out[..., :m] = np.diagonal(x, axis1=-2, axis2=-1).real - shift.sum(-1) - shift.sum(-2)
+    return out
+
+
+def _outer(etas: np.ndarray) -> np.ndarray:
+    return etas[:, :, None] * etas.conj()[:, None, :]
+
+
+def _layout(etas: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cols (k, w) and the weights there of the probes etas, their `projector_coordinates`.
+
+    Relation q of probe etas[q] reads the basis columns cols[q] with
+    weights[q]; its R rows are laid on the m^2 basis columns by cols
+    (`_reduced_relations`).
+    """
+    return cols, np.take_along_axis(projector_coordinates(_outer(etas)), cols, axis=1)
+
+
+@lru_cache(maxsize=None)
+def curve_frame(m: int) -> tuple[np.ndarray, ...]:
+    """Cached, read-only probe data that depends only on m.
+
+    Returns the 2m^2 - m curve probes as rows: the m^2 unit probes e_j, then
+    per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
+    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2;
+    then the layout of the reflected relations.
+    Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
+    on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
+    `cols` (m^2 - m, 3) is (m + q, j, k), and `weights` holds the
+    coordinates there (`_layout`).
+    """
+    size = m * m
+    iu, ju = triu_pairs(m)
+    eye = np.eye(m, dtype=np.complex128)
+    # (e_j + z e_k)/sqrt2 per pair for z = 1, i (unit probes), then z = -1, -i (reflected)
+    curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
+    etas = np.concatenate([eye, curves[:, :2].reshape(-1, m), curves[:, 2:].reshape(-1, m)])
+    cols = np.stack([np.arange(m, size), np.repeat(iu, 2), np.repeat(ju, 2)], axis=1)
+    return _read_only((etas, *_layout(etas[size:], cols)))
+
+
+@lru_cache(maxsize=None)
+def _star_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only star probes of (b, c) = (1, 2) at m = 3 and their projector coordinates.
+
+    Every star probe has these entries at (0, b, c) and these weights on its
+    9 columns, bitwise: each weight sums at most two terms, whatever m is.
+    """
+    z = np.array([[1, 1], [1, 1j], [1j, 1], [1j, 1j]])
+    eye = np.eye(3, dtype=np.complex128)
+    etas = (eye[0] + z[:, :1] * eye[1] + z[:, 1:] * eye[2]) / math.sqrt(3)
+    return _read_only((etas, projector_coordinates(_outer(etas))))
+
+
+def star_frame(m: int, f: int) -> tuple[np.ndarray, ...]:
+    """Star probes of the class (m, f) and the layout of their relations.
+
+    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < f <= c < m,
+    b outermost, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i):
+    4 (f - 1)(m - f) rows, none unless 2 <= f < m.  Probe q has coordinates
+    only on the 9 basis probes of row q of `cols`: P_0, P_b, P_c, then
+    P_{+1} and P_{+i} of the pairs (0, b), (0, c) and (b, c).  Returns the
+    probes, `cols` and `weights` (their `projector_coordinates` there, some
+    of them 0), as `curve_frame` does, written directly (`_star_rows`).
+    Not cached: `class_system` builds it once per call.
+    """
+    count = (f - 1) * (m - f)
+    if not count:
+        # no pair b < f <= c, so no probe: skip the cost of building empty tables
+        return np.zeros((0, m), dtype=np.complex128), np.zeros((0, 9), dtype=np.intp), np.zeros((0, 9))
+    rows, weights = _star_rows()
+    b, c = np.divmod(np.arange(count), m - f)
+    b, c = b + 1, c + f
+    etas = np.zeros((count, 4, m), dtype=np.complex128)
+    for k, at in enumerate((0, b, c)):
+        etas[np.arange(count), :, at] = rows[:, k]
+    # P_{+1}(j, k) of the pairs (0, b), (0, c), (b, c) is m + 2 (j (2m - j - 3) / 2 + k - 1)
+    ends = m - 2 + 2 * np.stack([b, c, b * (2 * m - b - 3) // 2 + c], axis=1)
+    cols = np.column_stack([0 * b, b, c, (ends[:, :, None] + [0, 1]).reshape(count, 6)])
+    return etas.reshape(-1, m), np.repeat(cols, 4, axis=0), np.tile(weights, (count, 1))
+
+
+def _reduced_relations(outputs: np.ndarray, live: np.ndarray, families: list) -> np.ndarray:
+    """The face system in the live basis probes' unknowns.
+
+    One real unknown per live basis probe, the coordinate of psi(V P_b V*)
+    on its unit class output column outputs[b] = params(u_b u_b*) / |u_b|^2,
+    u_b = eta_b[:f] (f^2 class-frame coordinates, zero where `live` is
+    false).  `families` holds the (cols, weights) layouts of `curve_frame`
+    and `star_frame` (empty unless 2 <= f < m); each relation has one probe
+    past the m^2 basis probes, in the order of the relations.
+    Relation q, of probe p, reads B x = x_p outputs[p]: B sums the basis
+    columns cols[q] times weights[q], and x_p enters no other relation, so
+    the relation holds for some x_p exactly when B x projected off
+    outputs[p] is 0.  Where f^2 exceeds the w columns of a family, one
+    batched QR cuts each f^2 x w block to its R factor, which keeps its null
+    space, and one indexed assignment lays its rows on the m^2 basis columns
+    by `cols` (a block of f^2 < w rows has f^2 rows).  Dead columns are
+    dropped last.  Nothing here reads A.  This is the system that
+    `faces._class_rows` writes as two literal rows per relation where
+    2 <= f < m, and that `faces.class_solve` writes in closed form at f = 1
+    and f = m (`class_system` eliminates the pair probes there).
+    """
+    size = outputs.shape[0] - sum(cols.shape[0] for cols, _ in families)
+    curve, rows = size + families[0][0].shape[0], []
+    for (cols, weights), own in zip(families, (outputs[size:curve], outputs[curve:])):
+        (k, w), f2 = cols.shape, outputs.shape[1]
+        # row i of relation q's R on the m^2 basis columns, transposed: laid[q, cols[q], i]
+        laid = np.zeros((k, size, min(f2, w)))
+        if k:
+            # the transposed blocks (k, w, f^2), projected off their own output columns
+            block = outputs[cols] * weights[..., None]
+            block -= (block @ own[..., None]) * own[:, None, :]
+            if f2 > w:
+                block = np.linalg.qr(block.swapaxes(1, 2), mode="r").swapaxes(1, 2)
+            laid[np.arange(k)[:, None], cols] = block
+        rows.append(laid.swapaxes(1, 2))
+    return np.concatenate([block.reshape(-1, size) for block in rows])[:, live[:size]]
+
+
 def curve_dual(m: int) -> np.ndarray:
     """The dual basis D_b (m^2, m, m) of the unit-probe projectors: Re tr(D_b X) is the coordinate
-    of X on P_b (`faces.projector_coordinates`)."""
+    of X on P_b (`projector_coordinates`)."""
     # a coordinate is real-linear in X, so its dual is read off an orthonormal basis
-    return params_to_herm(faces.projector_coordinates(params_to_herm(np.eye(m * m), m)).T, m)
+    return params_to_herm(projector_coordinates(params_to_herm(np.eye(m * m), m)).T, m)
 
 
 def class_system(m: int, f: int) -> tuple[np.ndarray, ...]:
-    """The face system of the class (m, f) built as `faces._reduced_relations` lays it: the
+    """The face system of the class (m, f) built as `_reduced_relations` lays it: the
     probes, the class norms c_p = |eta_p[:f]|^2, the system over the kept unknowns and its lift
     L (m^2, unknowns) to the basis coordinates.
 
@@ -385,15 +557,15 @@ def class_system(m: int, f: int) -> tuple[np.ndarray, ...]:
     are the (x_j, x_k) system, so only the m diagonal probes keep unknowns.
     This is the elimination that `faces.class_solve` writes in closed form.
     """
-    curve, *curve_layout = faces.curve_frame(m)
-    star, *star_layout = faces.star_frame(m, f)
+    curve, *curve_layout = curve_frame(m)
+    star, *star_layout = star_frame(m, f)
     etas = np.concatenate([curve, star])
     u = etas[:, :f]
     raw = hermitian_params(u[:, :, None] * u[:, None, :].conj())
     c = raw[:, :f].sum(axis=1)
     live = c > 0
     outputs = np.divide(raw, c[:, None], out=np.zeros_like(raw), where=live[:, None])
-    system = faces._reduced_relations(outputs, live, [curve_layout, star_layout])
+    system = _reduced_relations(outputs, live, [curve_layout, star_layout])
     size = m * m
     lift = np.eye(size)[:, live[:size]]
     if f == m:
@@ -453,7 +625,7 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     """The face of X -> A X A* (X -> A X^T A* when transposed), for unit A, rebuilt from the
     class system through the dual basis: orthonormal columns over the Choi parameters.
 
-    The class system of (m, f) is `faces._reduced_relations` on the class
+    The class system of (m, f) is `_reduced_relations` on the class
     outputs u_p u_p*, u_p = eta_p[:f], with its lift L (`class_system`).
     Each null vector z = L null gives the coordinates x_b = z_b / c_b on
     A's outputs w_b = A V eta_b, c_b = |u_b|^2, and

@@ -17,8 +17,8 @@ Run from the repository root,
 
 to print one line per input and flag: label, flag (N for X -> A X A*, T for
 X -> A X^T A*), verdict and nullspace_dim, then the dimension of
-`conjugate_obstruction_space(A)` and the count of `kernel_probes(A)` for
-the flag, tab-separated.  The script
+`conjugate_obstruction_space(A)` and the count of
+`constraint_oracle.kernel_probes(A)` for the flag, tab-separated.  The script
 imports the `conecert` of the checkout it sits in, so the digests of two
 checkouts can be compared with `diff`.  `tests/structured_digest.txt` is
 that output, committed: `test_structured_digest_is_unchanged` compares the
@@ -94,7 +94,8 @@ def structured_inputs():
 def digest_lines():
     """One line per input and flag: label, N or T, verdict, nullspace_dim, obstruction, probes."""
     # imported here, so that the script can first put its own checkout's src/ on the path
-    from conecert import certify_exposed, conjugate_obstruction_space, kernel_probes
+    from conecert import certify_exposed, conjugate_obstruction_space
+    from constraint_oracle import kernel_probes
 
     for label, a in structured_inputs():
         obstruction = conjugate_obstruction_space(a).dim

@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "is_positive",
     "is_psd",
     "kernel_basis",
-    "kernel_probes",
     "membership_residual",
     "norm_maximizer",
     "null_space",
@@ -69,7 +68,7 @@ def test_public_names_pinned():
 @pytest.mark.parametrize("name, params", [
     ("certify_exposed", ["A", "transposed"]),
     ("double_prime_nullspace", ["A", "transposed"]),
-    ("kernel_probes", ["A", "transposed"]),
+    ("face_certificate", ["nullspace", "phi"]),
     ("conjugate_obstruction_space", ["A"]),
     ("null_space", ["m"]),
     ("kernel_basis", ["f"]),

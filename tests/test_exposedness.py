@@ -11,7 +11,7 @@ import pytest
 
 import conecert
 from cone_oracle import cone_evidence
-from constraint_oracle import bitwise_but_zero_sign, partial_transpose_slots
+from constraint_oracle import bitwise_but_zero_sign, kernel_probes, partial_transpose_slots
 from conecert import exposedness, faces, linalg
 from conecert.errors import ClassificationError, HermiticityError
 from conecert.exposedness import (
@@ -23,12 +23,7 @@ from conecert.exposedness import (
     conjugate_obstruction_space,
     face_certificate,
 )
-from conecert.faces import (
-    NullSpaceResult,
-    double_prime_nullspace,
-    kernel_probes,
-    membership_residual,
-)
+from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
 from conecert.linalg import UNIT_ROUNDOFF, hermitian_params
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q, partial_transpose_in
 from conecert.serialization import report_to_dict
@@ -230,9 +225,10 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
     assert run.returncode == 0, run.stderr
 
 
-def _fresh_peak_kib(setup: str, verdict: str) -> int:
+def _fresh_peak_kib(setup: str, verdict: str, dim: int | None = None) -> int:
     """Peak RSS in KiB of a fresh process that certifies every A of `inputs`, which the code
-    `setup` builds from g = default_rng(29), under both flags, each verdict starting `verdict`"""
+    `setup` builds from g = default_rng(29), under both flags, each verdict starting `verdict`
+    and, unless `dim` is None, each face of dimension `dim`"""
     code = f"""
 import resource
 import numpy as np
@@ -241,8 +237,10 @@ g = np.random.default_rng(29)
 {setup}
 for a in inputs:
     for transposed in (False, True):
-        verdict = conecert.certify_exposed(a, transposed=transposed).verdict.value
+        report = conecert.certify_exposed(a, transposed=transposed)
+        verdict = report.verdict.value
         assert verdict.startswith({verdict!r}), verdict
+        assert {dim!r} is None or report.nullspace.dim == {dim!r}, report.nullspace.dim
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
@@ -282,6 +280,18 @@ def test_full_rank_certificates_stay_small():
 inputs = [g.standard_normal((n, 64)) + 1j * g.standard_normal((n, 64)) for n in (64, 96)]
 """
     assert _fresh_peak_kib(setup, "EXPOSED_LINEAR") < 200 * 1024
+
+
+def test_wide_certificates_stay_small():
+    """a fresh process certifies a 3 x 64 rank-3 and a 2 x 128 rank-2 input EXPOSED_LINEAR, with
+    a face of dimension 1, under both flags within 200 MB peak RSS: the classes (64, 3) and
+    (128, 2) lay 988 x 375 and 1,012 x 508 literal rows (`faces._class_rows`), where relations
+    built from probes and laid on all m^2 columns took 1.6 GB at (64, 3), and 6.4 GB for the
+    curve array alone at (128, 2)"""
+    setup = """
+inputs = [g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)) for n, m in ((3, 64), (2, 128))]
+"""
+    assert _fresh_peak_kib(setup, "EXPOSED_LINEAR", dim=1) < 200 * 1024
 
 
 def test_tall_certificate_builds_no_square_u():

@@ -14,28 +14,24 @@ from constraint_oracle import (
     built_rank_one_hull,
     choi_kernel_probes,
     class_system,
+    curve_frame,
     dense_nullspace,
     functional_row,
+    kernel_probes,
     map_floor,
     oracle_nullspace,
     partial_transpose_slots,
     probe_outputs,
+    projector_coordinates,
     rebuilt_face,
+    star_frame,
     unit_probe_vectors,
     zero_pairs,
 )
 from conecert import Verdict, certify_exposed, exposedness, faces, maps
 from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
-from conecert.faces import (
-    curve_frame,
-    double_prime_nullspace,
-    kernel_probes,
-    membership_residual,
-    projector_coordinates,
-    star_frame,
-    system_floor,
-)
+from conecert.faces import double_prime_nullspace, membership_residual, system_floor
 from conecert.linalg import (
     UNIT_ROUNDOFF,
     gap_rank,
@@ -347,14 +343,14 @@ def _spy_class_systems(monkeypatch, arguments=False):
 
     The system is `constraint_oracle.class_system`'s, over the kept unknowns'
     columns, pairs eliminated at f = m; the output columns are the live basis
-    probes', as `faces._reduced_relations` was handed them.  With
+    probes', as `constraint_oracle._reduced_relations` was handed them.  With
     `arguments`, record (system, lift, outputs, live).  The class cache is
     bypassed for the oracle's `built_class_solve`, which builds the system
     at f = 1 and f = m too, so every `double_prime_nullspace` call builds and
     records its own system.
     """
     seen, handed = [], []
-    reduce, build = faces._reduced_relations, constraint_oracle.class_system
+    reduce, build = constraint_oracle._reduced_relations, constraint_oracle.class_system
     monkeypatch.setattr(faces, "class_solve", built_class_solve)
 
     def hand(outputs, live, families):
@@ -367,7 +363,7 @@ def _spy_class_systems(monkeypatch, arguments=False):
         seen.append((system, lift, outputs, live) if arguments else (system, outputs[:size][live[:size]]))
         return etas, c, system, lift
 
-    monkeypatch.setattr(faces, "_reduced_relations", hand)
+    monkeypatch.setattr(constraint_oracle, "_reduced_relations", hand)
     monkeypatch.setattr(constraint_oracle, "class_system", spy)
     return seen
 
@@ -526,10 +522,10 @@ def test_only_narrow_relations_are_cut(monkeypatch):
 
 
 def _laid_system(m, f, monkeypatch):
-    """The rows `_reduced_relations` lays for the class (m, f), over all m^2 basis columns,
-    and the class outputs it was handed, as the oracle's `built_class_solve` builds them."""
+    """The rows the oracle's `_reduced_relations` lays for the class (m, f), over all m^2 basis
+    columns, and the class outputs it was handed, as its `built_class_solve` builds them."""
     seen = []
-    reduce = faces._reduced_relations
+    reduce = constraint_oracle._reduced_relations
 
     def spy(outputs, live, families):
         system = reduce(outputs, live, families)
@@ -538,7 +534,7 @@ def _laid_system(m, f, monkeypatch):
         seen.append((laid, outputs))
         return system
 
-    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    monkeypatch.setattr(constraint_oracle, "_reduced_relations", spy)
     built_class_solve(m, f)
     ((laid, outputs),) = seen
     return laid, outputs
@@ -631,13 +627,13 @@ def test_curve_probes_match_the_reference_lists():
 
 
 def test_cached_frames_grow_slower_than_m4():
-    """at m = 16 the curve frame and every star frame hold at most 2.5 MB together, and the
-    class solves of every f at most 0.2 MB
+    """at m = 16 the oracle's curve frame and every star frame hold at most 2.5 MB together,
+    and the class solves of every f at most 0.2 MB
 
     No frame grows as m^4: the relation layouts hold k x w columns and
     weights, not a one-hot (k, w, m^2) table, and no dual basis is kept.  A
     class solve keeps its spectrum and, at f = 1, the hull's condition: no
-    hull, lift, null vector or output column.
+    hull, lift, null vector, output column or row of its literal system.
     """
     m = 16
     frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
@@ -677,14 +673,14 @@ def test_curve_frame_is_read_only():
 
 
 def test_class_null_dimensions():
-    """every class (m, f) with m <= 8 has one null vector at f >= 2 and 2m - 1 at f = 1
+    """every class (m, f) with m <= 16 has one null vector at f >= 2 and 2m - 1 at f = 1
 
     So at f >= 2 the face is one ray, which `_plain_face` writes in closed
     form, and only f = 1 has a larger hull: 2m - 1 orthonormal Hermitian
     m x m matrices R_k, each compressed to e_0-perp = 0, read through
     `rank_one_hull` at V = I, which writes conj(R_k).
     """
-    for m in range(1, 9):
+    for m in range(1, 17):
         for f in range(1, m + 1):
             svals, unknowns, _, dim, condition = faces.class_solve(m, f)
             assert dim == (2 * m - 1 if f == 1 else 1), (m, f)
@@ -728,13 +724,43 @@ def test_full_rank_class_matches_the_built_solve(m):
     assert np.abs(system.T @ system - (m * np.eye(m) - 1.0)).max() <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "m, f", [(m, f) for m in range(3, 11) for f in range(2, m)] + [(12, 5), (16, 3), (16, 8), (16, 14)]
+)
+def test_class_system_matches_the_built_solve(m, f):
+    """the literal class system at 2 <= f < m (`faces._class_rows`) against the system the oracle
+    builds from probe vectors and solves (`built_class_solve`): unknowns, probe count and null
+    dimension equal, the spectrum within 4 system_floor, and the class ray exactly in its
+    kernel
+
+    In the unknowns of the unit output columns the class map X -> Pi X Pi*
+    has the coordinates x_b = |eta_b[:f]|^2: 1 on e_j, j < f, and on the pair
+    probes inside f, and 1/2 on the pair probes (j, c), c >= f.  Every row
+    is a multiple of sqrt2/6, 1/6 or 1/2 with entries summing to 0 against
+    those coordinates, so the product is exactly 0.0, not 0 up to rounding.
+    """
+    svals, unknowns, pairs_used, dim, condition = faces.class_solve(m, f)
+    built, *counts, _ = built_class_solve(m, f)
+    assert [unknowns, pairs_used, dim] == counts and condition is None
+    assert (unknowns, pairs_used, dim) == (f * f + 2 * f * (m - f), 2 * m * m - m + 4 * (f - 1) * (m - f), 1)
+    assert svals.shape == built.shape
+    assert np.abs(svals - built).max() <= 4 * system_floor(built, unknowns)
+    rows = faces._class_rows(m, f)
+    assert rows.shape == (2 * f * (f - 1) + 8 * (f - 1) * (m - f), unknowns)
+    # the columns: P_j, j < f, then P_{+1}, P_{+i} of every pair (j, k) of triu_pairs(m), j < f
+    iu, ju = triu_pairs(m)
+    ray = np.concatenate([np.ones(f), np.repeat(np.where(ju[iu < f] < f, 1.0, 0.5), 2)])
+    u = curve_frame(m)[0][: m * m, :f]
+    c = np.einsum("pi,pi->p", u, u.conj()).real
+    assert np.abs(c[c > 0] - ray).max() <= 2 * UNIT_ROUNDOFF
+    assert np.all(rows @ ray == 0.0)
+
+
 def test_full_rank_certificate_builds_no_class_system(monkeypatch):
-    """a cold full-rank certificate, square or tall, under both flags, calls neither
-    `curve_frame` nor `_reduced_relations`: its class evidence is written"""
-    calls = []
-    for name in ("curve_frame", "_reduced_relations"):
-        call = getattr(faces, name)
-        monkeypatch.setattr(faces, name, lambda *args, _c=call, _n=name: calls.append(_n) or _c(*args))
+    """a cold full-rank certificate, square or tall, under both flags, lays no class system
+    (`_class_rows`): its class evidence is written"""
+    calls, rows = [], faces._class_rows
+    monkeypatch.setattr(faces, "_class_rows", lambda m, f: calls.append((m, f)) or rows(m, f))
     g = np.random.default_rng(73)
     for n, m in ((4, 4), (6, 4), (7, 7)):
         faces.class_solve.cache_clear()
@@ -749,13 +775,13 @@ def test_class_is_solved_once(monkeypatch):
     """A, U A V* (Haar), another draw of its class and both flags build the class system once;
     a new (m, f) builds its own"""
     seen = []
-    reduce = faces._reduced_relations
+    rows = faces._class_rows
 
-    def spy(outputs, live, families):
-        seen.append(outputs.shape)
-        return reduce(outputs, live, families)
+    def spy(m, f):
+        seen.append((m, f))
+        return rows(m, f)
 
-    monkeypatch.setattr(faces, "_reduced_relations", spy)
+    monkeypatch.setattr(faces, "_class_rows", spy)
     faces.class_solve.cache_clear()
     # its own generator, leaving the module stream to the later tests
     g = np.random.default_rng(61)
@@ -769,16 +795,16 @@ def test_class_is_solved_once(monkeypatch):
     for b in (a, haar_unitary(g, 4) @ a @ haar_unitary(g, 5).conj().T, draw(4, 5, 3)):
         for transposed in (False, True):
             double_prime_nullspace(b, transposed)
-    assert len(seen) == 1
+    assert seen == [(5, 3)]
     assert faces.class_solve.cache_info().currsize == 1
     double_prime_nullspace(draw(3, 5, 2))
     double_prime_nullspace(draw(5, 4, 3))
-    assert len(seen) == 3
+    assert seen == [(5, 3), (5, 2), (4, 3)]
     assert faces.class_solve.cache_info().currsize == 3
 
 
 def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
-    """with its class solved, a face at f >= 2 runs no eigvalsh and reads no curve frame: at
+    """with its class solved, a face at f >= 2 runs no eigvalsh and lays no class rows: at
     f = min(n, m) it is the unit ray of Choi(phi) itself, bitwise, and below that the ray of
     the class cut A_f = U_f S_f V_f*, with condition 1.0.  A certificate at any f, under
     either flag, builds no Choi matrix: it calls none of maps._ad_map, membership_residual,
@@ -790,7 +816,7 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     for a in inputs:
         double_prime_nullspace(a)
     calls = []
-    for module, name in ((np.linalg, "eigvalsh"), (faces, "curve_frame")):
+    for module, name in ((np.linalg, "eigvalsh"), (faces, "_class_rows")):
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _c=call, _n=name: calls.append(_n) or _c(*args))
     for (n, m, r), a in zip(shapes, inputs):
