@@ -27,6 +27,7 @@ from .faces import NullSpaceResult, _class_svd, _membership, _plain_face, system
 from .linalg import (
     UNIT_ROUNDOFF,
     _partial_transpose,
+    _read_only,
     as_complex_matrix,
     fix_phase,
     frobenius_norm,
@@ -34,8 +35,8 @@ from .linalg import (
     hermitian_within,
     hermitize,
     normalized,
-    null_space,
     params_to_herm,
+    triu_pairs,
 )
 from .maps import MapRep, choi_from_ad
 
@@ -282,9 +283,11 @@ def _plain_certificate(
 class ObstructionResult:
     """Solutions B of the kernel implication of A (`conjugate_obstruction_space`).
 
-    `basis` holds `dim` orthonormal n x m matrices.  `singular_values` is
-    the spectrum of the system solved in the class frame, whose rows are
-    constants of (n, m, r): A and U A V* report it bitwise equal.
+    `basis` holds `dim` unit n x m matrices: u_0 v_0^T at rank 1, none at
+    any other rank.  `singular_values` is the spectrum of the system solved
+    in the class frame, nm - r^2 ones and the cached r x r core's values
+    (`_obstruction_core`), which depend on (n, m, r) only: A and U A V*
+    report it bitwise equal.
     """
 
     dim: int
@@ -297,67 +300,59 @@ class ObstructionResult:
 _OBSTRUCTION_Z = (1, -1, 1j, 2)
 
 
+@lru_cache(maxsize=None)
+def _obstruction_core(r: int) -> np.ndarray:
+    """Cached, read-only singular values of the curve rows on the r x r core: r^2 of them at
+    r >= 2, none below.
+
+    Four rows per pair j < k of `triu_pairs(r)`, one per z in
+    `_OBSTRUCTION_Z`: (-z, -|z|^2, 1, conj(z)) on (B_jj, B_jk, B_kj, B_kk),
+    laid by index on the r^2 columns of B's core, row-major.
+    """
+    z = np.array(_OBSTRUCTION_Z)
+    block = np.stack([-z, -np.abs(z) ** 2, np.ones(4), z.conj()], axis=1)
+    j, k = triu_pairs(r)
+    cols = np.stack([j * (r + 1), j * r + k, k * r + j, k * (r + 1)], axis=1)
+    system = np.zeros((j.shape[0], 4, r * r), dtype=np.complex128)
+    np.put_along_axis(system, cols[:, None, :], block, axis=2)
+    svals = np.linalg.svd(system.reshape(4 * j.shape[0], r * r), compute_uv=False)
+    return _read_only((svals,))[0]
+
+
 def conjugate_obstruction_space(A) -> ObstructionResult:
     """Solve for all B with: <conj(xi), A eta> = 0 implies <conj(xi), B conj(eta)> = 0.
 
-    One SVD A = U S V* gives the split and the rank r, the class rank f of
-    `faces._class_svd`.  The system is solved for the partial isometry
-    P = U Pi V*, Pi = [I_r 0; 0 0], instead of A: with
-    G = V_r S_r V_r* + V_perp V_perp*, which is invertible, A = P G, so
-    (zeta, rho) is a zero-pair of A exactly when (zeta, G rho) is one of P,
-    and B solves for A exactly when B conj(G)^-1 solves for P.  P's
-    system is solved in the class frame: (zeta, rho) is a zero-pair of P
-    exactly when (U* zeta, V* rho) is one of Pi, so B solves for P exactly
-    when U* B conj(V) solves for Pi.
+    One SVD A = U S V* gives the class rank r of `faces._class_svd`, and the
+    system is read in A's frame, on B' = U* B conj(V) D^-1 with
+    D = diag(S_r, 1, ..., 1), where its rows are constants of (n, m, r).  It
+    has two kinds of rows:
+    - unit rows on the nm - r^2 entries B'_ij with i >= r or j >= r, one
+      each: the kernel vectors V e_j, j >= r, force column j of B' to 0
+      and the left-null directions U e_i, i >= r, row i;
+    - curve rows on the r x r core: for each pair j < k < r,
+      (conj(xi), eta) = (U zeta_z, V D^-1 rho_z) with rho_z = e_j + z e_k and
+      zeta_z = -conj(z) e_j + e_k meets the premise for every z, and gives
+      one row per z in `_OBSTRUCTION_Z`, (-z, -|z|^2, 1, conj(z)) on
+      (B'_jj, B'_jk, B'_kj, B'_kk).
+    The two kinds touch disjoint entries, so the spectrum is nm - r^2 ones
+    merged with the core's, cached per r (`_obstruction_core`), descending;
+    it has the length of the stacked system's, nm at r != 1 and nm - 1 at
+    r = 1, where the core has no row.
 
-    Pi's system uses three probe families: its kernel vectors e_j, j >= r
-    (forcing B'' e_j = 0), its left-null directions e_i, i >= r (forcing
-    e_i* B'' = 0, on the columns j < r only, as the kernel rows cover
-    j >= r: each row e_i (x) e_j is stacked once), and for each pair
-    j < k < r the curves
-    rho_z = e_j + z e_k, zeta_z = -conj(z) e_j + e_k, which satisfy the
-    premise for every z.  The curves are read at z in `_OBSTRUCTION_Z`,
-    which separates every coefficient of the induced polynomial identity in
-    z and conj(z), so no spurious solution survives.  The rows are exact
-    and depend only on (n, m, r), and so does `singular_values`, their
-    spectrum.  The solutions are mapped back as
-    B = U B'' V^T conj(G) = U B'' diag(S_r, 1, ..., 1) V^T and
-    orthonormalised.
-
-    Returns the complex solution space: dimension 0 when rank(A) >= 2 or
-    A = 0, dimension 1 (spanned by a rank-1 operator) when rank(A) = 1.
+    The dimension is proved, not read at a gap.  Each pair's 4 x 4 block
+    has determinant exactly -12i over the Gaussian integers, so a pair's
+    rows alone force its four entries to 0, and at r >= 2 every core entry
+    lies in some pair: B' = 0.  At r = 1 the core B'_00 is free, and
+    B = U B' D V^T is a multiple of u_0 v_0^T, v_0 = V[:, 0]; at r = 0
+    (A = 0) every row is a unit row.  So the dimension is 1 exactly at
+    r = 1, with basis u_0 v_0^T, and else 0.
     """
     a = as_complex_matrix(A, "A")
     n, m = a.shape
-    u, s, vh, rank = _class_svd(a, full=True)
-    eye_n = np.eye(n, dtype=np.complex128)
-    eye_m = np.eye(m, dtype=np.complex128)
-    # kernel vectors e_j of Pi: one row e_i (x) e_j per i
-    kernel_rows = eye_n[None, :, :, None] * eye_m[rank:, None, None, :]
-    # left-null directions e_i of Pi: one row e_i (x) e_j per j < r, the kernel rows hold the rest
-    left_rows = eye_n[rank:, None, :, None] * eye_m[None, :rank, None, :]
-
-    # pairs j < k of the class, one row conj(zeta_z) (x) conj(rho_z) per z
-    jj, kk = np.triu_indices(rank, 1)
-    z = np.asarray(_OBSTRUCTION_Z)[None, :, None]
-    rho = eye_m[jj, None] + z * eye_m[kk, None]
-    zeta = -np.conj(z) * eye_n[jj, None] + eye_n[kk, None]
-    curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
-
-    rows = np.concatenate([r.reshape(-1, n * m) for r in (kernel_rows, left_rows, curve_rows)])
-    if rows.shape[0] == 0:
-        basis = np.eye(n * m, dtype=np.complex128)
-        svals = np.zeros(0)
-    else:
-        basis, svals = null_space(rows)
-    # B = U B'' diag(S_r, 1, ..., 1) V^T
-    stretch = np.ones(m)
-    stretch[:rank] = s[:rank]
-    mapped = u @ (basis.T.reshape(-1, n, m) * stretch) @ vh.conj()
-    if mapped.shape[0]:
-        basis = np.linalg.qr(mapped.reshape(-1, n * m).T)[0]
-    mats = [basis[:, j].reshape(n, m) for j in range(basis.shape[1])]
-    return ObstructionResult(dim=basis.shape[1], basis=mats, singular_values=svals)
+    u, _, vh, rank = _class_svd(a)
+    svals = np.concatenate([np.ones(n * m - rank * rank), _obstruction_core(rank)])
+    basis = [np.outer(u[:, 0], vh[0].conj())] if rank == 1 else []
+    return ObstructionResult(dim=len(basis), basis=basis, singular_values=-np.sort(-svals))
 
 
 @dataclass

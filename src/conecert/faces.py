@@ -174,15 +174,16 @@ def _outer(etas: np.ndarray) -> np.ndarray:
     return etas[:, :, None] * etas.conj()[:, None, :]
 
 
-def _class_svd(a: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """One svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
 
-    V is full; U is n x min(n, m) unless `full` (the obstruction space's).
-    The cut is the rounding floor of `null_space`, and it is the only cut
-    of A's spectrum: the face and `exposedness.conjugate_obstruction_space`
-    read A as U_f S_f V_f* with S_f invertible.  f = 0 exactly when A = 0.
+    V is full and U is n x min(n, m).  The cut is the rounding floor of
+    `null_space`, and it is the only cut of A's spectrum: the face reads A
+    as U_f S_f V_f* with S_f invertible, and
+    `exposedness.conjugate_obstruction_space` reads f and, at f = 1,
+    U[:, 0] and V[:, 0].  f = 0 exactly when A = 0.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=full or a.shape[0] < a.shape[1])
+    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 

@@ -9,7 +9,8 @@ gap, with every value below that floor read at the floor.  The floors:
 - `n * m * u * |Choi(phi)|_F` for spectra read off a map.
 The singular values of A are not cut at a gap but counted once above the
 first floor: f, the rank of A's class (`faces._class_svd`), which the face
-and `exposedness.conjugate_obstruction_space` read.
+reads, and `exposedness.conjugate_obstruction_space`, whose dimension
+follows from f by proof with no spectrum cut.
 `exposedness.classify` reads the Choi matrix and its partial transpose at
 the map's level, its SVD across the H:K cut at `max(n^2, m^2) * u * s_0`,
 and its factors Q and S at `dim * u * |X|_F`.

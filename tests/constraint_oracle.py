@@ -26,7 +26,10 @@ through the dual basis and A's outputs, the reference for the face that
 `faces._plain_face` writes in closed form.
 `partial_transpose_slots` is the input-side partial transpose read as a
 signed permutation of the Choi parameters, the reference for transposed
-faces, which `faces` builds from the factors.
+faces, which `faces` builds from the factors.  `dense_obstruction_space` is
+the obstruction system stacked on all nm columns and solved by one
+`null_space`, the reference for `exposedness.conjugate_obstruction_space`,
+which counts the unit rows and solves only the cached r x r core.
 """
 
 import math
@@ -38,6 +41,7 @@ import numpy as np
 
 from conecert import faces
 from conecert.errors import HermiticityError, ShapeError
+from conecert.exposedness import _OBSTRUCTION_Z, ObstructionResult
 from conecert.linalg import (
     SQRT2,
     UNIT_ROUNDOFF,
@@ -657,3 +661,53 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
         choi = np.array([partial_transpose_in(k, n, m) for k in choi])
     params = hermitian_params(choi).T
     return np.linalg.svd(params, full_matrices=False)[0]
+
+
+def dense_obstruction_space(A) -> ObstructionResult:
+    """`exposedness.conjugate_obstruction_space` solved densely: every row on all nm columns of
+    the class frame, one `null_space` of the stack, and the solutions mapped back and
+    orthonormalised by a QR.
+
+    One full svd A = U S V* gives the class rank r (the cut of
+    `faces._class_svd`).  The rows are those of the partial isometry
+    P = U Pi V*, Pi = [I_r 0; 0 0], in the frame of U and V: B solves for A
+    exactly when U* B conj(V) diag(S_r, 1, ..., 1)^-1 solves for Pi.  Pi's
+    rows are its kernel vectors e_j, j >= r (one row e_i (x) e_j per i), its
+    left-null directions e_i, i >= r (on the columns j < r only, so each row
+    e_i (x) e_j is stacked once), and per pair j < k < r the curves
+    rho_z = e_j + z e_k, zeta_z = -conj(z) e_j + e_k, one row
+    conj(zeta_z) (x) conj(rho_z) per z in `_OBSTRUCTION_Z`.  The solutions
+    are mapped back as B = U B'' diag(S_r, 1, ..., 1) V^T and orthonormalised.
+    """
+    a = as_complex_matrix(A, "A")
+    n, m = a.shape
+    u, s, vh = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
+    eye_n = np.eye(n, dtype=np.complex128)
+    eye_m = np.eye(m, dtype=np.complex128)
+    # kernel vectors e_j of Pi: one row e_i (x) e_j per i
+    kernel_rows = eye_n[None, :, :, None] * eye_m[rank:, None, None, :]
+    # left-null directions e_i of Pi: one row e_i (x) e_j per j < r, the kernel rows hold the rest
+    left_rows = eye_n[rank:, None, :, None] * eye_m[None, :rank, None, :]
+
+    # pairs j < k of the class, one row conj(zeta_z) (x) conj(rho_z) per z
+    jj, kk = np.triu_indices(rank, 1)
+    z = np.asarray(_OBSTRUCTION_Z)[None, :, None]
+    rho = eye_m[jj, None] + z * eye_m[kk, None]
+    zeta = -np.conj(z) * eye_n[jj, None] + eye_n[kk, None]
+    curve_rows = zeta.conj()[..., :, None] * rho.conj()[..., None, :]
+
+    rows = np.concatenate([r.reshape(-1, n * m) for r in (kernel_rows, left_rows, curve_rows)])
+    if rows.shape[0] == 0:
+        basis = np.eye(n * m, dtype=np.complex128)
+        svals = np.zeros(0)
+    else:
+        basis, svals = null_space(rows)
+    # B = U B'' diag(S_r, 1, ..., 1) V^T
+    stretch = np.ones(m)
+    stretch[:rank] = s[:rank]
+    mapped = u @ (basis.T.reshape(-1, n, m) * stretch) @ vh.conj()
+    if mapped.shape[0]:
+        basis = np.linalg.qr(mapped.reshape(-1, n * m).T)[0]
+    mats = [basis[:, j].reshape(n, m) for j in range(basis.shape[1])]
+    return ObstructionResult(dim=basis.shape[1], basis=mats, singular_values=svals)

@@ -249,6 +249,19 @@ def test_obstruction(tmp_path, capsys):
     assert len(payload["basis"]) == 1
 
 
+def test_obstruction_reports_are_reproducible(tmp_path, capsys):
+    """two obstruction runs on one rank-1 input write byte-identical reports: the basis u_0 v_0^T
+    and the spectrum are read off one svd and a cached core, with no random number"""
+    gen = np.random.default_rng(7)
+    a = np.outer(gen.standard_normal(3) + 1j * gen.standard_normal(3), gen.standard_normal(4))
+    a = dump(tmp_path / "a.json", matrix_to_json(a))
+    reports = [tmp_path / "one.json", tmp_path / "two.json"]
+    for report in reports:
+        assert main(["obstruction", a, "--report", str(report)]) == 0
+        assert capsys.readouterr().out.strip() == "solution dim: 1"
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 def test_obstruction_reads_the_class_rank_of_expose(tmp_path, capsys):
     """diag(1, 1e-10, 0) has rank 2: the obstruction space is 0 and the map certifies"""
     a = dump(tmp_path / "a.json", matrix_to_json(np.diag([1.0, 1e-10, 0.0])))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,8 +11,14 @@ import numpy as np
 import pytest
 
 import conecert
+import constraint_oracle
 from cone_oracle import cone_evidence
-from constraint_oracle import bitwise_but_zero_sign, kernel_probes, partial_transpose_slots
+from constraint_oracle import (
+    bitwise_but_zero_sign,
+    dense_obstruction_space,
+    kernel_probes,
+    partial_transpose_slots,
+)
 from conecert import exposedness, faces, linalg
 from conecert.errors import ClassificationError, HermiticityError
 from conecert.exposedness import (
@@ -230,7 +237,6 @@ def _fresh_peak_kib(setup: str, verdict: str, dim: int | None = None) -> int:
     `setup` builds from g = default_rng(29), under both flags, each verdict starting `verdict`
     and, unless `dim` is None, each face of dimension `dim`"""
     code = f"""
-import resource
 import numpy as np
 import conecert
 g = np.random.default_rng(29)
@@ -241,8 +247,36 @@ for a in inputs:
         verdict = report.verdict.value
         assert verdict.startswith({verdict!r}), verdict
         assert {dim!r} is None or report.nullspace.dim == {dim!r}, report.nullspace.dim
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+    return _fresh_rss_kib(code)
+
+
+def _fresh_obstruction_peak_kib(shapes) -> int:
+    """Peak RSS in KiB of a fresh process that solves the obstruction space of a draw of rank r
+    at each (n, m, r) of `shapes`, from g = default_rng(29), and checks its dimension and
+    spectrum length"""
+    code = f"""
+import numpy as np
+import conecert
+g = np.random.default_rng(29)
+for n, m, r in {shapes!r}:
+    a = (g.standard_normal((n, r)) + 1j * g.standard_normal((n, r))) @ g.standard_normal((r, m))
+    result = conecert.conjugate_obstruction_space(a)
+    assert result.dim == int(r == 1), (n, m, r, result.dim)
+    assert result.singular_values.shape == (n * m - int(r == 1),), (n, m, r)
+"""
+    return _fresh_rss_kib(code)
+
+
+def _fresh_rss_kib(code: str) -> int:
+    """Peak RSS in KiB of a fresh python process that runs `code` with conecert importable
+
+    Linux carries the spawning process's high-water mark into the child's
+    ru_maxrss across exec, so the tests that read this sit before the tests
+    of this module that build (nm)^2 references: after them the pytest
+    process itself peaks near 800 MB.
+    """
+    code += "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -292,6 +326,14 @@ def test_wide_certificates_stay_small():
 inputs = [g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)) for n, m in ((3, 64), (2, 128))]
 """
     assert _fresh_peak_kib(setup, "EXPOSED_LINEAR", dim=1) < 200 * 1024
+
+
+def test_obstruction_of_large_inputs_stays_small():
+    """a fresh process solves 3 x 1024 rank 1, 1024 x 3 rank 1 and 64 x 64 rank 8 within 200 MB
+    peak RSS: the dense stack would be a 3,071 x 3,072 complex matrix (151 MB) before its SVD
+    at 3 x 1024, and 4,144 x 4,096 (270 MB) at 64 x 64 rank 8"""
+    shapes = ((3, 1024, 1), (1024, 3, 1), (64, 64, 8))
+    assert _fresh_obstruction_peak_kib(shapes) < 200 * 1024
 
 
 def test_tall_certificate_builds_no_square_u():
@@ -910,9 +952,10 @@ def test_obstruction_trichotomy():
 
 
 def test_obstruction_stacks_each_kernel_row_once():
-    """a row e_i (x) e_j with i, j >= r is a kernel row only, not a left-null row as well
+    """the unit rows are counted once per entry e_i (x) e_j outside the r x r core: an entry
+    with i, j >= r is not counted as a kernel row and again as a left-null row
 
-    Each of the orthonormal rows then has singular value 1, not sqrt 2.
+    Each of the orthonormal unit rows then has singular value 1, not sqrt 2.
     """
     for a, rows in ((np.diag([1.0, 0.0]), 3), (np.zeros((4, 4)), 16)):
         s = conjugate_obstruction_space(a).singular_values
@@ -967,8 +1010,9 @@ def _obstruction_rows_per_row(n, m, r, z_samples=(1, -1, 1j, 2)):
 
 @pytest.mark.parametrize("case", ["full", "rank2", "rank1", "wide", "tall", "near_rank1"])
 def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
-    """the broadcast row families are bit-identical to one outer product per row, built from
-    the e_j of the class frame, and A and U A V* (Haar) get the same rows"""
+    """the broadcast row families of the dense oracle (`dense_obstruction_space`) are
+    bit-identical to one outer product per row, built from the e_j of the class frame, and A
+    and U A V* (Haar) get the same rows"""
     a, r = {
         "full": (crandn(3, 3), 3),
         "rank2": (crandn(4, 2) @ crandn(2, 3), 2),
@@ -983,19 +1027,20 @@ def test_obstruction_rows_match_per_row_reference(case, monkeypatch):
         seen.append(rows)
         return np.zeros((rows.shape[1], 0), dtype=complex), np.zeros(0)
 
-    monkeypatch.setattr(exposedness, "null_space", capture)
+    monkeypatch.setattr(constraint_oracle, "null_space", capture)
     n, m = a.shape
     gen = np.random.default_rng([17, n, m])
-    conjugate_obstruction_space(a)
-    conjugate_obstruction_space(haar_unitary(gen, n) @ a @ haar_unitary(gen, m).conj().T)
+    dense_obstruction_space(a)
+    dense_obstruction_space(haar_unitary(gen, n) @ a @ haar_unitary(gen, m).conj().T)
     want = _obstruction_rows_per_row(n, m, r)
     assert len(seen) == 2 and seen[0].shape == want.shape
     assert seen[0].tobytes() == seen[1].tobytes() == want.tobytes()
 
 
 def test_obstruction_basis_solves_for_a():
-    """the basis is mapped back as B = B' conj(G): on a rank-1 A with G != I, the one
-    element meets the conclusion on A's own zero-pairs (xi, eta), <conj(xi), A eta> = 0"""
+    """the basis u_0 v_0^T is A's solution, not the partial isometry's: on a rank-1 A with
+    G != I, the one element meets the conclusion on A's own zero-pairs (xi, eta),
+    <conj(xi), A eta> = 0"""
     gen = np.random.default_rng(12)
     a = 3.0 * np.outer(_crandn_from(gen, 3), _crandn_from(gen, 4).conj())
     # G = s_0 v v* + (I - v v*) is I only at s_0 = 1
@@ -1010,6 +1055,77 @@ def test_obstruction_basis_solves_for_a():
         xi -= np.conj(np.vdot(out, xi.conj()) / np.vdot(out, out) * out)
         assert abs(xi @ a @ eta) < 1e-12 * np.linalg.norm(xi) * np.linalg.norm(out)
         assert abs(xi @ b @ eta.conj()) < 1e-12 * np.linalg.norm(xi) * np.linalg.norm(eta)
+
+
+# (n, m, r): r = 0, 1 x 1, 1 x 4, 4 x 1, square, wide and tall at several ranks, and the
+# sizes whose dense stack grows: 16 x 16 full rank, 24 x 24 rank 12 and 256 x 3 rank 1
+_DENSE_SHAPES = [
+    (3, 3, 0), (1, 1, 1), (1, 4, 1), (4, 1, 1), (2, 2, 1), (2, 2, 2), (3, 3, 3), (4, 3, 2),
+    (3, 5, 3), (5, 2, 1), (2, 6, 1), (16, 16, 16), (24, 24, 12), (256, 3, 1), (3, 7, 2), (2, 4, 2),
+]
+
+
+@pytest.mark.parametrize("n, m, r", _DENSE_SHAPES)
+def test_obstruction_matches_the_dense_solve(n, m, r):
+    """the class-frame solve (unit rows counted, the r x r core cached) meets the dense stack of
+    every row on all nm columns (`dense_obstruction_space`): the same dimension and spectrum
+    length, the spectra within the dense stack's own floor max(rows, cols) * u * s_0, and at
+    r = 1 the same line, |<dense, new>| = 1 within 1e-12"""
+    gen = np.random.default_rng([23, n, m, r])
+    a = _crandn_from(gen, n, r) @ _crandn_from(gen, r, m)
+    dense, new = dense_obstruction_space(a), conjugate_obstruction_space(a)
+    assert new.dim == dense.dim == int(r == 1)
+    assert new.singular_values.shape == dense.singular_values.shape
+    assert np.all(np.diff(new.singular_values) <= 0)
+    if dense.singular_values.shape[0]:
+        rows = n * m - r * r + 2 * r * (r - 1)
+        floor = max(rows, n * m) * UNIT_ROUNDOFF * dense.singular_values[0]
+        assert np.abs(new.singular_values - dense.singular_values).max() <= floor
+    if r == 1:
+        assert abs(abs(np.vdot(dense.basis[0], new.basis[0])) - 1.0) <= 1e-12
+
+
+def _gaussian_det(rows):
+    """Determinant of a square matrix of Gaussian integers (re, im), exactly, by the Leibniz sum"""
+    total = (0, 0)
+    for perm in itertools.permutations(range(len(rows))):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = (sign, 0)
+        for i, j in enumerate(perm):
+            (a, b), (c, d) = term, rows[i][j]
+            term = (a * c - b * d, a * d + b * c)
+        total = (total[0] + term[0], total[1] + term[1])
+    return total
+
+
+def test_obstruction_core_is_invertible():
+    """each pair's 4 x 4 block, (-z, -|z|^2, 1, conj(z)) per z in `_OBSTRUCTION_Z`, has
+    determinant exactly -12i over the Gaussian integers, so the core forces B' = 0 at r >= 2;
+    the cached core spectrum has r^2 nonzero values at 2 <= r <= 12, and none at r <= 1"""
+    block = []
+    for z in exposedness._OBSTRUCTION_Z:
+        re, im = int(complex(z).real), int(complex(z).imag)
+        assert complex(re, im) == z
+        block.append([(-re, -im), (-(re * re + im * im), 0), (1, 0), (re, -im)])
+    assert _gaussian_det(block) == (0, -12)
+    for r in range(13):
+        s = exposedness._obstruction_core(r)
+        assert not s.flags.writeable
+        if r < 2:
+            assert s.shape == (0,)
+        else:
+            assert s.shape == (r * r,) and linalg.gap_rank(s, r * r * UNIT_ROUNDOFF * s[0]) == r * r
+
+
+def test_obstruction_spectrum_is_frame_invariant():
+    """A and U A V* (Haar) report bitwise-equal singular_values: the rows are constants of
+    (n, m, r), as `ObstructionResult` says"""
+    gen = np.random.default_rng(31)
+    for n, m, r in ((3, 3, 3), (4, 3, 2), (3, 5, 1), (2, 6, 2), (5, 5, 0)):
+        a = _crandn_from(gen, n, r) @ _crandn_from(gen, r, m)
+        rotated = haar_unitary(gen, n) @ a @ haar_unitary(gen, m).conj().T
+        s, t = (conjugate_obstruction_space(x).singular_values for x in (a, rotated))
+        assert s.tobytes() == t.tobytes(), (n, m, r)
 
 
 @pytest.mark.parametrize("shape", [None, (2, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 4)])
