@@ -17,7 +17,7 @@ and `exposedness.certify_exposed` keeps the last plain certificate, so the
 two flags on one A build its face once.
 
 The face is solved in the class of A, with one cut of its spectrum.  One
-svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
+economy svd A = U S V* gives f, the count of s_j > max(n, m) * u * s_0 (the
 rounding floor of `null_space`), and A reads as U_f S_f V_f* with S_f
 invertible (`_class_svd`, which `exposedness.conjugate_obstruction_space`
 reads too).  So
@@ -63,7 +63,7 @@ and nothing is rebuilt per A.  Both ends of the spectrum are written with
 no system built.  At f = 1 every live class output is [1.0], so every
 relation is exactly 0 and the hull is the paper's face
 {X -> Tr(R X) u u* : R compressed to v-perp = 0}, which `_plain_face`
-writes as the factors (u_0, V) of A's svd.  At f = m the pair probe
+writes as the factors (u_0, v_0) of A's svd.  At f = m the pair probe
 P_{+z}(j, k) is in the relation of P_{-z}(j, k) only; eliminated, it leaves
 that relation the single row +-(e_j - e_k)/sqrt2 on the m diagonal
 unknowns, x_j = x_k.  The system's Gram matrix is then m I - J, the
@@ -86,7 +86,6 @@ from .linalg import (
     frobenius_norm,
     gap_rank,
     hermitian_params,
-    triu_pairs,
 )
 from .maps import MapRep, _nonzero_operator
 
@@ -96,10 +95,11 @@ class NullSpaceResult:
     """Null space of the face's linear system, held as read-only factors.
 
     `factors` is the face: (A_f,) for the ray of Choi(X -> A_f X A_f*), or
-    (u, V) for the rank-1 hull of u u* (x) conj(V R_k V*), u (n,) and V
-    (m, m) unitary, over the 2m - 1 R_k of the class (m, 1) (`rank_one_hull`);
-    V (m, 0) (or ()) for none.  `transposed` reads every element
-    through the input-side partial transpose, the face of X -> A X^T A*.
+    (u, v) for the rank-1 hull of u u* (x) conj(V R_k V*), u (n,), v (m, 1)
+    the unit v_0 and V any unitary with first column v_0, over the 2m - 1 R_k
+    of the class (m, 1) (`rank_one_hull`); v (m, 0) (or ()) for none.
+    `transposed` reads every element through the input-side partial
+    transpose, the face of X -> A X^T A*.
     `param_basis` (orthonormal columns over the Hermitian parameterization)
     and `basis` (the same elements as Choi matrices) are built when read,
     (nm)^2 entries per element.  `singular_values` is the spectrum of the
@@ -121,7 +121,9 @@ class NullSpaceResult:
 
     @property
     def dim(self) -> int:
-        return max(2 * self.factors[1].shape[1] - 1, 0) if len(self.factors) == 2 else len(self.factors)
+        if len(self.factors) != 2:
+            return len(self.factors)
+        return (2 * self.factors[1].shape[0] - 1) * self.factors[1].shape[1]
 
     def _elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Choi matrices (dim, nm, nm) of the elements and their parameters, partially transposed
@@ -157,16 +159,23 @@ class NullSpaceResult:
 
 
 def rank_one_hull(v: np.ndarray) -> np.ndarray:
-    """conj(V R_k V*) (2k - 1, m, m) from the k columns v_j of V, over the hull R_k of the class
-    (m, 1) (`class_solve`): conj(v_0) v_0^T, then (c_j + c_j*)/sqrt2 and -i(c_j - c_j*)/sqrt2,
-    c_j = conj(v_0) v_j^T, per j >= 1.  At V = I they are conj(R_k)."""
+    """conj(V R_k V*) (2m - 1, m, m) from the unit column v (m, 1), over the hull R_k of the class
+    (m, 1) (`class_solve`), or none from v (m, 0).
+
+    V is one QR of [v, I], a unitary whose first column v_0 is v up to a
+    phase: conj(v_0) v_0^T, then (c_j + c_j*)/sqrt2 and -i(c_j - c_j*)/sqrt2,
+    c_j = conj(v_0) v_j^T, per j >= 1.  Another completion of v spans the
+    same hull.  At v = e_0 the QR returns I, and they are conj(R_k).
+    """
     m, k = v.shape
-    t = np.zeros((max(2 * k - 1, 0), m, m), dtype=np.complex128)
-    if k:
-        t[0] = np.outer(v[:, 0].conj(), v[:, 0])
-        c = v[:, 0].conj()[None, :, None] * v[:, 1:].T[:, None, :]
-        h = c.conj().swapaxes(1, 2)
-        t[1::2], t[2::2] = (c + h) / SQRT2, -1j * (c - h) / SQRT2
+    if not k:
+        return np.zeros((0, m, m), dtype=np.complex128)
+    v = np.linalg.qr(np.concatenate([v, np.eye(m)], axis=1))[0]
+    t = np.zeros((2 * m - 1, m, m), dtype=np.complex128)
+    t[0] = np.outer(v[:, 0].conj(), v[:, 0])
+    c = v[:, 0].conj()[None, :, None] * v[:, 1:].T[:, None, :]
+    h = c.conj().swapaxes(1, 2)
+    t[1::2], t[2::2] = (c + h) / SQRT2, -1j * (c - h) / SQRT2
     return t
 
 
@@ -175,15 +184,15 @@ def _outer(etas: np.ndarray) -> np.ndarray:
 
 
 def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
+    """One economy svd A = U S V* and the class rank f, the count of s_j > max(n, m) * u * s_0.
 
-    V is full and U is n x min(n, m).  The cut is the rounding floor of
-    `null_space`, and it is the only cut of A's spectrum: the face reads A
-    as U_f S_f V_f* with S_f invertible, and
+    U is n x min(n, m) and V* is min(n, m) x m.  The cut is the rounding
+    floor of `null_space`, and it is the only cut of A's spectrum: the face
+    reads A as U_f S_f V_f* with S_f invertible, and
     `exposedness.conjugate_obstruction_space` reads f and, at f = 1,
     U[:, 0] and V[:, 0].  f = 0 exactly when A = 0.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
     return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 
@@ -227,7 +236,7 @@ def _class_rows(m: int, f: int) -> np.ndarray:
     f^2 + 2f(m - f) unknowns of the live basis probes.
 
     Column j < f is P_j, and column f + 2q + z is P_{+1} (z = 0) or P_{+i}
-    (z = 1) of pair q = j (2m - j - 3)/2 + k - 1 of `triu_pairs(m)`: the
+    (z = 1) of pair q = j (2m - j - 3)/2 + k - 1 of `np.triu_indices(m, 1)`: the
     pairs with j < f, which come first.  Each relation, its own probe
     eliminated (`faces` module docstring), gives two rows by index:
     - curve (j, k, z), j < k < f: (1, -1/2, -1/2) and (0, 1/sqrt2, -1/sqrt2)
@@ -262,7 +271,7 @@ def _class_rows(m: int, f: int) -> np.ndarray:
         # the column of P_{+1}(j, k); P_{+i}(j, k) is the next one
         return f + j * (2 * m - j - 3) + 2 * (k - 1)
 
-    j, k = (np.repeat(x, 2) for x in triu_pairs(f))
+    j, k = (np.repeat(x, 2) for x in np.triu_indices(f, 1))
     curve = np.stack([pair(j, k) + np.arange(j.shape[0]) % 2, j, k], axis=1)
     # star probe q: (b, c) by b then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i), read
     # as 0 for 1 and 1 for i
@@ -336,7 +345,7 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
     f = min(n, m), and `condition` is 1.0, as nothing is lifted.  A class
     whose gap reads another null dimension gets the empty face, which
     certifies nothing.  At f = 1 the hull is u_0 u_0* (x) conj(V R_k V*)
-    over the class's R_k, held as the factors (u_0, V) (`rank_one_hull`).
+    over the class's R_k, held as the factors (u_0, v_0) (`rank_one_hull`).
     Deterministic: no random probes.
     """
     u, s, vh, f = svd = _class_svd(a)
@@ -344,14 +353,14 @@ def _plain_face(a: np.ndarray) -> tuple[NullSpaceResult, tuple]:
     if condition is None:
         # subtracting the tail keeps the svd's backward error (27 u on a rotated 3 x 3 band)
         # out of A_f, so the ray misses Choi(phi) by the tail's distance alone
-        a_f = a if f == s.shape[0] else a - (u[:, f : s.shape[0]] * s[f:]) @ vh[f : s.shape[0]]
-        # an empty face keeps its (n, m): a u of length n and a V of no column
+        a_f = a if f == s.shape[0] else a - (u[:, f:] * s[f:]) @ vh[f:]
+        # an empty face keeps its (n, m): a u of length n and a v of no column
         factors = (a_f,) if dim == 1 else (np.zeros(a.shape[0]), np.zeros((a.shape[1], 0)))
         condition = 1.0
     else:
         # u_0 = A v_0 / s_0: the svd's U put n x 1 inputs past the membership bound
         w = a @ vh[0].conj()
-        factors = (w / np.linalg.norm(w), vh.conj().T)
+        factors = (w / np.linalg.norm(w), vh[:1].conj().T)
     face = NullSpaceResult(svals, pairs_used, unknowns, condition, _read_only(factors))
     return face, svd
 
@@ -375,9 +384,9 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
     return coeffs, residual
 
 
-def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndarray, float, float]:
-    """`membership_residual` of X -> A X A*, unit A, read off the factors and `_class_svd`, and
-    the tail level that `exposedness._face_bound` adds.
+def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[float, float, float]:
+    """(overlap, residual) of `membership_residual` of X -> A X A*, unit A, read off the factors
+    and `_class_svd`, and the tail level that `exposedness._face_bound` adds.
 
     Choi(phi) = c c*, c = vec(A) = p + d, p the projection of c on the
     factor space: the line of vec(A_f) for the ray, u (x) C^m for the hull.
@@ -385,24 +394,23 @@ def _membership(ns: NullSpaceResult, a: np.ndarray, svd: tuple) -> tuple[np.ndar
     |d|^2 (|d|^2 + 2 |p|^2).  The ray holds p p*, and its level is the
     largest tail the class cut allows, sqrt(2 (min(n, m) - f)) max(n, m) u.
     For the hull p = u (x) b / |u|^2, b = (u* A)^T, and p p* leaves
-    b b* / |u|^2 = conj(V) beta beta* V^T / |u|^2, beta = V^T b: its
-    coefficients on the conj(V R_k V*) are |beta_0|^2 and sqrt2 (Re, Im) of
-    conj(beta_0) beta_j, over |u|^2, and its residual off their span is
-    sum_{j >= 1} |beta_j|^2 / |u|^2; the level is 0.
+    b b* / |u|^2, whose part off the span of the conj(V R_k V*) is
+    rest rest* / |u|^2, rest = b - conj(v_0) (v_0^T b): of squared norm
+    on^2, on = |rest|^2 / |u|^2, with no other column of V read; the
+    level is 0.  The ray's on is 0.  The overlap, the norm of the
+    coefficients on the face, is then sqrt(|p|^4 - on^2), over |c|^2.
     """
     if len(ns.factors) == 1:
         a_f = ns.factors[0]
-        p = a_f * (np.vdot(a_f, a) / np.vdot(a_f, a_f).real)
-        coeffs, on = np.array([float(np.vdot(p, p).real)]), 0.0
+        p, on = a_f * (np.vdot(a_f, a) / np.vdot(a_f, a_f).real), 0.0
         level = math.sqrt(2 * (min(a.shape) - svd[3])) * max(a.shape) * UNIT_ROUNDOFF
     else:
-        u, v = ns.factors
+        u, v = ns.factors[0], ns.factors[1][:, 0]
         # projected by u u* / |u|^2: |u| read as 1 took 0.52 of the bound 16 u at m = 1
         b, norm2 = u.conj() @ a, float(np.vdot(u, u).real)
-        p, beta = np.outer(u, b / norm2), v.T @ b
-        cross = SQRT2 * beta[0].conj() * beta[1:]
-        coeffs = np.concatenate([[abs(beta[0]) ** 2], cross.view(np.float64)]) / norm2
-        on, level = float(np.vdot(beta[1:], beta[1:]).real) / norm2, 0.0
+        p, rest = np.outer(u, b / norm2), b - v.conj() * (v @ b)
+        on, level = float(np.vdot(rest, rest).real) / norm2, 0.0
     kept, off = (float(np.vdot(x, x).real) for x in (p, a - p))
     scale = kept + off
-    return coeffs / scale, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level
+    overlap = math.sqrt(max(kept * kept - on * on, 0.0)) / scale
+    return overlap, math.sqrt(off * (off + 2 * kept) + on * on) / scale, level

@@ -214,15 +214,14 @@ def _read_only(arrays: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached, read-only `np.triu_indices(n, 1)`: the strict upper triangle."""
-    return _read_only(np.triu_indices(n, 1))
-
-
-@lru_cache(maxsize=None)
 def _param_slots(n: int) -> np.ndarray:
-    """Cached, read-only offsets of the `hermitian_params` entries in the float64 view of n x n."""
-    iu, ju = triu_pairs(n)
+    """Cached, read-only offsets of the `hermitian_params` entries in the float64 view of n x n.
+
+    Cached: certbench's oracle reads `hermitian_params` between timed
+    certificates, and offsets computed per call made the next certificate
+    10-25% slower on `grid` and `scale` (`BENCH_economy_svd.json`).
+    """
+    iu, ju = np.triu_indices(n, 1)
     upper = 2 * (iu * n + ju)
     return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
 
@@ -262,7 +261,7 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     if p.shape[-1:] != (n * n,):
         raise ShapeError(f"expected {n * n} coordinates, got {p.shape}")
     c = np.zeros(p.shape[:-1] + (n, n), dtype=np.complex128)
-    iu, ju = triu_pairs(n)
+    iu, ju = np.triu_indices(n, 1)
     c[..., np.arange(n), np.arange(n)] = p[..., :n]
     upper = (p[..., n : n + k] + 1j * p[..., n + k :]) / SQRT2
     c[..., iu, ju] = upper

@@ -53,7 +53,6 @@ from conecert.linalg import (
     normalized,
     null_space,
     params_to_herm,
-    triu_pairs,
 )
 from conecert.maps import MapRep, _nonzero_operator, is_hermitian_preserving, partial_transpose_in
 from conecert.sampling import random_unit_vector, rng_from
@@ -98,7 +97,7 @@ class PairStrategy:
 
 def combination_rows(vectors: np.ndarray) -> np.ndarray:
     """Normalized (a + b)/sqrt2 and (a + i b)/sqrt2 per pair of rows a before b of vectors."""
-    iu, ju = triu_pairs(vectors.shape[0])
+    iu, ju = np.triu_indices(vectors.shape[0], 1)
     rows = np.stack([vectors[iu] + vectors[ju], vectors[iu] + 1j * vectors[ju]], axis=1)
     rows = rows.reshape(-1, vectors.shape[1])
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -108,15 +107,18 @@ def kernel_probes(A, transposed: bool = False) -> list[np.ndarray]:
     """Probe vectors eta with phi(eta eta*) = 0, read off one SVD of A.
 
     For X -> A X A*, phi(eta eta*) = w w* with w = A eta, so the kernel
-    probes are the m - f kernel vectors V e_j, j >= f, of `faces._class_svd`
-    (the conjugated rows of Vh), and their pairwise combinations:
+    probes are the m - f kernel vectors V e_j, j >= f, of A's full svd, f
+    the class rank of `faces._class_svd` (the conjugated rows of Vh), and
+    their pairwise combinations:
     k + k (k - 1) probes for k = m - f.  X -> A X^T A* sends eta eta* to the
     output of the plain map at conj(eta), so its kernel probes are the plain
     ones conjugated.  The face does not read them: it probes in the
     singular basis of A, where ker A is spanned by the dead basis probes.
     A = 0 raises InputRejected.
     """
-    _, _, vh, f = faces._class_svd(_nonzero_operator(A))
+    a = _nonzero_operator(A)
+    # the economy svd of `_class_svd` keeps no kernel row of a wide A
+    f, vh = faces._class_svd(a)[3], np.linalg.svd(a)[2]
     kernel = vh[f:].conj()
     if kernel.shape[0] > 1:
         kernel = np.concatenate([kernel, combination_rows(kernel)])
@@ -219,7 +221,7 @@ def functional_row(m: np.ndarray) -> np.ndarray:
     """
     m = as_complex_matrix(m)
     n = m.shape[0]
-    iu, ju = triu_pairs(n)
+    iu, ju = np.triu_indices(n, 1)
     re_part = (m[iu, ju] + m[ju, iu]) / SQRT2
     im_part = 1j * (m[iu, ju] - m[ju, iu]) / SQRT2
     return np.concatenate([np.diag(m), re_part, im_part])
@@ -238,7 +240,7 @@ def _kron_factor_indices(n: int, m: int) -> tuple[np.ndarray, ...]:
     """
     d = n * m
     diag = np.arange(d)
-    iu, ju = triu_pairs(d)
+    iu, ju = np.triu_indices(d, 1)
     out = (diag // m, diag % m, iu // m, ju // m, iu % m, ju % m)
     for a in out:
         a.flags.writeable = False
@@ -414,7 +416,7 @@ def projector_coordinates(x: np.ndarray) -> np.ndarray:
     nonzero entries is exactly 0.
     """
     m = x.shape[-1]
-    iu, ju = triu_pairs(m)
+    iu, ju = np.triu_indices(m, 1)
     c = x[..., iu, ju]
     out = np.empty(x.shape[:-2] + (m * m,))
     out[..., m::2] = 2 * c.real
@@ -444,8 +446,8 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     """Cached, read-only probe data that depends only on m.
 
     Returns the 2m^2 - m curve probes as rows: the m^2 unit probes e_j, then
-    per pair j < k of `triu_pairs` (e_j + e_k)/sqrt2 and (e_j + i e_k)/sqrt2,
-    then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2;
+    per pair j < k of `np.triu_indices(m, 1)` (e_j + e_k)/sqrt2 and
+    (e_j + i e_k)/sqrt2, then per pair the reflected (e_j - e_k)/sqrt2 and (e_j - i e_k)/sqrt2;
     then the layout of the reflected relations.
     Reflected probe m^2 + q of pair j < k has `projector_coordinates` only
     on the pair probe m + q, P_{+z}(j, k), and on P_j and P_k: row q of
@@ -453,7 +455,7 @@ def curve_frame(m: int) -> tuple[np.ndarray, ...]:
     coordinates there (`_layout`).
     """
     size = m * m
-    iu, ju = triu_pairs(m)
+    iu, ju = np.triu_indices(m, 1)
     eye = np.eye(m, dtype=np.complex128)
     # (e_j + z e_k)/sqrt2 per pair for z = 1, i (unit probes), then z = -1, -i (reflected)
     curves = (eye[iu, None] + np.array([1, 1j, -1, -1j])[:, None] * eye[ju, None]) / SQRT2
@@ -641,7 +643,7 @@ def rebuilt_face(a: np.ndarray, transposed: bool = False) -> np.ndarray:
     """
     n, m = a.shape
     size = m * m
-    _, _, vh, f = faces._class_svd(a)
+    f, vh = faces._class_svd(a)[3], np.linalg.svd(a)[2]
     etas, c, system, lift = class_system(m, f)
     live, unknowns = c > 0, system.shape[1]
     if system.shape[0]:

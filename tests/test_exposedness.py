@@ -271,17 +271,21 @@ for n, m, r in {shapes!r}:
 def _fresh_rss_kib(code: str) -> int:
     """Peak RSS in KiB of a fresh python process that runs `code` with conecert importable
 
-    Linux carries the spawning process's high-water mark into the child's
-    ru_maxrss across exec, so the tests that read this sit before the tests
-    of this module that build (nm)^2 references: after them the pytest
-    process itself peaks near 800 MB.
+    The child prints VmHWM from its own /proc/self/status, its own peak
+    resident set.  ru_maxrss would not do: Linux seeds it with the spawning
+    process's high-water mark across exec, and after the tests of this
+    module that build (nm)^2 references the pytest process peaks near
+    800 MB, so the reading would depend on the order of the tests.
     """
-    code += "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    code += """
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecert.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    # ru_maxrss is in KiB on Linux
+    # VmHWM is in kB, that is KiB
     return int(run.stdout)
 
 
@@ -353,6 +357,37 @@ def test_tall_certificate_builds_no_square_u():
         assert peak < 1024 * 1024 * 8, peak
 
 
+def test_wide_certificate_builds_no_square_v():
+    """a rank-1 3 x 1024 certificate pair and the rank-1 obstruction spaces of 3 x 1024 and
+    1 x 1024, and a full-rank 3 x 128 pair, each allocate less than one real m x m array:
+    `faces._class_svd` reads the economy V of a wide input, and the rank-1 hull holds v_0 alone,
+    where a full V is a complex m x m array, 16 MB at m = 1024
+
+    The full-rank pair is taken at m = 128 with its class warmed first: the
+    class solve is cached per (m, f), and a cold (1024, 3) lays a
+    16,348 x 6,135 system, 800 MB, whatever the certificate holds.
+    """
+    g = np.random.default_rng(31)
+    v = _crandn_from(g, 1024)
+    certify_exposed(_crandn_from(g, 3, 128))
+    full, rank_one = _crandn_from(g, 3, 128), np.outer(_crandn_from(g, 3), v)
+    cases = [(certify_exposed, full), (certify_exposed, rank_one)]
+    cases += [(conjugate_obstruction_space, np.outer(_crandn_from(g, n), v)) for n in (3, 1)]
+    for call, a in cases:
+        exposedness._plain_certificate.cache_clear()
+        tracemalloc.start()
+        try:
+            if call is certify_exposed:
+                for transposed in (False, True):
+                    assert call(a, transposed).verdict.value.startswith("EXPOSED_")
+            else:
+                assert call(a).dim == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.shape[1] ** 2 * 8, (call.__name__, a.shape, peak)
+
+
 def _partial_transpose_hull(ns, shape):
     """ns carried through the input-side partial transpose, an involution, with explicit columns:
     the transposed hull of a plain one, or the plain hull of a transposed one"""
@@ -378,11 +413,11 @@ def _certify_with_hull(monkeypatch, a, transposed, hull):
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
-    """face_certificate refuses both larger spans.  The factors (u_0, V) hold no larger hull, so
-    the pipeline is handed the rank-1 hull turned off phi's: V rotated off v_0, and u_0 rotated
-    off U[:, 0].  Each is refused under either flag; membership on those factors reads the
-    reference's coefficients and residual, and the face check at least face_certificate's
-    defect of the same hull, to rounding"""
+    """face_certificate refuses both larger spans.  The factors (u_0, v_0) hold no larger hull,
+    so the pipeline is handed the rank-1 hull turned off phi's: v_0 rotated toward a unit vector
+    orthogonal to it, and u_0 rotated off U[:, 0].  Each is refused under either flag;
+    membership on those factors reads the reference's overlap and residual, and the face check
+    at least face_certificate's defect of the same hull, to rounding"""
     a, phi, ns, controls = _rank_one_controls(transposed)
     exact = face_certificate(ns, phi)
     assert exact.holds
@@ -394,19 +429,21 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
     unit = a / np.linalg.norm(a)
     plain, svd = faces._plain_face(unit)
     u, v = plain.factors
-    turn = np.eye(3, dtype=complex)
-    # a complex plane rotation, so conj(beta_0) beta_1 has both a real and an imaginary part
-    turn[:2, :2] = [[np.cos(0.3), -np.sin(0.3) * 1j], [-np.sin(0.3) * 1j, np.cos(0.3)]]
+    assert v.shape == (3, 1)
+    # a complex turn, so the reference's coefficients conj(beta_0) beta_j have both a real and
+    # an imaginary part
+    ortho = np.array([[1.0], [0.0], [0.0]]) - v * v[0].conj()
+    turn = np.cos(0.3) * v - 1j * np.sin(0.3) * ortho / np.linalg.norm(ortho)
     off = np.array([-u[1].conj(), u[0].conj()])
-    for factors in ((u, v @ turn), (np.cos(0.3) * u + np.sin(0.3) * off, v)):
+    for factors in ((u, turn), (np.cos(0.3) * u + np.sin(0.3) * off, v)):
         turned = replace(plain, factors=factors)
         report = _certify_with_hull(monkeypatch, a, transposed, turned)
         assert report.verdict is Verdict.NOT_CERTIFIED
         flipped = _partial_transpose_hull(turned, a.shape) if transposed else turned
         assert bitwise_but_zero_sign(report.nullspace.param_basis, flipped.param_basis)
-        coeffs, resid, _ = faces._membership(turned, unit, svd)
+        overlap, resid, _ = faces._membership(turned, unit, svd)
         want_coeffs, want = membership_residual(turned, _unit_phi(a))
-        assert np.abs(coeffs - want_coeffs).max() <= 1e-14 and abs(resid - want) <= 1e-14
+        assert abs(overlap - np.linalg.norm(want_coeffs)) <= 1e-14 and abs(resid - want) <= 1e-14
         assert resid > 0.05
         got = exposedness._factor_face_certificate(turned, unit, svd)
         want = face_certificate(turned, _unit_phi(a))
@@ -426,7 +463,7 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
     a = np.outer(_crandn_from(gen, n), _crandn_from(gen, m).conj())
     ns, svd = faces._plain_face(a / np.linalg.norm(a))
     u, v = ns.factors
-    assert ns.dim == 2 * m - 1 and v.shape == (m, m)
+    assert ns.dim == 2 * m - 1 and v.shape == (m, 1)
     got = exposedness._factor_face_certificate(ns, a / np.linalg.norm(a), svd)
     hull = _partial_transpose_hull(ns, shape) if transposed else ns
     want = face_certificate(hull, _unit_phi(a, transposed))
@@ -861,10 +898,10 @@ def test_certificate_agrees_with_the_references(kind):
         n, m = a.shape
         unit = np.ascontiguousarray(a / np.linalg.norm(a), dtype=complex)
         plain, svd = faces._plain_face(unit)
-        coeffs, resid, tail = faces._membership(plain, unit, svd)
+        overlap, resid, tail = faces._membership(plain, unit, svd)
         want_coeffs, want = membership_residual(plain, _unit_phi(a))
         label = (kind, a.shape, plain.dim)
-        assert np.abs(coeffs - want_coeffs).max() <= 1e-14, label
+        assert abs(overlap - np.linalg.norm(want_coeffs)) <= 1e-14, label
         assert abs(resid - want) <= 1e-14 and resid <= _face_bound(plain, tail), label
         flipped = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in plain.basis])).T
         for transposed in (False, True):
@@ -881,10 +918,9 @@ def test_certificate_agrees_with_the_references(kind):
 
 def test_certificates_add_no_table_per_choi_size():
     """certifying 256 x 3 inputs, at full rank and rank 1, under both flags adds no entry to the
-    per-size tables `triu_pairs` and `_param_slots`: nothing is sized by nm = 768 until
-    `param_basis` is read"""
+    per-size table `_param_slots`: nothing is sized by nm = 768 until `param_basis` is read"""
     gen = np.random.default_rng(43)
-    tables = (linalg.triu_pairs, linalg._param_slots)
+    tables = (linalg._param_slots,)
 
     def certify(n):
         for r in (3, 1):
@@ -896,7 +932,7 @@ def test_certificates_add_no_table_per_choi_size():
 
     for table in tables:
         table.cache_clear()
-    # the tables of m = 3, which every n x 3 certificate reads
+    # a small n x 3 pair first, so the count below sees only what n = 256 adds
     certify(4)
     before = [table.cache_info().currsize for table in tables]
     report = certify(256)

@@ -37,7 +37,6 @@ from conecert.linalg import (
     gap_rank,
     hermitian_params,
     params_to_herm,
-    triu_pairs,
 )
 from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
 from conecert.serialization import dumps_canonical, report_to_dict
@@ -320,7 +319,7 @@ def test_projector_coordinates_of_curve_probes(m):
     assert np.abs(rebuilt - _projectors(etas)).max() <= 4 * eps
     assert np.abs(coords[:size] - np.eye(size)).max() <= 4 * eps
     # reflected probes: per pair, z = -1 then z = -i, on exactly {P_j, P_k, P_{+z}}
-    iu, ju = triu_pairs(m)
+    iu, ju = np.triu_indices(m, 1)
     for q, (j, k) in enumerate(zip(iu, ju)):
         for z in range(2):
             row = coords[size + 2 * q + z]
@@ -590,7 +589,7 @@ def test_star_relations_sit_on_their_fixed_columns(m, monkeypatch):
     classes of rank 1 and m have no star probe.
     """
     size = m * m
-    iu, ju = triu_pairs(m)
+    iu, ju = np.triu_indices(m, 1)
     pair = {(j, k): m + 2 * q for q, (j, k) in enumerate(zip(iu, ju))}
     for r in range(2, m):
         etas, cols, weights = star_frame(m, r)
@@ -678,7 +677,7 @@ def test_class_null_dimensions():
     So at f >= 2 the face is one ray, which `_plain_face` writes in closed
     form, and only f = 1 has a larger hull: 2m - 1 orthonormal Hermitian
     m x m matrices R_k, each compressed to e_0-perp = 0, read through
-    `rank_one_hull` at V = I, which writes conj(R_k).
+    `rank_one_hull` at v = e_0, which writes conj(R_k).
     """
     for m in range(1, 17):
         for f in range(1, m + 1):
@@ -686,7 +685,7 @@ def test_class_null_dimensions():
             assert dim == (2 * m - 1 if f == 1 else 1), (m, f)
             assert dim == unknowns - gap_rank(svals, system_floor(svals, unknowns)), (m, f)
             assert (condition is None) == (f > 1), (m, f)
-        r = faces.rank_one_hull(np.eye(m)).conj()
+        r = faces.rank_one_hull(np.eye(m)[:, :1]).conj()
         assert r.shape == (2 * m - 1, m, m), m
         assert np.abs(r - r.conj().swapaxes(1, 2)).max() <= 1e-15, m
         gram = np.einsum("kij,lij->kl", r.conj(), r).real
@@ -699,13 +698,13 @@ def test_rank_one_class_matches_the_built_solve(m):
     """the closed-form class solve at f = 1 against the system built and solved by the oracle
     (`built_class_solve`): the spectrum, unknowns and probe count bitwise, the built system
     exactly 0.0, the span of the R_k within 1e-14 and condition within 2e-15 relative.  The
-    R_k are read through `rank_one_hull` at V = I, which writes conj(R_k)"""
+    R_k are read through `rank_one_hull` at v = e_0, which writes conj(R_k)"""
     svals, unknowns, pairs_used, dim, condition = faces.class_solve(m, 1)
     built, *counts, built_condition = built_class_solve(m, 1)
     assert svals.shape == built.shape and svals.tobytes() == built.tobytes()
     assert [unknowns, pairs_used, dim] == counts
     assert np.all(class_system(m, 1)[2] == 0.0)
-    hull, built_hull = faces.rank_one_hull(np.eye(m)).conj(), built_rank_one_hull(m)[0]
+    hull, built_hull = faces.rank_one_hull(np.eye(m)[:, :1]).conj(), built_rank_one_hull(m)[0]
     p, q = (hermitian_params(r).T for r in (hull, built_hull))
     assert np.abs(p @ p.T - q @ q.T).max() <= 1e-14
     assert abs(condition - built_condition) <= 2e-15 * built_condition
@@ -747,8 +746,9 @@ def test_class_system_matches_the_built_solve(m, f):
     assert np.abs(svals - built).max() <= 4 * system_floor(built, unknowns)
     rows = faces._class_rows(m, f)
     assert rows.shape == (2 * f * (f - 1) + 8 * (f - 1) * (m - f), unknowns)
-    # the columns: P_j, j < f, then P_{+1}, P_{+i} of every pair (j, k) of triu_pairs(m), j < f
-    iu, ju = triu_pairs(m)
+    # the columns: P_j, j < f, then P_{+1}, P_{+i} of every pair (j, k) j < f of
+    # np.triu_indices(m, 1)
+    iu, ju = np.triu_indices(m, 1)
     ray = np.concatenate([np.ones(f), np.repeat(np.where(ju[iu < f] < f, 1.0, 0.5), 2)])
     u = curve_frame(m)[0][: m * m, :f]
     c = np.einsum("pi,pi->p", u, u.conj()).real
