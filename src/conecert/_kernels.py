@@ -9,15 +9,18 @@ The caller hands over C already Hermitized and checked (`maps.is_positive`
 does both once per map), with its norm |C|_F.  Each call lays C out as the
 tensor g[i, j, k, l] = C[(i, k), (j, l)].  A half-step is then one matrix
 product of the stacked outer products conj(eta) eta^T (or conj(xi) xi^T)
-with g read as (kl, ij) (or as (ij, kl)), and one stacked `eigh`.  The
-products are Hermitian up to rounding because C is, and `eigh` reads one
+with g read as (kl, ij) (or as (ij, kl)), and one stacked `_eigh`.  The
+products are Hermitian up to rounding because C is, and `_eigh` reads one
 triangle, so no half-step Hermitizes its matrix.  A descent stops once its
 value moves by at most CONV_TOL * (|C|_F + |value|), a change relative to
 the map, so s * C takes the iterations of C at every scale s > 0 (up to
 rounding).  Results are written only for the rows that converge, as they
 converge, and for the rows still live after the last iteration.  The
 descents are dominated by numpy call overhead, not by arithmetic, so the
-number of calls per half-step is what sets the speed.
+calls per half-step set the speed: `_eigh` is the gufunc behind
+`np.linalg.eigh` without its wrapper, and each descent enters that
+wrapper's error state once, so a nonconvergence still raises LinAlgError
+and the results are bitwise those of `np.linalg.eigh`.
 
 `block_minimize` scans the map's restarts in order and stops at the first one
 whose value dips below `stop_below`.  To spend Python and LAPACK call
@@ -34,6 +37,7 @@ Phi[2, 0.2, 1]).
 """
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # rows descended per stacked call; bounds the stacked arrays and the work a
 # wave can spend past the exit start
@@ -45,6 +49,17 @@ WAVE_GROWTH = 8
 CONV_TOL = 1e-13
 
 
+def _nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh(a):
+    """`np.linalg.eigh(a)` of a complex128 stack, bit for bit, without the
+    wrapper's checks, casts and error state; the caller enters that state."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD")
+
+
+@np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _descend_batch(g, eta, max_iters, scale):
     """Alternating descent of one map from a stack of starts, one per row.
 
@@ -55,7 +70,9 @@ def _descend_batch(g, eta, max_iters, scale):
     after exactly the iterations its own descent would take.  The
     convergence test runs on Python floats, one per live row: for the usual
     single row that costs less than a chain of ufuncs on a length-1 array,
-    and it is the same IEEE double arithmetic.
+    and it is the same IEEE double arithmetic.  Both half-steps call
+    `_eigh` under the error state entered here, once per call, which
+    `np.linalg.eigh` would enter once per matrix.
     """
     n, m = g.shape[1:3]
     g_ij_kl = g.reshape(n * n, m * m)
@@ -70,9 +87,9 @@ def _descend_batch(g, eta, max_iters, scale):
     for _ in range(max_iters):
         b = len(rows)
         outer = (eta.conj()[:, :, None] * eta[:, None, :]).reshape(b, m * m)
-        xi = np.linalg.eigh((outer @ g_kl_ij).reshape(b, n, n))[1][:, :, 0]
+        xi = _eigh((outer @ g_kl_ij).reshape(b, n, n))[1][:, :, 0]
         outer = (xi.conj()[:, :, None] * xi[:, None, :]).reshape(b, n * n)
-        w, v = np.linalg.eigh((outer @ g_ij_kl).reshape(b, m, m))
+        w, v = _eigh((outer @ g_ij_kl).reshape(b, m, m))
         eta, cur = v[:, :, 0], w[:, 0].tolist()
         moving = [abs(p - c) > CONV_TOL * (scale + abs(c)) for p, c in zip(prev, cur)]
         if not all(moving):

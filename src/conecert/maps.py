@@ -84,14 +84,15 @@ class SeparableElement:
 class SearchParams:
     """Budget of the block-positivity search; the threshold is the map's own.
 
-    `restarts` is the number of random starts, `max_iters` bounds every
-    descent except that of a map proved CP by its Choi spectrum, which takes
-    a single iteration, and `seed`, an integer >= 0, seeds the random
-    starts; it is checked here because only a map that the first descent
-    leaves undecided draws them.  What reads as negative is set by
-    `linalg.psd_threshold(n * m, |Choi(phi)|_F)`, relative to the map, and
-    a descent stops once its value moves by at most the kernel's `CONV_TOL`
-    times |Choi(phi)|_F + |value|, also relative to the map.
+    `restarts` (>= 0) is the number of random starts, `max_iters` (>= 1)
+    bounds every descent except that of a map proved CP by its Choi
+    spectrum, which takes a single iteration, and `seed` (>= 0) seeds the
+    random starts.  Each is an integer, not a bool, and is checked here
+    because only the maps that read a field would otherwise fail on it.
+    What reads as negative is set by `linalg.psd_threshold(n * m,
+    |Choi(phi)|_F)`, relative to the map, and a descent stops once its value
+    moves by at most the kernel's `CONV_TOL` times |Choi(phi)|_F + |value|,
+    also relative to the map.
     """
 
     restarts: int = 64
@@ -99,12 +100,10 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise SearchError(f"restarts must be >= 0, got {self.restarts}")
-        if self.max_iters < 1:
-            raise SearchError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise SearchError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low in (("restarts", 0), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise SearchError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

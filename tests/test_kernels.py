@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -212,3 +214,49 @@ def test_block_minimize_batch_caps_rows(monkeypatch):
     _, used = _assert_batch_matches_single(c4s, starts, -np.inf)
     assert used[0] == 600
     assert descended == [1, 8, 64, 256, 256, 15]
+
+
+def _same_bits(got, want):
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 8, 256])
+def test_eigh_is_numpy_eigh_bitwise(rows):
+    """the half-steps' `_eigh` calls numpy's private gufunc: it must stay the
+    bits of `np.linalg.eigh`, eigenvalues and vectors, and raise no warning"""
+    rng = np.random.default_rng(70 + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in range(1, 7):
+            a = _crandn(rng, rows, size, size)
+            a += a.conj().transpose(0, 2, 1)
+            # the half-steps hand over products that are Hermitian only up
+            # to rounding, and both read the lower triangle alone
+            a += np.triu(np.full((size, size), 1e-3), 1)
+            assert _same_bits(_kernels._eigh(a), np.linalg.eigh(a))
+        # a stack with NaN entries that `np.linalg.eigh` answers with NaN
+        nan = np.stack([np.eye(2, dtype=complex)] * rows)
+        nan[0, 1, 0] = np.nan
+        assert _same_bits(_kernels._eigh(nan), np.linalg.eigh(nan))
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("eigh", ["kernel", "numpy"])
+def test_descent_raises_on_nonconvergence(rows, eigh, monkeypatch):
+    """a NaN in the Choi tensor stops the descent with LinAlgError, as the
+    public `np.linalg.eigh` does, and no warning escapes the error state"""
+    if eigh == "numpy":
+        monkeypatch.setattr(_kernels, "_eigh", np.linalg.eigh)
+    rng = np.random.default_rng(80 + rows)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(np.full((rows, 3, 3), np.nan, dtype=complex))
+    for poison in (np.s_[:], np.s_[1, 0, 2, 1]):
+        g = np.ascontiguousarray(_random_maps(rng, 1, 2, 3)[0].transpose(0, 2, 1, 3))
+        g[poison] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                _kernels._descend_batch(g, _crandn(rng, rows, 3), 50, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conecert import _kernels
 from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd, psd_threshold
@@ -434,6 +435,26 @@ def test_co_cp_edges_match_full_scan():
     assert res.positive and abs(res.min_value - val) <= 1e-12
 
 
+def _result_bits(res):
+    return (res.positive, np.float64(res.min_value).tobytes(), res.xi.tobytes(),
+            res.eta.tobytes(), res.restarts_used)
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 3), (2, 4), (4, 2), (4, 6)])
+def test_is_positive_bitwise_with_numpy_eigh(n, m, monkeypatch):
+    """the kernel's half-steps give the bits of `np.linalg.eigh`: every result,
+    the Cho-Kye-Lee restart scans included, is unchanged with it in their place"""
+    maps = _positivity_maps(n, m)
+    if (n, m) == (3, 3):
+        maps += [cho_kye_lee(2, 0, 1), cho_kye_lee(2, 0.2, 1), cho_kye_lee(2, 0, 0.9)]
+    searches = [SearchParams(seed=100 * n + 10 * m + k) for k in range(len(maps))]
+    results = [is_positive(phi, search) for phi, search in zip(maps, searches)]
+    assert all(res.restarts_used > 1 for res in results[5:])
+    monkeypatch.setattr(_kernels, "_eigh", np.linalg.eigh)
+    for phi, search, res in zip(maps, searches, results):
+        assert _result_bits(is_positive(phi, search)) == _result_bits(res)
+
+
 class _RandomDrawn(Exception):
     pass
 
@@ -468,17 +489,22 @@ def test_is_positive_rejects_negative_restarts():
 
 
 def test_search_params_reject_bad_budget():
-    with pytest.raises(SearchError):
-        SearchParams(restarts=-1)
-    with pytest.raises(SearchError):
-        SearchParams(max_iters=0)
+    """a budget that is not an integer, or is a bool, is refused up front: it
+    would otherwise raise a raw TypeError on the first map that reads it"""
+    for bad in (-1, 1.5, 2.5, True, False, np.float64(3.0), "3", None):
+        with pytest.raises(SearchError):
+            SearchParams(restarts=bad)
+    for bad in (0, 1.5, True, np.float64(3.0), np.True_, "3", None):
+        with pytest.raises(SearchError):
+            SearchParams(max_iters=bad)
     assert SearchParams(restarts=0, max_iters=1).restarts == 0
+    assert SearchParams(restarts=np.int64(3), max_iters=np.int32(5)).max_iters == 5
 
 
 def test_search_params_reject_bad_seed():
     """a bad seed is refused up front: with lazy draws it would otherwise fail
     only on the maps that reach the random starts"""
-    for bad in (-1, -4, 1.5, "3", None):
+    for bad in (-1, -4, 1.5, "3", None, True, False, np.float64(7.0)):
         with pytest.raises(SearchError):
             SearchParams(seed=bad)
     assert SearchParams(seed=np.int64(7)).seed == 7
