@@ -35,7 +35,6 @@ from .linalg import (
     hermitian_within,
     hermitize,
     normalized,
-    params_to_herm,
 )
 from .maps import MapRep, choi_from_ad
 
@@ -176,7 +175,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
 
     # B is Hermitian, so frame(frame(B)*) is the transpose of (W (x) V)* B (W (x) V)
     # with axes (input, output, input, output): the face is output 0 and an input 0
-    b = params_to_herm(nullspace.param_basis.T, n * m)
+    b = np.asarray(nullspace.basis)
     rotated = frame(frame(b).conj().swapaxes(1, 2)).reshape(d, m, n, m, n)
     rotated[:, 0, 0, :, 0] = 0
     rotated[:, :, 0, 0, 0] = 0

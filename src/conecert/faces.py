@@ -48,7 +48,7 @@ A probe past the basis enters its own relation only, so its x_p is
 eliminated exactly: the relation holds for some x_p if and only if the
 basis side lies on the line through u_p u_p*, so that line is projected out
 of it and only the basis probes keep unknowns, one per live basis probe on
-its unit output column params(u_b u_b*) / |u_b|^2.  Projected, each
+its unit output u_b u_b* / |u_b|^2.  Projected, each
 relation is a block of rank at most 2 whose entries are constants of the
 class frame, so the system is written down, two literal rows per relation
 (`_class_rows`), with no probe, coordinate or m^2-column table built.  One
@@ -73,7 +73,7 @@ on the ray x_j = 1.  No (nm)^2-sized array is built until a basis is read.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +85,6 @@ from .linalg import (
     _read_only,
     frobenius_norm,
     gap_rank,
-    hermitian_params,
 )
 from .maps import MapRep, _nonzero_operator
 
@@ -100,16 +99,15 @@ class NullSpaceResult:
     of the class (m, 1) (`rank_one_hull`); v (m, 0) (or ()) for none.
     `transposed` reads every element through the input-side partial
     transpose, the face of X -> A X^T A*.
-    `param_basis` (orthonormal columns over the Hermitian parameterization)
-    and `basis` (the same elements as Choi matrices) are built when read,
-    (nm)^2 entries per element.  `singular_values` is the spectrum of the
-    class system (`faces` module docstring), in `unknowns` real unknowns:
-    the m diagonal probes' where f = m (the pairs are eliminated), else
-    every live basis probe's.  It, `unknowns` and
+    `basis`, the elements as Choi matrices orthonormal in Re<B, C>_F, is
+    built when read, (nm)^2 entries per element.  `singular_values` is the
+    spectrum of the class system (`faces` module docstring), in `unknowns`
+    real unknowns: the m diagonal probes' where f = m (the pairs are
+    eliminated), else every live basis probe's.  It, `unknowns` and
     `pairs_used` (the probe count) depend on A only through (m, f).  At
     f >= 2 nothing is lifted, and `condition` is 1.0.  At f = 1 it is the
     condition number of the map from the class coordinates to Choi
-    parameters, a class constant (`class_solve`).
+    matrices, a class constant (`class_solve`).
     """
 
     singular_values: np.ndarray
@@ -125,37 +123,26 @@ class NullSpaceResult:
             return len(self.factors)
         return (2 * self.factors[1].shape[0] - 1) * self.factors[1].shape[1]
 
-    def _elements(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Choi matrices (dim, nm, nm) of the elements and their parameters, partially transposed
-        under the flag, and the norms (dim, 1) of the plain parameters."""
+    def _elements(self) -> np.ndarray:
+        """The unit Choi matrices (dim, nm, nm) of the elements, partially transposed under the
+        flag: an exact permutation of the plain ones, which keeps their norms."""
         if len(self.factors) == 1:
             # Choi(X -> A_f X A_f*) = vec(A_f) vec(A_f)*
-            (n, m), choi = self.factors[0].shape, _outer(self.factors[0].reshape(1, -1))
+            a_f = self.factors[0]
+            (n, m), choi = a_f.shape, np.outer(a_f, a_f.conj())[None]
         else:
             u, v = self.factors or (np.zeros(0), np.zeros((0, 0)))
             (n,), m, t = u.shape, v.shape[0], rank_one_hull(v)
             choi = np.outer(u, u.conj())[None, :, None, :, None] * t[:, None, :, None, :]
             choi = choi.reshape(t.shape[0], n * m, n * m)
-        params = hermitian_params(choi)
         # a BLAS dot per element: einsum lost 30-60 u at (nm)^2 >= 16,384
-        norms = np.array([np.linalg.norm(p) for p in params]).reshape(-1, 1)
-        if self.transposed:
-            # the lower triangle made the conjugate of the upper one, which the parameters read:
-            # the partial transpose then permutes them, signed, and keeps their norms
-            choi = np.triu(choi) + np.triu(choi, 1).conj().swapaxes(1, 2)
-            choi = _partial_transpose(choi, n, m)
-            params = hermitian_params(choi)
-        return choi, params, norms
-
-    @cached_property
-    def param_basis(self) -> np.ndarray:
-        _, params, norms = self._elements()
-        return _read_only(((params / norms).T,))[0]
+        norms = [np.linalg.norm(c.reshape(-1).view(np.float64)) for c in choi]
+        choi /= np.array(norms).reshape(-1, 1, 1)
+        return _partial_transpose(choi, n, m) if self.transposed else choi
 
     @property
     def basis(self) -> list[np.ndarray]:
-        choi, _, norms = self._elements()
-        return list(choi / norms[:, :, None])
+        return list(self._elements())
 
 
 def rank_one_hull(v: np.ndarray) -> np.ndarray:
@@ -177,10 +164,6 @@ def rank_one_hull(v: np.ndarray) -> np.ndarray:
     h = c.conj().swapaxes(1, 2)
     t[1::2], t[2::2] = (c + h) / SQRT2, -1j * (c - h) / SQRT2
     return t
-
-
-def _outer(etas: np.ndarray) -> np.ndarray:
-    return etas[:, :, None] * etas.conj()[:, None, :]
 
 
 def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -376,11 +359,12 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
     scale = frobenius_norm(c)
     if scale == 0.0:
         raise ShapeError("zero Choi matrix has no direction")
-    p = hermitian_params(c / scale)
-    # a face built with no factors has a (0, 0) basis
-    basis = result.param_basis.reshape(p.shape[0], -1)
-    coeffs = basis.T @ p
-    residual = float(np.linalg.norm(p - basis @ coeffs))
+    # in the float64 views, Re<B, C>_F is a dot product and |C|_F a vector norm
+    c = (c / scale).reshape(-1).view(np.float64)
+    # complex128 even for the [] of an empty face
+    basis = np.asarray(result.basis, dtype=np.complex128).reshape(-1, c.size // 2).view(np.float64)
+    coeffs = basis @ c
+    residual = float(np.linalg.norm(c - coeffs @ basis))
     return coeffs, residual
 
 

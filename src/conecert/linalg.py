@@ -35,11 +35,12 @@ long as neither rescaled copy under- or overflows.
 
 The input-side partial transpose is written once, `_partial_transpose`:
 `maps` and `exposedness` apply it to Choi matrices, and `faces` to the
-elements of a transposed face.
+elements of a transposed face.  Hermitian matrices are held as matrices,
+with no real coordinates of Herm(N): where a real inner product
+Re<B, C>_F is needed it is the dot product of the float64 views.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -213,19 +214,6 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
-@lru_cache(maxsize=None)
-def _param_slots(n: int) -> np.ndarray:
-    """Cached, read-only offsets of the `hermitian_params` entries in the float64 view of n x n.
-
-    Cached: certbench's oracle reads `hermitian_params` between timed
-    certificates, and offsets computed per call made the next certificate
-    10-25% slower on `grid` and `scale` (`BENCH_economy_svd.json`).
-    """
-    iu, ju = np.triu_indices(n, 1)
-    upper = 2 * (iu * n + ju)
-    return _read_only((np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1]),))[0]
-
-
 def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
     """The input-side partial transpose (i, k, j, l) -> (i, l, j, k) of nm x nm c, unchecked.
 
@@ -233,38 +221,3 @@ def _partial_transpose(c: np.ndarray, n: int, m: int) -> np.ndarray:
     """
     c = c.reshape(c.shape[:-2] + (n, m, n, m))
     return np.ascontiguousarray(c.swapaxes(-3, -1)).reshape(c.shape[:-4] + (n * m, n * m))
-
-
-def hermitian_params(c: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis.
-
-    Layout: the N diagonal entries, then sqrt(2)*Re of the strict upper
-    triangle in row-major order, then sqrt(2)*Im of the same entries.  The
-    map is an isometry: <C1, C2>_F (real part) equals the dot product of the
-    coordinate vectors.  Leading axes of c are batch axes: shape (..., N, N)
-    gives (..., N*N).  c must be finite; it is not checked.
-    """
-    c = np.ascontiguousarray(c, dtype=np.complex128)
-    n = c.shape[-1]
-    out = c.reshape(c.shape[:-2] + (n * n,)).view(np.float64).take(_param_slots(n), axis=-1)
-    out[..., n:] *= SQRT2
-    return out
-
-
-def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `hermitian_params` for an n x n Hermitian matrix.
-
-    Leading axes of p are batch axes: shape (..., n*n) gives (..., n, n).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    k = n * (n - 1) // 2
-    if p.shape[-1:] != (n * n,):
-        raise ShapeError(f"expected {n * n} coordinates, got {p.shape}")
-    c = np.zeros(p.shape[:-1] + (n, n), dtype=np.complex128)
-    iu, ju = np.triu_indices(n, 1)
-    c[..., np.arange(n), np.arange(n)] = p[..., :n]
-    upper = (p[..., n : n + k] + 1j * p[..., n + k :]) / SQRT2
-    c[..., iu, ju] = upper
-    c[..., ju, iu] = upper.conj()
-    return c
-

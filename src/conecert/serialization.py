@@ -88,9 +88,14 @@ def _parse_entry(e) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)
     ):
         raise EncodingError(f"entry must be a [re, im] number pair, got {e!r}")
-    if not (math.isfinite(e[0]) and math.isfinite(e[1])):
+    try:
+        real, imag = float(e[0]), float(e[1])
+    except OverflowError:
+        # a JSON integer past the largest double
+        raise EncodingError("entry out of the range of a double rejected") from None
+    if not (math.isfinite(real) and math.isfinite(imag)):
         raise EncodingError("non-finite entry rejected")
-    return complex(e[0], e[1])
+    return complex(real, imag)
 
 
 def _size(obj: dict, key: str) -> int:
@@ -229,8 +234,13 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def load_json(path: str):
+    """The JSON value in the file at path.
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests deeper
+    than the interpreter's recursion limit raises EncodingError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise EncodingError(f"cannot read JSON from {path}: {exc}") from exc

@@ -12,10 +12,11 @@ verdict.
 from dataclasses import dataclass
 
 import numpy as np
+from constraint_oracle import hermitian_params, param_basis, params_to_herm
 
 from conecert._kernels import block_minimize
 from conecert.faces import membership_residual
-from conecert.linalg import hermitian_params, hermitize, params_to_herm, psd_threshold
+from conecert.linalg import hermitize, psd_threshold
 from conecert.maps import SearchParams, _compression_starts, product_start
 from conecert.sampling import crandn, rng_from
 
@@ -70,7 +71,7 @@ def cone_evidence(
     p_phi = hermitian_params(phi.choi / scale)
     # orthonormal completion of the phi direction inside the hull
     q, _ = np.linalg.qr(np.reshape(coeffs / np.linalg.norm(coeffs), (d, 1)), mode="complete")
-    perp = ns.param_basis @ q[:, 1:]
+    perp = param_basis(ns) @ q[:, 1:]
     rng = rng_from(search.seed)
 
     def search_from(choi):

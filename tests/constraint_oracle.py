@@ -24,11 +24,11 @@ its SVD, the reference for the Choi oracle's `choi_kernel_probes` and the
 count in the structured digest.  `rebuilt_face` is that solve carried to A numerically,
 through the dual basis and A's outputs, the reference for the face that
 `faces._plain_face` writes in closed form.
-`partial_transpose_slots` is the input-side partial transpose read as a
-signed permutation of the Choi parameters, the reference for transposed
-faces, which `faces` builds from the factors.  `dense_obstruction_space` is
-the obstruction system stacked on all nm columns and solved by one
-`null_space`, the reference for `exposedness.conjugate_obstruction_space`,
+The oracles build their rows in the real coordinates of Herm(N),
+`hermitian_params` and its inverse `params_to_herm`, where the library
+holds every element of a face as a Choi matrix; `param_basis` reads a
+face's basis in those coordinates.  `dense_obstruction_space` is the obstruction system stacked on all nm
+columns and solved by one `null_space`, the reference for `exposedness.conjugate_obstruction_space`,
 which counts the unit rows and solves only the cached r x r core.
 """
 
@@ -48,17 +48,58 @@ from conecert.linalg import (
     _read_only,
     as_complex_matrix,
     gap_rank,
-    hermitian_params,
     hermitize,
     normalized,
     null_space,
-    params_to_herm,
 )
 from conecert.maps import MapRep, _nonzero_operator, is_hermitian_preserving, partial_transpose_in
 from conecert.sampling import random_unit_vector, rng_from
 
 PAIR_TOL = 1e-10
 _ASSEMBLE_ENTRIES = 1 << 16
+
+
+def hermitian_params(c: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix in an orthonormal basis.
+
+    Layout: the N diagonal entries, then sqrt(2)*Re of the strict upper
+    triangle in row-major order, then sqrt(2)*Im of the same entries.  The
+    map is an isometry: <C1, C2>_F (real part) equals the dot product of the
+    coordinate vectors.  Leading axes of c are batch axes: shape (..., N, N)
+    gives (..., N*N).  The entries are read at their offsets in the float64
+    view of c.
+    """
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    n = c.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    upper = 2 * (iu * n + ju)
+    slots = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
+    out = c.reshape(c.shape[:-2] + (n * n,)).view(np.float64).take(slots, axis=-1)
+    out[..., n:] *= SQRT2
+    return out
+
+
+def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `hermitian_params` for an n x n Hermitian matrix.
+
+    Leading axes of p are batch axes: shape (..., n*n) gives (..., n, n).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    k = n * (n - 1) // 2
+    if p.shape[-1:] != (n * n,):
+        raise ShapeError(f"expected {n * n} coordinates, got {p.shape}")
+    c = np.zeros(p.shape[:-1] + (n, n), dtype=np.complex128)
+    iu, ju = np.triu_indices(n, 1)
+    c[..., np.arange(n), np.arange(n)] = p[..., :n]
+    upper = (p[..., n : n + k] + 1j * p[..., n + k :]) / SQRT2
+    c[..., iu, ju] = upper
+    c[..., ju, iu] = upper.conj()
+    return c
+
+
+def param_basis(ns: faces.NullSpaceResult) -> np.ndarray:
+    """The face's basis as orthonormal columns ((nm)^2, dim) of `hermitian_params`."""
+    return hermitian_params(ns._elements()).T
 
 
 def map_floor(map_rep: MapRep) -> float:
@@ -320,27 +361,6 @@ def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np
     owner = np.concatenate(owner)
     order = np.argsort(owner, kind="stable")
     return np.concatenate(columns)[order], owner[order]
-
-
-def partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with params(PT(X)) = sign * params(X)[index] for Hermitian nm x nm X.
-
-    PT is the input-side partial transpose (`partial_transpose_in`): it
-    keeps the diagonal, and an upper entry whose image is a lower one reads
-    the conjugate there, so its Im coordinate changes sign.  The table is
-    read off PT applied to the labels 1 .. (nm)^2.
-    """
-    d = n * m
-    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
-    moved = hermitian_params(partial_transpose_in(labels, n, m))
-    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
-    return np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)
-
-
-def bitwise_but_zero_sign(x: np.ndarray, y: np.ndarray) -> bool:
-    """x and y are equal, and bitwise so but for the sign of an exact zero"""
-    unsigned = [np.where(v == 0, 0.0, v).tobytes() for v in (x, y)]
-    return np.array_equal(x, y) and unsigned[0] == unsigned[1]
 
 
 def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:

@@ -168,6 +168,20 @@ def test_expose_missing_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, error", [
+    (b'{"rows": 1, "cols": 1, "data": [[[1' + b"0" * 400 + b', 0]]]}', "entry out of the range"),
+    (b"\xff\xfe[1, 2]", "cannot read JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "cannot read JSON"),
+], ids=["entry_1e400", "not_utf8", "deep"])
+def test_expose_unreadable_input_exit_2(tmp_path, capsys, content, error):
+    """an entry 10^400, which no double holds, a file that is not UTF-8 and JSON nested past
+    the recursion limit are input errors (exit 2), not tracebacks"""
+    path = tmp_path / "a.json"
+    path.write_bytes(content)
+    assert main(["expose", str(path)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
 def test_expose_takes_no_seed(tmp_path, monkeypatch, capsys):
     """the certificate draws no random number: --seed is a usage error and
     CONECERT_SEED is not read"""

@@ -14,10 +14,11 @@ import conecert
 import constraint_oracle
 from cone_oracle import cone_evidence
 from constraint_oracle import (
-    bitwise_but_zero_sign,
     dense_obstruction_space,
+    hermitian_params,
     kernel_probes,
-    partial_transpose_slots,
+    param_basis,
+    params_to_herm,
 )
 from conecert import exposedness, faces, linalg
 from conecert.errors import ClassificationError, HermiticityError
@@ -31,7 +32,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, hermitian_params
+from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q, partial_transpose_in
 from conecert.serialization import report_to_dict
 from structured_inputs import digest_lines, haar_unitary, structured_inputs
@@ -168,11 +169,11 @@ def test_band_certifies_on_both_sides_of_the_frame_cut(shape):
                 assert want in (None, report.nullspace.dim), (shape, s, transposed)
 
 
-def _explicit(ns, param_basis, **fields):
-    """ns's class evidence with the face given as orthonormal Choi-parameter columns: the hull as
-    `face_certificate`, `membership_residual` and `_face_bound` read it"""
+def _explicit(ns, basis, **fields):
+    """ns's class evidence with the face given as an orthonormal stack (dim, nm, nm) of Choi
+    matrices: the hull as `face_certificate`, `membership_residual` and `_face_bound` read it"""
     evidence = {k: getattr(ns, k) for k in ("singular_values", "pairs_used", "unknowns", "condition")}
-    return SimpleNamespace(**{**evidence, **fields}, param_basis=param_basis, dim=param_basis.shape[1])
+    return SimpleNamespace(**{**evidence, **fields}, basis=basis, dim=len(basis))
 
 
 def _hull_plus(ns, extra_choi):
@@ -184,13 +185,14 @@ def _hull_plus(ns, extra_choi):
     the larger hull gets one more unknown, so its spectrum is 0 and its
     bound is the rounding level, as for ns.
     """
-    p = hermitian_params(extra_choi)
-    p = p - ns.param_basis @ (ns.param_basis.T @ p)
-    param_basis = np.hstack([ns.param_basis, (p / np.linalg.norm(p))[:, None]])
-    dim = param_basis.shape[1]
+    basis = np.array(ns.basis)
+    # Re<B, X>_F per element: the elements and extra_choi are Hermitian
+    x = extra_choi - np.tensordot(np.tensordot(basis.conj(), extra_choi, 2).real, basis, 1)
+    basis = np.concatenate([basis, (x / np.linalg.norm(x))[None]])
+    dim = basis.shape[0]
     unknowns = max(ns.unknowns, dim)
     svals = np.concatenate([ns.singular_values[: unknowns - dim], np.zeros(dim)])
-    return _explicit(ns, param_basis, singular_values=svals, unknowns=unknowns)
+    return _explicit(ns, basis, singular_values=svals, unknowns=unknowns)
 
 
 def _rank_one_controls(transposed):
@@ -389,10 +391,9 @@ def test_wide_certificate_builds_no_square_v():
 
 
 def _partial_transpose_hull(ns, shape):
-    """ns carried through the input-side partial transpose, an involution, with explicit columns:
+    """ns carried through the input-side partial transpose, an involution, with an explicit basis:
     the transposed hull of a plain one, or the plain hull of a transposed one"""
-    index, sign = partial_transpose_slots(*shape)
-    return _explicit(ns, ns.param_basis[index] * sign[:, None])
+    return _explicit(ns, _partial_transpose(np.array(ns.basis), *shape))
 
 
 def _certify_with_hull(monkeypatch, a, transposed, hull):
@@ -440,7 +441,7 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         report = _certify_with_hull(monkeypatch, a, transposed, turned)
         assert report.verdict is Verdict.NOT_CERTIFIED
         flipped = _partial_transpose_hull(turned, a.shape) if transposed else turned
-        assert bitwise_but_zero_sign(report.nullspace.param_basis, flipped.param_basis)
+        assert np.array(report.nullspace.basis).tobytes() == np.array(flipped.basis).tobytes()
         overlap, resid, _ = faces._membership(turned, unit, svd)
         want_coeffs, want = membership_residual(turned, _unit_phi(a))
         assert abs(overlap - np.linalg.norm(want_coeffs)) <= 1e-14 and abs(resid - want) <= 1e-14
@@ -493,7 +494,7 @@ def test_large_rank_one_certificates(shape, transposed):
     u, v = _crandn_from(gen, n), _crandn_from(gen, m)
     report = certify_exposed(np.outer(u, v.conj()), transposed=transposed)
     assert report.verdict is Verdict.EXPOSED_FACE
-    got = report.nullspace.param_basis
+    got = param_basis(report.nullspace)
     assert got.shape == ((n * m) ** 2, 2 * m - 1)
     assert np.abs(got.T @ got - np.eye(2 * m - 1)).max() < 1e-12
     assert report.face.defect <= report.face.bound < 1e-9
@@ -546,7 +547,7 @@ def test_face_defect_is_the_sine_of_a_tilt(shape, transposed):
     for theta in (1e-6, 1e-3, 0.3):
         basis = face.copy()
         basis[:, 0] = np.cos(theta) * face[:, 0] + np.sin(theta) * off
-        defect = face_certificate(_explicit(ns, basis), phi).defect
+        defect = face_certificate(_explicit(ns, params_to_herm(basis.T, n * m)), phi).defect
         assert abs(defect - np.sin(theta)) <= 1e-9 * np.sin(theta), (theta, defect)
 
 
@@ -612,7 +613,7 @@ def test_membership_of_an_empty_face(transposed, monkeypatch):
     # the class (3, 2) read with null dimension 0
     monkeypatch.setattr(faces, "class_solve", lambda m, f: (*solve(m, f)[:3], 0, None))
     written = replace(faces._plain_face(a)[0], transposed=transposed)
-    assert written.dim == 0 and written.param_basis.shape == (36, 0)
+    assert written.dim == 0 and param_basis(written).shape == (36, 0)
     bare = NullSpaceResult(np.ones(3), 3, 3, 1.0, transposed=transposed)
     for ns in (written, bare):
         coeffs, resid = membership_residual(ns, _unit_phi(a, transposed))
@@ -643,9 +644,7 @@ def test_class_without_one_ray_is_not_certified(dim, monkeypatch):
 def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     """a flag pair, in either order, solves, projects and checks the face (on its factors) once,
     and the transposed report is the plain certificate relabelled: the same verdict, face check
-    and overlap, and the plain basis under the signed permutation of the partial transpose,
-    bitwise but for the sign of an exact zero (a sign flip there reads -0.0 where the factors
-    give 0.0)"""
+    and overlap, and the plain basis under the input-side partial transpose, bitwise"""
     calls = {}
 
     def spy(module, name):
@@ -673,11 +672,10 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     assert flipped.verdict is plain.verdict
     assert flipped.face == plain.face
     assert flipped.overlap_with_phi == plain.overlap_with_phi
-    index, sign = partial_transpose_slots(n, m)
-    want = plain.nullspace.param_basis[index] * sign[:, None]
-    assert bitwise_but_zero_sign(flipped.nullspace.param_basis, want)
+    want = _partial_transpose(np.array(plain.nullspace.basis), n, m)
+    assert np.array(flipped.nullspace.basis).tobytes() == want.tobytes()
     for report in (plain, flipped):
-        for array in (report.nullspace.singular_values, report.nullspace.param_basis):
+        for array in (report.nullspace.singular_values, *report.nullspace.factors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0.0
@@ -792,7 +790,7 @@ def test_rank_one_hull_within_face_bound(shape, transposed):
     assert report.verdict is Verdict.EXPOSED_FACE
     exact = _exact_rank_one_hull(u, v, transposed)
     assert np.abs(exact.T @ exact - np.eye(2 * m - 1)).max() < 1e-12
-    got = report.nullspace.param_basis
+    got = param_basis(report.nullspace)
     assert got.shape == exact.shape
     # sine of the largest principal angle between the two spans
     assert np.linalg.norm(got - exact @ (exact.T @ got), 2) <= report.face.bound
@@ -903,7 +901,7 @@ def test_certificate_agrees_with_the_references(kind):
         label = (kind, a.shape, plain.dim)
         assert abs(overlap - np.linalg.norm(want_coeffs)) <= 1e-14, label
         assert abs(resid - want) <= 1e-14 and resid <= _face_bound(plain, tail), label
-        flipped = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in plain.basis])).T
+        flipped = np.array([partial_transpose_in(b, n, m) for b in plain.basis])
         for transposed in (False, True):
             report = certify_exposed(a, transposed=transposed)
             ns, phi = report.nullspace, _unit_phi(a, transposed)
@@ -913,32 +911,22 @@ def test_certificate_agrees_with_the_references(kind):
             assert abs(resid - want) <= 1e-14, label
             if report.face is not None:
                 assert abs(report.face.defect - face_certificate(ns, phi).defect) <= 1e-12, label
-        assert np.abs(report.nullspace.param_basis - flipped).max() <= 1e-15, label
+        assert np.abs(np.array(report.nullspace.basis) - flipped).max() <= 1e-15, label
 
 
 def test_certificates_add_no_table_per_choi_size():
-    """certifying 256 x 3 inputs, at full rank and rank 1, under both flags adds no entry to the
-    per-size table `_param_slots`: nothing is sized by nm = 768 until `param_basis` is read"""
+    """256 x 3 inputs, at full rank and rank 1, certify under both flags, and the rank-1 hull's
+    `basis` holds its 5 elements as 768 x 768 Choi matrices; `linalg` holds no table cached per
+    size"""
     gen = np.random.default_rng(43)
-    tables = (linalg._param_slots,)
-
-    def certify(n):
-        for r in (3, 1):
-            a = _crandn_from(gen, n, r) @ _crandn_from(gen, r, 3)
-            for transposed in (False, True):
-                report = certify_exposed(a, transposed=transposed)
-                assert report.verdict.value.startswith("EXPOSED_"), (n, r, transposed)
-        return report
-
-    for table in tables:
-        table.cache_clear()
-    # a small n x 3 pair first, so the count below sees only what n = 256 adds
-    certify(4)
-    before = [table.cache_info().currsize for table in tables]
-    report = certify(256)
-    assert [table.cache_info().currsize for table in tables] == before
-    assert report.nullspace.param_basis.shape == (768**2, 5)
-    assert [table.cache_info().currsize for table in tables] == [size + 1 for size in before]
+    for r in (3, 1):
+        a = _crandn_from(gen, 256, r) @ _crandn_from(gen, r, 3)
+        for transposed in (False, True):
+            report = certify_exposed(a, transposed=transposed)
+            assert report.verdict.value.startswith("EXPOSED_"), (r, transposed)
+    basis = report.nullspace.basis
+    assert len(basis) == 5 and all(b.shape == (768, 768) for b in basis)
+    assert not [name for name, x in vars(linalg).items() if hasattr(x, "cache_info")]
 
 
 @pytest.mark.parametrize(
@@ -1330,7 +1318,8 @@ def test_face_defect_does_not_depend_on_the_basis(transposed):
         dim = hull.dim
         for _ in range(20):
             rot = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-            defect = face_certificate(_explicit(hull, hull.param_basis @ rot), phi).defect
+            rotated = np.tensordot(rot, np.array(hull.basis), (0, 0))
+            defect = face_certificate(_explicit(hull, rotated), phi).defect
             assert abs(defect - want) <= 1e-12, dim
     assert face_certificate(plus, phi).defect > 0.5
 

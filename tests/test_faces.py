@@ -9,7 +9,6 @@ from constraint_oracle import (
     PairStrategy,
     ZeroPair,
     assemble_constraints,
-    bitwise_but_zero_sign,
     built_class_solve,
     built_rank_one_hull,
     choi_kernel_probes,
@@ -17,10 +16,12 @@ from constraint_oracle import (
     curve_frame,
     dense_nullspace,
     functional_row,
+    hermitian_params,
     kernel_probes,
     map_floor,
     oracle_nullspace,
-    partial_transpose_slots,
+    param_basis,
+    params_to_herm,
     probe_outputs,
     projector_coordinates,
     rebuilt_face,
@@ -32,12 +33,7 @@ from conecert import Verdict, certify_exposed, exposedness, faces, maps
 from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import double_prime_nullspace, membership_residual, system_floor
-from conecert.linalg import (
-    UNIT_ROUNDOFF,
-    gap_rank,
-    hermitian_params,
-    params_to_herm,
-)
+from conecert.linalg import UNIT_ROUNDOFF, gap_rank
 from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
 from conecert.serialization import dumps_canonical, report_to_dict
 from structured_inputs import haar_unitary, structured_inputs, zero_one_matrices
@@ -257,7 +253,8 @@ def test_nullspace_random_full_rank_three():
 
 def test_nullspace_basis_orthonormal():
     res = double_prime_nullspace(np.diag([1.0, 0.0]))
-    g = res.param_basis.T @ res.param_basis
+    b = param_basis(res)
+    g = b.T @ b
     assert np.abs(g - np.eye(res.dim)).max() < 1e-10
 
 
@@ -267,7 +264,7 @@ def test_nullspace_deterministic():
     r1 = double_prime_nullspace(a)
     r2 = double_prime_nullspace(a)
     assert r1.dim == r2.dim
-    assert np.abs(r1.param_basis - r2.param_basis).max() == 0.0
+    assert np.abs(np.array(r1.basis) - np.array(r2.basis)).max() == 0.0
     assert r1.pairs_used == r2.pairs_used
 
 
@@ -298,7 +295,8 @@ def test_nullspace_matches_constraint_oracle():
             label = (n, m, r, transposed)
             assert res.dim == oracle.shape[1], label
             # sine of the largest principal angle between the two spans
-            sin = np.linalg.norm(res.param_basis - oracle @ (oracle.T @ res.param_basis), 2)
+            got = param_basis(res)
+            sin = np.linalg.norm(got - oracle @ (oracle.T @ got), 2)
             assert sin <= 1e-6, label
 
 
@@ -809,7 +807,7 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     the class cut A_f = U_f S_f V_f*, with condition 1.0.  A certificate at any f, under
     either flag, builds no Choi matrix: it calls none of maps._ad_map, membership_residual,
     exposedness._face_frame and NullSpaceResult._elements, which builds the basis, nor
-    hermitian_params or eigvalsh, at f = 1 either"""
+    eigvalsh, at f = 1 either"""
     g = np.random.default_rng(71)
     shapes = ((4, 4, 4), (3, 5, 3), (5, 3, 3), (6, 6, 3), (4, 5, 2))
     inputs = [(g.standard_normal((n, r)) + 1j) @ g.standard_normal((r, m)) for n, m, r in shapes]
@@ -822,17 +820,17 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     for (n, m, r), a in zip(shapes, inputs):
         res = double_prime_nullspace(a)
         a = a / np.linalg.norm(a)
-        want = hermitian_params(choi_from_ad(a).choi)
-        want = want / np.linalg.norm(want)
+        want = choi_from_ad(a).choi
+        want = want / np.linalg.norm(want.reshape(-1).view(np.float64))
         assert res.dim == 1 and res.condition == 1.0, (n, m, r)
         if r == min(n, m):
-            assert res.param_basis[:, 0].tobytes() == want.tobytes(), (n, m, r)
+            assert res.basis[0].tobytes() == want.tobytes(), (n, m, r)
         else:
-            assert np.linalg.norm(res.param_basis[:, 0] - want) <= 1e-14, (n, m, r)
+            assert np.linalg.norm(res.basis[0] - want) <= 1e-14, (n, m, r)
     assert calls == []
     built, spied = [], (
         (maps, "_ad_map"), (faces, "membership_residual"), (exposedness, "_face_frame"),
-        (faces.NullSpaceResult, "_elements"), (faces, "hermitian_params"), (np.linalg, "eigvalsh"),
+        (faces.NullSpaceResult, "_elements"), (np.linalg, "eigvalsh"),
     )
     for owner, name in spied:
         call = getattr(owner, name)
@@ -858,8 +856,10 @@ def test_cold_and_warm_class_solves_match():
                 cold = double_prime_nullspace(a)
                 warm = double_prime_nullspace(a)
                 assert faces.class_solve.cache_info().hits == 1
-                for field in ("singular_values", "param_basis"):
-                    got, want = getattr(warm, field), getattr(cold, field)
+                for got, want in (
+                    (warm.singular_values, cold.singular_values),
+                    (np.array(warm.basis), np.array(cold.basis)),
+                ):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, m, r)
                 want = (cold.unknowns, cold.pairs_used, cold.condition)
                 assert (warm.unknowns, warm.pairs_used, warm.condition) == want, (n, m, r)
@@ -880,7 +880,7 @@ def test_recomputed_certificate_matches_the_kept_one():
     exposedness._plain_certificate.cache_clear()
     after = certify_exposed(a, transposed=True)
     assert after.verdict is before.verdict
-    assert np.array_equal(after.nullspace.param_basis, before.nullspace.param_basis)
+    assert np.array_equal(after.nullspace.basis, before.nullspace.basis)
     assert np.array_equal(after.nullspace.singular_values, before.nullspace.singular_values)
 
 
@@ -965,7 +965,8 @@ def _matches_dense_solve(a, transposed, label):
     # and only the diagonal ones at full column rank
     ranks = probe_outputs(phi, etas[: phi.m**2])[2]
     assert res.unknowns == (phi.m if f == phi.m else int((ranks**2).sum())), label
-    sin = np.linalg.norm(res.param_basis - ref.param_basis @ (ref.param_basis.T @ res.param_basis), 2)
+    got = param_basis(res)
+    sin = np.linalg.norm(got - ref.param_basis @ (ref.param_basis.T @ got), 2)
     assert sin <= _face_bound(res), label
 
 
@@ -1030,8 +1031,9 @@ def test_rebuilt_face_matches_the_closed_form():
             res = double_prime_nullspace(a, transposed)
             rebuilt = rebuilt_face(a, transposed)
             label = (a.shape, res.dim, transposed)
-            assert rebuilt.shape == res.param_basis.shape, label
-            sin = np.linalg.norm(rebuilt - res.param_basis @ (res.param_basis.T @ rebuilt), 2)
+            got = param_basis(res)
+            assert rebuilt.shape == got.shape, label
+            sin = np.linalg.norm(rebuilt - got @ (got.T @ rebuilt), 2)
             assert sin <= _face_bound(res, tail) < 1.0, label
 
 
@@ -1058,9 +1060,7 @@ def test_nullspace_matches_dense_solve_on_band(s2):
         assert res.dim == ref.dim, label
         if f >= 2:
             assert res.dim == 1, label
-            p = hermitian_params(phi.choi) / np.linalg.norm(phi.choi)
-            sin = np.linalg.norm(p - res.param_basis @ (res.param_basis.T @ p))
-            assert sin <= _face_bound(res), label
+            assert membership_residual(res, phi)[1] <= _face_bound(res), label
 
 
 def _curve_outputs(a, etas):
@@ -1183,8 +1183,9 @@ def test_condition_bounds_the_whole_map():
             continue
         stretch = _coordinate_map(a)
         assert stretch.shape[1] == res.unknowns, label
-        x = np.linalg.lstsq(stretch, res.param_basis, rcond=None)[0]
-        assert np.linalg.norm(stretch @ x - res.param_basis) <= 1e-10, label
+        got = param_basis(res)
+        x = np.linalg.lstsq(stretch, got, rcond=None)[0]
+        assert np.linalg.norm(stretch @ x - got) <= 1e-10, label
         s = np.linalg.svd(stretch, compute_uv=False)
         least = np.linalg.svd(stretch @ np.linalg.qr(x)[0], compute_uv=False)[-1]
         assert s[0] / least == pytest.approx(res.condition, rel=1e-12), label
@@ -1212,10 +1213,8 @@ def test_transposed_face_is_the_partial_transpose():
     positive maps, so it carries the one face onto the other.  Both flags
     read the same solve: on every structured input they must give the same
     verdict, counts, spectrum and condition, bitwise, a transposed basis
-    that is the signed permutation of the plain one, bitwise but for the
-    sign of an exact zero (the factors give 0.0 where a sign flip gives
-    -0.0), and the same
-    face defect to 1e-15.
+    that is the input-side partial transpose of the plain one, bitwise, and
+    the same face defect to 1e-15.
     """
     for label, a in structured_inputs():
         plain, flipped = certify_exposed(a), certify_exposed(a, transposed=True)
@@ -1224,12 +1223,10 @@ def test_transposed_face_is_the_partial_transpose():
         assert (t.dim, t.unknowns, t.pairs_used) == (p.dim, p.unknowns, p.pairs_used), label
         assert np.array_equal(t.singular_values, p.singular_values), label
         assert t.condition == p.condition, label
-        index, sign = partial_transpose_slots(*a.shape)
-        assert bitwise_but_zero_sign(t.param_basis, p.param_basis[index] * sign[:, None]), label
         if p.dim:
             n, m = a.shape
-            want = hermitian_params(np.array([partial_transpose_in(b, n, m) for b in p.basis])).T
-            assert np.abs(want - t.param_basis).max() <= 1e-15, label
+            want = np.array([partial_transpose_in(b, n, m) for b in p.basis])
+            assert np.array(t.basis).tobytes() == want.tobytes(), label
         assert (flipped.face is None) == (plain.face is None), label
         if plain.face is not None:
             assert abs(flipped.face.defect - plain.face.defect) <= 1e-15, label
@@ -1272,28 +1269,28 @@ def test_cold_and_warm_transposed_reports_match():
         assert exposedness._plain_certificate.cache_info().hits >= 1
         reports = (dumps_canonical(report_to_dict(r, include_timing=False)) for r in (cold, warm))
         assert len(set(reports)) == 1, a
-        assert cold.nullspace.param_basis.tobytes() == warm.nullspace.param_basis.tobytes()
+        assert np.array(cold.nullspace.basis).tobytes() == np.array(warm.nullspace.basis).tobytes()
 
 
 def test_cached_face_is_shared_read_only():
-    """the kept certificate's arrays refuse writes, and a field reassigned on one report's
-    null space leaves the next report alone"""
+    """the kept certificate's arrays, its spectrum and the face's factors, refuse writes, and a
+    field reassigned on one report's null space leaves the next report alone"""
     a = rand_rank(3, 3, 1)
     exposedness._plain_certificate.cache_clear()
     first = certify_exposed(a)
     for transposed in (False, True):
         res = certify_exposed(a, transposed).nullspace
         assert res is not first.nullspace
-        for array in (res.singular_values, res.param_basis):
+        for array in (res.singular_values, *res.factors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0.0
     assert exposedness._plain_certificate.cache_info().hits == 2
-    want = first.nullspace.param_basis.copy()
-    first.nullspace.param_basis = np.zeros((0, 0))
+    want = np.array(first.nullspace.basis)
+    first.nullspace.factors = ()
     first.nullspace.condition, first.nullspace.unknowns = -1.0, -1
     again = certify_exposed(a).nullspace
-    assert np.array_equal(again.param_basis, want) and again.condition > 0 and again.unknowns > 0
+    assert np.array_equal(again.basis, want) and again.condition > 0 and again.unknowns > 0
     report = certify_exposed(a, True)
     report.nullspace.singular_values = np.zeros(0)
     assert certify_exposed(a).nullspace.singular_values.shape[0] > 0

@@ -60,6 +60,8 @@ def test_matrix_rejects_nonfinite():
     with pytest.raises(EncodingError):
         matrix_from_json({"rows": 1, "cols": 1, "data": [[[float("inf"), 0]]]})
     with pytest.raises(EncodingError):
+        vector_from_json({"dim": 1, "data": [[1, float("nan")]]})
+    with pytest.raises(EncodingError):
         matrix_to_json(np.array([[np.nan + 0j]]))
 
 
@@ -179,3 +181,24 @@ def test_write_json_atomic_leaves_no_temp_file_on_failure(tmp_path, monkeypatch)
 def test_load_json_missing_file(tmp_path):
     with pytest.raises(EncodingError):
         load_json(str(tmp_path / "absent.json"))
+
+
+def test_entry_past_the_largest_double_rejected():
+    """a JSON integer that no double holds is an input error, not an OverflowError; one that a
+    double holds reads as that double"""
+    for entry in ([10**400, 0], [0, -(10**400)]):
+        with pytest.raises(EncodingError, match="out of the range of a double"):
+            vector_from_json({"dim": 1, "data": [entry]})
+    back = vector_from_json({"dim": 1, "data": [[10**300, -(2**53 + 1)]]})
+    assert back[0] == complex(1e300, -(2.0**53))
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe[1, 2]", b"[" * 100_000 + b"]" * 100_000], ids=["not_utf8", "deep"]
+)
+def test_load_json_rejects_undecodable_files(tmp_path, content):
+    """a file that is not UTF-8, or JSON nested past the recursion limit, is an EncodingError"""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(EncodingError, match="cannot read JSON"):
+        load_json(str(path))

@@ -8,7 +8,10 @@ root, or pass the package directory:
 
     python tools/code_size.py [src/conecert]
 
-It prints one JSON object: `code_lines`, `bytes` and the code lines per file.
+It prints one JSON object: `code_lines`, `bytes`, the code lines per file
+(`files`) and per top-level function and method (`functions`, keyed
+`file:name` or `file:Class.name`, decorators and nested functions
+included).
 """
 
 import ast
@@ -41,9 +44,9 @@ def docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Count of lines holding a token that is not a comment, a docstring or whitespace."""
-    skip = docstring_lines(ast.parse(source))
+def code_lines(source: str, tree: ast.AST) -> set[int]:
+    """Line numbers holding a token that is not a comment, a docstring or whitespace."""
+    skip = docstring_lines(tree)
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type in SKIPPED:
@@ -51,18 +54,39 @@ def code_lines(source: str) -> int:
         if token.type == tokenize.STRING and token.start[0] in skip:
             continue
         lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines)
+    return lines
+
+
+def functions(tree: ast.Module) -> dict[str, range]:
+    """The line span of each top-level function and of each method of a top-level class."""
+    spans = {}
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for member in members:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([member.lineno] + [d.lineno for d in member.decorator_list])
+                spans[prefix + member.name] = range(first, member.end_lineno + 1)
+    return spans
 
 
 def main(argv: list[str]) -> None:
     default = Path(__file__).resolve().parents[1] / "src" / "conecert"
     root = Path(argv[1]) if len(argv) > 1 else default
     files = sorted(root.glob("*.py"))
-    per_file = {path.name: code_lines(path.read_text()) for path in files}
+    per_file, per_function = {}, {}
+    for path in files:
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = code_lines(source, tree)
+        per_file[path.name] = len(lines)
+        for name, span in functions(tree).items():
+            per_function[f"{path.name}:{name}"] = len(lines.intersection(span))
     print(json.dumps({
         "code_lines": sum(per_file.values()),
         "bytes": sum(path.stat().st_size for path in files),
         "files": per_file,
+        "functions": per_function,
     }, indent=2))
 
 
