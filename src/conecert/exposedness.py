@@ -175,8 +175,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
 
     # B is Hermitian, so frame(frame(B)*) is the transpose of (W (x) V)* B (W (x) V)
     # with axes (input, output, input, output): the face is output 0 and an input 0
-    b = np.asarray(nullspace.basis)
-    rotated = frame(frame(b).conj().swapaxes(1, 2)).reshape(d, m, n, m, n)
+    rotated = frame(frame(nullspace.basis).conj().swapaxes(1, 2)).reshape(d, m, n, m, n)
     rotated[:, 0, 0, :, 0] = 0
     rotated[:, :, 0, 0, 0] = 0
     # the residuals are Hermitian, so their Gram matrix is real

@@ -99,11 +99,11 @@ class NullSpaceResult:
     of the class (m, 1) (`rank_one_hull`); v (m, 0) (or ()) for none.
     `transposed` reads every element through the input-side partial
     transpose, the face of X -> A X^T A*.
-    `basis`, the elements as Choi matrices orthonormal in Re<B, C>_F, is
-    built when read, (nm)^2 entries per element.  `singular_values` is the
-    spectrum of the class system (`faces` module docstring), in `unknowns`
-    real unknowns: the m diagonal probes' where f = m (the pairs are
-    eliminated), else every live basis probe's.  It, `unknowns` and
+    `basis`, the elements as a stack (dim, nm, nm) of Choi matrices
+    orthonormal in Re<B, C>_F, is built anew each time it is read.
+    `singular_values` is the spectrum of the class system (`faces` module
+    docstring), in `unknowns` real unknowns: the m diagonal probes' where
+    f = m (the pairs are eliminated), else every live basis probe's.  It, `unknowns` and
     `pairs_used` (the probe count) depend on A only through (m, f).  At
     f >= 2 nothing is lifted, and `condition` is 1.0.  At f = 1 it is the
     condition number of the map from the class coordinates to Choi
@@ -123,7 +123,8 @@ class NullSpaceResult:
             return len(self.factors)
         return (2 * self.factors[1].shape[0] - 1) * self.factors[1].shape[1]
 
-    def _elements(self) -> np.ndarray:
+    @property
+    def basis(self) -> np.ndarray:
         """The unit Choi matrices (dim, nm, nm) of the elements, partially transposed under the
         flag: an exact permutation of the plain ones, which keeps their norms."""
         if len(self.factors) == 1:
@@ -139,10 +140,6 @@ class NullSpaceResult:
         norms = [np.linalg.norm(c.reshape(-1).view(np.float64)) for c in choi]
         choi /= np.array(norms).reshape(-1, 1, 1)
         return _partial_transpose(choi, n, m) if self.transposed else choi
-
-    @property
-    def basis(self) -> list[np.ndarray]:
-        return list(self._elements())
 
 
 def rank_one_hull(v: np.ndarray) -> np.ndarray:
@@ -361,8 +358,7 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
         raise ShapeError("zero Choi matrix has no direction")
     # in the float64 views, Re<B, C>_F is a dot product and |C|_F a vector norm
     c = (c / scale).reshape(-1).view(np.float64)
-    # complex128 even for the [] of an empty face
-    basis = np.asarray(result.basis, dtype=np.complex128).reshape(-1, c.size // 2).view(np.float64)
+    basis = result.basis.reshape(-1, c.size // 2).view(np.float64)
     coeffs = basis @ c
     residual = float(np.linalg.norm(c - coeffs @ basis))
     return coeffs, residual

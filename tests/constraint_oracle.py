@@ -27,9 +27,12 @@ through the dual basis and A's outputs, the reference for the face that
 The oracles build their rows in the real coordinates of Herm(N),
 `hermitian_params` and its inverse `params_to_herm`, where the library
 holds every element of a face as a Choi matrix; `param_basis` reads a
-face's basis in those coordinates.  `dense_obstruction_space` is the obstruction system stacked on all nm
-columns and solved by one `null_space`, the reference for `exposedness.conjugate_obstruction_space`,
-which counts the unit rows and solves only the cached r x r core.
+face's basis in those coordinates.  `partial_transpose_slots` is the
+input-side partial transpose read as a signed permutation of those
+coordinates.  `dense_obstruction_space` is the obstruction system stacked
+on all nm columns and solved by one `null_space`, the reference for
+`exposedness.conjugate_obstruction_space`, which counts the unit rows and
+solves only the cached r x r core.
 """
 
 import math
@@ -99,7 +102,22 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
 
 def param_basis(ns: faces.NullSpaceResult) -> np.ndarray:
     """The face's basis as orthonormal columns ((nm)^2, dim) of `hermitian_params`."""
-    return hermitian_params(ns._elements()).T
+    return hermitian_params(ns.basis).T
+
+
+def partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with params(PT(X)) = sign * params(X)[index] for Hermitian nm x nm X.
+
+    PT is the input-side partial transpose (`partial_transpose_in`): it
+    keeps the diagonal, and an upper entry whose image is a lower one reads
+    the conjugate there, so its Im coordinate changes sign.  The table is
+    read off PT applied to the labels 1 .. (nm)^2.
+    """
+    d = n * m
+    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
+    moved = hermitian_params(partial_transpose_in(labels, n, m))
+    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
+    return np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)
 
 
 def map_floor(map_rep: MapRep) -> float:

@@ -32,7 +32,7 @@ from conecert.exposedness import (
     face_certificate,
 )
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
-from conecert.linalg import UNIT_ROUNDOFF, _partial_transpose
+from conecert.linalg import UNIT_ROUNDOFF
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q, partial_transpose_in
 from conecert.serialization import report_to_dict
 from structured_inputs import digest_lines, haar_unitary, structured_inputs
@@ -185,7 +185,7 @@ def _hull_plus(ns, extra_choi):
     the larger hull gets one more unknown, so its spectrum is 0 and its
     bound is the rounding level, as for ns.
     """
-    basis = np.array(ns.basis)
+    basis = ns.basis
     # Re<B, X>_F per element: the elements and extra_choi are Hermitian
     x = extra_choi - np.tensordot(np.tensordot(basis.conj(), extra_choi, 2).real, basis, 1)
     basis = np.concatenate([basis, (x / np.linalg.norm(x))[None]])
@@ -393,7 +393,7 @@ def test_wide_certificate_builds_no_square_v():
 def _partial_transpose_hull(ns, shape):
     """ns carried through the input-side partial transpose, an involution, with an explicit basis:
     the transposed hull of a plain one, or the plain hull of a transposed one"""
-    return _explicit(ns, _partial_transpose(np.array(ns.basis), *shape))
+    return _explicit(ns, np.array([partial_transpose_in(b, *shape) for b in ns.basis]))
 
 
 def _certify_with_hull(monkeypatch, a, transposed, hull):
@@ -441,7 +441,7 @@ def test_face_certificate_rejects_larger_hulls(transposed, monkeypatch):
         report = _certify_with_hull(monkeypatch, a, transposed, turned)
         assert report.verdict is Verdict.NOT_CERTIFIED
         flipped = _partial_transpose_hull(turned, a.shape) if transposed else turned
-        assert np.array(report.nullspace.basis).tobytes() == np.array(flipped.basis).tobytes()
+        assert report.nullspace.basis.tobytes() == flipped.basis.tobytes()
         overlap, resid, _ = faces._membership(turned, unit, svd)
         want_coeffs, want = membership_residual(turned, _unit_phi(a))
         assert abs(overlap - np.linalg.norm(want_coeffs)) <= 1e-14 and abs(resid - want) <= 1e-14
@@ -672,8 +672,8 @@ def test_flag_pair_certifies_once(n, m, rank, order, monkeypatch):
     assert flipped.verdict is plain.verdict
     assert flipped.face == plain.face
     assert flipped.overlap_with_phi == plain.overlap_with_phi
-    want = _partial_transpose(np.array(plain.nullspace.basis), n, m)
-    assert np.array(flipped.nullspace.basis).tobytes() == want.tobytes()
+    want = np.array([partial_transpose_in(b, n, m) for b in plain.nullspace.basis])
+    assert flipped.nullspace.basis.tobytes() == want.tobytes()
     for report in (plain, flipped):
         for array in (report.nullspace.singular_values, *report.nullspace.factors):
             assert not array.flags.writeable
@@ -911,7 +911,7 @@ def test_certificate_agrees_with_the_references(kind):
             assert abs(resid - want) <= 1e-14, label
             if report.face is not None:
                 assert abs(report.face.defect - face_certificate(ns, phi).defect) <= 1e-12, label
-        assert np.abs(np.array(report.nullspace.basis) - flipped).max() <= 1e-15, label
+        assert np.abs(report.nullspace.basis - flipped).max() <= 1e-15, label
 
 
 def test_certificates_add_no_table_per_choi_size():
@@ -924,8 +924,7 @@ def test_certificates_add_no_table_per_choi_size():
         for transposed in (False, True):
             report = certify_exposed(a, transposed=transposed)
             assert report.verdict.value.startswith("EXPOSED_"), (r, transposed)
-    basis = report.nullspace.basis
-    assert len(basis) == 5 and all(b.shape == (768, 768) for b in basis)
+    assert report.nullspace.basis.shape == (5, 768, 768)
     assert not [name for name, x in vars(linalg).items() if hasattr(x, "cache_info")]
 
 
@@ -1318,7 +1317,7 @@ def test_face_defect_does_not_depend_on_the_basis(transposed):
         dim = hull.dim
         for _ in range(20):
             rot = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-            rotated = np.tensordot(rot, np.array(hull.basis), (0, 0))
+            rotated = np.tensordot(rot, hull.basis, (0, 0))
             defect = face_certificate(_explicit(hull, rotated), phi).defect
             assert abs(defect - want) <= 1e-12, dim
     assert face_certificate(plus, phi).defect > 0.5

@@ -253,8 +253,7 @@ def test_nullspace_random_full_rank_three():
 
 def test_nullspace_basis_orthonormal():
     res = double_prime_nullspace(np.diag([1.0, 0.0]))
-    b = param_basis(res)
-    g = b.T @ b
+    g = np.tensordot(res.basis.conj(), res.basis, ((1, 2), (1, 2))).real
     assert np.abs(g - np.eye(res.dim)).max() < 1e-10
 
 
@@ -264,7 +263,7 @@ def test_nullspace_deterministic():
     r1 = double_prime_nullspace(a)
     r2 = double_prime_nullspace(a)
     assert r1.dim == r2.dim
-    assert np.abs(np.array(r1.basis) - np.array(r2.basis)).max() == 0.0
+    assert np.abs(r1.basis - r2.basis).max() == 0.0
     assert r1.pairs_used == r2.pairs_used
 
 
@@ -806,7 +805,7 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     f = min(n, m) it is the unit ray of Choi(phi) itself, bitwise, and below that the ray of
     the class cut A_f = U_f S_f V_f*, with condition 1.0.  A certificate at any f, under
     either flag, builds no Choi matrix: it calls none of maps._ad_map, membership_residual,
-    exposedness._face_frame and NullSpaceResult._elements, which builds the basis, nor
+    exposedness._face_frame and NullSpaceResult.basis, which builds the Choi matrices, nor
     eigvalsh, at f = 1 either"""
     g = np.random.default_rng(71)
     shapes = ((4, 4, 4), (3, 5, 3), (5, 3, 3), (6, 6, 3), (4, 5, 2))
@@ -830,11 +829,13 @@ def test_face_at_rank_two_and_up_is_written_not_rebuilt(monkeypatch):
     assert calls == []
     built, spied = [], (
         (maps, "_ad_map"), (faces, "membership_residual"), (exposedness, "_face_frame"),
-        (faces.NullSpaceResult, "_elements"), (np.linalg, "eigvalsh"),
+        (np.linalg, "eigvalsh"),
     )
     for owner, name in spied:
         call = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _c=call, _n=name: built.append(_n) or _c(*args))
+    basis = faces.NullSpaceResult.basis.fget
+    monkeypatch.setattr(faces.NullSpaceResult, "basis", property(lambda ns: built.append("basis") or basis(ns)))
     rank_one = [np.outer(g.standard_normal(n) + 1j, g.standard_normal(m)) for n, m in ((4, 5), (5, 1), (1, 4))]
     for a in [*inputs, *rank_one]:
         exposedness._plain_certificate.cache_clear()
@@ -856,10 +857,8 @@ def test_cold_and_warm_class_solves_match():
                 cold = double_prime_nullspace(a)
                 warm = double_prime_nullspace(a)
                 assert faces.class_solve.cache_info().hits == 1
-                for got, want in (
-                    (warm.singular_values, cold.singular_values),
-                    (np.array(warm.basis), np.array(cold.basis)),
-                ):
+                for field in ("singular_values", "basis"):
+                    got, want = getattr(warm, field), getattr(cold, field)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, m, r)
                 want = (cold.unknowns, cold.pairs_used, cold.condition)
                 assert (warm.unknowns, warm.pairs_used, warm.condition) == want, (n, m, r)
@@ -1226,7 +1225,7 @@ def test_transposed_face_is_the_partial_transpose():
         if p.dim:
             n, m = a.shape
             want = np.array([partial_transpose_in(b, n, m) for b in p.basis])
-            assert np.array(t.basis).tobytes() == want.tobytes(), label
+            assert t.basis.tobytes() == want.tobytes(), label
         assert (flipped.face is None) == (plain.face is None), label
         if plain.face is not None:
             assert abs(flipped.face.defect - plain.face.defect) <= 1e-15, label
@@ -1269,7 +1268,7 @@ def test_cold_and_warm_transposed_reports_match():
         assert exposedness._plain_certificate.cache_info().hits >= 1
         reports = (dumps_canonical(report_to_dict(r, include_timing=False)) for r in (cold, warm))
         assert len(set(reports)) == 1, a
-        assert np.array(cold.nullspace.basis).tobytes() == np.array(warm.nullspace.basis).tobytes()
+        assert cold.nullspace.basis.tobytes() == warm.nullspace.basis.tobytes()
 
 
 def test_cached_face_is_shared_read_only():
@@ -1286,7 +1285,7 @@ def test_cached_face_is_shared_read_only():
             with pytest.raises(ValueError):
                 array[...] = 0.0
     assert exposedness._plain_certificate.cache_info().hits == 2
-    want = np.array(first.nullspace.basis)
+    want = first.nullspace.basis
     first.nullspace.factors = ()
     first.nullspace.condition, first.nullspace.unknowns = -1.0, -1
     again = certify_exposed(a).nullspace

@@ -14,5 +14,5 @@ def test_code_size_counts_add_up():
     assert run.returncode == 0, run.stderr
     size = json.loads(run.stdout)
     assert size["code_lines"] == sum(size["files"].values()) > 0
-    assert 0 < size["functions"]["faces.py:NullSpaceResult._elements"]
+    assert 0 < size["functions"]["faces.py:NullSpaceResult.basis"]
     assert sum(size["functions"].values()) <= size["code_lines"]
