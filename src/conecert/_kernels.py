@@ -9,35 +9,30 @@ The caller hands over C already Hermitized and checked (`maps.is_positive`
 does both once per map), with its norm |C|_F.  Each call lays C out as the
 tensor g[i, j, k, l] = C[(i, k), (j, l)].  A half-step is then one matrix
 product of the stacked outer products conj(eta) eta^T (or conj(xi) xi^T)
-with g read as (kl, ij) (or as (ij, kl)), and one stacked `_eigh`.  The
-products are Hermitian up to rounding because C is, and `_eigh` reads one
-triangle, so no half-step Hermitizes its matrix.  A descent stops once its
-value moves by at most CONV_TOL * (|C|_F + |value|), a change relative to
-the map, so s * C takes the iterations of C at every scale s > 0 (up to
-rounding).  Results are written only for the rows that converge, as they
-converge, and for the rows still live after the last iteration.  The
-descents are dominated by numpy call overhead, not by arithmetic, so the
-calls per half-step set the speed: `_eigh` is the gufunc behind
-`np.linalg.eigh` without its wrapper, and each descent enters that
-wrapper's error state once, so a nonconvergence still raises LinAlgError
-and the results are bitwise those of `np.linalg.eigh`.
+with g read as (kl, ij) (or as (ij, kl)), and one stacked `linalg._eigh`,
+which reads one triangle, so no half-step Hermitizes its matrix.  A descent
+stops once its value moves by at most CONV_TOL * (|C|_F + |value|), a
+change relative to the map, so s * C takes the iterations of C at every
+scale s > 0 (up to rounding).  The descents are dominated by numpy call
+overhead, not by arithmetic, so each enters `linalg._lapack_errors` once,
+not per half-step, and `_eigh` skips `np.linalg.eigh`'s wrapper.
 
 `block_minimize` scans the map's restarts in order and stops at the first one
-whose value dips below `stop_below`.  To spend Python and LAPACK call
-overhead on many descents at once, the restarts are descended in waves: wave
-k takes the next WAVE_GROWTH**k starts (1, 8, 64, ...), capped at MAX_ROWS,
-all in one stacked descent.  Results are then scanned in restart order, so a
-start after the exit start of its wave counts neither in `used` nor in
-`best`: the result is that of a sequential scan up to rounding, and it is
-deterministic for a fixed start array.  It is not bitwise that of a
-sequential scan: a stacked matrix product can round a row differently when
-the stack has another number of rows, so the same starts grouped into other
-waves can move `best` in its last bits (about 6e-16 on the Cho-Kye-Lee map
-Phi[2, 0.2, 1]).
+whose value dips below `stop_below`.  To spend call overhead on many
+descents at once, the restarts are descended in waves: wave k takes the
+next WAVE_GROWTH**k starts (1, 8, 64, ...), capped at MAX_ROWS, all in one
+stacked descent.  Each wave's values are scanned in restart order, as one
+Python list, so a start after the exit start of its wave counts neither in
+the restarts used nor in the best value.  The result is deterministic for a
+fixed start array, and that of a sequential scan up to rounding: a stacked
+matrix product can round a row differently in a stack of another height,
+so other waves can move the best value in its last bits (about 6e-16 on
+the Cho-Kye-Lee map Phi[2, 0.2, 1]).
 """
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+
+from .linalg import _eigh, _lapack_errors
 
 # rows descended per stacked call; bounds the stacked arrays and the work a
 # wave can spend past the exit start
@@ -49,35 +44,22 @@ WAVE_GROWTH = 8
 CONV_TOL = 1e-13
 
 
-def _nonconvergence(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _eigh(a):
-    """`np.linalg.eigh(a)` of a complex128 stack, bit for bit, without the
-    wrapper's checks, casts and error state; the caller enters that state."""
-    return _umath_linalg.eigh_lo(a, signature="D->dD")
-
-
-@np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+@_lapack_errors
 def _descend_batch(g, eta, max_iters, scale):
     """Alternating descent of one map from a stack of starts, one per row.
 
-    g is the Hermitized Choi tensor with indices (i, j, k, l), so each
-    half-step is one product with it, read as (ij, kl) or as (kl, ij), and
-    scale is |C|_F, which sets the stopping rule's relative change.  Rows
-    whose value has converged are written out and dropped, so each row stops
-    after exactly the iterations its own descent would take.  The
-    convergence test runs on Python floats, one per live row: for the usual
-    single row that costs less than a chain of ufuncs on a length-1 array,
-    and it is the same IEEE double arithmetic.  Both half-steps call
-    `_eigh` under the error state entered here, once per call, which
-    `np.linalg.eigh` would enter once per matrix.
+    g is the Hermitized Choi tensor with indices (i, j, k, l), and scale is
+    |C|_F.  Rows whose value has converged are written out and dropped, so
+    each row stops after exactly the iterations its own descent would take.
+    The convergence test runs on Python floats, one per live row: for the
+    usual single row that costs less than ufuncs on a length-1 array, and
+    it is the same IEEE double arithmetic.
     """
     n, m = g.shape[1:3]
     g_ij_kl = g.reshape(n * n, m * m)
     g_kl_ij = g_ij_kl.T
-    eta = eta / np.linalg.norm(eta, axis=1, keepdims=True)
+    # np.linalg.norm(eta, axis=1, keepdims=True) without its wrapper
+    eta = eta / np.sqrt(np.add.reduce((eta.conj() * eta).real, axis=1, keepdims=True))
     count = eta.shape[0]
     val = np.empty(count)
     xi_out = np.empty((count, n), dtype=np.complex128)
@@ -119,11 +101,8 @@ def block_minimize(
     scale is |C|_F; starts holds one eta seed per restart, shape
     (restarts >= 1, m), and max_iters >= 1.  The caller has checked all of
     this.  Each descent alternates exact minimization in xi (bottom
-    eigenvector with eta fixed) and in eta (with xi fixed) until the value
-    moves by at most CONV_TOL * (scale + |value|).  The restarts are scanned
-    in order until one dips below stop_below or the budget runs out; the
-    result is that of a sequential scan up to the rounding of the stacked
-    waves (see the module docstring).
+    eigenvector with eta fixed) and in eta (with xi fixed).  The restarts are
+    scanned in order until one dips below stop_below (module docstring).
 
     Returns (best value, best xi, best eta, restarts used).
     """
@@ -133,20 +112,17 @@ def block_minimize(
     best = np.inf
     best_xi = np.zeros(n, dtype=np.complex128)
     best_eta = np.zeros(m, dtype=np.complex128)
-    used, done, grow = 0, 0, 1
+    done, grow = 0, 1
     while done < total:
         width = min(grow, total - done, MAX_ROWS)
         vals, xis, etas = _descend_batch(g, starts[done:done + width], max_iters, scale)
-        # scan the wave in restart order, up to and including its exit
-        below = vals < stop_below
-        exits = bool(below.any())
-        scanned = int(below.argmax()) + 1 if exits else width
-        used += scanned
-        k = int(vals[:scanned].argmin())
-        if vals[k] < best:
-            best, best_xi, best_eta = float(vals[k]), xis[k], etas[k]
-        if exits:
-            break
+        # scan the wave in restart order, up to and including its exit, keeping the first
+        # strict minimum
+        for k, val in enumerate(vals.tolist()):
+            if val < best:
+                best, best_xi, best_eta = val, xis[k], etas[k]
+            if val < stop_below:
+                return best, best_xi, best_eta, done + k + 1
         done += width
         grow *= WAVE_GROWTH
-    return best, best_xi, best_eta, used
+    return best, best_xi, best_eta, done

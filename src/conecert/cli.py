@@ -203,15 +203,18 @@ def cmd_random_map(args) -> int:
         raise EncodingError("dimensions must be positive")
     if args.rank is not None and args.rank < 1:
         raise EncodingError("rank must be positive")
-    seed = _resolve_seed(args.seed)
-    rng = rng_from(seed)
-    if args.kind == "ad":
-        a = random_operator(rng, args.n, args.m, args.rank)
-        obj = map_to_json("ad", A=a, transposed=args.transposed)
-    else:
-        r = random_psd(rng, args.m, args.rank)
-        zeta = random_unit_vector(rng, args.n)
-        obj = map_to_json("omega_q", R=r, zeta=zeta)
+    rng = rng_from(_resolve_seed(args.seed))
+    try:
+        if args.kind == "ad":
+            a = random_operator(rng, args.n, args.m, args.rank)
+            obj = map_to_json("ad", A=a, transposed=args.transposed)
+        else:
+            r = random_psd(rng, args.m, args.rank)
+            zeta = random_unit_vector(rng, args.n)
+            obj = map_to_json("omega_q", R=r, zeta=zeta)
+    except ValueError as exc:
+        # numpy refuses a shape past its largest array before allocating it
+        raise EncodingError(f"cannot draw a {args.n}x{args.m} map: {exc}") from exc
     write_json_atomic(args.out, obj)
     print(args.out)
     return 0

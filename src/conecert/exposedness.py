@@ -29,12 +29,16 @@ from .linalg import (
     _partial_transpose,
     _read_only,
     as_complex_matrix,
+    eigh,
+    eigvalsh,
     fix_phase,
     frobenius_norm,
     gap_rank,
     hermitian_within,
     hermitize,
     normalized,
+    svd,
+    svdvals,
 )
 from .maps import MapRep, choi_from_ad
 
@@ -89,7 +93,7 @@ def _rank1_defect(h: np.ndarray) -> tuple[float, np.ndarray]:
     The defect is 0 exactly when h is a positive multiple of a rank-1
     projection.  The eigenvectors are the columns of a unitary, top first.
     """
-    w, v = np.linalg.eigh(hermitize(h))
+    w, v = eigh(hermitize(h))
     rest = float(np.abs(w[:-1]).max(initial=0.0))
     return (rest / w[-1] if w[-1] > 0 else 1.0), v[:, ::-1]
 
@@ -180,7 +184,7 @@ def face_certificate(nullspace: NullSpaceResult, phi: MapRep) -> FaceCertificate
     rotated[:, :, 0, 0, 0] = 0
     # the residuals are Hermitian, so their Gram matrix is real
     r = rotated.reshape(d, -1)
-    sine = math.sqrt(max(float(np.linalg.eigvalsh((r @ r.conj().T).real)[-1]), 0.0))
+    sine = math.sqrt(max(float(eigvalsh((r @ r.conj().T).real)[-1]), 0.0))
     return FaceCertificate(defect=max(sine, defect), bound=_face_bound(nullspace))
 
 
@@ -313,7 +317,7 @@ def _obstruction_core(r: int) -> np.ndarray:
     cols = np.stack([j * (r + 1), j * r + k, k * r + j, k * (r + 1)], axis=1)
     system = np.zeros((j.shape[0], 4, r * r), dtype=np.complex128)
     np.put_along_axis(system, cols[:, None, :], block, axis=2)
-    svals = np.linalg.svd(system.reshape(4 * j.shape[0], r * r), compute_uv=False)
+    svals = svdvals(system.reshape(4 * j.shape[0], r * r))
     return _read_only((svals,))[0]
 
 
@@ -383,7 +387,7 @@ def _psd_rank(w: np.ndarray, floor: float) -> int:
 
 def _rank1_psd_vector(c: np.ndarray, floor: float) -> np.ndarray | None:
     """Top eigenvector scaled by sqrt(eigenvalue) if c is rank-1 PSD at its gap over floor, else None."""
-    w, v = np.linalg.eigh(hermitize(c))
+    w, v = eigh(hermitize(c))
     if _psd_rank(w, floor) != 1:
         return None
     return np.sqrt(float(w[-1])) * v[:, -1]
@@ -439,7 +443,7 @@ def _across_cut(c4: np.ndarray) -> np.ndarray:
 def _omega_q_form(map_rep: MapRep) -> Classification | None:
     """OMEGA_Q classification if choi = Q (x) S, Q a rank-1 PSD direction, S PSD."""
     n, m = map_rep.n, map_rep.m
-    u, s, vh = np.linalg.svd(_across_cut(map_rep.choi4))
+    u, s, vh = svd(_across_cut(map_rep.choi4))
     t = complex(np.trace(u[:, 0].reshape(n, n)))
     if t == 0 or gap_rank(s, max(n * n, m * m) * UNIT_ROUNDOFF * s[0]) != 1:
         return None
@@ -448,7 +452,7 @@ def _omega_q_form(map_rep: MapRep) -> Classification | None:
     smat = hermitize((float(s[0]) * t) * vh[0].reshape(m, m))
     vec = _rank1_psd_vector(q, n * UNIT_ROUNDOFF * frobenius_norm(q))
     s_floor = m * UNIT_ROUNDOFF * frobenius_norm(smat)
-    if vec is None or not _psd_rank(np.linalg.eigvalsh(smat), s_floor):
+    if vec is None or not _psd_rank(eigvalsh(smat), s_floor):
         return None
     zeta = fix_phase(normalized(vec))
     return Classification(case=MapCase.OMEGA_Q, r_matrix=smat.T.copy(), zeta=zeta)

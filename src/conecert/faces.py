@@ -85,6 +85,8 @@ from .linalg import (
     _read_only,
     frobenius_norm,
     gap_rank,
+    svd,
+    svdvals,
 )
 from .maps import MapRep, _nonzero_operator
 
@@ -172,7 +174,7 @@ def _class_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     `exposedness.conjugate_obstruction_space` reads f and, at f = 1,
     U[:, 0] and V[:, 0].  f = 0 exactly when A = 0.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = svd(a, full_matrices=False)
     return u, s, vh, int(np.count_nonzero(s > max(a.shape) * UNIT_ROUNDOFF * s[0]))
 
 
@@ -310,7 +312,7 @@ def class_solve(m: int, f: int) -> tuple:
     # is but at the smallest m, to its R itself when no singular vector is asked for, so a
     # QR here only costs time (BENCH_class_system_closed_form.json)
     system = _class_rows(m, f)
-    svals, unknowns = np.linalg.svd(system, compute_uv=False), system.shape[1]
+    svals, unknowns = svdvals(system), system.shape[1]
     dim = unknowns - gap_rank(svals, system_floor(svals, unknowns))
     return _read_only((svals,))[0], unknowns, pairs_used, dim, None
 

@@ -10,10 +10,8 @@ gap, with every value below that floor read at the floor.  The floors:
 The singular values of A are not cut at a gap but counted once above the
 first floor: f, the rank of A's class (`faces._class_svd`), which the face
 reads, and `exposedness.conjugate_obstruction_space`, whose dimension
-follows from f by proof with no spectrum cut.
-`exposedness.classify` reads the Choi matrix and its partial transpose at
-the map's level, its SVD across the H:K cut at `max(n^2, m^2) * u * s_0`,
-and its factors Q and S at `dim * u * |X|_F`.
+follows from f by proof with no spectrum cut.  `exposedness.classify`
+lists its own floors.
 
 "Hermitian" and "PSD" are decided by one rule each, both here and both
 relative to |X|_F, so s * X gets the verdict of X at every scale s > 0:
@@ -33,6 +31,13 @@ the exponent of max |x|).  So an in-range X keeps the bits of
 `np.linalg.norm`, and X and 2^k * X give |X|_F and 2^k * |X|_F exactly, as
 long as neither rescaled copy under- or overflows.
 
+Every eigh, eigvalsh and svd in the package is `eigh`, `eigvalsh`, `svd` or
+`svdvals` here: the `numpy.linalg._umath_linalg` gufunc that `np.linalg`
+calls, on its signature (of float64 or complex128 arrays) and under its
+error state (`_lapack_errors`), without the wrapper's checks and casts, so
+bitwise `np.linalg`, and a nonconvergence raises LinAlgError.  `_eigh` is
+`eigh` in the caller's error state, which `_kernels` enters per descent.
+
 The input-side partial transpose is written once, `_partial_transpose`:
 `maps` and `exposedness` apply it to Choi matrices, and `faces` to the
 elements of a transposed face.  Hermitian matrices are held as matrices,
@@ -43,6 +48,7 @@ Re<B, C>_F is needed it is the dot product of the float64 views.
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import HermiticityError, ShapeError
 
@@ -104,17 +110,52 @@ def transpose(x: np.ndarray) -> np.ndarray:
     return as_complex_matrix(x).T.copy()
 
 
+def _nonconvergence(err, flag):
+    raise LinAlgError("LAPACK did not converge")
+
+
+# np.linalg's error state: LAPACK's failure flag raises, and no warning escapes
+_lapack_errors = np.errstate(
+    call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+def _signature(a, sig: str) -> str:
+    return sig if a.dtype.kind == "c" else sig.replace("D", "d")
+
+
+def _eigh(a):
+    return _umath_linalg.eigh_lo(a, signature=_signature(a, "D->dD"))
+
+
+eigh = _lapack_errors(_eigh)
+
+
+@_lapack_errors
+def eigvalsh(a):
+    return _umath_linalg.eigvalsh_lo(a, signature=_signature(a, "D->d"))
+
+
+@_lapack_errors
+def svd(a, full_matrices=True):
+    gufunc = _umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s
+    return gufunc(a, signature=_signature(a, "D->DdD"))
+
+
+@_lapack_errors
+def svdvals(a):
+    return _umath_linalg.svd(a, signature=_signature(a, "D->d"))
+
+
 @np.errstate(over="ignore")
 def frobenius_norm(x: np.ndarray) -> float:
-    """|X|_F of a finite array, with no underflow or overflow of its squares.
-
-    `np.linalg.norm` where it lies in `_NORM_RANGE`, at one range check.
-    Outside it (0 for a nonzero X included) X is rescaled by 2^-e, e the
-    exponent of max |x|, with `np.ldexp`, which is exact, and the norm of
-    the rescaled copy is scaled back by 2^e.  0 only for X = 0, and inf
-    only for a norm past the largest double.
-    """
-    norm = float(np.linalg.norm(x))
+    """|X|_F of a finite array: `np.linalg.norm`'s own arithmetic in `_NORM_RANGE`, else the norm
+    of X rescaled by 2^-e, e the exponent of max |x|, times 2^e (see the module docstring)."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        norm = math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
+    else:
+        norm = math.sqrt(float(x.dot(x)))
     if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
         return norm
     top = float(np.abs(x).max(initial=0.0))
@@ -122,9 +163,10 @@ def frobenius_norm(x: np.ndarray) -> float:
         return 0.0
     e = math.frexp(top)[1]
     scaled = np.ldexp(x.real, -e)
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         scaled = scaled + 1j * np.ldexp(x.imag, -e)
-    return float(np.ldexp(np.linalg.norm(scaled), e))
+    # the rescaled norm lies in range
+    return float(np.ldexp(frobenius_norm(scaled), e))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -162,8 +204,8 @@ def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError("null_space needs a nonempty matrix")
     try:
         # full_matrices only when rows < cols, otherwise Vh already spans C^cols
-        _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    except np.linalg.LinAlgError as exc:
+        _, s, vh = svd(m, full_matrices=rows < cols)
+    except LinAlgError as exc:
         raise ShapeError(f"SVD failed on a {rows}x{cols} matrix: {exc}") from exc
     rank = gap_rank(s, max(rows, cols) * UNIT_ROUNDOFF * s[0])
     # a copy: for real input .conj() is a view, which would keep all of vh alive
@@ -182,7 +224,7 @@ def is_psd(m: np.ndarray) -> tuple[bool, float]:
     scale = frobenius_norm(m)
     if not hermitian_within(m, scale):
         raise HermiticityError("matrix is not Hermitian within tolerance")
-    low = float(np.linalg.eigvalsh(hermitize(m))[0])
+    low = float(eigvalsh(hermitize(m))[0])
     return low >= psd_threshold(m.shape[0], scale), low
 
 

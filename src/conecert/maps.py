@@ -89,10 +89,7 @@ class SearchParams:
     spectrum, which takes a single iteration, and `seed` (>= 0) seeds the
     random starts.  Each is an integer, not a bool, and is checked here
     because only the maps that read a field would otherwise fail on it.
-    What reads as negative is set by `linalg.psd_threshold(n * m,
-    |Choi(phi)|_F)`, relative to the map, and a descent stops once its value
-    moves by at most the kernel's `CONV_TOL` times |Choi(phi)|_F + |value|,
-    also relative to the map.
+    The threshold and the stop rule are relative to the map (`is_positive`).
     """
 
     restarts: int = 64
@@ -222,7 +219,7 @@ def product_start(bottom: np.ndarray) -> np.ndarray:
     The first informed start: bottom is that eigenvector reshaped to (n, m),
     the start has shape (1, m).
     """
-    _, _, vh = np.linalg.svd(bottom)
+    _, _, vh = linalg.svd(bottom)
     return vh[:1]
 
 
@@ -235,8 +232,8 @@ def _compression_starts(c4: np.ndarray) -> np.ndarray:
     violations, where random starts stall on a zero plateau once xi falls
     into the output kernel.
     """
-    _, vb = np.linalg.eigh(np.einsum("ikil->ikl", c4))
-    _, vt = np.linalg.eigh(np.einsum("ikil->kl", c4))
+    _, vb = linalg.eigh(np.einsum("ikil->ikl", c4))
+    _, vt = linalg.eigh(np.einsum("ikil->kl", c4))
     return np.concatenate([vb[:, :, 0], vt[None, :, 0]])
 
 
@@ -289,7 +286,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     threshold = linalg.psd_threshold(n * m, scale)
     h = hermitize(c)
     h4 = h.reshape(n, m, n, m)
-    w, v = np.linalg.eigh(h)
+    w, v = linalg.eigh(h)
     bottom = v[:, 0].reshape(n, m)
     cp = bool(w[0] >= threshold)
     # a CP map's verdict is already proved: one iteration gives its witness
@@ -299,7 +296,7 @@ def is_positive(map_rep: MapRep, search: SearchParams = SearchParams()) -> Posit
     undecided = (
         not cp
         and val >= threshold
-        and np.linalg.eigvalsh(_partial_transpose(h, n, m))[0] < threshold
+        and linalg.eigvalsh(_partial_transpose(h, n, m))[0] < threshold
     )
     if undecided:
         starts = np.vstack([

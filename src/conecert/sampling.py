@@ -7,7 +7,7 @@ global state.
 
 import numpy as np
 
-from .linalg import normalized
+from .linalg import normalized, svd
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -36,7 +36,7 @@ def random_operator(
         return a
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, s, vh = svd(a, full_matrices=False)
     return (u[:, :rank] * s[:rank]) @ vh[:rank]
 
 

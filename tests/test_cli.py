@@ -355,6 +355,17 @@ def test_random_map_bad_dims_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["ad", "omega_q"])
+def test_random_map_too_large_exit_2(tmp_path, capsys, kind):
+    """a size past numpy's largest array, which numpy refuses before it allocates, is a usage
+    error: exit 2, an error line and no file, not a traceback"""
+    out = tmp_path / "rand.json"
+    for n, m in (("100000000000000000000", "2"), ("2", "100000000000000000000")):
+        assert main(["random-map", "--kind", kind, "--n", n, "--m", m, "--out", str(out)]) == 2
+        assert "error: cannot draw a" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_zero_count(tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--n", "2", "--m", "2", "--count", "0",

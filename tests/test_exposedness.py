@@ -34,8 +34,9 @@ from conecert.exposedness import (
 from conecert.faces import NullSpaceResult, double_prime_nullspace, membership_residual
 from conecert.linalg import UNIT_ROUNDOFF
 from conecert.maps import MapRep, SearchParams, choi_from_ad, choi_from_omega_q, partial_transpose_in
-from conecert.serialization import report_to_dict
+from conecert.serialization import dumps_canonical, report_to_dict
 from structured_inputs import digest_lines, haar_unitary, structured_inputs
+from test_linalg import swap_lapack
 
 rng = np.random.default_rng(41)
 
@@ -912,6 +913,30 @@ def test_certificate_agrees_with_the_references(kind):
             if report.face is not None:
                 assert abs(report.face.defect - face_certificate(ns, phi).defect) <= 1e-12, label
         assert np.abs(report.nullspace.basis - flipped).max() <= 1e-15, label
+
+
+def _lapack_outputs(inputs):
+    """The --no-timing reports of both flags and the obstruction space of each input, computed
+    afresh: no certificate, class solve or obstruction core is read from a cache"""
+    for cached in (exposedness._plain_certificate, faces.class_solve, exposedness._obstruction_core):
+        cached.cache_clear()
+    outputs = []
+    for a in inputs:
+        for transposed in (False, True):
+            outputs.append(dumps_canonical(report_to_dict(certify_exposed(a, transposed), include_timing=False)))
+        obs = conjugate_obstruction_space(a)
+        outputs.append((obs.dim, obs.singular_values.tobytes(), [b.tobytes() for b in obs.basis]))
+    return outputs
+
+
+@pytest.mark.parametrize("kind", ["grid", "structured"])
+def test_certificates_bitwise_with_numpy_linalg(kind, monkeypatch):
+    """with every LAPACK entry point of `linalg` swapped for its np.linalg counterpart where it
+    is looked up, every report of both flags and every obstruction space keeps its bits"""
+    inputs = _reference_inputs(kind)
+    want = _lapack_outputs(inputs)
+    swap_lapack(monkeypatch)
+    assert _lapack_outputs(inputs) == want
 
 
 def test_certificates_add_no_table_per_choi_size():

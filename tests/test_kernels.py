@@ -6,6 +6,7 @@ import pytest
 from conecert import _kernels
 from conecert._kernels import CONV_TOL, MAX_ROWS, WAVE_GROWTH, block_minimize
 from conecert.linalg import hermitize
+from test_linalg import same_bits
 
 
 def _crandn(rng, *shape):
@@ -216,13 +217,6 @@ def test_block_minimize_batch_caps_rows(monkeypatch):
     assert descended == [1, 8, 64, 256, 256, 15]
 
 
-def _same_bits(got, want):
-    return all(
-        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        for g, w in zip(got, want)
-    )
-
-
 @pytest.mark.parametrize("rows", [1, 8, 256])
 def test_eigh_is_numpy_eigh_bitwise(rows):
     """the half-steps' `_eigh` calls numpy's private gufunc: it must stay the
@@ -236,11 +230,11 @@ def test_eigh_is_numpy_eigh_bitwise(rows):
             # the half-steps hand over products that are Hermitian only up
             # to rounding, and both read the lower triangle alone
             a += np.triu(np.full((size, size), 1e-3), 1)
-            assert _same_bits(_kernels._eigh(a), np.linalg.eigh(a))
+            assert same_bits(_kernels._eigh(a), np.linalg.eigh(a))
         # a stack with NaN entries that `np.linalg.eigh` answers with NaN
         nan = np.stack([np.eye(2, dtype=complex)] * rows)
         nan[0, 1, 0] = np.nan
-        assert _same_bits(_kernels._eigh(nan), np.linalg.eigh(nan))
+        assert same_bits(_kernels._eigh(nan), np.linalg.eigh(nan))
 
 
 @pytest.mark.parametrize("rows", [1, 8])

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from constraint_oracle import functional_row, hermitian_params, params_to_herm, 
 from conecert.errors import HermiticityError, ShapeError
 from conecert.exposedness import Verdict, certify_exposed, classify
 from conecert.faces import double_prime_nullspace, membership_residual
+from conecert import linalg
 from conecert.functionals import functional_from_operator, functional_norm
 from conecert.linalg import (
     POSITIVITY_RTOL,
@@ -367,3 +370,101 @@ def test_every_norm_read_as_a_scale_holds_at_any_scale(scale):
             assert is_psd(c)[0] is is_psd(phi.choi)[0]
     verdicts = [is_positive(phi).verdict for phi in maps]
     assert verdicts == ["POSITIVE_EVIDENCE"] * 3 + ["NOT_POSITIVE"]
+
+
+# each LAPACK entry point of `linalg` and the np.linalg function whose gufunc it calls
+NUMPY_COUNTERPARTS = {
+    "_eigh": np.linalg.eigh,
+    "eigh": np.linalg.eigh,
+    "eigvalsh": np.linalg.eigvalsh,
+    "svd": np.linalg.svd,
+    "svdvals": np.linalg.svdvals,
+}
+
+
+def swap_lapack(monkeypatch, replace=lambda name, entry: NUMPY_COUNTERPARTS[name]):
+    """Rebind each LAPACK entry point, in every conecert module where it is looked up, to
+    replace(name, entry); returns the (module, name) pairs rebound."""
+    entries = {name: getattr(linalg, name) for name in NUMPY_COUNTERPARTS}
+    swapped = []
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] != "conecert":
+            continue
+        for name, entry in entries.items():
+            if vars(module).get(name) is entry:
+                monkeypatch.setattr(module, name, replace(name, entry))
+                swapped.append((key.split(".")[-1], name))
+    return sorted(swapped)
+
+
+def test_swap_reaches_every_lapack_call_site(monkeypatch):
+    """the swap the bitwise tests use rebinds the entry points in each module that imports one,
+    and in `linalg`, where `maps` looks them up"""
+    assert swap_lapack(monkeypatch) == [
+        ("_kernels", "_eigh"),
+        ("exposedness", "eigh"), ("exposedness", "eigvalsh"),
+        ("exposedness", "svd"), ("exposedness", "svdvals"),
+        ("faces", "svd"), ("faces", "svdvals"),
+        ("linalg", "_eigh"), ("linalg", "eigh"), ("linalg", "eigvalsh"),
+        ("linalg", "svd"), ("linalg", "svdvals"),
+        ("sampling", "svd"),
+    ]
+
+
+def same_bits(got, want):
+    """equal dtypes, shapes and bytes, array by array (one array or a tuple of them)"""
+    got, want = (tuple(x) if isinstance(x, tuple) else (x,) for x in (got, want))
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lapack_entry_points_are_numpy_bitwise(dtype):
+    """each entry point gives the bits of its np.linalg counterpart, real or complex, on single
+    matrices, stacks, wide, tall and empty ones, with no warning"""
+    gen = np.random.default_rng(90)
+
+    def draw(*shape):
+        x = gen.standard_normal(shape)
+        return (x + 1j * gen.standard_normal(shape) if dtype is np.complex128 else x).astype(dtype)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shape in [(1, 1), (3, 3), (6, 6), (5, 4, 4), (2, 3, 12, 12)]:
+            h = draw(*shape)
+            h += h.conj().swapaxes(-1, -2)
+            assert same_bits(linalg._lapack_errors(linalg._eigh)(h), np.linalg.eigh(h)), shape
+            assert same_bits(linalg.eigh(h), np.linalg.eigh(h)), shape
+            assert same_bits(linalg.eigvalsh(h), np.linalg.eigvalsh(h)), shape
+        for shape in [(1, 1), (3, 5), (5, 3), (4, 4), (7, 2, 6), (0, 0), (0, 4), (3, 0)]:
+            a = draw(*shape)
+            for full in (True, False):
+                assert same_bits(linalg.svd(a, full), np.linalg.svd(a, full)), (shape, full)
+            assert same_bits(linalg.svdvals(a), np.linalg.svdvals(a)), shape
+
+
+def test_lapack_entry_points_raise_on_nonconvergence():
+    """a NaN stack makes each entry point raise LinAlgError, as np.linalg does, with no warning,
+    and `null_space` turns that into ShapeError"""
+    nan = np.full((2, 3, 3), np.nan, dtype=complex)
+    calls = [linalg.eigh, linalg.eigvalsh, linalg.svd, linalg.svdvals,
+             lambda a: linalg.svd(a, full_matrices=False), linalg._lapack_errors(linalg._eigh)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            for a in (nan, nan[0], nan[0].real):
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    call(a)
+        with pytest.raises(ShapeError, match="SVD failed"):
+            null_space(nan[0])
+
+
+def test_frobenius_norm_is_numpy_norm_bitwise():
+    """in range |X|_F has the bits of np.linalg.norm for every layout and dtype it is read of"""
+    gen = np.random.default_rng(91)
+    for shape in [(1,), (7,), (3, 4), (12, 12), (2, 3, 4, 3)]:
+        x = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        for y in (x, x.real, x.imag, x.T, x[..., ::2], np.asfortranarray(x), x.real.T.copy()):
+            assert frobenius_norm(y) == float(np.linalg.norm(y)), (shape, y.dtype)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conecert import _kernels
 from conecert import maps as maps_module
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd, psd_threshold
@@ -22,6 +21,7 @@ from conecert.sampling import crandn as sample_crandn
 from conecert.sampling import random_operator, rng_from
 from constraint_oracle import map_floor
 from test_kernels import reference_scan
+from test_linalg import swap_lapack
 
 rng = np.random.default_rng(7)
 
@@ -442,15 +442,16 @@ def _result_bits(res):
 
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 3), (2, 4), (4, 2), (4, 6)])
 def test_is_positive_bitwise_with_numpy_eigh(n, m, monkeypatch):
-    """the kernel's half-steps give the bits of `np.linalg.eigh`: every result,
-    the Cho-Kye-Lee restart scans included, is unchanged with it in their place"""
+    """every LAPACK entry point of `linalg` gives the bits of its np.linalg counterpart: every
+    result, the Cho-Kye-Lee restart scans included, is unchanged with each one swapped for it
+    where it is looked up, the kernel's half-steps, the Choi spectra and the starts included"""
     maps = _positivity_maps(n, m)
     if (n, m) == (3, 3):
         maps += [cho_kye_lee(2, 0, 1), cho_kye_lee(2, 0.2, 1), cho_kye_lee(2, 0, 0.9)]
     searches = [SearchParams(seed=100 * n + 10 * m + k) for k in range(len(maps))]
     results = [is_positive(phi, search) for phi, search in zip(maps, searches)]
     assert all(res.restarts_used > 1 for res in results[5:])
-    monkeypatch.setattr(_kernels, "_eigh", np.linalg.eigh)
+    swap_lapack(monkeypatch)
     for phi, search, res in zip(maps, searches, results):
         assert _result_bits(is_positive(phi, search)) == _result_bits(res)
 
@@ -588,15 +589,22 @@ def test_informed_starts_shape():
 
 
 def _count_choi_decompositions(monkeypatch, d):
-    """Spy on np.linalg.eigh and eigvalsh: the calls on d x d matrices, by name."""
+    """Spy on `linalg.eigh` and `eigvalsh` where they are looked up: the calls on d x d
+    matrices, by name."""
     counts = {"eigh": 0, "eigvalsh": 0}
-    for name in counts:
-        def spy(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            if np.shape(a)[-2:] == (d, d):
-                counts[_name] += 1
-            return _fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+    def spy(name, entry):
+        if name not in counts:
+            return entry
+
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (d, d):
+                counts[name] += 1
+            return entry(a, *args, **kwargs)
+
+        return call
+
+    assert ("linalg", "eigh") in swap_lapack(monkeypatch, spy)
     return counts
 
 
