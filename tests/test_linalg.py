@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from constraint_oracle import functional_row, hermitian_params, params_to_herm, partial_transpose_slots
 
+from conecert import linalg
 from conecert.errors import HermiticityError, ShapeError
 from conecert.exposedness import Verdict, certify_exposed, classify
 from conecert.faces import double_prime_nullspace, membership_residual
-from conecert import linalg
 from conecert.functionals import functional_from_operator, functional_norm
 from conecert.linalg import (
     POSITIVITY_RTOL,
