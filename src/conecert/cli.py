@@ -91,13 +91,14 @@ def cmd_sweep(args) -> int:
     if args.count < 0:
         raise EncodingError("count must be >= 0")
     seed = _resolve_seed(args.seed)
-    os.makedirs(args.report, exist_ok=True)
     rng = rng_from(seed)
     ranks = range(1, min(args.n, args.m) + 1)
     verdict_counts, dim_hist, files = Counter(), Counter(), []
     for rank in ranks:
         for i in range(args.count):
             a = random_operator(rng, args.n, args.m, rank)
+            # made after a draw: a refused shape leaves none
+            os.makedirs(args.report, exist_ok=True)
             for transposed in (False, True):
                 report = certify_exposed(a, transposed=transposed)
                 payload = report_to_dict(report, include_timing=not args.no_timing)
@@ -131,6 +132,7 @@ def cmd_sweep(args) -> int:
         "dimension_histogram": dim_hist,
         "not_certified": verdict_counts[Verdict.NOT_CERTIFIED.value],
     }
+    os.makedirs(args.report, exist_ok=True)
     write_json_atomic(os.path.join(args.report, "summary.json"), summary)
     total = len(files)
     print(f"{total} runs ({args.count} per rank class, both flags)")
@@ -204,17 +206,13 @@ def cmd_random_map(args) -> int:
     if args.rank is not None and args.rank < 1:
         raise EncodingError("rank must be positive")
     rng = rng_from(_resolve_seed(args.seed))
-    try:
-        if args.kind == "ad":
-            a = random_operator(rng, args.n, args.m, args.rank)
-            obj = map_to_json("ad", A=a, transposed=args.transposed)
-        else:
-            r = random_psd(rng, args.m, args.rank)
-            zeta = random_unit_vector(rng, args.n)
-            obj = map_to_json("omega_q", R=r, zeta=zeta)
-    except ValueError as exc:
-        # numpy refuses a shape past its largest array before allocating it
-        raise EncodingError(f"cannot draw a {args.n}x{args.m} map: {exc}") from exc
+    if args.kind == "ad":
+        a = random_operator(rng, args.n, args.m, args.rank)
+        obj = map_to_json("ad", A=a, transposed=args.transposed)
+    else:
+        r = random_psd(rng, args.m, args.rank)
+        zeta = random_unit_vector(rng, args.n)
+        obj = map_to_json("omega_q", R=r, zeta=zeta)
     write_json_atomic(args.out, obj)
     print(args.out)
     return 0

@@ -36,6 +36,7 @@ from .linalg import (
     gap_rank,
     hermitian_within,
     hermitize,
+    in_norm_range,
     normalized,
     svd,
     svdvals,
@@ -237,8 +238,7 @@ def certify_exposed(A, transposed: bool = False) -> ExposednessReport:
     random number.
     """
     t0 = time.perf_counter()
-    a = as_complex_matrix(A, "A")
-    norm = frobenius_norm(a)
+    a, norm, _ = in_norm_range(as_complex_matrix(A, "A"))
     if norm == 0.0:
         ns, verdict, face = NullSpaceResult(np.zeros(0), 0, 0, 1.0), Verdict.INPUT_REJECTED, None
         overlap = 0.0
@@ -349,7 +349,7 @@ def conjugate_obstruction_space(A) -> ObstructionResult:
     (A = 0) every row is a unit row.  So the dimension is 1 exactly at
     r = 1, with basis u_0 v_0^T, and else 0.
     """
-    a = as_complex_matrix(A, "A")
+    a = in_norm_range(as_complex_matrix(A, "A"))[0]
     n, m = a.shape
     u, _, vh, rank = _class_svd(a)
     svals = np.concatenate([np.ones(n * m - rank * rank), _obstruction_core(rank)])
@@ -367,11 +367,9 @@ class Classification:
     def reconstruct(self) -> MapRep:
         from .maps import choi_from_omega_q
 
-        if self.case is MapCase.AD:
-            return choi_from_ad(self.b, transposed=False)
-        if self.case is MapCase.AD_TRANSPOSE:
-            return choi_from_ad(self.b, transposed=True)
-        return choi_from_omega_q(self.r_matrix, self.zeta)
+        if self.case is MapCase.OMEGA_Q:
+            return choi_from_omega_q(self.r_matrix, self.zeta)
+        return choi_from_ad(self.b, transposed=self.case is MapCase.AD_TRANSPOSE)
 
 
 def _psd_rank(w: np.ndarray, floor: float) -> int:

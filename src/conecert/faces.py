@@ -83,8 +83,8 @@ from .linalg import (
     UNIT_ROUNDOFF,
     _partial_transpose,
     _read_only,
-    frobenius_norm,
     gap_rank,
+    in_norm_range,
     svd,
     svdvals,
 )
@@ -192,7 +192,7 @@ def system_floor(s: np.ndarray, unknowns: int) -> float:
 def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     """Null space of the zero-pair constraints of X -> A X A*, or of X -> A X^T A* when transposed.
 
-    A is Frobenius normalised (`linalg.frobenius_norm`) as
+    A is Frobenius normalised (`linalg.in_norm_range`) as
     `exposedness.certify_exposed` normalises it, so the two return bitwise
     equal null spaces at any scale of A.  Builds the plain face from A on
     every call (`_plain_face`), over the solve of A's class, cached per
@@ -201,9 +201,9 @@ def double_prime_nullspace(A, transposed: bool = False) -> NullSpaceResult:
     reports and the class cache shares `singular_values` between every A of
     one class.  A = 0 raises InputRejected.
     """
-    a = _nonzero_operator(A)
+    a, norm, _ = in_norm_range(_nonzero_operator(A))
     # one memory layout for every input, so equal matrices give equal bits
-    plain = _plain_face(np.ascontiguousarray(a / frobenius_norm(a)))[0]
+    plain = _plain_face(np.ascontiguousarray(a / norm))[0]
     return replace(plain, transposed=transposed)
 
 
@@ -354,8 +354,7 @@ def membership_residual(result: NullSpaceResult, map_rep: MapRep) -> tuple[np.nd
     normalized first, so the coefficient norm is the overlap in [0, 1].
     The reference for `_membership`, which reads the factors.
     """
-    c = map_rep.choi
-    scale = frobenius_norm(c)
+    c, scale, _ = in_norm_range(map_rep.choi)
     if scale == 0.0:
         raise ShapeError("zero Choi matrix has no direction")
     # in the float64 views, Re<B, C>_F is a dot product and |C|_F a vector norm

@@ -24,12 +24,13 @@ factor), `maps.is_completely_positive` (`is_psd` of the Choi matrix) and
 `exposedness.classify` read the first.  So no verdict depends on an absolute
 cutoff.
 
-Every norm read as a scale is `frobenius_norm`, which neither underflows
-nor overflows: `np.linalg.norm` where that lies in [2^-500, 2^500], and
-otherwise the norm of X rescaled exactly by a power of two (`np.ldexp`, by
-the exponent of max |x|).  So an in-range X keeps the bits of
-`np.linalg.norm`, and X and 2^k * X give |X|_F and 2^k * |X|_F exactly, as
-long as neither rescaled copy under- or overflows.
+Every norm read as a scale is `frobenius_norm`, and every A is normalised as
+Y / |Y|_F, both read off `in_norm_range`: Y = X where `np.linalg.norm` lies
+in [2^-500, 2^500], else X rescaled exactly by 2^-e, e the exponent of
+max |x|.  So an in-range X keeps the bits of `np.linalg.norm`, X and
+2^k * X give |X|_F and 2^k * |X|_F exactly, as long as neither rescaled
+copy under- or overflows, and A is never divided by an overflowed or
+subnormal norm.
 
 Every eigh, eigvalsh and svd in the package is `eigh`, `eigvalsh`, `svd` or
 `svdvals` here: the `numpy.linalg._umath_linalg` gufunc that `np.linalg`
@@ -148,25 +149,27 @@ def svdvals(a):
 
 
 @np.errstate(over="ignore")
-def frobenius_norm(x: np.ndarray) -> float:
-    """|X|_F of a finite array: `np.linalg.norm`'s own arithmetic in `_NORM_RANGE`, else the norm
-    of X rescaled by 2^-e, e the exponent of max |x|, times 2^e (see the module docstring)."""
-    x = x.ravel(order="K")
+def in_norm_range(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(Y, |Y|_F, |X|_F) of a finite array X (see the module docstring)."""
+    flat = x.ravel(order="K")
     if x.dtype.kind == "c":
-        norm = math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
+        norm = math.sqrt(float(flat.real.dot(flat.real)) + float(flat.imag.dot(flat.imag)))
     else:
-        norm = math.sqrt(float(x.dot(x)))
-    if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1]:
-        return norm
-    top = float(np.abs(x).max(initial=0.0))
+        norm = math.sqrt(float(flat.dot(flat)))
+    top = 0.0 if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] else float(np.abs(x).max(initial=0.0))
     if top == 0.0:
-        return 0.0
+        return x, norm, norm
     e = math.frexp(top)[1]
-    scaled = np.ldexp(x.real, -e)
+    y = np.ldexp(x.real, -e)
     if x.dtype.kind == "c":
-        scaled = scaled + 1j * np.ldexp(x.imag, -e)
-    # the rescaled norm lies in range
-    return float(np.ldexp(frobenius_norm(scaled), e))
+        y = y + 1j * np.ldexp(x.imag, -e)
+    norm = in_norm_range(y)[1]
+    return y, norm, float(np.ldexp(norm, e))
+
+
+def frobenius_norm(x: np.ndarray) -> float:
+    """|X|_F of a finite array (`in_norm_range`)."""
+    return in_norm_range(x)[2]
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ global state.
 
 import numpy as np
 
+from .errors import ShapeError
 from .linalg import normalized, svd
 
 
@@ -15,8 +16,11 @@ def rng_from(seed: int) -> np.random.Generator:
 
 
 def crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """I.i.d. standard complex normal entries."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """I.i.d. standard complex normal entries; ShapeError where numpy refuses the shape."""
+    try:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    except ValueError as exc:
+        raise ShapeError(f"cannot draw a {'x'.join(map(str, shape))} array: {exc}") from exc
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

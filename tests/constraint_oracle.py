@@ -1,44 +1,53 @@
-"""Test oracles for the face: zero-pairs, their constraint rows and the dense solve.
+"""Test references for the face: one independent reference per claim of the library.
 
-Every zero-pair (xi, eta) gives the 2n real rows of psi(eta eta*) conj(xi) = 0
-as functionals of the Choi matrix of psi.  The null space of the rows from
-enough random probes is the face that `faces.double_prime_nullspace` solves
-in probe coordinates; the tests compare the two.  `dense_nullspace` is the
-same probe-coordinate solve done densely, with every relation among the
-probe projectors read off a frame SVD and the Moore-Penrose dual frame, as a
-reference for the library's explicit relations.  It keeps the general-rank
-unknowns (a Hermitian H_p in Herm(r_p) per probe, `_output_columns`), where
-the library keeps one real unknown per probe output of rank 1.  The oracle
-reads the kernel probes and the probe outputs off Choi(phi), with `eigh`,
-where the library reads them off A, so it works for any
-Hermiticity-preserving map.  `built_class_solve` is the class solve built
-from probe vectors and solved numerically at every (m, f): the curve and
-star probes (`curve_frame`, `star_frame`), their `projector_coordinates`,
-the class outputs and one batched QR per relation family
-(`_reduced_relations`), with the rank-1 hull read through the dual basis of
-the unit-probe projectors (`curve_dual`, `built_rank_one_hull`) and the pair
-probes eliminated at f = m (`class_system`).  It is the reference for
-`faces.class_solve`, which writes f = 1 and f = m in closed form and the
-classes between as literal rows.  `kernel_probes` reads the kernel of A off
-its SVD, the reference for the Choi oracle's `choi_kernel_probes` and the
-count in the structured digest.  `rebuilt_face` is that solve carried to A numerically,
-through the dual basis and A's outputs, the reference for the face that
-`faces._plain_face` writes in closed form.
+Claim -> reference (the tests that compare them):
+- the face of X -> A X A* and of X -> A X^T A* (`faces.double_prime_nullspace`)
+  -> the paper's definition read literally: the zero-pairs (xi, eta) of the
+  map (`zero_pairs`), the 2n real rows of psi(eta eta*) conj(xi) = 0 per
+  pair over the Choi parameters (`assemble_constraints`) and the null space
+  of their stack (`oracle_nullspace`).  `test_nullspace_matches_constraint_oracle`
+  (every grid class, both flags, within `exposedness._face_bound`),
+  `test_nullspace_matches_dense_solve_on_band` (the partial isometry
+  U_f V_f* of the band) and `test_axis_aligned_rank_one_certifies`.
+- the class evidence (`faces.class_solve`: spectrum, unknowns, probe count,
+  null dimension and the rank-1 hull's condition) -> `built_class_solve`,
+  the class system built from probe vectors (`curve_frame`, `star_frame`,
+  their `projector_coordinates`, the class outputs and one batched QR per
+  relation family in `_reduced_relations`, the pair probes eliminated at
+  f = m in `class_system`) and solved numerically at every (m, f), with the
+  hull read through the dual basis of the unit-probe projectors
+  (`curve_dual`, `built_rank_one_hull`).  The `*_matches_the_built_solve`
+  tests and `test_system_floor_covers_the_maps_coordinates`.
+- the face that `faces._plain_face` writes in closed form, near-rank-deficient
+  inputs included -> `rebuilt_face`, that class solve carried to A
+  numerically through the dual basis and A's own outputs.
+  `test_rebuilt_face_matches_the_closed_form`.
+- the kernel of A, which the face reads as dead basis probes -> `kernel_probes`,
+  read off A's full SVD; the kernel-probe count of the structured digest.
+- the obstruction space (`exposedness.conjugate_obstruction_space`) ->
+  `dense_obstruction_space`, every row on all nm columns and one
+  `null_space` of the stack.
+Membership and the face check keep their references in the library
+(`faces.membership_residual`, `exposedness.face_certificate`), and the
+sampled cone check is `cone_oracle.cone_evidence`.
+
+Domain of the literal reference: it reads the kernel probes
+(`choi_kernel_probes`) and the probe outputs (`probe_outputs`) off
+Choi(phi) with `eigh`, so it works for any Hermiticity-preserving map, but
+only on inputs whose spectra have a clean gap.  `eigh` of Choi(phi) cannot
+resolve a squared singular value s^2 of A near its own rounding: on the
+structured 3 x 3 diag(1, s, 0) it reads dimension 5 where the face has 1
+at 18 of the 33 s, from 1e-15 to 3e-7 (36 random probes, seed 6).
+`rebuilt_face` is the reference there.
 The oracles build their rows in the real coordinates of Herm(N),
 `hermitian_params` and its inverse `params_to_herm`, where the library
 holds every element of a face as a Choi matrix; `param_basis` reads a
-face's basis in those coordinates.  `partial_transpose_slots` is the
-input-side partial transpose read as a signed permutation of those
-coordinates.  `dense_obstruction_space` is the obstruction system stacked
-on all nm columns and solved by one `null_space`, the reference for
-`exposedness.conjugate_obstruction_space`, which counts the unit rows and
-solves only the cached r x r core.
+face's basis in those coordinates.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,8 +98,6 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64)
     k = n * (n - 1) // 2
-    if p.shape[-1:] != (n * n,):
-        raise ShapeError(f"expected {n * n} coordinates, got {p.shape}")
     c = np.zeros(p.shape[:-1] + (n, n), dtype=np.complex128)
     iu, ju = np.triu_indices(n, 1)
     c[..., np.arange(n), np.arange(n)] = p[..., :n]
@@ -103,21 +110,6 @@ def params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
 def param_basis(ns: faces.NullSpaceResult) -> np.ndarray:
     """The face's basis as orthonormal columns ((nm)^2, dim) of `hermitian_params`."""
     return hermitian_params(ns.basis).T
-
-
-def partial_transpose_slots(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with params(PT(X)) = sign * params(X)[index] for Hermitian nm x nm X.
-
-    PT is the input-side partial transpose (`partial_transpose_in`): it
-    keeps the diagonal, and an upper entry whose image is a lower one reads
-    the conjugate there, so its Im coordinate changes sign.  The table is
-    read off PT applied to the labels 1 .. (nm)^2.
-    """
-    d = n * m
-    labels = params_to_herm(np.arange(1.0, d * d + 1), d)
-    moved = hermitian_params(partial_transpose_in(labels, n, m))
-    # an off-diagonal label comes back through / sqrt2 and * sqrt2, so within an ulp of itself
-    return np.rint(np.abs(moved)).astype(np.intp) - 1, np.sign(moved)
 
 
 def map_floor(map_rep: MapRep) -> float:
@@ -191,10 +183,13 @@ def choi_kernel_probes(map_rep: MapRep) -> list[np.ndarray]:
     partial H-trace of the Choi matrix, so conjugated kernel eigenvectors of
     T (and their pairwise combinations) are exactly the probes that vanish
     for positive phi.  The kernel is the part of T's descending spectrum
-    past its `gap_rank` over `map_floor`.  `kernel_probes` counts
-    A's singular values instead, and the two agree where T's spectrum has
-    a clean gap (the 0/1 matrices); `eigh` of T cannot resolve a squared
-    singular value near its own rounding.
+    past its `gap_rank` over `map_floor`.  `kernel_probes` counts A's
+    singular values instead.  Domain: inputs where T's spectrum has a clean
+    gap, such as the 0/1 matrices and partial isometries.  `eigh` of T
+    cannot resolve a squared singular value near its own rounding: on the
+    3 x 3 band U diag(1, s2, 0) V* it misreads the probe count at 41 of 53
+    s2 from 1e-14 to 1e-4, and `zero_pairs` and `oracle_nullspace` follow
+    the misread.
     """
     t = hermitize(np.einsum("ikil->kl", map_rep.choi4))
     w, v = np.linalg.eigh(t)
@@ -271,21 +266,6 @@ class ConstraintSystem:
         return int(self.rows.shape[0])
 
 
-def functional_row(m: np.ndarray) -> np.ndarray:
-    """Row of coefficients of C -> sum_ab C[a,b] M[a,b] over Hermitian params.
-
-    The returned complex row r satisfies r @ hermitian_params(C) == that sum
-    for every Hermitian C; callers split it into real and imaginary parts to
-    get two real constraints.
-    """
-    m = as_complex_matrix(m)
-    n = m.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    re_part = (m[iu, ju] + m[ju, iu]) / SQRT2
-    im_part = 1j * (m[iu, ju] - m[ju, iu]) / SQRT2
-    return np.concatenate([np.diag(m), re_part, im_part])
-
-
 @lru_cache(maxsize=None)
 def _kron_factor_indices(n: int, m: int) -> tuple[np.ndarray, ...]:
     """Factor indices of the entries a Hermitian functional row reads.
@@ -314,7 +294,9 @@ def assemble_constraints(pairs: list[ZeroPair], n: int, m: int) -> ConstraintSys
     C -> sum_ab C[a,b] M_i[a,b] with M_i = (e_i conj(xi)^T) (x) eta eta*.
     Rows are built for whole blocks of pairs at once: each entry of M_i is
     the product of one factor entry of each side, as `np.kron` forms it, and
-    the row is `functional_row(M_i)` read off those entries.
+    the row holds the coefficients of that functional on `hermitian_params`
+    of C: M_ii on the diagonal, then (M_jk + M_kj)/sqrt2 and
+    i (M_jk - M_kj)/sqrt2 per j < k, split into real and imaginary rows.
     """
     d = n * m
     for idx, pair in enumerate(pairs):
@@ -358,88 +340,6 @@ def oracle_nullspace(map_rep, random_count: int, seed: int = 0) -> np.ndarray:
     pairs = zero_pairs(map_rep, PairStrategy(random_count=random_count, seed=seed))
     rows = assemble_constraints(pairs, map_rep.n, map_rep.m).rows
     return null_space(rows)[0] if rows.shape[0] else np.eye(d * d)
-
-
-def _output_columns(vecs: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameters of R_p E_a R_p* for the Hermitian basis E_a of Herm(r_p), probe by probe.
-
-    Returns the columns (unknowns, n^2) and the probe that owns each one,
-    ordered by probe.  The columns of one probe are orthonormal: H -> R_p H R_p*
-    and the parameterization are isometries.
-    """
-    n = vecs.shape[1]
-    owner, columns = [np.zeros(0, dtype=int)], [np.zeros((0, n * n))]
-    for r in np.unique(ranks[ranks > 0]):
-        idx = np.flatnonzero(ranks == r)
-        ranges = vecs[idx, :, :r]
-        e = params_to_herm(np.eye(r * r), r)
-        y = np.einsum("pia,sab,pjb->psij", ranges, e, ranges.conj())
-        columns.append(hermitian_params(y).reshape(-1, n * n))
-        owner.append(np.repeat(idx, r * r))
-    owner = np.concatenate(owner)
-    order = np.argsort(owner, kind="stable")
-    return np.concatenate(columns)[order], owner[order]
-
-
-def dense_nullspace(map_rep: MapRep, etas: np.ndarray) -> SimpleNamespace:
-    """The face solved densely in the coordinates of the probes etas (N, m), basis probes first.
-
-    The caller hands in the library's probes (the curve and star probes in
-    the right singular basis of A), but the output ranges are read off
-    Choi(phi) (`probe_outputs`), not off A, every probe keeps its r_p^2
-    unknowns, for outputs of any rank (the library keeps one per basis
-    probe), and every relation beta in the kernel of the m^2 x N matrix of
-    projector parameters (from one frame SVD) contributes the n^2 rows of
-    sum_p beta_p R_p H_p R_p* = 0.  The unknowns of the probes past the
-    first m^2 are eliminated from the stack by projecting it off the span of
-    their columns (one QR of them, no layout), so its rank is decided on the
-    basis probes' unknowns, at the largest gap over the SVD floor
-    max(rows, cols) * u * s_0 of the whole stack (`linalg.null_space`).  The
-    eliminated unknowns are solved back by least squares, and null vectors
-    become Choi matrices through the Moore-Penrose dual frame of all N
-    projectors.  Kept in the rank decision, the other unknowns' singular
-    values of order 1 would sit above every relation that a small singular
-    value of A leaves, and the largest gap would read those as zeros.
-    """
-    _require_hermitian(map_rep)
-    n, m = map_rep.n, map_rep.m
-    count = etas.shape[0]
-    _, vecs, ranks = probe_outputs(map_rep, etas)
-    frame = hermitian_params(etas[:, :, None] * etas.conj()[:, None, :])
-    u_f, s_f, vh_f = np.linalg.svd(frame.T)
-    relations = vh_f[m * m :]
-    dual = params_to_herm((vh_f[: m * m].T / s_f) @ u_f.T, m)
-    outputs, owner = _output_columns(vecs, ranks)
-    basis = owner < m * m
-    unknowns = int(basis.sum())
-
-    rows = relations.shape[0] * n * n
-    system = (relations[:, None, owner] * outputs.T[None]).reshape(rows, owner.shape[0])
-    kept, other = system[:, basis], system[:, ~basis]
-    svals, null = np.zeros(0), np.eye(unknowns)
-    if rows:
-        q = np.linalg.qr(other)[0]
-        _, svals, vh = np.linalg.svd(kept - q @ (q.T @ kept), full_matrices=rows < unknowns)
-        floor = max(system.shape) * UNIT_ROUNDOFF * np.linalg.norm(system, 2)
-        null = vh[gap_rank(svals, floor) :].T
-    # the eliminated unknowns, solved back: other y = -kept x
-    solved = np.zeros((owner.shape[0], null.shape[1]))
-    solved[basis] = null
-    if other.shape[1]:
-        solved[~basis] = -np.linalg.lstsq(other, kept @ null, rcond=None)[0]
-
-    selector = (owner[None, :] == np.arange(count)[:, None]).astype(float)
-    y = params_to_herm(selector @ (solved.T[:, :, None] * outputs), n)
-    choi = np.einsum("dpij,pkl->dikjl", y, dual.conj()).reshape(-1, n * m, n * m)
-    if choi.shape[0]:
-        param_basis, sv, _ = np.linalg.svd(hermitian_params(choi).T, full_matrices=False)
-        condition = float(sv[0] / sv[-1])
-    else:
-        param_basis, condition = np.zeros(((n * m) ** 2, 0)), 1.0
-    return SimpleNamespace(
-        singular_values=svals, pairs_used=count, param_basis=param_basis,
-        unknowns=unknowns, condition=condition, dim=param_basis.shape[1],
-    )
 
 
 def projector_coordinates(x: np.ndarray) -> np.ndarray:

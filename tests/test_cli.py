@@ -410,8 +410,13 @@ def test_sweep_writes_nothing_to_stderr(tmp_path, capsys):
 
 
 def test_sweep_bad_dims_exit_2(tmp_path, capsys):
-    assert main(["sweep", "--n", "0", "--m", "2", "--report", str(tmp_path / "d")]) == 2
-    assert "error:" in capsys.readouterr().err
+    """a size below 1, or past numpy's largest array, which numpy refuses before it allocates, is
+    a usage error: exit 2, an error line and no report directory, not a traceback"""
+    for n in ("0", "100000000000000000000"):
+        out_dir = tmp_path / n
+        assert main(["sweep", "--n", n, "--m", "2", "--count", "1", "--report", str(out_dir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_sweep_negative_count_exit_2(tmp_path, capsys):

@@ -1,21 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 import constraint_oracle
 from constraint_oracle import (
-    _ASSEMBLE_ENTRIES,
     PairStrategy,
-    ZeroPair,
     assemble_constraints,
     built_class_solve,
     built_rank_one_hull,
-    choi_kernel_probes,
     class_system,
     curve_frame,
-    dense_nullspace,
-    functional_row,
     hermitian_params,
     kernel_probes,
     map_floor,
@@ -23,10 +16,8 @@ from constraint_oracle import (
     param_basis,
     params_to_herm,
     probe_outputs,
-    projector_coordinates,
     rebuilt_face,
     star_frame,
-    unit_probe_vectors,
     zero_pairs,
 )
 from conecert import Verdict, certify_exposed, exposedness, faces, maps
@@ -36,7 +27,7 @@ from conecert.faces import double_prime_nullspace, membership_residual, system_f
 from conecert.linalg import UNIT_ROUNDOFF, gap_rank
 from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
 from conecert.serialization import dumps_canonical, report_to_dict
-from structured_inputs import haar_unitary, structured_inputs, zero_one_matrices
+from structured_inputs import haar_unitary, structured_inputs
 from test_linalg import swap_lapack
 
 rng = np.random.default_rng(31)
@@ -98,15 +89,6 @@ def test_kernel_probes_annihilate():
 def test_kernel_probes_full_rank_empty():
     a = crandn(3, 3)
     assert kernel_probes(a) == kernel_probes(a, transposed=True) == []
-
-
-def test_kernel_probes_match_choi_oracle():
-    """the kernel read off svd(A) has the size of the one read off Choi(phi) on the 0/1 matrices"""
-    for _, a in zero_one_matrices():
-        for transposed in (False, True):
-            phi = choi_from_ad(a / np.linalg.norm(a), transposed=transposed)
-            want = len(choi_kernel_probes(phi))
-            assert len(kernel_probes(a, transposed)) == want, (a, transposed)
 
 
 @pytest.mark.parametrize("s2", np.logspace(-14, -1, 53))
@@ -173,32 +155,6 @@ def test_constraint_rows_evaluate_apply():
                     assert abs(vals[k] - out[i].real) < 1e-12
                     assert abs(vals[k + 1] - out[i].imag) < 1e-12
                     k += 2
-
-
-def test_assemble_constraints_matches_per_row_reference():
-    """the vectorised rows equal functional_row of each Kronecker matrix exactly"""
-    for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 3), (4, 4)]:
-        # for 4x4, enough extra pairs to span several assembly blocks
-        extra = 1 if n * m < 16 else 2 * _ASSEMBLE_ENTRIES // (n * (n * m) ** 2) + 3
-        for a in (crandn(n, m), rand_rank(n, m, 1)):
-            for transposed in (False, True):
-                phi = choi_from_ad(a, transposed=transposed)
-                pairs = zero_pairs(phi, PairStrategy(random_count=3, seed=n + m))
-                pairs += [ZeroPair(xi=crandn(n), eta=crandn(m), residual=0.0)
-                          for _ in range(extra)]
-                rows, provenance = [], []
-                for idx, pair in enumerate(pairs):
-                    y = np.outer(pair.eta, pair.eta.conj())
-                    for i in range(n):
-                        e_i = np.eye(n, dtype=complex)[i]
-                        row = functional_row(np.kron(np.outer(e_i, pair.xi.conj()), y))
-                        rows += [row.real, row.imag]
-                        provenance += [idx, idx]
-                sys = assemble_constraints(pairs, n, m)
-                assert sys.rows.dtype == np.float64
-                assert sys.rows.shape == (len(rows), (n * m) ** 2)
-                assert np.array_equal(sys.rows, np.array(rows))
-                assert sys.provenance == provenance
 
 
 def test_map_satisfies_own_constraints():
@@ -283,7 +239,8 @@ def test_assemble_rejects_mismatched_pairs():
 
 
 def test_nullspace_matches_constraint_oracle():
-    """the probe-coordinate face equals the null space of random zero-pair rows"""
+    """the probe-coordinate face equals the null space of random zero-pair rows, the paper's
+    definition read literally, within the face bound"""
     classes = [(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
     for n, m, r in classes + [(1, 3, 1), (3, 1, 1), (1, 1, 1)]:
         a = rand_rank(n, m, r)
@@ -297,121 +254,28 @@ def test_nullspace_matches_constraint_oracle():
             # sine of the largest principal angle between the two spans
             got = param_basis(res)
             sin = np.linalg.norm(got - oracle @ (oracle.T @ got), 2)
-            assert sin <= 1e-6, label
+            assert sin <= _face_bound(res), label
 
 
-def _projectors(etas):
-    return np.einsum("pi,pj->pij", etas, etas.conj())
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_projector_coordinates_of_curve_probes(m):
-    """the closed-form coordinates rebuild every curve projector and are sparse on reflected probes"""
-    etas = curve_frame(m)[0]
-    coords = projector_coordinates(_projectors(etas))
-    size = m * m
-    assert etas.shape == (2 * m * m - m, m)
-    basis = _projectors(etas[:size])
-    eps = np.finfo(float).eps
-    rebuilt = np.einsum("pb,bij->pij", coords, basis)
-    assert np.abs(rebuilt - _projectors(etas)).max() <= 4 * eps
-    assert np.abs(coords[:size] - np.eye(size)).max() <= 4 * eps
-    # reflected probes: per pair, z = -1 then z = -i, on exactly {P_j, P_k, P_{+z}}
-    iu, ju = np.triu_indices(m, 1)
-    for q, (j, k) in enumerate(zip(iu, ju)):
-        for z in range(2):
-            row = coords[size + 2 * q + z]
-            assert set(np.flatnonzero(row)) == {j, k, m + 2 * q + z}, (m, j, k, z)
-
-
-def test_projector_coordinates_of_kernel_probes():
-    """kernel probes get dense coordinates that rebuild v v*"""
-    for a in (rand_rank(3, 4, 2), rand_rank(2, 4, 1), np.diag([1.0, 1.0, 0.0])):
-        etas = np.array(kernel_probes(a))
-        m = a.shape[1]
-        basis = _projectors(curve_frame(m)[0][: m * m])
-        coords = projector_coordinates(_projectors(etas))
-        rebuilt = np.einsum("pb,bij->pij", coords, basis)
-        assert np.abs(rebuilt - _projectors(etas)).max() <= 1e-14
-
-
-def _spy_class_systems(monkeypatch, arguments=False):
-    """Record (system, basis output columns) of every class system the oracle builds.
+def _spy_class_systems(monkeypatch):
+    """Record every class system the oracle builds.
 
     The system is `constraint_oracle.class_system`'s, over the kept unknowns'
-    columns, pairs eliminated at f = m; the output columns are the live basis
-    probes', as `constraint_oracle._reduced_relations` was handed them.  With
-    `arguments`, record (system, lift, outputs, live).  The class cache is
-    bypassed for the oracle's `built_class_solve`, which builds the system
-    at f = 1 and f = m too, so every `double_prime_nullspace` call builds and
-    records its own system.
+    columns, pairs eliminated at f = m.  The class cache is bypassed for the
+    oracle's `built_class_solve`, which builds the system at f = 1 and f = m
+    too, so every `double_prime_nullspace` call builds and records its own
+    system.
     """
-    seen, handed = [], []
-    reduce, build = constraint_oracle._reduced_relations, constraint_oracle.class_system
+    seen, build = [], constraint_oracle.class_system
     monkeypatch.setattr(faces, "class_solve", built_class_solve)
 
-    def hand(outputs, live, families):
-        handed.append((outputs, live))
-        return reduce(outputs, live, families)
-
     def spy(m, f):
-        etas, c, system, lift = build(m, f)
-        (outputs, live), size = handed.pop(), m * m
-        seen.append((system, lift, outputs, live) if arguments else (system, outputs[:size][live[:size]]))
-        return etas, c, system, lift
+        built = build(m, f)
+        seen.append(built[2])
+        return built
 
-    monkeypatch.setattr(constraint_oracle, "_reduced_relations", hand)
     monkeypatch.setattr(constraint_oracle, "class_system", spy)
     return seen
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
-def test_full_rank_reduced_system_rows(m, monkeypatch):
-    """full column rank keeps the m diagonal unknowns and 2 rows per relation, (x_j, x_k)
-
-    At rank m - 1 the output of the basis probe V e_{m-1} of ker A is dead,
-    so only the own probes are eliminated and every other basis probe keeps
-    its unknown.
-    """
-    seen = _spy_class_systems(monkeypatch)
-    res = double_prime_nullspace(crandn(m, m))
-    assert res.dim == 1
-    ((system, _),) = seen
-    assert system.shape == (2 * (m * m - m), m) and res.unknowns == m
-    seen.clear()
-    res = double_prime_nullspace(rand_rank(m, m, m - 1))
-    assert [system.shape[1] for system, _ in seen] == [res.unknowns] == [m * m - 1]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_rank_one_outputs_are_exact_in_the_frame(n, m, monkeypatch):
-    """A = u v*: the range frame has one direction, so every live unit output is exactly [1.0]
-
-    In the singular basis the live basis probes are e_0 and the 2(m - 1)
-    pair probes of (0, k).  Each reflected relation then cancels against its
-    own output exactly, not to rounding, and there is no star, so the whole
-    system is 0.
-    """
-    seen = _spy_class_systems(monkeypatch)
-    double_prime_nullspace(np.outer(crandn(n), crandn(m).conj()))
-    ((system, outputs),) = seen
-    assert outputs.shape == (2 * m - 1, 1), (n, m)
-    assert np.all(outputs == 1.0), (n, m)
-    assert np.all(system == 0.0), (n, m)
-
-
-def _star_probes(m, r):
-    """(e_0 + z1 e_b + z2 e_c)/sqrt3 for 1 <= b < r <= c < m and z1, z2 in {1, i}, as rows.
-
-    Ordered by b, then c, then (z1, z2) = (1, 1), (1, i), (i, 1), (i, i).
-    """
-    eye = np.eye(m, dtype=complex)
-    rows = [
-        (eye[0] + z1 * eye[b] + z2 * eye[c]) / math.sqrt(3)
-        for b in range(1, r) for c in range(r, m) for z1 in (1, 1j) for z2 in (1, 1j)
-    ]
-    return np.array(rows).reshape(-1, m)
 
 
 def _singular_probes(a, transposed=False):
@@ -425,227 +289,23 @@ def _singular_probes(a, transposed=False):
     n, m = a.shape
     _, s, vh = np.linalg.svd(a)
     f = int(np.count_nonzero(s > max(n, m) * UNIT_ROUNDOFF * s[0]))
-    etas = np.concatenate([curve_frame(m)[0], _star_probes(m, f)]) @ vh.conj()
+    etas = np.concatenate([curve_frame(m)[0], star_frame(m, f)[0]]) @ vh.conj()
     return (etas.conj() if transposed else etas), f
 
 
-def _unreduced_stack(outputs, live, m, pair=True):
-    """Every relation's projected f^2 x m^2 block, stacked: no fixed layout and no QR.
+def test_cached_class_solves_grow_slower_than_m4():
+    """at m = 16 the class solves of every f hold at most 0.2 MB together
 
-    The relations are read off the dense `projector_coordinates` of every
-    probe past the basis (the live e_j are the first r), and each block is
-    projected off its own probe's output column.  With `pair`, at full
-    column rank (every output live, so no star) it is projected off its
-    pair column m + q too and only the m diagonal columns are kept;
-    otherwise every live basis column is.  Without `pair` every m^2 column
-    is kept.
-    """
-    size = m * m
-    etas = np.concatenate([curve_frame(m)[0][size:], _star_probes(m, int(live[:m].sum()))])
-    coords = projector_coordinates(_projectors(etas))
-    assert coords.shape[0] == outputs.shape[0] - size
-    blocks = coords[:, None, :] * outputs[:size].T
-    frame, kept = outputs[size:, :, None], np.flatnonzero(live[:size])
-    if pair and live.all():
-        rel = np.arange(size - m)
-        frame = np.linalg.qr(np.concatenate([frame, blocks[rel, :, m + rel, None]], axis=2))[0]
-        kept = kept[:m]
-    elif not pair:
-        kept = np.arange(size)
-    blocks -= frame @ (frame.swapaxes(1, 2) @ blocks)
-    return blocks.reshape(-1, size)[:, kept]
-
-
-def _spectrum(system):
-    """Singular values padded with zeros to one per unknown, and the right singular vectors."""
-    unknowns = system.shape[1]
-    if not system.shape[0]:
-        return np.zeros(unknowns), np.eye(unknowns)
-    _, s, vh = np.linalg.svd(system)
-    return np.pad(s, (0, unknowns - s.shape[0])), vh
-
-
-def test_reduced_relations_match_the_unreduced_stack(monkeypatch):
-    """the cut system has the unreduced stack's singular values and null space, to 1e-13
-
-    On every grid class, every nonzero 0/1 matrix with n, m <= 3, 8 x 8
-    rank 4 (curve and star relations) and full-rank inputs, square and
-    rectangular, whose pair probes are eliminated by the same QR.  The lift
-    must carry the system to the stack projected off the own columns only:
-    both have the same singular values, which checks the back-substituted
-    pair rows.  The transposed flag reads the same system
-    (`test_transposed_face_is_the_partial_transpose`).
-    """
-    seen = _spy_class_systems(monkeypatch, arguments=True)
-    grid = [rand_rank(n, m, r) for n in (2, 3, 4) for m in (2, 3, 4) for r in range(1, min(n, m) + 1)]
-    # full rank from their own generator, leaving the module stream to the later tests
-    g = np.random.default_rng(2)
-    full = [g.standard_normal((n, m)) + 1j * g.standard_normal((n, m)) for n, m in ((5, 5), (6, 4), (8, 8))]
-    full.append(haar_unitary(g, 4))
-    for a in [*grid, *(a for _, a in zero_one_matrices()), rand_rank(8, 8, 4), *full]:
-        double_prime_nullspace(a)
-        system, lift, outputs, live = seen.pop()
-        unknowns, m = lift.shape[1], a.shape[1]
-        s, vh = _spectrum(system)
-        want_s, want_vh = _spectrum(_unreduced_stack(outputs, live, m))
-        top = want_s[0] if unknowns else 0.0
-        assert np.abs(s - want_s).max(initial=0.0) <= 1e-13 * top, a
-        rank = gap_rank(want_s, system_floor(want_s, unknowns))
-        assert gap_rank(s, system_floor(s, unknowns)) == rank, a
-        null, want_null = vh[rank:].T @ vh[rank:], want_vh[rank:].T @ want_vh[rank:]
-        assert np.abs(null - want_null).max(initial=0.0) <= 1e-13, a
-        lifted = _spectrum(_unreduced_stack(outputs, live, m, pair=False) @ lift)[0]
-        assert np.abs(s - lifted).max(initial=0.0) <= 1e-13 * top, a
-
-
-def test_only_narrow_relations_are_cut(monkeypatch):
-    """rank 1 runs no batched QR; at 8 x 8 rank 4 one batched QR cuts the 3-wide curve blocks
-    and one the 9-wide star blocks"""
-    widths = []
-    qr = np.linalg.qr
-
-    def spy(a, mode="reduced"):
-        if np.ndim(a) == 3:
-            widths.append(a.shape[-1])
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    monkeypatch.setattr(faces, "class_solve", built_class_solve)
-    for n, m in ((2, 3), (4, 4), (8, 8)):
-        double_prime_nullspace(rand_rank(n, m, 1))
-    assert widths == []
-    double_prime_nullspace(rand_rank(8, 8, 4))
-    assert widths == [3, 9]
-
-
-def _laid_system(m, f, monkeypatch):
-    """The rows the oracle's `_reduced_relations` lays for the class (m, f), over all m^2 basis
-    columns, and the class outputs it was handed, as its `built_class_solve` builds them."""
-    seen = []
-    reduce = constraint_oracle._reduced_relations
-
-    def spy(outputs, live, families):
-        system = reduce(outputs, live, families)
-        laid = np.zeros((system.shape[0], m * m))
-        laid[:, live[: m * m]] = system
-        seen.append((laid, outputs))
-        return system
-
-    monkeypatch.setattr(constraint_oracle, "_reduced_relations", spy)
-    built_class_solve(m, f)
-    ((laid, outputs),) = seen
-    return laid, outputs
-
-
-def _assert_laid_by_cols(laid, outputs, cols, weights, own):
-    """the rows of relation q sit on cols[q] alone, consecutive in relation order, and are an R
-    factor of its block: Rᵀ R is the Gram matrix of the relation's weighted output columns
-    projected off its own output, to 1e-13"""
-    per = laid.shape[0] // cols.shape[0]
-    assert laid.shape[0] == per * cols.shape[0]
-    for q in range(cols.shape[0]):
-        rows = laid[q * per : (q + 1) * per]
-        off = np.delete(rows, cols[q], axis=1)
-        assert not off.any(), q
-        block = outputs[cols[q]].T * weights[q]
-        block -= np.outer(own[q], own[q] @ block)
-        r = rows[:, cols[q]]
-        assert np.abs(r.T @ r - block.T @ block).max() <= 1e-13, q
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_curve_relations_sit_on_their_fixed_columns(m, monkeypatch):
-    """reflected relation q has nonzero coordinates exactly at cols[q] = (m + q, j, k)
-
-    That is what makes the fixed layout of `curve_frame` exact.  The cached
-    weights are those coordinates, bitwise, every array is read-only, and
-    in the class (m, m - 1) the rows of relation q's R are laid on cols[q].
-    """
-    size = m * m
-    etas, cols, weights = curve_frame(m)
-    coords = projector_coordinates(_projectors(etas))
-    assert cols.shape == weights.shape == (size - m, 3)
-    for q in range(size - m):
-        assert np.array_equal(np.flatnonzero(coords[size + q]), np.sort(cols[q])), (m, q)
-        assert cols[q, 0] == m + q, (m, q)
-        assert np.array_equal(np.flatnonzero(etas[size + q]), cols[q, 1:]), (m, q)
-        assert weights[q].tobytes() == coords[size + q, cols[q]].tobytes(), (m, q)
-    assert not any(x.flags.writeable for x in (cols, weights))
-    laid, outputs = _laid_system(m, m - 1, monkeypatch)
-    curve_rows = min((m - 1) ** 2, 3) * (size - m)
-    _assert_laid_by_cols(laid[:curve_rows], outputs, cols, weights, outputs[size : 2 * size - m])
-
-
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_star_relations_sit_on_their_fixed_columns(m, monkeypatch):
-    """star probe q of rank r has coordinates only at cols[q]: P_0, P_b, P_c, then the pair
-    probes P_{+1}, P_{+i} of (0, b), (0, c) and (b, c)
-
-    The probes are (e_0 + z1 e_b + z2 e_c)/sqrt3 in the documented order, the
-    weights are their projector coordinates there, bitwise, the rows of
-    relation q's R are laid on cols[q], after every curve row, and the
-    classes of rank 1 and m have no star probe.
-    """
-    size = m * m
-    iu, ju = np.triu_indices(m, 1)
-    pair = {(j, k): m + 2 * q for q, (j, k) in enumerate(zip(iu, ju))}
-    for r in range(2, m):
-        etas, cols, weights = star_frame(m, r)
-        k = 4 * (r - 1) * (m - r)
-        assert cols.shape == weights.shape == (k, 9), (m, r)
-        assert np.abs(etas - _star_probes(m, r)).max() <= np.finfo(float).eps, (m, r)
-        coords = projector_coordinates(_projectors(etas))
-        for q in range(k):
-            b, c = 1 + q // 4 // (m - r), r + q // 4 % (m - r)
-            ends = [pair[0, b], pair[0, b] + 1, pair[0, c], pair[0, c] + 1, pair[b, c], pair[b, c] + 1]
-            assert cols[q].tolist() == [0, b, c, *ends], (m, r, q)
-            assert set(np.flatnonzero(coords[q])) <= set(cols[q].tolist()), (m, r, q)
-            assert weights[q].tobytes() == coords[q, cols[q]].tobytes(), (m, r, q)
-        laid, outputs = _laid_system(m, r, monkeypatch)
-        curve_rows = min(r * r, 3) * (size - m)
-        own = outputs[2 * size - m :]
-        _assert_laid_by_cols(laid[curve_rows:], outputs, cols, weights, own)
-    for r in (1, m):
-        etas, cols, weights = star_frame(m, r)
-        assert etas.shape == (0, m) and cols.shape == weights.shape == (0, 9), (m, r)
-
-
-def test_curve_probes_match_the_reference_lists():
-    """the vectorised curve probes are, bitwise, the loop-built unit probes and then the
-    reflected (e_j - e_k)/sqrt2, (e_j - i e_k)/sqrt2 per pair j < k"""
-    for m in range(1, 9):
-        eye = np.eye(m, dtype=complex)
-        reflected = [
-            (eye[j] + z * eye[k]) / np.sqrt(2.0)
-            for j in range(m) for k in range(j + 1, m) for z in (-1, -1j)
-        ]
-        want = np.array(unit_probe_vectors(m) + reflected).reshape(-1, m)
-        assert curve_frame(m)[0].tobytes() == want.tobytes(), m
-
-
-def test_cached_frames_grow_slower_than_m4():
-    """at m = 16 the oracle's curve frame and every star frame hold at most 2.5 MB together,
-    and the class solves of every f at most 0.2 MB
-
-    No frame grows as m^4: the relation layouts hold k x w columns and
-    weights, not a one-hot (k, w, m^2) table, and no dual basis is kept.  A
-    class solve keeps its spectrum and, at f = 1, the hull's condition: no
+    A class solve keeps its spectrum and, at f = 1, the hull's condition: no
     hull, lift, null vector, output column or row of its literal system.
     """
     m = 16
-    frames = [curve_frame(m), *(star_frame(m, r) for r in range(2, m))]
-    total = sum(x.nbytes for frame in frames for x in frame)
-    assert total <= 2.5e6, total
     solves = [faces.class_solve(m, f) for f in range(1, m + 1)]
     # the spectrum, three counts and, at f = 1 only, the hull's condition
     assert all(isinstance(x, int) for solve in solves for x in solve[1:4])
     assert all(solve[4] is None for solve in solves[1:]) and isinstance(solves[0][4], float)
     total = sum(solve[0].nbytes for solve in solves)
     assert total <= 0.2e6, total
-    assert len(curve_frame(m)) == 3
-    assert curve_frame(m)[1].shape == curve_frame(m)[2].shape == (m * m - m, 3)
-    for r in range(2, m):
-        assert star_frame(m, r)[1].shape == star_frame(m, r)[2].shape == (4 * (r - 1) * (m - r), 9), r
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -657,13 +317,11 @@ def test_face_system_is_tall(n, m):
         assert len(res.singular_values) == res.unknowns, (n, m, r)
 
 
-def test_curve_frame_is_read_only():
-    """the cached per-m and per-class arrays refuse writes, so no caller can change the next
+def test_cached_class_spectra_are_read_only():
+    """the cached per-class spectra refuse writes, so no caller can change the next
     certificate"""
-    arrays = [*curve_frame(3)]
     for f in range(1, 4):
-        arrays.append(faces.class_solve(3, f)[0])
-    for a in arrays:
+        a = faces.class_solve(3, f)[0]
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
@@ -950,28 +608,13 @@ def test_system_floor_covers_the_maps_coordinates(case, monkeypatch):
             f = _singular_probes(a)[1]
             assert f == res.unknowns == 2
             solves.append((2, f, res.singular_values, res.unknowns))
-    for (m, f, svals, unknowns), (system, _) in zip(solves, seen, strict=True):
+    for (m, f, svals, unknowns), system in zip(solves, seen, strict=True):
         u = curve_frame(m)[0][: m * m, :f]
         c = np.einsum("ui,ui->u", u, u.conj()).real
         c = c[:m] if f == m else c[c > 0]
         assert c.shape == (unknowns,), (m, f)
         leak = np.linalg.norm(system @ c) / np.linalg.norm(c)
         assert leak <= FACE_SAFETY * system_floor(svals, unknowns), (m, f)
-
-
-def _matches_dense_solve(a, transposed, label):
-    a = a / np.linalg.norm(a)
-    phi = choi_from_ad(a, transposed=transposed)
-    etas, f = _singular_probes(a, transposed)
-    res, ref = double_prime_nullspace(a, transposed), dense_nullspace(phi, etas)
-    assert res.dim == ref.dim, label
-    # the dense solve keeps every probe's unknowns; the library keeps the live basis probes',
-    # and only the diagonal ones at full column rank
-    ranks = probe_outputs(phi, etas[: phi.m**2])[2]
-    assert res.unknowns == (phi.m if f == phi.m else int((ranks**2).sum())), label
-    got = param_basis(res)
-    sin = np.linalg.norm(got - ref.param_basis @ (ref.param_basis.T @ got), 2)
-    assert sin <= _face_bound(res), label
 
 
 def test_eliminated_probes_hold_on_grid():
@@ -1000,17 +643,6 @@ def test_eliminated_probes_hold_on_grid():
                             out = apply(psi, np.outer(eta, eta.conj()))
                             leak = np.linalg.norm(v[:, rank:].conj().T @ out)
                             assert leak <= bound * np.linalg.norm(b), (n, m, r, transposed)
-
-
-def test_nullspace_matches_dense_solve_on_grid():
-    """explicit relations and the dense frame-SVD solve of the same probes give the same face
-    on every grid class"""
-    for n in (2, 3, 4):
-        for m in (2, 3, 4):
-            for r in range(1, min(n, m) + 1):
-                a = rand_rank(n, m, r)
-                for transposed in (False, True):
-                    _matches_dense_solve(a, transposed, (n, m, r, transposed))
 
 
 def test_rebuilt_face_matches_the_closed_form():
@@ -1046,22 +678,22 @@ def test_nullspace_matches_dense_solve_on_band(s2):
     """3x3 U diag(1, s2, 0) V*: the face of the class, read off exact references, across the
     near-rank-1 band
 
-    The references are exact at every s2: the dense solve for the partial
-    isometry U_f V_f*, whose outputs on the solver's probes V eta are
-    U_f eta[:f] eta[:f]* U_f*, the class outputs, and, where f >= 2, the
-    ray of Choi(phi).  The dense solve for A itself reads its own outputs,
-    with an error far above the face bound where s2 is small.
+    The references are exact at every s2: the zero-pair null space of the
+    partial isometry U_f V_f*, whose singular values are 1 and 0 with a
+    clean gap, and, where f >= 2, the ray of Choi(phi).  The zero-pair
+    oracle for A itself reads its kernel off `eigh` of Choi(phi), which
+    cannot resolve s2^2 where s2 is small.
     """
     for transposed in (False, True):
         a = _band(s2)
         a = a / np.linalg.norm(a)
         label = (s2, transposed)
         phi = choi_from_ad(a, transposed=transposed)
-        etas, f = _singular_probes(a, transposed)
+        f = _singular_probes(a)[1]
         u, _, vh = np.linalg.svd(a)
         isometry = choi_from_ad(u[:, :f] @ vh[:f], transposed=transposed)
-        res, ref = double_prime_nullspace(a, transposed), dense_nullspace(isometry, etas)
-        assert res.dim == ref.dim, label
+        res = double_prime_nullspace(a, transposed)
+        assert res.dim == oracle_nullspace(isometry, random_count=36, seed=6).shape[1], label
         if f >= 2:
             assert res.dim == 1, label
             assert membership_residual(res, phi)[1] <= _face_bound(res), label
@@ -1140,7 +772,8 @@ def _coordinate_map(a):
     u = curve_frame(m)[0][:size, :f]
     norms = np.einsum("pi,pi->p", u, u.conj()).real
     solved = np.flatnonzero(norms > 0)
-    outs = hermitian_params(_projectors(etas[solved] @ a.T)) / norms[solved, None]
+    w = etas[solved] @ a.T
+    outs = hermitian_params(np.einsum("pi,pj->pij", w, w.conj())) / norms[solved, None]
     proj = np.einsum("pi,pj->pij", etas, etas.conj()).reshape(size, size)
     on_basis = np.linalg.solve(proj.T, np.eye(size)).reshape(size, m, m)
     y = params_to_herm(outs, n)

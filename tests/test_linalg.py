@@ -4,18 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from constraint_oracle import functional_row, hermitian_params, params_to_herm, partial_transpose_slots
 
 from conecert import linalg
 from conecert.errors import HermiticityError, ShapeError
-from conecert.exposedness import Verdict, certify_exposed, classify
+from conecert.exposedness import Verdict, certify_exposed, classify, conjugate_obstruction_space
 from conecert.faces import double_prime_nullspace, membership_residual
 from conecert.functionals import functional_from_operator, functional_norm
 from conecert.linalg import (
     POSITIVITY_RTOL,
-    SQRT2,
     UNIT_ROUNDOFF,
-    _partial_transpose,
     as_complex_vector,
     conj_vector,
     fix_phase,
@@ -35,7 +32,6 @@ from conecert.maps import (
     is_completely_positive,
     is_hermitian_preserving,
     is_positive,
-    partial_transpose_in,
 )
 
 
@@ -229,84 +225,11 @@ def test_array_checks_refuse_bad_shapes_and_entries():
             certify_exposed(np.array([[1.0, bad], [0.0, 1.0]]))
         with pytest.raises(ShapeError):
             conj_vector(np.array([1.0, bad]))
-    with pytest.raises(ShapeError):
-        params_to_herm(np.ones(5), 2)
 
 
 def test_normalized_rejects_zero():
     with pytest.raises(ShapeError):
         normalized(np.zeros(2))
-
-
-def test_herm_params_round_trip():
-    rng = np.random.default_rng(7)
-    for dim in (1, 2, 4, 6):
-        c = hermitize(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        p = hermitian_params(c)
-        assert p.shape == (dim * dim,)
-        assert np.abs(params_to_herm(p, dim) - c).max() < 1e-14
-
-
-def test_herm_params_isometry():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        c1 = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        c2 = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        inner = np.trace(c1.conj().T @ c2).real
-        assert abs(inner - hermitian_params(c1) @ hermitian_params(c2)) < 1e-12
-
-
-def test_functional_row_matches_direct_sum():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        c = hermitize(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        want = np.sum(c * m)
-        got = functional_row(m) @ hermitian_params(c)
-        assert abs(want - got) < 1e-12
-
-
-def _params_reference(c):
-    """`hermitian_params` written out as three index reads and a concatenation: the oracle."""
-    iu, ju = np.triu_indices(c.shape[-1], 1)
-    upper = c[..., iu, ju]
-    diag = np.diagonal(c, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, SQRT2 * upper.real, SQRT2 * upper.imag], axis=-1)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_cached_param_maps_are_bitwise_the_reference(n):
-    """the oracle's `hermitian_params`, read at offsets in the float64 view, gives the
-    written-out formula's bytes, signed zeros included, on Hermitian matrices from
-    `params_to_herm` (itself written out as the formula) and on any matrix"""
-    gen = np.random.default_rng(n)
-    for shape in ((), (3,), (2, 4)):
-        p = gen.standard_normal(shape + (n * n,))
-        p[..., ::3] = 0.0
-        p[..., 1::5] = -0.0
-        x = gen.standard_normal(shape + (n, n)) + 1j * gen.standard_normal(shape + (n, n))
-        x[..., ::2, :] = -0.0
-        for c in (params_to_herm(p, n), x, x.swapaxes(-1, -2)):
-            got, want_p = hermitian_params(c), _params_reference(c)
-            assert got.shape == want_p.shape and got.tobytes() == want_p.tobytes(), (n, shape)
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("m", range(1, 6))
-def test_partial_transpose_is_a_signed_permutation_of_the_params(n, m):
-    """params(PT(X)) = sign * params(X)[index], bitwise, for Hermitian nm x nm X, and the batched
-    `_partial_transpose` is the partial transpose of each matrix, bitwise"""
-    index, sign = partial_transpose_slots(n, m)
-    assert np.array_equal(np.sort(index), np.arange((n * m) ** 2))
-    assert set(np.unique(sign)) <= {-1.0, 1.0}
-    gen = np.random.default_rng(10 * n + m)
-    p = gen.standard_normal((3, (n * m) ** 2))
-    p[:, ::4] = 0.0
-    x = params_to_herm(p, n * m)
-    want = np.array([partial_transpose_in(c, n, m) for c in x])
-    assert _partial_transpose(x, n, m).tobytes() == want.tobytes(), (n, m)
-    got = sign * hermitian_params(x)[:, index]
-    assert got.tobytes() == hermitian_params(want).tobytes(), (n, m)
 
 
 def test_frobenius_norm_neither_underflows_nor_overflows():
@@ -332,7 +255,11 @@ def test_every_norm_read_as_a_scale_holds_at_any_scale(scale):
     they return one null space, bitwise; classify, membership_residual,
     is_psd, hermitian_within, is_hermitian_preserving, is_positive,
     is_completely_positive and functional_norm read the map's or the
-    matrix's own norm.
+    matrix's own norm.  So do the ends of the double range: |A|_F of
+    A = 1e308 J (J the 2 x 2 ones) overflows, and |A|_F of 1e-310 J is
+    subnormal, where complex division by it gives inf + nan i; both must
+    read as rank-1 J: a face of dimension 3 with Choi(phi) in it, and an
+    obstruction space of dimension 1.
     """
     gen = np.random.default_rng(73)
 
@@ -352,6 +279,15 @@ def test_every_norm_read_as_a_scale_holds_at_any_scale(scale):
         assert resid == pytest.approx(membership_residual(ns, phi)[1], abs=1e-14), a.shape
         norm = functional_norm(functional_from_operator(scale * a))
         assert norm == pytest.approx(scale * np.linalg.norm(a), rel=1e-15), a.shape
+
+    for a in (np.full((2, 2), 1e308), 1e-310 * np.ones((2, 2))):
+        report = certify_exposed(a)
+        assert (report.verdict, report.nullspace.dim) == (Verdict.EXPOSED_FACE, 3), a[0, 0]
+        ns = double_prime_nullspace(a)
+        assert ns.basis.tobytes() == report.nullspace.basis.tobytes(), a[0, 0]
+        coeffs, resid = membership_residual(ns, MapRep(2, 2, np.full((4, 4), a[0, 0])))
+        assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-14) and resid <= 1e-14, a[0, 0]
+        assert conjugate_obstruction_space(a).dim == 1, a[0, 0]
 
     a, b, r, z = crandn(3, 3), crandn(3, 3), crandn(3, 3), crandn(3)
     ad, ad_t = choi_from_ad(a), choi_from_ad(a, transposed=True)

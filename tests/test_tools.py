@@ -37,3 +37,57 @@ def test_lapack_is_called_only_through_linalg():
                     found.append((path.name, ast.unparse(node)))
     assert found == []
     assert "_umath_linalg" in (ROOT / "src" / "conecert" / "linalg.py").read_text()
+
+
+ORACLES = ("constraint_oracle", "cone_oracle")
+
+
+def _test_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))}
+
+
+def _oracle_imports(tree: ast.Module) -> list[ast.alias]:
+    """The names a module imports from an oracle module, at any depth"""
+    return [
+        alias
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ORACLES
+        for alias in node.names
+    ]
+
+
+def test_every_oracle_import_is_used():
+    """every name a module of tests/ imports from an oracle module is read in it"""
+    unused = []
+    for name, tree in _test_modules().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, alias.asname or alias.name) for alias in _oracle_imports(tree)
+                   if (alias.asname or alias.name) not in read]
+    assert unused == []
+
+
+def test_every_oracle_function_is_reached_from_a_test_module():
+    """every top-level function and class of the oracle modules is named by a module of tests/
+    outside them, or by an oracle function so reached, so no oracle outlives its last test"""
+    modules = _test_modules()
+    defs = {
+        node.name: node
+        for name in ORACLES
+        for node in modules[name].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert len(defs) == sum(isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            for name in ORACLES for node in modules[name].body)
+    todo = []
+    for name, tree in modules.items():
+        if name not in ORACLES:
+            todo += [alias.name for alias in _oracle_imports(tree)]
+            todo += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in ORACLES]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)]
+    assert sorted(set(defs) - reached) == []
