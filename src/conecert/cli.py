@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success / certified, 2 input error, 3 not certified (also used
-for NOT_POSITIVE and failed classification).  Every report file echoes the
-fully resolved configuration; output paths are left out of the echo so runs
-that differ only in destination stay byte-identical.
+for NOT_POSITIVE and failed classification).  A `cmd_*` returns its exit code,
+payload (or None) and stdout lines; `main` alone writes, prints and exits.
+Every report file echoes the fully resolved configuration; output paths are
+left out of the echo so runs that differ only in destination stay
+byte-identical.
 """
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -27,25 +30,33 @@ from .serialization import (
     write_json_atomic,
 )
 
+# exit code of `expose`; NOT_CERTIFIED exits 3
+EXPOSE_EXIT = {Verdict.EXPOSED_LINEAR: 0, Verdict.EXPOSED_FACE: 0, Verdict.INPUT_REJECTED: 2}
+
 
 def _resolve_seed(value: int | None) -> int:
     """--seed, else CONECERT_SEED, else 0; numpy seeds must be >= 0."""
-    source = "--seed"
-    if value is None:
-        env = os.environ.get("CONECERT_SEED")
-        if env is None:
-            return 0
-        source = "CONECERT_SEED"
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise EncodingError(f"CONECERT_SEED must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise EncodingError(f"{source} must be >= 0, got {value}")
+    if value is not None:
+        _check_range(0, **{"--seed": value})
+        return value
+    env = os.environ.get("CONECERT_SEED", "0")
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise EncodingError(f"CONECERT_SEED must be an integer, got {env!r}") from exc
+    _check_range(0, CONECERT_SEED=value)
     return value
 
 
-def cmd_pairing(args) -> int:
+def _check_range(lo: int, hi: float = math.inf, **values: int) -> None:
+    """EncodingError unless every named value lies in [lo, hi]."""
+    for name, value in values.items():
+        if not lo <= value <= hi:
+            bound = f">= {lo}" if value < lo else f"<= {hi}"
+            raise EncodingError(f"{name} must be {bound}, got {value}")
+
+
+def cmd_pairing(args):
     map_rep = map_from_json(load_json(args.map))
     obj = load_json(args.operator)
     if not isinstance(obj, dict):
@@ -54,98 +65,63 @@ def cmd_pairing(args) -> int:
     if kind == "product":
         if "x" not in obj or "y" not in obj:
             raise EncodingError("product operator needs 'x' and 'y' matrices")
-        w = SeparableElement(
-            x_factor=matrix_from_json(obj["x"]), y_factor=matrix_from_json(obj["y"])
-        )
+        w = SeparableElement(matrix_from_json(obj["x"]), matrix_from_json(obj["y"]))
     elif kind == "full":
         if "w" not in obj:
             raise EncodingError("full operator needs a 'w' matrix")
         w = matrix_from_json(obj["w"])
     else:
         raise EncodingError(f"unknown operator kind {obj.get('kind')!r}")
-    print(format_complex(pairing(map_rep, w)))
-    return 0
+    return 0, None, [format_complex(pairing(map_rep, w))]
 
 
-def cmd_expose(args) -> int:
+def cmd_expose(args):
     a = matrix_from_json(load_json(args.A))
     report = certify_exposed(a, transposed=args.transposed)
     payload = report_to_dict(report, include_timing=not args.no_timing)
-    payload["config"] = {
-        "command": "expose",
-        "transposed": bool(args.transposed),
-    }
-    if args.report:
-        write_json_atomic(args.report, payload)
-    print(f"verdict: {report.verdict.value}")
-    print(f"nullspace dim: {report.nullspace.dim}")
-    print(f"overlap with phi: {report.overlap_with_phi:.12f}")
-    if report.verdict in (Verdict.EXPOSED_LINEAR, Verdict.EXPOSED_FACE):
-        return 0
-    return 2 if report.verdict is Verdict.INPUT_REJECTED else 3
+    payload["config"] = {"command": "expose", "transposed": bool(args.transposed)}
+    return EXPOSE_EXIT.get(report.verdict, 3), payload, [
+        f"verdict: {report.verdict.value}",
+        f"nullspace dim: {report.nullspace.dim}",
+        f"overlap with phi: {report.overlap_with_phi:.12f}",
+    ]
 
 
-def cmd_sweep(args) -> int:
-    if args.n < 1 or args.m < 1:
-        raise EncodingError("dimensions must be positive")
-    if args.count < 0:
-        raise EncodingError("count must be >= 0")
+def cmd_sweep(args):
+    """Payload: {file name under --report: JSON}, summary.json last."""
+    _check_range(1, n=args.n, m=args.m)
+    _check_range(0, count=args.count)
     seed = _resolve_seed(args.seed)
     rng = rng_from(seed)
-    ranks = range(1, min(args.n, args.m) + 1)
-    verdict_counts, dim_hist, files = Counter(), Counter(), []
-    for rank in ranks:
+    config = {"command": "sweep", "seed": seed, "n": args.n, "m": args.m}
+    files, verdict_counts, dim_hist = {}, Counter(), Counter()
+    for rank in range(1, min(args.n, args.m) + 1):
         for i in range(args.count):
             a = random_operator(rng, args.n, args.m, rank)
-            # made after a draw: a refused shape leaves none
-            os.makedirs(args.report, exist_ok=True)
             for transposed in (False, True):
                 report = certify_exposed(a, transposed=transposed)
                 payload = report_to_dict(report, include_timing=not args.no_timing)
-                payload["config"] = {
-                    "command": "sweep",
-                    "seed": seed,
-                    "n": args.n,
-                    "m": args.m,
-                    "rank": rank,
-                    "instance": i,
-                    "transposed": transposed,
-                }
-                name = (
-                    f"n{args.n}_m{args.m}_rank{rank}_i{i:03d}_"
-                    f"{'T' if transposed else 'N'}.json"
-                )
-                write_json_atomic(os.path.join(args.report, name), payload)
-                files.append(name)
+                payload["config"] = {**config, "rank": rank, "instance": i,
+                                     "transposed": transposed}
+                name = f"n{args.n}_m{args.m}_rank{rank}_i{i:03d}_{'T' if transposed else 'N'}.json"
+                files[name] = payload
                 verdict_counts[report.verdict.value] += 1
                 dim_hist[str(report.nullspace.dim)] += 1
     summary = {
-        "config": {
-            "command": "sweep",
-            "seed": seed,
-            "n": args.n,
-            "m": args.m,
-            "count": args.count,
-        },
-        "reports": files,
+        "config": {**config, "count": args.count},
+        "reports": list(files),
         "verdict_counts": verdict_counts,
         "dimension_histogram": dim_hist,
         "not_certified": verdict_counts[Verdict.NOT_CERTIFIED.value],
     }
-    os.makedirs(args.report, exist_ok=True)
-    write_json_atomic(os.path.join(args.report, "summary.json"), summary)
-    total = len(files)
-    print(f"{total} runs ({args.count} per rank class, both flags)")
-    for v in sorted(verdict_counts):
-        print(f"  {v}: {verdict_counts[v]}")
-    for d in sorted(dim_hist, key=int):
-        print(f"  dim {d}: {dim_hist[d]}")
-    return 0
+    lines = [f"{len(files)} runs ({args.count} per rank class, both flags)"]
+    lines += [f"  {v}: {verdict_counts[v]}" for v in sorted(verdict_counts)]
+    lines += [f"  dim {d}: {dim_hist[d]}" for d in sorted(dim_hist, key=int)]
+    return 0, {**files, "summary.json": summary}, lines
 
 
-def cmd_classify(args) -> int:
-    map_rep = map_from_json(load_json(args.map))
-    result = classify(map_rep)
+def cmd_classify(args):
+    result = classify(map_from_json(load_json(args.map)))
     payload = {
         "case": result.case.value,
         "b": None if result.b is None else matrix_to_json(result.b),
@@ -154,13 +130,10 @@ def cmd_classify(args) -> int:
         "phase_convention": "largest-magnitude entry real positive",
         "config": {"command": "classify"},
     }
-    if args.report:
-        write_json_atomic(args.report, payload)
-    print(f"case: {result.case.value}")
-    return 0
+    return 0, payload, [f"case: {result.case.value}"]
 
 
-def cmd_positivity(args) -> int:
+def cmd_positivity(args):
     map_rep = map_from_json(load_json(args.map))
     seed = _resolve_seed(args.seed)
     search = SearchParams(restarts=args.restarts, max_iters=args.iters, seed=seed)
@@ -178,44 +151,36 @@ def cmd_positivity(args) -> int:
             "iters": args.iters,
         },
     }
-    if args.report:
-        write_json_atomic(args.report, payload)
-    print(f"verdict: {result.verdict}")
-    print(f"min block value: {result.min_value:.6e}")
-    return 0 if result.positive else 3
+    return 0 if result.positive else 3, payload, [
+        f"verdict: {result.verdict}",
+        f"min block value: {result.min_value:.6e}",
+    ]
 
 
-def cmd_obstruction(args) -> int:
-    a = matrix_from_json(load_json(args.A))
-    result = conjugate_obstruction_space(a)
+def cmd_obstruction(args):
+    result = conjugate_obstruction_space(matrix_from_json(load_json(args.A)))
     payload = {
         "dim": result.dim,
         "singular_values": [float(s) for s in result.singular_values],
         "basis": [matrix_to_json(b) for b in result.basis],
         "config": {"command": "obstruction"},
     }
-    if args.report:
-        write_json_atomic(args.report, payload)
-    print(f"solution dim: {result.dim}")
-    return 0
+    return 0, payload, [f"solution dim: {result.dim}"]
 
 
-def cmd_random_map(args) -> int:
-    if args.n < 1 or args.m < 1:
-        raise EncodingError("dimensions must be positive")
-    if args.rank is not None and args.rank < 1:
-        raise EncodingError("rank must be positive")
+def cmd_random_map(args):
+    """--rank is at most min(n, m) for ad and m for omega_q's m x m R."""
+    _check_range(1, n=args.n, m=args.m)
+    if args.rank is not None:
+        _check_range(1, min(args.n, args.m) if args.kind == "ad" else args.m, rank=args.rank)
     rng = rng_from(_resolve_seed(args.seed))
     if args.kind == "ad":
         a = random_operator(rng, args.n, args.m, args.rank)
         obj = map_to_json("ad", A=a, transposed=args.transposed)
     else:
         r = random_psd(rng, args.m, args.rank)
-        zeta = random_unit_vector(rng, args.n)
-        obj = map_to_json("omega_q", R=r, zeta=zeta)
-    write_json_atomic(args.out, obj)
-    print(args.out)
-    return 0
+        obj = map_to_json("omega_q", R=r, zeta=random_unit_vector(rng, args.n))
+    return 0, obj, [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,37 +189,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical exposedness certificates for conjugation-type positive maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", default=None, help="write the report JSON here")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("pairing", help="evaluate the duality pairing <map, W>")
     p.add_argument("map", help="map JSON file")
     p.add_argument("operator", help="operator JSON: product {x,y} or full {w}")
     p.set_defaults(func=cmd_pairing)
 
-    p = sub.add_parser("expose", help="certify that ad_A spans an exposed ray")
+    p = sub.add_parser("expose", parents=[report], help="certify that ad_A spans an exposed ray")
     p.add_argument("A", help="matrix JSON file for A")
     p.add_argument("--transposed", action="store_true",
                    help="certify X -> A X^T A* instead of X -> A X A*")
-    p.add_argument("--report", default=None, help="write the report JSON here")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall_time_ms for byte-identical reruns")
     p.set_defaults(func=cmd_expose)
 
-    p = sub.add_parser("sweep", help="batch certification across rank classes")
+    p = sub.add_parser("sweep", parents=[seed], help="batch certification across rank classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--count", type=int, default=5, help="instances per rank class")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--report", required=True, help="output directory")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("classify", help="sort a map into AD / AD_TRANSPOSE / OMEGA_Q")
+    p = sub.add_parser("classify", parents=[report],
+                       help="sort a map into AD / AD_TRANSPOSE / OMEGA_Q")
     p.add_argument("map", help="map JSON file")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser(
-        "positivity",
+        "positivity", parents=[report, seed],
         help="block positivity: a Choi-spectrum proof for CP and co-CP maps, "
              "else an evidence-based restart search",
     )
@@ -264,22 +231,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "or shown not positive by its first descent, draws none")
     p.add_argument("--iters", type=int, default=200,
                    help="iterations per descent; a map proved CP by its Choi spectrum takes one")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_positivity)
 
-    p = sub.add_parser("obstruction", help="solution space of the kernel-implication system")
+    p = sub.add_parser("obstruction", parents=[report],
+                       help="solution space of the kernel-implication system")
     p.add_argument("A", help="matrix JSON file for A")
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_obstruction)
 
-    p = sub.add_parser("random-map", help="generate a seeded random map JSON")
+    p = sub.add_parser("random-map", parents=[seed], help="generate a seeded random map JSON")
     p.add_argument("--kind", choices=("ad", "omega_q"), default="ad")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--transposed", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_random_map)
 
@@ -287,12 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Write the subcommand's payload, then print its lines; return its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        if args.command == "sweep":
+            os.makedirs(args.report, exist_ok=True)
+            for name, obj in payload.items():
+                write_json_atomic(os.path.join(args.report, name), obj)
+        elif args.command == "random-map":
+            write_json_atomic(args.out, payload)
+        elif payload is not None and args.report:
+            write_json_atomic(args.report, payload)
     except (ConecertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ClassificationError) else 2
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

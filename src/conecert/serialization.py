@@ -46,26 +46,22 @@ REPORT_SCHEMA = {
 REPORT_SCHEMA["required"] = [key for key in REPORT_SCHEMA["properties"] if key != "wall_time_ms"]
 
 
-def _entry(value) -> list[float]:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+def _entries_to_json(x: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs, checked finite once."""
+    if not np.isfinite(x).all():
         raise EncodingError("cannot encode non-finite entry")
-    return [z.real, z.imag]
+    return np.stack([x.real, x.imag], axis=-1).tolist()
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.atleast_2d(np.asarray(m, dtype=np.complex128))
     rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "data": [[_entry(m[i, j]) for j in range(cols)] for i in range(rows)],
-    }
+    return {"rows": rows, "cols": cols, "data": _entries_to_json(m)}
 
 
 def vector_to_json(v: np.ndarray) -> dict:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return {"dim": v.shape[0], "data": [_entry(x) for x in v]}
+    return {"dim": v.shape[0], "data": _entries_to_json(v)}
 
 
 def _parse_entry(e) -> complex:

@@ -13,6 +13,7 @@ from conecert.serialization import (
     REPORT_SCHEMA,
     map_from_json,
     map_to_json,
+    matrix_from_json,
     matrix_to_json,
     report_to_dict,
 )
@@ -346,13 +347,28 @@ def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command, seed):
     ["--n", "0", "--m", "2"], ["--n", "-1", "--m", "2"], ["--n", "2", "--m", "0"],
     ["--n", "2", "--m", "2", "--rank", "0"], ["--n", "2", "--m", "2", "--rank", "-1"],
     ["--kind", "omega_q", "--n", "2", "--m", "2", "--rank", "0"],
+    ["--n", "2", "--m", "2", "--rank", "5"], ["--n", "3", "--m", "2", "--rank", "3"],
+    ["--kind", "omega_q", "--n", "2", "--m", "2", "--rank", "5"],
+    ["--kind", "omega_q", "--n", "4", "--m", "2", "--rank", "3"],
 ])
 def test_random_map_bad_dims_exit_2(tmp_path, capsys, flags):
-    """a dimension or rank below 1 is a usage error, before any file is written"""
+    """a dimension below 1, or a rank below 1 or past min(n, m) (ad) or m (omega_q), is a usage
+    error, before any file is written"""
     out = tmp_path / "rand.json"
     assert main(["random-map", *flags, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, n, m, rank", [("ad", 3, 2, 2), ("omega_q", 1, 3, 3)])
+def test_random_map_largest_rank(tmp_path, capsys, kind, n, m, rank):
+    """--rank may reach min(n, m) for an ad map and m for an omega_q map's m x m R"""
+    out = tmp_path / "rand.json"
+    flags = ["--kind", kind, "--n", str(n), "--m", str(m), "--rank", str(rank)]
+    assert main(["random-map", *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    obj = json.loads(out.read_text())
+    assert np.linalg.matrix_rank(matrix_from_json(obj["A" if kind == "ad" else "R"])) == rank
 
 
 @pytest.mark.parametrize("kind", ["ad", "omega_q"])

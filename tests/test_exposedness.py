@@ -485,6 +485,24 @@ def test_factor_face_check_agrees_with_face_certificate(shape, transposed):
         assert got.defect > 0.3 and abs(got.defect - want.defect) <= 1e-12
 
 
+@pytest.mark.parametrize("theta", [1e-3, 0.3])
+def test_factor_face_defect_pins_the_delta_term(theta):
+    """v_0 turned by theta off A's top right singular vector, with u kept on phi's output factor
+    (rho = 0, |q| = 1), leaves only the delta term of the factor check: |delta| = sin theta and
+    the defect is sin theta * sqrt(sin^2 theta + 2), which a rank-1 A's own defect does not mask"""
+    gen = np.random.default_rng(19)
+    a = np.outer(_crandn_from(gen, 3), _crandn_from(gen, 3).conj())
+    a /= np.linalg.norm(a)
+    ns, svd = faces._plain_face(a)
+    u, v = ns.factors
+    off = _crandn_from(gen, 3)
+    off -= v[:, 0] * np.vdot(v[:, 0], off)
+    turned = np.cos(theta) * v[:, 0] + np.sin(theta) * off / np.linalg.norm(off)
+    got = exposedness._factor_face_certificate(replace(ns, factors=(u, turned[:, None])), a, svd)
+    sine = np.sin(theta)
+    assert got.defect == pytest.approx(sine * np.sqrt(sine**2 + 2), rel=1e-10, abs=0)
+
+
 @pytest.mark.parametrize("shape", [(12, 12), (16, 16)])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_large_rank_one_certificates(shape, transposed):

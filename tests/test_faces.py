@@ -25,7 +25,7 @@ from conecert.errors import InputRejected, ShapeError
 from conecert.exposedness import FACE_SAFETY, _face_bound
 from conecert.faces import double_prime_nullspace, membership_residual, system_floor
 from conecert.linalg import UNIT_ROUNDOFF, gap_rank
-from conecert.maps import MapRep, apply, choi_from_ad, partial_transpose_in
+from conecert.maps import MapRep, apply, choi_from_ad
 from conecert.serialization import dumps_canonical, report_to_dict
 from structured_inputs import haar_unitary, structured_inputs
 from test_linalg import swap_lapack
@@ -862,7 +862,9 @@ def test_transposed_face_is_the_partial_transpose():
         assert t.condition == p.condition, label
         if p.dim:
             n, m = a.shape
-            want = np.array([partial_transpose_in(b, n, m) for b in p.basis])
+            # (i, k, j, l) -> (i, l, j, k), written out here, not read from linalg
+            want = np.array([b.reshape(n, m, n, m).transpose(0, 3, 2, 1).reshape(n * m, n * m)
+                             for b in p.basis])
             assert t.basis.tobytes() == want.tobytes(), label
         assert (flipped.face is None) == (plain.face is None), label
         if plain.face is not None:

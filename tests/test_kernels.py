@@ -254,3 +254,18 @@ def test_descent_raises_on_nonconvergence(rows, eigh, monkeypatch):
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 _kernels._descend_batch(g, _crandn(rng, rows, 3), 50, 1.0)
+
+
+def test_block_minimize_keeps_the_first_witness_at_a_tie():
+    """at a bitwise tie the earlier start's witness is kept: on the Choi matrix
+    diag(1, .5, .5, 1) the starts e_0 and e_1 both reach 0.5 exactly, at (e_1, e_0) and
+    (e_0, e_1), and in either order the scan returns the first start's pair"""
+    c4 = np.diag([1.0, 0.5, 0.5, 1.0]).astype(complex).reshape(2, 2, 2, 2)
+    starts = np.eye(2, dtype=complex)
+    for order in ([0, 1], [1, 0]):
+        first, second = (block_minimize(c4, starts[[k]], 50, -np.inf, np.sqrt(2.5)) for k in order)
+        assert first[0] == second[0] == 0.5
+        assert not np.array_equal(first[1], second[1])
+        val, xi, eta, used = block_minimize(c4, starts[order], 50, -np.inf, np.sqrt(2.5))
+        assert (val, used) == (0.5, 2)
+        assert np.array_equal(xi, first[1]) and np.array_equal(eta, first[2])

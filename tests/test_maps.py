@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conecert import maps as maps_module
+from conecert._kernels import block_minimize
 from conecert.errors import HermiticityError, InputRejected, SearchError, ShapeError
 from conecert.linalg import POSITIVITY_RTOL, hermitize, is_psd, psd_threshold
 from conecert.maps import (
@@ -754,3 +755,26 @@ def test_descent_stop_is_scale_free(abc):
         is_positive(MapRep(3, 3, s * phi.choi)).min_value / s for s in (1e-12, 1e-6, 1.0, 1e6)
     ]
     assert max(values) - min(values) <= 1e-6, values
+
+
+def test_is_positive_keeps_the_first_descent_at_a_tie(monkeypatch):
+    """where the restart scan ties the first descent's value bitwise, with another witness,
+    the first descent's witness is kept and the scan's restarts still count.  Choi's map
+    Phi[2, 0, 1] is neither CP nor co-CP, so it reaches the scan; the scan's value is set
+    to the first descent's"""
+    calls = []
+
+    def tied(*args):
+        result = block_minimize(*args)
+        if calls:
+            result = (calls[0][0],) + result[1:]
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(maps_module, "block_minimize", tied)
+    res = is_positive(cho_kye_lee(2, 0, 1), SearchParams(restarts=4, seed=0))
+    (val, xi, eta, used), rest = calls
+    assert not np.array_equal(rest[1], xi)
+    assert res.positive and res.min_value == val
+    assert np.array_equal(res.xi, xi) and np.array_equal(res.eta, eta)
+    assert res.restarts_used == used + rest[3]

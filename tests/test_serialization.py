@@ -65,6 +65,26 @@ def test_matrix_rejects_nonfinite():
         matrix_to_json(np.array([[np.nan + 0j]]))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (1, 1024)])
+def test_encoding_matches_a_per_entry_encoding(shape):
+    """the whole-array encoding writes each entry as [float(re), float(im)], as a per-entry loop
+    would, byte for byte in canonical JSON: -0.0, subnormals and integer values included; a
+    non-finite real or imaginary part anywhere is refused"""
+    rng = np.random.default_rng(shape)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m.flat[:4] = [-0.0 + 0j, 5e-324 - 0.0j, 3 + 2j, -1e-310 + 1e300j][:m.size]
+    pairs = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    want = {"rows": shape[0], "cols": shape[1], "data": pairs}
+    assert dumps_canonical(matrix_to_json(m)) == dumps_canonical(want)
+    assert dumps_canonical(vector_to_json(m[0])) == dumps_canonical({"dim": shape[1],
+                                                                      "data": pairs[0]})
+    for bad in (complex(np.inf, 0), complex(0, np.nan)):
+        m.flat[-1] = bad
+        for encode in (matrix_to_json, vector_to_json):
+            with pytest.raises(EncodingError, match="cannot encode non-finite entry"):
+                encode(m)
+
+
 @pytest.mark.parametrize("obj", [
     {"dim": 2, "data": [[1, 0]]},
     {"dim": 0, "data": []},

@@ -39,6 +39,25 @@ def test_lapack_is_called_only_through_linalg():
     assert "_umath_linalg" in (ROOT / "src" / "conecert" / "linalg.py").read_text()
 
 
+def test_only_cli_main_writes_and_prints():
+    """no `cmd_*` of cli.py prints, writes a file or reads `args.report`: each returns (exit code,
+    payload or None, stdout lines), and `main` alone writes the payload and prints"""
+    tree = ast.parse((ROOT / "src" / "conecert" / "cli.py").read_text())
+    effects = {"print", "write_json_atomic", "os.makedirs", "open", "sys.stdout.write"}
+    done = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            done[node.name] = {ast.unparse(call.func) for call in ast.walk(node)
+                               if isinstance(call, ast.Call)} & effects
+            done[node.name] |= {"args.report" for attr in ast.walk(node)
+                                if isinstance(attr, ast.Attribute) and attr.attr == "report"
+                                and ast.unparse(attr.value) == "args"}
+    assert sum(name.startswith("cmd_") for name in done) == 7
+    assert {name: found for name, found in done.items() if found} == {
+        "main": {"print", "write_json_atomic", "os.makedirs", "args.report"}
+    }
+
+
 ORACLES = ("constraint_oracle", "cone_oracle")
 
 
